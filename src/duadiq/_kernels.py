@@ -7,10 +7,10 @@ the weight of the word shifted by each requested offset.  The walk visits
 every codeword exactly once, so the returned per-offset weight histograms
 are exact counts and independent of backend, sharding and thread count.
 
-Backend selection: numba is used when importable unless the environment
-variable DUADIQ_BACKEND=numpy forces the fallback.  Both implementations
-are kept semantically identical and are compared in the test suite and in
-bench/bench_kernels.py.
+Backend selection: numba (the optional `numba` extra) is used when
+importable unless the environment variable DUADIQ_BACKEND=numpy forces the
+fallback; without numba the numpy walker runs.  Both implementations are
+kept semantically identical and are compared in the test suite.
 
 Sharding: walks with k above _SHARD_MIN_K split into 16 shards fixing the
 two leading information symbols; shard histograms are summed, so the merge
@@ -40,7 +40,7 @@ if _env != "numpy":
         # the TBB-version notice is harmless: numba falls back to omp/workqueue
         warnings.filterwarnings("ignore", message=".*TBB.*", category=_NumbaWarning)
         _HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - numba is a declared dependency
+    except ImportError:  # numba is an optional extra
         if _env == "numba":
             raise
         _HAVE_NUMBA = False

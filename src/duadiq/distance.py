@@ -166,6 +166,13 @@ def weight_histograms_binary(
     return hist, total
 
 
+def _generators(code) -> tuple[np.ndarray, int]:
+    """Generator matrix and field size of a CyclicCode or a GF(4) matrix."""
+    if isinstance(code, CyclicCode):
+        return code.gen_matrix, code.q
+    return np.atleast_2d(np.asarray(code, dtype=np.uint8)), 4
+
+
 def _first_nonzero_weight(hist_row: np.ndarray, skip_zero: bool) -> int:
     start = 1 if skip_zero else 0
     nz = np.nonzero(hist_row[start:])[0]
@@ -242,7 +249,15 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int) -> DistanceBound:
 # public distance operations
 # ---------------------------------------------------------------------------
 
-_EXACT_CACHE: dict[tuple, DistanceBound] = {}
+# One cache for every certified result: min_distance_exact bounds and
+# duadic passes.  An entry is served only if this budget could have produced
+# it itself, so results stay a pure function of (input, budget).
+_CACHE: dict[tuple, DistanceBound | DuadicDistances] = {}
+
+
+def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
+    hit = _CACHE.get(key)
+    return hit if hit is not None and hit.work <= budget else None
 
 
 def min_distance_exact(
@@ -253,63 +268,49 @@ def min_distance_exact(
     """Exact distance by full enumeration when 4^dim fits the budget, else
     an information-set interval with budget-exhausted provenance."""
     budget = default_budget() if budget is None else budget
-    cache_key = None
+    key = None
     if isinstance(code, CyclicCode):
-        cache_key = (code.q, code.n, code.defining_set.members)
-        hit = _EXACT_CACHE.get(cache_key)
-        # serve a cached result only if this budget could have produced it,
-        # so results stay a pure function of (input, budget)
-        if hit is not None and hit.work <= budget:
+        # an information-set result is what only budgets below the full
+        # enumeration compute, so the route is part of the key
+        route = EXACT if code.q**code.dim <= budget else INFO_SET
+        key = (route, code.q, code.n, code.defining_set.members)
+        hit = _cached(key, budget)
+        if hit is not None:
             return hit
-        g = code.gen_matrix
-        q = code.q
-    else:
-        g = np.atleast_2d(np.asarray(code, dtype=np.uint8))
-        q = 4
+    g, q = _generators(code)
     g = linalg.row_basis(g)
     k, n = g.shape
     if k == 0:
         raise InputError("the zero code has no minimum distance")
     if k == n:
         result = DistanceBound.exact_value(1, work=0)
+    elif q**k <= budget:
+        walk = weight_histograms if q == 4 else weight_histograms_binary
+        hist, work = walk(g, budget=budget, backend=backend)
+        result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
     else:
-        total = (4 if q == 4 else 2) ** k
-        if total <= budget:
-            if q == 4:
-                hist, work = weight_histograms(g, budget=budget, backend=backend)
-            else:
-                hist, work = weight_histograms_binary(g, budget=budget, backend=backend)
-            result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
-        else:
-            result = _info_set_bounds(g, q, budget)
-    if cache_key is not None and result.exact:
-        _EXACT_CACHE[cache_key] = result
+        result = _info_set_bounds(g, q, budget)
+    if key is not None and result.exact:
+        _CACHE[key] = result
     return result
 
 
 def weight_distribution(code, budget: int | None = None) -> np.ndarray:
     """Full weight enumerator (counts per weight, zero word included)."""
-    if isinstance(code, CyclicCode):
-        g = code.gen_matrix
-        q = code.q
-    else:
-        g, q = np.atleast_2d(np.asarray(code, dtype=np.uint8)), 4
-    if q == 4:
-        hist, _ = weight_histograms(g, budget=budget)
-    else:
-        hist, _ = weight_histograms_binary(g, budget=budget)
+    g, q = _generators(code)
+    walk = weight_histograms if q == 4 else weight_histograms_binary
+    hist, _ = walk(g, budget=budget)
     return hist[0]
 
 
-def _coset_offsets(reps: np.ndarray) -> np.ndarray:
-    """All nonzero F4-combinations of the rep rows (4^r - 1 offsets)."""
-    combos = np.zeros((1, reps.shape[1]), dtype=np.uint8)
-    for row in reps:
-        stack = [combos]
-        for c in (1, 2, 3):
-            stack.append(combos ^ gf4.MUL_TABLE[c][row])
-        combos = np.vstack(stack)
-    return combos[1:]
+def _coset_offsets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All F4-combinations sum(alpha_i row_i), the zero one first, with wt(alpha)."""
+    offs = np.zeros((1, rows.shape[1]), dtype=np.uint8)
+    wts = np.zeros(1, dtype=np.int64)
+    for row in rows:
+        offs = np.vstack([offs] + [offs ^ gf4.MUL_TABLE[c][row] for c in (1, 2, 3)])
+        wts = np.concatenate([wts] + [wts + 1] * 3)
+    return offs, wts
 
 
 def min_weight_difference(code, subcode, budget: int | None = None) -> tuple[int, int]:
@@ -319,10 +320,8 @@ def min_weight_difference(code, subcode, budget: int | None = None) -> tuple[int
     when the required enumeration exceeds the budget.
     """
     budget = default_budget() if budget is None else budget
-    g_sup = code.gen_matrix if isinstance(code, CyclicCode) else np.atleast_2d(np.asarray(code, dtype=np.uint8))
-    g_sub = subcode.gen_matrix if isinstance(subcode, CyclicCode) else np.atleast_2d(np.asarray(subcode, dtype=np.uint8))
-    g_sup = linalg.row_basis(g_sup)
-    g_sub = linalg.row_basis(g_sub)
+    g_sup = linalg.row_basis(_generators(code)[0])
+    g_sub = linalg.row_basis(_generators(subcode)[0])
     k_sup, k_sub = g_sup.shape[0], g_sub.shape[0]
     if k_sub and not linalg.is_subspace(g_sub, g_sup):
         raise InputError("subcode is not contained in code")
@@ -331,7 +330,7 @@ def min_weight_difference(code, subcode, budget: int | None = None) -> tuple[int
     codim = k_sup - k_sub
     if 4**codim - 1 <= 63 and k_sub > 0:
         reps = linalg.complement_basis(g_sub, g_sup)
-        offsets = _coset_offsets(reps)
+        offsets = _coset_offsets(reps)[0][1:]
         hist, work = weight_histograms(g_sub, offsets=offsets, budget=budget)
         d = min(_first_nonzero_weight(hist[j], skip_zero=False) for j in range(hist.shape[0]))
         return d, work
@@ -368,23 +367,21 @@ class DuadicDistances:
         return min(self.d_even, self.d_min_odd_coset)
 
 
-_DUADIC_CACHE: dict[tuple, DuadicDistances] = {}
-
-
 def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = None) -> DuadicDistances:
     """Exact even-like distance and minimum odd-like weight for one side.
 
     Enumerates the even-like code once, tracking the three cosets of the
     all-ones vector; d(odd-like) = min(d_even, d_o) since the odd-like code
-    is their union.
+    is their union.  Both distances are cached as min_distance_exact would
+    return them, with the work of their own full enumerations.
     """
     budget = default_budget() if budget is None else budget
     s = splitting.s1 if side == 1 else splitting.s2
-    key = (splitting.n, s.members)
-    hit = _DUADIC_CACHE.get(key)
-    if hit is not None and hit.work <= budget:
-        return hit
     n = splitting.n
+    key = ("duadic", n, s.members)
+    hit = _cached(key, budget)
+    if hit is not None:
+        return hit
     even = CyclicCode(DefiningSet(n, s.members | {0}))
     ones = np.ones(n, dtype=np.uint8)
     offsets = np.vstack([np.zeros(n, dtype=np.uint8), ones, gf4.scalar_mul(2, ones), gf4.scalar_mul(3, ones)])
@@ -400,8 +397,75 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = N
         coset_hist=tuple(int(x) for x in coset_hist),
         work=work,
     )
-    _DUADIC_CACHE[key] = result
+    _CACHE[key] = result
+    _CACHE[(EXACT, 4, n, even.defining_set.members)] = DistanceBound.exact_value(d_even, work=work)
+    _CACHE[(EXACT, 4, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=4 * work)
     return result
+
+
+def even_lift(b: DistanceBound) -> DistanceBound:
+    """Round an odd lower bound up to even; valid for even-weight codes."""
+    if b.lo % 2 == 0:
+        return b
+    if b.hi is not None and b.hi == b.lo:
+        raise InvariantError(f"exact odd distance {b.lo} contradicts an even-weight certificate")
+    return DistanceBound(lo=b.lo + 1, hi=b.hi, lo_src=PARITY, hi_src=b.hi_src, work=b.work)
+
+
+# ---------------------------------------------------------------------------
+# extensions: the one place a k = 0 distance gets certified
+# ---------------------------------------------------------------------------
+
+def extension_coset_distance(g: np.ndarray, f_rows: np.ndarray, budget: int | None = None) -> tuple[int, int]:
+    """Exact distance of the code spanned by the rows (g | 0) and (f_i | e_i).
+
+    One pass over span(g) with the offsets sum(alpha_i f_i): the distance is
+    the least coset minimum weight plus wt(alpha).  Returns (d, work).
+    """
+    offsets, alpha_wts = _coset_offsets(f_rows)
+    hist, work = weight_histograms(g, offsets=offsets, budget=budget)
+    d = min(_first_nonzero_weight(hist[j], skip_zero=j == 0) + int(alpha_wts[j]) for j in range(len(offsets)))
+    return d, work
+
+
+@dataclass(frozen=True)
+class ExtensionDistance:
+    """An extension's distance, with the exact pass's account of it (note),
+    or with d(C) and d(C + C^perp_h) when the bound replaced that pass."""
+
+    bound: DistanceBound
+    note: str = ""
+    d_code: DistanceBound | None = None
+    d_sum: DistanceBound | None = None
+
+
+def extension_distance(
+    code, sum_code, budget: int, exact=None, even: bool = True, hi_from_code: bool = True
+) -> ExtensionDistance:
+    """Distance of the extension of a code C.
+
+    exact is (words, run) or None: when words <= budget, run() makes one
+    exact pass over C with the extension cosets and returns (d, work, note).
+    Otherwise d >= min(d(C), d(C + C^perp_h) + 1), where sum_code is
+    C + C^perp_h or None for the full space; words of C pad by zeros, so
+    d <= d(C) where hi_from_code.  An even extension is Hermitian self-dual:
+    its lower bound lifts to even and an odd exact distance is an invariant
+    failure.
+    """
+    if exact is not None and exact[0] <= budget:
+        d, work, note = exact[1]()
+        if even and d % 2:
+            raise InvariantError(f"Hermitian self-dual code with odd minimum distance {d}")
+        return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note)
+    d_c = min_distance_exact(code, budget=budget)
+    d_sum = DistanceBound.exact_value(1) if sum_code is None else min_distance_exact(sum_code, budget=budget)
+    if d_c.lo <= d_sum.lo + 1:
+        lo, lo_src = d_c.lo, d_c.lo_src
+    else:
+        lo, lo_src = d_sum.lo + 1, d_sum.lo_src
+    hi, hi_src = (d_c.hi, d_c.hi_src) if hi_from_code and d_c.hi is not None else (None, BUDGET)
+    bound = DistanceBound(lo=lo, hi=hi, lo_src=lo_src, hi_src=hi_src, work=d_c.work + d_sum.work)
+    return ExtensionDistance(even_lift(bound) if even else bound, d_code=d_c, d_sum=d_sum)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import numpy as np
 
 from . import linalg
 from .cyclic import CyclicCode, DefiningSet, all_cosets
+from .errors import InputError
 from .extfield import is_prime
 
 
@@ -61,6 +62,10 @@ class Splitting:
         }
 
 
+# 2^(#cycles) masks per multiplier: every odd n <= 257 but 255 needs at most 2^19
+_MAX_SPLITTING_MASKS = 1 << 20
+
+
 def _splittings_for_multiplier(n: int, b: int) -> list[tuple[frozenset[int], frozenset[int]]]:
     """All unordered {S1, S2} swapped by mu_b, as member-set pairs."""
     part = all_cosets(n, 4)
@@ -88,6 +93,11 @@ def _splittings_for_multiplier(n: int, b: int) -> list[tuple[frozenset[int], fro
         if len(cyc) % 2 == 1:
             return []
         cycles.append(cyc)
+    if 1 << len(cycles) > _MAX_SPLITTING_MASKS:
+        raise InputError(
+            f"splittings of Z_{n} by mu_{b}: 2^{len(cycles)} masks to search, "
+            f"more than the limit 2^{_MAX_SPLITTING_MASKS.bit_length() - 1}"
+        )
     out = []
     for mask in range(1 << len(cycles)):
         for ci, cyc in enumerate(cycles):

@@ -57,7 +57,7 @@ def mult_order(a: int, n: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1")
-    # order divides the group exponent; walk down from lcm via factor removal
+    # multiply up by a until the power returns to 1
     order = 1
     x = a
     while x != 1:

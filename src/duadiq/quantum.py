@@ -30,6 +30,7 @@ from .distance import (
     PARITY,
     SQUARE_ROOT,
     DistanceBound,
+    even_lift,
 )
 from .duadic import DuadicPair, Splitting, duadic_from_splitting
 from .errors import (
@@ -91,15 +92,6 @@ class SelfDualCode:
             raise InvariantError(f"self-dual shape must be (m, 2m), got {self.gen.shape}")
         if not linalg.is_hermitian_self_orthogonal(self.gen):
             raise InvariantError("generator matrix fails the Gram test")
-
-
-def _even_lift(b: DistanceBound) -> DistanceBound:
-    """Round an odd lower bound up to even; valid for even-weight codes."""
-    if b.lo % 2 == 0:
-        return b
-    if b.hi is not None and b.hi == b.lo:
-        raise InvariantError(f"exact odd distance {b.lo} contradicts an even-weight certificate")
-    return DistanceBound(lo=b.lo + 1, hi=b.hi, lo_src=PARITY, hi_src=b.hi_src, work=b.work)
 
 
 def _ceil_sqrt(n: int) -> int:
@@ -184,13 +176,8 @@ def _as_matrix(code) -> np.ndarray:
     return np.atleast_2d(np.asarray(code, dtype=np.uint8))
 
 
-def extend_nearly_self_orthogonal(
-    code, budget: int | None = None
-) -> tuple[Extension, QuantumParams]:
-    """Extend a code to a Hermitian dual-containing one and read off the
-    stabilizer parameters [[n+e, 2k-n+e]] with the distance bound
-    d >= min(d(C), d(C + C^perp_h) + 1)."""
-    budget = dist.default_budget() if budget is None else budget
+def _extend(code) -> tuple[Extension, np.ndarray]:
+    """The extension of a code, with the Hermitian dual of its row basis."""
     g = linalg.row_basis(_as_matrix(code))
     k, n = g.shape
     if k == 0:
@@ -198,7 +185,6 @@ def extend_nearly_self_orthogonal(
     dual = linalg.hermitian_dual_space(g)
     radical = linalg.subspace_intersection(g, dual)
     e = dual.shape[0] - radical.shape[0]
-    trace = [f"extension: input [{n},{k}], e={e}"]
     if e == 0:
         extended = g
         extended_dual = dual if dual.size else np.zeros((0, n), dtype=np.uint8)
@@ -224,33 +210,38 @@ def extend_nearly_self_orthogonal(
                 raise InvariantError("extended code failed the dual-containment Gram test")
     if linalg.rank(extended) != k + e:
         raise InvariantError("extended generators are dependent")
+    return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e), dual
 
-    kq = 2 * k - n + e
-    d_c = dist.min_distance_exact(g if not isinstance(code, CyclicCode) else code, budget=budget)
+
+def extend_nearly_self_orthogonal(
+    code, budget: int | None = None
+) -> tuple[Extension, QuantumParams]:
+    """Extend a code to a Hermitian dual-containing one and read off the
+    stabilizer parameters [[n+e, 2k-n+e]] with the distance bound
+    d >= min(d(C), d(C + C^perp_h) + 1)."""
+    budget = dist.default_budget() if budget is None else budget
+    ext, dual = _extend(code)
+    g = ext.original
+    k, n = g.shape
+    kq = 2 * k - n + ext.e
     sum_space = linalg.subspace_sum(g, dual)
-    if sum_space.shape[0] == n:
-        d_sum = DistanceBound.exact_value(1)
-    else:
-        d_sum = dist.min_distance_exact(sum_space, budget=budget)
-    if d_c.lo <= d_sum.lo + 1:
-        lo, lo_src = d_c.lo, d_c.lo_src
-    else:
-        lo, lo_src = d_sum.lo + 1, d_sum.lo_src
-    trace.append(
-        f"bound: d >= min(d(C) >= {d_c.lo}, d(C + dual) + 1 >= {d_sum.lo + 1})"
+    cert = dist.extension_distance(
+        code if isinstance(code, CyclicCode) else g,
+        None if sum_space.shape[0] == n else sum_space,
+        budget, even=kq == 0, hi_from_code=False,
     )
-    bound = DistanceBound(lo=lo, hi=None, lo_src=lo_src, hi_src=BUDGET,
-                          work=d_c.work + d_sum.work)
-    if kq == 0:
-        bound = _even_lift(bound)
-        if bound.lo != lo:
-            trace.append(f"even-weight lift to {bound.lo}")
+    lo = min(cert.d_code.lo, cert.d_sum.lo + 1)
+    trace = [
+        f"extension: input [{n},{k}], e={ext.e}",
+        f"bound: d >= min(d(C) >= {cert.d_code.lo}, d(C + dual) + 1 >= {cert.d_sum.lo + 1})",
+    ]
+    if cert.bound.lo != lo:
+        trace.append(f"even-weight lift to {cert.bound.lo}")
     params = QuantumParams(
-        n=n + e, k=kq, d=bound,
+        n=n + ext.e, k=kq, d=cert.bound,
         pure=PURE_YES if kq == 0 else PURE_UNKNOWN,
         trace=tuple(trace),
     )
-    ext = Extension(original=g, extended=extended, extended_dual=extended_dual, e=e)
     return ext, params
 
 
@@ -279,7 +270,7 @@ def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumPara
         d = dist.min_distance_exact(code if isinstance(code, CyclicCode) else g, budget=budget)
         if d.exact and d.lo % 2:
             raise InvariantError("self-dual code with odd minimum distance")
-        d = _even_lift(d) if not d.exact else d
+        d = even_lift(d) if not d.exact else d
         trace.append("self-dual: d' = d(C), weights all even")
         return QuantumParams(n=n, k=0, d=d, pure=PURE_YES, trace=tuple(trace))
     dual = linalg.hermitian_dual_space(g)
@@ -350,7 +341,7 @@ def extended_duadic_quantum(
     n = splitting.n
     even = pair.even1 if side == 1 else pair.even2
     odd = pair.odd1 if side == 1 else pair.odd2
-    ext, _ = extend_nearly_self_orthogonal(even, budget=0)
+    ext, _ = _extend(even)
     if ext.e != 1:
         raise InvariantError(f"duadic extension produced e = {ext.e}, expected 1")
     sd = SelfDualCode(gen=ext.extended)
@@ -358,32 +349,26 @@ def extended_duadic_quantum(
         f"odd-like duadic n={n} leaders={list(odd.defining_set.leaders)} with mu_-2",
         "even-like subcode extended by one unit coordinate (e=1)",
     ]
-    try:
+
+    def duadic_pass():
         dd = dist.duadic_distances(splitting, side=side, budget=budget)
-        d_exact = min(dd.d_even, dd.d_min_odd_coset + 1)
-        if d_exact % 2:
-            raise InvariantError("extended duadic distance must be even")
-        trace.append(
-            f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d_exact} [exact]"
-        )
-        bound = DistanceBound.exact_value(d_exact, work=dd.work)
-    except BudgetExceededError:
-        d_even_b = dist.min_distance_exact(even, budget=budget)
-        d_odd_b = dist.min_distance_exact(odd, budget=budget)
-        lo = min(d_even_b.lo, d_odd_b.lo + 1)
-        lo_src = d_even_b.lo_src if d_even_b.lo <= d_odd_b.lo + 1 else d_odd_b.lo_src
-        # even-like words pad by zero into the extension, so d <= d(even)
-        bound = DistanceBound(lo=lo, hi=d_even_b.hi, lo_src=lo_src,
-                              hi_src=d_even_b.hi_src if d_even_b.hi is not None else BUDGET,
-                              work=d_even_b.work + d_odd_b.work)
-        trace.append(f"budget-limited bound: d >= min({d_even_b.lo}, {d_odd_b.lo}+1)")
-        bound = _even_lift(bound)
+        d = min(dd.d_even, dd.d_min_odd_coset + 1)
+        return d, dd.work, f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
+
+    # the Hermitian dual of the even-like code is the odd-like code, which contains it
+    cert = dist.extension_distance(even, odd, budget, exact=(4**even.dim, duadic_pass))
+    bound = cert.bound
+    if cert.d_code is None:
+        trace.append(cert.note)
+    else:
+        d_odd_b = cert.d_sum
+        trace.append(f"budget-limited bound: d >= min({cert.d_code.lo}, {d_odd_b.lo}+1)")
         if d_odd_b.exact and d_odd_b.lo % 2 == 1:
             lo_min = _ceil_sqrt(n) + 1
             lifted = _sqrt_floor_lift(bound, lo_min, SQUARE_ROOT)
             if lifted.lo != bound.lo:
                 trace.append(f"square-root lift: d >= ceil(sqrt(n)) + 1 = {lo_min}")
-            bound = _even_lift(lifted)
+            bound = even_lift(lifted)
             if splitting.has_multiplier(-1):
                 d_target = bound.lo
                 while d_target * d_target - 3 * (d_target - 1) < n:
@@ -421,43 +406,6 @@ def qr_quantum_refinements(
     return replace(params, d=d, trace=tuple(trace))
 
 
-def _alpha_offsets(f_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero combinations sum(alpha_i f_i) with their coefficient weights."""
-    n = f_rows.shape[1]
-    offs = np.zeros((1, n), dtype=np.uint8)
-    wts = np.zeros(1, dtype=np.int64)
-    for row in f_rows:
-        blocks = [offs]
-        wblocks = [wts]
-        for c in (1, 2, 3):
-            blocks.append(offs ^ gf4.scalar_mul(c, row))
-            wblocks.append(wts + 1)
-        offs = np.vstack(blocks)
-        wts = np.concatenate(wblocks)
-    return offs[1:], wts[1:]
-
-
-def _extension_distance_exact(g: np.ndarray, ext: Extension, budget: int) -> tuple[int, int]:
-    """Exact distance of the extended code via one pass over the input span.
-
-    Extended words are (c + sum alpha_i f_i | alpha), so the distance is the
-    minimum over alpha of the coset minimum weight plus wt(alpha)."""
-    k = g.shape[0]
-    if ext.e > 5 or 4**k > budget:
-        raise BudgetExceededError("extension distance pass exceeds the budget")
-    f_rows = ext.extended[k:, : g.shape[1]]
-    offs, wts = _alpha_offsets(f_rows)
-    offsets = np.vstack([np.zeros((1, g.shape[1]), dtype=np.uint8), offs])
-    hist, work = dist.weight_histograms(g, offsets=offsets, budget=budget)
-    best = int(np.nonzero(hist[0][1:])[0][0]) + 1  # alpha = 0: d(C), zero word skipped
-    for j in range(1, hist.shape[0]):
-        nz = np.nonzero(hist[j])[0]
-        cand = int(nz[0]) + int(wts[j - 1])
-        if cand < best:
-            best = cand
-    return best, work
-
-
 def general_zero_dim(
     code, budget: int | None = None
 ) -> tuple[QuantumParams, SelfDualCode]:
@@ -473,37 +421,33 @@ def general_zero_dim(
         raise NotApplicableError(
             "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
         )
-    ext, params = extend_nearly_self_orthogonal(
-        code if isinstance(code, CyclicCode) else g, budget=0
-    )
-    if params.k != 0 or params.n != 2 * (n - k):
+    ext, dual = _extend(g)
+    if 2 * ext.k != ext.n or ext.n != 2 * (n - k):
         raise InvariantError("self-orthogonal extension produced wrong parameters")
     sd = SelfDualCode(gen=ext.extended)
     trace = [
         f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}",
     ]
-    try:
-        d_val, work = _extension_distance_exact(g, ext, budget)
-        if d_val % 2:
-            raise InvariantError("Hermitian self-dual code with odd minimum distance")
-        bound = DistanceBound.exact_value(d_val, work=work)
-        trace.append(f"d = min over cosets of (coset weight + unit weight) = {d_val} [exact]")
-    except BudgetExceededError:
-        d_c = dist.min_distance_exact(code if isinstance(code, CyclicCode) else g, budget=budget)
-        if isinstance(code, CyclicCode):
-            dual = CyclicCode(dual_defining_set(code.defining_set))
-        else:
-            dual = linalg.hermitian_dual_space(g)
-        d_dual = dist.min_distance_exact(dual, budget=budget)
-        lo = min(d_c.lo, d_dual.lo + 1)
-        lo_src = d_c.lo_src if d_c.lo <= d_dual.lo + 1 else d_dual.lo_src
-        # words of C pad by zeros into the output, so d <= d(C)
-        bound = DistanceBound(lo=lo, hi=d_c.hi, lo_src=lo_src,
-                              hi_src=d_c.hi_src if d_c.hi is not None else BUDGET,
-                              work=d_c.work + d_dual.work)
-        trace.append(f"budget-limited bound: d >= min(d(C) >= {d_c.lo}, d(dual) + 1 >= {d_dual.lo + 1})")
-        bound = _even_lift(bound)
-    out = QuantumParams(n=2 * (n - k), k=0, d=bound, pure=PURE_YES, trace=tuple(trace))
+
+    def coset_pass():
+        d, work = dist.extension_coset_distance(g, ext.extended[k:, :n], budget)
+        return d, work, f"d = min over cosets of (coset weight + unit weight) = {d} [exact]"
+
+    # C is self-orthogonal, so C + C^perp_h is its dual
+    if isinstance(code, CyclicCode):
+        dual = CyclicCode(dual_defining_set(code.defining_set))
+    else:
+        code = g
+    cert = dist.extension_distance(
+        code, dual, budget,
+        exact=(4**k, coset_pass) if ext.e <= 5 else None,
+    )
+    if cert.d_code is None:
+        trace.append(cert.note)
+    else:
+        trace.append(f"budget-limited bound: d >= min(d(C) >= {cert.d_code.lo}, "
+                     f"d(dual) + 1 >= {cert.d_sum.lo + 1})")
+    out = QuantumParams(n=2 * (n - k), k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return out, sd
 
 
@@ -568,41 +512,29 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
             f"ord_{n}(2) = {o2} differs from ord_{n}(4) = {o4}",
             failed=["ord_n(2) = ord_n(4)"],
         )
-    quaternary = CyclicCode(DefiningSet(n, a.members, q=4))
-    ext, params = extend_nearly_self_orthogonal(quaternary, budget=0)
+    ext, _ = _extend(CyclicCode(DefiningSet(n, a.members, q=4)))
+    kq = 2 * ext.k - ext.n
     trace = [
         f"binary cyclic n={n} leaders={list(a.leaders)} lifted to GF(4) (shared cosets)",
         f"extension e={ext.e}",
     ]
-    if (ext.extended <= 1).all() and 2 ** ext.k <= budget:
+
+    def binary_pass():
         hist, work = dist.weight_histograms_binary(ext.extended, budget=budget)
-        d_val = int(np.nonzero(hist[0][1:])[0][0]) + 1
-        if params.k == 0 and d_val % 2:
-            raise InvariantError("self-dual binary-generated code with odd distance")
-        bound = DistanceBound.exact_value(d_val, work=work)
-        trace.append(f"binary enumeration of the extended code: d = {d_val} [exact]")
-    else:
-        bin_code = CyclicCode(DefiningSet(n, a.members, q=2))
-        d_c = dist.min_distance_exact(bin_code, budget=budget)
-        sum_code = CyclicCode(
-            DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2)
-        )
-        d_sum = (
-            DistanceBound.exact_value(1)
-            if sum_code.dim == n
-            else dist.min_distance_exact(sum_code, budget=budget)
-        )
-        lo = min(d_c.lo, d_sum.lo + 1)
-        bound = DistanceBound(
-            lo=lo, hi=None,
-            lo_src=d_c.lo_src if d_c.lo <= d_sum.lo + 1 else d_sum.lo_src,
-            hi_src=BUDGET, work=d_c.work + d_sum.work,
-        )
-        if params.k == 0:
-            bound = _even_lift(bound)
-        trace.append("budget-limited binary bound: d >= min(d(C), d(C + dual) + 1)")
-    out = QuantumParams(n=params.n, k=params.k, d=bound,
-                        pure=PURE_YES if params.k == 0 else PURE_UNKNOWN,
+        d = int(np.nonzero(hist[0][1:])[0][0]) + 1
+        return d, work, f"binary enumeration of the extended code: d = {d} [exact]"
+
+    bin_code = CyclicCode(DefiningSet(n, a.members, q=2))
+    sum_code = CyclicCode(DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2))
+    cert = dist.extension_distance(
+        bin_code, None if sum_code.dim == n else sum_code, budget,
+        exact=(2**ext.k, binary_pass) if (ext.extended <= 1).all() else None,
+        even=kq == 0, hi_from_code=False,
+    )
+    trace.append(cert.note if cert.d_code is None
+                 else "budget-limited binary bound: d >= min(d(C), d(C + dual) + 1)")
+    out = QuantumParams(n=ext.n, k=kq, d=cert.bound,
+                        pure=PURE_YES if kq == 0 else PURE_UNKNOWN,
                         trace=tuple(trace))
     return out, ext
 

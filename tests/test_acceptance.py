@@ -44,8 +44,7 @@ def _mu2_splittings(n):
 
 def test_criterion_01_table_reproduction():
     """Rows n=5..23 exact in under 60 s; n=29 (slow) exact in under 15 min."""
-    dist._EXACT_CACHE.clear()
-    dist._DUADIC_CACHE.clear()
+    dist._CACHE.clear()
     expected = {5: "[[6,0,4]]", 7: "[[8,0,4]]", 13: "[[14,0,6]]",
                 17: "[[18,0,8]]", 23: "[[24,0,8]]"}
     t0 = time.monotonic()

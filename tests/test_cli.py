@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from duadiq import cli
+from duadiq import _kernels, cli
+from duadiq import distance as dist
 
 
 def run(capsys, *argv):
@@ -47,6 +48,14 @@ def test_splittings_empty_still_exit_0(capsys):
     assert json.loads(out)["count"] == 0
 
 
+def test_splittings_too_many_masks_exit_2(capsys):
+    # mu_2 pairs the 68 nonzero cosets mod 255 into 34 cycles: 2^34 masks
+    code, out, err = run(capsys, "splittings", "-n", "255")
+    assert code == 2
+    assert out == ""
+    assert "invalid input" in err and "2^34" in err
+
+
 def test_splittings_n17(capsys):
     code, out, _ = run(capsys, "splittings", "-n", "17", "--format", "json")
     payload = json.loads(out)
@@ -59,6 +68,22 @@ def test_quantum_qr_23(capsys):
     assert code == 0
     payload = json.loads(out)
     assert (payload["n"], payload["k"], payload["d_lo"], payload["d_hi"]) == (24, 0, 8, 8)
+
+
+def test_quantum_qr_23_walks_once(capsys, monkeypatch):
+    # the duadic pass also settles d(odd-like), which --qr asks for next
+    calls = []
+    walk = _kernels.gray_weight_hists
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return walk(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "_CACHE", {})
+    monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
+    code, _, _ = run(capsys, "quantum", "-n", "23", "--qr", "--format", "json")
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_quantum_qr_11_exit_3(capsys):

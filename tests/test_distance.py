@@ -113,6 +113,36 @@ def test_duadic_distances_pass():
     assert all(c == 0 for w, c in enumerate(dd23.coset_hist) if w % 2 == 0)
 
 
+def test_duadic_pass_caches_odd_like_distance(monkeypatch):
+    # after the duadic pass, min_distance_exact(odd) returns what it returns
+    # on an empty cache: the cached entry at 4^dim, a fresh search below it
+    for n in range(3, 18, 2):
+        for s in find_splittings(n):
+            pair = duadic_from_splitting(s)
+            for side, odd in ((1, pair.odd1), (2, pair.odd2)):
+                full = 4**odd.dim
+                for budget in (full, full - 1):
+                    monkeypatch.setattr(dist, "_CACHE", {})
+                    fresh = dist.min_distance_exact(odd, budget=budget)
+                    monkeypatch.setattr(dist, "_CACHE", {})
+                    dist.duadic_distances(s, side=side, budget=budget)
+                    assert dist.min_distance_exact(odd, budget=budget) == fresh, (n, side, budget)
+                    assert (fresh.lo_src == dist.EXACT) == (budget == full)
+
+
+def test_cached_results_independent_of_history(monkeypatch):
+    # an exact information-set result must not answer a budget that would
+    # enumerate the whole code, nor the reverse
+    code = CyclicCode(DefiningSet(9, frozenset({3, 6})))  # [9, 7, 2]
+    full = 4**code.dim
+    monkeypatch.setattr(dist, "_CACHE", {})
+    fresh = {b: dist.min_distance_exact(code, budget=b) for b in (full, full - 1)}
+    assert fresh[full].lo_src == dist.EXACT and fresh[full - 1].lo_src == dist.INFO_SET
+    monkeypatch.setattr(dist, "_CACHE", {})
+    for b in (full - 1, full, full - 1):
+        assert dist.min_distance_exact(code, budget=b) == fresh[b]
+
+
 def test_fixed_subcode_basics():
     c = CyclicCode.from_leaders(7, [1])
     fs = dist.fixed_subcode(c, 2)  # 2 is a residue mod 7, so 2A = A

@@ -268,16 +268,16 @@ def test_json_schema():
 
 def test_even_lift_arithmetic():
     from duadiq.errors import InvariantError
-    from duadiq.quantum import _even_lift
+    from duadiq.distance import even_lift
 
-    lifted = _even_lift(dist.DistanceBound(lo=19, hi=36, lo_src=dist.FIXED_SUBCODE,
-                                           hi_src=dist.FIXED_SUBCODE))
+    lifted = even_lift(dist.DistanceBound(lo=19, hi=36, lo_src=dist.FIXED_SUBCODE,
+                                          hi_src=dist.FIXED_SUBCODE))
     assert lifted.lo == 20 and lifted.lo_src == dist.PARITY and lifted.hi == 36
-    same = _even_lift(dist.DistanceBound(lo=20, hi=None, lo_src=dist.BUDGET,
-                                         hi_src=dist.BUDGET))
+    same = even_lift(dist.DistanceBound(lo=20, hi=None, lo_src=dist.BUDGET,
+                                        hi_src=dist.BUDGET))
     assert same.lo == 20 and same.lo_src == dist.BUDGET
     with pytest.raises(InvariantError):
-        _even_lift(dist.DistanceBound.exact_value(7))
+        even_lift(dist.DistanceBound.exact_value(7))
 
 
 def test_quantum_from_dual_containing_budget_limited():
