@@ -7,6 +7,13 @@ the weight of the word shifted by each requested offset.  The walk visits
 every codeword exactly once, so the returned per-offset weight histograms
 are exact counts and independent of backend, sharding and thread count.
 
+The numpy walker splits the F2-basis into a suffix of up to _SUFFIX_BITS
+rows, whose span is tabulated once as a block of up to 65536 words, and a
+prefix walked in Gray order.  Each prefix step XORs one basis row into the
+running word; then, per offset, the block is XORed with the running word and
+the offset, the two planes are ORed, popcounted and binned, all into buffers
+allocated once per call.
+
 Backend selection: numba (the optional `numba` extra) is used when
 importable unless the environment variable DUADIQ_BACKEND=numpy forces the
 fallback; without numba the numpy walker runs.  Both implementations are
@@ -203,38 +210,42 @@ def _numpy_hist_planes(basis_lo, basis_hi, off_lo, off_hi, nbins):
     """Exact per-offset weight histograms over the F2-span of basis rows.
 
     basis rows are (W,) uint64 plane pairs; the span is walked as
-    prefix Gray walk x vectorized suffix block.
+    prefix Gray walk x vectorized suffix block.  The block buffers are
+    allocated once per call and every block step writes into them.
     """
-    nb_rows = basis_lo.shape[0]
-    W = basis_lo.shape[1]
+    nb_rows, W = basis_lo.shape
     m = off_lo.shape[0]
     out = np.zeros((m, nbins), dtype=np.int64)
     k2 = min(nb_rows, _SUFFIX_BITS)
-    suf_lo = np.zeros((1, W), dtype=np.uint64)
-    suf_hi = np.zeros((1, W), dtype=np.uint64)
-    for i in range(nb_rows - k2, nb_rows):
-        suf_lo = np.concatenate([suf_lo, suf_lo ^ basis_lo[i]])
-        suf_hi = np.concatenate([suf_hi, suf_hi ^ basis_hi[i]])
+    prefix_rows = nb_rows - k2
+    block = 1 << k2
+    suf_lo = np.zeros((block, W), dtype=np.uint64)
+    suf_hi = np.zeros((block, W), dtype=np.uint64)
+    for b, i in enumerate(range(prefix_rows, nb_rows)):
+        h = 1 << b
+        np.bitwise_xor(suf_lo[:h], basis_lo[i], out=suf_lo[h : 2 * h])
+        np.bitwise_xor(suf_hi[:h], basis_hi[i], out=suf_hi[h : 2 * h])
+    x_lo = np.empty_like(suf_lo)
+    x_hi = np.empty_like(suf_hi)
+    pop = np.empty((block, W), dtype=np.uint8)
+    wt = np.empty(block, dtype=np.intp)  # bincount reads intp without a copy
     cur_lo = np.zeros(W, dtype=np.uint64)
     cur_hi = np.zeros(W, dtype=np.uint64)
-    prefix_rows = nb_rows - k2
     for t in range(1 << prefix_rows):
-        if t > 0:
-            tt = t
-            idx = 0
-            while tt & 1 == 0:
-                tt >>= 1
-                idx += 1
+        if t:
+            idx = (t & -t).bit_length() - 1  # Gray code: the lowest set bit flips
             cur_lo ^= basis_lo[idx]
             cur_hi ^= basis_hi[idx]
         for j in range(m):
-            planes = (suf_lo ^ (cur_lo ^ off_lo[j])) | (suf_hi ^ (cur_hi ^ off_hi[j]))
-            w = np.bitwise_count(planes)
-            if W > 1:
-                w = w.sum(axis=1)
+            np.bitwise_xor(suf_lo, cur_lo ^ off_lo[j], out=x_lo)
+            np.bitwise_xor(suf_hi, cur_hi ^ off_hi[j], out=x_hi)
+            np.bitwise_or(x_lo, x_hi, out=x_lo)
+            if W == 1:
+                np.bitwise_count(x_lo[:, 0], out=wt)
             else:
-                w = w.reshape(-1)
-            out[j] += np.bincount(w.astype(np.int64), minlength=nbins)
+                np.bitwise_count(x_lo, out=pop)
+                np.sum(pop, axis=1, dtype=np.int64, out=wt)
+            out[j] += np.bincount(wt, minlength=nbins)
     return out
 
 

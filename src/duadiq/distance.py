@@ -6,7 +6,11 @@ enumeration (4^dim or 2^dim words) whenever that fits the work budget; above
 the budget a single deterministic information set is enumerated by rising
 message weight, which yields an honest lower bound (completed radius + 1)
 and the best found word as an upper bound.  Budgets count enumeration steps;
-a multi-offset pass over one span counts once per step.
+a multi-offset pass over one span counts once per step.  An exact pass
+counts the 4^dim words of its span against the budget and reports them as
+its work, while the walk evaluates about a third of them: a word and its
+nonzero multiples have the same weight, so weight_histograms enumerates
+one word per scaling orbit of the span and its offsets.
 
 Results are deterministic for a given budget regardless of backend or
 worker count.
@@ -113,6 +117,54 @@ def _packed_span(g: np.ndarray):
     return _kernels._scaled_generators(lo, hi, olo, ohi)
 
 
+def _scaling_closure(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct rows of offsets, omega * offsets and omega^2 * offsets.
+
+    Returns (rows, where, orbit): offsets[i] is rows[where[i]], and
+    orbit[c, i] indexes the row gamma * rows[i] for the scalars gamma in
+    F4* = (1, omega, omega^2).
+    """
+    index: dict[bytes, int] = {}
+    for r in np.vstack([gf4.MUL_TABLE[c][offsets] for c in (1, 2, 3)]):
+        index.setdefault(r.tobytes(), len(index))
+    rows = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(len(index), offsets.shape[1])
+    where = np.array([index[r.tobytes()] for r in offsets], dtype=np.intp)
+    orbit = np.array(
+        [[index[r.tobytes()] for r in gf4.MUL_TABLE[c][rows]] for c in (1, 2, 3)], dtype=np.intp
+    )
+    return rows, where, orbit
+
+
+def _symmetric_hists(g: np.ndarray, offsets: np.ndarray, backend: str | None) -> np.ndarray:
+    """Per-offset histograms over offsets + span(g), walking about 4^k/3 words.
+
+    For an offset set O closed under F4* scaling and S = span(g_2..g_k),
+        hist_O(span(g_1..g_k)) = hist_O(S) + sum_{gamma in F4*} hist_{gamma^-1 O + g_1}(S),
+    because wt(beta g_1 + s + o) = wt(g_1 + beta^-1 s + beta^-1 o) and S is
+    closed under scaling.  Leading generators are peeled one at a time, each
+    level one kernel call over the remaining span with the offsets shifted by
+    g_1, until that span fits one suffix block of the numpy walker.
+    """
+    k, n = g.shape
+    sg_lo, sg_hi = _packed_span(g)
+    peel = max(0, k - _kernels._SUFFIX_BITS // 2)
+    if peel == 0:
+        off_lo, off_hi = gf4.pack_planes(offsets)
+        return _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1, backend=backend)
+    rows, where, orbit = _scaling_closure(offsets)
+    off_lo, off_hi = gf4.pack_planes(rows)
+    hist = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
+    for j in range(peel):
+        rest = slice(2 * j + 2, None)
+        shifted = _kernels.gray_weight_hists(
+            sg_lo[rest], sg_hi[rest], off_lo ^ sg_lo[2 * j], off_hi ^ sg_hi[2 * j], n + 1, backend=backend
+        )
+        hist += shifted[orbit].sum(axis=0)
+    rest = slice(2 * peel, None)
+    hist += _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], off_lo, off_hi, n + 1, backend=backend)
+    return hist[where]
+
+
 def weight_histograms(
     g: np.ndarray,
     offsets: np.ndarray | None = None,
@@ -122,7 +174,9 @@ def weight_histograms(
     """Exact per-offset weight histograms over the span of g plus offsets.
 
     Returns (hist, work) where hist[j, w] counts words of weight w in
-    offset_j + span(g); row 0 of a default call is the code itself.
+    offset_j + span(g); row 0 of a default call is the code itself.  The
+    work is the 4^dim words of the span, as is the budget check; the walk
+    itself evaluates about a third of them per offset (_symmetric_hists).
     Raises BudgetExceededError when 4^dim exceeds the budget.
     """
     g = linalg.row_basis(np.atleast_2d(np.asarray(g, dtype=np.uint8)))
@@ -136,10 +190,7 @@ def weight_histograms(
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
     if offsets.shape[1] != n:
         raise InputError("offset length mismatch")
-    sg_lo, sg_hi = _packed_span(g)
-    off_lo, off_hi = gf4.pack_planes(offsets)
-    hist = _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1, backend=backend)
-    return hist, total
+    return _symmetric_hists(g, offsets, backend), total
 
 
 def weight_histograms_binary(

@@ -131,19 +131,26 @@ def subspace_meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
 
 
 def complement_basis(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Rows of sup extending a basis of sub to one of sup (greedy, deterministic)."""
-    sub = row_basis(np.atleast_2d(sub))
+    """Rows of sup extending a basis of sub to one of sup (greedy, deterministic).
+
+    A row is taken when it lies outside the span of sub and the rows taken
+    before it.  That span is kept as reduced rows with their pivot columns,
+    each reduced against the earlier ones, so reducing a candidate against
+    them in insertion order leaves zero exactly when it lies in the span.
+    """
     sup = np.atleast_2d(sup)
-    cur = sub
-    rk = rank(cur)
+    r, rk, pivots = rref(np.atleast_2d(sub))
+    reduced = list(zip(pivots, r[:rk]))
     out = []
     for row in sup:
-        trial = np.vstack([cur, row[None, :]])
-        rt = rank(trial)
-        if rt > rk:
+        v = np.array(row, dtype=np.uint8)
+        for pivot, basis_row in reduced:
+            if v[pivot]:
+                v ^= MUL_TABLE[v[pivot]][basis_row]
+        nz = np.flatnonzero(v)
+        if nz.size:
+            reduced.append((int(nz[0]), MUL_TABLE[INV_TABLE[v[nz[0]]]][v]))
             out.append(row)
-            cur = trial
-            rk = rt
     if not out:
         return np.zeros((0, sup.shape[1]), dtype=np.uint8)
     return np.array(out, dtype=np.uint8)

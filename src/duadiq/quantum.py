@@ -94,6 +94,27 @@ class SelfDualCode:
             raise InvariantError("generator matrix fails the Gram test")
 
 
+def _check_macwilliams(a: list[int]) -> None:
+    """Check a Hermitian self-dual [N, N/2] code's weight distribution A_w.
+
+    Such a code has 2^N words and equals its dual, so its weight enumerator
+    satisfies W(x, y) = 2^-N W(x + 3y, x - y); both are checked in exact
+    integer arithmetic.  The transform sum_w A_w (x + 3y)^(N-w) (x - y)^w is
+    built by Horner's rule in x - y, as coefficients of y^i.
+    """
+    big_n = len(a) - 1
+    if sum(a) != 2**big_n:
+        raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{big_n}")
+    t = [0] * (big_n + 1)
+    for w in range(big_n, -1, -1):
+        t = [t[0]] + [t[i] - t[i - 1] for i in range(1, big_n + 1)]
+        for i in range(big_n - w + 1):
+            t[i] += a[w] * math.comb(big_n - w, i) * 3**i
+    for i in range(big_n + 1):
+        if t[i] != 2**big_n * a[i]:
+            raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
+
+
 def _ceil_sqrt(n: int) -> int:
     return math.isqrt(n - 1) + 1 if n > 1 else 1
 
@@ -352,6 +373,9 @@ def extended_duadic_quantum(
 
     def duadic_pass():
         dd = dist.duadic_distances(splitting, side=side, budget=budget)
+        # the extended words are the even-like words padded by 0 and the
+        # odd-like cosets padded by a unit
+        _check_macwilliams([e + c for e, c in zip(dd.even_hist + (0,), (0,) + dd.coset_hist)])
         d = min(dd.d_even, dd.d_min_odd_coset + 1)
         return d, dd.work, f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
 

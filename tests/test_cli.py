@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -71,19 +72,44 @@ def test_quantum_qr_23(capsys):
 
 
 def test_quantum_qr_23_walks_once(capsys, monkeypatch):
-    # the duadic pass also settles d(odd-like), which --qr asks for next
-    calls = []
+    # the duadic pass also settles d(odd-like), which --qr asks for next; a
+    # second walk of the odd-like [23, 12] code would add 4^12 words
+    words = []
     walk = _kernels.gray_weight_hists
 
     def counting(*args, **kwargs):
-        calls.append(1)
-        return walk(*args, **kwargs)
+        hist = walk(*args, **kwargs)
+        words.append(int(hist.sum()))
+        return hist
 
     monkeypatch.setattr(dist, "_CACHE", {})
     monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
     code, _, _ = run(capsys, "quantum", "-n", "23", "--qr", "--format", "json")
     assert code == 0
-    assert len(calls) == 1
+    # one symmetric pass of the [23, 11] even-like code with its 4 offsets:
+    # three peeled levels of dims 10, 9, 8, then the last 4^8 block
+    assert sum(words) == 4 * ((4**11 - 4**8) // 3 + 4**8) == 5_767_168
+
+
+@pytest.mark.parametrize("corrupt", ["sum", "identity"])
+def test_quantum_qr_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
+    # one wrong histogram entry: an extra weight-8 word breaks the count
+    # 2^24; moving a word from weight 10 to 8 keeps it and breaks the identity
+    passes = dist.duadic_distances
+
+    def corrupted(*args, **kwargs):
+        dd = passes(*args, **kwargs)
+        hist = list(dd.even_hist)
+        hist[8] += 1
+        if corrupt == "identity":
+            hist[10] -= 1
+        return dataclasses.replace(dd, even_hist=tuple(hist))
+
+    monkeypatch.setattr(dist, "duadic_distances", corrupted)
+    code, out, err = run(capsys, "quantum", "-n", "23", "--qr")
+    assert code == 4
+    assert out == ""
+    assert ("2^24" if corrupt == "sum" else "MacWilliams") in err
 
 
 def test_quantum_qr_11_exit_3(capsys):

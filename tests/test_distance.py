@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from duadiq import distance as dist
-from duadiq import gf4, linalg
+from duadiq import _kernels, gf4, linalg
 from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import BudgetExceededError, InputError, InvariantError
@@ -43,6 +43,35 @@ def test_gray_equals_naive_on_random_codes():
         b = dist.min_distance_exact(g)
         assert b.exact
         assert b.lo == oracle.min_distance([list(r) for r in g])
+
+
+def _offset_set(kind, rng, n):
+    if kind == "closed":  # zero and the three multiples of a random word
+        return dist._coset_offsets(rng.integers(0, 4, (1, n)).astype(np.uint8))[0]
+    rows = rng.integers(1, 4, (3, n)).astype(np.uint8)
+    if kind == "duplicates":
+        return rows[[0, 1, 0, 2, 1]]
+    if kind == "with-zero":
+        return np.vstack([rows[:2], np.zeros((1, n), dtype=np.uint8), rows[2:]])
+    return rows  # not closed under scaling
+
+
+@pytest.mark.parametrize("kind", ["closed", "not-closed", "duplicates", "with-zero"])
+@pytest.mark.parametrize("k,n,suffix_bits", [(9, 20, 16), (10, 70, 16), (7, 30, 4), (6, 90, 6)])
+def test_symmetric_walk_equals_plain_walk(monkeypatch, kind, k, n, suffix_bits):
+    # k = 9 and 10 peel on the default block; a smaller block peels deeper
+    monkeypatch.setattr(_kernels, "_SUFFIX_BITS", suffix_bits)
+    rng = np.random.default_rng(k * n)
+    g = rng.integers(0, 4, (k, n)).astype(np.uint8)
+    assert linalg.rank(g) == k
+    offsets = _offset_set(kind, rng, n)
+    hist, work = dist.weight_histograms(g, offsets=offsets)
+    sg_lo, sg_hi = dist._packed_span(g)
+    off_lo, off_hi = gf4.pack_planes(offsets)
+    plain = _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1)
+    assert work == 4**k
+    assert np.array_equal(hist, plain)
+    assert (hist.sum(axis=1) == 4**k).all()
 
 
 def test_full_space_distance_one():

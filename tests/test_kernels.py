@@ -44,6 +44,24 @@ def test_hist_matches_naive_enumeration(seed):
         assert list(hist[j]) == naive, (seed, j)
 
 
+@pytest.mark.parametrize("suffix_bits", [16, 3])
+@pytest.mark.parametrize("k,n", [(4, 13), (3, 64), (4, 71), (2, 130)])
+def test_numpy_walker_matches_oracle(monkeypatch, suffix_bits, k, n):
+    # n = 64 fills one word, n > 64 takes W >= 2; 3 suffix bits force the
+    # prefix Gray walk across reused block buffers
+    monkeypatch.setattr(_kernels, "_SUFFIX_BITS", suffix_bits)
+    rng = np.random.default_rng(k * n + suffix_bits)
+    g, sg_lo, sg_hi = _span_inputs(rng, k, n)
+    offsets = rng.integers(0, 4, (3, n)).astype(np.uint8)
+    off_lo, off_hi = gf4.pack_planes(offsets)
+    hist = _kernels._numpy_hist_planes(sg_lo, sg_hi, off_lo, off_hi, n + 1)
+    for j in range(3):
+        naive = [0] * (n + 1)
+        for word in oracle.span_words([list(r) for r in g]):
+            naive[oracle.weight([oracle.ADD[a, b] for a, b in zip(word, offsets[j])])] += 1
+        assert list(hist[j]) == naive, j
+
+
 @needs_both
 def test_backends_identical_quaternary():
     rng = np.random.default_rng(99)

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -122,6 +123,39 @@ def test_complement_basis():
         comp = linalg.complement_basis(sub, sup)
         assert comp.shape[0] == sup.shape[0] - 1
         assert linalg.row_space_equal(np.vstack([sub, comp]), sup)
+
+
+def _complement_by_rank(sub, sup):
+    """The greedy definition: take each row of sup that raises the rank."""
+    cur = linalg.row_basis(np.atleast_2d(sub))
+    out = []
+    for row in sup:
+        trial = np.vstack([cur, row[None, :]])
+        if linalg.rank(trial) > linalg.rank(cur):
+            out.append(row)
+            cur = trial
+    return np.array(out, dtype=np.uint8).reshape(len(out), sup.shape[1])
+
+
+@pytest.mark.parametrize("case", ["random", "empty-sub", "rank-deficient", "equal"])
+def test_complement_basis_matches_rank_greedy(case):
+    rng = np.random.default_rng(["random", "empty-sub", "rank-deficient", "equal"].index(case))
+    for _ in range(25):
+        n = int(rng.integers(1, 20))
+        sub = random_matrix(rng, rows=int(rng.integers(1, n + 1)), cols=n)
+        sup = np.vstack([sub, random_matrix(rng, rows=int(rng.integers(1, n + 3)), cols=n)])
+        if case == "empty-sub":
+            sub = np.zeros((0, n), dtype=np.uint8)
+        elif case == "rank-deficient":
+            # repeated rows, a zero row and a combination of two others
+            sup = np.vstack([sup, sup[:1], np.zeros((1, n), dtype=np.uint8),
+                             sup[0] ^ gf4.scalar_mul(2, sup[-1])])
+        elif case == "equal":
+            sup = sub
+        sup = sup[rng.permutation(sup.shape[0])]
+        got = linalg.complement_basis(sub, sup)
+        assert np.array_equal(got, _complement_by_rank(sub, sup))
+        assert linalg.rank(np.vstack([sub, got])) == linalg.rank(np.vstack([sub, sup]))
 
 
 def test_gram_matrix_hexacode():
