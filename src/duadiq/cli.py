@@ -3,7 +3,8 @@
 Commands: cosets, splittings, quantum, distance, table.  Output formats are
 json, csv or text; identical flags produce byte-identical output regardless
 of worker count.  Exit codes: 0 success, 2 invalid input, 3 no applicable
-construction, 4 internal invariant failure.
+construction, 4 internal invariant failure or an exact computation that
+exceeded the budget.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import _kernels, distance as dist, duadic, quantum
 from .cyclic import CyclicCode, DefiningSet, all_cosets
-from .errors import InputError, InvariantError, NotApplicableError
+from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
 from .extfield import is_prime
 
 EXIT_OK = 0
@@ -300,8 +301,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise InputError("--budget must be nonnegative")
-        if getattr(args, "workers", 1) != 1:
-            _kernels.set_num_threads(args.workers)
+        _kernels.set_num_threads(args.workers)
         return _DISPATCH[args.command](args)
     except NotApplicableError as exc:
         sys.stderr.write(f"no applicable construction: {exc}\n")
@@ -313,6 +313,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except InvariantError as exc:
         sys.stderr.write(f"internal invariant failure: {exc}\n")
+        return EXIT_INVARIANT
+    except BudgetExceededError as exc:
+        sys.stderr.write(f"budget exceeded: {exc}\n")
         return EXIT_INVARIANT
 
 

@@ -255,18 +255,16 @@ def near_orthogonality(code_or_matrix) -> int:
     """dim(E) - dim(E intersect E^perp_h); zero exactly for self-orthogonal E.
 
     For a cyclic code this reduces to defining-set arithmetic; for a raw
-    generator matrix the subspace meet is computed directly.  Both routes
-    agree (tested).
+    generator matrix it is the rank of the Gram matrix of a basis, whose
+    left kernel holds the coordinates of E intersect E^perp_h in that basis.
+    Both routes agree (tested).
     """
     if isinstance(code_or_matrix, CyclicCode):
         c = code_or_matrix
         dual_members = dual_defining_set(c.defining_set).members
         inter_dim = c.n - len(c.defining_set.members | dual_members)
         return c.dim - inter_dim
-    g = linalg.row_basis(np.atleast_2d(np.asarray(code_or_matrix, dtype=np.uint8)))
-    d = linalg.hermitian_dual_space(g)
-    meet = linalg.subspace_intersection(g, d)
-    return g.shape[0] - meet.shape[0]
+    return linalg.rank(linalg.gram_matrix(linalg.row_basis(np.atleast_2d(code_or_matrix))))
 
 
 def defining_set_of_matrix(g: np.ndarray, n: int, q: int = 4) -> frozenset[int]:

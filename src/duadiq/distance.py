@@ -135,7 +135,7 @@ def _scaling_closure(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     return rows, where, orbit
 
 
-def _symmetric_hists(g: np.ndarray, offsets: np.ndarray, backend: str | None) -> np.ndarray:
+def _symmetric_hists(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Per-offset histograms over offsets + span(g), walking about 4^k/3 words.
 
     For an offset set O closed under F4* scaling and S = span(g_2..g_k),
@@ -150,18 +150,18 @@ def _symmetric_hists(g: np.ndarray, offsets: np.ndarray, backend: str | None) ->
     peel = max(0, k - _kernels._SUFFIX_BITS // 2)
     if peel == 0:
         off_lo, off_hi = gf4.pack_planes(offsets)
-        return _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1, backend=backend)
+        return _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1)
     rows, where, orbit = _scaling_closure(offsets)
     off_lo, off_hi = gf4.pack_planes(rows)
     hist = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
     for j in range(peel):
         rest = slice(2 * j + 2, None)
         shifted = _kernels.gray_weight_hists(
-            sg_lo[rest], sg_hi[rest], off_lo ^ sg_lo[2 * j], off_hi ^ sg_hi[2 * j], n + 1, backend=backend
+            sg_lo[rest], sg_hi[rest], off_lo ^ sg_lo[2 * j], off_hi ^ sg_hi[2 * j], n + 1
         )
         hist += shifted[orbit].sum(axis=0)
     rest = slice(2 * peel, None)
-    hist += _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], off_lo, off_hi, n + 1, backend=backend)
+    hist += _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], off_lo, off_hi, n + 1)
     return hist[where]
 
 
@@ -169,7 +169,6 @@ def weight_histograms(
     g: np.ndarray,
     offsets: np.ndarray | None = None,
     budget: int | None = None,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, int]:
     """Exact per-offset weight histograms over the span of g plus offsets.
 
@@ -190,14 +189,13 @@ def weight_histograms(
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
     if offsets.shape[1] != n:
         raise InputError("offset length mismatch")
-    return _symmetric_hists(g, offsets, backend), total
+    return _symmetric_hists(g, offsets), total
 
 
 def weight_histograms_binary(
     g_rows: np.ndarray,
     offsets: np.ndarray | None = None,
     budget: int | None = None,
-    backend: str | None = None,
 ) -> tuple[np.ndarray, int]:
     """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols)."""
     g = np.atleast_2d(np.asarray(g_rows, dtype=np.uint8))
@@ -213,7 +211,7 @@ def weight_histograms_binary(
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
     lo, _ = gf4.pack_planes(g)
     off_lo, _ = gf4.pack_planes(offsets & 1)
-    hist = _kernels.gray_weight_hists_binary(lo, off_lo, n + 1, backend=backend)
+    hist = _kernels.gray_weight_hists_binary(lo, off_lo, n + 1)
     return hist, total
 
 
@@ -311,11 +309,7 @@ def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
     return hit if hit is not None and hit.work <= budget else None
 
 
-def min_distance_exact(
-    code,
-    budget: int | None = None,
-    backend: str | None = None,
-) -> DistanceBound:
+def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
     """Exact distance by full enumeration when 4^dim fits the budget, else
     an information-set interval with budget-exhausted provenance."""
     budget = default_budget() if budget is None else budget
@@ -337,7 +331,7 @@ def min_distance_exact(
         result = DistanceBound.exact_value(1, work=0)
     elif q**k <= budget:
         walk = weight_histograms if q == 4 else weight_histograms_binary
-        hist, work = walk(g, budget=budget, backend=backend)
+        hist, work = walk(g, budget=budget)
         result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
     else:
         result = _info_set_bounds(g, q, budget)
@@ -491,17 +485,17 @@ class ExtensionDistance:
 
 
 def extension_distance(
-    code, sum_code, budget: int, exact=None, even: bool = True, hi_from_code: bool = True
+    code, sum_code, budget: int, exact=None, even: bool = True
 ) -> ExtensionDistance:
     """Distance of the extension of a code C.
 
     exact is (words, run) or None: when words <= budget, run() makes one
     exact pass over C with the extension cosets and returns (d, work, note).
     Otherwise d >= min(d(C), d(C + C^perp_h) + 1), where sum_code is
-    C + C^perp_h or None for the full space; words of C pad by zeros, so
-    d <= d(C) where hi_from_code.  An even extension is Hermitian self-dual:
-    its lower bound lifts to even and an odd exact distance is an invariant
-    failure.
+    C + C^perp_h or None for the full space.  An even extension is
+    Hermitian self-dual, so it contains the words of C padded by zeros and
+    d <= d(C) (a binary C has the distance of its GF(4) span); its lower
+    bound lifts to even and an odd exact distance is an invariant failure.
     """
     if exact is not None and exact[0] <= budget:
         d, work, note = exact[1]()
@@ -514,7 +508,7 @@ def extension_distance(
         lo, lo_src = d_c.lo, d_c.lo_src
     else:
         lo, lo_src = d_sum.lo + 1, d_sum.lo_src
-    hi, hi_src = (d_c.hi, d_c.hi_src) if hi_from_code and d_c.hi is not None else (None, BUDGET)
+    hi, hi_src = (d_c.hi, d_c.hi_src) if even and d_c.hi is not None else (None, BUDGET)
     bound = DistanceBound(lo=lo, hi=hi, lo_src=lo_src, hi_src=hi_src, work=d_c.work + d_sum.work)
     return ExtensionDistance(even_lift(bound) if even else bound, d_code=d_c, d_sum=d_sum)
 

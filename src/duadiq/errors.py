@@ -1,7 +1,7 @@
 """Exception taxonomy shared across modules.
 
 The CLI maps these onto exit codes: bad input (ValueError or InputError) is
-2, NotApplicableError is 3, InvariantError is 4.
+2, NotApplicableError is 3, InvariantError and BudgetExceededError are 4.
 """
 
 

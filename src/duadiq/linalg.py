@@ -156,16 +156,15 @@ def complement_basis(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     return np.array(out, dtype=np.uint8)
 
 
-def gram_matrix(g: np.ndarray) -> np.ndarray:
-    """Hermitian Gram matrix G[i,j] = <row_i, row_j>_h."""
-    g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
-    cg = CONJ_TABLE[g]
-    k = g.shape[0]
-    out = np.zeros((k, k), dtype=np.uint8)
-    for i in range(k):
-        for j in range(k):
-            out[i, j] = np.bitwise_xor.reduce(MUL_TABLE[g[i], cg[j]]) if g.shape[1] else 0
-    return out
+def gram_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Hermitian Gram matrix G[i,j] = <a_i, b_j>_h = sum_l a_il conj(b_jl), b = a by default.
+
+    One table lookup over the (rows a, rows b, cols) products and one XOR
+    reduction; the temporary is rows(a) * rows(b) * cols bytes.
+    """
+    a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
+    b = a if b is None else np.atleast_2d(np.asarray(b, dtype=np.uint8))
+    return np.bitwise_xor.reduce(MUL_TABLE[a[:, None, :], CONJ_TABLE[b][None, :, :]], axis=2)
 
 
 def is_hermitian_self_orthogonal(g: np.ndarray) -> bool:

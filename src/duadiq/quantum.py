@@ -59,6 +59,13 @@ class QuantumParams:
             raise InvariantError(f"invalid parameters [[{self.n},{self.k}]]")
         if self.pure not in (PURE_YES, PURE_NO, PURE_UNKNOWN):
             raise InvariantError(f"invalid purity flag {self.pure!r}")
+        # [[n, 0, d]] codes are additive self-dual codes: d <= 2 floor(n/6) + 2,
+        # or + 3 for n = 5 mod 6 (MacWilliams-Odlyzko-Sloane-Ward 1978; Rains 1999)
+        limit = 2 * (self.n // 6) + (3 if self.n % 6 == 5 else 2)
+        if self.k == 0 and self.d.lo > limit:
+            raise InvariantError(
+                f"[[{self.n},0]] with d >= {self.d.lo} exceeds the self-dual bound d <= {limit}"
+            )
 
     def to_json(self) -> dict:
         return {
@@ -136,43 +143,31 @@ def _hermitian_orthonormalize(rows: np.ndarray) -> np.ndarray:
 
     Norms over GF(4) lie in GF(2), so a norm-1 vector always exists among
     the basis vectors or the combinations f + lambda g with <f,g> != 0, and
-    scaling never changes a norm.
+    scaling never changes a norm.  Each step takes the first remaining row
+    of norm 1; failing that, the first pair (i, j) with <f_i,f_j> = a != 0 in
+    row-major order replaces f_i by f_i + lambda f_j, whose norm is
+    tr(conj(lambda) a) since both norms are 0, so the first lambda in
+    (1, omega, omega^2) that gives norm 1 is 1 unless a = 1, then omega.
+    The other rows f become f + <f, pick> pick.
     """
-    remaining = [row.copy() for row in rows]
+    remaining = np.array(rows, dtype=np.uint8)
     out = []
-    while remaining:
-        pick = None
-        for v in remaining:
-            if gf4.hermitian_inner(v, v) == 1:
-                pick = v
-                break
-        if pick is None:
-            found = False
-            for i in range(len(remaining)):
-                for j in range(len(remaining)):
-                    if i == j:
-                        continue
-                    a = gf4.hermitian_inner(remaining[i], remaining[j])
-                    if a == 0:
-                        continue
-                    for lam in (1, 2, 3):
-                        cand = remaining[i] ^ gf4.scalar_mul(lam, remaining[j])
-                        if gf4.hermitian_inner(cand, cand) == 1:
-                            pick = cand
-                            remaining[i] = cand
-                            found = True
-                            break
-                    if found:
-                        break
-                if found:
-                    break
-            if pick is None:
+    while remaining.shape[0]:
+        gram = linalg.gram_matrix(remaining)
+        unit = np.flatnonzero(gram.diagonal() == 1)
+        if unit.size:
+            i = int(unit[0])
+            pick = remaining[i]
+        else:
+            pairs = np.flatnonzero(gram)
+            if pairs.size == 0:
                 raise InvariantError("no unit-norm vector found; form is degenerate")
-        remaining = [v for v in remaining if v is not pick]
-        # orthogonalize the rest against pick: f -> f + <f, pick> * pick
-        remaining = [v ^ gf4.scalar_mul(gf4.hermitian_inner(v, pick), pick) for v in remaining]
+            i, j = divmod(int(pairs[0]), gram.shape[1])
+            pick = remaining[i] ^ gf4.MUL_TABLE[2 if gram[i, j] == 1 else 1][remaining[j]]
+        remaining = np.delete(remaining, i, axis=0)
+        remaining ^= gf4.MUL_TABLE[linalg.gram_matrix(remaining, pick), pick]
         out.append(pick)
-    return np.array(out, dtype=np.uint8) if out else np.zeros((0, rows.shape[1]), dtype=np.uint8)
+    return np.array(out, dtype=np.uint8).reshape(len(out), rows.shape[1])
 
 
 @dataclass(frozen=True)
@@ -200,35 +195,21 @@ def _as_matrix(code) -> np.ndarray:
 def _extend(code) -> tuple[Extension, np.ndarray]:
     """The extension of a code, with the Hermitian dual of its row basis."""
     g = linalg.row_basis(_as_matrix(code))
-    k, n = g.shape
+    k = g.shape[0]
     if k == 0:
         raise InputError("cannot extend the zero code")
     dual = linalg.hermitian_dual_space(g)
     radical = linalg.subspace_intersection(g, dual)
     e = dual.shape[0] - radical.shape[0]
-    if e == 0:
-        extended = g
-        extended_dual = dual if dual.size else np.zeros((0, n), dtype=np.uint8)
-    else:
-        comp = linalg.complement_basis(radical, dual)
-        ortho = _hermitian_orthonormalize(comp)
-        if ortho.shape[0] != e:
-            raise InvariantError("orthonormal complement has wrong dimension")
-        extended = np.zeros((k + e, n + e), dtype=np.uint8)
-        extended[:k, :n] = g
-        for i, f in enumerate(ortho):
-            extended[k + i, :n] = f
-            extended[k + i, n + i] = 1
-        extended_dual = np.zeros((radical.shape[0] + e, n + e), dtype=np.uint8)
-        extended_dual[: radical.shape[0], :n] = radical
-        for i, f in enumerate(ortho):
-            extended_dual[radical.shape[0] + i, :n] = f
-            extended_dual[radical.shape[0] + i, n + i] = 1
+    ortho = _hermitian_orthonormalize(linalg.complement_basis(radical, dual))
+    if ortho.shape[0] != e:
+        raise InvariantError("orthonormal complement has wrong dimension")
+    # the code is (g | 0) plus the rows (f_i | e_i), its dual (radical | 0) plus the same rows
+    units = np.hstack([ortho, np.eye(e, dtype=np.uint8)])
+    extended, extended_dual = (np.vstack([np.pad(m, ((0, 0), (0, e))), units]) for m in (g, radical))
     # direct Gram certificate of dual containment
-    for row in extended_dual:
-        for other in extended:
-            if gf4.hermitian_inner(row, other) != 0:
-                raise InvariantError("extended code failed the dual-containment Gram test")
+    if linalg.gram_matrix(extended_dual, extended).any():
+        raise InvariantError("extended code failed the dual-containment Gram test")
     if linalg.rank(extended) != k + e:
         raise InvariantError("extended generators are dependent")
     return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e), dual
@@ -249,7 +230,7 @@ def extend_nearly_self_orthogonal(
     cert = dist.extension_distance(
         code if isinstance(code, CyclicCode) else g,
         None if sum_space.shape[0] == n else sum_space,
-        budget, even=kq == 0, hi_from_code=False,
+        budget, even=kq == 0,
     )
     lo = min(cert.d_code.lo, cert.d_sum.lo + 1)
     trace = [
@@ -553,7 +534,7 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
     cert = dist.extension_distance(
         bin_code, None if sum_code.dim == n else sum_code, budget,
         exact=(2**ext.k, binary_pass) if (ext.extended <= 1).all() else None,
-        even=kq == 0, hi_from_code=False,
+        even=kq == 0,
     )
     trace.append(cert.note if cert.d_code is None
                  else "budget-limited binary bound: d >= min(d(C), d(C + dual) + 1)")

@@ -78,3 +78,35 @@ def binary_min_distance(rows):
         if w and (best is None or w < best):
             best = w
     return best
+
+
+def orthonormalize(rows):
+    """Greedy Hermitian orthonormalization, one row at a time.
+
+    The pick is the first remaining row of norm 1; failing that, the first
+    pair (i, j), i != j, with <r_i, r_j> != 0 and the first lambda in
+    (1, w, w2) that gives r_i + lambda r_j norm 1, which replaces r_i.  The
+    pick leaves, and every other row r becomes r + <r, pick> pick.
+    """
+    remaining = [list(r) for r in rows]
+    out = []
+    while remaining:
+        pick = next((v for v in remaining if inner(v, v) == 1), None)
+        if pick is None:
+            pick = _unit_combination(remaining)
+        remaining = [v for v in remaining if v is not pick]
+        remaining = [[ADD[x, MUL[inner(v, pick), p]] for x, p in zip(v, pick)] for v in remaining]
+        out.append(pick)
+    return out
+
+
+def _unit_combination(remaining):
+    for i, j in itertools.permutations(range(len(remaining)), 2):
+        if inner(remaining[i], remaining[j]) == 0:
+            continue
+        for lam in (1, 2, 3):
+            cand = [ADD[x, MUL[lam, y]] for x, y in zip(remaining[i], remaining[j])]
+            if inner(cand, cand) == 1:
+                remaining[i] = cand
+                return cand
+    raise ValueError("no unit-norm vector: the form is degenerate")

@@ -5,6 +5,7 @@ import pytest
 
 from duadiq import _kernels, cli
 from duadiq import distance as dist
+from duadiq.errors import BudgetExceededError
 
 
 def run(capsys, *argv):
@@ -110,6 +111,49 @@ def test_quantum_qr_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
     assert code == 4
     assert out == ""
     assert ("2^24" if corrupt == "sum" else "MacWilliams") in err
+
+
+def test_quantum_qr_29_extremal(capsys):
+    # [[30, 0, 12]] meets the self-dual bound 2 floor(30/6) + 2 = 12
+    code, out, err = run(capsys, "quantum", "-n", "29", "--qr", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert (payload["n"], payload["k"], payload["d_lo"], payload["d_hi"]) == (30, 0, 12, 12)
+
+
+def test_annotation_above_extremal_bound_exit_4(capsys, tmp_path):
+    # a dual-containing [23, 12, 11] code would give [[24, 0, >= 12]], past d <= 10
+    path = tmp_path / "ann.json"
+    path.write_text(json.dumps([{"n": 23, "k": 12, "d": 11, "source": "wrong"}]))
+    code, out, err = run(capsys, "quantum", "-n", "23", "--from-annotation", "--annotations", str(path))
+    assert code == 4 and out == ""
+    assert err == "internal invariant failure: [[24,0]] with d >= 12 exceeds the self-dual bound d <= 10\n"
+
+
+def test_budget_exceeded_exit_4(capsys, monkeypatch):
+    def refuse(code, budget=None):
+        raise BudgetExceededError("4^11 = 4194304 exceeds budget 0")
+
+    monkeypatch.setattr(dist, "min_distance_exact", refuse)
+    code, out, err = run(capsys, "distance", "-n", "23", "--leaders", "1")
+    assert code == 4 and out == ""
+    assert err == "budget exceeded: 4^11 = 4194304 exceeds budget 0\n"
+
+
+def test_workers_always_pinned(capsys, monkeypatch):
+    calls = []
+    pin = _kernels.set_num_threads
+
+    def recording(workers):
+        calls.append(workers)
+        pin(workers)
+
+    monkeypatch.setattr(_kernels, "set_num_threads", recording)
+    code, _, _ = run(capsys, "cosets", "-n", "5")
+    assert code == 0 and calls == [1]
+    code, _, err = run(capsys, "cosets", "-n", "5", "--workers", "0")
+    assert code == 2 and calls == [1, 0]
+    assert err == "invalid input: worker count must be >= 1\n"
 
 
 def test_quantum_qr_11_exit_3(capsys):

@@ -163,6 +163,23 @@ def test_gram_matrix_hexacode():
     assert not gram.any()
 
 
+def _gf4_rows(n):
+    return st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n), max_size=5)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), _gf4_rows(n), _gf4_rows(n))))
+def test_gram_matrix_matches_oracle(case):
+    # 0-row and 0-column shapes included
+    n, a_rows, b_rows = case
+    a = np.array(a_rows, dtype=np.uint8).reshape(len(a_rows), n)
+    b = np.array(b_rows, dtype=np.uint8).reshape(len(b_rows), n)
+    gram = linalg.gram_matrix(a, b)
+    assert gram.dtype == np.uint8 and gram.shape == (len(a_rows), len(b_rows))
+    assert gram.tolist() == [[oracle.inner(u, v) for v in b_rows] for u in a_rows]
+    assert np.array_equal(linalg.gram_matrix(a), linalg.gram_matrix(a, a))
+
+
 def test_meet_join_duadic_even_pair():
     # even-like duadic pair at n=5: trivial intersection, sum generated by
     # the single-root polynomial vanishing at 1

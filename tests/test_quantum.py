@@ -3,9 +3,16 @@ import pytest
 
 from duadiq import distance as dist
 from duadiq import gf4, linalg, quantum
-from duadiq.cyclic import CyclicCode, DefiningSet, near_orthogonality
+from duadiq.cyclic import (
+    CyclicCode,
+    DefiningSet,
+    all_cosets,
+    dual_defining_set,
+    is_dual_containing,
+    near_orthogonality,
+)
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
-from duadiq.errors import InputError, NotApplicableError
+from duadiq.errors import InputError, InvariantError, NotApplicableError
 
 import oracle
 
@@ -51,6 +58,44 @@ def test_extension_gram_certificates():
         dual = linalg.hermitian_dual_space(ext.extended)
         assert linalg.is_subspace(dual, ext.extended)
         assert linalg.row_space_equal(dual, ext.extended_dual)
+
+
+def _search_sets(n):
+    """Every union A of nonzero cosets mod n with A and -2A disjoint."""
+    cosets = all_cosets(n, 4).cosets[1:]
+    for mask in range(1, 1 << len(cosets)):
+        a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
+        if is_dual_containing(a):
+            yield a
+
+
+def test_orthonormalize_matches_oracle_greedy(monkeypatch):
+    # the complement bases the extension orthonormalizes on the search route
+    # (the Hermitian dual of each A), plus random nondegenerate spans
+    seen = []
+    orthonormalize = quantum._hermitian_orthonormalize
+
+    def record(rows):
+        out = orthonormalize(rows)
+        seen.append((rows, out))
+        return out
+
+    monkeypatch.setattr(quantum, "_hermitian_orthonormalize", record)
+    for n in range(3, 24, 2):
+        for a in _search_sets(n):
+            quantum._extend(CyclicCode(dual_defining_set(a)))
+    searched = len(seen)
+    rng = np.random.default_rng(3)
+    while len(seen) < searched + 200:
+        rows = linalg.row_basis(rng.integers(0, 4, (int(rng.integers(1, 7)), int(rng.integers(6, 12)))))
+        if linalg.rank(linalg.gram_matrix(rows)) == rows.shape[0]:
+            seen.append((rows, orthonormalize(rows)))
+    # both picking rules run: a unit row, and a combination of two norm-0 rows
+    all_even = [rows for rows, _ in seen if not linalg.gram_matrix(rows).diagonal().any()]
+    assert searched == 68 and all_even and len(all_even) < len(seen)
+    for rows, out in seen:
+        assert out.tolist() == oracle.orthonormalize(rows.tolist())
+        assert np.array_equal(linalg.gram_matrix(out), np.eye(len(out), dtype=np.uint8))
 
 
 def test_extension_of_dual_containing_is_identity():
@@ -157,6 +202,40 @@ def test_binary_cyclic_quantum():
     assert p7.params_str() == "[[8,0,4]]"
     with pytest.raises(NotApplicableError):
         quantum.binary_cyclic_quantum(DefiningSet(5, frozenset({1, 4})))
+
+
+def test_budget_limited_zero_dim_extension_brackets_oracle():
+    # without the exact pass, hi = d(C): the self-dual extension contains
+    # the words of C padded by zeros
+    for n in (5, 7, 13):
+        even = _mu2_pairs(n)[0].even1
+        for budget in (0, 4**even.dim - 1, 4**even.dim):
+            ext, params = quantum.extend_nearly_self_orthogonal(even, budget=budget)
+            d = oracle.min_distance(ext.extended.tolist())
+            assert params.k == 0 and params.d.lo <= d
+            assert params.d.hi is None or d <= params.d.hi
+        assert params.d.hi == dist.min_distance_exact(even).lo
+    # the binary route below the 2^k exact pass: d(binary C) bounds the GF(4) extension
+    for n, oracle_d in ((7, oracle.min_distance), (23, oracle.binary_min_distance)):
+        a = DefiningSet(n, qr_splitting(n).s1.members | {0})
+        bin_dim = n - len(a.members)
+        p, ext = quantum.binary_cyclic_quantum(a, budget=2**bin_dim)
+        assert p.k == 0 and "budget-limited binary bound" in p.trace[-1]
+        d = oracle_d(ext.extended.tolist())
+        assert p.d.lo <= d <= p.d.hi == dist.min_distance_exact(CyclicCode(DefiningSet(n, a.members, q=2))).lo
+
+
+def test_zero_dim_extremal_bound():
+    def params(n, d, k=0):
+        bound = dist.DistanceBound(lo=d, hi=None, lo_src=dist.LITERATURE, hi_src=dist.BUDGET)
+        return quantum.QuantumParams(n=n, k=k, d=bound, pure="unknown", trace=())
+
+    # 2 floor(n/6) + 2, and + 3 for n = 5 mod 6
+    for n, limit in ((2, 2), (6, 4), (11, 5), (24, 10), (29, 11), (30, 12), (144, 50)):
+        params(n, limit)
+        with pytest.raises(InvariantError, match=f"d <= {limit}"):
+            params(n, limit + 1)
+    params(24, 12, k=1)  # only k = 0 codes are bounded
 
 
 def test_qr_refinements():
