@@ -1,7 +1,10 @@
 """Hot codeword-enumeration kernels: numba primary, pure numpy fallback.
 
-The only hot loop in the package is the Gray walk over all 4^k (or 2^k)
-words of a span.  Each step XORs one precomputed scaled generator into the
+The hot loops of the package are the Gray walk over all 4^k (or 2^k) words
+of a span, and the information-set walk (InfoSetLevels, numpy only) that
+the Brouwer-Zimmermann search in distance runs level by level.
+
+Each Gray-walk step XORs one precomputed scaled generator into the
 running word (two packed bit planes over GF(4), one over GF(2)) and bins
 the weight of the word shifted by each requested offset.  The walk visits
 every codeword exactly once, so the returned per-offset weight histograms
@@ -26,6 +29,7 @@ is order independent.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -334,6 +338,111 @@ def gray_weight_hists_binary(
     zeros = np.zeros_like(sg)
     zoff = np.zeros_like(off)
     return _numpy_hist_planes(sg, zeros, off, zoff, nbins)
+
+
+# ---------------------------------------------------------------------------
+# information-set levels: meet in the middle over packed parity columns
+# ---------------------------------------------------------------------------
+
+# A block of prefix x suffix pairs holds at most this many words, so the
+# temporaries of a level walk stay under about 0.5 MB whatever the budget.
+_BLOCK_WORDS = 1 << 14
+
+
+def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
+    """XOR sums of every t-subset of the message rows under every pattern of scalars.
+
+    rows[c][:, x] is packed message row x times the c-th nonzero scalar, one
+    uint64 word per line, and so is every column of the table.  The columns
+    are in colex order: the sums over subsets of the first x rows are the
+    first comb(x, t) * s^t, s = len(rows).
+    """
+    width, k = rows[0].shape
+    table = np.zeros((width, 1), dtype=np.uint64)
+    for level in range(1, t + 1):
+        blocks = [np.zeros((width, 0), dtype=np.uint64)]
+        for x in range(level - 1, k):
+            head = math.comb(x, level - 1) * len(rows) ** (level - 1)
+            blocks += [table[:, :head] ^ scaled[:, x : x + 1] for scaled in rows]
+        table = np.hstack(blocks)
+    return table
+
+
+class InfoSetLevels:
+    """The messages of one information set, walked level by level.
+
+    Built from the (k, W) packed planes of the parity part of a systematic
+    form: a message of weight w has codeword weight w plus the weight of the
+    XOR of its scaled parity rows.  Level w is walked by its pivot, the
+    (w//2 + 1)-th smallest message position m: the w//2 positions below m
+    come from a prefix table, m carries the scalar 1 (a word and its
+    multiples have the same weight) and the (w-1)//2 positions above m come
+    from a table over the reversed rows, whose suffix is a prefix.  Blocks
+    are outer XORs of the two, one word line at a time, into buffers
+    allocated once per level.
+    """
+
+    def __init__(self, lo: np.ndarray, hi: np.ndarray, q: int):
+        lo, hi = lo.T.copy(), hi.T.copy()
+        self.planes = 1 if q == 2 else 2
+        # omega (a + b omega) = b + (a + b) omega, omega^2 (a + b omega) = (a + b) + a omega
+        self.rows = [lo] if q == 2 else [np.vstack(p) for p in ((lo, hi), (hi, lo ^ hi), (lo ^ hi, lo))]
+        self.tables: dict[tuple[bool, int, int], np.ndarray] = {}
+
+    def _table(self, reverse: bool, span: int, t: int) -> np.ndarray:
+        """The subset table over the first span rows, in reverse order if asked."""
+        if (reverse, span, t) not in self.tables:
+            cols = slice(span - 1, None, -1) if reverse else slice(span)
+            self.tables[reverse, span, t] = _subset_table([scaled[:, cols] for scaled in self.rows], t)
+        return self.tables[reverse, span, t]
+
+    def least_weight(self, w: int, span: int) -> int:
+        """Least codeword weight over the weight-w messages on the first span positions."""
+        s = len(self.rows)
+        a, c = w // 2, (w - 1) // 2
+        prefix, suffix = self._table(False, span, a), self._table(True, span, c)
+        bufs = tuple(np.empty(_BLOCK_WORDS, dtype=t) for t in (np.uint64, np.uint64, np.uint8, np.uint16))
+        return w + min(
+            self._least_pair_weight(
+                prefix[:, : math.comb(m, a) * s**a],
+                suffix[:, : math.comb(span - 1 - m, c) * s**c] ^ self.rows[0][:, m : m + 1],
+                bufs,
+            )
+            for m in range(a, span - c)
+        )
+
+    def _least_pair_weight(self, low: np.ndarray, high: np.ndarray, bufs) -> int:
+        """min over (i, j) of the weight of the XOR of columns low[:, i] and high[:, j].
+
+        A column holds its planes one after the other; a coordinate counts
+        when any plane has its bit set.  The longer side is the contiguous one.
+        """
+        if low.shape[1] > high.shape[1]:
+            low, high = high, low
+        words = low.shape[0] // self.planes
+        xor_buf, or_buf, count_buf, sum_buf = bufs
+        best = words * 64
+        step_h = min(high.shape[1], _BLOCK_WORDS)
+        for j in range(0, high.shape[1], step_h):
+            h = high[:, j : j + step_h]
+            step_l = max(1, _BLOCK_WORDS // h.shape[1])
+            for i in range(0, low.shape[1], step_l):
+                l_blk = low[:, i : i + step_l]
+                size = l_blk.shape[1] * h.shape[1]
+                shape = (l_blk.shape[1], h.shape[1])
+                x, y = xor_buf[:size].reshape(shape), or_buf[:size].reshape(shape)
+                total, count = sum_buf[:size].reshape(shape), count_buf[:size].reshape(shape)
+                for t in range(words):
+                    np.bitwise_xor.outer(l_blk[t], h[t], out=x)
+                    if self.planes == 2:
+                        np.bitwise_xor.outer(l_blk[words + t], h[words + t], out=y)
+                        np.bitwise_or(x, y, out=x)
+                    if t == 0:
+                        np.bitwise_count(x, out=total)
+                    else:
+                        total += np.bitwise_count(x, out=count)
+                best = min(best, int(total.min()))
+        return best
 
 
 def warm_up() -> None:

@@ -2,15 +2,22 @@
 
 Every distance is reported as a DistanceBound, an integer interval whose
 endpoints carry provenance tags.  Exact values come from the full Gray-walk
-enumeration (4^dim or 2^dim words) whenever that fits the work budget; above
-the budget a single deterministic information set is enumerated by rising
-message weight, which yields an honest lower bound (completed radius + 1)
-and the best found word as an upper bound.  Budgets count enumeration steps;
+enumeration (4^dim or 2^dim words) whenever that fits the work budget.
+Above the budget a Brouwer-Zimmermann search (_info_set_bounds) walks
+messages by rising weight over disjoint information sets: after level w_j
+on set j every unseen word weighs at least sum_j (w_j + 1), an honest lower
+bound, and the best word found is the upper one; the two meet when the
+search certifies the distance.  A code's own distance uses one set, the
+pivots of its RREF.  A Hermitian self-dual extension [2K, K] (every k = 0
+output) uses two, an information set and its complement, so one budgeted
+search bounds the extended code directly.  Budgets count enumeration steps;
 a multi-offset pass over one span counts once per step.  An exact pass
 counts the 4^dim words of its span against the budget and reports them as
 its work, while the walk evaluates about a third of them: a word and its
 nonzero multiples have the same weight, so weight_histograms enumerates
-one word per scaling orbit of the span and its offsets.
+one word per scaling orbit of the span and its offsets.  The information-set
+search counts the messages it covers, comb(x, w) 3^w for level w over x
+positions, and likewise walks one per scaling orbit.
 
 Results are deterministic for a given budget regardless of backend or
 worker count.
@@ -18,7 +25,6 @@ worker count.
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 from dataclasses import dataclass, field
@@ -231,67 +237,81 @@ def _first_nonzero_weight(hist_row: np.ndarray, skip_zero: bool) -> int:
 
 
 # ---------------------------------------------------------------------------
-# budgeted information-set bounds
+# budgeted information-set bounds (Brouwer-Zimmermann)
 # ---------------------------------------------------------------------------
 
-def _info_set_bounds(g: np.ndarray, q: int, budget: int) -> DistanceBound:
-    """Single deterministic information set, messages by rising weight.
+@dataclass(frozen=True)
+class InfoSetBound(DistanceBound):
+    """An information-set interval with the levels completed on each set."""
 
-    After completing all messages of weight <= w, any unseen codeword has
-    information weight >= w + 1 and hence full weight >= w + 1.
+    levels: tuple[int, ...] = ()
+
+
+def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBound:
+    """Brouwer-Zimmermann search over disjoint information sets of span(g).
+
+    sets lists disjoint information sets of the code; None means one set,
+    the pivots of g's RREF.  Each set's messages are walked by
+    _kernels.InfoSetLevels over the parity part of one systematic form, a
+    level (message weight) at a time.  Levels alternate between the sets,
+    the set with fewer completed levels first (the lower index on a tie).
+    A codeword not met after level w_j on set j has weight >= w_j + 1 on
+    each set, so >= sum_j (w_j + 1).  The walk stops when the next level's
+    comb(k, w) (q - 1)^w words would pass the budget, or when the best word
+    found is no heavier than that bound: then it is the distance
+    (information-set provenance).  Otherwise lo is the bound
+    (budget-exhausted) and hi the best word; with several sets the budget
+    left first walks the next level over the first x positions of its set,
+    the colex prefix of that level, which lowers hi but not lo.
+
+    A single set keeps the rules of the one-set search it grew from, exact
+    once best <= w (a level later than needed) and no partial level, so
+    that min_distance_exact reports the same intervals and work as before.
     """
-    g = np.atleast_2d(g)
+    g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
+    if sets is None:
+        r, rank, pivots = linalg.rref(g)
+        g, sets = r[:rank], [pivots]
+    if len(set().union(*map(set, sets))) != sum(len(info) for info in sets):
+        raise InputError("information sets must be disjoint")
     k, n = g.shape
-    if q == 4:
-        s1 = g
-        s2 = gf4.MUL_TABLE[2][g]
-        s3 = s1 ^ s2  # omega^2 = 1 + omega
-        scaled = (s1, s2, s3)
-        nonzero = 3
-    else:
-        scaled = (g,)
-        nonzero = 1
-    best_w = n + 1
-    work = 0
-    completed = 0
-    for w in range(1, k + 1):
-        level_cost = math.comb(k, w) * nonzero**w
-        if work + level_cost > budget:
+    walks = []
+    for info in sets:
+        # one systematic form per set: the identity on its columns, then the parity part
+        info = [int(c) for c in info]
+        r, rank, pivots = linalg.rref(g[:, info + sorted(set(range(n)) - set(info))])
+        if len(info) != k or pivots != list(range(k)):
+            raise InputError(f"columns {info} are not an information set")
+        walks.append(_kernels.InfoSetLevels(*gf4.pack_planes(r[:, k:]), q))
+    one_set = len(walks) == 1
+    levels = [0] * len(walks)
+    best, work = n + 1, 0
+
+    def result(exact: bool) -> InfoSetBound:
+        if exact:
+            return InfoSetBound(lo=best, hi=best, lo_src=INFO_SET, hi_src=INFO_SET,
+                                work=work, levels=tuple(levels))
+        return InfoSetBound(lo=sum(levels) + len(levels), hi=best if best <= n else None,
+                            lo_src=BUDGET, hi_src=INFO_SET, work=work, levels=tuple(levels))
+
+    while True:
+        j = levels.index(min(levels))
+        w = levels[j] + 1
+        if w > k or work + math.comb(k, w) * (q - 1) ** w > budget:
             break
-        chunk: list[tuple[int, ...]] = []
-        CHUNK = 2048
-
-        def flush(chunk_combos):
-            nonlocal best_w
-            if not chunk_combos:
-                return
-            idx = np.array(chunk_combos, dtype=np.int64)
-            for pattern in itertools.product(range(nonzero), repeat=w):
-                acc = scaled[pattern[0]][idx[:, 0]].copy()
-                for pos in range(1, w):
-                    acc ^= scaled[pattern[pos]][idx[:, pos]]
-                wts = np.count_nonzero(acc, axis=1)
-                m = int(wts.min())
-                if m < best_w:
-                    best_w = m
-
-        for combo in itertools.combinations(range(k), w):
-            chunk.append(combo)
-            if len(chunk) >= CHUNK:
-                flush(chunk)
-                chunk = []
-        flush(chunk)
-        work += level_cost
-        completed = w
-        if best_w <= w:
-            # every unseen codeword weighs at least w + 1 > best: exact
-            return DistanceBound(
-                lo=best_w, hi=best_w, lo_src=INFO_SET, hi_src=INFO_SET, work=work
-            )
-    lo = completed + 1
-    hi = best_w if best_w <= n else None
-    # the in-level exit guarantees best_w > completed here, so lo <= hi holds
-    return DistanceBound(lo=max(lo, 1), hi=hi, lo_src=BUDGET, hi_src=INFO_SET, work=work)
+        best = min(best, walks[j].least_weight(w, k))
+        work += math.comb(k, w) * (q - 1) ** w
+        levels[j] = w
+        if best + one_set <= sum(levels) + len(levels):
+            return result(exact=True)
+    span = w - 1
+    while span < k and work + math.comb(span + 1, w) * (q - 1) ** w <= budget:
+        span += 1
+    if one_set or span < w:
+        return result(exact=False)
+    best = min(best, walks[j].least_weight(w, span))
+    work += math.comb(span, w) * (q - 1) ** w
+    return result(exact=best <= sum(levels) + len(levels))
 
 
 # ---------------------------------------------------------------------------
@@ -475,42 +495,69 @@ def extension_coset_distance(g: np.ndarray, f_rows: np.ndarray, budget: int | No
 
 @dataclass(frozen=True)
 class ExtensionDistance:
-    """An extension's distance, with the exact pass's account of it (note),
-    or with d(C) and d(C + C^perp_h) when the bound replaced that pass."""
+    """An extension's distance with an account of it (note): the exact
+    pass's, or that of the bound that replaced the pass (bounded)."""
 
     bound: DistanceBound
-    note: str = ""
-    d_code: DistanceBound | None = None
-    d_sum: DistanceBound | None = None
+    note: str
+    bounded: bool
 
 
-def extension_distance(
-    code, sum_code, budget: int, exact=None, even: bool = True
-) -> ExtensionDistance:
-    """Distance of the extension of a code C.
+def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
+    """Information-set bound on a Hermitian self-dual extension [2K, K].
+
+    I = pivots(C) + the e unit coordinates is an information set of the
+    extended generator (its columns on I are block triangular with unit
+    diagonal blocks), and the complement of an information set of a
+    self-dual code is one too.  Every word of C, padded by zeros, is a
+    message on I of the weight it has on C's own information set.  A
+    generator over GF(2) spans a GF(4) code of the distance of its binary
+    span, which has (q - 1)^w = 1 scalar pattern per message.
+    """
+    gen = ext.extended
+    big_k, big_n = gen.shape
+    n = big_n - ext.e
+    info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, big_n))
+    rest = sorted(set(range(big_n)) - set(info))
+    b = _info_set_bounds(gen, 2 if (gen <= 1).all() else 4, budget, sets=[info, rest])
+    found = f"d = {b.lo}" if b.exact else f"d >= {b.lo}"
+    lifted = even_lift(b)
+    if lifted.lo != b.lo:
+        found += f", even: d >= {lifted.lo}"
+    note = (f"information set and complement of the extended [{big_n},{big_k}] code, "
+            f"levels {b.levels[0]} and {b.levels[1]}: {found}")
+    return ExtensionDistance(lifted, note=note, bounded=True)
+
+
+def extension_distance(ext, budget: int, exact=None, code=None, sum_code=None) -> ExtensionDistance:
+    """Distance of the extension ext of a code C (an Extension: original,
+    the RREF basis of C; extended; e).
 
     exact is (words, run) or None: when words <= budget, run() makes one
-    exact pass over C with the extension cosets and returns (d, work, note).
-    Otherwise d >= min(d(C), d(C + C^perp_h) + 1), where sum_code is
-    C + C^perp_h or None for the full space.  An even extension is
-    Hermitian self-dual, so it contains the words of C padded by zeros and
-    d <= d(C) (a binary C has the distance of its GF(4) span); its lower
-    bound lifts to even and an odd exact distance is an invariant failure.
+    exact pass and returns (d, work, note).  Otherwise a Hermitian self-dual
+    extension (2K = N, k = 0) is bounded by the information-set search on
+    its generator (_self_dual_bound), and any other by
+    d >= min(d(C), d(C + C^perp_h) + 1), where code is C and sum_code is
+    C + C^perp_h or None for the full space.  A self-dual code is even, so
+    an odd exact distance is an invariant failure.
     """
+    self_dual = 2 * ext.extended.shape[0] == ext.extended.shape[1]
     if exact is not None and exact[0] <= budget:
         d, work, note = exact[1]()
-        if even and d % 2:
+        if self_dual and d % 2:
             raise InvariantError(f"Hermitian self-dual code with odd minimum distance {d}")
-        return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note)
+        return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False)
+    if self_dual:
+        return _self_dual_bound(ext, budget)
     d_c = min_distance_exact(code, budget=budget)
     d_sum = DistanceBound.exact_value(1) if sum_code is None else min_distance_exact(sum_code, budget=budget)
     if d_c.lo <= d_sum.lo + 1:
         lo, lo_src = d_c.lo, d_c.lo_src
     else:
         lo, lo_src = d_sum.lo + 1, d_sum.lo_src
-    hi, hi_src = (d_c.hi, d_c.hi_src) if even and d_c.hi is not None else (None, BUDGET)
-    bound = DistanceBound(lo=lo, hi=hi, lo_src=lo_src, hi_src=hi_src, work=d_c.work + d_sum.work)
-    return ExtensionDistance(even_lift(bound) if even else bound, d_code=d_c, d_sum=d_sum)
+    bound = DistanceBound(lo=lo, hi=None, lo_src=lo_src, hi_src=BUDGET, work=d_c.work + d_sum.work)
+    note = f"d >= min(d(C) >= {d_c.lo}, d(C + dual) + 1 >= {d_sum.lo + 1})"
+    return ExtensionDistance(bound, note=note, bounded=True)
 
 
 # ---------------------------------------------------------------------------
@@ -541,15 +588,7 @@ def fixed_subcode(code: CyclicCode, a: int) -> FixedSubcode:
     # permutes coordinates, so mu_a(cG) = c mu_a(G) and the condition is
     # c (mu_a(G) - G) = 0: the left nullspace of delta.
     coeffs = linalg.nullspace(delta.T)
-    if coeffs.shape[0] == 0:
-        return FixedSubcode(parent=code, a=a % n, basis=np.zeros((0, n), dtype=np.uint8))
-    words = np.zeros((coeffs.shape[0], n), dtype=np.uint8)
-    for i, c in enumerate(coeffs):
-        acc = np.zeros(n, dtype=np.uint8)
-        for j in np.nonzero(c)[0]:
-            acc ^= gf4.MUL_TABLE[int(c[j])][g[j]]
-        words[i] = acc
-    return FixedSubcode(parent=code, a=a % n, basis=linalg.row_basis(words))
+    return FixedSubcode(parent=code, a=a % n, basis=linalg.row_basis(linalg.matmul(coeffs, g)))
 
 
 def order2_lower_bound(d_fixed: int) -> int:

@@ -302,14 +302,20 @@ def minimal_poly(ext: ExtField, coset: frozenset[int] | set[int]) -> np.ndarray:
     """prod_{j in coset} (X - alpha^j), coefficients as base-field symbols.
 
     The coset must be closed under multiplication by q mod n; the product
-    then has subfield coefficients by Galois invariance.
+    then has subfield coefficients by Galois invariance.  Results are cached
+    per field and coset and returned read-only.
     """
-    coset = set(int(c) % ext.n for c in coset)
+    coset = frozenset(int(c) % ext.n for c in coset)
     if not coset:
         raise ValueError("empty coset")
     for c in coset:
         if (c * ext.q) % ext.n not in coset:
             raise ValueError(f"set not closed under multiplication by {ext.q} mod {ext.n}")
+    return _minimal_poly(ext, coset)
+
+
+@lru_cache(maxsize=None)
+def _minimal_poly(ext: ExtField, coset: frozenset[int]) -> np.ndarray:
     # Horner-style product in the big field, little-endian coefficients
     poly = [1]
     for j in sorted(coset):
@@ -319,7 +325,9 @@ def minimal_poly(ext: ExtField, coset: frozenset[int] | set[int]) -> np.ndarray:
             nxt[i] ^= ext.mul(c, root)  # times (-root) = root in char 2
             nxt[i + 1] ^= c
         poly = nxt
-    return np.array([ext.to_base_symbol(c) for c in poly], dtype=np.uint8)
+    out = np.array([ext.to_base_symbol(c) for c in poly], dtype=np.uint8)
+    out.setflags(write=False)
+    return out
 
 
 def defining_exponents(ext: ExtField, poly: np.ndarray) -> frozenset[int]:

@@ -167,5 +167,11 @@ def gram_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     return np.bitwise_xor.reduce(MUL_TABLE[a[:, None, :], CONJ_TABLE[b][None, :, :]], axis=2)
 
 
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Matrix product a b over GF(4): the Gram matrix of a against the
+    conjugate of b's columns, since conjugation is an involution."""
+    return gram_matrix(a, CONJ_TABLE[np.atleast_2d(np.asarray(b, dtype=np.uint8))].T)
+
+
 def is_hermitian_self_orthogonal(g: np.ndarray) -> bool:
     return not gram_matrix(g).any()

@@ -199,7 +199,8 @@ def _extend(code) -> tuple[Extension, np.ndarray]:
     if k == 0:
         raise InputError("cannot extend the zero code")
     dual = linalg.hermitian_dual_space(g)
-    radical = linalg.subspace_intersection(g, dual)
+    # the radical C cap C^perp_h is x g over the x with x Gram(g) = 0
+    radical = linalg.row_basis(linalg.matmul(linalg.nullspace(linalg.gram_matrix(g).T), g))
     e = dual.shape[0] - radical.shape[0]
     ortho = _hermitian_orthonormalize(linalg.complement_basis(radical, dual))
     if ortho.shape[0] != e:
@@ -219,30 +220,29 @@ def extend_nearly_self_orthogonal(
     code, budget: int | None = None
 ) -> tuple[Extension, QuantumParams]:
     """Extend a code to a Hermitian dual-containing one and read off the
-    stabilizer parameters [[n+e, 2k-n+e]] with the distance bound
-    d >= min(d(C), d(C + C^perp_h) + 1)."""
+    stabilizer parameters [[n+e, 2k-n+e]].  A self-dual extension (k = 0)
+    is bounded by the information-set search on its own generator, any
+    other by d >= min(d(C), d(C + C^perp_h) + 1)."""
     budget = dist.default_budget() if budget is None else budget
     ext, dual = _extend(code)
     g = ext.original
     k, n = g.shape
     kq = 2 * k - n + ext.e
-    sum_space = linalg.subspace_sum(g, dual)
-    cert = dist.extension_distance(
-        code if isinstance(code, CyclicCode) else g,
-        None if sum_space.shape[0] == n else sum_space,
-        budget, even=kq == 0,
-    )
-    lo = min(cert.d_code.lo, cert.d_sum.lo + 1)
-    trace = [
-        f"extension: input [{n},{k}], e={ext.e}",
-        f"bound: d >= min(d(C) >= {cert.d_code.lo}, d(C + dual) + 1 >= {cert.d_sum.lo + 1})",
-    ]
-    if cert.bound.lo != lo:
-        trace.append(f"even-weight lift to {cert.bound.lo}")
+    if kq == 0:
+        cert = dist.extension_distance(ext, budget)
+        line = f"budget-limited bound: {cert.note}"
+    else:
+        sum_space = linalg.subspace_sum(g, dual)
+        cert = dist.extension_distance(
+            ext, budget,
+            code=code if isinstance(code, CyclicCode) else g,
+            sum_code=None if sum_space.shape[0] == n else sum_space,
+        )
+        line = f"bound: {cert.note}"
     params = QuantumParams(
         n=n + ext.e, k=kq, d=cert.bound,
         pure=PURE_YES if kq == 0 else PURE_UNKNOWN,
-        trace=tuple(trace),
+        trace=(f"extension: input [{n},{k}], e={ext.e}", line),
     )
     return ext, params
 
@@ -324,7 +324,9 @@ def extended_duadic_quantum(
     The even-like subcode extends by one coordinate (e = 1).  With an exact
     ingredient pass the distance is exact: the extended words are the
     even-like words padded by 0 and the odd-like cosets padded by a unit, so
-    d = min(d(even), d_o + 1).
+    d = min(d(even), d_o + 1).  When that pass does not fit the budget, the
+    information-set search bounds the extended code, and an exact odd
+    d(odd-like) adds the square-root and mu_-1 lifts.
     """
     budget = dist.default_budget() if budget is None else budget
     if isinstance(odd_like, DuadicPair):
@@ -360,14 +362,13 @@ def extended_duadic_quantum(
         d = min(dd.d_even, dd.d_min_odd_coset + 1)
         return d, dd.work, f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
 
-    # the Hermitian dual of the even-like code is the odd-like code, which contains it
-    cert = dist.extension_distance(even, odd, budget, exact=(4**even.dim, duadic_pass))
+    cert = dist.extension_distance(ext, budget, exact=(4**even.dim, duadic_pass))
     bound = cert.bound
-    if cert.d_code is None:
-        trace.append(cert.note)
-    else:
-        d_odd_b = cert.d_sum
-        trace.append(f"budget-limited bound: d >= min({cert.d_code.lo}, {d_odd_b.lo}+1)")
+    trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
+    if cert.bounded and not bound.exact:
+        # an exact odd d(odd-like) lifts the lower bound
+        d_odd_b = dist.min_distance_exact(odd, budget=budget)
+        bound = replace(bound, work=bound.work + d_odd_b.work)
         if d_odd_b.exact and d_odd_b.lo % 2 == 1:
             lo_min = _ceil_sqrt(n) + 1
             lifted = _sqrt_floor_lift(bound, lo_min, SQUARE_ROOT)
@@ -416,7 +417,9 @@ def general_zero_dim(
 ) -> tuple[QuantumParams, SelfDualCode]:
     """[[2(n-k), 0, d]] from a self-orthogonal [n, k] code, d even and
     d >= min(d(C), d(C^perp_h) + 1); also yields the classical Hermitian
-    self-dual [2(n-k), n-k] code."""
+    self-dual [2(n-k), n-k] code.  d is exact from the coset pass when that
+    fits the budget, else bounded by the information-set search on the
+    self-dual code."""
     budget = dist.default_budget() if budget is None else budget
     g = linalg.row_basis(_as_matrix(code))
     k, n = g.shape
@@ -426,7 +429,7 @@ def general_zero_dim(
         raise NotApplicableError(
             "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
         )
-    ext, dual = _extend(g)
+    ext, _ = _extend(g)
     if 2 * ext.k != ext.n or ext.n != 2 * (n - k):
         raise InvariantError("self-orthogonal extension produced wrong parameters")
     sd = SelfDualCode(gen=ext.extended)
@@ -438,20 +441,8 @@ def general_zero_dim(
         d, work = dist.extension_coset_distance(g, ext.extended[k:, :n], budget)
         return d, work, f"d = min over cosets of (coset weight + unit weight) = {d} [exact]"
 
-    # C is self-orthogonal, so C + C^perp_h is its dual
-    if isinstance(code, CyclicCode):
-        dual = CyclicCode(dual_defining_set(code.defining_set))
-    else:
-        code = g
-    cert = dist.extension_distance(
-        code, dual, budget,
-        exact=(4**k, coset_pass) if ext.e <= 5 else None,
-    )
-    if cert.d_code is None:
-        trace.append(cert.note)
-    else:
-        trace.append(f"budget-limited bound: d >= min(d(C) >= {cert.d_code.lo}, "
-                     f"d(dual) + 1 >= {cert.d_sum.lo + 1})")
+    cert = dist.extension_distance(ext, budget, exact=(4**k, coset_pass) if ext.e <= 5 else None)
+    trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
     out = QuantumParams(n=2 * (n - k), k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return out, sd
 
@@ -529,15 +520,15 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
         d = int(np.nonzero(hist[0][1:])[0][0]) + 1
         return d, work, f"binary enumeration of the extended code: d = {d} [exact]"
 
-    bin_code = CyclicCode(DefiningSet(n, a.members, q=2))
-    sum_code = CyclicCode(DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2))
-    cert = dist.extension_distance(
-        bin_code, None if sum_code.dim == n else sum_code, budget,
-        exact=(2**ext.k, binary_pass) if (ext.extended <= 1).all() else None,
-        even=kq == 0,
-    )
-    trace.append(cert.note if cert.d_code is None
-                 else "budget-limited binary bound: d >= min(d(C), d(C + dual) + 1)")
+    exact = (2**ext.k, binary_pass) if (ext.extended <= 1).all() else None
+    if kq == 0:
+        cert = dist.extension_distance(ext, budget, exact=exact)
+    else:
+        bin_code = CyclicCode(DefiningSet(n, a.members, q=2))
+        sum_code = CyclicCode(DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2))
+        cert = dist.extension_distance(ext, budget, exact=exact, code=bin_code,
+                                       sum_code=None if sum_code.dim == n else sum_code)
+    trace.append(f"budget-limited binary bound: {cert.note}" if cert.bounded else cert.note)
     out = QuantumParams(n=ext.n, k=kq, d=cert.bound,
                         pure=PURE_YES if kq == 0 else PURE_UNKNOWN,
                         trace=tuple(trace))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from duadiq import distance as dist
-from duadiq import _kernels, gf4, linalg
-from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier
+from duadiq import _kernels, gf4, linalg, quantum
+from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier, dual_defining_set
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import BudgetExceededError, InputError, InvariantError
 
@@ -291,6 +291,94 @@ def test_info_set_reaches_exactness():
     g[0, 6] = 1  # weight-2 row; everything else weight 1... make it distance 1
     b = dist.min_distance_exact(g, budget=4**6 - 1)  # force the info-set path
     assert b.exact and b.lo == 1 and b.lo_src == dist.INFO_SET
+
+
+# (lo, hi, work, lo_src) of the one-set search at budgets 0, 100, 4096 and
+# 10^5, as reported by the itertools search that the engine replaced
+_B, _I = dist.BUDGET, dist.INFO_SET
+ONE_SET_PINNED = {
+    (4, 13, (1,)): [(1, None, 0, _B), (2, 5, 21, _B), (5, 5, 3990, _B), (5, 5, 9093, _I)],
+    (4, 17, (1, 3)): [(1, None, 0, _B), (2, 7, 27, _B), (4, 7, 2619, _B), (6, 7, 43443, _B)],
+    (4, 23, (1,)): [(1, None, 0, _B), (2, 7, 36, _B), (3, 7, 630, _B), (5, 7, 46665, _B)],
+    (4, 29, (1,)): [(1, None, 0, _B), (2, 11, 45, _B), (3, 11, 990, _B), (4, 11, 13275, _B)],
+    (4, 31, (1,)): [(1, None, 0, _B), (2, 3, 78, _B), (3, 3, 3003, _B), (3, 3, 73203, _I)],
+    (4, 41, (1,)): [(1, None, 0, _B), (2, 7, 93, _B), (2, 7, 93, _B), (3, 6, 4278, _B)],
+    (2, 21, (1,)): [(1, None, 0, _B), (2, 3, 15, _B), (3, 3, 575, _I), (3, 3, 575, _I)],
+    (2, 23, (1,)): [(1, None, 0, _B), (3, 7, 78, _B), (7, 7, 3301, _I), (7, 7, 3301, _I)],
+    (2, 31, (1,)): [(1, None, 0, _B), (2, 3, 26, _B), (3, 3, 2951, _I), (3, 3, 2951, _I)],
+    # the Hermitian duals extended for the paper's [[144,0]] and [[126,0]] codes
+    ("dual", 141, (2, 3, 10)): [(1, None, 0, _B), (1, None, 0, _B), (2, 28, 207, _B), (3, 28, 21321, _B)],
+    ("dual", 123, (1, 2, 6, 7, 9, 11)): [(1, None, 0, _B), (1, None, 0, _B), (2, 40, 180, _B),
+                                          (3, 38, 16110, _B)],
+}
+
+
+@pytest.mark.parametrize("key", list(ONE_SET_PINNED), ids=str)
+def test_one_set_search_matches_pinned(key):
+    q, n, leaders = key
+    if q == "dual":
+        code = CyclicCode(dual_defining_set(DefiningSet.from_leaders(n, leaders)))
+    else:
+        code = CyclicCode(DefiningSet.from_leaders(n, leaders, q=q))
+    g = linalg.row_basis(code.gen_matrix)
+    got = [dist._info_set_bounds(g, code.q, budget) for budget in (0, 100, 4096, 10**5)]
+    assert [(b.lo, b.hi, b.work, b.lo_src) for b in got] == ONE_SET_PINNED[key]
+
+
+def _extension_generators():
+    """Extended generators of the mu_-2 duadic codes with n <= 17, one binary."""
+    for n in (7, 13, 17):
+        for s in find_splittings(n):
+            if s.has_multiplier(-2):
+                yield quantum._extend(duadic_from_splitting(s).even1)[0]
+
+
+def test_small_blocks_give_same_bounds(monkeypatch):
+    cases = [(CyclicCode.from_leaders(23, [1]).gen_matrix, 4, None)]
+    cases += [(CyclicCode(DefiningSet.from_leaders(23, [1], q=2)).gen_matrix, 2, None)]
+    for ext in _extension_generators():
+        k, n = ext.extended.shape
+        info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n - ext.e, n))
+        q = 2 if (ext.extended <= 1).all() else 4
+        cases.append((ext.extended, q, [info, sorted(set(range(n)) - set(info))]))
+    for budget in (100, 4096, 10**5):
+        want = [dist._info_set_bounds(g, q, budget, sets) for g, q, sets in cases]
+        monkeypatch.setattr(_kernels, "_BLOCK_WORDS", 4)
+        got = [dist._info_set_bounds(g, q, budget, sets) for g, q, sets in cases]
+        monkeypatch.undo()
+        assert got == want
+
+
+def test_two_set_search_brackets_random_codes():
+    # random [n, k] codes are not even: the pivots and an information set
+    # among the other columns, against full enumeration
+    rng = np.random.default_rng(2)
+    checked = 0
+    for _ in range(150):
+        k = int(rng.integers(3, 8))
+        n = 2 * k + int(rng.integers(0, 3))
+        g = rng.integers(0, 4, (k, n)).astype(np.uint8)
+        _, rank, pivots = linalg.rref(g)
+        rest = [c for c in range(n) if c not in pivots]
+        _, rank_rest, pivots_rest = linalg.rref(g[:, rest])
+        if rank < k or rank_rest < k:
+            continue
+        sets = [pivots, [rest[p] for p in pivots_rest]]
+        d = dist.min_distance_exact(g, budget=4**k).lo
+        for budget in (0, 20, 50, 100, 300, 1000, 3000):
+            b = dist._info_set_bounds(g, 4, budget, sets=sets)
+            assert b.lo <= d <= (n if b.hi is None else b.hi) and b.work <= budget
+            assert not b.exact or b.lo == d
+            checked += 1
+    assert checked > 500
+
+
+def test_info_set_engine_rejects_bad_sets():
+    g = CyclicCode.from_leaders(7, [1]).gen_matrix  # [7, 4]
+    with pytest.raises(InputError):
+        dist._info_set_bounds(g, 4, 100, sets=[[0, 1, 2, 3], [3, 4, 5, 6]])  # not disjoint
+    with pytest.raises(InputError):
+        dist._info_set_bounds(g, 4, 100, sets=[[0, 1, 2]])  # too small
 
 
 def test_compose_bounds():

@@ -68,6 +68,14 @@ def test_minimal_poly_examples():
     assert len(rem) == 0
 
 
+def test_minimal_poly_cached_read_only():
+    ext = extfield.ext_build(23)
+    coset = cyclotomic_coset(23, 1)
+    mp = extfield.minimal_poly(ext, coset)
+    assert extfield.minimal_poly(ext, set(coset)) is mp
+    assert not mp.flags.writeable
+
+
 def test_minimal_poly_rejects_unclosed():
     e5 = extfield.ext_build(5, 4)
     with pytest.raises(ValueError):

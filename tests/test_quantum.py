@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duadiq import distance as dist
 from duadiq import gf4, linalg, quantum
@@ -205,8 +207,9 @@ def test_binary_cyclic_quantum():
 
 
 def test_budget_limited_zero_dim_extension_brackets_oracle():
-    # without the exact pass, hi = d(C): the self-dual extension contains
-    # the words of C padded by zeros
+    # without the exact pass, the information-set search on the self-dual
+    # extension meets every word of C padded by zeros, so hi <= d(C); the
+    # extension's own lightest word can be lighter still
     for n in (5, 7, 13):
         even = _mu2_pairs(n)[0].even1
         for budget in (0, 4**even.dim - 1, 4**even.dim):
@@ -214,7 +217,7 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
             d = oracle.min_distance(ext.extended.tolist())
             assert params.k == 0 and params.d.lo <= d
             assert params.d.hi is None or d <= params.d.hi
-        assert params.d.hi == dist.min_distance_exact(even).lo
+        assert d <= params.d.hi <= dist.min_distance_exact(even).lo
     # the binary route below the 2^k exact pass: d(binary C) bounds the GF(4) extension
     for n, oracle_d in ((7, oracle.min_distance), (23, oracle.binary_min_distance)):
         a = DefiningSet(n, qr_splitting(n).s1.members | {0})
@@ -222,7 +225,120 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
         p, ext = quantum.binary_cyclic_quantum(a, budget=2**bin_dim)
         assert p.k == 0 and "budget-limited binary bound" in p.trace[-1]
         d = oracle_d(ext.extended.tolist())
-        assert p.d.lo <= d <= p.d.hi == dist.min_distance_exact(CyclicCode(DefiningSet(n, a.members, q=2))).lo
+        assert p.d.lo <= d <= p.d.hi <= dist.min_distance_exact(CyclicCode(DefiningSet(n, a.members, q=2))).lo
+
+
+def test_research_codes_two_set_intervals():
+    # (lo, hi, work) of the paper's [[144,0]] and [[126,0]] codes at budgets
+    # 10^5, 10^6 and 10^7: whole levels on both sets, then the next level's
+    # colex prefix with the budget left
+    want = {
+        (141, (2, 3, 10)): [(6, 28, 94257), (6, 24, 970380), (8, 24, 9929331)],
+        (123, (1, 2, 6, 7, 9, 11)): [(6, 36, 97632), (6, 34, 959472), (8, 34, 9582516)],
+    }
+    for (n, leaders), rows in want.items():
+        for budget, row in zip((10**5, 10**6, 10**7), rows):
+            p, _ = quantum.cyclic_zero_dim(DefiningSet.from_leaders(n, leaders), budget=budget)
+            assert (p.d.lo, p.d.hi, p.d.work) == row and p.d.lo_src == dist.BUDGET
+    assert "levels 3 and 3: d >= 8" in p.trace[1]
+
+
+def test_extended_duadic_lifts_raise_a_weak_bound(monkeypatch):
+    # an exact odd d(odd-like) = 7 at n = 23 lifts an inexact bound through
+    # ceil(sqrt(23)) + 1 = 6 and then mu_-1 to 8; stand-ins supply a weak
+    # search result and an exact d(odd-like), which real budgets rarely
+    # give together
+    weak = dist.InfoSetBound(lo=2, hi=None, lo_src=dist.BUDGET, hi_src=dist.INFO_SET,
+                             work=5, levels=(0, 0))
+    monkeypatch.setattr(dist, "_info_set_bounds", lambda *args, **kwargs: weak)
+    monkeypatch.setattr(dist, "min_distance_exact", lambda code, budget: dist.DistanceBound.exact_value(7, work=11))
+    params, _ = quantum.extended_duadic_quantum(duadic_from_splitting(qr_splitting(23)), budget=1000)
+    assert (params.d.lo, params.d.hi, params.d.lo_src, params.d.work) == (8, None, dist.SQUARE_ROOT, 16)
+    assert "square-root lift" in params.trace[-2] and "mu_-1 strengthening" in params.trace[-1]
+
+
+def _exact_distance(gen):
+    """Full enumeration: the oracle up to dimension 6, the Gray walk above."""
+    k = gen.shape[0]
+    if k <= 6:
+        return oracle.min_distance(gen.tolist())
+    b = dist.min_distance_exact(gen, budget=4**k)
+    assert b.lo_src == dist.EXACT
+    return b.lo
+
+
+def _assert_brackets(b, d, n, budget):
+    assert b.lo <= d <= (n if b.hi is None else b.hi), (b, d)
+    assert b.lo % 2 == 0 and b.work <= budget
+
+
+def test_two_set_bound_brackets_search_extensions():
+    # the bound alone, for every searched A whose extension has dimension <= 10
+    checked = 0
+    for n in range(3, 42, 2):
+        for a in _search_sets(n):
+            if n - len(a.members) > 10:
+                continue
+            ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+            d = _exact_distance(ext.extended)
+            for budget in (0, 4096, 65536):
+                _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.n, budget)
+            checked += 1
+    assert checked == 18
+
+
+def test_two_set_bound_brackets_mu2_extensions():
+    # the reference is full enumeration where it fits: the duadic pass up to
+    # n = 29 and the binary span of a binary generator (n = 31); for
+    # n = 35, 37, 41 it is the search's own certificate at budget 2^26
+    for n in range(5, 42, 2):
+        for s in find_splittings(n):
+            if not s.has_multiplier(-2):
+                continue
+            pair = duadic_from_splitting(s)
+            for side, even in ((1, pair.even1), (2, pair.even2)):
+                ext, _ = quantum._extend(even)
+                if n <= 29:
+                    dd = dist.duadic_distances(s, side=side)
+                    d = min(dd.d_even, dd.d_min_odd_coset + 1)
+                elif (ext.extended <= 1).all():
+                    hist, _ = dist.weight_histograms_binary(ext.extended)
+                    d = int(np.flatnonzero(hist[0][1:])[0]) + 1
+                else:
+                    cert = dist.extension_distance(ext, 1 << 26).bound
+                    assert cert.exact
+                    d = cert.lo
+                for budget in (0, 4096, 65536):
+                    _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.n, budget)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 100, 4096, 1 << 20]))
+def test_general_zero_dim_brackets_random_self_orthogonal(seed, budget):
+    # the Hermitian dual of a dual-containing extension is self-orthogonal;
+    # half the inputs are binary, so some extensions take the binary search
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 9))
+    g = rng.integers(0, int(rng.choice([2, 4])), (int(rng.integers(1, n)), n)).astype(np.uint8)
+    if not g.any():
+        return
+    code = quantum._extend(g)[0].extended_dual
+    params, sd = quantum.general_zero_dim(code, budget=budget)
+    assert params.k == 0
+    _assert_brackets(params.d, _exact_distance(sd.gen), params.n, max(budget, params.d.work))
+
+
+def test_extension_radical_is_zassenhaus_intersection():
+    # the radical read from the Gram matrix is the RREF basis of C cap C^perp_h
+    rng = np.random.default_rng(11)
+    codes = [CyclicCode(dual_defining_set(a)) for a in _search_sets(21)]
+    codes += [rng.integers(0, 4, (int(rng.integers(1, 8)), 9)).astype(np.uint8) for _ in range(60)]
+    for code in codes:
+        if not quantum._as_matrix(code).any():
+            continue
+        ext, dual = quantum._extend(code)
+        radical = ext.extended_dual[: ext.extended_dual.shape[0] - ext.e, : ext.n - ext.e]
+        assert np.array_equal(radical, linalg.subspace_intersection(ext.original, dual))
 
 
 def test_zero_dim_extremal_bound():
