@@ -5,9 +5,7 @@ Hermitian self-dual linear codes over the 4-element field) and certifies
 minimum-distance bounds: exactly at desk scale by packed Gray-walk
 enumeration, and by honest intervals beyond the enumeration budget.
 
-Hot kernels run under numba when it is installed (the optional `numba`
-extra) and under the pure-numpy fallback otherwise, with the same results;
-set DUADIQ_BACKEND=numpy to force the fallback.
+The enumeration kernels are plain numpy; active_backend() names them.
 """
 
 from ._kernels import active_backend

@@ -1,210 +1,37 @@
-"""Hot codeword-enumeration kernels: numba primary, pure numpy fallback.
+"""Hot codeword-enumeration kernels, in numpy.
 
-The hot loops of the package are the Gray walk over all 4^k (or 2^k) words
-of a span, and the information-set walk (InfoSetLevels, numpy only) that
-the Brouwer-Zimmermann search in distance runs level by level.
+The Gray walk bins, for each requested offset, the weight of every word of
+a span (all 4^k words over GF(4), 2^k over GF(2)) shifted by that offset.
+Words are packed bit planes, two over GF(4) and one over GF(2), so a step
+is an XOR and a weight is a popcount.  The walk visits every codeword
+exactly once, so the returned per-offset weight histograms are exact
+counts.  It runs on one thread.
 
-Each Gray-walk step XORs one precomputed scaled generator into the
-running word (two packed bit planes over GF(4), one over GF(2)) and bins
-the weight of the word shifted by each requested offset.  The walk visits
-every codeword exactly once, so the returned per-offset weight histograms
-are exact counts and independent of backend, sharding and thread count.
-
-The numpy walker splits the F2-basis into a suffix of up to _SUFFIX_BITS
+_numpy_hist_planes splits the F2-basis into a suffix of up to _SUFFIX_BITS
 rows, whose span is tabulated once as a block of up to 65536 words, and a
 prefix walked in Gray order.  Each prefix step XORs one basis row into the
 running word; then, per offset, the block is XORed with the running word and
 the offset, the two planes are ORed, popcounted and binned, all into buffers
 allocated once per call.
 
-Backend selection: numba (the optional `numba` extra) is used when
-importable unless the environment variable DUADIQ_BACKEND=numpy forces the
-fallback; without numba the numpy walker runs.  Both implementations are
-kept semantically identical and are compared in the test suite.
-
-Sharding: walks with k above _SHARD_MIN_K split into 16 shards fixing the
-two leading information symbols; shard histograms are summed, so the merge
-is order independent.
+InfoSetLevels walks the messages of one information set a level (message
+weight) at a time, for the Brouwer-Zimmermann search in distance.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-_env = os.environ.get("DUADIQ_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"DUADIQ_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-_HAVE_NUMBA = False
-if _env != "numpy":
-    try:
-        import warnings
-
-        import numba as _nb
-        from numba import njit as _njit
-        from numba import prange as _prange
-        from numba.core.errors import NumbaWarning as _NumbaWarning
-
-        # the TBB-version notice is harmless: numba falls back to omp/workqueue
-        warnings.filterwarnings("ignore", message=".*TBB.*", category=_NumbaWarning)
-        _HAVE_NUMBA = True
-    except ImportError:  # numba is an optional extra
-        if _env == "numba":
-            raise
-        _HAVE_NUMBA = False
-
 
 def active_backend() -> str:
-    return "numba" if _HAVE_NUMBA else "numpy"
-
-
-def set_num_threads(workers: int) -> None:
-    if workers < 1:
-        raise ValueError("worker count must be >= 1")
-    if _HAVE_NUMBA:
-        _nb.set_num_threads(min(workers, _nb.config.NUMBA_NUM_THREADS))
-
-
-_SHARD_MIN_K = 10  # below this a single serial walk is faster than 16 shards
+    """The enumeration backend; numpy is the only one."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
-# numba implementation
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @_njit(inline="always")
-    def _pop64(x):
-        x = x - ((x >> np.uint64(1)) & np.uint64(0x5555555555555555))
-        x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-        x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-        return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-    @_njit(cache=True)
-    def _hist_q4_range(sg_lo, sg_hi, off_lo, off_hi, out, start, count):
-        """Walk Gray positions [start, start+count) of the 4^k span (W = 1)."""
-        m = off_lo.shape[0]
-        gray = np.uint64(start ^ (start >> 1))
-        cur_lo = np.uint64(0)
-        cur_hi = np.uint64(0)
-        for i in range(sg_lo.shape[0]):
-            if (gray >> np.uint64(i)) & np.uint64(1):
-                cur_lo ^= sg_lo[i]
-                cur_hi ^= sg_hi[i]
-        for j in range(m):
-            out[j, _pop64((cur_lo ^ off_lo[j]) | (cur_hi ^ off_hi[j]))] += 1
-        for t in range(start + 1, start + count):
-            tt = t
-            idx = 0
-            while tt & 1 == 0:
-                tt >>= 1
-                idx += 1
-            cur_lo ^= sg_lo[idx]
-            cur_hi ^= sg_hi[idx]
-            for j in range(m):
-                out[j, _pop64((cur_lo ^ off_lo[j]) | (cur_hi ^ off_hi[j]))] += 1
-
-    @_njit(cache=True)
-    def _hist_q4_range_w(sg_lo, sg_hi, off_lo, off_hi, out, start, count):
-        """Multi-word variant for n > 64."""
-        m = off_lo.shape[0]
-        W = sg_lo.shape[1]
-        gray = start ^ (start >> 1)
-        cur_lo = np.zeros(W, dtype=np.uint64)
-        cur_hi = np.zeros(W, dtype=np.uint64)
-        for i in range(sg_lo.shape[0]):
-            if (gray >> i) & 1:
-                for w in range(W):
-                    cur_lo[w] ^= sg_lo[i, w]
-                    cur_hi[w] ^= sg_hi[i, w]
-        for j in range(m):
-            wt = np.uint64(0)
-            for w in range(W):
-                wt += _pop64((cur_lo[w] ^ off_lo[j, w]) | (cur_hi[w] ^ off_hi[j, w]))
-            out[j, wt] += 1
-        for t in range(start + 1, start + count):
-            tt = t
-            idx = 0
-            while tt & 1 == 0:
-                tt >>= 1
-                idx += 1
-            for w in range(W):
-                cur_lo[w] ^= sg_lo[idx, w]
-                cur_hi[w] ^= sg_hi[idx, w]
-            for j in range(m):
-                wt = np.uint64(0)
-                for w in range(W):
-                    wt += _pop64((cur_lo[w] ^ off_lo[j, w]) | (cur_hi[w] ^ off_hi[j, w]))
-                out[j, wt] += 1
-
-    @_njit(cache=True, parallel=True)
-    def _hist_q4_sharded(sg_lo, sg_hi, off_lo, off_hi, outs, total):
-        chunk = total // 16
-        for s in _prange(16):
-            _hist_q4_range(sg_lo, sg_hi, off_lo, off_hi, outs[s], s * chunk, chunk)
-
-    @_njit(cache=True)
-    def _hist_f2_range(sg, off, out, start, count):
-        m = off.shape[0]
-        gray = np.uint64(start ^ (start >> 1))
-        cur = np.uint64(0)
-        for i in range(sg.shape[0]):
-            if (gray >> np.uint64(i)) & np.uint64(1):
-                cur ^= sg[i]
-        for j in range(m):
-            out[j, _pop64(cur ^ off[j])] += 1
-        for t in range(start + 1, start + count):
-            tt = t
-            idx = 0
-            while tt & 1 == 0:
-                tt >>= 1
-                idx += 1
-            cur ^= sg[idx]
-            for j in range(m):
-                out[j, _pop64(cur ^ off[j])] += 1
-
-    @_njit(cache=True)
-    def _hist_f2_range_w(sg, off, out, start, count):
-        m = off.shape[0]
-        W = sg.shape[1]
-        gray = start ^ (start >> 1)
-        cur = np.zeros(W, dtype=np.uint64)
-        for i in range(sg.shape[0]):
-            if (gray >> i) & 1:
-                for w in range(W):
-                    cur[w] ^= sg[i, w]
-        for j in range(m):
-            wt = np.uint64(0)
-            for w in range(W):
-                wt += _pop64(cur[w] ^ off[j, w])
-            out[j, wt] += 1
-        for t in range(start + 1, start + count):
-            tt = t
-            idx = 0
-            while tt & 1 == 0:
-                tt >>= 1
-                idx += 1
-            for w in range(W):
-                cur[w] ^= sg[idx, w]
-            for j in range(m):
-                wt = np.uint64(0)
-                for w in range(W):
-                    wt += _pop64(cur[w] ^ off[j, w])
-                out[j, wt] += 1
-
-    @_njit(cache=True, parallel=True)
-    def _hist_f2_sharded(sg, off, outs, total):
-        chunk = total // 16
-        for s in _prange(16):
-            _hist_f2_range(sg, off, outs[s], s * chunk, chunk)
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback: block enumeration over a suffix table
+# Gray walk: block enumeration over a suffix table
 # ---------------------------------------------------------------------------
 
 _SUFFIX_BITS = 16  # 2^16 = 65536-word blocks
@@ -275,7 +102,6 @@ def gray_weight_hists(
     off_lo: np.ndarray,
     off_hi: np.ndarray,
     nbins: int,
-    backend: str | None = None,
 ) -> np.ndarray:
     """Per-offset weight histograms over the F2-span of 2k scaled generators.
 
@@ -287,57 +113,14 @@ def gray_weight_hists(
     sg_hi = np.ascontiguousarray(sg_hi, dtype=np.uint64)
     off_lo = np.ascontiguousarray(np.atleast_2d(off_lo), dtype=np.uint64)
     off_hi = np.ascontiguousarray(np.atleast_2d(off_hi), dtype=np.uint64)
-    twok, W = sg_lo.shape
-    m = off_lo.shape[0]
-    total = 1 << twok
-    use = backend or active_backend()
-    if use == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    if use == "numba":
-        out = np.zeros((m, nbins), dtype=np.int64)
-        if W == 1:
-            if twok >= 2 * _SHARD_MIN_K:
-                outs = np.zeros((16, m, nbins), dtype=np.int64)
-                _hist_q4_sharded(sg_lo[:, 0], sg_hi[:, 0], off_lo[:, 0], off_hi[:, 0], outs, total)
-                out = outs.sum(axis=0)
-            else:
-                _hist_q4_range(sg_lo[:, 0], sg_hi[:, 0], off_lo[:, 0], off_hi[:, 0], out, 0, total)
-        else:
-            _hist_q4_range_w(sg_lo, sg_hi, off_lo, off_hi, out, 0, total)
-        return out
     return _numpy_hist_planes(sg_lo, sg_hi, off_lo, off_hi, nbins)
 
 
-def gray_weight_hists_binary(
-    sg: np.ndarray,
-    off: np.ndarray,
-    nbins: int,
-    backend: str | None = None,
-) -> np.ndarray:
+def gray_weight_hists_binary(sg: np.ndarray, off: np.ndarray, nbins: int) -> np.ndarray:
     """Binary analogue: histograms over the 2^k span of (k, W) row masks."""
     sg = np.ascontiguousarray(sg, dtype=np.uint64)
     off = np.ascontiguousarray(np.atleast_2d(off), dtype=np.uint64)
-    k, W = sg.shape
-    m = off.shape[0]
-    total = 1 << k
-    use = backend or active_backend()
-    if use == "numba" and not _HAVE_NUMBA:
-        raise RuntimeError("numba backend requested but numba is unavailable")
-    if use == "numba":
-        out = np.zeros((m, nbins), dtype=np.int64)
-        if W == 1:
-            if k >= 2 * _SHARD_MIN_K:
-                outs = np.zeros((16, m, nbins), dtype=np.int64)
-                _hist_f2_sharded(sg[:, 0], off[:, 0], outs, total)
-                out = outs.sum(axis=0)
-            else:
-                _hist_f2_range(sg[:, 0], off[:, 0], out, 0, total)
-        else:
-            _hist_f2_range_w(sg, off, out, 0, total)
-        return out
-    zeros = np.zeros_like(sg)
-    zoff = np.zeros_like(off)
-    return _numpy_hist_planes(sg, zeros, off, zoff, nbins)
+    return _numpy_hist_planes(sg, np.zeros_like(sg), off, np.zeros_like(off), nbins)
 
 
 # ---------------------------------------------------------------------------
@@ -444,18 +227,3 @@ class InfoSetLevels:
                 best = min(best, int(total.min()))
         return best
 
-
-def warm_up() -> None:
-    """Force JIT compilation of the hot kernels (no-op on the numpy path)."""
-    if not _HAVE_NUMBA:
-        return
-    sg = np.array([[1], [2], [4], [8]], dtype=np.uint64)
-    off = np.zeros((1, 1), dtype=np.uint64)
-    gray_weight_hists(sg, sg, off, off, 8)
-    out = np.zeros((1, 8), dtype=np.int64)
-    _hist_q4_range_w(sg, sg, off, off, out, 0, 4)
-    gray_weight_hists_binary(sg, off, 8)
-    _hist_f2_range_w(sg, off, out, 0, 4)
-    outs = np.zeros((16, 1, 8), dtype=np.int64)
-    _hist_q4_sharded(sg[:, 0].repeat(2), sg[:, 0].repeat(2), off[:, 0], off[:, 0], outs, 1 << 8)
-    _hist_f2_sharded(sg[:, 0].repeat(2), off[:, 0], outs, 1 << 8)

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import _kernels, distance as dist, duadic, quantum
+from . import distance as dist, duadic, quantum
 from .cyclic import CyclicCode, DefiningSet, all_cosets
 from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
 from .extfield import is_prime
@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--budget", type=int, default=None,
                         help="max codeword-enumeration steps (default 2^30, or DUADIQ_BUDGET)")
     common.add_argument("--workers", type=int, default=1,
-                        help="worker threads for distance shards (result independent of count)")
+                        help="must be >= 1; enumeration runs on one thread whatever the value")
     common.add_argument("--annotations", type=str, default=None,
                         help="JSON file of literature [[n,k,d]] annotations")
     common.add_argument("--expand", action="store_true",
@@ -187,7 +187,7 @@ def cmd_quantum(args) -> int:
         split = duadic.qr_splitting(args.n)
         pair = duadic.duadic_from_splitting(split)
         params, _ = quantum.extended_duadic_quantum(pair, budget=budget)
-        d_odd = dist.min_distance_exact(pair.odd1, budget=budget if budget is not None else None)
+        d_odd = dist.min_distance_exact(pair.odd1, budget=budget)
         params = quantum.qr_quantum_refinements(params, args.n, d_odd)
     elif args.duadic_index is not None:
         splits = duadic.find_splittings(args.n)
@@ -301,7 +301,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise InputError("--budget must be nonnegative")
-        _kernels.set_num_threads(args.workers)
+        if args.workers < 1:
+            raise InputError("worker count must be >= 1")
         return _DISPATCH[args.command](args)
     except NotApplicableError as exc:
         sys.stderr.write(f"no applicable construction: {exc}\n")

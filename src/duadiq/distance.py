@@ -19,8 +19,7 @@ one word per scaling orbit of the span and its offsets.  The information-set
 search counts the messages it covers, comb(x, w) 3^w for level w over x
 positions, and likewise walks one per scaling orbit.
 
-Results are deterministic for a given budget regardless of backend or
-worker count.
+Results are a pure function of the input and the budget.
 """
 
 from __future__ import annotations
@@ -318,9 +317,10 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBo
 # public distance operations
 # ---------------------------------------------------------------------------
 
-# One cache for every certified result: min_distance_exact bounds and
-# duadic passes.  An entry is served only if this budget could have produced
-# it itself, so results stay a pure function of (input, budget).
+# One cache for min_distance_exact bounds and duadic passes.  A certified
+# entry is served only if this budget could have produced it itself, and an
+# inexact one only to the budget that produced it, so results stay a pure
+# function of (input, budget).
 _CACHE: dict[tuple, DistanceBound | DuadicDistances] = {}
 
 
@@ -339,7 +339,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
         # enumeration compute, so the route is part of the key
         route = EXACT if code.q**code.dim <= budget else INFO_SET
         key = (route, code.q, code.n, code.defining_set.members)
-        hit = _cached(key, budget)
+        hit = _cached(key, budget) or _CACHE.get((*key, budget))
         if hit is not None:
             return hit
     g, q = _generators(code)
@@ -355,8 +355,8 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
         result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
     else:
         result = _info_set_bounds(g, q, budget)
-    if key is not None and result.exact:
-        _CACHE[key] = result
+    if key is not None:
+        _CACHE[key if result.exact else (*key, budget)] = result
     return result
 
 

@@ -92,6 +92,25 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     assert sum(words) == 4 * ((4**11 - 4**8) // 3 + 4**8) == 5_767_168
 
 
+@pytest.mark.parametrize("n,d_lo,d_hi", [(29, 8, 12), (47, 10, 12)])
+def test_quantum_qr_searches_odd_like_once(capsys, monkeypatch, n, d_lo, d_hi):
+    # below the exact pass: one search bounds the extended code, one the
+    # odd-like code, whose inexact result the --qr refinement reuses
+    calls = []
+    search = dist._info_set_bounds
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(dist, "_CACHE", {})
+    monkeypatch.setattr(dist, "_info_set_bounds", counting)
+    code, out, _ = run(capsys, "quantum", "-n", str(n), "--qr", "--budget", "65536", "--format", "json")
+    assert code == 0 and len(calls) == 2
+    payload = json.loads(out)
+    assert (payload["d_lo"], payload["d_hi"]) == (d_lo, d_hi)
+
+
 @pytest.mark.parametrize("corrupt", ["sum", "identity"])
 def test_quantum_qr_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
     # one wrong histogram entry: an extra weight-8 word breaks the count
@@ -140,19 +159,9 @@ def test_budget_exceeded_exit_4(capsys, monkeypatch):
     assert err == "budget exceeded: 4^11 = 4194304 exceeds budget 0\n"
 
 
-def test_workers_always_pinned(capsys, monkeypatch):
-    calls = []
-    pin = _kernels.set_num_threads
-
-    def recording(workers):
-        calls.append(workers)
-        pin(workers)
-
-    monkeypatch.setattr(_kernels, "set_num_threads", recording)
-    code, _, _ = run(capsys, "cosets", "-n", "5")
-    assert code == 0 and calls == [1]
+def test_workers_below_one_exit_2(capsys):
     code, _, err = run(capsys, "cosets", "-n", "5", "--workers", "0")
-    assert code == 2 and calls == [1, 0]
+    assert code == 2
     assert err == "invalid input: worker count must be >= 1\n"
 
 
