@@ -65,7 +65,6 @@ from .quantum import (
     general_zero_dim,
     load_annotations,
     params_from_annotation,
-    qr_quantum_refinements,
     quantum_from_dual_containing,
     secondary_chain,
     secondary_constructions,
@@ -105,7 +104,6 @@ __all__ = [
     "minimal_poly",
     "near_orthogonality",
     "params_from_annotation",
-    "qr_quantum_refinements",
     "qr_splitting",
     "quantum_from_dual_containing",
     "secondary_chain",

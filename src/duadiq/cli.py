@@ -15,10 +15,8 @@ import io
 import json
 import sys
 
-import numpy as np
-
 from . import distance as dist, duadic, quantum
-from .cyclic import CyclicCode, DefiningSet, all_cosets
+from .cyclic import CyclicCode, DefiningSet, all_cosets, is_dual_containing
 from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
 from .extfield import is_prime
 
@@ -187,8 +185,6 @@ def cmd_quantum(args) -> int:
         split = duadic.qr_splitting(args.n)
         pair = duadic.duadic_from_splitting(split)
         params, _ = quantum.extended_duadic_quantum(pair, budget=budget)
-        d_odd = dist.min_distance_exact(pair.odd1, budget=budget)
-        params = quantum.qr_quantum_refinements(params, args.n, d_odd)
     elif args.duadic_index is not None:
         splits = duadic.find_splittings(args.n)
         if not 0 <= args.duadic_index < len(splits):
@@ -202,8 +198,6 @@ def cmd_quantum(args) -> int:
         params, _ = quantum.extended_duadic_quantum(duadic.duadic_from_splitting(split), budget=budget)
     else:
         a = DefiningSet.from_leaders(args.n, _parse_leaders(args.leaders))
-        from .cyclic import is_dual_containing
-
         if not is_dual_containing(a):
             witness = next(t for t in sorted(a.members) if (-2 * t) % a.n in a.members)
             raise NotApplicableError(

@@ -10,7 +10,7 @@ cached; everything is immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -46,13 +46,6 @@ class CosetPartition:
     @property
     def leaders(self) -> tuple[int, ...]:
         return tuple(min(c) for c in self.cosets)
-
-    def coset_of(self, a: int) -> frozenset[int]:
-        a %= self.n
-        for c in self.cosets:
-            if a in c:
-                return c
-        raise KeyError(a)
 
 
 @lru_cache(maxsize=None)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,13 +34,12 @@ from . import _kernels, gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, apply_multiplier
 from .duadic import DuadicPair, Splitting
 from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
-from .extfield import mult_order
+from .extfield import is_prime, mult_order
 
 # provenance tags
 EXACT = "exact-enumeration"
 INFO_SET = "information-set"
 FIXED_SUBCODE = "fixed-subcode"
-SQUARE_ROOT = "square-root"
 PARITY = "parity"
 BUDGET = "budget-exhausted"
 LITERATURE = "literature-annotation"
@@ -170,6 +169,16 @@ def _symmetric_hists(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return hist[where]
 
 
+def _offset_rows(offsets: np.ndarray | None, n: int) -> np.ndarray:
+    """The offsets as rows of length n; None means the zero word alone."""
+    if offsets is None:
+        return np.zeros((1, n), dtype=np.uint8)
+    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
+    if offsets.shape[1] != n:
+        raise InputError("offset length mismatch")
+    return offsets
+
+
 def weight_histograms(
     g: np.ndarray,
     offsets: np.ndarray | None = None,
@@ -189,12 +198,7 @@ def weight_histograms(
     total = 4**k
     if total > budget:
         raise BudgetExceededError(f"4^{k} = {total} exceeds budget {budget}")
-    if offsets is None:
-        offsets = np.zeros((1, n), dtype=np.uint8)
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
-    if offsets.shape[1] != n:
-        raise InputError("offset length mismatch")
-    return _symmetric_hists(g, offsets), total
+    return _symmetric_hists(g, _offset_rows(offsets, n)), total
 
 
 def weight_histograms_binary(
@@ -202,20 +206,25 @@ def weight_histograms_binary(
     offsets: np.ndarray | None = None,
     budget: int | None = None,
 ) -> tuple[np.ndarray, int]:
-    """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols)."""
+    """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols).
+
+    Raises InputError for an offset of another length or a symbol other
+    than 0 and 1, in the rows or the offsets.
+    """
     g = np.atleast_2d(np.asarray(g_rows, dtype=np.uint8))
-    rr, rank_, _ = linalg.rref(g & 1)  # F2 rref coincides with F4 rref on 0/1 input
+    n = g.shape[1]
+    offsets = _offset_rows(offsets, n)
+    if (g > 1).any() or (offsets > 1).any():
+        raise InputError("binary rows and offsets must hold 0/1 symbols")
+    rr, rank_, _ = linalg.rref(g)  # F2 rref coincides with F4 rref on 0/1 input
     g = rr[:rank_]
-    k, n = g.shape
+    k = g.shape[0]
     budget = default_budget() if budget is None else budget
     total = 2**k
     if total > budget:
         raise BudgetExceededError(f"2^{k} = {total} exceeds budget {budget}")
-    if offsets is None:
-        offsets = np.zeros((1, n), dtype=np.uint8)
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
     lo, _ = gf4.pack_planes(g)
-    off_lo, _ = gf4.pack_planes(offsets & 1)
+    off_lo, _ = gf4.pack_planes(offsets)
     hist = _kernels.gray_weight_hists_binary(lo, off_lo, n + 1)
     return hist, total
 
@@ -317,10 +326,10 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBo
 # public distance operations
 # ---------------------------------------------------------------------------
 
-# One cache for min_distance_exact bounds and duadic passes.  A certified
-# entry is served only if this budget could have produced it itself, and an
-# inexact one only to the budget that produced it, so results stay a pure
-# function of (input, budget).
+# One cache for the certified results: exact min_distance_exact bounds and
+# duadic passes.  An entry is served only if this budget could have produced
+# it itself, so results stay a pure function of (input, budget).  Inexact
+# intervals are not cached.
 _CACHE: dict[tuple, DistanceBound | DuadicDistances] = {}
 
 
@@ -339,7 +348,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
         # enumeration compute, so the route is part of the key
         route = EXACT if code.q**code.dim <= budget else INFO_SET
         key = (route, code.q, code.n, code.defining_set.members)
-        hit = _cached(key, budget) or _CACHE.get((*key, budget))
+        hit = _cached(key, budget)
         if hit is not None:
             return hit
     g, q = _generators(code)
@@ -355,8 +364,8 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
         result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
     else:
         result = _info_set_bounds(g, q, budget)
-    if key is not None:
-        _CACHE[key if result.exact else (*key, budget)] = result
+    if key is not None and result.exact:
+        _CACHE[key] = result
     return result
 
 
@@ -674,8 +683,6 @@ def fixed_subcode_coincidence(
     n = code.n
     a %= n
     order = mult_order(a, n)
-    from .extfield import is_prime
-
     if not is_prime(order):
         raise InputError(f"multiplier order {order} is not prime")
     if code.defining_set.scaled(a).members != code.defining_set.members:
@@ -735,8 +742,6 @@ def square_root_bounds(pair: DuadicPair, budget: int | None = None) -> SquareRoo
     checks = [("d_o_squared_ge_n", d_o * d_o >= s.n)]
     if s.has_multiplier(-1):
         checks.append(("d_o_sq_minus_d_o_plus_1_ge_n", d_o * d_o - d_o + 1 >= s.n))
-    from .extfield import is_prime
-
     if is_prime(s.n):
         qr = frozenset(x * x % s.n for x in range(1, s.n))
         if s.s1.members == qr or s.s2.members == qr:

@@ -45,14 +45,6 @@ class Splitting:
             return True
         return frozenset(b * t % self.n for t in self.s1.members) == self.s2.members
 
-    def all_multipliers(self) -> tuple[int, ...]:
-        """Full scan over the units of Z_n (on request only; O(n^2))."""
-        out = []
-        for b in range(1, self.n):
-            if math.gcd(b, self.n) == 1 and self.has_multiplier(b):
-                out.append(b)
-        return tuple(out)
-
     def to_json(self) -> dict:
         return {
             "n": self.n,

@@ -25,8 +25,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import gf4
-
 _PRIMITIVITY_DEGREE_LIMIT = 40
 
 
@@ -337,12 +335,6 @@ def defining_exponents(ext: ExtField, poly: np.ndarray) -> frozenset[int]:
         if ext.eval_base_poly(poly, ext.alpha_pow(t)) == 0:
             out.add(t)
     return frozenset(out)
-
-
-def binary_minimal_poly(ext: ExtField, coset) -> np.ndarray:
-    if ext.q != 2:
-        raise ValueError("binary minimal polynomial needs a q=2 field")
-    return minimal_poly(ext, coset)
 
 
 def gf4_embedding_check(ext: ExtField) -> bool:

@@ -76,10 +76,6 @@ def scalar_mul(c: int, v: np.ndarray) -> np.ndarray:
     return MUL_TABLE[c & 3][v]
 
 
-def vec_add(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.bitwise_xor(u, v)
-
-
 def weight(v: np.ndarray) -> int:
     """Hamming weight: number of nonzero symbols."""
     return int(np.count_nonzero(v))

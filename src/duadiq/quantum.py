@@ -23,16 +23,15 @@ import numpy as np
 
 from . import distance as dist
 from . import gf4, linalg
-from .cyclic import CyclicCode, DefiningSet, dual_defining_set, is_dual_containing
+from .cyclic import CyclicCode, DefiningSet, dual_defining_set
 from .distance import (
     BUDGET,
     LITERATURE,
     PARITY,
-    SQUARE_ROOT,
     DistanceBound,
     even_lift,
 )
-from .duadic import DuadicPair, Splitting, duadic_from_splitting
+from .duadic import DuadicPair, Splitting, duadic_from_splitting, find_splittings
 from .errors import (
     BudgetExceededError,
     InputError,
@@ -120,18 +119,6 @@ def _check_macwilliams(a: list[int]) -> None:
     for i in range(big_n + 1):
         if t[i] != 2**big_n * a[i]:
             raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
-
-
-def _ceil_sqrt(n: int) -> int:
-    return math.isqrt(n - 1) + 1 if n > 1 else 1
-
-
-def _sqrt_floor_lift(b: DistanceBound, lo_min: int, src: str) -> DistanceBound:
-    if b.lo >= lo_min:
-        return b
-    if b.hi is not None and b.hi < lo_min:
-        raise InvariantError(f"bound {b} contradicts lower limit {lo_min}")
-    return DistanceBound(lo=lo_min, hi=b.hi, lo_src=src, hi_src=b.hi_src, work=b.work)
 
 
 # ---------------------------------------------------------------------------
@@ -308,8 +295,6 @@ def _mu2_splitting_of(code: CyclicCode) -> Splitting:
             "code is not odd-like duadic with multiplier mu_-2",
             failed=["-2*S1 must be the complementary half S2"],
         )
-    from .duadic import find_splittings
-
     for s in find_splittings(n, b=-2):
         if s.s1.members in (s1, s2) or s.s2.members in (s1, s2):
             return s
@@ -324,9 +309,10 @@ def extended_duadic_quantum(
     The even-like subcode extends by one coordinate (e = 1).  With an exact
     ingredient pass the distance is exact: the extended words are the
     even-like words padded by 0 and the odd-like cosets padded by a unit, so
-    d = min(d(even), d_o + 1).  When that pass does not fit the budget, the
-    information-set search bounds the extended code, and an exact odd
-    d(odd-like) adds the square-root and mu_-1 lifts.
+    d = min(d(even), d_o + 1).  When that pass does not fit the budget,
+    extension_distance bounds the extended code by the information-set
+    search on an information set and its complement; the odd-like code is
+    not searched on its own.
     """
     budget = dist.default_budget() if budget is None else budget
     if isinstance(odd_like, DuadicPair):
@@ -363,53 +349,9 @@ def extended_duadic_quantum(
         return d, dd.work, f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
 
     cert = dist.extension_distance(ext, budget, exact=(4**even.dim, duadic_pass))
-    bound = cert.bound
     trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
-    if cert.bounded and not bound.exact:
-        # an exact odd d(odd-like) lifts the lower bound
-        d_odd_b = dist.min_distance_exact(odd, budget=budget)
-        bound = replace(bound, work=bound.work + d_odd_b.work)
-        if d_odd_b.exact and d_odd_b.lo % 2 == 1:
-            lo_min = _ceil_sqrt(n) + 1
-            lifted = _sqrt_floor_lift(bound, lo_min, SQUARE_ROOT)
-            if lifted.lo != bound.lo:
-                trace.append(f"square-root lift: d >= ceil(sqrt(n)) + 1 = {lo_min}")
-            bound = even_lift(lifted)
-            if splitting.has_multiplier(-1):
-                d_target = bound.lo
-                while d_target * d_target - 3 * (d_target - 1) < n:
-                    d_target += 2
-                if d_target != bound.lo:
-                    trace.append(f"mu_-1 strengthening: d^2 - 3(d-1) >= n gives d >= {d_target}")
-                    bound = _sqrt_floor_lift(bound, d_target, SQUARE_ROOT)
-    params = QuantumParams(n=n + 1, k=0, d=bound, pure=PURE_YES, trace=tuple(trace))
+    params = QuantumParams(n=n + 1, k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return params, sd
-
-
-def qr_quantum_refinements(
-    params: QuantumParams, p: int, d_odd: DistanceBound
-) -> QuantumParams:
-    """Sharpen a QR-derived [[p+1, 0]] bound: d >= d(odd-like) + 1, and for
-    p = -1 mod 8 a distance equal to d(odd-like) + 1 must be 0 mod 4."""
-    if p % 8 not in (5, 7):
-        raise NotApplicableError(
-            f"p = {p} is {p % 8} mod 8; even-like QR codes are Hermitian "
-            "self-orthogonal only for p = -1 or -3 mod 8",
-            failed=["p mod 8 in {5, 7}"],
-        )
-    d = params.d
-    trace = list(params.trace)
-    floor = d_odd.lo + 1
-    if d.lo < floor:
-        d = _sqrt_floor_lift(d, floor, d_odd.lo_src)
-        trace.append(f"QR refinement: d >= d(odd-like) + 1 = {floor}")
-    if p % 8 == 7 and d_odd.exact and d.lo == d_odd.lo + 1 and d.lo % 4 != 0:
-        if d.hi is not None and d.hi == d.lo:
-            raise InvariantError("exact distance contradicts the 0 mod 4 rule for QR codes")
-        lifted = d.lo + 2  # next even value; d != d_odd+1 here since 4 does not divide it
-        trace.append(f"QR mod-4 rule: d = d_o + 1 would need 4 | d, so d >= {lifted}")
-        d = DistanceBound(lo=lifted, hi=d.hi, lo_src=SQUARE_ROOT, hi_src=d.hi_src, work=d.work)
-    return replace(params, d=d, trace=tuple(trace))
 
 
 def general_zero_dim(

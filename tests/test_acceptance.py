@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines.  All tolerances are exact (zero slack) unless a criterion states a
-wall-clock limit, which is asserted against a monotonic timer.  The JIT
-warm-up fixture in conftest keeps compilation out of the timed sections.
+wall-clock limit, which is asserted against a monotonic timer.
 """
 
 import math
@@ -223,7 +222,7 @@ def test_criterion_07_binary_shadow_equivalence():
 
 
 def test_criterion_08_square_root_bounds():
-    """d_o^2 >= n always; mu_-1 strengthening; QR mod-4 law at n = 7, 23."""
+    """d_o^2 >= n always; d_o^2 - d_o + 1 >= n under mu_-1; QR mod-4 law at n = 7, 23."""
     failures = []
     checked = []
     mod4_checked = {}

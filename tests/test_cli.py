@@ -73,8 +73,8 @@ def test_quantum_qr_23(capsys):
 
 
 def test_quantum_qr_23_walks_once(capsys, monkeypatch):
-    # the duadic pass also settles d(odd-like), which --qr asks for next; a
-    # second walk of the odd-like [23, 12] code would add 4^12 words
+    # the duadic pass alone certifies the extended code; a walk of the
+    # odd-like [23, 12] code would add 4^12 words
     words = []
     walk = _kernels.gray_weight_hists
 
@@ -93,20 +93,20 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("n,d_lo,d_hi", [(29, 8, 12), (47, 10, 12)])
-def test_quantum_qr_searches_odd_like_once(capsys, monkeypatch, n, d_lo, d_hi):
-    # below the exact pass: one search bounds the extended code, one the
-    # odd-like code, whose inexact result the --qr refinement reuses
+def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
+    # below the exact pass one search, on an information set of the extended
+    # code and its complement, bounds it; the odd-like code is not searched
     calls = []
     search = dist._info_set_bounds
 
     def counting(*args, **kwargs):
-        calls.append(args)
+        calls.append(kwargs.get("sets"))
         return search(*args, **kwargs)
 
     monkeypatch.setattr(dist, "_CACHE", {})
     monkeypatch.setattr(dist, "_info_set_bounds", counting)
     code, out, _ = run(capsys, "quantum", "-n", str(n), "--qr", "--budget", "65536", "--format", "json")
-    assert code == 0 and len(calls) == 2
+    assert code == 0 and len(calls) == 1 and len(calls[0]) == 2
     payload = json.loads(out)
     assert (payload["d_lo"], payload["d_hi"]) == (d_lo, d_hi)
 

@@ -93,6 +93,21 @@ def test_weight_distribution_matches_oracle():
     assert counts.sum() == 4**code.dim
 
 
+def test_binary_histograms_reject_bad_input():
+    g = np.eye(2, 10, dtype=np.uint8)
+    # lengths 8 and 10 pack into one word, 70 into two
+    for length in (8, 70):
+        with pytest.raises(InputError, match="offset length"):
+            dist.weight_histograms_binary(g, offsets=np.zeros((1, length), dtype=np.uint8))
+    # omega and omega^2 are not binary symbols, in generators or offsets
+    with pytest.raises(InputError, match="0/1 symbols"):
+        dist.weight_histograms_binary(g * 2)
+    with pytest.raises(InputError, match="0/1 symbols"):
+        dist.weight_histograms_binary(g, offsets=np.full((1, 10), 3, dtype=np.uint8))
+    hist, work = dist.weight_histograms_binary(g, offsets=np.ones((1, 10), dtype=np.uint8))
+    assert work == 4 and hist.tolist() == [[0] * 8 + [1, 2, 1]]
+
+
 def test_min_weight_difference():
     s5 = find_splittings(5)[0]
     pair = duadic_from_splitting(s5)
@@ -170,6 +185,15 @@ def test_cached_results_independent_of_history(monkeypatch):
     monkeypatch.setattr(dist, "_CACHE", {})
     for b in (full - 1, full, full - 1):
         assert dist.min_distance_exact(code, budget=b) == fresh[b]
+
+
+def test_inexact_interval_not_cached(monkeypatch):
+    # a search below the full pass leaves no entry; the next call searches again
+    code = CyclicCode(DefiningSet(9, frozenset({3, 6})))  # [9, 7, 2]
+    monkeypatch.setattr(dist, "_CACHE", {})
+    for b in (100, 100, 101):
+        assert not dist.min_distance_exact(code, budget=b).exact
+    assert dist._CACHE == {}
 
 
 def test_fixed_subcode_basics():
@@ -395,7 +419,7 @@ def test_compose_bounds():
 
     with pytest.raises(InvariantError):
         dist.compose_bounds([
-            dist.DistanceBound(lo=8, hi=None, lo_src=dist.SQUARE_ROOT, hi_src=dist.BUDGET),
+            dist.DistanceBound(lo=8, hi=None, lo_src=dist.FIXED_SUBCODE, hi_src=dist.BUDGET),
             dist.DistanceBound(lo=1, hi=6, lo_src=dist.BUDGET, hi_src=dist.INFO_SET),
         ])
 

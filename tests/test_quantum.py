@@ -243,20 +243,6 @@ def test_research_codes_two_set_intervals():
     assert "levels 3 and 3: d >= 8" in p.trace[1]
 
 
-def test_extended_duadic_lifts_raise_a_weak_bound(monkeypatch):
-    # an exact odd d(odd-like) = 7 at n = 23 lifts an inexact bound through
-    # ceil(sqrt(23)) + 1 = 6 and then mu_-1 to 8; stand-ins supply a weak
-    # search result and an exact d(odd-like), which real budgets rarely
-    # give together
-    weak = dist.InfoSetBound(lo=2, hi=None, lo_src=dist.BUDGET, hi_src=dist.INFO_SET,
-                             work=5, levels=(0, 0))
-    monkeypatch.setattr(dist, "_info_set_bounds", lambda *args, **kwargs: weak)
-    monkeypatch.setattr(dist, "min_distance_exact", lambda code, budget: dist.DistanceBound.exact_value(7, work=11))
-    params, _ = quantum.extended_duadic_quantum(duadic_from_splitting(qr_splitting(23)), budget=1000)
-    assert (params.d.lo, params.d.hi, params.d.lo_src, params.d.work) == (8, None, dist.SQUARE_ROOT, 16)
-    assert "square-root lift" in params.trace[-2] and "mu_-1 strengthening" in params.trace[-1]
-
-
 def _exact_distance(gen):
     """Full enumeration: the oracle up to dimension 6, the Gray walk above."""
     k = gen.shape[0]
@@ -352,26 +338,6 @@ def test_zero_dim_extremal_bound():
         with pytest.raises(InvariantError, match=f"d <= {limit}"):
             params(n, limit + 1)
     params(24, 12, k=1)  # only k = 0 codes are bounded
-
-
-def test_qr_refinements():
-    # p=23: d_o = 7 -> d >= 8, and 8 = 0 mod 4
-    pair = duadic_from_splitting(qr_splitting(23))
-    params, _ = quantum.extended_duadic_quantum(pair)
-    d_odd = dist.min_distance_exact(pair.odd1)
-    refined = quantum.qr_quantum_refinements(params, 23, d_odd)
-    assert refined.d.lo == 8 and refined.d.lo % 4 == 0
-    with pytest.raises(NotApplicableError):
-        quantum.qr_quantum_refinements(params, 11, d_odd)
-
-
-def test_qr_refinement_lifts_weak_bound():
-    # synthetic: a weak even bound rises to d_o + 1 at least
-    pair = duadic_from_splitting(qr_splitting(13))
-    params, _ = quantum.extended_duadic_quantum(pair, budget=0)
-    d_odd = dist.min_distance_exact(pair.odd1)
-    refined = quantum.qr_quantum_refinements(params, 13, d_odd)
-    assert refined.d.lo >= d_odd.lo + 1
 
 
 def test_secondary_constructions():
