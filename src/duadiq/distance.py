@@ -10,7 +10,18 @@ bound, and the best word found is the upper one; the two meet when the
 search certifies the distance.  A code's own distance uses one set, the
 pivots of its RREF.  A Hermitian self-dual extension [2K, K] (every k = 0
 output) uses two, an information set and its complement, so one budgeted
-search bounds the extended code directly.  Budgets count enumeration steps;
+search bounds the extended code directly.
+
+Cyclic averaging lifts the lower bound of a search over cyclic windows
+(_cyclic_average).  In an [n, k] cyclic code any k cyclically consecutive
+coordinates form an information set, and the n shifts of a word of weight
+d meet the window {0..k-1} in dk nonzeros together, so some shift, a word of
+the same weight, has at most floor(dk/n) of them.  Once every message of
+weight <= w on the window is walked, that shift was met (best <= d) unless
+floor(dk/n) > w, so d >= min(best, ceil((w + 1) n / k)).  A cyclic code's
+own search (min_distance_exact on a CyclicCode) applies this to its one
+window; the extension of a cyclic code applies it to both of its cyclic
+ingredients (_self_dual_bound).  Budgets count enumeration steps;
 a multi-offset pass over one span counts once per step.  An exact pass
 counts the 4^dim words of its span against the budget and reports them as
 its work, while the walk evaluates about a third of them: a word and its
@@ -169,14 +180,23 @@ def _symmetric_hists(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return hist[where]
 
 
-def _offset_rows(offsets: np.ndarray | None, n: int) -> np.ndarray:
-    """The offsets as rows of length n; None means the zero word alone."""
+def _rows_and_offsets(g, offsets, q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The generator rows and the offsets as uint8 rows of one length n.
+
+    None means the zero offset alone.  Raises InputError for an offset of
+    another length or a symbol outside GF(q), in the rows or the offsets.
+    """
+    g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
+    n = g.shape[1]
     if offsets is None:
-        return np.zeros((1, n), dtype=np.uint8)
+        offsets = np.zeros((1, n), dtype=np.uint8)
     offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
     if offsets.shape[1] != n:
         raise InputError("offset length mismatch")
-    return offsets
+    if (g >= q).any() or (offsets >= q).any():
+        raise InputError("binary rows and offsets must hold 0/1 symbols" if q == 2
+                         else "GF(4) rows and offsets must hold the symbols 0 to 3")
+    return g, offsets
 
 
 def weight_histograms(
@@ -190,15 +210,17 @@ def weight_histograms(
     offset_j + span(g); row 0 of a default call is the code itself.  The
     work is the 4^dim words of the span, as is the budget check; the walk
     itself evaluates about a third of them per offset (_symmetric_hists).
-    Raises BudgetExceededError when 4^dim exceeds the budget.
+    Raises BudgetExceededError when 4^dim exceeds the budget, InputError
+    for an offset of another length or a symbol above 3.
     """
-    g = linalg.row_basis(np.atleast_2d(np.asarray(g, dtype=np.uint8)))
-    k, n = g.shape
+    g, offsets = _rows_and_offsets(g, offsets, 4)
+    g = linalg.row_basis(g)
+    k = g.shape[0]
     budget = default_budget() if budget is None else budget
     total = 4**k
     if total > budget:
         raise BudgetExceededError(f"4^{k} = {total} exceeds budget {budget}")
-    return _symmetric_hists(g, _offset_rows(offsets, n)), total
+    return _symmetric_hists(g, offsets), total
 
 
 def weight_histograms_binary(
@@ -211,11 +233,8 @@ def weight_histograms_binary(
     Raises InputError for an offset of another length or a symbol other
     than 0 and 1, in the rows or the offsets.
     """
-    g = np.atleast_2d(np.asarray(g_rows, dtype=np.uint8))
+    g, offsets = _rows_and_offsets(g_rows, offsets, 2)
     n = g.shape[1]
-    offsets = _offset_rows(offsets, n)
-    if (g > 1).any() or (offsets > 1).any():
-        raise InputError("binary rows and offsets must hold 0/1 symbols")
     rr, rank_, _ = linalg.rref(g)  # F2 rref coincides with F4 rref on 0/1 input
     g = rr[:rank_]
     k = g.shape[0]
@@ -233,7 +252,7 @@ def _generators(code) -> tuple[np.ndarray, int]:
     """Generator matrix and field size of a CyclicCode or a GF(4) matrix."""
     if isinstance(code, CyclicCode):
         return code.gen_matrix, code.q
-    return np.atleast_2d(np.asarray(code, dtype=np.uint8)), 4
+    return _rows_and_offsets(code, None, 4)[0], 4
 
 
 def _first_nonzero_weight(hist_row: np.ndarray, skip_zero: bool) -> int:
@@ -255,7 +274,29 @@ class InfoSetBound(DistanceBound):
     levels: tuple[int, ...] = ()
 
 
-def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBound:
+def _cyclic_average(levels: list[int], best: int, n: int, k: int, e: int) -> int:
+    """Lower bound on d by cyclic averaging after full levels on cyclic windows.
+
+    levels[0] is walked on the window {0..k-1} of an [n, k] cyclic code C
+    (plus, for an extension, its e unit coordinates): d(C) >= min(best,
+    ceil((w_0 + 1) n / k)), as the module docstring shows.  That is the
+    bound of a cyclic code's own search (one level) and of an extension
+    with e = 0, which is C itself.  With e >= 1, levels[1] is walked on the
+    complement, the window {k..n-1} of the cyclic [n, n-k] code C^perp_h.
+    The extension's words are (c | 0), c in C, and (v | alpha) with v in
+    C^perp_h and alpha != 0, of weight >= d(C^perp_h) + 1.  Every v in
+    C^perp_h is the first part of an extended word (v | alpha), of weight
+    <= wt(v) + e and with v's weight on the window, so the same argument
+    gives d(C^perp_h) >= min(best - e, ceil((w_1 + 1) n / (n - k))).  Together
+        d >= min(best - e + 1, ceil((w_0 + 1) n / k), ceil((w_1 + 1) n / (n - k)) + 1).
+    """
+    lo = min(best, -(-(levels[0] + 1) * n // k))
+    if len(levels) == 2 and e:
+        lo = min(lo, best - e + 1, -(-(levels[1] + 1) * n // (n - k)) + 1)
+    return lo
+
+
+def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=None) -> InfoSetBound:
     """Brouwer-Zimmermann search over disjoint information sets of span(g).
 
     sets lists disjoint information sets of the code; None means one set,
@@ -266,15 +307,23 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBo
     A codeword not met after level w_j on set j has weight >= w_j + 1 on
     each set, so >= sum_j (w_j + 1).  The walk stops when the next level's
     comb(k, w) (q - 1)^w words would pass the budget, or when the best word
-    found is no heavier than that bound: then it is the distance
+    found is no heavier than the lower bound: then it is the distance
     (information-set provenance).  Otherwise lo is the bound
     (budget-exhausted) and hi the best word; with several sets the budget
     left first walks the next level over the first x positions of its set,
     the colex prefix of that level, which lowers hi but not lo.
 
-    A single set keeps the rules of the one-set search it grew from, exact
-    once best <= w (a level later than needed) and no partial level, so
-    that min_distance_exact reports the same intervals and work as before.
+    cyclic_n, when given, is the length n of a cyclic code C whose window
+    {0..k-1} is the one set, or of which span(g) is the extension by
+    len(g[0]) - n unit coordinates walked on sets [window + units, {k..n-1}]
+    (_self_dual_bound).  Then lo is also at least the cyclic average of the
+    completed levels (_cyclic_average), and the search is exact once
+    best <= lo.
+
+    A single set without cyclic_n keeps the rules of the one-set search it
+    grew from, exact once best <= w (a level later than needed) and no
+    partial level, so that a matrix's min_distance_exact reports the same
+    intervals and work as before.
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
     if sets is None:
@@ -283,6 +332,12 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBo
     if len(set().union(*map(set, sets))) != sum(len(info) for info in sets):
         raise InputError("information sets must be disjoint")
     k, n = g.shape
+    if cyclic_n is not None:
+        e = n - cyclic_n
+        window = len(sets[0]) - e
+        windows = [list(range(window)) + list(range(cyclic_n, n)), list(range(window, cyclic_n))]
+        if [sorted(int(c) for c in info) for info in sets] != windows[: len(sets)]:
+            raise InputError(f"the sets are not the cyclic windows of length {cyclic_n}")
     walks = []
     for info in sets:
         # one systematic form per set: the identity on its columns, then the parity part
@@ -291,17 +346,25 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBo
         if len(info) != k or pivots != list(range(k)):
             raise InputError(f"columns {info} are not an information set")
         walks.append(_kernels.InfoSetLevels(*gf4.pack_planes(r[:, k:]), q))
-    one_set = len(walks) == 1
+    # the one-set rule without averaging certifies a level late
+    late = len(walks) == 1 and cyclic_n is None
     levels = [0] * len(walks)
     best, work = n + 1, 0
+
+    def lower() -> int:
+        lo = sum(levels) + len(levels)
+        if cyclic_n is not None:
+            lo = max(lo, _cyclic_average(levels, best, cyclic_n, window, e))
+        return lo
 
     def result(exact: bool) -> InfoSetBound:
         if exact:
             return InfoSetBound(lo=best, hi=best, lo_src=INFO_SET, hi_src=INFO_SET,
                                 work=work, levels=tuple(levels))
-        return InfoSetBound(lo=sum(levels) + len(levels), hi=best if best <= n else None,
+        return InfoSetBound(lo=lo, hi=best if best <= n else None,
                             lo_src=BUDGET, hi_src=INFO_SET, work=work, levels=tuple(levels))
 
+    lo = lower()
     while True:
         j = levels.index(min(levels))
         w = levels[j] + 1
@@ -310,16 +373,17 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None) -> InfoSetBo
         best = min(best, walks[j].least_weight(w, k))
         work += math.comb(k, w) * (q - 1) ** w
         levels[j] = w
-        if best + one_set <= sum(levels) + len(levels):
+        lo = lower()
+        if best + late <= lo:
             return result(exact=True)
     span = w - 1
     while span < k and work + math.comb(span + 1, w) * (q - 1) ** w <= budget:
         span += 1
-    if one_set or span < w:
+    if len(walks) == 1 or span < w:
         return result(exact=False)
     best = min(best, walks[j].least_weight(w, span))
     work += math.comb(span, w) * (q - 1) ** w
-    return result(exact=best <= sum(levels) + len(levels))
+    return result(exact=best <= lo)
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +404,8 @@ def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
 
 def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
     """Exact distance by full enumeration when 4^dim fits the budget, else
-    an information-set interval with budget-exhausted provenance."""
+    an information-set interval with budget-exhausted provenance; for a
+    CyclicCode its lower bound is lifted by cyclic averaging."""
     budget = default_budget() if budget is None else budget
     key = None
     if isinstance(code, CyclicCode):
@@ -363,7 +428,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
         hist, work = walk(g, budget=budget)
         result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
     else:
-        result = _info_set_bounds(g, q, budget)
+        result = _info_set_bounds(g, q, budget, cyclic_n=n if key is not None else None)
     if key is not None and result.exact:
         _CACHE[key] = result
     return result
@@ -490,16 +555,19 @@ def even_lift(b: DistanceBound) -> DistanceBound:
 # extensions: the one place a k = 0 distance gets certified
 # ---------------------------------------------------------------------------
 
-def extension_coset_distance(g: np.ndarray, f_rows: np.ndarray, budget: int | None = None) -> tuple[int, int]:
-    """Exact distance of the code spanned by the rows (g | 0) and (f_i | e_i).
+def extension_weight_distribution(g: np.ndarray, f_rows: np.ndarray, budget: int | None = None) -> tuple[list[int], int]:
+    """Weight distribution of the code spanned by the rows (g | 0) and (f_i | e_i).
 
-    One pass over span(g) with the offsets sum(alpha_i f_i): the distance is
-    the least coset minimum weight plus wt(alpha).  Returns (d, work).
+    One pass over span(g) with the offsets sum(alpha_i f_i): the words of
+    weight w are those of coset j with weight w - wt(alpha_j), so
+    A_w = sum_j hist_j[w - wt(alpha_j)].  Returns (A, work).
     """
     offsets, alpha_wts = _coset_offsets(f_rows)
     hist, work = weight_histograms(g, offsets=offsets, budget=budget)
-    d = min(_first_nonzero_weight(hist[j], skip_zero=j == 0) + int(alpha_wts[j]) for j in range(len(offsets)))
-    return d, work
+    a = np.zeros(hist.shape[1] + f_rows.shape[0], dtype=np.int64)
+    for row, shift in zip(hist, alpha_wts):
+        a[shift : shift + hist.shape[1]] += row
+    return [int(x) for x in a], work
 
 
 @dataclass(frozen=True)
@@ -512,6 +580,17 @@ class ExtensionDistance:
     bounded: bool
 
 
+def _shift_invariant(r: np.ndarray) -> bool:
+    """Whether the row space of r, an RREF with pivots {0..k-1}, is cyclic.
+
+    The cyclic shift of each row lies in the row space exactly when it is
+    the combination of the rows given by its own first k entries.
+    """
+    k = r.shape[0]
+    shifted = np.roll(r, 1, axis=1)
+    return not (shifted ^ linalg.matmul(shifted[:, :k], r)).any()
+
+
 def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
     """Information-set bound on a Hermitian self-dual extension [2K, K].
 
@@ -522,14 +601,29 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
     message on I of the weight it has on C's own information set.  A
     generator over GF(2) spans a GF(4) code of the distance of its binary
     span, which has (q - 1)^w = 1 scalar pattern per message.
+
+    When C is cyclic, which the RREF basis shows (_shift_invariant), its
+    pivots are the window {0..k-1} and the complement is the window
+    {k..n-1} of the cyclic C^perp_h, so cyclic averaging also bounds both
+    ingredients of d >= min(d(C), d(C^perp_h) + 1): after levels w_I, w_R
+    with best word best,
+        d >= min(best - e + 1, ceil((w_I + 1) n / k), ceil((w_R + 1) n / (n - k)) + 1),
+    and min(best, ceil((w_I + 1) n / k)) when e = 0 (_cyclic_average).  The
+    walks are the same as without it; only lo can rise.
     """
     gen = ext.extended
     big_k, big_n = gen.shape
     n = big_n - ext.e
     info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, big_n))
     rest = sorted(set(range(big_n)) - set(info))
-    b = _info_set_bounds(gen, 2 if (gen <= 1).all() else 4, budget, sets=[info, rest])
-    found = f"d = {b.lo}" if b.exact else f"d >= {b.lo}"
+    k = ext.original.shape[0]
+    cyclic = info[:k] == list(range(k)) and _shift_invariant(ext.original)
+    b = _info_set_bounds(gen, 2 if (gen <= 1).all() else 4, budget, sets=[info, rest],
+                         cyclic_n=n if cyclic else None)
+    two_set = sum(b.levels) + len(b.levels)
+    found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
+    if not b.exact and b.lo > two_set:
+        found += f", cyclic averaging: d >= {b.lo}"
     lifted = even_lift(b)
     if lifted.lo != b.lo:
         found += f", even: d >= {lifted.lo}"

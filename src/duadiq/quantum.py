@@ -380,7 +380,9 @@ def general_zero_dim(
     ]
 
     def coset_pass():
-        d, work = dist.extension_coset_distance(g, ext.extended[k:, :n], budget)
+        a, work = dist.extension_weight_distribution(g, ext.extended[k:, :n], budget)
+        _check_macwilliams(a)
+        d = next(w for w in range(1, len(a)) if a[w])
         return d, work, f"d = min over cosets of (coset weight + unit weight) = {d} [exact]"
 
     cert = dist.extension_distance(ext, budget, exact=(4**k, coset_pass) if ext.e <= 5 else None)

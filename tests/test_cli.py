@@ -92,10 +92,12 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     assert sum(words) == 4 * ((4**11 - 4**8) // 3 + 4**8) == 5_767_168
 
 
-@pytest.mark.parametrize("n,d_lo,d_hi", [(29, 8, 12), (47, 10, 12)])
+@pytest.mark.parametrize("n,d_lo,d_hi", [(29, 10, 12), (47, 12, 12)])
 def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
     # below the exact pass one search, on an information set of the extended
-    # code and its complement, bounds it; the odd-like code is not searched
+    # code and its complement, bounds it; the odd-like code is not searched.
+    # Cyclic averaging over the even-like code and its dual lifts lo by one
+    # before the even lift (levels 3 and 3: 8 -> 9 -> 10; 4 and 4: 10 -> 11 -> 12)
     calls = []
     search = dist._info_set_bounds
 
@@ -130,6 +132,28 @@ def test_quantum_qr_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
     assert code == 4
     assert out == ""
     assert ("2^24" if corrupt == "sum" else "MacWilliams") in err
+
+
+@pytest.mark.parametrize("corrupt", ["sum", "identity"])
+def test_quantum_coset_pass_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
+    # the coset pass of the [[14,0,6]] code from n = 13: an extra weight-6
+    # word in the [13, 6] ingredient breaks the count 2^14; moving a word
+    # from weight 8 to 6 keeps it and breaks the identity
+    walk = dist.weight_histograms
+
+    def corrupted(*args, **kwargs):
+        hist, work = walk(*args, **kwargs)
+        hist = hist.copy()
+        hist[0, 6] += 1
+        if corrupt == "identity":
+            hist[0, 8] -= 1
+        return hist, work
+
+    monkeypatch.setattr(dist, "weight_histograms", corrupted)
+    code, out, err = run(capsys, "quantum", "-n", "13", "--leaders", "1")
+    assert code == 4
+    assert out == ""
+    assert ("2^14" if corrupt == "sum" else "MacWilliams") in err
 
 
 def test_quantum_qr_29_extremal(capsys):
@@ -250,7 +274,9 @@ def test_distance_budget_zero_interval(capsys):
                        "--budget", "0", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["lo"] == 1 and payload["hi"] is None
+    # no level walked: a nonzero word of the [23, 12] cyclic code meets every
+    # window of 12 positions, so cyclic averaging gives d >= ceil(23/12) = 2
+    assert payload["lo"] == 2 and payload["hi"] is None
     assert payload["lo_src"] == "budget-exhausted"
 
 
@@ -304,7 +330,7 @@ def test_budget_env_override(capsys, monkeypatch):
     code, out, _ = run(capsys, "distance", "-n", "23", "--leaders", "1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["lo"] == 1 and payload["hi"] is None
+    assert payload["lo"] == 2 and payload["hi"] is None
     monkeypatch.setenv("DUADIQ_BUDGET", "-3")
     code, _, err = run(capsys, "distance", "-n", "23", "--leaders", "1")
     assert code == 2

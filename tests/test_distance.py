@@ -108,6 +108,23 @@ def test_binary_histograms_reject_bad_input():
     assert work == 4 and hist.tolist() == [[0] * 8 + [1, 2, 1]]
 
 
+def test_histograms_reject_symbols_above_3():
+    g = CyclicCode.from_leaders(7, [1]).gen_matrix
+    for bad in (4, 5):
+        rows = g.copy()
+        rows[0, 0] = bad
+        with pytest.raises(InputError, match="symbols 0 to 3"):
+            dist.weight_histograms(rows)
+    with pytest.raises(InputError, match="symbols 0 to 3"):
+        dist.weight_histograms(np.eye(2, 3, dtype=np.uint8), offsets=np.array([[7, 0, 0]], dtype=np.uint8))
+    with pytest.raises(InputError, match="offset length"):
+        dist.weight_histograms(g, offsets=np.zeros((1, 8), dtype=np.uint8))
+    with pytest.raises(InputError, match="symbols 0 to 3"):
+        dist.min_distance_exact(np.array([[1, 4, 0]], dtype=np.uint8))
+    hist, work = dist.weight_histograms(np.eye(2, 3, dtype=np.uint8), offsets=np.array([[0, 0, 3]], dtype=np.uint8))
+    assert work == 16 and hist.tolist() == [[0, 1, 6, 9]]
+
+
 def test_min_weight_difference():
     s5 = find_splittings(5)[0]
     pair = duadic_from_splitting(s5)
@@ -189,7 +206,8 @@ def test_cached_results_independent_of_history(monkeypatch):
 
 def test_inexact_interval_not_cached(monkeypatch):
     # a search below the full pass leaves no entry; the next call searches again
-    code = CyclicCode(DefiningSet(9, frozenset({3, 6})))  # [9, 7, 2]
+    # ([9, 7, 2] is certified at budget 100 by cyclic averaging, [17, 9, 7] is not)
+    code = CyclicCode.from_leaders(17, [1, 3])
     monkeypatch.setattr(dist, "_CACHE", {})
     for b in (100, 100, 101):
         assert not dist.min_distance_exact(code, budget=b).exact

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,16 +233,18 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
 def test_research_codes_two_set_intervals():
     # (lo, hi, work) of the paper's [[144,0]] and [[126,0]] codes at budgets
     # 10^5, 10^6 and 10^7: whole levels on both sets, then the next level's
-    # colex prefix with the budget left
+    # colex prefix with the budget left.  Cyclic averaging over the [n, k]
+    # ingredient and its dual gives an odd lo one above the two-set sum,
+    # which the even lift raises by one more
     want = {
-        (141, (2, 3, 10)): [(6, 28, 94257), (6, 24, 970380), (8, 24, 9929331)],
-        (123, (1, 2, 6, 7, 9, 11)): [(6, 36, 97632), (6, 34, 959472), (8, 34, 9582516)],
+        (141, (2, 3, 10)): [(8, 28, 94257), (8, 24, 970380), (10, 24, 9929331)],
+        (123, (1, 2, 6, 7, 9, 11)): [(8, 36, 97632), (8, 34, 959472), (10, 34, 9582516)],
     }
     for (n, leaders), rows in want.items():
         for budget, row in zip((10**5, 10**6, 10**7), rows):
             p, _ = quantum.cyclic_zero_dim(DefiningSet.from_leaders(n, leaders), budget=budget)
-            assert (p.d.lo, p.d.hi, p.d.work) == row and p.d.lo_src == dist.BUDGET
-    assert "levels 3 and 3: d >= 8" in p.trace[1]
+            assert (p.d.lo, p.d.hi, p.d.work) == row and p.d.lo_src == dist.PARITY
+    assert "levels 3 and 3: d >= 8, cyclic averaging: d >= 9, even: d >= 10" in p.trace[1]
 
 
 def _exact_distance(gen):
@@ -296,6 +300,125 @@ def test_two_set_bound_brackets_mu2_extensions():
                     d = cert.lo
                 for budget in (0, 4096, 65536):
                     _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.n, budget)
+
+
+def _two_set_breakpoints(big_k, q):
+    """The work after each whole level of the two-set search, in its order."""
+    levels, work, out = [0, 0], 0, []
+    while min(levels) < big_k:
+        j = levels.index(min(levels))
+        levels[j] += 1
+        work += math.comb(big_k, levels[j]) * (q - 1) ** levels[j]
+        out.append(work)
+    return out
+
+
+def test_cyclic_averaging_dominates_two_set_rule():
+    # every searched extension with K <= 9, at budget 0 and one below, at and
+    # one above each whole level: with the rule the interval still brackets
+    # d, lo is never below the two-set lo, hi is the same and work no higher
+    cases = tighter = 0
+    for n in range(3, 42, 2):
+        for a in _search_sets(n):
+            if n - len(a.members) > 9:
+                continue
+            ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+            assert dist._shift_invariant(ext.original)
+            gen = ext.extended
+            big_n, k = gen.shape[1], ext.original.shape[0]
+            q = 2 if (gen <= 1).all() else 4
+            # the two sets of _self_dual_bound: C's window and the units, C^perp_h's window
+            sets = [list(range(k)) + list(range(n, big_n)), list(range(k, n))]
+            d = _exact_distance(gen)
+            points = _two_set_breakpoints(gen.shape[0], q)
+            for budget in sorted({0} | {b + s for b in points for s in (-1, 0, 1)}):
+                off = dist._info_set_bounds(gen, q, budget, sets=sets)
+                on = dist._info_set_bounds(gen, q, budget, sets=sets, cyclic_n=n)
+                assert on.lo <= d <= (big_n if on.hi is None else on.hi), (n, a, budget)
+                assert not on.exact or on.lo == d
+                assert on.lo >= off.lo and on.hi == off.hi and on.work <= off.work
+                cases += 1
+                tighter += on.lo > off.lo
+    assert cases == 826 and tighter > 0
+
+
+def test_non_cyclic_copy_keeps_two_set_bound():
+    # swapping two coordinates of a cyclic ingredient (no multiplier does
+    # that) leaves a code that is not cyclic: no averaging, today's bound
+    for n in (23, 29, 31):
+        even = _mu2_pairs(n)[0].even1
+        g = even.gen_matrix[:, [1, 0] + list(range(2, n))]
+        ext, _ = quantum._extend(g)
+        gen = ext.extended
+        info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, gen.shape[1]))
+        sets = [info, sorted(set(range(gen.shape[1])) - set(info))]
+        q = 2 if (gen <= 1).all() else 4
+        for budget in (0, 4096, 65536):
+            got = dist.extension_distance(ext, budget)
+            assert got.bound == dist.even_lift(dist._info_set_bounds(gen, q, budget, sets=sets))
+            assert "cyclic averaging" not in got.note
+            # at n = 29 the cyclic original gains a level (the others are exact)
+            cyclic = dist.extension_distance(quantum._extend(even)[0], budget)
+            assert cyclic.bound.lo >= got.bound.lo + 2 * (n == 29 and budget > 0)
+
+
+def test_cyclic_average_terms():
+    # a [20, 10] ingredient: ceil((w_I + 1) 2), ceil((w_R + 1) 2) + 1 and
+    # best - e + 1, since the walked word of a lightest v may carry e units
+    assert dist._cyclic_average([3, 0], 30, 20, 10, 1) == 3
+    assert dist._cyclic_average([5, 5], 30, 20, 10, 1) == 12
+    assert dist._cyclic_average([5, 5], 12, 20, 10, 3) == 10
+    # e = 0: the extension is C itself, with no (v | alpha) words, so the
+    # complement's level adds no term
+    assert dist._cyclic_average([3, 0], 30, 20, 10, 0) == 8
+    assert dist._cyclic_average([3], 30, 20, 10, 0) == 8
+    # the cyclic Hermitian self-dual [2m, m, 2] codes {(u | u)} extend with e = 0
+    for m in (2, 3, 5):
+        ext, _ = quantum._extend(np.hstack([np.eye(m, dtype=np.uint8)] * 2))
+        assert ext.e == 0 and dist._shift_invariant(ext.original)
+        for budget in (0, 1, 2 * m):
+            b = dist.extension_distance(ext, budget).bound
+            assert b.lo <= 2 <= (2 * m if b.hi is None else b.hi)
+            assert not b.exact or b.lo == 2
+
+
+def test_binary_route_brackets_with_cyclic_averaging():
+    # binary extensions of K <= 16 searched on GF(2) messages, against the
+    # binary enumeration of the extended code
+    notes = []
+    for n in (7, 23, 31):
+        for a in _search_sets(n):
+            p0, ext = quantum.binary_cyclic_quantum(dual_defining_set(a), budget=0)
+            if p0.k or ext.k > 16 or not (ext.extended <= 1).all():
+                continue
+            hist, _ = dist.weight_histograms_binary(ext.extended)
+            d = int(np.flatnonzero(hist[0][1:])[0]) + 1
+            for budget in (0, 100, 1000, 10000, 2**ext.k - 1):
+                p, _ = quantum.binary_cyclic_quantum(dual_defining_set(a), budget=budget)
+                _assert_brackets(p.d, d, ext.n, budget)
+                assert not p.d.exact or p.d.lo == d
+                notes.append(p.trace[-1])
+    assert len(notes) == 60 and any("cyclic averaging" in line for line in notes)
+
+
+def test_cyclic_code_search_brackets_and_dominates():
+    # min_distance_exact on a CyclicCode averages over its one window; a
+    # matrix input keeps the one-set rule, which certifies a level later
+    cases = tighter = 0
+    for n in range(5, 42, 2):
+        for code in (CyclicCode(a) for a in _search_sets(n)):
+            if not 2 <= code.dim <= 9:
+                continue
+            d = dist.min_distance_exact(code, budget=4**code.dim).lo
+            for budget in (0, 10, 100, 1000, 4**code.dim - 1):
+                on = dist.min_distance_exact(code, budget=budget)
+                off = dist.min_distance_exact(code.gen_matrix, budget=budget)
+                assert on.lo <= d <= (n if on.hi is None else on.hi)
+                assert not on.exact or on.lo == d
+                assert on.lo >= off.lo and on.work <= off.work
+                cases += 1
+                tighter += on.lo > off.lo
+    assert cases == 90 and tighter > 0
 
 
 @settings(max_examples=40, deadline=None)
