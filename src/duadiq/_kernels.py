@@ -24,6 +24,8 @@ import math
 
 import numpy as np
 
+from . import gf4
+
 
 def active_backend() -> str:
     """The enumeration backend; numpy is the only one."""
@@ -151,22 +153,44 @@ def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
     return table
 
 
+def _subset_of_column(index: int, t: int, s: int) -> list[tuple[int, int]]:
+    """The (row, scalar index) pairs whose sum is column index of _subset_table.
+
+    At level t the rows up to x fill the first comb(x + 1, t) s^t columns:
+    row x's block starts at comb(x, t) s^t and holds s copies, one per
+    scalar, of the first comb(x, t - 1) s^(t-1) columns of level t - 1.
+    """
+    out = []
+    for level in range(t, 0, -1):
+        x = level - 1
+        while math.comb(x + 1, level) * s**level <= index:
+            x += 1
+        scalar, index = divmod(index - math.comb(x, level) * s**level,
+                               math.comb(x, level - 1) * s ** (level - 1))
+        out.append((x, scalar))
+    return out
+
+
 class InfoSetLevels:
     """The messages of one information set, walked level by level.
 
-    Built from the (k, W) packed planes of the parity part of a systematic
-    form: a message of weight w has codeword weight w plus the weight of the
-    XOR of its scaled parity rows.  Level w is walked by its pivot, the
-    (w//2 + 1)-th smallest message position m: the w//2 positions below m
-    come from a prefix table, m carries the scalar 1 (a word and its
-    multiples have the same weight) and the (w-1)//2 positions above m come
-    from a table over the reversed rows, whose suffix is a prefix.  Blocks
-    are outer XORs of the two, one word line at a time, into buffers
-    allocated once per level.
+    Built from the (k, n - k) parity part of a systematic form [I | P]: a
+    message of weight w has codeword weight w plus the weight of the XOR of
+    its scaled parity rows, held as packed planes.  Level w is walked by its
+    pivot, the (w//2 + 1)-th smallest message position m: the w//2
+    positions below m come from a prefix table, m carries the scalar 1 (a
+    word and its multiples have the same weight) and the (w-1)//2 positions
+    above m come from a table over the reversed rows, whose suffix is a
+    prefix.  Blocks are outer XORs of the two, one word line at a time, into
+    buffers allocated once per level.  least_weight returns the lightest
+    word with its weight: the message is read back from the indices of its
+    two table columns (_subset_of_column) and encoded from the parity
+    symbols, so the caller can check the word against the weight.
     """
 
-    def __init__(self, lo: np.ndarray, hi: np.ndarray, q: int):
-        lo, hi = lo.T.copy(), hi.T.copy()
+    def __init__(self, parity: np.ndarray, q: int):
+        self.parity = parity
+        lo, hi = (p.T.copy() for p in gf4.pack_planes(parity))
         self.planes = 1 if q == 2 else 2
         # omega (a + b omega) = b + (a + b) omega, omega^2 (a + b omega) = (a + b) + a omega
         self.rows = [lo] if q == 2 else [np.vstack(p) for p in ((lo, hi), (hi, lo ^ hi), (lo ^ hi, lo))]
@@ -179,32 +203,46 @@ class InfoSetLevels:
             self.tables[reverse, span, t] = _subset_table([scaled[:, cols] for scaled in self.rows], t)
         return self.tables[reverse, span, t]
 
-    def least_weight(self, w: int, span: int) -> int:
-        """Least codeword weight over the weight-w messages on the first span positions."""
+    def least_weight(self, w: int, span: int) -> tuple[int, np.ndarray]:
+        """The lightest codeword over the weight-w messages on the first span
+        positions: (weight, word), the word as k message symbols followed by
+        their encoding, message times the parity part."""
         s = len(self.rows)
         a, c = w // 2, (w - 1) // 2
         prefix, suffix = self._table(False, span, a), self._table(True, span, c)
         bufs = tuple(np.empty(_BLOCK_WORDS, dtype=t) for t in (np.uint64, np.uint64, np.uint8, np.uint16))
-        return w + min(
-            self._least_pair_weight(
+        best = (self.parity.shape[1] + 1,)
+        for m in range(a, span - c):
+            found = self._least_pair(
                 prefix[:, : math.comb(m, a) * s**a],
                 suffix[:, : math.comb(span - 1 - m, c) * s**c] ^ self.rows[0][:, m : m + 1],
                 bufs,
             )
-            for m in range(a, span - c)
-        )
+            if found[0] < best[0]:
+                best = found + (m,)
+        weight, i, j, m = best
+        message = np.zeros(self.parity.shape[0], dtype=np.uint8)
+        message[m] = 1
+        for x, scalar in _subset_of_column(i, a, s):
+            message[x] = scalar + 1
+        for x, scalar in _subset_of_column(j, c, s):
+            message[span - 1 - x] = scalar + 1
+        support = message.nonzero()[0]
+        parity = np.bitwise_xor.reduce(gf4.MUL_TABLE[message[support, None], self.parity[support]], axis=0)
+        return w + weight, np.concatenate([message, parity])
 
-    def _least_pair_weight(self, low: np.ndarray, high: np.ndarray, bufs) -> int:
-        """min over (i, j) of the weight of the XOR of columns low[:, i] and high[:, j].
+    def _least_pair(self, low: np.ndarray, high: np.ndarray, bufs) -> tuple[int, int, int]:
+        """(weight, i, j) of the lightest XOR of columns low[:, i] and high[:, j].
 
         A column holds its planes one after the other; a coordinate counts
         when any plane has its bit set.  The longer side is the contiguous one.
         """
-        if low.shape[1] > high.shape[1]:
+        swap = low.shape[1] > high.shape[1]
+        if swap:
             low, high = high, low
         words = low.shape[0] // self.planes
         xor_buf, or_buf, count_buf, sum_buf = bufs
-        best = words * 64
+        best, where = words * 64 + 1, None
         step_h = min(high.shape[1], _BLOCK_WORDS)
         for j in range(0, high.shape[1], step_h):
             h = high[:, j : j + step_h]
@@ -224,6 +262,9 @@ class InfoSetLevels:
                         np.bitwise_count(x, out=total)
                     else:
                         total += np.bitwise_count(x, out=count)
-                best = min(best, int(total.min()))
-        return best
-
+                at = total.argmin()
+                if total.flat[at] < best:
+                    best, where = int(total.flat[at]), (i, j, int(at), shape[1])
+        i, j, at, cols = where
+        i, j = i + at // cols, j + at % cols
+        return (best, j, i) if swap else (best, i, j)

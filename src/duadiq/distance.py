@@ -10,7 +10,19 @@ bound, and the best word found is the upper one; the two meet when the
 search certifies the distance.  A code's own distance uses one set, the
 pivots of its RREF.  A Hermitian self-dual extension [2K, K] (every k = 0
 output) uses two, an information set and its complement, so one budgeted
-search bounds the extended code directly.
+search bounds the extended code directly; such a code is even, so the
+search also stops once its best word is lo rounded up to even.
+
+The upper bound is a witness: the search returns its lightest word, and the
+word is checked before hi is reported, its weight recomputed and its
+membership shown by the Gram test on a self-dual code or by re-encoding
+from its information-set entries otherwise; a failed check is an invariant
+failure.  Its words come from the whole levels, then, for the extension of
+a cyclic code, from the paper's fixed subcodes: a multiplier of order 2
+that fixes the cyclic ingredient C fixes a subcode of C, whose words padded
+by zeros lie in the extended code, and a one-set search of it within a
+third of the budget the levels leave meets light words the colex prefix of
+the next level seldom reaches (_self_dual_bound).  The prefix takes the rest.
 
 Cyclic averaging lifts the lower bound of a search over cyclic windows
 (_cyclic_average).  In an [n, k] cyclic code any k cyclically consecutive
@@ -37,7 +49,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -269,9 +281,11 @@ def _first_nonzero_weight(hist_row: np.ndarray, skip_zero: bool) -> int:
 
 @dataclass(frozen=True)
 class InfoSetBound(DistanceBound):
-    """An information-set interval with the levels completed on each set."""
+    """An information-set interval with the levels completed on each set
+    and the checked codeword of weight hi (None when hi is)."""
 
     levels: tuple[int, ...] = ()
+    word: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 def _cyclic_average(levels: list[int], best: int, n: int, k: int, e: int) -> int:
@@ -296,7 +310,26 @@ def _cyclic_average(levels: list[int], best: int, n: int, k: int, e: int) -> int
     return lo
 
 
-def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=None) -> InfoSetBound:
+def _check_witness(word: np.ndarray, weight: int, g: np.ndarray, self_dual: bool, form) -> None:
+    """Raise InvariantError unless word is a codeword of span(g) of the given weight.
+
+    Membership is the Gram test on a Hermitian self-dual code (span(g) is
+    its own dual) and otherwise the re-encoding of the word's entries on
+    the information set of form = (columns, systematic form [I | P]).
+    """
+    if gf4.weight(word) != weight:
+        raise InvariantError(f"witness word has weight {gf4.weight(word)}, not the reported {weight}")
+    if self_dual:
+        foreign = linalg.gram_matrix(word, g).any()
+    else:
+        cols, r = form
+        foreign = (word[cols] != linalg.matmul(word[cols][None, : r.shape[0]], r)[0]).any()
+    if foreign:
+        raise InvariantError(f"the weight-{weight} witness word is not a codeword")
+
+
+def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=None,
+                     self_dual: bool = False, seeds=()) -> InfoSetBound:
     """Brouwer-Zimmermann search over disjoint information sets of span(g).
 
     sets lists disjoint information sets of the code; None means one set,
@@ -309,21 +342,35 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     comb(k, w) (q - 1)^w words would pass the budget, or when the best word
     found is no heavier than the lower bound: then it is the distance
     (information-set provenance).  Otherwise lo is the bound
-    (budget-exhausted) and hi the best word; with several sets the budget
-    left first walks the next level over the first x positions of its set,
-    the colex prefix of that level, which lowers hi but not lo.
+    (budget-exhausted) and hi the best word.  With several sets the budget
+    left after the whole levels goes, a third of it, to the seeds and then,
+    all that remains, to the next level over the first x positions of its
+    set, the colex prefix of that level.  Both lower hi but not lo.
+
+    seeds is an iterable of matrices whose rows lie in span(g), read only
+    when the whole levels leave the search inexact.  Each is searched on its
+    own (one set, whole levels) within what is left of that third, and its
+    lightest word, already a codeword of span(g), can be hi (fixed-subcode
+    provenance).  work counts every word walked, the seeds' included.  The
+    third is a trade: the seeds take budget the prefix would have walked,
+    and with half of it two [18, 9] extensions (n = 15) lost a weight-6
+    word the prefix had met at budget 377.
 
     cyclic_n, when given, is the length n of a cyclic code C whose window
     {0..k-1} is the one set, or of which span(g) is the extension by
     len(g[0]) - n unit coordinates walked on sets [window + units, {k..n-1}]
     (_self_dual_bound).  Then lo is also at least the cyclic average of the
     completed levels (_cyclic_average), and the search is exact once
-    best <= lo.
+    best <= lo.  self_dual says span(g) is Hermitian self-dual, so even:
+    the search is then exact once best <= lo + 1 with lo odd.
 
     A single set without cyclic_n keeps the rules of the one-set search it
     grew from, exact once best <= w (a level later than needed) and no
     partial level, so that a matrix's min_distance_exact reports the same
     intervals and work as before.
+
+    hi is a witness: the lightest word found, checked (_check_witness)
+    before it is returned.
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
     if sets is None:
@@ -338,18 +385,23 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
         windows = [list(range(window)) + list(range(cyclic_n, n)), list(range(window, cyclic_n))]
         if [sorted(int(c) for c in info) for info in sets] != windows[: len(sets)]:
             raise InputError(f"the sets are not the cyclic windows of length {cyclic_n}")
-    walks = []
+    walks, forms = [], []
     for info in sets:
         # one systematic form per set: the identity on its columns, then the parity part
-        info = [int(c) for c in info]
-        r, rank, pivots = linalg.rref(g[:, info + sorted(set(range(n)) - set(info))])
+        cols = [int(c) for c in info]
+        cols += sorted(set(range(n)) - set(cols))
+        r, rank, pivots = linalg.rref(g[:, cols])
         if len(info) != k or pivots != list(range(k)):
-            raise InputError(f"columns {info} are not an information set")
-        walks.append(_kernels.InfoSetLevels(*gf4.pack_planes(r[:, k:]), q))
+            raise InputError(f"columns {cols[: len(info)]} are not an information set")
+        walks.append(_kernels.InfoSetLevels(r[:k, k:], q))
+        forms.append((cols, r[:k]))
     # the one-set rule without averaging certifies a level late
     late = len(walks) == 1 and cyclic_n is None
     levels = [0] * len(walks)
-    best, work = n + 1, 0
+    best, word, hi_src, work = n + 1, None, INFO_SET, 0
+
+    def cost(x: int, w: int) -> int:
+        return math.comb(x, w) * (q - 1) ** w
 
     def lower() -> int:
         lo = sum(levels) + len(levels)
@@ -357,33 +409,54 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
             lo = max(lo, _cyclic_average(levels, best, cyclic_n, window, e))
         return lo
 
+    def certified() -> bool:
+        return best + late <= lo + (self_dual and lo % 2)
+
+    def meet(weight: int, found: np.ndarray, cols, src: str = INFO_SET) -> None:
+        nonlocal best, word, hi_src
+        if weight < best:
+            best, hi_src = weight, src
+            word = np.empty(n, dtype=np.uint8)
+            word[cols] = found
+
     def result(exact: bool) -> InfoSetBound:
+        if word is not None:
+            _check_witness(word, best, g, self_dual, forms[0])
         if exact:
             return InfoSetBound(lo=best, hi=best, lo_src=INFO_SET, hi_src=INFO_SET,
-                                work=work, levels=tuple(levels))
-        return InfoSetBound(lo=lo, hi=best if best <= n else None,
-                            lo_src=BUDGET, hi_src=INFO_SET, work=work, levels=tuple(levels))
+                                work=work, levels=tuple(levels), word=word)
+        return InfoSetBound(lo=lo, hi=best if best <= n else None, lo_src=BUDGET, hi_src=hi_src,
+                            work=work, levels=tuple(levels), word=word)
 
     lo = lower()
     while True:
         j = levels.index(min(levels))
         w = levels[j] + 1
-        if w > k or work + math.comb(k, w) * (q - 1) ** w > budget:
+        if w > k or work + cost(k, w) > budget:
             break
-        best = min(best, walks[j].least_weight(w, k))
-        work += math.comb(k, w) * (q - 1) ** w
+        meet(*walks[j].least_weight(w, k), forms[j][0])
+        work += cost(k, w)
         levels[j] = w
         lo = lower()
-        if best + late <= lo:
+        if certified():
             return result(exact=True)
+    allowance = (budget - work) // 3
+    for seed in seeds if allowance > 0 else ():
+        b = _info_set_bounds(seed, q, allowance)
+        allowance -= b.work
+        work += b.work
+        if b.word is not None:
+            meet(b.hi, b.word, slice(None), FIXED_SUBCODE)
+    if certified():
+        return result(exact=True)
     span = w - 1
-    while span < k and work + math.comb(span + 1, w) * (q - 1) ** w <= budget:
+    while span < k and work + cost(span + 1, w) <= budget:
         span += 1
     if len(walks) == 1 or span < w:
         return result(exact=False)
-    best = min(best, walks[j].least_weight(w, span))
-    work += math.comb(span, w) * (q - 1) ** w
-    return result(exact=best <= lo)
+    meet(*walks[j].least_weight(w, span), forms[j][0])
+    work += cost(span, w)
+    return result(exact=certified())
 
 
 # ---------------------------------------------------------------------------
@@ -580,15 +653,39 @@ class ExtensionDistance:
     bounded: bool
 
 
-def _shift_invariant(r: np.ndarray) -> bool:
-    """Whether the row space of r, an RREF with pivots {0..k-1}, is cyclic.
+def _maps_into(r: np.ndarray, rows: np.ndarray) -> bool:
+    """Whether rows lie in the row space of r, an RREF with pivots {0..k-1}:
+    each row must be the combination of r's rows given by its own first k entries."""
+    return not (rows ^ linalg.matmul(rows[:, : r.shape[0]], r)).any()
 
-    The cyclic shift of each row lies in the row space exactly when it is
-    the combination of the rows given by its own first k entries.
+
+def _shift_invariant(r: np.ndarray) -> bool:
+    """Whether the row space of r, an RREF with pivots {0..k-1}, is cyclic:
+    whether it holds the cyclic shift of each row."""
+    return _maps_into(r, np.roll(r, 1, axis=1))
+
+
+def _fixing_involutions(r: np.ndarray) -> list[int]:
+    """The multipliers a != 1 with a^2 = 1 (mod n) that fix the cyclic code
+    whose RREF r has pivots {0..k-1}.
+
+    Its last row x^(k-1) g(x) / g_0 generates the code as an ideal of
+    GF(4)[x] / (x^n - 1), and mu_a is a ring automorphism, so mu_a maps
+    the code onto itself exactly when it maps that one row into it.
     """
-    k = r.shape[0]
-    shifted = np.roll(r, 1, axis=1)
-    return not (shifted ^ linalg.matmul(shifted[:, :k], r)).any()
+    n = r.shape[1]
+    return [a for a in range(2, n) if a * a % n == 1 and _maps_into(r, apply_multiplier(a, r[-1:]))]
+
+
+def _fixed_rows(g: np.ndarray, a: int) -> np.ndarray:
+    """Canonical basis of {v in span(g) : mu_a(v) = v}.
+
+    mu_a permutes coordinates, so mu_a(c g) = c mu_a(g), and c g is fixed
+    exactly when c (g - mu_a(g)) = 0: the fixed words are the left kernel
+    of g - mu_a(g) applied to g.
+    """
+    coeffs = linalg.nullspace((g ^ apply_multiplier(a, g)).T)
+    return linalg.row_basis(linalg.matmul(coeffs, g))
 
 
 def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
@@ -600,7 +697,8 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
     self-dual code is one too.  Every word of C, padded by zeros, is a
     message on I of the weight it has on C's own information set.  A
     generator over GF(2) spans a GF(4) code of the distance of its binary
-    span, which has (q - 1)^w = 1 scalar pattern per message.
+    span, which has (q - 1)^w = 1 scalar pattern per message.  The code is
+    even, so the search is exact once its best word is lo rounded up to even.
 
     When C is cyclic, which the RREF basis shows (_shift_invariant), its
     pivots are the window {0..k-1} and the complement is the window
@@ -610,6 +708,13 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
         d >= min(best - e + 1, ceil((w_I + 1) n / k), ceil((w_R + 1) n / (n - k)) + 1),
     and min(best, ceil((w_I + 1) n / k)) when e = 0 (_cyclic_average).  The
     walks are the same as without it; only lo can rise.
+
+    A cyclic C also seeds hi: for every multiplier a of order 2 that fixes
+    C (_fixing_involutions), the fixed subcode {c in C : mu_a(c) = c},
+    padded by e zeros, lies in the extended code, and a one-set search of
+    it meets light words that the colex prefix seldom reaches.  The seeds
+    share a third of the budget the whole levels leave (_info_set_bounds); lo
+    comes from the levels and the averaging alone.
     """
     gen = ext.extended
     big_k, big_n = gen.shape
@@ -618,8 +723,11 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
     rest = sorted(set(range(big_n)) - set(info))
     k = ext.original.shape[0]
     cyclic = info[:k] == list(range(k)) and _shift_invariant(ext.original)
+    fixing = _fixing_involutions(ext.original) if cyclic else []
+    seeds = (np.pad(rows, ((0, 0), (0, ext.e)))
+             for rows in (_fixed_rows(ext.original, a) for a in fixing) if len(rows))
     b = _info_set_bounds(gen, 2 if (gen <= 1).all() else 4, budget, sets=[info, rest],
-                         cyclic_n=n if cyclic else None)
+                         cyclic_n=n if cyclic else None, self_dual=True, seeds=seeds)
     two_set = sum(b.levels) + len(b.levels)
     found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
     if not b.exact and b.lo > two_set:
@@ -679,19 +787,11 @@ class FixedSubcode:
 
 
 def fixed_subcode(code: CyclicCode, a: int) -> FixedSubcode:
-    """Basis of {v in C : mu_a(v) = v}, computed as the kernel of mu_a - id
-    restricted to the code's coefficient space."""
+    """Basis of {v in C : mu_a(v) = v} (_fixed_rows on the generator matrix)."""
     n = code.n
     if math.gcd(a, n) != 1:
         raise InputError(f"gcd({a}, {n}) != 1")
-    g = code.gen_matrix
-    moved = apply_multiplier(a, g)
-    delta = g ^ moved  # rows: (mu_a - id) applied to each generator... see below
-    # We need coefficient vectors c with mu_a(cG) = cG.  mu_a is linear and
-    # permutes coordinates, so mu_a(cG) = c mu_a(G) and the condition is
-    # c (mu_a(G) - G) = 0: the left nullspace of delta.
-    coeffs = linalg.nullspace(delta.T)
-    return FixedSubcode(parent=code, a=a % n, basis=linalg.row_basis(linalg.matmul(coeffs, g)))
+    return FixedSubcode(parent=code, a=a % n, basis=_fixed_rows(code.gen_matrix, a))
 
 
 def order2_lower_bound(d_fixed: int) -> int:

@@ -16,7 +16,8 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form.
 
     Returns (R, rank, pivot_columns).  R has the same shape as the input;
-    rows beyond the rank are zero.  Row space is preserved.
+    rows beyond the rank are zero.  Row space is preserved.  Each pivot
+    column is cleared by one XOR over every other row that holds it.
     """
     r = np.array(m, dtype=np.uint8, copy=True)
     if r.ndim != 2:
@@ -27,19 +28,21 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     for c in range(cols):
         if rank >= rows:
             break
-        nz = np.nonzero(r[rank:, c])[0]
-        if nz.size == 0:
+        holders = r[:, c].nonzero()[0]
+        at = holders.searchsorted(rank)
+        if at == holders.size:
             continue
-        p = rank + int(nz[0])
+        # the pivot row p is the topmost at or below rank; rank itself holds
+        # no entry in column c unless p = rank, so the swap moves no other holder
+        p = int(holders[at])
+        holders = holders[holders != p]
         if p != rank:
             r[[rank, p]] = r[[p, rank]]
         pv = int(r[rank, c])
         if pv != 1:
-            r[rank] = MUL_TABLE[INV_TABLE[pv]][r[rank]]
-        col = r[:, c].copy()
-        col[rank] = 0
-        for i in np.nonzero(col)[0]:
-            r[i] ^= MUL_TABLE[int(col[i])][r[rank]]
+            r[rank, c:] = MUL_TABLE[INV_TABLE[pv]][r[rank, c:]]
+        if holders.size:
+            r[holders, c:] ^= MUL_TABLE[r[holders, c, None], r[rank, c:]]
         pivots.append(c)
         rank += 1
     return r, rank, pivots
@@ -62,11 +65,9 @@ def nullspace(m: np.ndarray) -> np.ndarray:
     r, rk, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, pc in enumerate(pivots):
-            # pivot value is 1, so the pivot variable equals the row's entry at f
-            basis[bi, pc] = r[ri, f]
+    basis[np.arange(len(free)), free] = 1
+    # pivot values are 1, so each pivot variable equals its row's entry at f
+    basis[:, pivots] = r[:rk, free].T
     return basis
 
 
@@ -159,12 +160,21 @@ def complement_basis(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
 def gram_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
     """Hermitian Gram matrix G[i,j] = <a_i, b_j>_h = sum_l a_il conj(b_jl), b = a by default.
 
-    One table lookup over the (rows a, rows b, cols) products and one XOR
-    reduction; the temporary is rows(a) * rows(b) * cols bytes.
+    On the bit planes x = x0 + x1 omega of a and of c = conj(b),
+        a c = (a0 c0 + a1 c1) + ((a0 + a1) c1 + a1 c0) omega,
+    so each plane of G is the parity of one real product of 0/1 matrices
+    with 2 * cols inner terms, computed in float32 and exact below 2^24.
+    einsum keeps the products on the calling thread: a threaded BLAS
+    product stalls for milliseconds when the other cores are busy.
     """
     a = np.atleast_2d(np.asarray(a, dtype=np.uint8))
     b = a if b is None else np.atleast_2d(np.asarray(b, dtype=np.uint8))
-    return np.bitwise_xor.reduce(MUL_TABLE[a[:, None, :], CONJ_TABLE[b][None, :, :]], axis=2)
+    c = CONJ_TABLE[b]
+    a0, a1 = (a & 1).astype(np.float32), (a >> 1).astype(np.float32)
+    c0, c1 = (c & 1).astype(np.float32), (c >> 1).astype(np.float32)
+    one = np.einsum("ik,jk->ij", np.concatenate((a0, a1), axis=1), np.concatenate((c0, c1), axis=1))
+    omega = np.einsum("ik,jk->ij", np.concatenate((a0 + a1, a1), axis=1), np.concatenate((c1, c0), axis=1))
+    return ((one.astype(np.int32) & 1) | (omega.astype(np.int32) & 1) << 1).astype(np.uint8)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:

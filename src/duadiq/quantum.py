@@ -136,23 +136,32 @@ def _hermitian_orthonormalize(rows: np.ndarray) -> np.ndarray:
     tr(conj(lambda) a) since both norms are 0, so the first lambda in
     (1, omega, omega^2) that gives norm 1 is 1 unless a = 1, then omega.
     The other rows f become f + <f, pick> pick.
+
+    The Gram matrix is formed once and then updated: with a = <f, pick>
+    and b = <g, pick>, the new rows have <f', g'> = <f, g> + a conj(b)
+    (three equal terms, since <pick, pick> = 1, in characteristic 2).
     """
     remaining = np.array(rows, dtype=np.uint8)
+    gram = linalg.gram_matrix(remaining)
     out = []
     while remaining.shape[0]:
-        gram = linalg.gram_matrix(remaining)
         unit = np.flatnonzero(gram.diagonal() == 1)
         if unit.size:
             i = int(unit[0])
-            pick = remaining[i]
+            pick, inner = remaining[i], gram[:, i]
         else:
             pairs = np.flatnonzero(gram)
             if pairs.size == 0:
                 raise InvariantError("no unit-norm vector found; form is degenerate")
             i, j = divmod(int(pairs[0]), gram.shape[1])
-            pick = remaining[i] ^ gf4.MUL_TABLE[2 if gram[i, j] == 1 else 1][remaining[j]]
-        remaining = np.delete(remaining, i, axis=0)
-        remaining ^= gf4.MUL_TABLE[linalg.gram_matrix(remaining, pick), pick]
+            lam = 2 if gram[i, j] == 1 else 1
+            pick = remaining[i] ^ gf4.MUL_TABLE[lam][remaining[j]]
+            # <f, f_i + lam f_j> = <f, f_i> + conj(lam) <f, f_j>
+            inner = gram[:, i] ^ gf4.MUL_TABLE[gf4.CONJ_TABLE[lam]][gram[:, j]]
+        keep = np.arange(remaining.shape[0]) != i
+        remaining, inner = remaining[keep], inner[keep]
+        remaining ^= gf4.MUL_TABLE[inner[:, None], pick]
+        gram = gram[keep][:, keep] ^ gf4.MUL_TABLE[inner[:, None], gf4.CONJ_TABLE[inner]]
         out.append(pick)
     return np.array(out, dtype=np.uint8).reshape(len(out), rows.shape[1])
 

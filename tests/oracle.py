@@ -110,3 +110,27 @@ def _unit_combination(remaining):
                 remaining[i] = cand
                 return cand
     raise ValueError("no unit-norm vector: the form is degenerate")
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form, one row operation at a time: for each
+    column from the left, the topmost remaining row holding it becomes the
+    pivot row, is scaled to pivot 1 and is subtracted from every other row
+    holding the column.  Returns (rows, rank, pivot columns); rows beyond
+    the rank are zero."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    for c in range(ncols):
+        rank = len(pivots)
+        p = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[rank], rows[p] = rows[p], rows[rank]
+        inv = next(x for x in (1, 2, 3) if MUL[rows[rank][c], x] == 1)
+        rows[rank] = [MUL[inv, x] for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [ADD[x, MUL[f, y]] for x, y in zip(rows[i], rows[rank])]
+        pivots.append(c)
+    return rows, len(pivots), pivots

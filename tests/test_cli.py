@@ -1,9 +1,10 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from duadiq import _kernels, cli
+from duadiq import _kernels, cli, gf4
 from duadiq import distance as dist
 from duadiq.errors import BudgetExceededError
 
@@ -97,20 +98,49 @@ def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
     # below the exact pass one search, on an information set of the extended
     # code and its complement, bounds it; the odd-like code is not searched.
     # Cyclic averaging over the even-like code and its dual lifts lo by one
-    # before the even lift (levels 3 and 3: 8 -> 9 -> 10; 4 and 4: 10 -> 11 -> 12)
+    # before the even lift (levels 3 and 3: 8 -> 9 -> 10; 4 and 4: 10 -> 11 -> 12).
+    # The other calls are the one-set seed searches of fixed subcodes: mu_-1
+    # fixes the n = 29 QR code, whose fixed subcode is padded by the unit
     calls = []
     search = dist._info_set_bounds
 
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("sets"))
-        return search(*args, **kwargs)
+    def counting(g, *args, **kwargs):
+        calls.append((g.shape, kwargs.get("sets"), kwargs.get("cyclic_n")))
+        return search(g, *args, **kwargs)
 
     monkeypatch.setattr(dist, "_CACHE", {})
     monkeypatch.setattr(dist, "_info_set_bounds", counting)
     code, out, _ = run(capsys, "quantum", "-n", str(n), "--qr", "--budget", "65536", "--format", "json")
-    assert code == 0 and len(calls) == 1 and len(calls[0]) == 2
+    (shape, sets, _), *seeds = calls
+    assert code == 0 and sets is not None and len(sets) == 2
+    assert all(s[1:] == (None, None) and s[0][1] == shape[1] and s[0][0] < shape[0] for s in seeds)
+    assert len(seeds) == (n == 29)
     payload = json.loads(out)
     assert (payload["d_lo"], payload["d_hi"]) == (d_lo, d_hi)
+
+
+@pytest.mark.parametrize("corrupt", ["weight", "membership"])
+@pytest.mark.parametrize("argv", [("quantum", "-n", "47", "--qr", "--budget", "65536"),
+                                  ("distance", "-n", "23", "--leaders", "1", "--budget", "1000")])
+def test_wrong_witness_word_exit_4(capsys, monkeypatch, corrupt, argv):
+    # every information-set hi is checked before it is reported: by the Gram
+    # test on the self-dual extension, by re-encoding on the cyclic code.
+    # Dropping a nonzero symbol changes the weight; multiplying one by omega
+    # keeps it but leaves the code, whose distance is above 1
+    walk = _kernels.InfoSetLevels.least_weight
+
+    def wrong(self, *args):
+        weight, word = walk(self, *args)
+        word = word.copy()
+        at = int(np.flatnonzero(word)[-1])
+        word[at] = 0 if corrupt == "weight" else gf4.MUL_TABLE[2][word[at]]
+        return weight, word
+
+    monkeypatch.setattr(dist, "_CACHE", {})
+    monkeypatch.setattr(_kernels.InfoSetLevels, "least_weight", wrong)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "witness" in err
 
 
 @pytest.mark.parametrize("corrupt", ["sum", "identity"])

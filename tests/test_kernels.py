@@ -75,3 +75,35 @@ def test_binary_walker_matches_enumeration(k, n):
                     word ^= row
             naive[int(word.sum())] += 1
         assert list(hist[j]) == naive, j
+
+
+@pytest.mark.parametrize("block_words", [1 << 14, 3])
+@pytest.mark.parametrize("q,k,n_parity", [(4, 5, 7), (4, 6, 70), (2, 7, 9)])
+def test_info_set_levels_returns_its_lightest_word(monkeypatch, block_words, q, k, n_parity):
+    # the word is a codeword (message | message P) of the reported weight,
+    # its message has weight w on the first span positions, and no such
+    # message gives a lighter word; 3-word blocks split both sides of a level
+    monkeypatch.setattr(_kernels, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(k * n_parity + q)
+    parity = rng.integers(0, q, (k, n_parity)).astype(np.uint8)
+    walk = _kernels.InfoSetLevels(parity, q)
+    rows = [list(r) for r in parity]
+
+    def encode(message):
+        out = [0] * n_parity
+        for c, row in zip(message, rows):
+            out = [oracle.ADD[x, oracle.MUL[c, y]] for x, y in zip(out, row)]
+        return list(message) + out
+
+    for w in range(1, 4):
+        for span in range(w, k + 1):
+            weight, word = walk.least_weight(w, span)
+            assert word.shape == (k + n_parity,) and oracle.weight(word) == weight
+            assert word.tolist() == encode(word[:k])
+            assert oracle.weight(word[:k]) == w and not word[span:k].any()
+            best = min(
+                oracle.weight(encode([dict(zip(pos, scalars)).get(x, 0) for x in range(k)]))
+                for pos in itertools.combinations(range(span), w)
+                for scalars in itertools.product(range(1, q), repeat=w)
+            )
+            assert weight == best, (w, span)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis.extra import numpy as hnp
 from hypothesis import strategies as st
 
 from duadiq import gf4, linalg
@@ -169,8 +170,9 @@ def _gf4_rows(n):
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 9).flatmap(lambda n: st.tuples(st.just(n), _gf4_rows(n), _gf4_rows(n))))
+@example((301, [[3] * 301, [1, 2, 3, 0] * 75 + [2]], [[1] * 301, [2] * 301, [3, 3, 0] * 100 + [1]]))
 def test_gram_matrix_matches_oracle(case):
-    # 0-row and 0-column shapes included
+    # 0-row and 0-column shapes included; 301 columns pass any 8-bit count
     n, a_rows, b_rows = case
     a = np.array(a_rows, dtype=np.uint8).reshape(len(a_rows), n)
     b = np.array(b_rows, dtype=np.uint8).reshape(len(b_rows), n)
@@ -194,3 +196,19 @@ def test_meet_join_duadic_even_pair():
     assert join.shape[0] == 4
     x_minus_1 = CyclicCode(DefiningSet(5, frozenset({0}))).gen_matrix
     assert linalg.row_space_equal(join, x_minus_1)
+
+
+_RNG = np.random.default_rng(11)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(st.integers(0, 80), st.integers(0, 160))
+       .flatmap(lambda shape: hnp.arrays(np.uint8, shape, elements=st.integers(0, 3))))
+@example(_RNG.integers(0, 4, (80, 160)).astype(np.uint8))
+@example(np.tile(_RNG.integers(0, 4, (10, 160)).astype(np.uint8), (8, 1)))  # rank <= 10
+@example(_RNG.integers(0, 4, (80, 40)).astype(np.uint8))
+def test_rref_matches_row_by_row_oracle(m):
+    # the vectorized pivot clearing against one row operation at a time
+    r, rank, pivots = linalg.rref(m)
+    rows, rank_o, pivots_o = oracle.rref(m.tolist(), m.shape[1])
+    assert (r.tolist(), rank, pivots) == (rows, rank_o, pivots_o)

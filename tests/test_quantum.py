@@ -9,6 +9,7 @@ from duadiq import distance as dist
 from duadiq import gf4, linalg, quantum
 from duadiq.cyclic import (
     CyclicCode,
+    apply_multiplier,
     DefiningSet,
     all_cosets,
     dual_defining_set,
@@ -159,7 +160,9 @@ def test_route_equivalence_budget_limited():
     p1, _ = quantum.extended_duadic_quantum(duadic_from_splitting(s), budget=50)
     p2, _ = quantum.cyclic_zero_dim(s.s1, budget=50)
     assert (p1.n, p1.k, p1.d.lo, p1.d.hi) == (p2.n, p2.k, p2.d.lo, p2.d.hi)
-    assert p1.d.hi is None or not p1.d.exact
+    # below the exact pass, levels 1 and 1 give lo 5 and the even code's
+    # best word 6 certifies d = 6
+    assert p1.d.exact and p1.d.lo_src == dist.INFO_SET and p1.d.work == 42
 
 
 def test_cyclic_zero_dim_examples():
@@ -232,18 +235,21 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
 
 def test_research_codes_two_set_intervals():
     # (lo, hi, work) of the paper's [[144,0]] and [[126,0]] codes at budgets
-    # 10^5, 10^6 and 10^7: whole levels on both sets, then the next level's
-    # colex prefix with the budget left.  Cyclic averaging over the [n, k]
+    # 10^5, 10^6 and 10^7: whole levels on both sets, then for n = 123 the
+    # fixed subcode of mu_40 within a third of the budget left, then the next
+    # level's colex prefix with the rest.  Cyclic averaging over the [n, k]
     # ingredient and its dual gives an odd lo one above the two-set sum,
     # which the even lift raises by one more
     want = {
         (141, (2, 3, 10)): [(8, 28, 94257), (8, 24, 970380), (10, 24, 9929331)],
-        (123, (1, 2, 6, 7, 9, 11)): [(8, 36, 97632), (8, 34, 959472), (10, 34, 9582516)],
+        (123, (1, 2, 6, 7, 9, 11)): [(8, 32, 94185), (8, 28, 982269), (10, 24, 9863001)],
     }
     for (n, leaders), rows in want.items():
         for budget, row in zip((10**5, 10**6, 10**7), rows):
             p, _ = quantum.cyclic_zero_dim(DefiningSet.from_leaders(n, leaders), budget=budget)
             assert (p.d.lo, p.d.hi, p.d.work) == row and p.d.lo_src == dist.PARITY
+            # n = 123's hi is a word of the fixed subcode of mu_40
+            assert p.d.hi_src == (dist.FIXED_SUBCODE if n == 123 else dist.INFO_SET)
     assert "levels 3 and 3: d >= 8, cyclic averaging: d >= 9, even: d >= 10" in p.trace[1]
 
 
@@ -342,6 +348,84 @@ def test_cyclic_averaging_dominates_two_set_rule():
     assert cases == 826 and tighter > 0
 
 
+def _involutions(n):
+    return [a for a in range(2, n) if a * a % n == 1]
+
+
+def test_fixed_rows_and_one_row_fixing_test():
+    # the seed's fixed subcode from the RREF rows is fixed_subcode's basis,
+    # and the one-row fixing test agrees with aA == A, for every order-2
+    # multiplier of every searched ingredient
+    pairs = fixing = 0
+    for n in range(3, 42, 2):
+        for a_set in _search_sets(n):
+            code = CyclicCode(dual_defining_set(a_set))
+            r = quantum._extend(code)[0].original
+            fixes = dist._fixing_involutions(r)
+            for a in _involutions(n):
+                assert np.array_equal(dist._fixed_rows(r, a), dist.fixed_subcode(code, a).basis)
+                invariant = code.defining_set.scaled(a).members == code.defining_set.members
+                assert (a in fixes) == invariant, (n, sorted(a_set.members), a)
+                pairs += 1
+                fixing += invariant
+    assert pairs > 100 and 0 < fixing < pairs
+
+
+def test_fixed_subcode_seed_brackets_and_dominates(monkeypatch):
+    # every searched extension with K <= 9, at one below, at and one above
+    # each whole level of the two-set search and at 4096 and 65536: the
+    # seeded interval brackets d, its lo is the seed-free search's lo, its
+    # hi is no higher and its work stays within the budget
+    cases = seeded = 0
+    involutions = dist._fixing_involutions
+    for n in range(3, 42, 2):
+        for a in _search_sets(n):
+            ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+            gen = ext.extended
+            if gen.shape[0] > 9:
+                continue
+            d = _exact_distance(gen)
+            points = _two_set_breakpoints(gen.shape[0], 2 if (gen <= 1).all() else 4)
+            for budget in sorted({4096, 65536} | {b + s for b in points for s in (-1, 0, 1)}):
+                monkeypatch.setattr(dist, "_fixing_involutions", involutions)
+                on = dist.extension_distance(ext, budget).bound
+                monkeypatch.setattr(dist, "_fixing_involutions", lambda r: [])
+                off = dist.extension_distance(ext, budget).bound
+                _assert_brackets(on, d, ext.n, budget)
+                assert not on.exact or on.lo == d
+                assert on.lo == off.lo and (off.hi is None or on.hi <= off.hi)
+                cases += 1
+                seeded += on.work != off.work
+    assert cases > 800 and seeded > 0
+
+
+def test_research_hi_is_a_checked_fixed_subcode_word():
+    # n = 123: mu_40 (order 2) fixes the [123, 60] ingredient, and its
+    # [123, 30] fixed subcode gives the hi; the word is returned and checked
+    a = DefiningSet.from_leaders(123, (1, 2, 6, 7, 9, 11))
+    ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+    assert dist._fixing_involutions(ext.original) == [40]
+    assert dist._fixed_rows(ext.original, 40).shape == (30, 123)
+    b = dist._info_set_bounds(ext.extended, 4, 10**6, sets=[list(range(60)) + [123, 124, 125],
+                                                             list(range(60, 123))],
+                              cyclic_n=123, self_dual=True,
+                              seeds=[np.pad(dist._fixed_rows(ext.original, 40), ((0, 0), (0, 3)))])
+    assert (b.hi, b.hi_src) == (28, dist.FIXED_SUBCODE)
+    assert gf4.weight(b.word) == 28 and not b.word[123:].any()
+    assert np.array_equal(apply_multiplier(40, b.word[:123]), b.word[:123])
+    assert not linalg.gram_matrix(b.word, ext.extended).any()
+
+
+def test_self_dual_search_stops_at_even_distance():
+    # n = 47 QR: levels 4 and 4 give lo 11, and the even code's best word
+    # 12 certifies d = 12 there, at any budget past those levels
+    pair = duadic_from_splitting(qr_splitting(47))
+    for budget in (65536, 10**6):
+        p, _ = quantum.extended_duadic_quantum(pair, budget=budget)
+        assert (p.d.lo, p.d.hi, p.d.work) == (12, 12, 25900) and p.d.exact
+        assert p.trace[-1].endswith("levels 4 and 4: d = 12")
+
+
 def test_non_cyclic_copy_keeps_two_set_bound():
     # swapping two coordinates of a cyclic ingredient (no multiplier does
     # that) leaves a code that is not cyclic: no averaging, today's bound
@@ -355,7 +439,8 @@ def test_non_cyclic_copy_keeps_two_set_bound():
         q = 2 if (gen <= 1).all() else 4
         for budget in (0, 4096, 65536):
             got = dist.extension_distance(ext, budget)
-            assert got.bound == dist.even_lift(dist._info_set_bounds(gen, q, budget, sets=sets))
+            assert got.bound == dist.even_lift(dist._info_set_bounds(gen, q, budget, sets=sets,
+                                                                     self_dual=True))
             assert "cyclic averaging" not in got.note
             # at n = 29 the cyclic original gains a level (the others are exact)
             cyclic = dist.extension_distance(quantum._extend(even)[0], budget)
