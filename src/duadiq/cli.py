@@ -16,7 +16,7 @@ import json
 import sys
 
 from . import distance as dist, duadic, quantum
-from .cyclic import CyclicCode, DefiningSet, all_cosets, is_dual_containing
+from .cyclic import CyclicCode, DefiningSet, all_cosets
 from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
 from .extfield import is_prime
 
@@ -198,12 +198,6 @@ def cmd_quantum(args) -> int:
         params, _ = quantum.extended_duadic_quantum(duadic.duadic_from_splitting(split), budget=budget)
     else:
         a = DefiningSet.from_leaders(args.n, _parse_leaders(args.leaders))
-        if not is_dual_containing(a):
-            witness = next(t for t in sorted(a.members) if (-2 * t) % a.n in a.members)
-            raise NotApplicableError(
-                "no construction applies to this defining set",
-                failed=[f"A cap -2A nonempty (witness {witness} -> {(-2 * witness) % a.n})"],
-            )
         params, _ = quantum.cyclic_zero_dim(a, budget=budget)
     extras = quantum.secondary_chain(params, args.secondary_steps) if args.secondary_steps else []
     _emit_params(args, params, extras)

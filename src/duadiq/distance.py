@@ -643,6 +643,38 @@ def extension_weight_distribution(g: np.ndarray, f_rows: np.ndarray, budget: int
     return [int(x) for x in a], work
 
 
+def _check_macwilliams(a: list[int]) -> None:
+    """Check a Hermitian self-dual [N, N/2] code's weight distribution A_w.
+
+    Such a code has 2^N words and equals its dual, so its weight enumerator
+    satisfies W(x, y) = 2^-N W(x + 3y, x - y); both are checked in exact
+    integer arithmetic.  The transform sum_w A_w (x + 3y)^(N-w) (x - y)^w is
+    built by Horner's rule in x - y, as coefficients of y^i.
+    """
+    big_n = len(a) - 1
+    if sum(a) != 2**big_n:
+        raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{big_n}")
+    t = [0] * (big_n + 1)
+    for w in range(big_n, -1, -1):
+        t = [t[0]] + [t[i] - t[i - 1] for i in range(1, big_n + 1)]
+        for i in range(big_n - w + 1):
+            t[i] += a[w] * math.comb(big_n - w, i) * 3**i
+    for i in range(big_n + 1):
+        if t[i] != 2**big_n * a[i]:
+            raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
+
+
+def _coset_pass(ext, budget: int) -> tuple[int, int, str]:
+    """Exact distance of a Hermitian self-dual extension from its weight
+    distribution (extension_weight_distribution over the 4^e cosets of C),
+    checked against MacWilliams; returns (d, work, note)."""
+    k = ext.original.shape[0]
+    a, work = extension_weight_distribution(ext.original, ext.extended[k:, : ext.n - ext.e], budget)
+    _check_macwilliams(a)
+    d = next(w for w in range(1, len(a)) if a[w])
+    return d, work, f"d = min over cosets of (coset weight + unit weight) = {d} [exact]"
+
+
 @dataclass(frozen=True)
 class ExtensionDistance:
     """An extension's distance with an account of it (note): the exact
@@ -745,14 +777,18 @@ def extension_distance(ext, budget: int, exact=None, code=None, sum_code=None) -
     the RREF basis of C; extended; e).
 
     exact is (words, run) or None: when words <= budget, run() makes one
-    exact pass and returns (d, work, note).  Otherwise a Hermitian self-dual
-    extension (2K = N, k = 0) is bounded by the information-set search on
-    its generator (_self_dual_bound), and any other by
-    d >= min(d(C), d(C + C^perp_h) + 1), where code is C and sum_code is
-    C + C^perp_h or None for the full space.  A self-dual code is even, so
-    an odd exact distance is an invariant failure.
+    exact pass and returns (d, work, note).  A Hermitian self-dual extension
+    (2K = N, k = 0) given no pass with e <= 5 takes the coset pass
+    (_coset_pass, 4^dim(C) words, checked against MacWilliams).  Without an
+    exact pass in the budget a self-dual extension is bounded by the
+    information-set search on its generator (_self_dual_bound), and any
+    other by d >= min(d(C), d(C + C^perp_h) + 1), where code is C and
+    sum_code is C + C^perp_h or None for the full space.  A self-dual code
+    is even, so an odd exact distance is an invariant failure.
     """
     self_dual = 2 * ext.extended.shape[0] == ext.extended.shape[1]
+    if self_dual and exact is None and ext.e <= 5:
+        exact = (4 ** ext.original.shape[0], lambda: _coset_pass(ext, budget))
     if exact is not None and exact[0] <= budget:
         d, work, note = exact[1]()
         if self_dual and d % 2:

@@ -135,26 +135,13 @@ def complement_basis(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Rows of sup extending a basis of sub to one of sup (greedy, deterministic).
 
     A row is taken when it lies outside the span of sub and the rows taken
-    before it.  That span is kept as reduced rows with their pivot columns,
-    each reduced against the earlier ones, so reducing a candidate against
-    them in insertion order leaves zero exactly when it lies in the span.
+    before it.  Those rows are the pivot columns of the transpose of
+    (basis of sub; sup) past the first rank(sub), which are all pivots.
     """
-    sup = np.atleast_2d(sup)
-    r, rk, pivots = rref(np.atleast_2d(sub))
-    reduced = list(zip(pivots, r[:rk]))
-    out = []
-    for row in sup:
-        v = np.array(row, dtype=np.uint8)
-        for pivot, basis_row in reduced:
-            if v[pivot]:
-                v ^= MUL_TABLE[v[pivot]][basis_row]
-        nz = np.flatnonzero(v)
-        if nz.size:
-            reduced.append((int(nz[0]), MUL_TABLE[INV_TABLE[v[nz[0]]]][v]))
-            out.append(row)
-    if not out:
-        return np.zeros((0, sup.shape[1]), dtype=np.uint8)
-    return np.array(out, dtype=np.uint8)
+    sup = np.atleast_2d(np.asarray(sup, dtype=np.uint8))
+    base = row_basis(np.atleast_2d(sub))
+    pivots = rref(np.vstack([base, sup]).T)[2]
+    return sup[[p - base.shape[0] for p in pivots[base.shape[0]:]]]
 
 
 def gram_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

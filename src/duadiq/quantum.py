@@ -11,12 +11,15 @@ Distance reporting is bound-honest: exact values appear only when the
 enumeration budget allowed computing them; otherwise lower bounds carry the
 provenance of the theorem or budget that produced them.  k = 0 outputs are
 Hermitian self-dual, hence even-weight, and lower bounds are lifted to even.
+Every k = 0 distance is certified by one call, distance.extension_distance,
+so one self-orthogonal code gets one bound from general_zero_dim,
+extend_nearly_self_orthogonal and, when it is self-dual,
+quantum_from_dual_containing.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,21 +27,14 @@ import numpy as np
 from . import distance as dist
 from . import gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, dual_defining_set
-from .distance import (
-    BUDGET,
-    LITERATURE,
-    PARITY,
-    DistanceBound,
-    even_lift,
-)
-from .duadic import DuadicPair, Splitting, duadic_from_splitting, find_splittings
+from .distance import BUDGET, LITERATURE, PARITY, DistanceBound
+from .duadic import DuadicPair, Splitting, duadic_from_splitting
 from .errors import (
     BudgetExceededError,
     InputError,
     InvariantError,
     NotApplicableError,
 )
-from .extfield import mult_order
 
 PURE_YES = "yes"
 PURE_NO = "no"
@@ -98,27 +94,6 @@ class SelfDualCode:
             raise InvariantError(f"self-dual shape must be (m, 2m), got {self.gen.shape}")
         if not linalg.is_hermitian_self_orthogonal(self.gen):
             raise InvariantError("generator matrix fails the Gram test")
-
-
-def _check_macwilliams(a: list[int]) -> None:
-    """Check a Hermitian self-dual [N, N/2] code's weight distribution A_w.
-
-    Such a code has 2^N words and equals its dual, so its weight enumerator
-    satisfies W(x, y) = 2^-N W(x + 3y, x - y); both are checked in exact
-    integer arithmetic.  The transform sum_w A_w (x + 3y)^(N-w) (x - y)^w is
-    built by Horner's rule in x - y, as coefficients of y^i.
-    """
-    big_n = len(a) - 1
-    if sum(a) != 2**big_n:
-        raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{big_n}")
-    t = [0] * (big_n + 1)
-    for w in range(big_n, -1, -1):
-        t = [t[0]] + [t[i] - t[i - 1] for i in range(1, big_n + 1)]
-        for i in range(big_n - w + 1):
-            t[i] += a[w] * math.comb(big_n - w, i) * 3**i
-    for i in range(big_n + 1):
-        if t[i] != 2**big_n * a[i]:
-            raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
 
 
 # ---------------------------------------------------------------------------
@@ -182,15 +157,9 @@ class Extension:
         return self.extended.shape[0]
 
 
-def _as_matrix(code) -> np.ndarray:
-    if isinstance(code, CyclicCode):
-        return code.gen_matrix
-    return np.atleast_2d(np.asarray(code, dtype=np.uint8))
-
-
 def _extend(code) -> tuple[Extension, np.ndarray]:
     """The extension of a code, with the Hermitian dual of its row basis."""
-    g = linalg.row_basis(_as_matrix(code))
+    g = linalg.row_basis(dist._generators(code)[0])
     k = g.shape[0]
     if k == 0:
         raise InputError("cannot extend the zero code")
@@ -216,9 +185,11 @@ def extend_nearly_self_orthogonal(
     code, budget: int | None = None
 ) -> tuple[Extension, QuantumParams]:
     """Extend a code to a Hermitian dual-containing one and read off the
-    stabilizer parameters [[n+e, 2k-n+e]].  A self-dual extension (k = 0)
-    is bounded by the information-set search on its own generator, any
-    other by d >= min(d(C), d(C + C^perp_h) + 1)."""
+    stabilizer parameters [[n+e, 2k-n+e]].  The extension is self-dual
+    (k = 0) exactly when the code is self-orthogonal, and then its distance
+    is general_zero_dim's: the coset pass when it fits the budget, else the
+    information-set search on the extended generator.  Any other extension
+    is bounded by d >= min(d(C), d(C + C^perp_h) + 1)."""
     budget = dist.default_budget() if budget is None else budget
     ext, dual = _extend(code)
     g = ext.original
@@ -226,7 +197,7 @@ def extend_nearly_self_orthogonal(
     kq = 2 * k - n + ext.e
     if kq == 0:
         cert = dist.extension_distance(ext, budget)
-        line = f"budget-limited bound: {cert.note}"
+        line = f"budget-limited bound: {cert.note}" if cert.bounded else cert.note
     else:
         sum_space = linalg.subspace_sum(g, dual)
         cert = dist.extension_distance(
@@ -249,14 +220,16 @@ def extend_nearly_self_orthogonal(
 
 def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumParams:
     """[[n, 2k-n, d']] from a dual-containing [n, k] code; d' is the minimum
-    weight outside the dual, or d(C) for a self-dual input."""
+    weight outside the dual.  A self-dual input (2k = n) is its own
+    self-orthogonal code, and its [[n, 0]] parameters are general_zero_dim's."""
     budget = dist.default_budget() if budget is None else budget
-    g = linalg.row_basis(_as_matrix(code))
+    g = linalg.row_basis(dist._generators(code)[0])
     k, n = g.shape
+    dual = linalg.hermitian_dual_space(g)
     if isinstance(code, CyclicCode):
         contained = code.is_dual_containing()
     else:
-        contained = linalg.is_subspace(linalg.hermitian_dual_space(g), g)
+        contained = linalg.is_subspace(dual, g)
     if not contained:
         raise NotApplicableError(
             "code is not Hermitian dual containing",
@@ -265,13 +238,8 @@ def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumPara
     kq = 2 * k - n
     trace = [f"dual-containing [{n},{k}] -> [[{n},{kq}]]"]
     if kq == 0:
-        d = dist.min_distance_exact(code if isinstance(code, CyclicCode) else g, budget=budget)
-        if d.exact and d.lo % 2:
-            raise InvariantError("self-dual code with odd minimum distance")
-        d = even_lift(d) if not d.exact else d
-        trace.append("self-dual: d' = d(C), weights all even")
-        return QuantumParams(n=n, k=0, d=d, pure=PURE_YES, trace=tuple(trace))
-    dual = linalg.hermitian_dual_space(g)
+        params, _ = general_zero_dim(code, budget=budget)
+        return replace(params, trace=tuple(trace) + params.trace)
     try:
         d_prime, work = dist.min_weight_difference(g, dual, budget=budget)
         d_code = dist.min_distance_exact(code if isinstance(code, CyclicCode) else g, budget=budget)
@@ -296,6 +264,8 @@ def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumPara
 
 
 def _mu2_splitting_of(code: CyclicCode) -> Splitting:
+    """The mu_-2 splitting {S1, -2 S1} whose first half S1 is the defining
+    set of an odd-like duadic code."""
     n = code.n
     s1 = code.defining_set.members
     s2 = frozenset((-2 * t) % n for t in s1)
@@ -304,10 +274,7 @@ def _mu2_splitting_of(code: CyclicCode) -> Splitting:
             "code is not odd-like duadic with multiplier mu_-2",
             failed=["-2*S1 must be the complementary half S2"],
         )
-    for s in find_splittings(n, b=-2):
-        if s.s1.members in (s1, s2) or s.s2.members in (s1, s2):
-            return s
-    raise InvariantError("splitting reconstruction failed")
+    return Splitting(n, DefiningSet(n, s1), DefiningSet(n, s2), multipliers=((-2) % n,))
 
 
 def extended_duadic_quantum(
@@ -326,38 +293,33 @@ def extended_duadic_quantum(
     budget = dist.default_budget() if budget is None else budget
     if isinstance(odd_like, DuadicPair):
         pair = odd_like
-        splitting = pair.splitting
-        side = 1
     else:
-        splitting = _mu2_splitting_of(odd_like)
-        side = 1 if odd_like.defining_set.members == splitting.s1.members else 2
-        pair = duadic_from_splitting(splitting)
+        pair = duadic_from_splitting(_mu2_splitting_of(odd_like))
+    splitting = pair.splitting
     if not splitting.has_multiplier(-2):
         raise NotApplicableError(
             "splitting does not admit the multiplier mu_-2",
             failed=["mu_-2 witness"],
         )
     n = splitting.n
-    even = pair.even1 if side == 1 else pair.even2
-    odd = pair.odd1 if side == 1 else pair.odd2
-    ext, _ = _extend(even)
+    ext, _ = _extend(pair.even1)
     if ext.e != 1:
         raise InvariantError(f"duadic extension produced e = {ext.e}, expected 1")
     sd = SelfDualCode(gen=ext.extended)
     trace = [
-        f"odd-like duadic n={n} leaders={list(odd.defining_set.leaders)} with mu_-2",
+        f"odd-like duadic n={n} leaders={list(pair.odd1.defining_set.leaders)} with mu_-2",
         "even-like subcode extended by one unit coordinate (e=1)",
     ]
 
     def duadic_pass():
-        dd = dist.duadic_distances(splitting, side=side, budget=budget)
+        dd = dist.duadic_distances(splitting, budget=budget)
         # the extended words are the even-like words padded by 0 and the
         # odd-like cosets padded by a unit
-        _check_macwilliams([e + c for e, c in zip(dd.even_hist + (0,), (0,) + dd.coset_hist)])
+        dist._check_macwilliams([e + c for e, c in zip(dd.even_hist + (0,), (0,) + dd.coset_hist)])
         d = min(dd.d_even, dd.d_min_odd_coset + 1)
         return d, dd.work, f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
 
-    cert = dist.extension_distance(ext, budget, exact=(4**even.dim, duadic_pass))
+    cert = dist.extension_distance(ext, budget, exact=(4**pair.even1.dim, duadic_pass))
     trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
     params = QuantumParams(n=n + 1, k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return params, sd
@@ -368,11 +330,11 @@ def general_zero_dim(
 ) -> tuple[QuantumParams, SelfDualCode]:
     """[[2(n-k), 0, d]] from a self-orthogonal [n, k] code, d even and
     d >= min(d(C), d(C^perp_h) + 1); also yields the classical Hermitian
-    self-dual [2(n-k), n-k] code.  d is exact from the coset pass when that
-    fits the budget, else bounded by the information-set search on the
-    self-dual code."""
+    self-dual [2(n-k), n-k] code.  extension_distance certifies d: exact
+    from the coset pass when its 4^k words fit the budget and e <= 5, else
+    bounded by the information-set search on the self-dual code."""
     budget = dist.default_budget() if budget is None else budget
-    g = linalg.row_basis(_as_matrix(code))
+    g = linalg.row_basis(dist._generators(code)[0])
     k, n = g.shape
     if k == 0:
         raise InputError("refusing the zero code (dimension must be >= 1)")
@@ -387,14 +349,7 @@ def general_zero_dim(
     trace = [
         f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}",
     ]
-
-    def coset_pass():
-        a, work = dist.extension_weight_distribution(g, ext.extended[k:, :n], budget)
-        _check_macwilliams(a)
-        d = next(w for w in range(1, len(a)) if a[w])
-        return d, work, f"d = min over cosets of (coset weight + unit weight) = {d} [exact]"
-
-    cert = dist.extension_distance(ext, budget, exact=(4**k, coset_pass) if ext.e <= 5 else None)
+    cert = dist.extension_distance(ext, budget)
     trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
     out = QuantumParams(n=2 * (n - k), k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return out, sd
@@ -405,8 +360,8 @@ def cyclic_zero_dim(a: DefiningSet, budget: int | None = None) -> tuple[QuantumP
     for t in sorted(a.members):
         if (-2 * t) % a.n in a.members:
             raise NotApplicableError(
-                f"A intersects -2A: element {t} maps to {(-2 * t) % a.n} inside A",
-                failed=[f"A cap -2A empty (witness {t})"],
+                "no construction applies to this defining set",
+                failed=[f"A cap -2A nonempty (witness {t} -> {(-2 * t) % a.n})"],
             )
     dual_code = CyclicCode(dual_defining_set(a))
     params, sd = general_zero_dim(dual_code, budget=budget)
@@ -417,28 +372,11 @@ def cyclic_zero_dim(a: DefiningSet, budget: int | None = None) -> tuple[QuantumP
 
 
 def dual_containing_to_zero_dim(code, budget: int | None = None) -> tuple[QuantumParams, SelfDualCode]:
-    """[[2k, 0, d]] from a dual-containing [n, k] code via its dual."""
-    g = linalg.row_basis(_as_matrix(code))
-    k, n = g.shape
-    if isinstance(code, CyclicCode):
-        contained = code.is_dual_containing()
-        dual = CyclicCode(dual_defining_set(code.defining_set))
-        if dual.dim == 0:
-            raise InputError("dual is the zero code; nothing to extend")
-    else:
-        dual_m = linalg.hermitian_dual_space(g)
-        contained = dual_m.shape[0] > 0 and linalg.is_subspace(dual_m, g)
-        if dual_m.shape[0] == 0:
-            raise InputError("dual is the zero code; nothing to extend")
-        dual = dual_m
-    if not contained:
-        raise NotApplicableError(
-            "code is not Hermitian dual containing", failed=["C^perp_h <= C"]
-        )
-    params, sd = general_zero_dim(dual, budget=budget)
-    if params.n != 2 * k:
-        raise InvariantError("secondary construction produced wrong length")
-    return params, sd
+    """[[2k, 0, d]] from a dual-containing [n, k] code: general_zero_dim of
+    its Hermitian dual, which is self-orthogonal exactly when the code is
+    dual containing (NotApplicableError otherwise) and the zero code when
+    the code is the full space (InputError)."""
+    return general_zero_dim(linalg.hermitian_dual_space(dist._generators(code)[0]), budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -455,12 +393,7 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
     """
     budget = dist.default_budget() if budget is None else budget
     n = a.n
-    o2, o4 = mult_order(2, n), mult_order(4, n)
-    if o2 != o4:
-        raise NotApplicableError(
-            f"ord_{n}(2) = {o2} differs from ord_{n}(4) = {o4}",
-            failed=["ord_n(2) = ord_n(4)"],
-        )
+    bin_code = dist.binary_shadow_code(a)
     ext, _ = _extend(CyclicCode(DefiningSet(n, a.members, q=4)))
     kq = 2 * ext.k - ext.n
     trace = [
@@ -477,7 +410,6 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
     if kq == 0:
         cert = dist.extension_distance(ext, budget, exact=exact)
     else:
-        bin_code = CyclicCode(DefiningSet(n, a.members, q=2))
         sum_code = CyclicCode(DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2))
         cert = dist.extension_distance(ext, budget, exact=exact, code=bin_code,
                                        sum_code=None if sum_code.dim == n else sum_code)

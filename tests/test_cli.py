@@ -236,9 +236,10 @@ def test_quantum_leaders_141(capsys):
 
 
 def test_quantum_leaders_rejects_bad_set(capsys):
-    code, _, err = run(capsys, "quantum", "-n", "5", "--leaders", "0")
-    assert code == 3
-    assert "A cap -2A" in err
+    code, out, err = run(capsys, "quantum", "-n", "5", "--leaders", "0")
+    assert (code, out) == (3, "")
+    assert err == ("no applicable construction: no construction applies to this defining set\n"
+                   "  failed precondition: A cap -2A nonempty (witness 0 -> 0)\n")
 
 
 def test_quantum_duadic_index(capsys):

@@ -191,6 +191,74 @@ def test_dual_containing_to_zero_dim():
         quantum.dual_containing_to_zero_dim(CyclicCode(DefiningSet(5, frozenset())))
 
 
+def test_dual_containing_to_zero_dim_rejects_non_dual_containing():
+    # {0} meets -2{0}: the Hermitian dual is not self-orthogonal
+    code = CyclicCode.from_leaders(5, [0])
+    for c in (code, code.gen_matrix):
+        with pytest.raises(NotApplicableError):
+            quantum.dual_containing_to_zero_dim(c)
+
+
+@pytest.mark.parametrize("route", ["general_zero_dim", "extend_nearly_self_orthogonal",
+                                   "quantum_from_dual_containing", "dual_containing_to_zero_dim"])
+def test_bad_symbols_are_input_errors(route):
+    with pytest.raises(InputError):
+        getattr(quantum, route)(np.array([[5, 0, 1, 1]]))
+
+
+def _bound_key(d):
+    return (d.lo, d.hi, d.work, d.lo_src, d.hi_src)
+
+
+def _zero_dim_budgets(k):
+    # the coset pass walks 4^(k+e) words; its threshold is tested where that is cheap
+    return sorted({0, 100, 4096, 65536} | ({4**k - 1, 4**k} if k <= 8 else set()))
+
+
+def test_one_bound_per_self_orthogonal_code():
+    # general_zero_dim and extend_nearly_self_orthogonal read one
+    # extension_distance call: the coset pass when its 4^k words fit, else
+    # the two-set search; quantum_from_dual_containing on a self-dual
+    # extended generator (here the permuted copy's) reads the same call on it
+    rng = np.random.default_rng(17)
+    cases = 0
+    for n in range(3, 42, 2):
+        for a in _search_sets(n):
+            code = CyclicCode(dual_defining_set(a))
+            for c in (code, code.gen_matrix[:, rng.permutation(n)]):
+                for budget in _zero_dim_budgets(code.dim):
+                    p, sd = quantum.general_zero_dim(c, budget=budget)
+                    _, q = quantum.extend_nearly_self_orthogonal(c, budget=budget)
+                    assert _bound_key(q.d) == _bound_key(p.d), (n, sorted(a.members), budget)
+                    cases += 1
+            for budget in _zero_dim_budgets(sd.gen.shape[0]):
+                p, _ = quantum.general_zero_dim(sd.gen, budget=budget)
+                _, q = quantum.extend_nearly_self_orthogonal(sd.gen, budget=budget)
+                r = quantum.quantum_from_dual_containing(sd.gen, budget=budget)
+                assert _bound_key(q.d) == _bound_key(r.d) == _bound_key(p.d), (n, sorted(a.members), budget)
+                assert r.trace[1:] == p.trace
+                cases += 1
+    assert cases > 2000
+
+
+def test_self_dual_input_checks_macwilliams(monkeypatch):
+    # moving one word of the [14, 7] self-dual code from weight 8 to 6
+    # keeps the count 2^14 and breaks the MacWilliams identity
+    _, sd = quantum.extended_duadic_quantum(_mu2_pairs(13)[0])
+    walk = dist.weight_histograms
+
+    def corrupted(*args, **kwargs):
+        hist, work = walk(*args, **kwargs)
+        hist = hist.copy()
+        hist[0, 6] += 1
+        hist[0, 8] -= 1
+        return hist, work
+
+    monkeypatch.setattr(dist, "weight_histograms", corrupted)
+    with pytest.raises(InvariantError, match="MacWilliams"):
+        quantum.quantum_from_dual_containing(sd.gen)
+
+
 def test_dual_containing_to_zero_dim_doubles_k():
     pair = _mu2_pairs(13)[0]
     p, sd = quantum.dual_containing_to_zero_dim(pair.odd1)
@@ -528,7 +596,7 @@ def test_extension_radical_is_zassenhaus_intersection():
     codes = [CyclicCode(dual_defining_set(a)) for a in _search_sets(21)]
     codes += [rng.integers(0, 4, (int(rng.integers(1, 8)), 9)).astype(np.uint8) for _ in range(60)]
     for code in codes:
-        if not quantum._as_matrix(code).any():
+        if not dist._generators(code)[0].any():
             continue
         ext, dual = quantum._extend(code)
         radical = ext.extended_dual[: ext.extended_dual.shape[0] - ext.e, : ext.n - ext.e]
