@@ -31,7 +31,6 @@ from .distance import (
     fixed_subcode_coincidence,
     fixed_subcode_lower_bound,
     min_distance_exact,
-    min_weight_difference,
     square_root_bounds,
     weight_distribution,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "is_self_orthogonal_even_duadic",
     "load_annotations",
     "min_distance_exact",
-    "min_weight_difference",
     "minimal_poly",
     "near_orthogonality",
     "params_from_annotation",

@@ -241,6 +241,8 @@ class InfoSetLevels:
         if swap:
             low, high = high, low
         words = low.shape[0] // self.planes
+        if words == 0:  # no parity columns (the full space): every pair weighs 0
+            return 0, 0, 0
         xor_buf, or_buf, count_buf, sum_buf = bufs
         best, where = words * 64 + 1, None
         step_h = min(high.shape[1], _BLOCK_WORDS)

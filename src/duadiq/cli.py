@@ -1,10 +1,9 @@
 """Command-line front end.
 
 Commands: cosets, splittings, quantum, distance, table.  Output formats are
-json, csv or text; identical flags produce byte-identical output regardless
-of worker count.  Exit codes: 0 success, 2 invalid input, 3 no applicable
-construction, 4 internal invariant failure or an exact computation that
-exceeded the budget.
+json, csv or text; identical flags produce byte-identical output.  Exit
+codes: 0 success, 2 invalid input, 3 no applicable construction, 4 internal
+invariant failure or an exact computation that exceeded the budget.
 """
 
 from __future__ import annotations
@@ -39,8 +38,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format (default text; table always emits csv)")
     common.add_argument("--budget", type=int, default=None,
                         help="max codeword-enumeration steps (default 2^30, or DUADIQ_BUDGET)")
-    common.add_argument("--workers", type=int, default=1,
-                        help="must be >= 1; enumeration runs on one thread whatever the value")
     common.add_argument("--annotations", type=str, default=None,
                         help="JSON file of literature [[n,k,d]] annotations")
     common.add_argument("--expand", action="store_true",
@@ -289,8 +286,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise InputError("--budget must be nonnegative")
-        if args.workers < 1:
-            raise InputError("worker count must be >= 1")
         return _DISPATCH[args.command](args)
     except NotApplicableError as exc:
         sys.stderr.write(f"no applicable construction: {exc}\n")

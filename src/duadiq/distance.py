@@ -33,14 +33,20 @@ weight <= w on the window is walked, that shift was met (best <= d) unless
 floor(dk/n) > w, so d >= min(best, ceil((w + 1) n / k)).  A cyclic code's
 own search (min_distance_exact on a CyclicCode) applies this to its one
 window; the extension of a cyclic code applies it to both of its cyclic
-ingredients (_self_dual_bound).  Budgets count enumeration steps;
-a multi-offset pass over one span counts once per step.  An exact pass
-counts the 4^dim words of its span against the budget and reports them as
-its work, while the walk evaluates about a third of them: a word and its
-nonzero multiples have the same weight, so weight_histograms enumerates
-one word per scaling orbit of the span and its offsets.  The information-set
-search counts the messages it covers, comb(x, w) 3^w for level w over x
-positions, and likewise walks one per scaling orbit.
+ingredients (_self_dual_bound).  Budgets count words.  An exact pass
+counts the words of the codes it enumerates, 4^dim (2^dim for a binary
+span) each, against the budget and reports them as its work: the duadic
+pass, one span walked with 4 offsets, counts the 4^(dim + 1) words of the
+span with its offsets.  The quaternary walk
+evaluates about a third of them: a word and its nonzero multiples have the
+same weight, so weight_histograms enumerates one word per scaling orbit of
+the span and its offsets.  The information-set search counts the messages
+it covers, comb(x, w) (q - 1)^w for level w over x positions, and likewise
+walks one per scaling orbit.
+
+The distance of an extension (extension_distance) is certified in one
+place: one exact pass over the extended code, and its dual when k > 0,
+when those words fit the budget, else a search.
 
 Results are a pure function of the input and the budget.
 """
@@ -340,7 +346,8 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     A codeword not met after level w_j on set j has weight >= w_j + 1 on
     each set, so >= sum_j (w_j + 1).  The walk stops when the next level's
     comb(k, w) (q - 1)^w words would pass the budget, or when the best word
-    found is no heavier than the lower bound: then it is the distance
+    found is no heavier than the lower bound, or when a set has walked all
+    k levels and so met every codeword: then it is the distance
     (information-set provenance).  Otherwise lo is the bound
     (budget-exhausted) and hi the best word.  With several sets the budget
     left after the whole levels goes, a third of it, to the seeds and then,
@@ -360,14 +367,11 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     {0..k-1} is the one set, or of which span(g) is the extension by
     len(g[0]) - n unit coordinates walked on sets [window + units, {k..n-1}]
     (_self_dual_bound).  Then lo is also at least the cyclic average of the
-    completed levels (_cyclic_average), and the search is exact once
+    completed levels (_cyclic_average).  Every search is exact once
     best <= lo.  self_dual says span(g) is Hermitian self-dual, so even:
-    the search is then exact once best <= lo + 1 with lo odd.
-
-    A single set without cyclic_n keeps the rules of the one-set search it
-    grew from, exact once best <= w (a level later than needed) and no
-    partial level, so that a matrix's min_distance_exact reports the same
-    intervals and work as before.
+    the search is then exact once best <= lo + 1 with lo odd.  A single set
+    walks no partial level, so each seed's search leaves what it does not
+    walk of the seeds' third to the next seed.
 
     hi is a witness: the lightest word found, checked (_check_witness)
     before it is returned.
@@ -395,8 +399,6 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
             raise InputError(f"columns {cols[: len(info)]} are not an information set")
         walks.append(_kernels.InfoSetLevels(r[:k, k:], q))
         forms.append((cols, r[:k]))
-    # the one-set rule without averaging certifies a level late
-    late = len(walks) == 1 and cyclic_n is None
     levels = [0] * len(walks)
     best, word, hi_src, work = n + 1, None, INFO_SET, 0
 
@@ -410,7 +412,8 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
         return lo
 
     def certified() -> bool:
-        return best + late <= lo + (self_dual and lo % 2)
+        # a set walked to level k has met every codeword
+        return best <= lo + (self_dual and lo % 2) or k in levels
 
     def meet(weight: int, found: np.ndarray, cols, src: str = INFO_SET) -> None:
         nonlocal best, word, hi_src
@@ -515,51 +518,6 @@ def weight_distribution(code, budget: int | None = None) -> np.ndarray:
     return hist[0]
 
 
-def _coset_offsets(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """All F4-combinations sum(alpha_i row_i), the zero one first, with wt(alpha)."""
-    offs = np.zeros((1, rows.shape[1]), dtype=np.uint8)
-    wts = np.zeros(1, dtype=np.int64)
-    for row in rows:
-        offs = np.vstack([offs] + [offs ^ gf4.MUL_TABLE[c][row] for c in (1, 2, 3)])
-        wts = np.concatenate([wts] + [wts + 1] * 3)
-    return offs, wts
-
-
-def min_weight_difference(code, subcode, budget: int | None = None) -> tuple[int, int]:
-    """Minimum weight over codewords of code not in subcode; returns (d, work).
-
-    subcode must be a proper subcode.  Exact only; raises BudgetExceededError
-    when the required enumeration exceeds the budget.
-    """
-    budget = default_budget() if budget is None else budget
-    g_sup = linalg.row_basis(_generators(code)[0])
-    g_sub = linalg.row_basis(_generators(subcode)[0])
-    k_sup, k_sub = g_sup.shape[0], g_sub.shape[0]
-    if k_sub and not linalg.is_subspace(g_sub, g_sup):
-        raise InputError("subcode is not contained in code")
-    if k_sub == k_sup:
-        raise InputError("difference is empty: subcode equals code")
-    codim = k_sup - k_sub
-    if 4**codim - 1 <= 63 and k_sub > 0:
-        reps = linalg.complement_basis(g_sub, g_sup)
-        offsets = _coset_offsets(reps)[0][1:]
-        hist, work = weight_histograms(g_sub, offsets=offsets, budget=budget)
-        d = min(_first_nonzero_weight(hist[j], skip_zero=False) for j in range(hist.shape[0]))
-        return d, work
-    hist_sup, w1 = weight_histograms(g_sup, budget=budget)
-    if k_sub:
-        hist_sub, w2 = weight_histograms(g_sub, budget=budget)
-    else:
-        hist_sub = np.zeros_like(hist_sup[0])
-        hist_sub[0] = 1
-        hist_sub = hist_sub[None, :]
-        w2 = 1
-    diff = hist_sup[0] - hist_sub[0]
-    if (diff < 0).any():
-        raise InvariantError("histogram difference went negative; not a subcode?")
-    return _first_nonzero_weight(diff, skip_zero=False), w1 + w2
-
-
 # ---------------------------------------------------------------------------
 # duadic ingredient pass: one walk gives d(C_e), d_o and the weight parities
 # ---------------------------------------------------------------------------
@@ -625,64 +583,86 @@ def even_lift(b: DistanceBound) -> DistanceBound:
 
 
 # ---------------------------------------------------------------------------
-# extensions: the one place a k = 0 distance gets certified
+# extensions: the one place an extension's distance gets certified
 # ---------------------------------------------------------------------------
 
-def extension_weight_distribution(g: np.ndarray, f_rows: np.ndarray, budget: int | None = None) -> tuple[list[int], int]:
-    """Weight distribution of the code spanned by the rows (g | 0) and (f_i | e_i).
-
-    One pass over span(g) with the offsets sum(alpha_i f_i): the words of
-    weight w are those of coset j with weight w - wt(alpha_j), so
-    A_w = sum_j hist_j[w - wt(alpha_j)].  Returns (A, work).
-    """
-    offsets, alpha_wts = _coset_offsets(f_rows)
-    hist, work = weight_histograms(g, offsets=offsets, budget=budget)
-    a = np.zeros(hist.shape[1] + f_rows.shape[0], dtype=np.int64)
-    for row, shift in zip(hist, alpha_wts):
-        a[shift : shift + hist.shape[1]] += row
-    return [int(x) for x in a], work
+PURE_YES = "yes"
+PURE_NO = "no"
+PURE_UNKNOWN = "unknown"
 
 
-def _check_macwilliams(a: list[int]) -> None:
-    """Check a Hermitian self-dual [N, N/2] code's weight distribution A_w.
+def _check_macwilliams(a: list[int], b: list[int] | None = None, q: int = 4) -> None:
+    """Check the weight distributions A_w of a code C and B_w of its dual.
 
-    Such a code has 2^N words and equals its dual, so its weight enumerator
-    satisfies W(x, y) = 2^-N W(x + 3y, x - y); both are checked in exact
-    integer arithmetic.  The transform sum_w A_w (x + 3y)^(N-w) (x - y)^w is
-    built by Horner's rule in x - y, as coefficients of y^i.
+    The dual is the Hermitian one over GF(4) (q = 4) and the Euclidean one
+    over GF(2) (q = 2); b None means a self-dual code, B = A.  A code of
+    length N and its dual have |C| |C^perp| = q^N words, and
+        |C| B_i = [y^i] sum_w A_w (x + (q - 1) y)^(N-w) (x - y)^w;
+    both are checked in exact integer arithmetic.  The transform is built by
+    Horner's rule in x - y, as coefficients of y^i.
     """
     big_n = len(a) - 1
-    if sum(a) != 2**big_n:
-        raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{big_n}")
+    bits = q.bit_length() - 1
+    if b is None:
+        b = a
+        if sum(a) ** 2 != q**big_n:
+            raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{bits * big_n // 2}")
+    elif sum(a) * sum(b) != q**big_n:
+        raise InvariantError(f"weight distributions sum to {sum(a)} and {sum(b)}, "
+                             f"whose product is not 2^{bits * big_n}")
     t = [0] * (big_n + 1)
     for w in range(big_n, -1, -1):
         t = [t[0]] + [t[i] - t[i - 1] for i in range(1, big_n + 1)]
         for i in range(big_n - w + 1):
-            t[i] += a[w] * math.comb(big_n - w, i) * 3**i
+            t[i] += a[w] * math.comb(big_n - w, i) * (q - 1) ** i
     for i in range(big_n + 1):
-        if t[i] != 2**big_n * a[i]:
+        if t[i] != sum(a) * b[i]:
             raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
 
 
-def _coset_pass(ext, budget: int) -> tuple[int, int, str]:
-    """Exact distance of a Hermitian self-dual extension from its weight
-    distribution (extension_weight_distribution over the 4^e cosets of C),
-    checked against MacWilliams; returns (d, work, note)."""
-    k = ext.original.shape[0]
-    a, work = extension_weight_distribution(ext.original, ext.extended[k:, : ext.n - ext.e], budget)
-    _check_macwilliams(a)
-    d = next(w for w in range(1, len(a)) if a[w])
-    return d, work, f"d = min over cosets of (coset weight + unit weight) = {d} [exact]"
+def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
+    """The exact pass of an extension: one walk of the extended [N, K] code
+    for its weight distribution A and, unless the code is self-dual, one of
+    its Hermitian dual (ext.extended_dual) for B, checked against
+    MacWilliams; returns (d, work, note, pure).
+
+    q = 2 walks the binary spans of binary generators: a binary generator
+    spans a GF(4) code of the distance of its binary span, the Hermitian
+    dual of that code is spanned by the binary Euclidean dual, and a word
+    a + omega b outside the dual has a or b outside it, neither heavier, so
+    the weight outside the dual agrees too.  The work is q^K, plus
+    q^(N - K) for the dual.  Since the dual lies in the code, A_w >= B_w,
+    and d is the first w >= 1 with A_w > B_w; a self-dual code's d is its
+    first nonzero weight.  The stabilizer code is pure when d is the
+    extended code's own distance.
+    """
+    walk = weight_histograms if q == 4 else weight_histograms_binary
+    hist, work = walk(ext.extended, budget=budget)
+    a = [int(x) for x in hist[0]]
+    first = _first_nonzero_weight(hist[0], skip_zero=True)
+    if 2 * ext.k == ext.n:
+        _check_macwilliams(a, q=q)
+        return first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]", PURE_YES
+    hist, dual_work = walk(ext.extended_dual, budget=budget)
+    b = [int(x) for x in hist[0]]
+    _check_macwilliams(a, b, q)
+    d = next((w for w in range(1, len(a)) if a[w] > b[w]), None)
+    if d is None:
+        raise InvariantError("the extended code has no word outside its dual")
+    note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
+    return d, work + dual_work, note, PURE_YES if d == first else PURE_NO
 
 
 @dataclass(frozen=True)
 class ExtensionDistance:
     """An extension's distance with an account of it (note): the exact
-    pass's, or that of the bound that replaced the pass (bounded)."""
+    pass's, or that of the bound that replaced the pass (bounded); and
+    whether the stabilizer code is pure (PURE_YES, PURE_NO, PURE_UNKNOWN)."""
 
     bound: DistanceBound
     note: str
     bounded: bool
+    pure: str
 
 
 def _maps_into(r: np.ndarray, rows: np.ndarray) -> bool:
@@ -769,42 +749,60 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
         found += f", even: d >= {lifted.lo}"
     note = (f"information set and complement of the extended [{big_n},{big_k}] code, "
             f"levels {b.levels[0]} and {b.levels[1]}: {found}")
-    return ExtensionDistance(lifted, note=note, bounded=True)
+    return ExtensionDistance(lifted, note=note, bounded=True, pure=PURE_YES)
 
 
 def extension_distance(ext, budget: int, exact=None, code=None, sum_code=None) -> ExtensionDistance:
     """Distance of the extension ext of a code C (an Extension: original,
-    the RREF basis of C; extended; e).
+    the RREF basis of C; extended; extended_dual; e): the least weight of
+    the extended code outside its Hermitian dual, which is the whole code
+    when it is self-dual (k = 0).
 
     exact is (words, run) or None: when words <= budget, run() makes one
-    exact pass and returns (d, work, note).  A Hermitian self-dual extension
-    (2K = N, k = 0) given no pass with e <= 5 takes the coset pass
-    (_coset_pass, 4^dim(C) words, checked against MacWilliams).  Without an
-    exact pass in the budget a self-dual extension is bounded by the
-    information-set search on its generator (_self_dual_bound), and any
-    other by d >= min(d(C), d(C + C^perp_h) + 1), where code is C and
-    sum_code is C + C^perp_h or None for the full space.  A self-dual code
-    is even, so an odd exact distance is an invariant failure.
+    exact pass and returns (d, work, note, pure).
+    Without it the exact pass is _extension_pass, which walks the extended
+    [N, K] code and, when k > 0, its dual: q^K or q^K + q^(N - K) words,
+    with q = 2 when both generator sets are binary.  Below the pass a
+    self-dual extension is bounded by the information-set search on its
+    generator (_self_dual_bound).  Any other is bounded by
+    d >= min(d(C), d(C + C^perp_h) + 1), where code is C, bounded by the
+    one-set search (_info_set_bounds, which also returns a witness), and
+    sum_code is C + C^perp_h or None for the full space; C is searched once
+    when e = 0, since then C + C^perp_h = C.  Its hi is the weight of C's
+    witness, padded by e zeros, when the Gram test puts that word outside
+    the extended dual, and the code is pure exactly when lo = hi, since lo
+    bounds every nonzero word of the extended code.  A self-dual code is
+    even, so an odd exact distance is an invariant failure.
     """
-    self_dual = 2 * ext.extended.shape[0] == ext.extended.shape[1]
-    if self_dual and exact is None and ext.e <= 5:
-        exact = (4 ** ext.original.shape[0], lambda: _coset_pass(ext, budget))
-    if exact is not None and exact[0] <= budget:
-        d, work, note = exact[1]()
+    self_dual = 2 * ext.k == ext.n
+    if exact is None:
+        q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
+        words = q**ext.k + (0 if self_dual else q ** (ext.n - ext.k))
+        exact = (words, lambda: _extension_pass(ext, q, budget))
+    if exact[0] <= budget:
+        d, work, note, pure = exact[1]()
         if self_dual and d % 2:
             raise InvariantError(f"Hermitian self-dual code with odd minimum distance {d}")
-        return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False)
+        return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False, pure=pure)
     if self_dual:
         return _self_dual_bound(ext, budget)
-    d_c = min_distance_exact(code, budget=budget)
-    d_sum = DistanceBound.exact_value(1) if sum_code is None else min_distance_exact(sum_code, budget=budget)
-    if d_c.lo <= d_sum.lo + 1:
-        lo, lo_src = d_c.lo, d_c.lo_src
-    else:
-        lo, lo_src = d_sum.lo + 1, d_sum.lo_src
-    bound = DistanceBound(lo=lo, hi=None, lo_src=lo_src, hi_src=BUDGET, work=d_c.work + d_sum.work)
-    note = f"d >= min(d(C) >= {d_c.lo}, d(C + dual) + 1 >= {d_sum.lo + 1})"
-    return ExtensionDistance(bound, note=note, bounded=True)
+    g, field = _generators(code)
+    d_c = _info_set_bounds(linalg.row_basis(g), field, budget,
+                           cyclic_n=g.shape[1] if isinstance(code, CyclicCode) else None)
+    lo, lo_src, work = d_c.lo, d_c.lo_src, d_c.work
+    note = f"d >= d(C) >= {d_c.lo}"
+    if ext.e:
+        d_sum = DistanceBound.exact_value(1) if sum_code is None else min_distance_exact(sum_code, budget=budget)
+        work += d_sum.work
+        if d_sum.lo + 1 < lo:
+            lo, lo_src = d_sum.lo + 1, d_sum.lo_src
+        note = f"d >= min(d(C) >= {d_c.lo}, d(C + dual) + 1 >= {d_sum.lo + 1})"
+    hi, hi_src = None, BUDGET
+    if d_c.word is not None and linalg.gram_matrix(np.pad(d_c.word, (0, ext.e)), ext.extended).any():
+        hi, hi_src = d_c.hi, d_c.hi_src
+        note += f", a word of C outside the dual: d <= {hi}"
+    bound = DistanceBound(lo=lo, hi=hi, lo_src=lo_src, hi_src=hi_src, work=work)
+    return ExtensionDistance(bound, note=note, bounded=True, pure=PURE_YES if hi == lo else PURE_UNKNOWN)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ matrices are plain numpy uint8 arrays of symbols; the packed bit-plane view
 used by the distance kernels is produced by ``pack_planes``.
 
 All values are immutable by convention: functions never mutate their inputs,
-so arrays may be shared freely across workers.
+so arrays may be shared freely between callers.
 """
 
 from __future__ import annotations

@@ -11,10 +11,10 @@ Distance reporting is bound-honest: exact values appear only when the
 enumeration budget allowed computing them; otherwise lower bounds carry the
 provenance of the theorem or budget that produced them.  k = 0 outputs are
 Hermitian self-dual, hence even-weight, and lower bounds are lifted to even.
-Every k = 0 distance is certified by one call, distance.extension_distance,
-so one self-orthogonal code gets one bound from general_zero_dim,
-extend_nearly_self_orthogonal and, when it is self-dual,
-quantum_from_dual_containing.
+Every distance of an extension, k = 0 or not, is certified by one call,
+distance.extension_distance, so one self-orthogonal code gets one bound
+from general_zero_dim, extend_nearly_self_orthogonal and, when it is
+self-dual, quantum_from_dual_containing.
 """
 
 from __future__ import annotations
@@ -27,18 +27,9 @@ import numpy as np
 from . import distance as dist
 from . import gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, dual_defining_set
-from .distance import BUDGET, LITERATURE, PARITY, DistanceBound
+from .distance import BUDGET, LITERATURE, PARITY, PURE_NO, PURE_UNKNOWN, PURE_YES, DistanceBound
 from .duadic import DuadicPair, Splitting, duadic_from_splitting
-from .errors import (
-    BudgetExceededError,
-    InputError,
-    InvariantError,
-    NotApplicableError,
-)
-
-PURE_YES = "yes"
-PURE_NO = "no"
-PURE_UNKNOWN = "unknown"
+from .errors import InputError, InvariantError, NotApplicableError
 
 
 @dataclass(frozen=True)
@@ -185,11 +176,12 @@ def extend_nearly_self_orthogonal(
     code, budget: int | None = None
 ) -> tuple[Extension, QuantumParams]:
     """Extend a code to a Hermitian dual-containing one and read off the
-    stabilizer parameters [[n+e, 2k-n+e]].  The extension is self-dual
-    (k = 0) exactly when the code is self-orthogonal, and then its distance
-    is general_zero_dim's: the coset pass when it fits the budget, else the
-    information-set search on the extended generator.  Any other extension
-    is bounded by d >= min(d(C), d(C + C^perp_h) + 1)."""
+    stabilizer parameters [[n+e, 2k-n+e]].  extension_distance certifies
+    the distance: the exact pass over the extended code (and its dual when
+    k > 0) when it fits the budget.  Below it a self-dual extension (k = 0,
+    exactly when the code is self-orthogonal, with general_zero_dim's
+    bound) takes the information-set search on the extended generator, and
+    any other is bounded by d >= min(d(C), d(C + C^perp_h) + 1)."""
     budget = dist.default_budget() if budget is None else budget
     ext, dual = _extend(code)
     g = ext.original
@@ -205,10 +197,9 @@ def extend_nearly_self_orthogonal(
             code=code if isinstance(code, CyclicCode) else g,
             sum_code=None if sum_space.shape[0] == n else sum_space,
         )
-        line = f"bound: {cert.note}"
+        line = f"bound: {cert.note}" if cert.bounded else cert.note
     params = QuantumParams(
-        n=n + ext.e, k=kq, d=cert.bound,
-        pure=PURE_YES if kq == 0 else PURE_UNKNOWN,
+        n=n + ext.e, k=kq, d=cert.bound, pure=cert.pure,
         trace=(f"extension: input [{n},{k}], e={ext.e}", line),
     )
     return ext, params
@@ -221,7 +212,9 @@ def extend_nearly_self_orthogonal(
 def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumParams:
     """[[n, 2k-n, d']] from a dual-containing [n, k] code; d' is the minimum
     weight outside the dual.  A self-dual input (2k = n) is its own
-    self-orthogonal code, and its [[n, 0]] parameters are general_zero_dim's."""
+    self-orthogonal code, and its [[n, 0]] parameters are general_zero_dim's;
+    any other extends with e = 0 to itself, and its parameters are
+    extend_nearly_self_orthogonal's."""
     budget = dist.default_budget() if budget is None else budget
     g = linalg.row_basis(dist._generators(code)[0])
     k, n = g.shape
@@ -239,28 +232,9 @@ def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumPara
     trace = [f"dual-containing [{n},{k}] -> [[{n},{kq}]]"]
     if kq == 0:
         params, _ = general_zero_dim(code, budget=budget)
-        return replace(params, trace=tuple(trace) + params.trace)
-    try:
-        d_prime, work = dist.min_weight_difference(g, dual, budget=budget)
-        d_code = dist.min_distance_exact(code if isinstance(code, CyclicCode) else g, budget=budget)
-        pure = PURE_YES if (d_code.exact and d_code.lo == d_prime) else (
-            PURE_NO if d_code.exact else PURE_UNKNOWN
-        )
-        trace.append(f"d' = min weight in C minus dual = {d_prime}")
-        return QuantumParams(
-            n=n, k=kq,
-            d=DistanceBound.exact_value(d_prime, work=work),
-            pure=pure, trace=tuple(trace),
-        )
-    except BudgetExceededError:
-        d_code = dist.min_distance_exact(code if isinstance(code, CyclicCode) else g, budget=budget)
-        trace.append(f"budget-limited: d' >= d(C) >= {d_code.lo}")
-        return QuantumParams(
-            n=n, k=kq,
-            d=DistanceBound(lo=d_code.lo, hi=None, lo_src=d_code.lo_src,
-                            hi_src=BUDGET, work=d_code.work),
-            pure=PURE_UNKNOWN, trace=tuple(trace),
-        )
+    else:
+        _, params = extend_nearly_self_orthogonal(code, budget=budget)
+    return replace(params, trace=tuple(trace) + params.trace)
 
 
 def _mu2_splitting_of(code: CyclicCode) -> Splitting:
@@ -317,9 +291,11 @@ def extended_duadic_quantum(
         # odd-like cosets padded by a unit
         dist._check_macwilliams([e + c for e, c in zip(dd.even_hist + (0,), (0,) + dd.coset_hist)])
         d = min(dd.d_even, dd.d_min_odd_coset + 1)
-        return d, dd.work, f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
+        note = f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
+        return d, 4 * dd.work, note, PURE_YES
 
-    cert = dist.extension_distance(ext, budget, exact=(4**pair.even1.dim, duadic_pass))
+    # the pass walks the even-like span with 4 offsets: 4^(dim + 1) words
+    cert = dist.extension_distance(ext, budget, exact=(4 ** (pair.even1.dim + 1), duadic_pass))
     trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
     params = QuantumParams(n=n + 1, k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return params, sd
@@ -331,8 +307,9 @@ def general_zero_dim(
     """[[2(n-k), 0, d]] from a self-orthogonal [n, k] code, d even and
     d >= min(d(C), d(C^perp_h) + 1); also yields the classical Hermitian
     self-dual [2(n-k), n-k] code.  extension_distance certifies d: exact
-    from the coset pass when its 4^k words fit the budget and e <= 5, else
-    bounded by the information-set search on the self-dual code."""
+    from the pass over the extended code when its q^(n-k) words fit the
+    budget (q = 2 for a binary generator, else 4), else bounded by the
+    information-set search on the self-dual code."""
     budget = dist.default_budget() if budget is None else budget
     g = linalg.row_basis(dist._generators(code)[0])
     k, n = g.shape
@@ -388,8 +365,8 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
 
     The quaternary lift shares the defining set (the cosets coincide), its
     Euclidean and Hermitian structure match, and when the extension stays
-    binary-generated the distance of the extended code equals that of its
-    binary span, which enumerates in 2^dim steps instead of 4^dim.
+    binary-generated extension_distance walks its binary span, 2^dim words
+    instead of 4^dim.
     """
     budget = dist.default_budget() if budget is None else budget
     n = a.n
@@ -400,23 +377,14 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
         f"binary cyclic n={n} leaders={list(a.leaders)} lifted to GF(4) (shared cosets)",
         f"extension e={ext.e}",
     ]
-
-    def binary_pass():
-        hist, work = dist.weight_histograms_binary(ext.extended, budget=budget)
-        d = int(np.nonzero(hist[0][1:])[0][0]) + 1
-        return d, work, f"binary enumeration of the extended code: d = {d} [exact]"
-
-    exact = (2**ext.k, binary_pass) if (ext.extended <= 1).all() else None
     if kq == 0:
-        cert = dist.extension_distance(ext, budget, exact=exact)
+        cert = dist.extension_distance(ext, budget)
     else:
         sum_code = CyclicCode(DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2))
-        cert = dist.extension_distance(ext, budget, exact=exact, code=bin_code,
+        cert = dist.extension_distance(ext, budget, code=bin_code,
                                        sum_code=None if sum_code.dim == n else sum_code)
     trace.append(f"budget-limited binary bound: {cert.note}" if cert.bounded else cert.note)
-    out = QuantumParams(n=ext.n, k=kq, d=cert.bound,
-                        pure=PURE_YES if kq == 0 else PURE_UNKNOWN,
-                        trace=tuple(trace))
+    out = QuantumParams(n=ext.n, k=kq, d=cert.bound, pure=cert.pure, trace=tuple(trace))
     return out, ext
 
 

@@ -213,12 +213,6 @@ def test_budget_exceeded_exit_4(capsys, monkeypatch):
     assert err == "budget exceeded: 4^11 = 4194304 exceeds budget 0\n"
 
 
-def test_workers_below_one_exit_2(capsys):
-    code, _, err = run(capsys, "cosets", "-n", "5", "--workers", "0")
-    assert code == 2
-    assert err == "invalid input: worker count must be >= 1\n"
-
-
 def test_quantum_qr_11_exit_3(capsys):
     code, _, err = run(capsys, "quantum", "-n", "11", "--qr")
     assert code == 3
@@ -338,10 +332,6 @@ def test_determinism_byte_identical(capsys):
         _, out, _ = run(capsys, "quantum", "-n", "17", "--duadic-index", "1", "--format", "json")
         outs.add(out)
     assert len(outs) == 1
-    # worker count must not alter output
-    _, out1, _ = run(capsys, "table", "--max-n", "13")
-    _, out2, _ = run(capsys, "table", "--max-n", "13", "--workers", "2")
-    assert out1 == out2
 
 
 def test_unknown_flag_rejected(capsys):

@@ -47,7 +47,7 @@ def test_gray_equals_naive_on_random_codes():
 
 def _offset_set(kind, rng, n):
     if kind == "closed":  # zero and the three multiples of a random word
-        return dist._coset_offsets(rng.integers(0, 4, (1, n)).astype(np.uint8))[0]
+        return gf4.MUL_TABLE[:, rng.integers(0, 4, n)]
     rows = rng.integers(1, 4, (3, n)).astype(np.uint8)
     if kind == "duplicates":
         return rows[[0, 1, 0, 2, 1]]
@@ -125,20 +125,9 @@ def test_histograms_reject_symbols_above_3():
     assert work == 16 and hist.tolist() == [[0, 1, 6, 9]]
 
 
-def test_min_weight_difference():
-    s5 = find_splittings(5)[0]
-    pair = duadic_from_splitting(s5)
-    d, _ = dist.min_weight_difference(pair.odd1, pair.even1)
-    assert d == 3 and d % 2 == 1
-    # difference contains the all-ones vector, so d <= n
-    assert d <= 5
-    with pytest.raises(InputError):
-        dist.min_weight_difference(pair.odd1, pair.odd1)
-    with pytest.raises(InputError):
-        dist.min_weight_difference(pair.even1, pair.odd1)  # not a subcode
-
-
 def test_min_weight_difference_oracle():
+    # the least weight of a code outside a subcode is the first weight w
+    # with A_w(code) > A_w(subcode), the rule of the k > 0 exact pass
     rng = np.random.default_rng(31)
     for _ in range(30):
         n = int(rng.integers(4, 12))
@@ -146,7 +135,9 @@ def test_min_weight_difference_oracle():
         if sup.shape[0] < 2:
             continue
         sub = sup[:-1]
-        d, _ = dist.min_weight_difference(sup, sub)
+        a, b = dist.weight_distribution(sup), dist.weight_distribution(sub)
+        assert (a >= b).all()
+        d = next(w for w in range(1, n + 1) if a[w] > b[w])
         sub_words = set(oracle.span_words([list(r) for r in sub]))
         best = min(
             oracle.weight(w)
@@ -157,10 +148,13 @@ def test_min_weight_difference_oracle():
 
 
 def test_n13_min_weight_difference_example():
+    # the odd-like n = 13 QR code contains its Hermitian dual, the even-like
+    # code, so the k > 0 pass's d' is the odd-like weight d_o
     s13 = qr_splitting(13)
     pair = duadic_from_splitting(s13)
-    d_o, _ = dist.min_weight_difference(pair.odd1, pair.even1)
-    assert d_o == 5
+    q = quantum.quantum_from_dual_containing(pair.odd1)
+    d_o = dist.duadic_distances(s13).d_min_odd_coset
+    assert q.d.exact and q.d.lo == d_o == 5
     assert d_o * d_o - d_o + 1 >= 13
 
 
@@ -333,30 +327,51 @@ def test_info_set_reaches_exactness():
     g[0, 6] = 1  # weight-2 row; everything else weight 1... make it distance 1
     b = dist.min_distance_exact(g, budget=4**6 - 1)  # force the info-set path
     assert b.exact and b.lo == 1 and b.lo_src == dist.INFO_SET
+    # a set walked to level k has met every word: the [10, 2, 6] code's
+    # levels 1 and 2 (4^2 - 1 messages) prove only d >= 3, yet d = 6
+    g = np.array([[1, 1, 1, 1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 1, 1, 1]], dtype=np.uint8)
+    b = dist._info_set_bounds(g, 4, 4**2 - 1)
+    assert b.exact and (b.lo, b.work) == (oracle.min_distance(g.tolist()), 15) == (6, 15)
+    # the full space has no parity columns
+    b = dist._info_set_bounds(np.eye(3, dtype=np.uint8), 4, 9)
+    assert b.exact and (b.lo, b.work) == (1, 9)
 
 
 # (lo, hi, work, lo_src) of the one-set search at budgets 0, 100, 4096 and
-# 10^5, as reported by the itertools search that the engine replaced
+# 10^5, with the distance of the code where it is known
 _B, _I = dist.BUDGET, dist.INFO_SET
 ONE_SET_PINNED = {
+    (4, 13, (1,)): (5, [(1, None, 0, _B), (2, 5, 21, _B), (5, 5, 3990, _I), (5, 5, 3990, _I)]),
+    (4, 17, (1, 3)): (7, [(1, None, 0, _B), (2, 7, 27, _B), (4, 7, 2619, _B), (6, 7, 43443, _B)]),
+    (4, 23, (1,)): (7, [(1, None, 0, _B), (2, 7, 36, _B), (3, 7, 630, _B), (5, 7, 46665, _B)]),
+    (4, 29, (1,)): (11, [(1, None, 0, _B), (2, 11, 45, _B), (3, 11, 990, _B), (4, 11, 13275, _B)]),
+    (4, 31, (1,)): (3, [(1, None, 0, _B), (2, 3, 78, _B), (3, 3, 3003, _I), (3, 3, 3003, _I)]),
+    (4, 41, (1,)): (6, [(1, None, 0, _B), (2, 7, 93, _B), (2, 7, 93, _B), (3, 6, 4278, _B)]),
+    (2, 21, (1,)): (3, [(1, None, 0, _B), (2, 3, 15, _B), (3, 3, 120, _I), (3, 3, 120, _I)]),
+    (2, 23, (1,)): (7, [(1, None, 0, _B), (3, 7, 78, _B), (7, 7, 2509, _I), (7, 7, 2509, _I)]),
+    (2, 31, (1,)): (3, [(1, None, 0, _B), (2, 3, 26, _B), (3, 3, 351, _I), (3, 3, 351, _I)]),
+    # the Hermitian duals extended for the paper's [[144,0]] and [[126,0]]
+    # codes, whose distances are not known
+    ("dual", 141, (2, 3, 10)): (None, [(1, None, 0, _B), (1, None, 0, _B), (2, 28, 207, _B),
+                                       (3, 28, 21321, _B)]),
+    ("dual", 123, (1, 2, 6, 7, 9, 11)): (None, [(1, None, 0, _B), (1, None, 0, _B), (2, 40, 180, _B),
+                                                (3, 38, 16110, _B)]),
+}
+# the rows the former one-set rule, exact once best <= w (a level late),
+# gave where they differ
+LATE_RULE = {
     (4, 13, (1,)): [(1, None, 0, _B), (2, 5, 21, _B), (5, 5, 3990, _B), (5, 5, 9093, _I)],
-    (4, 17, (1, 3)): [(1, None, 0, _B), (2, 7, 27, _B), (4, 7, 2619, _B), (6, 7, 43443, _B)],
-    (4, 23, (1,)): [(1, None, 0, _B), (2, 7, 36, _B), (3, 7, 630, _B), (5, 7, 46665, _B)],
-    (4, 29, (1,)): [(1, None, 0, _B), (2, 11, 45, _B), (3, 11, 990, _B), (4, 11, 13275, _B)],
     (4, 31, (1,)): [(1, None, 0, _B), (2, 3, 78, _B), (3, 3, 3003, _B), (3, 3, 73203, _I)],
-    (4, 41, (1,)): [(1, None, 0, _B), (2, 7, 93, _B), (2, 7, 93, _B), (3, 6, 4278, _B)],
     (2, 21, (1,)): [(1, None, 0, _B), (2, 3, 15, _B), (3, 3, 575, _I), (3, 3, 575, _I)],
     (2, 23, (1,)): [(1, None, 0, _B), (3, 7, 78, _B), (7, 7, 3301, _I), (7, 7, 3301, _I)],
     (2, 31, (1,)): [(1, None, 0, _B), (2, 3, 26, _B), (3, 3, 2951, _I), (3, 3, 2951, _I)],
-    # the Hermitian duals extended for the paper's [[144,0]] and [[126,0]] codes
-    ("dual", 141, (2, 3, 10)): [(1, None, 0, _B), (1, None, 0, _B), (2, 28, 207, _B), (3, 28, 21321, _B)],
-    ("dual", 123, (1, 2, 6, 7, 9, 11)): [(1, None, 0, _B), (1, None, 0, _B), (2, 40, 180, _B),
-                                          (3, 38, 16110, _B)],
 }
 
 
 @pytest.mark.parametrize("key", list(ONE_SET_PINNED), ids=str)
 def test_one_set_search_matches_pinned(key):
+    # exact once best <= lo: against the former rule every row keeps the
+    # same or a tighter interval for the same or lower work
     q, n, leaders = key
     if q == "dual":
         code = CyclicCode(dual_defining_set(DefiningSet.from_leaders(n, leaders)))
@@ -364,7 +379,13 @@ def test_one_set_search_matches_pinned(key):
         code = CyclicCode(DefiningSet.from_leaders(n, leaders, q=q))
     g = linalg.row_basis(code.gen_matrix)
     got = [dist._info_set_bounds(g, code.q, budget) for budget in (0, 100, 4096, 10**5)]
-    assert [(b.lo, b.hi, b.work, b.lo_src) for b in got] == ONE_SET_PINNED[key]
+    d, pinned = ONE_SET_PINNED[key]
+    assert [(b.lo, b.hi, b.work, b.lo_src) for b in got] == pinned
+    for b, (lo, hi, work, _) in zip(got, LATE_RULE.get(key, pinned)):
+        assert b.lo >= lo and (hi is None or b.hi <= hi) and b.work <= work
+        if d is not None:
+            assert b.lo <= d <= (n if b.hi is None else b.hi)
+            assert not b.exact or b.lo == d
 
 
 def _extension_generators():

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duadiq import distance as dist
-from duadiq import gf4, linalg, quantum
+from duadiq import _kernels, gf4, linalg, quantum
 from duadiq.cyclic import (
     CyclicCode,
     apply_multiplier,
@@ -143,6 +144,120 @@ def test_quantum_from_dual_containing_k_positive():
 def test_quantum_from_dual_containing_rejects():
     with pytest.raises(NotApplicableError):
         quantum.quantum_from_dual_containing(CyclicCode.from_leaders(5, [0]))
+
+
+def _outside_dual_distance(rows):
+    """The oracle's least weight of a word of span(rows) that is not
+    orthogonal to every row, that is, outside the Hermitian dual."""
+    return min(oracle.weight(w) for w in oracle.span_words(rows)
+               if any(oracle.inner(w, r) for r in rows))
+
+
+def test_dual_containing_pass_matches_oracle():
+    # the k > 0 exact pass on the Hermitian duals of the searched codes
+    # (dual containing, K <= 7) and on column-permuted copies, against the
+    # oracle; the code is pure exactly when d' is its own distance.  The
+    # extended generators of random codes, dual containing by construction,
+    # add impure cases
+    rng = np.random.default_rng(23)
+    inputs = []
+    for n in range(3, 16, 2):
+        for code in (CyclicCode(a) for a in _search_sets(n)):
+            if code.dim <= 7:
+                inputs += [code.gen_matrix, code.gen_matrix[:, rng.permutation(n)]]
+    assert len(inputs) == 12
+    while len(inputs) < 32:
+        n = int(rng.integers(3, 8))
+        ext = quantum._extend(rng.integers(0, 4, (int(rng.integers(1, n)), n)).astype(np.uint8))[0]
+        if ext.k <= 5 and 2 * ext.k > ext.n:
+            inputs.append(ext.extended)
+    impure = 0
+    for g in inputs:
+        rows = g.tolist()
+        want = _outside_dual_distance(rows)
+        q = quantum.quantum_from_dual_containing(g)
+        assert q.k > 0 and q.d.exact and q.d.lo == want, rows
+        assert q.pure == ("yes" if oracle.min_distance(rows) == want else "no")
+        field = 2 if max(map(max, rows)) <= 1 else 4
+        big_k, big_n = linalg.rank(g), g.shape[1]
+        assert q.d.work == field**big_k + field ** (big_n - big_k)
+        impure += q.pure == "no"
+    assert impure > 0, impure
+    # outside the even-like dual of an odd-like duadic code lie its odd-like cosets
+    for n in range(5, 24, 2):
+        for s in find_splittings(n):
+            if s.has_multiplier(-2):
+                q = quantum.quantum_from_dual_containing(duadic_from_splitting(s).odd1)
+                assert q.d.exact and q.d.lo == dist.duadic_distances(s).d_min_odd_coset, n
+
+
+def _moved_word(walk, call, w_from, w_to):
+    """walk, with one word of its call-th result (counted from 0) moved from
+    weight w_from to w_to; the list returned grows by one per call."""
+    calls = []
+
+    def corrupted(*args, **kwargs):
+        hist, work = walk(*args, **kwargs)
+        calls.append(args)
+        if len(calls) == call + 1:
+            hist = hist.copy()
+            assert hist[0, w_from] > 0
+            hist[0, w_from] -= 1
+            hist[0, w_to] += 1
+        return hist, work
+    return corrupted, calls
+
+
+def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
+    # the k > 0 pair: a word of the [13, 6] dual of the odd-like [13, 7]
+    # code moved from weight 6 to 8 keeps both counts and breaks the identity
+    pair = _mu2_pairs(13)[0]
+    corrupted, calls = _moved_word(dist.weight_histograms, 1, 6, 8)
+    monkeypatch.setattr(dist, "weight_histograms", corrupted)
+    with pytest.raises(InvariantError, match="MacWilliams"):
+        quantum.quantum_from_dual_containing(pair.odd1)
+    assert len(calls) == 2
+    # the binary self-dual pass of the [[8,0,4]] code walks its 2^4 binary words
+    a = DefiningSet(7, qr_splitting(7).s1.members | {0})
+    corrupted, calls = _moved_word(dist.weight_histograms_binary, 0, 4, 2)
+    monkeypatch.setattr(dist, "weight_histograms_binary", corrupted)
+    with pytest.raises(InvariantError, match="MacWilliams"):
+        quantum.binary_cyclic_quantum(a)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    p, _ = quantum.binary_cyclic_quantum(a)
+    assert p.params_str() == "[[8,0,4]]" and p.d.work == 2**4
+
+
+def _counted_kernels(mp):
+    """Wrap both Gray-walk kernels with mp; the returned list gets the
+    words each call evaluated, the counts of its histograms."""
+    walked = []
+
+    def counting(kernel):
+        def run(*args):
+            hist = kernel(*args)
+            walked.append(int(hist.sum()))
+            return hist
+        return run
+
+    for name in ("gray_weight_hists", "gray_weight_hists_binary"):
+        mp.setattr(_kernels, name, counting(getattr(_kernels, name)))
+    return walked
+
+
+def test_budget_bounds_the_words_walked(monkeypatch):
+    # n = 25, leader 1: the [25, 10] ingredient extends by e = 5 to a
+    # [30, 15] code, whose 4^15 words do not fit 4^10, so no pass runs and
+    # the search certifies d; n = 35, leaders 1, 2, 5: a [40, 20] binary
+    # extension, whose 2^20 binary words fit the default budget
+    walked = _counted_kernels(monkeypatch)
+    p, _ = quantum.cyclic_zero_dim(DefiningSet.from_leaders(25, [1]), budget=4**10)
+    assert sum(walked) <= 4**10 and p.d.work <= 4**10
+    assert p.d.exact and p.d.lo == 4
+    walked.clear()
+    p, _ = quantum.cyclic_zero_dim(DefiningSet.from_leaders(35, [1, 2, 5]))
+    assert p.params_str() == "[[40,0,8]]" and p.d.work == sum(walked) == 2**20
 
 
 def test_route_equivalence_small():
@@ -496,7 +611,9 @@ def test_self_dual_search_stops_at_even_distance():
 
 def test_non_cyclic_copy_keeps_two_set_bound():
     # swapping two coordinates of a cyclic ingredient (no multiplier does
-    # that) leaves a code that is not cyclic: no averaging, today's bound
+    # that) leaves a code that is not cyclic: no averaging, today's bound.
+    # The search runs below the exact pass, which walks the 2^12 and 2^16
+    # words of the binary n = 23 and n = 31 extensions
     for n in (23, 29, 31):
         even = _mu2_pairs(n)[0].even1
         g = even.gen_matrix[:, [1, 0] + list(range(2, n))]
@@ -505,7 +622,7 @@ def test_non_cyclic_copy_keeps_two_set_bound():
         info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, gen.shape[1]))
         sets = [info, sorted(set(range(gen.shape[1])) - set(info))]
         q = 2 if (gen <= 1).all() else 4
-        for budget in (0, 4096, 65536):
+        for budget in sorted({min(b, q ** gen.shape[0] - 1) for b in (0, 4096, 65536)}):
             got = dist.extension_distance(ext, budget)
             assert got.bound == dist.even_lift(dist._info_set_bounds(gen, q, budget, sets=sets,
                                                                      self_dual=True))
@@ -588,6 +705,50 @@ def test_general_zero_dim_brackets_random_self_orthogonal(seed, budget):
     params, sd = quantum.general_zero_dim(code, budget=budget)
     assert params.k == 0
     _assert_brackets(params.d, _exact_distance(sd.gen), params.n, max(budget, params.d.work))
+
+
+@functools.lru_cache(maxsize=None)
+def _enumerable_search_sets():
+    """The searched A with n <= 41 whose [[2(n-|A|), 0]] code full
+    enumeration certifies: K <= 10, or a binary generator with K <= 20."""
+    out = []
+    for n in range(3, 42, 2):
+        for a in _search_sets(n):
+            gen = quantum._extend(CyclicCode(dual_defining_set(a)))[0].extended
+            if gen.shape[0] <= 10 or ((gen <= 1).all() and gen.shape[0] <= 20):
+                out.append(a)
+    return tuple(out)
+
+
+def _enumerated_distance(gen):
+    if (gen <= 1).all() and gen.shape[0] > 6:
+        hist, _ = dist.weight_histograms_binary(gen, budget=2 ** gen.shape[0])
+        return int(np.flatnonzero(hist[0][1:])[0]) + 1
+    return _exact_distance(gen)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(0, 2**16))
+def test_budget_bounds_work_and_walk_random_defining_sets(data, budget):
+    # a random searched defining set and budget through cyclic_zero_dim and,
+    # when A is a mu_-2 half, extended_duadic_quantum: the interval brackets
+    # the enumerated distance, and neither the reported work nor the words
+    # the Gray walk evaluates pass the budget
+    a = data.draw(st.sampled_from(_enumerable_search_sets()))
+    routes = [quantum.cyclic_zero_dim]
+    try:
+        quantum._mu2_splitting_of(CyclicCode(a))
+        routes.append(lambda a, budget: quantum.extended_duadic_quantum(CyclicCode(a), budget=budget))
+    except NotApplicableError:
+        pass
+    for route in routes:
+        with pytest.MonkeyPatch.context() as mp:
+            walked = _counted_kernels(mp)
+            p, sd = route(a, budget=budget)
+        d = _enumerated_distance(sd.gen)
+        assert p.d.lo <= d <= (p.n if p.d.hi is None else p.d.hi), (a, budget, p.d)
+        assert not p.d.exact or p.d.lo == d
+        assert p.d.work <= budget and sum(walked) <= budget
 
 
 def test_extension_radical_is_zassenhaus_intersection():
@@ -721,7 +882,8 @@ def test_quantum_from_dual_containing_budget_limited():
     pair = _mu2_pairs(23)[0]
     q = quantum.quantum_from_dual_containing(pair.odd1, budget=100)
     assert (q.n, q.k) == (23, 1)
-    assert q.d.hi is None and q.pure == "unknown"
+    # hi is the search's witness, a word of C outside the dual
+    assert q.d.lo <= 7 <= q.d.hi
+    assert q.pure == ("yes" if q.d.exact else "unknown")
     exact = quantum.quantum_from_dual_containing(pair.odd1)
     assert exact.d.exact and exact.d.lo == 7
-    assert q.d.lo <= exact.d.lo
