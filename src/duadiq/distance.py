@@ -34,19 +34,21 @@ floor(dk/n) > w, so d >= min(best, ceil((w + 1) n / k)).  A cyclic code's
 own search (min_distance_exact on a CyclicCode) applies this to its one
 window; the extension of a cyclic code applies it to both of its cyclic
 ingredients (_self_dual_bound).  Budgets count words.  An exact pass
-counts the words of the codes it enumerates, 4^dim (2^dim for a binary
-span) each, against the budget and reports them as its work: the duadic
-pass, one span walked with 4 offsets, counts the 4^(dim + 1) words of the
-span with its offsets.  The quaternary walk
-evaluates about a third of them: a word and its nonzero multiples have the
-same weight, so weight_histograms enumerates one word per scaling orbit of
-the span and its offsets.  The information-set search counts the messages
-it covers, comb(x, w) (q - 1)^w for level w over x positions, and likewise
-walks one per scaling orbit.
+counts the words of the code it enumerates, 4^dim (2^dim for a binary
+span), against the budget and reports them as its work.  Each pass walks
+one self-orthogonal code W and takes the weight distribution of its dual
+from the MacWilliams identity (dual_distribution), so of a code and its
+dual only the smaller is walked: the duadic pass walks the even-like code
+alone, 4^dim words, for the odd-like distribution too.  The quaternary
+walk evaluates about a third of the words: a word and its nonzero
+multiples have the same weight, so weight_histograms enumerates one word
+per scaling orbit of the span and its offsets.  The information-set
+search counts the messages it covers, comb(x, w) (q - 1)^w for level w
+over x positions, and likewise walks one per scaling orbit.
 
 The distance of an extension (extension_distance) is certified in one
-place: one exact pass over the extended code, and its dual when k > 0,
-when those words fit the budget, else a search.
+place: one exact pass (_extension_pass) when its words fit the budget,
+else a search.
 
 Results are a pure function of the input and the budget.
 """
@@ -279,6 +281,53 @@ def _first_nonzero_weight(hist_row: np.ndarray, skip_zero: bool) -> int:
     if nz.size == 0:
         raise InvariantError("empty weight histogram")
     return int(nz[0]) + start
+
+
+def dual_distribution(a: list[int], words: int, q: int = 4) -> list[int]:
+    """The weight distribution B of the dual of a code W from W's own, A.
+
+    a is the walked distribution of W, a code of length N = len(a) - 1
+    with words = q^dim(W) words; the dual is the Hermitian one over GF(4)
+    (q = 4) and the Euclidean one over GF(2) (q = 2).  By MacWilliams,
+        |W| B_i = [y^i] sum_w A_w (x + (q - 1) y)^(N-w) (x - y)^w,
+    computed in exact integer arithmetic by Horner's rule in x - y, as
+    coefficients of y^i.  Raises InvariantError unless sum(A) = |W|, every
+    coefficient is divisible by |W|, B_0 = 1 and B_w >= A_w >= 0: W lies in
+    its dual, or is equivalent to a code that does (as the even-like
+    duadic codes are).  A miscounted word breaks the sum; a word moved
+    between weights u and v changes the weight-1 coefficient by q (u - v),
+    which breaks divisibility whenever q^(dim - 1) > N.
+    """
+    big_n = len(a) - 1
+    if sum(a) != words:
+        raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{words.bit_length() - 1}")
+    t = [0] * (big_n + 1)
+    for w in range(big_n, -1, -1):
+        t = [t[0]] + [t[i] - t[i - 1] for i in range(1, big_n + 1)]
+        for i in range(big_n - w + 1 if a[w] else 0):
+            t[i] += a[w] * math.comb(big_n - w, i) * (q - 1) ** i
+    for i in range(big_n + 1):
+        if t[i] % words:
+            raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
+    b = [x // words for x in t]
+    if b[0] != 1 or any(not y >= x >= 0 for x, y in zip(a, b)):
+        raise InvariantError("weight distribution violates the MacWilliams identity: "
+                             "the transform is not that of a code inside its dual")
+    return b
+
+
+def _check_macwilliams(a: list[int], q: int = 4) -> None:
+    """Check the weight distribution A of a self-dual code of length N
+    (Hermitian over GF(4), Euclidean over GF(2)): only even weights, and
+    the MacWilliams transform of A with |C| = q^(N/2) (dual_distribution) is A."""
+    big_n = len(a) - 1
+    odd = [w for w in range(1, big_n + 1, 2) if a[w]]
+    if odd:
+        raise InvariantError(f"self-dual code with a word of odd weight {odd[0]}")
+    b = dual_distribution(a, q ** (big_n // 2), q)
+    wrong = [i for i in range(big_n + 1) if a[i] != b[i]]
+    if wrong:
+        raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {wrong[0]}")
 
 
 # ---------------------------------------------------------------------------
@@ -540,10 +589,16 @@ class DuadicDistances:
 def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = None) -> DuadicDistances:
     """Exact even-like distance and minimum odd-like weight for one side.
 
-    Enumerates the even-like code once, tracking the three cosets of the
-    all-ones vector; d(odd-like) = min(d_even, d_o) since the odd-like code
-    is their union.  Both distances are cached as min_distance_exact would
-    return them, with the work of their own full enumerations.
+    Walks the even-like code C_e once, 4^dim words and their work, and
+    takes the odd-like distribution from MacWilliams (dual_distribution):
+    the dual of C_e1 has defining set -S2, so it is mu_-1 of C_o2, which the
+    splitting's multiplier maps onto C_o1, and hist(C_o1) = MW(hist(C_e1)) /
+    |C_e1|, on either side of any splitting.  The odd-like code is C_e with
+    the three cosets of the all-ones vector, so coset_hist is that
+    distribution minus even_hist, d_o its first nonzero weight and
+    d(odd-like) = min(d_even, d_o).  Both distances are cached as
+    min_distance_exact would return them, with the work of their own full
+    enumerations (4^(dim + 1) for the odd-like code).
     """
     budget = default_budget() if budget is None else budget
     s = splitting.s1 if side == 1 else splitting.s2
@@ -553,22 +608,19 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = N
     if hit is not None:
         return hit
     even = CyclicCode(DefiningSet(n, s.members | {0}))
-    ones = np.ones(n, dtype=np.uint8)
-    offsets = np.vstack([np.zeros(n, dtype=np.uint8), ones, gf4.scalar_mul(2, ones), gf4.scalar_mul(3, ones)])
-    hist, work = weight_histograms(even.gen_matrix, offsets=offsets, budget=budget)
-    d_even = _first_nonzero_weight(hist[0], skip_zero=True)
-    d_o = min(_first_nonzero_weight(hist[j], skip_zero=False) for j in (1, 2, 3))
-    coset_hist = hist[1] + hist[2] + hist[3]
+    hist, work = weight_histograms(even.gen_matrix, budget=budget)
+    even_hist = [int(x) for x in hist[0]]
+    coset_hist = [b - a for a, b in zip(even_hist, dual_distribution(even_hist, work))]
     result = DuadicDistances(
         n=n,
-        d_even=d_even,
-        d_min_odd_coset=d_o,
-        even_hist=tuple(int(x) for x in hist[0]),
-        coset_hist=tuple(int(x) for x in coset_hist),
+        d_even=_first_nonzero_weight(even_hist, skip_zero=True),
+        d_min_odd_coset=_first_nonzero_weight(coset_hist, skip_zero=False),
+        even_hist=tuple(even_hist),
+        coset_hist=tuple(coset_hist),
         work=work,
     )
     _CACHE[key] = result
-    _CACHE[(EXACT, 4, n, even.defining_set.members)] = DistanceBound.exact_value(d_even, work=work)
+    _CACHE[(EXACT, 4, n, even.defining_set.members)] = DistanceBound.exact_value(result.d_even, work=work)
     _CACHE[(EXACT, 4, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=4 * work)
     return result
 
@@ -591,66 +643,59 @@ PURE_NO = "no"
 PURE_UNKNOWN = "unknown"
 
 
-def _check_macwilliams(a: list[int], b: list[int] | None = None, q: int = 4) -> None:
-    """Check the weight distributions A_w of a code C and B_w of its dual.
-
-    The dual is the Hermitian one over GF(4) (q = 4) and the Euclidean one
-    over GF(2) (q = 2); b None means a self-dual code, B = A.  A code of
-    length N and its dual have |C| |C^perp| = q^N words, and
-        |C| B_i = [y^i] sum_w A_w (x + (q - 1) y)^(N-w) (x - y)^w;
-    both are checked in exact integer arithmetic.  The transform is built by
-    Horner's rule in x - y, as coefficients of y^i.
-    """
-    big_n = len(a) - 1
-    bits = q.bit_length() - 1
-    if b is None:
-        b = a
-        if sum(a) ** 2 != q**big_n:
-            raise InvariantError(f"weight distribution sums to {sum(a)}, not 2^{bits * big_n // 2}")
-    elif sum(a) * sum(b) != q**big_n:
-        raise InvariantError(f"weight distributions sum to {sum(a)} and {sum(b)}, "
-                             f"whose product is not 2^{bits * big_n}")
-    t = [0] * (big_n + 1)
-    for w in range(big_n, -1, -1):
-        t = [t[0]] + [t[i] - t[i - 1] for i in range(1, big_n + 1)]
-        for i in range(big_n - w + 1):
-            t[i] += a[w] * math.comb(big_n - w, i) * (q - 1) ** i
-    for i in range(big_n + 1):
-        if t[i] != sum(a) * b[i]:
-            raise InvariantError(f"weight distribution violates the MacWilliams identity at weight {i}")
+def _walked(ext) -> np.ndarray:
+    """The generator _extension_pass walks, a self-orthogonal code whose
+    weight distribution gives the extended code's: the dual
+    ext.extended_dual when k > 0, the ingredient C (ext.original) of a
+    self-dual extension with e = 1, and the self-dual extended code itself
+    otherwise."""
+    if 2 * ext.k != ext.n:
+        return ext.extended_dual
+    return ext.original if ext.e == 1 else ext.extended
 
 
 def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
-    """The exact pass of an extension: one walk of the extended [N, K] code
-    for its weight distribution A and, unless the code is self-dual, one of
-    its Hermitian dual (ext.extended_dual) for B, checked against
-    MacWilliams; returns (d, work, note, pure).
+    """The exact pass of an extension: one walk of _walked(ext), whose
+    q^dim words are the work, and the weight distribution A of the extended
+    [N, K] code from it by dual_distribution; returns (d, work, note, pure).
 
     q = 2 walks the binary spans of binary generators: a binary generator
     spans a GF(4) code of the distance of its binary span, the Hermitian
     dual of that code is spanned by the binary Euclidean dual, and a word
     a + omega b outside the dual has a or b outside it, neither heavier, so
-    the weight outside the dual agrees too.  The work is q^K, plus
-    q^(N - K) for the dual.  Since the dual lies in the code, A_w >= B_w,
-    and d is the first w >= 1 with A_w > B_w; a self-dual code's d is its
-    first nonzero weight.  The stabilizer code is pure when d is the
+    the weight outside the dual agrees too.
+
+    k > 0: the walk gives B, the distribution of the dual, and A is its
+    transform.  Since the dual lies in the code, A_w >= B_w, and d is the
+    first w >= 1 with A_w > B_w.  The stabilizer code is pure when d is the
     extended code's own distance.
+
+    Self-dual, e = 1: the walk gives A_C, and dual_distribution the
+    distribution B of C^perp_h = C + <f>, f the one orthonormal complement
+    vector.  The extended words are (c + lambda f | lambda): the first n
+    coordinates run over C^perp_h, and the unit coordinate is nonzero
+    exactly off C, so A_w = A_C[w] + (B - A_C)[w - 1].  With e >= 2 the
+    unit coordinates depend on the coset, so the extended code is walked.
+    A self-dual code's d is its first nonzero weight, and its distribution
+    is checked (_check_macwilliams).
     """
     walk = weight_histograms if q == 4 else weight_histograms_binary
-    hist, work = walk(ext.extended, budget=budget)
-    a = [int(x) for x in hist[0]]
-    first = _first_nonzero_weight(hist[0], skip_zero=True)
-    if 2 * ext.k == ext.n:
-        _check_macwilliams(a, q=q)
-        return first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]", PURE_YES
-    hist, dual_work = walk(ext.extended_dual, budget=budget)
-    b = [int(x) for x in hist[0]]
-    _check_macwilliams(a, b, q)
-    d = next((w for w in range(1, len(a)) if a[w] > b[w]), None)
-    if d is None:
-        raise InvariantError("the extended code has no word outside its dual")
-    note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
-    return d, work + dual_work, note, PURE_YES if d == first else PURE_NO
+    hist, work = walk(_walked(ext), budget=budget)
+    walked = [int(x) for x in hist[0]]
+    if 2 * ext.k != ext.n:
+        b, a = walked, dual_distribution(walked, work, q)
+        d = next((w for w in range(1, len(a)) if a[w] > b[w]), None)
+        if d is None:
+            raise InvariantError("the extended code has no word outside its dual")
+        note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
+        return d, work, note, PURE_YES if d == _first_nonzero_weight(a, skip_zero=True) else PURE_NO
+    a = walked
+    if ext.e == 1:
+        b = dual_distribution(walked, work, q)
+        a = [c + x - y for c, x, y in zip(walked + [0], [0] + b, [0] + walked)]
+    _check_macwilliams(a, q)
+    first = _first_nonzero_weight(a, skip_zero=True)
+    return first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]", PURE_YES
 
 
 @dataclass(frozen=True)
@@ -759,30 +804,29 @@ def extension_distance(ext, budget: int, exact=None, code=None, sum_code=None) -
     when it is self-dual (k = 0).
 
     exact is (words, run) or None: when words <= budget, run() makes one
-    exact pass and returns (d, work, note, pure).
-    Without it the exact pass is _extension_pass, which walks the extended
-    [N, K] code and, when k > 0, its dual: q^K or q^K + q^(N - K) words,
-    with q = 2 when both generator sets are binary.  Below the pass a
-    self-dual extension is bounded by the information-set search on its
-    generator (_self_dual_bound).  Any other is bounded by
+    exact pass and returns (d, work, note, pure); a self-dual pass checks
+    its weight distribution (_check_macwilliams).
+    Without it the exact pass is _extension_pass, which walks one
+    self-orthogonal code and takes the extended [N, K] code's distribution
+    from MacWilliams: the dual, q^(N - K) words, when k > 0; the ingredient
+    C, q^(K - 1) words, of a self-dual extension with e = 1; else the
+    extended code, q^K words; q = 2 when both generator sets are binary.
+    Below the pass a self-dual extension is bounded by the information-set
+    search on its generator (_self_dual_bound).  Any other is bounded by
     d >= min(d(C), d(C + C^perp_h) + 1), where code is C, bounded by the
     one-set search (_info_set_bounds, which also returns a witness), and
     sum_code is C + C^perp_h or None for the full space; C is searched once
     when e = 0, since then C + C^perp_h = C.  Its hi is the weight of C's
     witness, padded by e zeros, when the Gram test puts that word outside
     the extended dual, and the code is pure exactly when lo = hi, since lo
-    bounds every nonzero word of the extended code.  A self-dual code is
-    even, so an odd exact distance is an invariant failure.
+    bounds every nonzero word of the extended code.
     """
     self_dual = 2 * ext.k == ext.n
     if exact is None:
         q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
-        words = q**ext.k + (0 if self_dual else q ** (ext.n - ext.k))
-        exact = (words, lambda: _extension_pass(ext, q, budget))
+        exact = (q ** _walked(ext).shape[0], lambda: _extension_pass(ext, q, budget))
     if exact[0] <= budget:
         d, work, note, pure = exact[1]()
-        if self_dual and d % 2:
-            raise InvariantError(f"Hermitian self-dual code with odd minimum distance {d}")
         return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False, pure=pure)
     if self_dual:
         return _self_dual_bound(ext, budget)

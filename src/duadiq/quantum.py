@@ -177,8 +177,8 @@ def extend_nearly_self_orthogonal(
 ) -> tuple[Extension, QuantumParams]:
     """Extend a code to a Hermitian dual-containing one and read off the
     stabilizer parameters [[n+e, 2k-n+e]].  extension_distance certifies
-    the distance: the exact pass over the extended code (and its dual when
-    k > 0) when it fits the budget.  Below it a self-dual extension (k = 0,
+    the distance: the exact pass, which walks the extended code's dual when
+    k > 0, when it fits the budget.  Below it a self-dual extension (k = 0,
     exactly when the code is self-orthogonal, with general_zero_dim's
     bound) takes the information-set search on the extended generator, and
     any other is bounded by d >= min(d(C), d(C + C^perp_h) + 1)."""
@@ -257,9 +257,12 @@ def extended_duadic_quantum(
     """[[n+1, 0, d]] from an odd-like duadic code with multiplier mu_-2.
 
     The even-like subcode extends by one coordinate (e = 1).  With an exact
-    ingredient pass the distance is exact: the extended words are the
-    even-like words padded by 0 and the odd-like cosets padded by a unit, so
-    d = min(d(even), d_o + 1).  When that pass does not fit the budget,
+    ingredient pass (duadic_distances: one walk of the even-like code, 4^dim
+    words, and the odd-like distribution from MacWilliams) the distance is
+    exact: the extended words are the even-like words padded by 0 and the
+    odd-like cosets padded by a unit, so d = min(d(even), d_o + 1).  This is
+    the e = 1 pass of extension_distance, kept apart for the histograms it
+    returns, and it fits the same budgets.  When it does not fit the budget,
     extension_distance bounds the extended code by the information-set
     search on an information set and its complement; the odd-like code is
     not searched on its own.
@@ -292,10 +295,10 @@ def extended_duadic_quantum(
         dist._check_macwilliams([e + c for e, c in zip(dd.even_hist + (0,), (0,) + dd.coset_hist)])
         d = min(dd.d_even, dd.d_min_odd_coset + 1)
         note = f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
-        return d, 4 * dd.work, note, PURE_YES
+        return d, dd.work, note, PURE_YES
 
-    # the pass walks the even-like span with 4 offsets: 4^(dim + 1) words
-    cert = dist.extension_distance(ext, budget, exact=(4 ** (pair.even1.dim + 1), duadic_pass))
+    # the pass walks the even-like span alone: 4^dim words
+    cert = dist.extension_distance(ext, budget, exact=(4 ** pair.even1.dim, duadic_pass))
     trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
     params = QuantumParams(n=n + 1, k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
     return params, sd
@@ -307,9 +310,10 @@ def general_zero_dim(
     """[[2(n-k), 0, d]] from a self-orthogonal [n, k] code, d even and
     d >= min(d(C), d(C^perp_h) + 1); also yields the classical Hermitian
     self-dual [2(n-k), n-k] code.  extension_distance certifies d: exact
-    from the pass over the extended code when its q^(n-k) words fit the
-    budget (q = 2 for a binary generator, else 4), else bounded by the
-    information-set search on the self-dual code."""
+    from the pass when its words fit the budget, q^k for an input with
+    e = n - 2k = 1 (it walks the input) and q^(n-k) otherwise (q = 2 for a
+    binary generator, else 4), else bounded by the information-set search
+    on the self-dual code."""
     budget = dist.default_budget() if budget is None else budget
     g = linalg.row_basis(dist._generators(code)[0])
     k, n = g.shape

@@ -88,9 +88,9 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
     code, _, _ = run(capsys, "quantum", "-n", "23", "--qr", "--format", "json")
     assert code == 0
-    # one symmetric pass of the [23, 11] even-like code with its 4 offsets:
+    # one symmetric pass of the [23, 11] even-like code, with no offsets:
     # three peeled levels of dims 10, 9, 8, then the last 4^8 block
-    assert sum(words) == 4 * ((4**11 - 4**8) // 3 + 4**8) == 5_767_168
+    assert sum(words) == (4**11 - 4**8) // 3 + 4**8 == 1_441_792
 
 
 @pytest.mark.parametrize("n,d_lo,d_hi", [(29, 10, 12), (47, 12, 12)])
@@ -166,9 +166,9 @@ def test_quantum_qr_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
 
 @pytest.mark.parametrize("corrupt", ["sum", "identity"])
 def test_quantum_coset_pass_macwilliams_violation_exit_4(capsys, monkeypatch, corrupt):
-    # the coset pass of the [[14,0,6]] code from n = 13: an extra weight-6
-    # word in the [13, 6] ingredient breaks the count 2^14; moving a word
-    # from weight 8 to 6 keeps it and breaks the identity
+    # the e = 1 pass of the [[14,0,6]] code from n = 13 walks the [13, 6]
+    # ingredient: an extra weight-6 word breaks its count 2^12; moving a
+    # word from weight 8 to 6 keeps it and breaks the identity
     walk = dist.weight_histograms
 
     def corrupted(*args, **kwargs):
@@ -183,7 +183,36 @@ def test_quantum_coset_pass_macwilliams_violation_exit_4(capsys, monkeypatch, co
     code, out, err = run(capsys, "quantum", "-n", "13", "--leaders", "1")
     assert code == 4
     assert out == ""
-    assert ("2^14" if corrupt == "sum" else "MacWilliams") in err
+    assert ("2^12" if corrupt == "sum" else "MacWilliams") in err
+
+
+@pytest.mark.parametrize("corrupt", ["extra", "moved"])
+@pytest.mark.parametrize("argv,walk,count", [
+    (("quantum", "-n", "23", "--qr"), "weight_histograms", "2^22"),
+    (("quantum", "-n", "23", "--leaders", "1"), "weight_histograms_binary", "2^11"),
+])
+def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, walk, count, corrupt):
+    # the duadic pass walks the [23, 11] even-like code over GF(4), the e = 1
+    # pass of the cyclic route its binary span: one extra word of the least
+    # weight breaks the count; one word moved up by 2 keeps it and breaks
+    # the divisibility of the MacWilliams transform
+    plain = getattr(dist, walk)
+
+    def corrupted(*args, **kwargs):
+        hist, work = plain(*args, **kwargs)
+        hist = hist.copy()
+        w = int(np.flatnonzero(hist[0, 1:])[0]) + 1
+        if corrupt == "moved":
+            hist[0, w] -= 1
+            w += 2
+        hist[0, w] += 1
+        return hist, work
+
+    monkeypatch.setattr(dist, "_CACHE", {})
+    monkeypatch.setattr(dist, walk, corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert (count if corrupt == "extra" else "MacWilliams") in err
 
 
 def test_quantum_qr_29_extremal(capsys):

@@ -147,6 +147,83 @@ def test_min_weight_difference_oracle():
         assert d == best
 
 
+def _transform_matches_walked_dual(g, dual, max_words):
+    """Whether dual_distribution of the walked span(g) is the walked
+    distribution of span(dual); None when the dual's walk passes max_words
+    (4^10, or 2^26 when both generators are binary)."""
+    q = 2 if (g <= 1).all() and (dual <= 1).all() else 4
+    if q ** dual.shape[0] > max_words[q]:
+        return None
+    walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
+    hist, words = walk(g)
+    return dist.dual_distribution(hist[0].tolist(), words, q) == walk(dual)[0][0].tolist()
+
+
+def test_dual_distribution_matches_walked_dual():
+    # the transform against a direct walk of the dual: the self-orthogonal
+    # ingredients C_A^perp_h of dimension <= 8 of every searched A (A and
+    # -2A disjoint) with n <= 41, as given and column-permuted, where the
+    # dual's walk stays within 4^10 words (2^26 for binary generators, which
+    # takes in n = 31); then the duals of random extensions of GF(4) and
+    # GF(2) generators
+    rng = np.random.default_rng(41)
+    max_words = {4: 4**10, 2: 2**26}
+    checked = {2: 0, 4: 0}
+    for n in range(3, 42, 2):
+        cosets = all_cosets(n, 4).cosets[1:]
+        for mask in range(1, 1 << len(cosets)):
+            a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
+            if any((-2 * t) % n in a.members for t in a.members) or len(a.members) > 8:
+                continue
+            g = CyclicCode(dual_defining_set(a)).gen_matrix
+            for copy in (g, g[:, rng.permutation(n)]):
+                ok = _transform_matches_walked_dual(copy, linalg.hermitian_dual_space(copy), max_words)
+                assert ok is not False, (n, sorted(a.members))
+                if ok:
+                    checked[2 if (copy <= 1).all() else 4] += 1
+    for field in (4, 2) * 20:
+        n = int(rng.integers(3, 11))
+        ext = quantum._extend(rng.integers(0, field, (int(rng.integers(1, n)), n)).astype(np.uint8))[0]
+        if ext.n - ext.k <= 8:
+            assert _transform_matches_walked_dual(ext.extended_dual, ext.extended, max_words) is not False
+            checked[2 if (ext.extended <= 1).all() else 4] += 1
+    assert checked[2] > 20 and checked[4] > 40, checked
+
+
+def test_dual_distribution_rejects_what_is_no_walk():
+    # the [7, 3] binary simplex code (seven words of weight 4) and its dual
+    # the [7, 4] Hamming code
+    a = [1, 0, 0, 0, 7, 0, 0, 0]
+    assert dist.dual_distribution(a, 8, q=2) == [1, 0, 0, 7, 7, 0, 0, 1]
+    with pytest.raises(InvariantError, match="sums to 9, not 2\\^3"):
+        dist.dual_distribution([1, 0, 1, 0, 7, 0, 0, 0], 8, q=2)
+    with pytest.raises(InvariantError, match="MacWilliams identity at weight 1"):
+        dist.dual_distribution([1, 0, 1, 0, 6, 0, 0, 0], 8, q=2)
+    # the Hamming code is not inside its dual, the simplex code
+    with pytest.raises(InvariantError, match="not that of a code inside its dual"):
+        dist.dual_distribution([1, 0, 0, 7, 7, 0, 0, 1], 16, q=2)
+
+
+def test_duadic_coset_hist_matches_four_offset_walk(monkeypatch):
+    # every splitting with n <= 23, both sides, mu_-2 or not: the odd-like
+    # cosets from MacWilliams against the walk of the even-like code with
+    # the offsets 0, 1, omega 1 and omega^2 1
+    monkeypatch.setattr(dist, "_CACHE", {})
+    cases = other = 0
+    for n in range(3, 24, 2):
+        for s in find_splittings(n):
+            for side, half in ((1, s.s1), (2, s.s2)):
+                dd = dist.duadic_distances(s, side=side)
+                even = CyclicCode(DefiningSet(n, half.members | {0}))
+                offsets = gf4.MUL_TABLE[:, np.ones(n, dtype=np.uint8)]
+                hist, work = dist.weight_histograms(even.gen_matrix, offsets=offsets)
+                assert dd.even_hist == tuple(hist[0].tolist()) and dd.work == work
+                assert dd.coset_hist == tuple(hist[1:].sum(axis=0).tolist()), (n, side)
+                cases += 1
+                other += not s.has_multiplier(-2)
+    assert cases == 56 and other > 0, (cases, other)
+
+
 def test_n13_min_weight_difference_example():
     # the odd-like n = 13 QR code contains its Hermitian dual, the even-like
     # code, so the k > 0 pass's d' is the odd-like weight d_o

@@ -180,7 +180,7 @@ def test_dual_containing_pass_matches_oracle():
         assert q.pure == ("yes" if oracle.min_distance(rows) == want else "no")
         field = 2 if max(map(max, rows)) <= 1 else 4
         big_k, big_n = linalg.rank(g), g.shape[1]
-        assert q.d.work == field**big_k + field ** (big_n - big_k)
+        assert q.d.work == field ** (big_n - big_k)
         impure += q.pure == "no"
     assert impure > 0, impure
     # outside the even-like dual of an odd-like duadic code lie its odd-like cosets
@@ -209,15 +209,17 @@ def _moved_word(walk, call, w_from, w_to):
 
 
 def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
-    # the k > 0 pair: a word of the [13, 6] dual of the odd-like [13, 7]
-    # code moved from weight 6 to 8 keeps both counts and breaks the identity
+    # the k > 0 pass walks only the [13, 6] dual of the odd-like [13, 7]
+    # code: a word moved from weight 6 to 8 keeps its count and breaks the
+    # divisibility of the transform
     pair = _mu2_pairs(13)[0]
-    corrupted, calls = _moved_word(dist.weight_histograms, 1, 6, 8)
+    corrupted, calls = _moved_word(dist.weight_histograms, 0, 6, 8)
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
     with pytest.raises(InvariantError, match="MacWilliams"):
         quantum.quantum_from_dual_containing(pair.odd1)
-    assert len(calls) == 2
-    # the binary self-dual pass of the [[8,0,4]] code walks its 2^4 binary words
+    assert len(calls) == 1
+    # the binary e = 1 pass of the [[8,0,4]] code walks the 2^3 binary words
+    # of its [7, 3] ingredient
     a = DefiningSet(7, qr_splitting(7).s1.members | {0})
     corrupted, calls = _moved_word(dist.weight_histograms_binary, 0, 4, 2)
     monkeypatch.setattr(dist, "weight_histograms_binary", corrupted)
@@ -226,7 +228,47 @@ def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
     assert len(calls) == 1
     monkeypatch.undo()
     p, _ = quantum.binary_cyclic_quantum(a)
-    assert p.params_str() == "[[8,0,4]]" and p.d.work == 2**4
+    assert p.params_str() == "[[8,0,4]]" and p.d.work == 2**3
+
+
+def _miscounted(walk, corrupt):
+    """walk, with its histogram given one extra word of its least nonzero
+    weight w ("extra") or one word moved from weight w to w + 2 ("moved")."""
+    def corrupted(*args, **kwargs):
+        hist, work = walk(*args, **kwargs)
+        hist = hist.copy()
+        w = int(np.flatnonzero(hist[0, 1:])[0]) + 1
+        if corrupt == "moved":
+            hist[0, w] -= 1
+            w += 2
+        hist[0, w] += 1
+        return hist, work
+    return corrupted
+
+
+@pytest.mark.parametrize("corrupt", ["extra", "moved"])
+@pytest.mark.parametrize("walk,n,count", [("weight_histograms", 13, "not 2\\^12"),
+                                          ("weight_histograms_binary", 7, "not 2\\^3")])
+def test_dual_containing_pass_rejects_a_miscounted_dual(monkeypatch, corrupt, walk, n, count):
+    # the k > 0 pass of the odd-like mu_-2 code walks only its dual, the
+    # [13, 6] even-like code over GF(4) or the binary [7, 3] one: an extra
+    # word breaks the count, a moved one the divisibility of the transform
+    monkeypatch.setattr(dist, walk, _miscounted(getattr(dist, walk), corrupt))
+    with pytest.raises(InvariantError, match=count if corrupt == "extra" else "MacWilliams"):
+        quantum.quantum_from_dual_containing(_mu2_pairs(n)[0].odd1)
+
+
+@pytest.mark.parametrize("leaders", [[1, 5], [2, 10], [1, 10], [2, 5]])
+def test_impure_dual_containing_exact_from_the_dual_walk(leaders):
+    # the impure odd-like [25, 13] mu_-2 codes (d(C) = 4, d' = 9): the k > 0
+    # pass walks only the 4^12 words of the [25, 12] dual, so it fits
+    # budgets below 4^13 + 4^12, the words of the code and its dual
+    code = CyclicCode.from_leaders(25, leaders)
+    quantum._mu2_splitting_of(code)
+    for budget in (4**13 - 1, 4**13):
+        q = quantum.quantum_from_dual_containing(code, budget=budget)
+        assert (q.params_str(), q.pure, q.d.work) == ("[[25,1,9]]", "no", 4**12), budget
+        assert q.d.exact and q.d.lo_src == dist.EXACT
 
 
 def _counted_kernels(mp):
@@ -406,11 +448,12 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
             assert params.k == 0 and params.d.lo <= d
             assert params.d.hi is None or d <= params.d.hi
         assert d <= params.d.hi <= dist.min_distance_exact(even).lo
-    # the binary route below the 2^k exact pass: d(binary C) bounds the GF(4) extension
+    # the binary route below the exact pass, which walks the 2^k words of
+    # the binary ingredient C (e = 1): d(binary C) bounds the GF(4) extension
     for n, oracle_d in ((7, oracle.min_distance), (23, oracle.binary_min_distance)):
         a = DefiningSet(n, qr_splitting(n).s1.members | {0})
         bin_dim = n - len(a.members)
-        p, ext = quantum.binary_cyclic_quantum(a, budget=2**bin_dim)
+        p, ext = quantum.binary_cyclic_quantum(a, budget=2**bin_dim - 1)
         assert p.k == 0 and "budget-limited binary bound" in p.trace[-1]
         d = oracle_d(ext.extended.tolist())
         assert p.d.lo <= d <= p.d.hi <= dist.min_distance_exact(CyclicCode(DefiningSet(n, a.members, q=2))).lo
@@ -612,8 +655,8 @@ def test_self_dual_search_stops_at_even_distance():
 def test_non_cyclic_copy_keeps_two_set_bound():
     # swapping two coordinates of a cyclic ingredient (no multiplier does
     # that) leaves a code that is not cyclic: no averaging, today's bound.
-    # The search runs below the exact pass, which walks the 2^12 and 2^16
-    # words of the binary n = 23 and n = 31 extensions
+    # The search runs below the exact pass, which walks the 2^11 and 2^15
+    # words of the binary n = 23 and n = 31 ingredients (e = 1)
     for n in (23, 29, 31):
         even = _mu2_pairs(n)[0].even1
         g = even.gen_matrix[:, [1, 0] + list(range(2, n))]
@@ -622,7 +665,7 @@ def test_non_cyclic_copy_keeps_two_set_bound():
         info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, gen.shape[1]))
         sets = [info, sorted(set(range(gen.shape[1])) - set(info))]
         q = 2 if (gen <= 1).all() else 4
-        for budget in sorted({min(b, q ** gen.shape[0] - 1) for b in (0, 4096, 65536)}):
+        for budget in sorted({min(b, q ** ext.original.shape[0] - 1) for b in (0, 4096, 65536)}):
             got = dist.extension_distance(ext, budget)
             assert got.bound == dist.even_lift(dist._info_set_bounds(gen, q, budget, sets=sets,
                                                                      self_dual=True))
@@ -732,23 +775,34 @@ def _enumerated_distance(gen):
 def test_budget_bounds_work_and_walk_random_defining_sets(data, budget):
     # a random searched defining set and budget through cyclic_zero_dim and,
     # when A is a mu_-2 half, extended_duadic_quantum: the interval brackets
-    # the enumerated distance, and neither the reported work nor the words
-    # the Gray walk evaluates pass the budget
+    # the enumerated distance, and the words the Gray walk evaluates stay
+    # within the reported work, and that within the budget.  Both routes
+    # walk the 4^dim words of the even-like code, so a GF(4) generator gets
+    # one bound from both; a binary one is walked in 2^dim words on the
+    # cyclic route, whose interval then lies inside the duadic route's
     a = data.draw(st.sampled_from(_enumerable_search_sets()))
-    routes = [quantum.cyclic_zero_dim]
+    routes = {"cyclic": quantum.cyclic_zero_dim}
     try:
         quantum._mu2_splitting_of(CyclicCode(a))
-        routes.append(lambda a, budget: quantum.extended_duadic_quantum(CyclicCode(a), budget=budget))
+        routes["duadic"] = lambda a, budget: quantum.extended_duadic_quantum(CyclicCode(a), budget=budget)
     except NotApplicableError:
         pass
-    for route in routes:
+    bounds = {}
+    for name, route in routes.items():
         with pytest.MonkeyPatch.context() as mp:
             walked = _counted_kernels(mp)
             p, sd = route(a, budget=budget)
         d = _enumerated_distance(sd.gen)
         assert p.d.lo <= d <= (p.n if p.d.hi is None else p.d.hi), (a, budget, p.d)
         assert not p.d.exact or p.d.lo == d
-        assert p.d.work <= budget and sum(walked) <= budget
+        assert sum(walked) <= p.d.work <= budget
+        bounds[name] = p.d
+    if "duadic" in bounds:
+        cyclic, duadic = bounds["cyclic"], bounds["duadic"]
+        if (sd.gen <= 1).all():
+            assert duadic.lo <= cyclic.lo and (duadic.hi is None or cyclic.hi <= duadic.hi), (a, budget)
+        else:
+            assert _bound_key(cyclic) == _bound_key(duadic), (a, budget)
 
 
 def test_extension_radical_is_zassenhaus_intersection():
