@@ -1,17 +1,16 @@
 """Hot codeword-enumeration kernels, in numpy.
 
-The Gray walk bins, for each requested offset, the weight of every word of
-a span (all 4^k words over GF(4), 2^k over GF(2)) shifted by that offset.
-Words are packed bit planes, two over GF(4) and one over GF(2), so a step
-is an XOR and a weight is a popcount.  The walk visits every codeword
-exactly once, so the returned per-offset weight histograms are exact
-counts.  It runs on one thread.
+The Gray walk bins the weight of every word of a span (all 4^k words over
+GF(4), 2^k over GF(2)) moved by one start word.  Words are packed bit
+planes, two over GF(4) and one over GF(2), so a step is an XOR and a weight
+is a popcount.  The walk visits every word exactly once, so the returned
+weight histogram is an exact count.  It runs on one thread.
 
 _numpy_hist_planes splits the F2-basis into a suffix of up to _SUFFIX_BITS
 rows, whose span is tabulated once as a block of up to 65536 words, and a
-prefix walked in Gray order.  Each prefix step XORs one basis row into the
-running word; then, per offset, the block is XORed with the running word and
-the offset, the two planes are ORed, popcounted and binned, all into buffers
+prefix walked in Gray order from the start word.  Each prefix step XORs one
+basis row into the running word; then the block is XORed with the running
+word, the two planes are ORed, popcounted and binned, all into buffers
 allocated once per call.
 
 InfoSetLevels walks the messages of one information set a level (message
@@ -39,16 +38,15 @@ def active_backend() -> str:
 _SUFFIX_BITS = 16  # 2^16 = 65536-word blocks
 
 
-def _numpy_hist_planes(basis_lo, basis_hi, off_lo, off_hi, nbins):
-    """Exact per-offset weight histograms over the F2-span of basis rows.
+def _numpy_hist_planes(basis_lo, basis_hi, start_lo, start_hi, nbins):
+    """Exact weight histogram over start + the F2-span of basis rows.
 
-    basis rows are (W,) uint64 plane pairs; the span is walked as
-    prefix Gray walk x vectorized suffix block.  The block buffers are
+    basis rows and the start are (W,) uint64 plane pairs; the span is walked
+    as prefix Gray walk x vectorized suffix block.  The block buffers are
     allocated once per call and every block step writes into them.
     """
     nb_rows, W = basis_lo.shape
-    m = off_lo.shape[0]
-    out = np.zeros((m, nbins), dtype=np.int64)
+    out = np.zeros(nbins, dtype=np.int64)
     k2 = min(nb_rows, _SUFFIX_BITS)
     prefix_rows = nb_rows - k2
     block = 1 << k2
@@ -62,23 +60,22 @@ def _numpy_hist_planes(basis_lo, basis_hi, off_lo, off_hi, nbins):
     x_hi = np.empty_like(suf_hi)
     pop = np.empty((block, W), dtype=np.uint8)
     wt = np.empty(block, dtype=np.intp)  # bincount reads intp without a copy
-    cur_lo = np.zeros(W, dtype=np.uint64)
-    cur_hi = np.zeros(W, dtype=np.uint64)
+    cur_lo = np.array(start_lo, dtype=np.uint64)
+    cur_hi = np.array(start_hi, dtype=np.uint64)
     for t in range(1 << prefix_rows):
         if t:
             idx = (t & -t).bit_length() - 1  # Gray code: the lowest set bit flips
             cur_lo ^= basis_lo[idx]
             cur_hi ^= basis_hi[idx]
-        for j in range(m):
-            np.bitwise_xor(suf_lo, cur_lo ^ off_lo[j], out=x_lo)
-            np.bitwise_xor(suf_hi, cur_hi ^ off_hi[j], out=x_hi)
-            np.bitwise_or(x_lo, x_hi, out=x_lo)
-            if W == 1:
-                np.bitwise_count(x_lo[:, 0], out=wt)
-            else:
-                np.bitwise_count(x_lo, out=pop)
-                np.sum(pop, axis=1, dtype=np.int64, out=wt)
-            out[j] += np.bincount(wt, minlength=nbins)
+        np.bitwise_xor(suf_lo, cur_lo, out=x_lo)
+        np.bitwise_xor(suf_hi, cur_hi, out=x_hi)
+        np.bitwise_or(x_lo, x_hi, out=x_lo)
+        if W == 1:
+            np.bitwise_count(x_lo[:, 0], out=wt)
+        else:
+            np.bitwise_count(x_lo, out=pop)
+            np.sum(pop, axis=1, dtype=np.int64, out=wt)
+        out += np.bincount(wt, minlength=nbins)
     return out
 
 
@@ -86,43 +83,29 @@ def _numpy_hist_planes(basis_lo, basis_hi, off_lo, off_hi, nbins):
 # public entry points
 # ---------------------------------------------------------------------------
 
-def _scaled_generators(gen_lo, gen_hi, omega_lo, omega_hi):
-    """Interleave (g_i, omega*g_i) plane pairs: the F2-basis of the F4-span."""
-    k, W = gen_lo.shape
-    sg_lo = np.empty((2 * k, W), dtype=np.uint64)
-    sg_hi = np.empty((2 * k, W), dtype=np.uint64)
-    sg_lo[0::2] = gen_lo
-    sg_hi[0::2] = gen_hi
-    sg_lo[1::2] = omega_lo
-    sg_hi[1::2] = omega_hi
-    return sg_lo, sg_hi
-
-
 def gray_weight_hists(
     sg_lo: np.ndarray,
     sg_hi: np.ndarray,
-    off_lo: np.ndarray,
-    off_hi: np.ndarray,
+    start_lo: np.ndarray,
+    start_hi: np.ndarray,
     nbins: int,
 ) -> np.ndarray:
-    """Per-offset weight histograms over the F2-span of 2k scaled generators.
+    """Weight histogram over start + the F2-span of 2k scaled generators.
 
-    Arguments are (2k, W) scaled generator planes and (m, W) offset planes;
-    the result is an (m, nbins) int64 count array covering all 4^k words
-    (the zero word included, binned at the offset weights).
+    Arguments are (2k, W) scaled generator planes and the (W,) planes of the
+    start word; the result is an (nbins,) int64 count array covering all
+    4^k words (the start itself included).
     """
     sg_lo = np.ascontiguousarray(sg_lo, dtype=np.uint64)
     sg_hi = np.ascontiguousarray(sg_hi, dtype=np.uint64)
-    off_lo = np.ascontiguousarray(np.atleast_2d(off_lo), dtype=np.uint64)
-    off_hi = np.ascontiguousarray(np.atleast_2d(off_hi), dtype=np.uint64)
-    return _numpy_hist_planes(sg_lo, sg_hi, off_lo, off_hi, nbins)
+    return _numpy_hist_planes(sg_lo, sg_hi, start_lo, start_hi, nbins)
 
 
-def gray_weight_hists_binary(sg: np.ndarray, off: np.ndarray, nbins: int) -> np.ndarray:
-    """Binary analogue: histograms over the 2^k span of (k, W) row masks."""
+def gray_weight_hists_binary(sg: np.ndarray, nbins: int) -> np.ndarray:
+    """Binary analogue: the histogram over the 2^k span of (k, W) row masks."""
     sg = np.ascontiguousarray(sg, dtype=np.uint64)
-    off = np.ascontiguousarray(np.atleast_2d(off), dtype=np.uint64)
-    return _numpy_hist_planes(sg, np.zeros_like(sg), off, np.zeros_like(off), nbins)
+    zero = np.zeros(sg.shape[1], dtype=np.uint64)
+    return _numpy_hist_planes(sg, np.zeros_like(sg), zero, zero, nbins)
 
 
 # ---------------------------------------------------------------------------

@@ -42,9 +42,9 @@ dual only the smaller is walked: the duadic pass walks the even-like code
 alone, 4^dim words, for the odd-like distribution too.  The quaternary
 walk evaluates about a third of the words: a word and its nonzero
 multiples have the same weight, so weight_histograms enumerates one word
-per scaling orbit of the span and its offsets.  The information-set
-search counts the messages it covers, comb(x, w) (q - 1)^w for level w
-over x positions, and likewise walks one per scaling orbit.
+per scaling orbit of the span.  The information-set search counts the
+messages it covers, comb(x, w) (q - 1)^w for level w over x positions, and
+likewise walks one per scaling orbit.
 
 The distance of an extension (extension_distance) is certified in one
 place: one exact pass (_extension_pass) when its words fit the budget,
@@ -145,115 +145,72 @@ def compose_bounds(parts: list[DistanceBound]) -> DistanceBound:
 # ---------------------------------------------------------------------------
 
 def _packed_span(g: np.ndarray):
-    """Scaled generator planes (g_i, omega g_i interleaved) for the F4 span."""
-    lo, hi = gf4.pack_planes(g)
-    og = gf4.MUL_TABLE[2][g]
-    olo, ohi = gf4.pack_planes(og)
-    return _kernels._scaled_generators(lo, hi, olo, ohi)
+    """The F2-basis of the F4 span of g as packed planes: g_i and omega g_i
+    interleaved."""
+    basis = np.empty((2 * g.shape[0], g.shape[1]), dtype=np.uint8)
+    basis[0::2] = g
+    basis[1::2] = gf4.MUL_TABLE[2][g]
+    return gf4.pack_planes(basis)
 
 
-def _scaling_closure(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of offsets, omega * offsets and omega^2 * offsets.
+def _symmetric_hist(g: np.ndarray) -> np.ndarray:
+    """The weight histogram of span(g), walking about 4^k/3 words.
 
-    Returns (rows, where, orbit): offsets[i] is rows[where[i]], and
-    orbit[c, i] indexes the row gamma * rows[i] for the scalars gamma in
-    F4* = (1, omega, omega^2).
-    """
-    index: dict[bytes, int] = {}
-    for r in np.vstack([gf4.MUL_TABLE[c][offsets] for c in (1, 2, 3)]):
-        index.setdefault(r.tobytes(), len(index))
-    rows = np.frombuffer(b"".join(index), dtype=np.uint8).reshape(len(index), offsets.shape[1])
-    where = np.array([index[r.tobytes()] for r in offsets], dtype=np.intp)
-    orbit = np.array(
-        [[index[r.tobytes()] for r in gf4.MUL_TABLE[c][rows]] for c in (1, 2, 3)], dtype=np.intp
-    )
-    return rows, where, orbit
-
-
-def _symmetric_hists(g: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Per-offset histograms over offsets + span(g), walking about 4^k/3 words.
-
-    For an offset set O closed under F4* scaling and S = span(g_2..g_k),
-        hist_O(span(g_1..g_k)) = hist_O(S) + sum_{gamma in F4*} hist_{gamma^-1 O + g_1}(S),
-    because wt(beta g_1 + s + o) = wt(g_1 + beta^-1 s + beta^-1 o) and S is
-    closed under scaling.  Leading generators are peeled one at a time, each
-    level one kernel call over the remaining span with the offsets shifted by
-    g_1, until that span fits one suffix block of the numpy walker.
+    For S = span(g_2..g_k),
+        hist(span(g_1..g_k)) = hist(S) + 3 hist(g_1 + S),
+    because gamma g_1 + S = gamma (g_1 + S) has the weights of g_1 + S for
+    each gamma in F4*.  Leading generators are peeled one at a time, each
+    level one kernel call over the remaining span started at g_j, until
+    that span fits one suffix block of the numpy walker.
     """
     k, n = g.shape
     sg_lo, sg_hi = _packed_span(g)
+    zero = np.zeros(sg_lo.shape[1], dtype=np.uint64)
+    hist = np.zeros(n + 1, dtype=np.int64)
     peel = max(0, k - _kernels._SUFFIX_BITS // 2)
-    if peel == 0:
-        off_lo, off_hi = gf4.pack_planes(offsets)
-        return _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1)
-    rows, where, orbit = _scaling_closure(offsets)
-    off_lo, off_hi = gf4.pack_planes(rows)
-    hist = np.zeros((rows.shape[0], n + 1), dtype=np.int64)
     for j in range(peel):
         rest = slice(2 * j + 2, None)
-        shifted = _kernels.gray_weight_hists(
-            sg_lo[rest], sg_hi[rest], off_lo ^ sg_lo[2 * j], off_hi ^ sg_hi[2 * j], n + 1
-        )
-        hist += shifted[orbit].sum(axis=0)
+        hist += 3 * _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], sg_lo[2 * j], sg_hi[2 * j], n + 1)
     rest = slice(2 * peel, None)
-    hist += _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], off_lo, off_hi, n + 1)
-    return hist[where]
+    return hist + _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], zero, zero, n + 1)
 
 
-def _rows_and_offsets(g, offsets, q: int) -> tuple[np.ndarray, np.ndarray]:
-    """The generator rows and the offsets as uint8 rows of one length n.
+def _rows(g, q: int) -> np.ndarray:
+    """The generator rows as a uint8 matrix.
 
-    None means the zero offset alone.  Raises InputError for an offset of
-    another length or a symbol outside GF(q), in the rows or the offsets.
+    Raises InputError for a symbol outside GF(q).
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
-    n = g.shape[1]
-    if offsets is None:
-        offsets = np.zeros((1, n), dtype=np.uint8)
-    offsets = np.atleast_2d(np.asarray(offsets, dtype=np.uint8))
-    if offsets.shape[1] != n:
-        raise InputError("offset length mismatch")
-    if (g >= q).any() or (offsets >= q).any():
-        raise InputError("binary rows and offsets must hold 0/1 symbols" if q == 2
-                         else "GF(4) rows and offsets must hold the symbols 0 to 3")
-    return g, offsets
+    if (g >= q).any():
+        raise InputError("binary rows must hold 0/1 symbols" if q == 2
+                         else "GF(4) rows must hold the symbols 0 to 3")
+    return g
 
 
-def weight_histograms(
-    g: np.ndarray,
-    offsets: np.ndarray | None = None,
-    budget: int | None = None,
-) -> tuple[np.ndarray, int]:
-    """Exact per-offset weight histograms over the span of g plus offsets.
+def weight_histograms(g: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
+    """The exact weight histogram of the span of g.
 
-    Returns (hist, work) where hist[j, w] counts words of weight w in
-    offset_j + span(g); row 0 of a default call is the code itself.  The
+    Returns (hist, work) where hist[w] counts the words of weight w.  The
     work is the 4^dim words of the span, as is the budget check; the walk
-    itself evaluates about a third of them per offset (_symmetric_hists).
-    Raises BudgetExceededError when 4^dim exceeds the budget, InputError
-    for an offset of another length or a symbol above 3.
+    itself evaluates about a third of them (_symmetric_hist).  Raises
+    BudgetExceededError when 4^dim exceeds the budget, InputError for a
+    symbol above 3.
     """
-    g, offsets = _rows_and_offsets(g, offsets, 4)
-    g = linalg.row_basis(g)
+    g = linalg.row_basis(_rows(g, 4))
     k = g.shape[0]
     budget = default_budget() if budget is None else budget
     total = 4**k
     if total > budget:
         raise BudgetExceededError(f"4^{k} = {total} exceeds budget {budget}")
-    return _symmetric_hists(g, offsets), total
+    return _symmetric_hist(g), total
 
 
-def weight_histograms_binary(
-    g_rows: np.ndarray,
-    offsets: np.ndarray | None = None,
-    budget: int | None = None,
-) -> tuple[np.ndarray, int]:
+def weight_histograms_binary(g_rows: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
     """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols).
 
-    Raises InputError for an offset of another length or a symbol other
-    than 0 and 1, in the rows or the offsets.
+    Raises InputError for a symbol other than 0 and 1.
     """
-    g, offsets = _rows_and_offsets(g_rows, offsets, 2)
+    g = _rows(g_rows, 2)
     n = g.shape[1]
     rr, rank_, _ = linalg.rref(g)  # F2 rref coincides with F4 rref on 0/1 input
     g = rr[:rank_]
@@ -263,24 +220,21 @@ def weight_histograms_binary(
     if total > budget:
         raise BudgetExceededError(f"2^{k} = {total} exceeds budget {budget}")
     lo, _ = gf4.pack_planes(g)
-    off_lo, _ = gf4.pack_planes(offsets)
-    hist = _kernels.gray_weight_hists_binary(lo, off_lo, n + 1)
-    return hist, total
+    return _kernels.gray_weight_hists_binary(lo, n + 1), total
 
 
 def _generators(code) -> tuple[np.ndarray, int]:
     """Generator matrix and field size of a CyclicCode or a GF(4) matrix."""
     if isinstance(code, CyclicCode):
         return code.gen_matrix, code.q
-    return _rows_and_offsets(code, None, 4)[0], 4
+    return _rows(code, 4), 4
 
 
-def _first_nonzero_weight(hist_row: np.ndarray, skip_zero: bool) -> int:
-    start = 1 if skip_zero else 0
-    nz = np.nonzero(hist_row[start:])[0]
+def _first_nonzero_weight(hist: np.ndarray) -> int:
+    nz = np.nonzero(hist[1:])[0]
     if nz.size == 0:
         raise InvariantError("empty weight histogram")
-    return int(nz[0]) + start
+    return int(nz[0]) + 1
 
 
 def dual_distribution(a: list[int], words: int, q: int = 4) -> list[int]:
@@ -551,7 +505,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
     elif q**k <= budget:
         walk = weight_histograms if q == 4 else weight_histograms_binary
         hist, work = walk(g, budget=budget)
-        result = DistanceBound.exact_value(_first_nonzero_weight(hist[0], skip_zero=True), work=work)
+        result = DistanceBound.exact_value(_first_nonzero_weight(hist), work=work)
     else:
         result = _info_set_bounds(g, q, budget, cyclic_n=n if key is not None else None)
     if key is not None and result.exact:
@@ -563,8 +517,7 @@ def weight_distribution(code, budget: int | None = None) -> np.ndarray:
     """Full weight enumerator (counts per weight, zero word included)."""
     g, q = _generators(code)
     walk = weight_histograms if q == 4 else weight_histograms_binary
-    hist, _ = walk(g, budget=budget)
-    return hist[0]
+    return walk(g, budget=budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -598,8 +551,11 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = N
     distribution minus even_hist, d_o its first nonzero weight and
     d(odd-like) = min(d_even, d_o).  Both distances are cached as
     min_distance_exact would return them, with the work of their own full
-    enumerations (4^(dim + 1) for the odd-like code).
+    enumerations (4^(dim + 1) for the odd-like code).  Raises InputError
+    for a side other than 1 and 2.
     """
+    if side not in (1, 2):
+        raise InputError(f"a splitting has sides 1 and 2, not {side}")
     budget = default_budget() if budget is None else budget
     s = splitting.s1 if side == 1 else splitting.s2
     n = splitting.n
@@ -609,12 +565,12 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = N
         return hit
     even = CyclicCode(DefiningSet(n, s.members | {0}))
     hist, work = weight_histograms(even.gen_matrix, budget=budget)
-    even_hist = [int(x) for x in hist[0]]
+    even_hist = [int(x) for x in hist]
     coset_hist = [b - a for a, b in zip(even_hist, dual_distribution(even_hist, work))]
     result = DuadicDistances(
         n=n,
-        d_even=_first_nonzero_weight(even_hist, skip_zero=True),
-        d_min_odd_coset=_first_nonzero_weight(coset_hist, skip_zero=False),
+        d_even=_first_nonzero_weight(even_hist),
+        d_min_odd_coset=_first_nonzero_weight(coset_hist),
         even_hist=tuple(even_hist),
         coset_hist=tuple(coset_hist),
         work=work,
@@ -681,20 +637,20 @@ def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
     """
     walk = weight_histograms if q == 4 else weight_histograms_binary
     hist, work = walk(_walked(ext), budget=budget)
-    walked = [int(x) for x in hist[0]]
+    walked = [int(x) for x in hist]
     if 2 * ext.k != ext.n:
         b, a = walked, dual_distribution(walked, work, q)
         d = next((w for w in range(1, len(a)) if a[w] > b[w]), None)
         if d is None:
             raise InvariantError("the extended code has no word outside its dual")
         note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
-        return d, work, note, PURE_YES if d == _first_nonzero_weight(a, skip_zero=True) else PURE_NO
+        return d, work, note, PURE_YES if d == _first_nonzero_weight(a) else PURE_NO
     a = walked
     if ext.e == 1:
         b = dual_distribution(walked, work, q)
         a = [c + x - y for c, x, y in zip(walked + [0], [0] + b, [0] + walked)]
     _check_macwilliams(a, q)
-    first = _first_nonzero_weight(a, skip_zero=True)
+    first = _first_nonzero_weight(a)
     return first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]", PURE_YES
 
 

@@ -429,6 +429,8 @@ def secondary_constructions(q: QuantumParams) -> list[QuantumParams]:
 
 def secondary_chain(q: QuantumParams, steps: int) -> list[QuantumParams]:
     """Iterated k-preserving reductions: [[n-i, k, d-i]] for i = 1..steps."""
+    if steps < 0:
+        raise InputError(f"secondary steps must be >= 0, not {steps}")
     out = []
     cur = q
     for _ in range(steps):

@@ -88,7 +88,7 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
     code, _, _ = run(capsys, "quantum", "-n", "23", "--qr", "--format", "json")
     assert code == 0
-    # one symmetric pass of the [23, 11] even-like code, with no offsets:
+    # one symmetric pass of the [23, 11] even-like code:
     # three peeled levels of dims 10, 9, 8, then the last 4^8 block
     assert sum(words) == (4**11 - 4**8) // 3 + 4**8 == 1_441_792
 
@@ -174,9 +174,9 @@ def test_quantum_coset_pass_macwilliams_violation_exit_4(capsys, monkeypatch, co
     def corrupted(*args, **kwargs):
         hist, work = walk(*args, **kwargs)
         hist = hist.copy()
-        hist[0, 6] += 1
+        hist[6] += 1
         if corrupt == "identity":
-            hist[0, 8] -= 1
+            hist[8] -= 1
         return hist, work
 
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
@@ -201,11 +201,11 @@ def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, walk, count
     def corrupted(*args, **kwargs):
         hist, work = plain(*args, **kwargs)
         hist = hist.copy()
-        w = int(np.flatnonzero(hist[0, 1:])[0]) + 1
+        w = int(np.flatnonzero(hist[1:])[0]) + 1
         if corrupt == "moved":
-            hist[0, w] -= 1
+            hist[w] -= 1
             w += 2
-        hist[0, w] += 1
+        hist[w] += 1
         return hist, work
 
     monkeypatch.setattr(dist, "_CACHE", {})
@@ -291,6 +291,12 @@ def test_quantum_secondary_steps(capsys, tmp_path):
     payload = json.loads(out)
     seconds = payload["secondary"]
     assert [(s["n"], s["k"], s["d_lo"]) for s in seconds] == [(13, 0, 5), (12, 0, 4)]
+
+
+def test_quantum_negative_secondary_steps_exit_2(capsys):
+    code, out, err = run(capsys, "quantum", "-n", "7", "--qr", "--secondary-steps", "-2")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid input:") and "-2" in err
 
 
 def test_distance_exact(capsys):

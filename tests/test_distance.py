@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from duadiq import distance as dist
-from duadiq import _kernels, gf4, linalg, quantum
+from duadiq import _kernels, linalg, quantum
 from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier, dual_defining_set
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import BudgetExceededError, InputError, InvariantError
@@ -45,33 +45,20 @@ def test_gray_equals_naive_on_random_codes():
         assert b.lo == oracle.min_distance([list(r) for r in g])
 
 
-def _offset_set(kind, rng, n):
-    if kind == "closed":  # zero and the three multiples of a random word
-        return gf4.MUL_TABLE[:, rng.integers(0, 4, n)]
-    rows = rng.integers(1, 4, (3, n)).astype(np.uint8)
-    if kind == "duplicates":
-        return rows[[0, 1, 0, 2, 1]]
-    if kind == "with-zero":
-        return np.vstack([rows[:2], np.zeros((1, n), dtype=np.uint8), rows[2:]])
-    return rows  # not closed under scaling
-
-
-@pytest.mark.parametrize("kind", ["closed", "not-closed", "duplicates", "with-zero"])
 @pytest.mark.parametrize("k,n,suffix_bits", [(9, 20, 16), (10, 70, 16), (7, 30, 4), (6, 90, 6)])
-def test_symmetric_walk_equals_plain_walk(monkeypatch, kind, k, n, suffix_bits):
+def test_symmetric_walk_equals_plain_walk(monkeypatch, k, n, suffix_bits):
     # k = 9 and 10 peel on the default block; a smaller block peels deeper
     monkeypatch.setattr(_kernels, "_SUFFIX_BITS", suffix_bits)
     rng = np.random.default_rng(k * n)
     g = rng.integers(0, 4, (k, n)).astype(np.uint8)
     assert linalg.rank(g) == k
-    offsets = _offset_set(kind, rng, n)
-    hist, work = dist.weight_histograms(g, offsets=offsets)
+    hist, work = dist.weight_histograms(g)
     sg_lo, sg_hi = dist._packed_span(g)
-    off_lo, off_hi = gf4.pack_planes(offsets)
-    plain = _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1)
+    zero = np.zeros(sg_lo.shape[1], dtype=np.uint64)
+    plain = _kernels.gray_weight_hists(sg_lo, sg_hi, zero, zero, n + 1)
     assert work == 4**k
     assert np.array_equal(hist, plain)
-    assert (hist.sum(axis=1) == 4**k).all()
+    assert hist.shape == (n + 1,) and hist.sum() == 4**k
 
 
 def test_full_space_distance_one():
@@ -95,17 +82,13 @@ def test_weight_distribution_matches_oracle():
 
 def test_binary_histograms_reject_bad_input():
     g = np.eye(2, 10, dtype=np.uint8)
-    # lengths 8 and 10 pack into one word, 70 into two
-    for length in (8, 70):
-        with pytest.raises(InputError, match="offset length"):
-            dist.weight_histograms_binary(g, offsets=np.zeros((1, length), dtype=np.uint8))
-    # omega and omega^2 are not binary symbols, in generators or offsets
+    # omega and omega^2 are not binary symbols
     with pytest.raises(InputError, match="0/1 symbols"):
         dist.weight_histograms_binary(g * 2)
     with pytest.raises(InputError, match="0/1 symbols"):
-        dist.weight_histograms_binary(g, offsets=np.full((1, 10), 3, dtype=np.uint8))
-    hist, work = dist.weight_histograms_binary(g, offsets=np.ones((1, 10), dtype=np.uint8))
-    assert work == 4 and hist.tolist() == [[0] * 8 + [1, 2, 1]]
+        dist.weight_histograms_binary(np.full((1, 10), 3, dtype=np.uint8))
+    hist, work = dist.weight_histograms_binary(g)
+    assert work == 4 and hist.tolist() == [1, 2, 1] + [0] * 8
 
 
 def test_histograms_reject_symbols_above_3():
@@ -116,13 +99,11 @@ def test_histograms_reject_symbols_above_3():
         with pytest.raises(InputError, match="symbols 0 to 3"):
             dist.weight_histograms(rows)
     with pytest.raises(InputError, match="symbols 0 to 3"):
-        dist.weight_histograms(np.eye(2, 3, dtype=np.uint8), offsets=np.array([[7, 0, 0]], dtype=np.uint8))
-    with pytest.raises(InputError, match="offset length"):
-        dist.weight_histograms(g, offsets=np.zeros((1, 8), dtype=np.uint8))
+        dist.weight_histograms(np.array([[7, 0, 0], [0, 1, 0]], dtype=np.uint8))
     with pytest.raises(InputError, match="symbols 0 to 3"):
         dist.min_distance_exact(np.array([[1, 4, 0]], dtype=np.uint8))
-    hist, work = dist.weight_histograms(np.eye(2, 3, dtype=np.uint8), offsets=np.array([[0, 0, 3]], dtype=np.uint8))
-    assert work == 16 and hist.tolist() == [[0, 1, 6, 9]]
+    hist, work = dist.weight_histograms(np.eye(2, 3, dtype=np.uint8))
+    assert work == 16 and hist.tolist() == [1, 6, 9, 0]
 
 
 def test_min_weight_difference_oracle():
@@ -156,7 +137,7 @@ def _transform_matches_walked_dual(g, dual, max_words):
         return None
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
     hist, words = walk(g)
-    return dist.dual_distribution(hist[0].tolist(), words, q) == walk(dual)[0][0].tolist()
+    return dist.dual_distribution(hist.tolist(), words, q) == walk(dual)[0].tolist()
 
 
 def test_dual_distribution_matches_walked_dual():
@@ -204,10 +185,10 @@ def test_dual_distribution_rejects_what_is_no_walk():
         dist.dual_distribution([1, 0, 0, 7, 7, 0, 0, 1], 16, q=2)
 
 
-def test_duadic_coset_hist_matches_four_offset_walk(monkeypatch):
+def test_duadic_coset_hist_matches_odd_like_walk(monkeypatch):
     # every splitting with n <= 23, both sides, mu_-2 or not: the odd-like
-    # cosets from MacWilliams against the walk of the even-like code with
-    # the offsets 0, 1, omega 1 and omega^2 1
+    # cosets from MacWilliams against an independent walk of the odd-like
+    # code, coset_hist = hist(C_o) - hist(C_e)
     monkeypatch.setattr(dist, "_CACHE", {})
     cases = other = 0
     for n in range(3, 24, 2):
@@ -215,13 +196,20 @@ def test_duadic_coset_hist_matches_four_offset_walk(monkeypatch):
             for side, half in ((1, s.s1), (2, s.s2)):
                 dd = dist.duadic_distances(s, side=side)
                 even = CyclicCode(DefiningSet(n, half.members | {0}))
-                offsets = gf4.MUL_TABLE[:, np.ones(n, dtype=np.uint8)]
-                hist, work = dist.weight_histograms(even.gen_matrix, offsets=offsets)
-                assert dd.even_hist == tuple(hist[0].tolist()) and dd.work == work
-                assert dd.coset_hist == tuple(hist[1:].sum(axis=0).tolist()), (n, side)
+                even_hist, work = dist.weight_histograms(even.gen_matrix)
+                odd_hist, _ = dist.weight_histograms(CyclicCode(half).gen_matrix)
+                assert dd.even_hist == tuple(even_hist.tolist()) and dd.work == work
+                assert dd.coset_hist == tuple((odd_hist - even_hist).tolist()), (n, side)
                 cases += 1
                 other += not s.has_multiplier(-2)
     assert cases == 56 and other > 0, (cases, other)
+
+
+def test_duadic_distances_rejects_other_sides():
+    s = qr_splitting(7)
+    for side in (0, 3, -1):
+        with pytest.raises(InputError, match="sides 1 and 2"):
+            dist.duadic_distances(s, side=side)
 
 
 def test_n13_min_weight_difference_example():

@@ -5,17 +5,22 @@ import itertools
 import numpy as np
 import pytest
 
-from duadiq import _kernels, gf4
+from duadiq import _kernels, distance, gf4
 
 import oracle
 
 
 def _span_inputs(rng, k, n):
     g = rng.integers(0, 4, (k, n)).astype(np.uint8)
-    lo, hi = gf4.pack_planes(g)
-    olo, ohi = gf4.pack_planes(gf4.MUL_TABLE[2][g])
-    sg_lo, sg_hi = _kernels._scaled_generators(lo, hi, olo, ohi)
+    sg_lo, sg_hi = distance._packed_span(g)
     return g, sg_lo, sg_hi
+
+
+def _naive_hist(g, start, n):
+    naive = [0] * (n + 1)
+    for word in oracle.span_words([list(r) for r in g]):
+        naive[oracle.weight([oracle.ADD[a, b] for a, b in zip(word, start)])] += 1
+    return naive
 
 
 def test_backend_selection_reports():
@@ -28,53 +33,40 @@ def test_hist_matches_naive_enumeration(seed):
     k = int(rng.integers(1, 6))
     n = int(rng.integers(k, 14))
     g, sg_lo, sg_hi = _span_inputs(rng, k, n)
-    offsets = rng.integers(0, 4, (2, n)).astype(np.uint8)
-    offsets[0] = 0
-    off_lo, off_hi = gf4.pack_planes(offsets)
-    hist = _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1)
-    for j in range(2):
-        naive = [0] * (n + 1)
-        for word in oracle.span_words([list(r) for r in g]):
-            shifted = [oracle.ADD[a, b] for a, b in zip(word, offsets[j])]
-            naive[oracle.weight(shifted)] += 1
-        assert list(hist[j]) == naive, (seed, j)
+    for start in (np.zeros(n, dtype=np.uint8), rng.integers(0, 4, n).astype(np.uint8)):
+        (start_lo,), (start_hi,) = gf4.pack_planes(start)
+        hist = _kernels.gray_weight_hists(sg_lo, sg_hi, start_lo, start_hi, n + 1)
+        assert hist.tolist() == _naive_hist(g, start, n), (seed, start)
 
 
 @pytest.mark.parametrize("suffix_bits", [16, 3])
 @pytest.mark.parametrize("k,n", [(4, 13), (3, 64), (4, 71), (4, 100), (2, 130)])
 def test_numpy_walker_matches_oracle(monkeypatch, suffix_bits, k, n):
     # n = 64 fills one word, n > 64 takes W >= 2; 3 suffix bits force the
-    # prefix Gray walk across reused block buffers
+    # prefix Gray walk, from a random start word, across reused block buffers
     monkeypatch.setattr(_kernels, "_SUFFIX_BITS", suffix_bits)
     rng = np.random.default_rng(k * n + suffix_bits)
     g, sg_lo, sg_hi = _span_inputs(rng, k, n)
-    offsets = rng.integers(0, 4, (3, n)).astype(np.uint8)
-    off_lo, off_hi = gf4.pack_planes(offsets)
-    hist = _kernels.gray_weight_hists(sg_lo, sg_hi, off_lo, off_hi, n + 1)
-    for j in range(3):
-        naive = [0] * (n + 1)
-        for word in oracle.span_words([list(r) for r in g]):
-            naive[oracle.weight([oracle.ADD[a, b] for a, b in zip(word, offsets[j])])] += 1
-        assert list(hist[j]) == naive, j
+    start = rng.integers(0, 4, n).astype(np.uint8)
+    (start_lo,), (start_hi,) = gf4.pack_planes(start)
+    hist = _kernels.gray_weight_hists(sg_lo, sg_hi, start_lo, start_hi, n + 1)
+    assert hist.tolist() == _naive_hist(g, start, n)
 
 
 @pytest.mark.parametrize("k,n", [(4, 12), (10, 31), (6, 80)])
 def test_binary_walker_matches_enumeration(k, n):
     rng = np.random.default_rng(k * n)
     g = rng.integers(0, 2, (k, n)).astype(np.uint8)
-    off = rng.integers(0, 2, (2, n)).astype(np.uint8)
     lo, _ = gf4.pack_planes(g)
-    off_lo, _ = gf4.pack_planes(off)
-    hist = _kernels.gray_weight_hists_binary(lo, off_lo, n + 1)
-    for j in range(2):
-        naive = [0] * (n + 1)
-        for coeffs in itertools.product(range(2), repeat=k):
-            word = off[j].copy()
-            for c, row in zip(coeffs, g):
-                if c:
-                    word ^= row
-            naive[int(word.sum())] += 1
-        assert list(hist[j]) == naive, j
+    hist = _kernels.gray_weight_hists_binary(lo, n + 1)
+    naive = [0] * (n + 1)
+    for coeffs in itertools.product(range(2), repeat=k):
+        word = np.zeros(n, dtype=np.uint8)
+        for c, row in zip(coeffs, g):
+            if c:
+                word ^= row
+        naive[int(word.sum())] += 1
+    assert hist.tolist() == naive
 
 
 @pytest.mark.parametrize("block_words", [1 << 14, 3])

@@ -201,9 +201,9 @@ def _moved_word(walk, call, w_from, w_to):
         calls.append(args)
         if len(calls) == call + 1:
             hist = hist.copy()
-            assert hist[0, w_from] > 0
-            hist[0, w_from] -= 1
-            hist[0, w_to] += 1
+            assert hist[w_from] > 0
+            hist[w_from] -= 1
+            hist[w_to] += 1
         return hist, work
     return corrupted, calls
 
@@ -237,11 +237,11 @@ def _miscounted(walk, corrupt):
     def corrupted(*args, **kwargs):
         hist, work = walk(*args, **kwargs)
         hist = hist.copy()
-        w = int(np.flatnonzero(hist[0, 1:])[0]) + 1
+        w = int(np.flatnonzero(hist[1:])[0]) + 1
         if corrupt == "moved":
-            hist[0, w] -= 1
+            hist[w] -= 1
             w += 2
-        hist[0, w] += 1
+        hist[w] += 1
         return hist, work
     return corrupted
 
@@ -407,8 +407,8 @@ def test_self_dual_input_checks_macwilliams(monkeypatch):
     def corrupted(*args, **kwargs):
         hist, work = walk(*args, **kwargs)
         hist = hist.copy()
-        hist[0, 6] += 1
-        hist[0, 8] -= 1
+        hist[6] += 1
+        hist[8] -= 1
         return hist, work
 
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
@@ -525,7 +525,7 @@ def test_two_set_bound_brackets_mu2_extensions():
                     d = min(dd.d_even, dd.d_min_odd_coset + 1)
                 elif (ext.extended <= 1).all():
                     hist, _ = dist.weight_histograms_binary(ext.extended)
-                    d = int(np.flatnonzero(hist[0][1:])[0]) + 1
+                    d = int(np.flatnonzero(hist[1:])[0]) + 1
                 else:
                     cert = dist.extension_distance(ext, 1 << 26).bound
                     assert cert.exact
@@ -705,7 +705,7 @@ def test_binary_route_brackets_with_cyclic_averaging():
             if p0.k or ext.k > 16 or not (ext.extended <= 1).all():
                 continue
             hist, _ = dist.weight_histograms_binary(ext.extended)
-            d = int(np.flatnonzero(hist[0][1:])[0]) + 1
+            d = int(np.flatnonzero(hist[1:])[0]) + 1
             for budget in (0, 100, 1000, 10000, 2**ext.k - 1):
                 p, _ = quantum.binary_cyclic_quantum(dual_defining_set(a), budget=budget)
                 _assert_brackets(p.d, d, ext.n, budget)
@@ -766,7 +766,7 @@ def _enumerable_search_sets():
 def _enumerated_distance(gen):
     if (gen <= 1).all() and gen.shape[0] > 6:
         hist, _ = dist.weight_histograms_binary(gen, budget=2 ** gen.shape[0])
-        return int(np.flatnonzero(hist[0][1:])[0]) + 1
+        return int(np.flatnonzero(hist[1:])[0]) + 1
     return _exact_distance(gen)
 
 
@@ -883,7 +883,7 @@ def test_even_weight_certificate_small():
         pair = _mu2_pairs(n)[0]
         _, sd = quantum.extended_duadic_quantum(pair)
         hist, _ = dist.weight_histograms(sd.gen)
-        assert all(hist[0][w] == 0 for w in range(1, sd.gen.shape[1] + 1, 2))
+        assert all(hist[w] == 0 for w in range(1, sd.gen.shape[1] + 1, 2))
 
 
 def test_lower_bounds_never_exceed_exact():
