@@ -286,6 +286,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if getattr(args, "budget", None) is not None and args.budget < 0:
             raise InputError("--budget must be nonnegative")
+        if getattr(args, "secondary_steps", 0) < 0:
+            raise InputError(f"secondary steps must be >= 0, not {args.secondary_steps}")
         return _DISPATCH[args.command](args)
     except NotApplicableError as exc:
         sys.stderr.write(f"no applicable construction: {exc}\n")

@@ -198,13 +198,6 @@ class CyclicCode:
             self._gen_matrix = m
         return self._gen_matrix
 
-    def dual(self) -> "CyclicCode":
-        if self.q == 4:
-            return CyclicCode(dual_defining_set(self.defining_set))
-        # Euclidean dual of a binary cyclic code: Z_n minus (-A)
-        neg = frozenset((-t) % self.n for t in self.defining_set.members)
-        return CyclicCode(DefiningSet(self.n, frozenset(range(self.n)) - neg, 2))
-
     def is_dual_containing(self) -> bool:
         if self.q == 4:
             return is_dual_containing(self.defining_set)

@@ -672,10 +672,11 @@ def _maps_into(r: np.ndarray, rows: np.ndarray) -> bool:
     return not (rows ^ linalg.matmul(rows[:, : r.shape[0]], r)).any()
 
 
-def _shift_invariant(r: np.ndarray) -> bool:
-    """Whether the row space of r, an RREF with pivots {0..k-1}, is cyclic:
-    whether it holds the cyclic shift of each row."""
-    return _maps_into(r, np.roll(r, 1, axis=1))
+def _is_cyclic(r: np.ndarray) -> bool:
+    """Whether the row space of r, an RREF, is cyclic: its pivots are
+    {0..k-1} and it holds the cyclic shift of each row."""
+    k = r.shape[0]
+    return np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8)) and _maps_into(r, np.roll(r, 1, axis=1))
 
 
 def _fixing_involutions(r: np.ndarray) -> list[int]:
@@ -701,19 +702,20 @@ def _fixed_rows(g: np.ndarray, a: int) -> np.ndarray:
     return linalg.row_basis(linalg.matmul(coeffs, g))
 
 
-def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
+def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     """Information-set bound on a Hermitian self-dual extension [2K, K].
 
     I = pivots(C) + the e unit coordinates is an information set of the
     extended generator (its columns on I are block triangular with unit
     diagonal blocks), and the complement of an information set of a
     self-dual code is one too.  Every word of C, padded by zeros, is a
-    message on I of the weight it has on C's own information set.  A
-    generator over GF(2) spans a GF(4) code of the distance of its binary
-    span, which has (q - 1)^w = 1 scalar pattern per message.  The code is
-    even, so the search is exact once its best word is lo rounded up to even.
+    message on I of the weight it has on C's own information set.  With
+    q = 2 the generator is binary and spans a GF(4) code of the distance
+    of its binary span, which has (q - 1)^w = 1 scalar pattern per
+    message.  The code is even, so the search is exact once its best word
+    is lo rounded up to even.
 
-    When C is cyclic, which the RREF basis shows (_shift_invariant), its
+    When C is cyclic, which the RREF basis shows (_is_cyclic), its
     pivots are the window {0..k-1} and the complement is the window
     {k..n-1} of the cyclic C^perp_h, so cyclic averaging also bounds both
     ingredients of d >= min(d(C), d(C^perp_h) + 1): after levels w_I, w_R
@@ -734,12 +736,11 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
     n = big_n - ext.e
     info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, big_n))
     rest = sorted(set(range(big_n)) - set(info))
-    k = ext.original.shape[0]
-    cyclic = info[:k] == list(range(k)) and _shift_invariant(ext.original)
+    cyclic = _is_cyclic(ext.original)
     fixing = _fixing_involutions(ext.original) if cyclic else []
     seeds = (np.pad(rows, ((0, 0), (0, ext.e)))
              for rows in (_fixed_rows(ext.original, a) for a in fixing) if len(rows))
-    b = _info_set_bounds(gen, 2 if (gen <= 1).all() else 4, budget, sets=[info, rest],
+    b = _info_set_bounds(gen, q, budget, sets=[info, rest],
                          cyclic_n=n if cyclic else None, self_dual=True, seeds=seeds)
     two_set = sum(b.levels) + len(b.levels)
     found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
@@ -753,7 +754,16 @@ def _self_dual_bound(ext, budget: int) -> ExtensionDistance:
     return ExtensionDistance(lifted, note=note, bounded=True, pure=PURE_YES)
 
 
-def extension_distance(ext, budget: int, exact=None, code=None, sum_code=None) -> ExtensionDistance:
+def _one_set_bound(r: np.ndarray, budget: int) -> InfoSetBound:
+    """The one-set search (_info_set_bounds) of the row space of r, an
+    RREF: over GF(2) when r is binary, since a binary generator spans a
+    GF(4) code of the distance of its binary span, and with cyclic
+    averaging when the row space is cyclic (_is_cyclic)."""
+    return _info_set_bounds(r, 2 if (r <= 1).all() else 4, budget,
+                            cyclic_n=r.shape[1] if _is_cyclic(r) else None)
+
+
+def extension_distance(ext, budget: int, exact=None) -> ExtensionDistance:
     """Distance of the extension ext of a code C (an Extension: original,
     the RREF basis of C; extended; extended_dual; e): the least weight of
     the extended code outside its Hermitian dual, which is the whole code
@@ -769,30 +779,31 @@ def extension_distance(ext, budget: int, exact=None, code=None, sum_code=None) -
     extended code, q^K words; q = 2 when both generator sets are binary.
     Below the pass a self-dual extension is bounded by the information-set
     search on its generator (_self_dual_bound).  Any other is bounded by
-    d >= min(d(C), d(C + C^perp_h) + 1), where code is C, bounded by the
-    one-set search (_info_set_bounds, which also returns a witness), and
-    sum_code is C + C^perp_h or None for the full space; C is searched once
-    when e = 0, since then C + C^perp_h = C.  Its hi is the weight of C's
-    witness, padded by e zeros, when the Gram test puts that word outside
-    the extended dual, and the code is pure exactly when lo = hi, since lo
-    bounds every nonzero word of the extended code.
+        d >= min(d(C), d(C + C^perp_h) + 1),
+    both terms read from ext and bounded by _one_set_bound: C is
+    ext.original, searched with the whole budget, and C + C^perp_h, searched
+    with what is left, is the extended code punctured at its e units (the
+    (g | 0) rows span C, the (f_i | e_i) rows add the complement of the
+    radical in C^perp_h); when e = 0 it is C, searched once.  hi is the
+    weight of C's witness, padded by e zeros a word of the extended code,
+    when the Gram test puts it outside the extended dual.  The code is pure
+    exactly when lo = hi, since lo bounds every nonzero extended word:
+    (c | 0) weighs >= d(C), (v | alpha) >= d(C + C^perp_h) + 1.
     """
     self_dual = 2 * ext.k == ext.n
+    q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
     if exact is None:
-        q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
         exact = (q ** _walked(ext).shape[0], lambda: _extension_pass(ext, q, budget))
     if exact[0] <= budget:
         d, work, note, pure = exact[1]()
         return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False, pure=pure)
     if self_dual:
-        return _self_dual_bound(ext, budget)
-    g, field = _generators(code)
-    d_c = _info_set_bounds(linalg.row_basis(g), field, budget,
-                           cyclic_n=g.shape[1] if isinstance(code, CyclicCode) else None)
+        return _self_dual_bound(ext, q, budget)
+    d_c = _one_set_bound(ext.original, budget)
     lo, lo_src, work = d_c.lo, d_c.lo_src, d_c.work
     note = f"d >= d(C) >= {d_c.lo}"
     if ext.e:
-        d_sum = DistanceBound.exact_value(1) if sum_code is None else min_distance_exact(sum_code, budget=budget)
+        d_sum = _one_set_bound(linalg.row_basis(ext.extended[:, : ext.n - ext.e]), budget - work)
         work += d_sum.work
         if d_sum.lo + 1 < lo:
             lo, lo_src = d_sum.lo + 1, d_sum.lo_src

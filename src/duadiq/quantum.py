@@ -148,8 +148,8 @@ class Extension:
         return self.extended.shape[0]
 
 
-def _extend(code) -> tuple[Extension, np.ndarray]:
-    """The extension of a code, with the Hermitian dual of its row basis."""
+def _extend(code) -> Extension:
+    """The extension of a code."""
     g = linalg.row_basis(dist._generators(code)[0])
     k = g.shape[0]
     if k == 0:
@@ -169,38 +169,29 @@ def _extend(code) -> tuple[Extension, np.ndarray]:
         raise InvariantError("extended code failed the dual-containment Gram test")
     if linalg.rank(extended) != k + e:
         raise InvariantError("extended generators are dependent")
-    return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e), dual
+    return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e)
 
 
 def extend_nearly_self_orthogonal(
     code, budget: int | None = None
 ) -> tuple[Extension, QuantumParams]:
     """Extend a code to a Hermitian dual-containing one and read off the
-    stabilizer parameters [[n+e, 2k-n+e]].  extension_distance certifies
-    the distance: the exact pass, which walks the extended code's dual when
-    k > 0, when it fits the budget.  Below it a self-dual extension (k = 0,
-    exactly when the code is self-orthogonal, with general_zero_dim's
-    bound) takes the information-set search on the extended generator, and
-    any other is bounded by d >= min(d(C), d(C + C^perp_h) + 1)."""
+    stabilizer parameters [[n+e, 2k-n+e]].  One extension_distance call
+    certifies the distance from the Extension alone: the exact pass, which
+    walks the extended code's dual when k > 0, when it fits the budget.
+    Below it a self-dual extension (k = 0, exactly when the code is
+    self-orthogonal, with general_zero_dim's bound) takes the
+    information-set search on the extended generator, and any other is
+    bounded by d >= min(d(C), d(C + C^perp_h) + 1), both read from the
+    Extension."""
     budget = dist.default_budget() if budget is None else budget
-    ext, dual = _extend(code)
-    g = ext.original
-    k, n = g.shape
-    kq = 2 * k - n + ext.e
-    if kq == 0:
-        cert = dist.extension_distance(ext, budget)
-        line = f"budget-limited bound: {cert.note}" if cert.bounded else cert.note
-    else:
-        sum_space = linalg.subspace_sum(g, dual)
-        cert = dist.extension_distance(
-            ext, budget,
-            code=code if isinstance(code, CyclicCode) else g,
-            sum_code=None if sum_space.shape[0] == n else sum_space,
-        )
-        line = f"bound: {cert.note}" if cert.bounded else cert.note
+    ext = _extend(code)
+    k, n = ext.original.shape
+    cert = dist.extension_distance(ext, budget)
     params = QuantumParams(
-        n=n + ext.e, k=kq, d=cert.bound, pure=cert.pure,
-        trace=(f"extension: input [{n},{k}], e={ext.e}", line),
+        n=n + ext.e, k=2 * k - n + ext.e, d=cert.bound, pure=cert.pure,
+        trace=(f"extension: input [{n},{k}], e={ext.e}",
+               f"budget-limited bound: {cert.note}" if cert.bounded else cert.note),
     )
     return ext, params
 
@@ -279,7 +270,7 @@ def extended_duadic_quantum(
             failed=["mu_-2 witness"],
         )
     n = splitting.n
-    ext, _ = _extend(pair.even1)
+    ext = _extend(pair.even1)
     if ext.e != 1:
         raise InvariantError(f"duadic extension produced e = {ext.e}, expected 1")
     sd = SelfDualCode(gen=ext.extended)
@@ -323,7 +314,7 @@ def general_zero_dim(
         raise NotApplicableError(
             "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
         )
-    ext, _ = _extend(g)
+    ext = _extend(g)
     if 2 * ext.k != ext.n or ext.n != 2 * (n - k):
         raise InvariantError("self-orthogonal extension produced wrong parameters")
     sd = SelfDualCode(gen=ext.extended)
@@ -370,25 +361,21 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
     The quaternary lift shares the defining set (the cosets coincide), its
     Euclidean and Hermitian structure match, and when the extension stays
     binary-generated extension_distance walks its binary span, 2^dim words
-    instead of 4^dim.
+    instead of 4^dim, and searches binary messages below the pass.  The
+    bound is extend_nearly_self_orthogonal's for the lift: both make the
+    one extension_distance call on the same Extension.
     """
     budget = dist.default_budget() if budget is None else budget
     n = a.n
-    bin_code = dist.binary_shadow_code(a)
-    ext, _ = _extend(CyclicCode(DefiningSet(n, a.members, q=4)))
-    kq = 2 * ext.k - ext.n
+    dist.binary_shadow_code(a)  # NotApplicableError unless ord_n(2) = ord_n(4)
+    ext = _extend(CyclicCode(DefiningSet(n, a.members, q=4)))
     trace = [
         f"binary cyclic n={n} leaders={list(a.leaders)} lifted to GF(4) (shared cosets)",
         f"extension e={ext.e}",
     ]
-    if kq == 0:
-        cert = dist.extension_distance(ext, budget)
-    else:
-        sum_code = CyclicCode(DefiningSet(n, a.members & bin_code.dual().defining_set.members, q=2))
-        cert = dist.extension_distance(ext, budget, code=bin_code,
-                                       sum_code=None if sum_code.dim == n else sum_code)
+    cert = dist.extension_distance(ext, budget)
     trace.append(f"budget-limited binary bound: {cert.note}" if cert.bounded else cert.note)
-    out = QuantumParams(n=ext.n, k=kq, d=cert.bound, pure=cert.pure, trace=tuple(trace))
+    out = QuantumParams(n=ext.n, k=2 * ext.k - ext.n, d=cert.bound, pure=cert.pure, trace=tuple(trace))
     return out, ext
 
 

@@ -299,6 +299,17 @@ def test_quantum_negative_secondary_steps_exit_2(capsys):
     assert err.startswith("invalid input:") and "-2" in err
 
 
+def test_negative_secondary_steps_refused_before_construction(capsys, monkeypatch):
+    # the flag is checked beside --budget, so no code is built or walked
+    def refuse(*args, **kwargs):
+        raise AssertionError("the construction ran")
+
+    monkeypatch.setattr(cli.quantum, "extended_duadic_quantum", refuse)
+    code, out, err = run(capsys, "quantum", "-n", "29", "--qr", "--secondary-steps", "-1")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: secondary steps must be >= 0, not -1\n"
+
+
 def test_distance_exact(capsys):
     code, out, _ = run(capsys, "distance", "-n", "5", "--leaders", "1", "--format", "json")
     assert code == 0

@@ -164,7 +164,7 @@ def test_dual_distribution_matches_walked_dual():
                     checked[2 if (copy <= 1).all() else 4] += 1
     for field in (4, 2) * 20:
         n = int(rng.integers(3, 11))
-        ext = quantum._extend(rng.integers(0, field, (int(rng.integers(1, n)), n)).astype(np.uint8))[0]
+        ext = quantum._extend(rng.integers(0, field, (int(rng.integers(1, n)), n)).astype(np.uint8))
         if ext.n - ext.k <= 8:
             assert _transform_matches_walked_dual(ext.extended_dual, ext.extended, max_words) is not False
             checked[2 if (ext.extended <= 1).all() else 4] += 1
@@ -458,7 +458,7 @@ def _extension_generators():
     for n in (7, 13, 17):
         for s in find_splittings(n):
             if s.has_multiplier(-2):
-                yield quantum._extend(duadic_from_splitting(s).even1)[0]
+                yield quantum._extend(duadic_from_splitting(s).even1)
 
 
 def test_small_blocks_give_same_bounds(monkeypatch):

@@ -168,7 +168,7 @@ def test_dual_containing_pass_matches_oracle():
     assert len(inputs) == 12
     while len(inputs) < 32:
         n = int(rng.integers(3, 8))
-        ext = quantum._extend(rng.integers(0, 4, (int(rng.integers(1, n)), n)).astype(np.uint8))[0]
+        ext = quantum._extend(rng.integers(0, 4, (int(rng.integers(1, n)), n)).astype(np.uint8))
         if ext.k <= 5 and 2 * ext.k > ext.n:
             inputs.append(ext.extended)
     impure = 0
@@ -501,7 +501,7 @@ def test_two_set_bound_brackets_search_extensions():
         for a in _search_sets(n):
             if n - len(a.members) > 10:
                 continue
-            ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+            ext = quantum._extend(CyclicCode(dual_defining_set(a)))
             d = _exact_distance(ext.extended)
             for budget in (0, 4096, 65536):
                 _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.n, budget)
@@ -519,7 +519,7 @@ def test_two_set_bound_brackets_mu2_extensions():
                 continue
             pair = duadic_from_splitting(s)
             for side, even in ((1, pair.even1), (2, pair.even2)):
-                ext, _ = quantum._extend(even)
+                ext = quantum._extend(even)
                 if n <= 29:
                     dd = dist.duadic_distances(s, side=side)
                     d = min(dd.d_even, dd.d_min_odd_coset + 1)
@@ -554,8 +554,8 @@ def test_cyclic_averaging_dominates_two_set_rule():
         for a in _search_sets(n):
             if n - len(a.members) > 9:
                 continue
-            ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
-            assert dist._shift_invariant(ext.original)
+            ext = quantum._extend(CyclicCode(dual_defining_set(a)))
+            assert dist._is_cyclic(ext.original)
             gen = ext.extended
             big_n, k = gen.shape[1], ext.original.shape[0]
             q = 2 if (gen <= 1).all() else 4
@@ -586,7 +586,7 @@ def test_fixed_rows_and_one_row_fixing_test():
     for n in range(3, 42, 2):
         for a_set in _search_sets(n):
             code = CyclicCode(dual_defining_set(a_set))
-            r = quantum._extend(code)[0].original
+            r = quantum._extend(code).original
             fixes = dist._fixing_involutions(r)
             for a in _involutions(n):
                 assert np.array_equal(dist._fixed_rows(r, a), dist.fixed_subcode(code, a).basis)
@@ -606,7 +606,7 @@ def test_fixed_subcode_seed_brackets_and_dominates(monkeypatch):
     involutions = dist._fixing_involutions
     for n in range(3, 42, 2):
         for a in _search_sets(n):
-            ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+            ext = quantum._extend(CyclicCode(dual_defining_set(a)))
             gen = ext.extended
             if gen.shape[0] > 9:
                 continue
@@ -629,7 +629,7 @@ def test_research_hi_is_a_checked_fixed_subcode_word():
     # n = 123: mu_40 (order 2) fixes the [123, 60] ingredient, and its
     # [123, 30] fixed subcode gives the hi; the word is returned and checked
     a = DefiningSet.from_leaders(123, (1, 2, 6, 7, 9, 11))
-    ext, _ = quantum._extend(CyclicCode(dual_defining_set(a)))
+    ext = quantum._extend(CyclicCode(dual_defining_set(a)))
     assert dist._fixing_involutions(ext.original) == [40]
     assert dist._fixed_rows(ext.original, 40).shape == (30, 123)
     b = dist._info_set_bounds(ext.extended, 4, 10**6, sets=[list(range(60)) + [123, 124, 125],
@@ -660,7 +660,7 @@ def test_non_cyclic_copy_keeps_two_set_bound():
     for n in (23, 29, 31):
         even = _mu2_pairs(n)[0].even1
         g = even.gen_matrix[:, [1, 0] + list(range(2, n))]
-        ext, _ = quantum._extend(g)
+        ext = quantum._extend(g)
         gen = ext.extended
         info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, gen.shape[1]))
         sets = [info, sorted(set(range(gen.shape[1])) - set(info))]
@@ -671,7 +671,7 @@ def test_non_cyclic_copy_keeps_two_set_bound():
                                                                      self_dual=True))
             assert "cyclic averaging" not in got.note
             # at n = 29 the cyclic original gains a level (the others are exact)
-            cyclic = dist.extension_distance(quantum._extend(even)[0], budget)
+            cyclic = dist.extension_distance(quantum._extend(even), budget)
             assert cyclic.bound.lo >= got.bound.lo + 2 * (n == 29 and budget > 0)
 
 
@@ -687,8 +687,8 @@ def test_cyclic_average_terms():
     assert dist._cyclic_average([3], 30, 20, 10, 0) == 8
     # the cyclic Hermitian self-dual [2m, m, 2] codes {(u | u)} extend with e = 0
     for m in (2, 3, 5):
-        ext, _ = quantum._extend(np.hstack([np.eye(m, dtype=np.uint8)] * 2))
-        assert ext.e == 0 and dist._shift_invariant(ext.original)
+        ext = quantum._extend(np.hstack([np.eye(m, dtype=np.uint8)] * 2))
+        assert ext.e == 0 and dist._is_cyclic(ext.original)
         for budget in (0, 1, 2 * m):
             b = dist.extension_distance(ext, budget).bound
             assert b.lo <= 2 <= (2 * m if b.hi is None else b.hi)
@@ -712,6 +712,67 @@ def test_binary_route_brackets_with_cyclic_averaging():
                 assert not p.d.exact or p.d.lo == d
                 notes.append(p.trace[-1])
     assert len(notes) == 60 and any("cyclic averaging" in line for line in notes)
+
+
+def _cyclic_codes(n):
+    """Every nonzero cyclic code of length n over GF(4), by defining set."""
+    cosets = all_cosets(n, 4).cosets
+    for mask in range(1 << len(cosets)):
+        a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
+        if len(a.members) < n:
+            yield a
+
+
+def test_dual_containing_bound_brackets_extensions_with_units():
+    # the k > 0 bound below the exact pass, for every cyclic code with
+    # n <= 21 whose extension has e > 0 units and k > 0 and whose pass walks
+    # at most 4^10 words (the reference d').  Each code is given as a
+    # CyclicCode and, once per multiplier class, as a generator matrix with
+    # its columns permuted, which is not cyclic
+    rng = np.random.default_rng(5)
+    cases = codes = 0
+    for n in range(3, 22, 2):
+        classes = set()
+        for a in _cyclic_codes(n):
+            ext = quantum._extend(CyclicCode(a))
+            if ext.e == 0 or 2 * ext.k == ext.n:
+                continue
+            q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
+            words = q ** ext.extended_dual.shape[0]
+            if words > 4**10:
+                continue
+            exact = dist.extension_distance(ext, words)
+            assert not exact.bounded
+            forms = [ext]
+            orbit = {frozenset(t * m % n for t in a.members) for m in range(1, n) if math.gcd(m, n) == 1}
+            if not classes & orbit:
+                classes.add(a.members)
+                forms.append(quantum._extend(CyclicCode(a).gen_matrix[:, rng.permutation(n)]))
+            for form in forms:
+                for budget in (b for b in (0, 100, 10**4) if b < words):
+                    got = dist.extension_distance(form, budget)
+                    b = got.bound
+                    assert got.bounded and "d(C + dual) + 1" in got.note
+                    assert b.lo <= exact.bound.lo <= (ext.n if b.hi is None else b.hi), (n, sorted(a.members))
+                    assert b.work <= budget
+                    assert got.pure == (dist.PURE_YES if b.lo == b.hi else dist.PURE_UNKNOWN)
+                    cases += 1
+            codes += 1
+    assert codes == 711 and cases == 2396
+
+
+def test_binary_route_is_the_lift_route():
+    # one Extension, one bound: the binary route and the q = 4 lift of the
+    # same defining set give the same (d, pure) whenever ord_n(2) = ord_n(4)
+    cases = 0
+    for n in (7, 23, 31):
+        for a in _cyclic_codes(n):
+            for budget in (0, 100, 10**4):
+                p, _ = quantum.binary_cyclic_quantum(a, budget=budget)
+                _, lift = quantum.extend_nearly_self_orthogonal(CyclicCode(a), budget=budget)
+                assert (p.d, p.pure) == (lift.d, lift.pure), (n, sorted(a.members), budget)
+                cases += p.k > 0
+    assert cases == 333
 
 
 def test_cyclic_code_search_brackets_and_dominates():
@@ -744,7 +805,7 @@ def test_general_zero_dim_brackets_random_self_orthogonal(seed, budget):
     g = rng.integers(0, int(rng.choice([2, 4])), (int(rng.integers(1, n)), n)).astype(np.uint8)
     if not g.any():
         return
-    code = quantum._extend(g)[0].extended_dual
+    code = quantum._extend(g).extended_dual
     params, sd = quantum.general_zero_dim(code, budget=budget)
     assert params.k == 0
     _assert_brackets(params.d, _exact_distance(sd.gen), params.n, max(budget, params.d.work))
@@ -757,7 +818,7 @@ def _enumerable_search_sets():
     out = []
     for n in range(3, 42, 2):
         for a in _search_sets(n):
-            gen = quantum._extend(CyclicCode(dual_defining_set(a)))[0].extended
+            gen = quantum._extend(CyclicCode(dual_defining_set(a))).extended
             if gen.shape[0] <= 10 or ((gen <= 1).all() and gen.shape[0] <= 20):
                 out.append(a)
     return tuple(out)
@@ -813,7 +874,8 @@ def test_extension_radical_is_zassenhaus_intersection():
     for code in codes:
         if not dist._generators(code)[0].any():
             continue
-        ext, dual = quantum._extend(code)
+        ext = quantum._extend(code)
+        dual = linalg.hermitian_dual_space(ext.original)
         radical = ext.extended_dual[: ext.extended_dual.shape[0] - ext.e, : ext.n - ext.e]
         assert np.array_equal(radical, linalg.subspace_intersection(ext.original, dual))
 
