@@ -4,14 +4,23 @@ The Gray walk bins the weight of every word of a span (all 4^k words over
 GF(4), 2^k over GF(2)) moved by one start word.  Words are packed bit
 planes, two over GF(4) and one over GF(2), so a step is an XOR and a weight
 is a popcount.  The walk visits every word exactly once, so the returned
-weight histogram is an exact count.  It runs on one thread.
+weight histogram is an exact count.
 
 _numpy_hist_planes splits the F2-basis into a suffix of up to _SUFFIX_BITS
 rows, whose span is tabulated once as a block of up to 65536 words, and a
 prefix walked in Gray order from the start word.  Each prefix step XORs one
 basis row into the running word; then the block is XORed with the running
-word, the two planes are ORed, popcounted and binned, all into buffers
-allocated once per call.
+word, the two planes are ORed, popcounted and binned, two weights to a key.
+
+A walk of at least 2 * _MIN_STEPS prefix steps is cut into contiguous
+ranges of prefix steps, one per CPU the process may run on (_THREADS) but
+no more than one per _MIN_STEPS steps.  Helper threads walk every range
+but the last, which the calling thread walks; numpy releases the GIL in
+the XORs, popcounts and sums of a block step, so the ranges run side by
+side.  Their histograms are integer counts and are summed, so the result
+is the same for any number of threads.  Shorter walks, among them every
+span of at most 2^19 words at the default sizes, run on the calling
+thread alone.
 
 InfoSetLevels walks the messages of one information set a level (message
 weight) at a time, for the Brouwer-Zimmermann search in distance.
@@ -20,6 +29,8 @@ weight) at a time, for the Brouwer-Zimmermann search in distance.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -36,17 +47,97 @@ def active_backend() -> str:
 # ---------------------------------------------------------------------------
 
 _SUFFIX_BITS = 16  # 2^16 = 65536-word blocks
+# Threads of one walk at most: the CPUs this process may run on.  Each
+# helper adds its own block buffers, about 1.4 MB for n <= 64 at 65536-word
+# blocks (two uint64 planes, the weights and the bincount keys and counts).
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Prefix steps of one range at least; a step of a full block takes about
+# 0.2 ms on n <= 64, a thread start about 0.1 ms.
+_MIN_STEPS = 8
+
+
+def _bin_block(suf_lo, suf_hi, cur_lo, cur_hi, bufs, acc) -> None:
+    """One block step: add the weights of suffix block + running word to acc.
+
+    bufs are the range's (x_lo, x_hi, pop, wt) buffers.  A uint8 wt is read
+    as uint16 keys, each holding the weights of two words (see _fold); an
+    intp wt is binned one weight to a key.
+    """
+    x_lo, x_hi, pop, wt = bufs
+    np.bitwise_xor(suf_lo, cur_lo, out=x_lo)
+    np.bitwise_xor(suf_hi, cur_hi, out=x_hi)
+    np.bitwise_or(x_lo, x_hi, out=x_lo)
+    if pop is None:  # one uint64 word per line
+        np.bitwise_count(x_lo[:, 0], out=wt)
+    else:
+        np.bitwise_count(x_lo, out=pop)
+        np.sum(pop, axis=1, dtype=wt.dtype, out=wt)
+    keys = wt.view(np.uint16) if wt.dtype == np.uint8 else wt
+    acc += np.bincount(keys, minlength=acc.size)
+
+
+def _fold(acc: np.ndarray, nbins: int) -> np.ndarray:
+    """The weight histogram from a range's accumulator.
+
+    A pair accumulator has 256 * nbins bins: key b * 256 + a counts the
+    word pairs whose two bytes hold the weights b and a, in either byte
+    order, so each pair adds one count to hist[a] and one to hist[b].
+    """
+    if acc.size == nbins:
+        return acc
+    pairs = acc.reshape(nbins, 256)
+    return pairs.sum(axis=0)[:nbins] + pairs.sum(axis=1)
+
+
+def _walk_range(basis_lo, basis_hi, suf_lo, suf_hi, start_lo, start_hi, t0, t1, nbins, stop):
+    """The weight histogram of the prefix steps t0 <= t < t1 over the block.
+
+    Step t's running word is start + the basis rows of gray(t) = t ^ (t >> 1),
+    so a range starts anywhere.  Weights of at most 255 are binned in pairs
+    of a block of two words or more; other walks bin one weight to a key.
+    The walk ends early once stop is set.
+    """
+    block, W = suf_lo.shape
+    paired = nbins <= 256 and block > 1
+    bufs = (
+        np.empty_like(suf_lo),
+        np.empty_like(suf_hi),
+        np.empty((block, W), dtype=np.uint8) if W > 1 else None,
+        np.empty(block, dtype=np.uint8 if paired else np.intp),  # bincount reads intp uncopied
+    )
+    acc = np.zeros(256 * nbins if paired else nbins, dtype=np.int64)
+    gray = t0 ^ (t0 >> 1)
+    rows = [i for i in range(gray.bit_length()) if gray >> i & 1]
+    cur_lo = np.bitwise_xor.reduce(basis_lo[rows], axis=0) ^ np.asarray(start_lo, dtype=np.uint64)
+    cur_hi = np.bitwise_xor.reduce(basis_hi[rows], axis=0) ^ np.asarray(start_hi, dtype=np.uint64)
+    for t in range(t0, t1):
+        if stop.is_set():
+            break
+        if t > t0:
+            idx = (t & -t).bit_length() - 1  # Gray code: the lowest set bit flips
+            cur_lo ^= basis_lo[idx]
+            cur_hi ^= basis_hi[idx]
+        _bin_block(suf_lo, suf_hi, cur_lo, cur_hi, bufs, acc)
+    return _fold(acc, nbins)
 
 
 def _numpy_hist_planes(basis_lo, basis_hi, start_lo, start_hi, nbins):
     """Exact weight histogram over start + the F2-span of basis rows.
 
     basis rows and the start are (W,) uint64 plane pairs; the span is walked
-    as prefix Gray walk x vectorized suffix block.  The block buffers are
-    allocated once per call and every block step writes into them.
+    as prefix Gray walk x vectorized suffix block.  The suffix block is
+    tabulated once and shared, read only, by the ranges of the prefix walk
+    (module docstring); each range allocates its buffers once and every
+    block step writes into them.  Each step popcounts the block into uint8
+    weights and bins them as uint16 keys, two words to a key, into
+    256 * nbins bins that live for the whole range and are folded into the
+    histogram once at its end.  Weights above 255 (nbins > 256) and a block
+    of one word are binned one weight to a key.
+
+    Threads are joined before this returns or raises, also on
+    KeyboardInterrupt; an exception in a helper is raised here.
     """
     nb_rows, W = basis_lo.shape
-    out = np.zeros(nbins, dtype=np.int64)
     k2 = min(nb_rows, _SUFFIX_BITS)
     prefix_rows = nb_rows - k2
     block = 1 << k2
@@ -56,27 +147,40 @@ def _numpy_hist_planes(basis_lo, basis_hi, start_lo, start_hi, nbins):
         h = 1 << b
         np.bitwise_xor(suf_lo[:h], basis_lo[i], out=suf_lo[h : 2 * h])
         np.bitwise_xor(suf_hi[:h], basis_hi[i], out=suf_hi[h : 2 * h])
-    x_lo = np.empty_like(suf_lo)
-    x_hi = np.empty_like(suf_hi)
-    pop = np.empty((block, W), dtype=np.uint8)
-    wt = np.empty(block, dtype=np.intp)  # bincount reads intp without a copy
-    cur_lo = np.array(start_lo, dtype=np.uint64)
-    cur_hi = np.array(start_hi, dtype=np.uint64)
-    for t in range(1 << prefix_rows):
-        if t:
-            idx = (t & -t).bit_length() - 1  # Gray code: the lowest set bit flips
-            cur_lo ^= basis_lo[idx]
-            cur_hi ^= basis_hi[idx]
-        np.bitwise_xor(suf_lo, cur_lo, out=x_lo)
-        np.bitwise_xor(suf_hi, cur_hi, out=x_hi)
-        np.bitwise_or(x_lo, x_hi, out=x_lo)
-        if W == 1:
-            np.bitwise_count(x_lo[:, 0], out=wt)
-        else:
-            np.bitwise_count(x_lo, out=pop)
-            np.sum(pop, axis=1, dtype=np.int64, out=wt)
-        out += np.bincount(wt, minlength=nbins)
-    return out
+    steps = 1 << prefix_rows
+    count = max(1, min(_THREADS, steps // _MIN_STEPS))
+    cuts = [steps * i // count for i in range(count + 1)]
+    stop = threading.Event()
+    hists: list[np.ndarray] = []
+    errors: list[BaseException] = []
+
+    def walk(i):
+        return _walk_range(basis_lo, basis_hi, suf_lo, suf_hi, start_lo, start_hi,
+                           cuts[i], cuts[i + 1], nbins, stop)
+
+    def helper(i):
+        try:
+            hists.append(walk(i))
+        except BaseException as exc:  # raised to the caller after the join
+            errors.append(exc)
+            stop.set()
+
+    helpers = []
+    try:
+        for i in range(count - 1):
+            thread = threading.Thread(target=helper, args=(i,), daemon=True)
+            thread.start()
+            helpers.append(thread)
+        hist = walk(count - 1)
+        for thread in helpers:  # the helpers finish their ranges
+            thread.join()
+    finally:  # after an exception here, also one raised in a join, they stop
+        stop.set()
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return sum(hists, hist)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Oracle checks for the enumeration kernels."""
 
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -51,6 +52,84 @@ def test_numpy_walker_matches_oracle(monkeypatch, suffix_bits, k, n):
     (start_lo,), (start_hi,) = gf4.pack_planes(start)
     hist = _kernels.gray_weight_hists(sg_lo, sg_hi, start_lo, start_hi, n + 1)
     assert hist.tolist() == _naive_hist(g, start, n)
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, "more than steps"])
+@pytest.mark.parametrize("k,n,suffix_bits", [(4, 13, 3), (3, 100, 2), (2, 300, 1), (0, 20, 3)])
+def test_threaded_walk_matches_oracle(monkeypatch, threads, k, n, suffix_bits):
+    # W = 1, W = 2, nbins > 256 (one weight to a key) and the span of zero
+    # rows (a one-word block), from a random start word, with the prefix walk
+    # cut into as many ranges as threads, one step each at the least
+    steps = 1 << max(0, 2 * k - suffix_bits)
+    monkeypatch.setattr(_kernels, "_SUFFIX_BITS", suffix_bits)
+    monkeypatch.setattr(_kernels, "_MIN_STEPS", 1)
+    monkeypatch.setattr(_kernels, "_THREADS", steps + 1 if threads == "more than steps" else threads)
+    rng = np.random.default_rng(k * n + suffix_bits)
+    g, sg_lo, sg_hi = _span_inputs(rng, k, n)
+    start = rng.integers(0, 4, n).astype(np.uint8)
+    (start_lo,), (start_hi,) = gf4.pack_planes(start)
+    before = threading.active_count()
+    hist = _kernels.gray_weight_hists(sg_lo, sg_hi, start_lo, start_hi, n + 1)
+    assert threading.active_count() == before
+    if k:
+        assert hist.tolist() == _naive_hist(g, start, n)
+    else:
+        assert hist.tolist() == [int(w == oracle.weight(start)) for w in range(n + 1)]
+
+
+def test_weight_histograms_same_at_every_thread_count(monkeypatch):
+    # one [24, 10] code, 4^10 words: 64 prefix steps on the first peeled level
+    g = np.random.default_rng(10).integers(0, 4, (10, 24)).astype(np.uint8)
+    monkeypatch.setattr(_kernels, "_THREADS", 1)
+    hist, work = distance.weight_histograms(g)
+    assert work == 4**10 and hist.sum() == 4**10
+    monkeypatch.setattr(_kernels, "_SUFFIX_BITS", 12)
+    monkeypatch.setattr(_kernels, "_MIN_STEPS", 1)
+    for threads in (1, 2, 3):
+        monkeypatch.setattr(_kernels, "_THREADS", threads)
+        again, again_work = distance.weight_histograms(g)
+        assert again.tolist() == hist.tolist() and again_work == work, threads
+
+
+def _threaded_walk_inputs(monkeypatch):
+    """A walk of 8 prefix steps cut into 3 ranges."""
+    monkeypatch.setattr(_kernels, "_SUFFIX_BITS", 3)
+    monkeypatch.setattr(_kernels, "_MIN_STEPS", 1)
+    monkeypatch.setattr(_kernels, "_THREADS", 3)
+    _, sg_lo, sg_hi = _span_inputs(np.random.default_rng(3), 3, 40)
+    zero = np.zeros(1, dtype=np.uint64)
+    return sg_lo, sg_hi, zero, zero, 41
+
+
+def _raising_step(monkeypatch, in_main: bool, exc: BaseException):
+    """Make the block step raise exc on the calling thread or on the helpers."""
+    step = _kernels._bin_block
+
+    def bin_block(*args):
+        if (threading.current_thread() is threading.main_thread()) == in_main:
+            raise exc
+        step(*args)
+
+    monkeypatch.setattr(_kernels, "_bin_block", bin_block)
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("step failed"), KeyboardInterrupt()])
+def test_raising_main_range_joins_every_helper(monkeypatch, exc):
+    args = _threaded_walk_inputs(monkeypatch)
+    _raising_step(monkeypatch, True, exc)
+    before = threading.active_count()
+    with pytest.raises(type(exc)):
+        _kernels.gray_weight_hists(*args)
+    assert threading.active_count() == before
+
+
+def test_helper_exception_reaches_the_caller(monkeypatch):
+    args = _threaded_walk_inputs(monkeypatch)
+    _raising_step(monkeypatch, False, ValueError("helper failed"))
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="helper failed"):
+        _kernels.gray_weight_hists(*args)
+    assert threading.active_count() == before
 
 
 @pytest.mark.parametrize("k,n", [(4, 12), (10, 31), (6, 80)])
