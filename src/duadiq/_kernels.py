@@ -23,7 +23,13 @@ span of at most 2^19 words at the default sizes, run on the calling
 thread alone.
 
 InfoSetLevels walks the messages of one information set a level (message
-weight) at a time, for the Brouwer-Zimmermann search in distance.
+weight) at a time, for the Brouwer-Zimmermann search in distance.  A level
+is a stream of blocks of at most _BLOCK_WORDS words, each one outer XOR,
+popcount and argmin: consecutive pivots with small pair grids share a
+block, so a level of a few hundred words is one numpy pass rather than one
+Python call per pivot, and a pivot too big for one block is cut into
+blocks.  It returns the first lightest word in its walk order, which does
+not depend on how pivots share blocks, and runs on the calling thread.
 """
 
 from __future__ import annotations
@@ -216,8 +222,8 @@ def gray_weight_hists_binary(sg: np.ndarray, nbins: int) -> np.ndarray:
 # information-set levels: meet in the middle over packed parity columns
 # ---------------------------------------------------------------------------
 
-# A block of prefix x suffix pairs holds at most this many words, so the
-# temporaries of a level walk stay under about 0.5 MB whatever the budget.
+# A block of a level walk holds at most this many words, so its index arrays
+# and temporaries stay under about 0.5 MB whatever the level.
 _BLOCK_WORDS = 1 << 14
 
 
@@ -227,16 +233,22 @@ def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
     rows[c][:, x] is packed message row x times the c-th nonzero scalar, one
     uint64 word per line, and so is every column of the table.  The columns
     are in colex order: the sums over subsets of the first x rows are the
-    first comb(x, t) * s^t, s = len(rows).
+    first comb(x, t) * s^t, s = len(rows).  The table is built a level at a
+    time: column j of level t is a column of level t - 1 XOR one scaled row,
+    both indexed by arithmetic on j (as in _subset_of_column).
     """
     width, k = rows[0].shape
+    s = len(rows)
     table = np.zeros((width, 1), dtype=np.uint64)
+    scaled = np.hstack(rows)  # column c * k + x is row x times the c-th scalar
+    sources = np.add.outer(np.arange(k), k * np.arange(s)).ravel()  # (row, scalar), row-major
+    combs = np.ones(k, dtype=np.intp)  # comb(x, level - 1) for every row x
     for level in range(1, t + 1):
-        blocks = [np.zeros((width, 0), dtype=np.uint64)]
-        for x in range(level - 1, k):
-            head = math.comb(x, level - 1) * len(rows) ** (level - 1)
-            blocks += [table[:, :head] ^ scaled[:, x : x + 1] for scaled in rows]
-        table = np.hstack(blocks)
+        # the block of row x under each scalar: the first comb(x, level - 1) s^(level - 1) columns
+        lengths = np.repeat(combs * s ** (level - 1), s)
+        column = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        table = table[:, column] ^ scaled[:, np.repeat(sources, lengths)]
+        combs = np.cumsum(combs) - combs  # comb(x, level) = sum of comb(y, level - 1), y < x
     return table
 
 
@@ -268,11 +280,25 @@ class InfoSetLevels:
     positions below m come from a prefix table, m carries the scalar 1 (a
     word and its multiples have the same weight) and the (w-1)//2 positions
     above m come from a table over the reversed rows, whose suffix is a
-    prefix.  Blocks are outer XORs of the two, one word line at a time, into
-    buffers allocated once per level.  least_weight returns the lightest
-    word with its weight: the message is read back from the indices of its
-    two table columns (_subset_of_column) and encoded from the parity
-    symbols, so the caller can check the word against the weight.
+    prefix.  Pivot m pairs the first comb(m, w//2) s^(w//2) prefix columns
+    with the first comb(span-1-m, (w-1)//2) s^((w-1)//2) suffix columns,
+    s = q - 1: a grid of the shorter side (the prefix on a tie) by the
+    longer.
+
+    The walk order is: pivot m ascending; inside m, the blocks of at most
+    _BLOCK_WORDS columns of the longer side, then the blocks of rows of the
+    shorter side that fill one, then every (shorter, longer) pair in
+    row-major order.  A level is walked as a stream of blocks of at most
+    _BLOCK_WORDS words in that order, each an outer XOR of rows (shorter
+    columns, each XORed with its pivot row) and longer columns, one word
+    line at a time, then a popcount and one argmin.  Consecutive pivots
+    whose shorter side is the same table share a block while all their
+    rows times the longest of their longer sides fit in one: their rows are
+    gathered by index, and a row's columns past its own pivot's longer side
+    weigh the maximum, so no padded pair is ever the lightest.  A pivot whose grid does not fit
+    in one block is walked in blocks of its own.  Buffers and index arrays
+    are sized per block, so at most _BLOCK_WORDS words are live whatever
+    the level; the tables hold the level's columns.
     """
 
     def __init__(self, parity: np.ndarray, q: int):
@@ -293,21 +319,26 @@ class InfoSetLevels:
     def least_weight(self, w: int, span: int) -> tuple[int, np.ndarray]:
         """The lightest codeword over the weight-w messages on the first span
         positions: (weight, word), the word as k message symbols followed by
-        their encoding, message times the parity part."""
+        their encoding, message times the parity part.
+
+        The word is the first of the lightest in the walk order of the class
+        docstring.  Its message is read back from the indices of its two
+        table columns (_subset_of_column) and encoded from the parity
+        symbols, so the caller can check the word against the weight.
+        """
         s = len(self.rows)
         a, c = w // 2, (w - 1) // 2
-        prefix, suffix = self._table(False, span, a), self._table(True, span, c)
-        bufs = tuple(np.empty(_BLOCK_WORDS, dtype=t) for t in (np.uint64, np.uint64, np.uint8, np.uint16))
-        best = (self.parity.shape[1] + 1,)
-        for m in range(a, span - c):
-            found = self._least_pair(
-                prefix[:, : math.comb(m, a) * s**a],
-                suffix[:, : math.comb(span - 1 - m, c) * s**c] ^ self.rows[0][:, m : m + 1],
-                bufs,
-            )
-            if found[0] < best[0]:
-                best = found + (m,)
-        weight, i, j, m = best
+        tables = self._table(False, span, a), self._table(True, span, c)
+        if len(tables[0]):
+            bufs = tuple(np.empty(_BLOCK_WORDS, dtype=t) for t in (np.uint64, np.uint64, np.uint8, np.uint16))
+            best = (self.parity.shape[1] + 1,)
+            for block in _level_blocks(a, c, span, s):
+                found = self._least_in_block(tables, bufs, *block)
+                if found[0] < best[0]:
+                    best = found
+        else:  # no parity columns (the full space): every word weighs 0
+            best = (0, a, 0, 0)
+        weight, m, i, j = best
         message = np.zeros(self.parity.shape[0], dtype=np.uint8)
         message[m] = 1
         for x, scalar in _subset_of_column(i, a, s):
@@ -318,42 +349,73 @@ class InfoSetLevels:
         parity = np.bitwise_xor.reduce(gf4.MUL_TABLE[message[support, None], self.parity[support]], axis=0)
         return w + weight, np.concatenate([message, parity])
 
-    def _least_pair(self, low: np.ndarray, high: np.ndarray, bufs) -> tuple[int, int, int]:
-        """(weight, i, j) of the lightest XOR of columns low[:, i] and high[:, j].
+    def _least_in_block(self, tables, bufs, swap: bool, pieces, j0: int, j1: int) -> tuple[int, int, int, int]:
+        """(weight, m, i, j) of the first lightest word of one block: prefix
+        column i and suffix column j under pivot m.
 
+        The block's rows are the shorter-side columns r0 <= r < r1 of each
+        piece (m, r0, r1, longer), the suffix table being the shorter side
+        when swap is set; its columns are the longer side's j0 <= col < j1.
         A column holds its planes one after the other; a coordinate counts
-        when any plane has its bit set.  The longer side is the contiguous one.
+        when any plane has its bit set.
         """
-        swap = low.shape[1] > high.shape[1]
-        if swap:
-            low, high = high, low
-        words = low.shape[0] // self.planes
-        if words == 0:  # no parity columns (the full space): every pair weighs 0
-            return 0, 0, 0
+        short, long = tables[::-1] if swap else tables
+        ms, r0, r1, longer = (np.array(v, dtype=np.intp) for v in zip(*pieces))
+        counts = r1 - r0
+        idx = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - r0, counts)
+        pivots = np.repeat(ms, counts)
+        rows = short[:, idx] ^ self.rows[0][:, pivots]
+        high = long[:, j0:j1]
+        shape = (len(idx), j1 - j0)
+        size = shape[0] * shape[1]
         xor_buf, or_buf, count_buf, sum_buf = bufs
-        best, where = words * 64 + 1, None
-        step_h = min(high.shape[1], _BLOCK_WORDS)
-        for j in range(0, high.shape[1], step_h):
-            h = high[:, j : j + step_h]
-            step_l = max(1, _BLOCK_WORDS // h.shape[1])
-            for i in range(0, low.shape[1], step_l):
-                l_blk = low[:, i : i + step_l]
-                size = l_blk.shape[1] * h.shape[1]
-                shape = (l_blk.shape[1], h.shape[1])
-                x, y = xor_buf[:size].reshape(shape), or_buf[:size].reshape(shape)
-                total, count = sum_buf[:size].reshape(shape), count_buf[:size].reshape(shape)
-                for t in range(words):
-                    np.bitwise_xor.outer(l_blk[t], h[t], out=x)
-                    if self.planes == 2:
-                        np.bitwise_xor.outer(l_blk[words + t], h[words + t], out=y)
-                        np.bitwise_or(x, y, out=x)
-                    if t == 0:
-                        np.bitwise_count(x, out=total)
-                    else:
-                        total += np.bitwise_count(x, out=count)
-                at = total.argmin()
-                if total.flat[at] < best:
-                    best, where = int(total.flat[at]), (i, j, int(at), shape[1])
-        i, j, at, cols = where
-        i, j = i + at // cols, j + at % cols
-        return (best, j, i) if swap else (best, i, j)
+        x, y = xor_buf[:size].reshape(shape), or_buf[:size].reshape(shape)
+        total, count = sum_buf[:size].reshape(shape), count_buf[:size].reshape(shape)
+        lines = len(rows) // self.planes
+        for t in range(lines):
+            np.bitwise_xor.outer(rows[t], high[t], out=x)
+            if self.planes == 2:
+                np.bitwise_xor.outer(rows[lines + t], high[lines + t], out=y)
+                np.bitwise_or(x, y, out=x)
+            if t == 0:
+                np.bitwise_count(x, out=total)
+            else:
+                total += np.bitwise_count(x, out=count)
+        if longer.min() < j1:  # the pairs past a row's own longer side
+            np.putmask(total, np.less_equal.outer(np.repeat(longer - j0, counts), np.arange(shape[1])),
+                       np.iinfo(total.dtype).max)
+        row, col = divmod(int(total.argmin()), shape[1])
+        weight, m, r = int(total[row, col]), int(pivots[row]), int(idx[row])
+        return (weight, m, j0 + col, r) if swap else (weight, m, r, j0 + col)
+
+
+def _level_blocks(a: int, c: int, span: int, s: int):
+    """The blocks of a level in walk order (InfoSetLevels): (swap, pieces,
+    j0, j1), pieces a list of (m, r0, r1, longer), see _least_in_block.
+
+    Pivots whose grids fit in one block together and whose shorter side is
+    the same table go into one block, all of their rows and the columns up
+    to the longest longer side; a pivot whose grid alone does not fit is
+    cut into blocks of at most _BLOCK_WORDS longer columns and as many
+    shorter rows as fill one.  The shorter side changes tables at most once
+    a level, since the prefix side grows with m and the suffix side shrinks.
+    """
+    group, rows, width, swap = [], 0, 0, False
+    for m in range(a, span - c):
+        low, high = math.comb(m, a) * s**a, math.comb(span - 1 - m, c) * s**c
+        shorter, longer = (high, low) if low > high else (low, high)
+        if group and (swap != (low > high) or (rows + shorter) * max(width, longer) > _BLOCK_WORDS):
+            yield swap, group, 0, width
+            group, rows, width = [], 0, 0
+        swap = low > high
+        if shorter * longer <= _BLOCK_WORDS:
+            group.append((m, 0, shorter, longer))
+            rows, width = rows + shorter, max(width, longer)
+            continue
+        step_h = min(longer, _BLOCK_WORDS)
+        for j in range(0, longer, step_h):
+            step_l = max(1, _BLOCK_WORDS // min(step_h, longer - j))
+            for i in range(0, shorter, step_l):
+                yield swap, [(m, i, min(i + step_l, shorter), longer)], j, min(j + step_h, longer)
+    if group:
+        yield swap, group, 0, width

@@ -337,6 +337,40 @@ def _check_witness(word: np.ndarray, weight: int, g: np.ndarray, self_dual: bool
         raise InvariantError(f"the weight-{weight} witness word is not a codeword")
 
 
+def _systematic_forms(g: np.ndarray, sets, reduced: bool = False, self_dual: bool = False) -> list:
+    """(columns, [I | P]) for each information set of span(g): the set's
+    columns in the given order, then the others in ascending order, and the
+    systematic form of g on those columns.
+
+    A form is reduced (linalg.rref of those columns, refused with InputError
+    unless it is the identity on the set) except where it is already known.
+    When g is an RREF whose pivots are the one set (reduced), g is [I | P]
+    on those columns.  When span(g) is Hermitian self-dual and the second
+    set is the complement R of the first, I, the form on R is
+    [I | conj(P)^T] with the rows and columns put in order: C^perp_h = C is
+    spanned by (conj(P) y | y), y running over the unit vectors on R.
+    """
+    k, n = g.shape
+    forms = []
+    for x, info in enumerate(sets):
+        cols = [int(c) for c in info]
+        cols += sorted(set(range(n)) - set(cols))
+        if x == 0 and reduced:
+            r = g[:, cols]
+        elif x == 1 and self_dual and len(info) == k and sorted(cols[:k]) == forms[0][0][k:]:
+            first, rest = forms[0][0][:k], forms[0][0][k:]  # the second set is rest
+            conj = gf4.CONJ_TABLE[forms[0][1][:, k:]].T  # row i: y the unit vector on rest[i]
+            r = np.hstack([np.eye(k, dtype=np.uint8),
+                           conj[np.searchsorted(rest, cols[:k])][:, np.argsort(first)]])
+        else:
+            r, rank, pivots = linalg.rref(g[:, cols])
+            if len(info) != k or pivots != list(range(k)):
+                raise InputError(f"columns {cols[: len(info)]} are not an information set")
+            r = r[:k]
+        forms.append((cols, r))
+    return forms
+
+
 def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=None,
                      self_dual: bool = False, seeds=()) -> InfoSetBound:
     """Brouwer-Zimmermann search over disjoint information sets of span(g).
@@ -344,18 +378,24 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     sets lists disjoint information sets of the code; None means one set,
     the pivots of g's RREF.  Each set's messages are walked by
     _kernels.InfoSetLevels over the parity part of one systematic form, a
-    level (message weight) at a time.  Levels alternate between the sets,
-    the set with fewer completed levels first (the lower index on a tie).
-    A codeword not met after level w_j on set j has weight >= w_j + 1 on
-    each set, so >= sum_j (w_j + 1).  The walk stops when the next level's
-    comb(k, w) (q - 1)^w words would pass the budget, or when the best word
-    found is no heavier than the lower bound, or when a set has walked all
-    k levels and so met every codeword: then it is the distance
-    (information-set provenance).  Otherwise lo is the bound
-    (budget-exhausted) and hi the best word.  With several sets the budget
-    left after the whole levels goes, a third of it, to the seeds and then,
-    all that remains, to the next level over the first x positions of its
-    set, the colex prefix of that level.  Both lower hi but not lo.
+    level (message weight) at a time.  The forms come from
+    _systematic_forms: one set's form is g's RREF itself, read on its
+    pivots and the other columns; a self-dual code searched on a set and
+    its complement reduces the first and derives the second; every other
+    set is reduced and refused unless it is an information set.  Levels
+    alternate between the sets, the set with fewer completed levels first
+    (the lower index on a tie).  A codeword not met after level w_j on set
+    j has weight >= w_j + 1 on each set, so >= sum_j (w_j + 1).  The walk
+    stops when the next level's comb(k, w) (q - 1)^w words would pass the
+    budget, or when the best word found is no heavier than the lower bound,
+    or when a set has walked all k levels and so met every codeword: then
+    it is the distance (information-set provenance).  Otherwise lo is the
+    bound (budget-exhausted) and hi the best word, or None (budget-exhausted
+    too) when no level fit the budget and no seed found a word.  With
+    several sets the budget left after the whole levels goes, a third of
+    it, to the seeds and then, all that remains, to the next level over the
+    first x positions of its set, the colex prefix of that level.  Both
+    lower hi but not lo.
 
     seeds is an iterable of matrices whose rows lie in span(g), read only
     when the whole levels leave the search inexact.  Each is searched on its
@@ -380,7 +420,8 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     before it is returned.
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
-    if sets is None:
+    one_set = sets is None
+    if one_set:
         r, rank, pivots = linalg.rref(g)
         g, sets = r[:rank], [pivots]
     if len(set().union(*map(set, sets))) != sum(len(info) for info in sets):
@@ -392,18 +433,10 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
         windows = [list(range(window)) + list(range(cyclic_n, n)), list(range(window, cyclic_n))]
         if [sorted(int(c) for c in info) for info in sets] != windows[: len(sets)]:
             raise InputError(f"the sets are not the cyclic windows of length {cyclic_n}")
-    walks, forms = [], []
-    for info in sets:
-        # one systematic form per set: the identity on its columns, then the parity part
-        cols = [int(c) for c in info]
-        cols += sorted(set(range(n)) - set(cols))
-        r, rank, pivots = linalg.rref(g[:, cols])
-        if len(info) != k or pivots != list(range(k)):
-            raise InputError(f"columns {cols[: len(info)]} are not an information set")
-        walks.append(_kernels.InfoSetLevels(r[:k, k:], q))
-        forms.append((cols, r[:k]))
+    forms = _systematic_forms(g, sets, reduced=one_set, self_dual=self_dual)
+    walks = [_kernels.InfoSetLevels(r[:, k:], q) for _, r in forms]
     levels = [0] * len(walks)
-    best, word, hi_src, work = n + 1, None, INFO_SET, 0
+    best, word, hi_src, work = n + 1, None, BUDGET, 0
 
     def cost(x: int, w: int) -> int:
         return math.comb(x, w) * (q - 1) ** w

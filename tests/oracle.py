@@ -134,3 +134,61 @@ def rref(rows, ncols):
                 rows[i] = [ADD[x, MUL[f, y]] for x, y in zip(rows[i], rows[rank])]
         pivots.append(c)
     return rows, len(pivots), pivots
+
+
+def _colex_messages(positions, t, s):
+    """The t-position messages on positions (a list), in the colex order of
+    the level walk's tables: by the rank of their last position, then its
+    scalar, then the messages on the earlier positions in the same order.
+    Each is a tuple of (position, symbol), symbol in 1..s."""
+    if t == 0:
+        return [()]
+    out = []
+    for x in range(t - 1, len(positions)):
+        for symbol in range(1, s + 1):
+            out += [head + ((positions[x], symbol),) for head in _colex_messages(positions[:x], t - 1, s)]
+    return out
+
+
+def first_lightest_message(parity, q, w, span, block_words):
+    """(weight, word) of the first lightest codeword over the weight-w
+    messages on the first span positions of [I | parity], in the order of
+    the information-set level walk; the word is the message followed by its
+    encoding.
+
+    Pivot m, the (w//2 + 1)-th smallest position, carries the symbol 1; the
+    w//2 positions below it and the (w-1)//2 above it are listed in colex
+    order, the upper ones counted from span - 1 down.  Of the two lists the
+    shorter (the lower one on a tie) runs in the outer loop, the longer in
+    the inner one, and the longer is cut into blocks of at most block_words
+    messages walked one after another.
+    """
+    k = len(parity)
+    cols = len(parity[0]) if k else 0
+    s = q - 1
+    a, c = w // 2, (w - 1) // 2
+
+    def encode(msg):
+        out = [0] * cols
+        for x, symbol in msg:
+            out = [ADD[y, MUL[symbol, p]] for y, p in zip(out, parity[x])]
+        return out
+
+    best = None
+    for m in range(a, span - c):
+        low = _colex_messages(list(range(m)), a, s)
+        high = _colex_messages(list(range(span - 1, m, -1)), c, s)
+        pivot = encode([(m, 1)])
+        encoded = {msg: encode(msg) for msg in low + high}
+        swap = len(low) > len(high)
+        shorter, longer = (high, low) if swap else (low, high)
+        step = min(len(longer), block_words)
+        for start in range(0, len(longer), step):
+            for u in shorter:
+                for v in longer[start : start + step]:
+                    msg = dict(u + v + ((m, 1),))
+                    tail = [ADD[ADD[x, y], z] for x, y, z in zip(encoded[u], encoded[v], pivot)]
+                    word = tuple(msg.get(x, 0) for x in range(k)) + tuple(tail)
+                    if best is None or weight(word) < best[0]:
+                        best = (weight(word), word)
+    return best

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -349,6 +353,29 @@ def test_distance_budget_zero_interval(capsys):
     # window of 12 positions, so cyclic averaging gives d >= ceil(23/12) = 2
     assert payload["lo"] == 2 and payload["hi"] is None
     assert payload["lo_src"] == "budget-exhausted"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_budget_zero_hi_is_budget_exhausted(capsys, fmt):
+    # no level fits the budget, so no search found the missing hi
+    code, out, _ = run(capsys, "distance", "-n", "23", "--leaders", "1", "--budget", "0", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["hi"] is None and payload["hi_src"] == "budget-exhausted"
+    else:
+        assert out == "[23,12] code, d in [2, ?] (lo: budget-exhausted, hi: budget-exhausted, work 0)\n"
+
+
+def test_python_m_duadiq_runs_the_cli():
+    # a checkout run as `PYTHONPATH=src python -m duadiq`, as CI runs the entry point
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "duadiq", "quantum", "-n", "13", "--qr", "--format", "json"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    p = json.loads(proc.stdout)
+    assert (p["n"], p["k"], p["d_lo"], p["d_hi"]) == (14, 0, 6, 6)
 
 
 def test_table_small(capsys):

@@ -477,6 +477,47 @@ def test_small_blocks_give_same_bounds(monkeypatch):
         assert got == want
 
 
+def _sweep_extensions(max_n):
+    """The self-dual extensions of the code search: the Hermitian dual of
+    every cyclic code whose defining set A, nonzero cosets, misses -2A."""
+    for n in range(3, max_n + 1, 2):
+        cosets = [c for c in all_cosets(n).cosets if 0 not in c]
+        for mask in range(1, 1 << len(cosets)):
+            a = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
+            if all((-2 * t) % n not in a for t in a):
+                yield quantum._extend(CyclicCode(dual_defining_set(DefiningSet(n, a))))
+
+
+def test_derived_systematic_forms_are_the_reductions():
+    # the form on the complement of a self-dual code's information set, and
+    # the one-set form of an RREF, equal the linalg.rref they replace
+    exts = list(_extension_generators()) + list(_sweep_extensions(21))
+    assert len(exts) > 60
+    for ext in exts:
+        gen = ext.extended
+        k, n = gen.shape
+        info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n - ext.e, n))
+        rest = sorted(set(range(n)) - set(info))
+        forms = dist._systematic_forms(gen, [info, rest], self_dual=True)
+        for cols, r in forms:
+            reduced, rank, pivots = linalg.rref(gen[:, cols])
+            assert pivots == list(range(k)) and (r == reduced[:k]).all()
+        for g in (ext.original, gen):
+            r, rank, pivots = linalg.rref(g)
+            (cols, form), = dist._systematic_forms(r[:rank], [pivots], reduced=True)
+            assert (form == linalg.rref(r[:rank][:, cols])[0][:rank]).all()
+
+
+def test_not_self_dual_refuses_a_set_that_is_no_information_set():
+    # [I | A] with a singular A: the complement of the pivots is no
+    # information set, and a code not declared self-dual reduces every set
+    g = np.hstack([np.eye(3, dtype=np.uint8), np.array([[1, 2, 0], [2, 3, 0], [0, 0, 0]], dtype=np.uint8)])
+    with pytest.raises(InputError):
+        dist._info_set_bounds(g, 4, 100, sets=[[0, 1, 2], [3, 4, 5]])
+    with pytest.raises(InputError):
+        dist._info_set_bounds(g, 4, 100, sets=[[3, 4, 5], [0, 1, 2]])
+
+
 def test_two_set_search_brackets_random_codes():
     # random [n, k] codes are not even: the pivots and an information set
     # among the other columns, against full enumeration

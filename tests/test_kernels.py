@@ -1,6 +1,7 @@
 """Oracle checks for the enumeration kernels."""
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -178,3 +179,36 @@ def test_info_set_levels_returns_its_lightest_word(monkeypatch, block_words, q, 
                 for scalars in itertools.product(range(1, q), repeat=w)
             )
             assert weight == best, (w, span)
+
+
+@pytest.mark.parametrize("block_words", [_kernels._BLOCK_WORDS, 3, 7])
+@pytest.mark.parametrize("n_parity", [0, 5, 70, 130])
+@pytest.mark.parametrize("q,k", [(2, 10), (4, 9)])
+def test_level_walk_returns_the_oracle_witness(monkeypatch, block_words, n_parity, q, k):
+    # the exact (weight, word) of the walk order: the witness decides the
+    # k > 0 hi, so another word of the same weight would change the output.
+    # 0, 5, 70 and 130 parity columns take W = 0, 1, 2 and 3 word lines; 3-
+    # and 7-word blocks cut pivots into several blocks and gather few
+    monkeypatch.setattr(_kernels, "_BLOCK_WORDS", block_words)
+    rng = np.random.default_rng(q * 1000 + n_parity)
+    parity = rng.integers(0, q, (k, n_parity)).astype(np.uint8)
+    walk = _kernels.InfoSetLevels(parity, q)
+    for w in range(1, 5):
+        for span in range(w, k + 1):
+            weight, word = walk.least_weight(w, span)
+            want = oracle.first_lightest_message(parity.tolist(), q, w, span, block_words)
+            assert (weight, tuple(word.tolist())) == want, (w, span)
+
+
+@pytest.mark.parametrize("t", [0, 1, 2, 3])
+def test_subset_table_columns_are_their_subsets(t):
+    # column j of the table is the sum of the scaled rows _subset_of_column names
+    rng = np.random.default_rng(t)
+    rows = [rng.integers(0, 1 << 63, (3, 6), dtype=np.uint64) for _ in range(3)]
+    table = _kernels._subset_table(rows, t)
+    assert table.shape == (3, math.comb(6, t) * 3**t)
+    for j in range(table.shape[1]):
+        want = np.zeros(3, dtype=np.uint64)
+        for x, scalar in _kernels._subset_of_column(j, t, 3):
+            want ^= rows[scalar][:, x]
+        assert (table[:, j] == want).all(), j
