@@ -10,7 +10,15 @@ _numpy_hist_planes splits the F2-basis into a suffix of up to _SUFFIX_BITS
 rows, whose span is tabulated once as a block of up to 65536 words, and a
 prefix walked in Gray order from the start word.  Each prefix step XORs one
 basis row into the running word; then the block is XORed with the running
-word, the two planes are ORed, popcounted and binned, two weights to a key.
+word, the planes are ORed (a binary walk has one and skips this), popcounted
+and binned, two weights to a key.
+
+A plane lives in lanes of one width for the whole walk.  When every plane
+of the span fits in 32 bits, one word of a code of length n <= 32, the walk
+copies the basis and start word into uint32 lanes and tabulates the block
+in them, so each step moves half the bytes of a uint64 walk and a block of
+two planes takes 512 KB instead of 1 MB; every other walk keeps uint64
+lanes, W words to a plane.  The width follows from the words themselves.
 
 A walk of at least 2 * _MIN_STEPS prefix steps is cut into contiguous
 ranges of prefix steps, one per CPU the process may run on (_THREADS) but
@@ -54,29 +62,34 @@ def active_backend() -> str:
 
 _SUFFIX_BITS = 16  # 2^16 = 65536-word blocks
 # Threads of one walk at most: the CPUs this process may run on.  Each
-# helper adds its own block buffers, about 1.4 MB for n <= 64 at 65536-word
-# blocks (two uint64 planes, the weights and the bincount keys and counts).
+# helper adds its own block buffers (the planes, the weights and the
+# bincount keys and counts): at 65536-word blocks about 1.5 MB for two
+# uint64 planes (33 <= n <= 64), about 0.95 MB for two uint32 lanes (n <= 32).
 _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 # Prefix steps of one range at least; a step of a full block takes about
-# 0.2 ms on n <= 64, a thread start about 0.1 ms.
+# 0.1 ms at n <= 32 and 0.15 ms at n <= 64, a thread start about 0.1 ms.
 _MIN_STEPS = 8
 
 
-def _bin_block(suf_lo, suf_hi, cur_lo, cur_hi, bufs, acc) -> None:
+def _bin_block(sufs, curs, bufs, acc) -> None:
     """One block step: add the weights of suffix block + running word to acc.
 
-    bufs are the range's (x_lo, x_hi, pop, wt) buffers.  A uint8 wt is read
-    as uint16 keys, each holding the weights of two words (see _fold); an
-    intp wt is binned one weight to a key.
+    sufs and curs are the planes of the block and of the running word, one
+    over GF(2) and two over GF(4).  bufs are the range's (xs, pop, wt)
+    buffers, xs one block per plane.  A uint8 wt is read as uint16 keys,
+    each holding the weights of two words (see _fold); an intp wt is binned
+    one weight to a key.
     """
-    x_lo, x_hi, pop, wt = bufs
-    np.bitwise_xor(suf_lo, cur_lo, out=x_lo)
-    np.bitwise_xor(suf_hi, cur_hi, out=x_hi)
-    np.bitwise_or(x_lo, x_hi, out=x_lo)
-    if pop is None:  # one uint64 word per line
-        np.bitwise_count(x_lo[:, 0], out=wt)
+    xs, pop, wt = bufs
+    for suf, cur, x in zip(sufs, curs, xs):
+        np.bitwise_xor(suf, cur, out=x)
+    x = xs[0]
+    for y in xs[1:]:  # a coordinate counts when any plane has its bit set
+        np.bitwise_or(x, y, out=x)
+    if pop is None:  # one word per line
+        np.bitwise_count(x[:, 0], out=wt)
     else:
-        np.bitwise_count(x_lo, out=pop)
+        np.bitwise_count(x, out=pop)
         np.sum(pop, axis=1, dtype=wt.dtype, out=wt)
     keys = wt.view(np.uint16) if wt.dtype == np.uint8 else wt
     acc += np.bincount(keys, minlength=acc.size)
@@ -95,7 +108,7 @@ def _fold(acc: np.ndarray, nbins: int) -> np.ndarray:
     return pairs.sum(axis=0)[:nbins] + pairs.sum(axis=1)
 
 
-def _walk_range(basis_lo, basis_hi, suf_lo, suf_hi, start_lo, start_hi, t0, t1, nbins, stop):
+def _walk_range(basis, sufs, start, t0, t1, nbins, stop):
     """The weight histogram of the prefix steps t0 <= t < t1 over the block.
 
     Step t's running word is start + the basis rows of gray(t) = t ^ (t >> 1),
@@ -103,56 +116,59 @@ def _walk_range(basis_lo, basis_hi, suf_lo, suf_hi, start_lo, start_hi, t0, t1, 
     of a block of two words or more; other walks bin one weight to a key.
     The walk ends early once stop is set.
     """
-    block, W = suf_lo.shape
+    block, W = sufs[0].shape
     paired = nbins <= 256 and block > 1
     bufs = (
-        np.empty_like(suf_lo),
-        np.empty_like(suf_hi),
+        [np.empty_like(suf) for suf in sufs],
         np.empty((block, W), dtype=np.uint8) if W > 1 else None,
         np.empty(block, dtype=np.uint8 if paired else np.intp),  # bincount reads intp uncopied
     )
     acc = np.zeros(256 * nbins if paired else nbins, dtype=np.int64)
     gray = t0 ^ (t0 >> 1)
     rows = [i for i in range(gray.bit_length()) if gray >> i & 1]
-    cur_lo = np.bitwise_xor.reduce(basis_lo[rows], axis=0) ^ np.asarray(start_lo, dtype=np.uint64)
-    cur_hi = np.bitwise_xor.reduce(basis_hi[rows], axis=0) ^ np.asarray(start_hi, dtype=np.uint64)
+    curs = [np.bitwise_xor.reduce(b[rows], axis=0) ^ s for b, s in zip(basis, start)]
     for t in range(t0, t1):
         if stop.is_set():
             break
         if t > t0:
             idx = (t & -t).bit_length() - 1  # Gray code: the lowest set bit flips
-            cur_lo ^= basis_lo[idx]
-            cur_hi ^= basis_hi[idx]
-        _bin_block(suf_lo, suf_hi, cur_lo, cur_hi, bufs, acc)
+            for cur, b in zip(curs, basis):
+                cur ^= b[idx]
+        _bin_block(sufs, curs, bufs, acc)
     return _fold(acc, nbins)
 
 
-def _numpy_hist_planes(basis_lo, basis_hi, start_lo, start_hi, nbins):
+def _numpy_hist_planes(basis, start, nbins):
     """Exact weight histogram over start + the F2-span of basis rows.
 
-    basis rows and the start are (W,) uint64 plane pairs; the span is walked
-    as prefix Gray walk x vectorized suffix block.  The suffix block is
-    tabulated once and shared, read only, by the ranges of the prefix walk
-    (module docstring); each range allocates its buffers once and every
-    block step writes into them.  Each step popcounts the block into uint8
-    weights and bins them as uint16 keys, two words to a key, into
-    256 * nbins bins that live for the whole range and are folded into the
-    histogram once at its end.  Weights above 255 (nbins > 256) and a block
-    of one word are binned one weight to a key.
+    basis is a tuple of (rows, W) uint64 planes, one over GF(2) and two over
+    GF(4), and start the matching tuple of (W,) planes; the span is walked
+    as prefix Gray walk x vectorized suffix block.  When every plane fits in
+    32 bits (W = 1 and n <= 32 for packed words of length n) the walk runs
+    in uint32 lanes, so each step moves half the bytes; else in uint64.
+    The suffix block is tabulated once and shared, read only, by the ranges
+    of the prefix walk (module docstring); each range allocates its buffers
+    once and every block step writes into them.  Each step popcounts the
+    block into uint8 weights and bins them as uint16 keys, two words to a
+    key, into 256 * nbins bins that live for the whole range and are folded
+    into the histogram once at its end.  Weights above 255 (nbins > 256) and
+    a block of one word are binned one weight to a key.
 
     Threads are joined before this returns or raises, also on
     KeyboardInterrupt; an exception in a helper is raised here.
     """
-    nb_rows, W = basis_lo.shape
+    nb_rows, W = basis[0].shape
+    start = [np.asarray(s, dtype=np.uint64) for s in start]
+    if W == 1 and all(int(p.max(initial=0)) < 1 << 32 for p in (*basis, *start)):
+        basis, start = ([p.astype(np.uint32) for p in planes] for planes in (basis, start))
     k2 = min(nb_rows, _SUFFIX_BITS)
     prefix_rows = nb_rows - k2
     block = 1 << k2
-    suf_lo = np.zeros((block, W), dtype=np.uint64)
-    suf_hi = np.zeros((block, W), dtype=np.uint64)
-    for b, i in enumerate(range(prefix_rows, nb_rows)):
-        h = 1 << b
-        np.bitwise_xor(suf_lo[:h], basis_lo[i], out=suf_lo[h : 2 * h])
-        np.bitwise_xor(suf_hi[:h], basis_hi[i], out=suf_hi[h : 2 * h])
+    sufs = [np.zeros((block, W), dtype=b.dtype) for b in basis]
+    for suf, plane in zip(sufs, basis):
+        for j, i in enumerate(range(prefix_rows, nb_rows)):
+            h = 1 << j
+            np.bitwise_xor(suf[:h], plane[i], out=suf[h : 2 * h])
     steps = 1 << prefix_rows
     count = max(1, min(_THREADS, steps // _MIN_STEPS))
     cuts = [steps * i // count for i in range(count + 1)]
@@ -161,8 +177,7 @@ def _numpy_hist_planes(basis_lo, basis_hi, start_lo, start_hi, nbins):
     errors: list[BaseException] = []
 
     def walk(i):
-        return _walk_range(basis_lo, basis_hi, suf_lo, suf_hi, start_lo, start_hi,
-                           cuts[i], cuts[i + 1], nbins, stop)
+        return _walk_range(basis, sufs, start, cuts[i], cuts[i + 1], nbins, stop)
 
     def helper(i):
         try:
@@ -208,14 +223,14 @@ def gray_weight_hists(
     """
     sg_lo = np.ascontiguousarray(sg_lo, dtype=np.uint64)
     sg_hi = np.ascontiguousarray(sg_hi, dtype=np.uint64)
-    return _numpy_hist_planes(sg_lo, sg_hi, start_lo, start_hi, nbins)
+    return _numpy_hist_planes((sg_lo, sg_hi), (start_lo, start_hi), nbins)
 
 
 def gray_weight_hists_binary(sg: np.ndarray, nbins: int) -> np.ndarray:
-    """Binary analogue: the histogram over the 2^k span of (k, W) row masks."""
+    """Binary analogue: the histogram over the 2^k span of (k, W) row masks,
+    walked on its one plane."""
     sg = np.ascontiguousarray(sg, dtype=np.uint64)
-    zero = np.zeros(sg.shape[1], dtype=np.uint64)
-    return _numpy_hist_planes(sg, np.zeros_like(sg), zero, zero, nbins)
+    return _numpy_hist_planes((sg,), (np.zeros(sg.shape[1], dtype=np.uint64),), nbins)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,16 @@ def _check_witness(word: np.ndarray, weight: int, g: np.ndarray, self_dual: bool
         raise InvariantError(f"the weight-{weight} witness word is not a codeword")
 
 
+def _rref_pivots(g: np.ndarray) -> list[int] | None:
+    """The pivots of g when g is an RREF without zero rows, else None: its
+    rows' leading columns rise and hold the identity, so linalg.rref would
+    return g unchanged."""
+    pivots = (g != 0).argmax(axis=1)
+    if g.any(axis=1).all() and (np.diff(pivots) > 0).all() and np.array_equal(g[:, pivots], np.eye(len(g))):
+        return pivots.tolist()
+    return None
+
+
 def _systematic_forms(g: np.ndarray, sets, reduced: bool = False, self_dual: bool = False) -> list:
     """(columns, [I | P]) for each information set of span(g): the set's
     columns in the given order, then the others in ascending order, and the
@@ -376,7 +386,9 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     """Brouwer-Zimmermann search over disjoint information sets of span(g).
 
     sets lists disjoint information sets of the code; None means one set,
-    the pivots of g's RREF.  Each set's messages are walked by
+    the pivots of g's RREF.  g is reduced only when it is not an RREF
+    already (_rref_pivots): _one_set_bound, min_distance_exact and the
+    seeds (_fixed_rows) pass RREF bases.  Each set's messages are walked by
     _kernels.InfoSetLevels over the parity part of one systematic form, a
     level (message weight) at a time.  The forms come from
     _systematic_forms: one set's form is g's RREF itself, read on its
@@ -422,8 +434,11 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
     g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
     one_set = sets is None
     if one_set:
-        r, rank, pivots = linalg.rref(g)
-        g, sets = r[:rank], [pivots]
+        pivots = _rref_pivots(g)
+        if pivots is None:
+            r, rank, pivots = linalg.rref(g)
+            g = r[:rank]
+        sets = [pivots]
     if len(set().union(*map(set, sets))) != sum(len(info) for info in sets):
         raise InputError("information sets must be disjoint")
     k, n = g.shape

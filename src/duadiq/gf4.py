@@ -72,10 +72,6 @@ def matrix(rows) -> np.ndarray:
     return m
 
 
-def scalar_mul(c: int, v: np.ndarray) -> np.ndarray:
-    return MUL_TABLE[c & 3][v]
-
-
 def weight(v: np.ndarray) -> int:
     """Hamming weight: number of nonzero symbols."""
     return int(np.count_nonzero(v))
@@ -109,11 +105,6 @@ def poly_trim(p: np.ndarray) -> np.ndarray:
     return p[: nz[-1] + 1].copy()
 
 
-def poly_deg(p: np.ndarray) -> int:
-    """Degree; -1 for the zero polynomial."""
-    return len(poly_trim(p)) - 1
-
-
 def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     p = poly_trim(p)
     q = poly_trim(q)
@@ -124,34 +115,6 @@ def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         if c:
             out[i : i + len(q)] ^= MUL_TABLE[c][q]
     return out
-
-
-def poly_divmod(p: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Quotient and remainder of p by q (q nonzero)."""
-    p = poly_trim(p).copy()
-    q = poly_trim(q)
-    if len(q) == 0:
-        raise ZeroDivisionError("polynomial division by zero")
-    dq = len(q) - 1
-    lead_inv = inv(int(q[-1]))
-    if len(p) - 1 < dq:
-        return np.zeros(0, dtype=np.uint8), p
-    quot = np.zeros(len(p) - dq, dtype=np.uint8)
-    rem = p
-    for shift in range(len(p) - dq - 1, -1, -1):
-        c = mul(int(rem[shift + dq]), lead_inv)
-        if c:
-            quot[shift] = c
-            rem[shift : shift + dq + 1] ^= MUL_TABLE[c][q]
-    return quot, poly_trim(rem)
-
-
-def poly_eval(p: np.ndarray, x: int) -> int:
-    """Evaluate at a GF(4) point (Horner)."""
-    acc = 0
-    for c in reversed(poly_trim(p)):
-        acc = mul(acc, x) ^ int(c)
-    return acc
 
 
 def x_pow_n_minus_1(n: int) -> np.ndarray:
@@ -185,14 +148,3 @@ def pack_planes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     lo = np.bitwise_or.reduce(bits_lo << shifts, axis=2)
     hi = np.bitwise_or.reduce(bits_hi << shifts, axis=2)
     return np.ascontiguousarray(lo), np.ascontiguousarray(hi)
-
-
-def unpack_planes(lo: np.ndarray, hi: np.ndarray, n: int) -> np.ndarray:
-    """Inverse of pack_planes."""
-    lo = np.atleast_2d(lo)
-    hi = np.atleast_2d(hi)
-    k, W = lo.shape
-    shifts = np.arange(64, dtype=np.uint64)
-    lo_bits = ((lo[:, :, None] >> shifts) & np.uint64(1)).reshape(k, W * 64)
-    hi_bits = ((hi[:, :, None] >> shifts) & np.uint64(1)).reshape(k, W * 64)
-    return (lo_bits | (hi_bits << np.uint64(1))).astype(np.uint8)[:, :n]

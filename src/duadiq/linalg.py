@@ -134,14 +134,15 @@ def subspace_meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.nda
 def complement_basis(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
     """Rows of sup extending a basis of sub to one of sup (greedy, deterministic).
 
-    A row is taken when it lies outside the span of sub and the rows taken
-    before it.  Those rows are the pivot columns of the transpose of
-    (basis of sub; sup) past the first rank(sub), which are all pivots.
+    A row is taken when it lies outside the span of sub and the rows before
+    it.  Those rows are the pivot columns of the transpose of (sub; sup)
+    past the rows of sub, since a column is a pivot exactly when it lies
+    outside the span of the columns before it.
     """
+    sub = np.atleast_2d(np.asarray(sub, dtype=np.uint8))
     sup = np.atleast_2d(np.asarray(sup, dtype=np.uint8))
-    base = row_basis(np.atleast_2d(sub))
-    pivots = rref(np.vstack([base, sup]).T)[2]
-    return sup[[p - base.shape[0] for p in pivots[base.shape[0]:]]]
+    pivots = rref(np.vstack([sub, sup]).T)[2]
+    return sup[[p - sub.shape[0] for p in pivots if p >= sub.shape[0]]]
 
 
 def gram_matrix(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:

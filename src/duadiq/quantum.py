@@ -153,10 +153,12 @@ def _extend(code) -> Extension:
     g = linalg.row_basis(dist._generators(code)[0])
     k = g.shape[0]
     if k == 0:
-        raise InputError("cannot extend the zero code")
+        raise InputError("refusing the zero code (dimension must be >= 1)")
     dual = linalg.hermitian_dual_space(g)
-    # the radical C cap C^perp_h is x g over the x with x Gram(g) = 0
-    radical = linalg.row_basis(linalg.matmul(linalg.nullspace(linalg.gram_matrix(g).T), g))
+    # the radical C cap C^perp_h is x g over the x with x Gram(g) = 0, so
+    # C itself when C is self-orthogonal
+    gram = linalg.gram_matrix(g)
+    radical = linalg.row_basis(linalg.matmul(linalg.nullspace(gram.T), g)) if gram.any() else g
     e = dual.shape[0] - radical.shape[0]
     ortho = _hermitian_orthonormalize(linalg.complement_basis(radical, dual))
     if ortho.shape[0] != e:
@@ -306,17 +308,14 @@ def general_zero_dim(
     binary generator, else 4), else bounded by the information-set search
     on the self-dual code."""
     budget = dist.default_budget() if budget is None else budget
-    g = linalg.row_basis(dist._generators(code)[0])
-    k, n = g.shape
-    if k == 0:
-        raise InputError("refusing the zero code (dimension must be >= 1)")
-    if not linalg.is_hermitian_self_orthogonal(g):
+    ext = _extend(code)
+    k, n = ext.original.shape
+    # the extension [n + e, k + e] has e = n - k - dim(radical), so it is
+    # self-dual exactly when the radical is C, that is C <= C^perp_h
+    if 2 * ext.k != ext.n:
         raise NotApplicableError(
             "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
         )
-    ext = _extend(g)
-    if 2 * ext.k != ext.n or ext.n != 2 * (n - k):
-        raise InvariantError("self-orthogonal extension produced wrong parameters")
     sd = SelfDualCode(gen=ext.extended)
     trace = [
         f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}",

@@ -36,11 +36,56 @@ def weight(v):
     return sum(1 for x in v if x != 0)
 
 
-def span_words(rows):
-    """Every word in the GF(4) span (the zero word included)."""
+def scalar_mul(c, v):
+    """The vector v times the scalar c."""
+    return [MUL[c, int(x)] for x in v]
+
+
+def poly_deg(p):
+    """Degree of a little-endian coefficient sequence; -1 for the zero polynomial."""
+    return max((i for i, c in enumerate(p) if c), default=-1)
+
+
+def poly_divmod(p, q):
+    """Quotient and remainder of p by q (q nonzero), both trimmed lists: long
+    division, one leading term of the remainder at a time."""
+    dq = poly_deg(q)
+    if dq < 0:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = [int(c) for c in p[: poly_deg(p) + 1]]
+    inv = next(x for x in (1, 2, 3) if MUL[int(q[dq]), x] == 1)
+    quot = [0] * max(0, len(rem) - dq)
+    for shift in range(len(rem) - dq - 1, -1, -1):
+        c = MUL[rem[shift + dq], inv]
+        quot[shift] = c
+        for i in range(dq + 1):
+            rem[shift + i] = ADD[rem[shift + i], MUL[c, int(q[i])]]
+    return quot[: poly_deg(quot) + 1], rem[: poly_deg(rem) + 1]
+
+
+def poly_eval(p, x):
+    """p(x) at a GF(4) point, summing c x^i term by term."""
+    acc, power = 0, 1
+    for c in p:
+        acc = ADD[acc, MUL[int(c), power]]
+        power = MUL[power, x]
+    return acc
+
+
+def unpack_planes(lo, hi, n):
+    """The (k, n) symbols of packed (k, W) low/high bit planes: bit j % 64 of
+    word j // 64 holds coordinate j."""
+    def bit(word, j):
+        return int(word[j // 64]) >> (j % 64) & 1
+
+    return [[bit(l, j) | bit(h, j) << 1 for j in range(n)] for l, h in zip(lo, hi)]
+
+
+def span_words(rows, q=4):
+    """Every word in the GF(q) span, q = 2 or 4 (the zero word included)."""
     k = len(rows)
     n = len(rows[0]) if k else 0
-    for coeffs in itertools.product(range(4), repeat=k):
+    for coeffs in itertools.product(range(q), repeat=k):
         word = [0] * n
         for c, row in zip(coeffs, rows):
             if c:
@@ -58,10 +103,12 @@ def min_distance(rows):
     return best
 
 
-def weight_counts(rows, n):
+def weight_counts(rows, n, start=None, q=4):
+    """Words of each weight in start + the GF(q) span of rows (start zero by default)."""
+    start = [0] * n if start is None else start
     counts = [0] * (n + 1)
-    for word in span_words(rows):
-        counts[weight(word)] += 1
+    for word in span_words(rows, q):
+        counts[weight([ADD[x, y] for x, y in zip(word, start)])] += 1
     return counts
 
 

@@ -114,7 +114,7 @@ def test_criterion_03_odd_weight_lemma():
                         if gf4.weight(word) % 2 == 1:
                             failures.append((n, side, "sampled even-like word is odd"))
                         alpha = int(rng.integers(1, 4))
-                        shifted = word ^ gf4.scalar_mul(alpha, ones)
+                        shifted = word ^ oracle.scalar_mul(alpha, ones)
                         if gf4.weight(shifted) % 2 == 0:
                             failures.append((n, side, "sampled odd-like word is even"))
                     checked += 1

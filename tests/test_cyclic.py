@@ -16,6 +16,8 @@ from duadiq.cyclic import (
     near_orthogonality,
 )
 
+import oracle
+
 
 def test_coset_examples():
     assert cyclotomic_coset(15, 1, 4) == frozenset({1, 4})
@@ -58,8 +60,8 @@ def test_code_construction():
     c = CyclicCode.from_leaders(5, [1])
     assert (c.n, c.dim) == (5, 3)
     # generator polynomial divides x^n - 1 and has degree |A|
-    assert gf4.poly_deg(c.gen_poly) == 2
-    _, rem = gf4.poly_divmod(gf4.x_pow_n_minus_1(5), c.gen_poly)
+    assert oracle.poly_deg(c.gen_poly) == 2
+    _, rem = oracle.poly_divmod(gf4.x_pow_n_minus_1(5), c.gen_poly)
     assert len(rem) == 0
     assert linalg.rank(c.gen_matrix) == c.dim
     # cyclic shift invariance of the row space

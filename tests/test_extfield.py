@@ -4,6 +4,8 @@ import pytest
 from duadiq import extfield, gf4
 from duadiq.cyclic import all_cosets, cyclotomic_coset
 
+import oracle
+
 
 def test_factorize():
     assert extfield.factorize(1) == {}
@@ -64,7 +66,7 @@ def test_minimal_poly_examples():
     e9 = extfield.ext_build(9, 4)
     mp9 = extfield.minimal_poly(e9, cyclotomic_coset(9, 1))
     assert len(mp9) == 4  # degree 3 coset {1,4,7}
-    _, rem = gf4.poly_divmod(gf4.x_pow_n_minus_1(9), mp9)
+    _, rem = oracle.poly_divmod(gf4.x_pow_n_minus_1(9), mp9)
     assert len(rem) == 0
 
 
@@ -90,7 +92,7 @@ def test_minimal_polys_factor_x_n_minus_1(n):
     for coset in part.cosets:
         mp = extfield.minimal_poly(ext, coset)
         assert len(mp) == len(coset) + 1
-        _, rem = gf4.poly_divmod(gf4.x_pow_n_minus_1(n), mp)
+        _, rem = oracle.poly_divmod(gf4.x_pow_n_minus_1(n), mp)
         assert len(rem) == 0
         product = gf4.poly_mul(product, mp)
     assert np.array_equal(gf4.poly_trim(product), gf4.x_pow_n_minus_1(n))

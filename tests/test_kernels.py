@@ -133,6 +133,42 @@ def test_helper_exception_reaches_the_caller(monkeypatch):
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("threads", [1, 2, 3])
+@pytest.mark.parametrize("n", [31, 32, 33, 64, 65])
+def test_walks_match_oracle_at_lane_boundaries(monkeypatch, threads, n):
+    # n <= 32 walks uint32 lanes, n = 33 and 64 one uint64 word, n = 65 two;
+    # the last coordinate is set, so n = 32 fills the lane's top bit and n =
+    # 33 does not fit one.  3 suffix bits cut the prefix walk into ranges,
+    # one per thread; the GF(4) walk starts from a random word
+    monkeypatch.setattr(_kernels, "_SUFFIX_BITS", 3)
+    monkeypatch.setattr(_kernels, "_MIN_STEPS", 1)
+    monkeypatch.setattr(_kernels, "_THREADS", threads)
+    planes = []
+    step = _kernels._bin_block
+
+    def bin_block(sufs, *args):
+        planes.append((len(sufs), sufs[0].dtype))
+        step(sufs, *args)
+
+    monkeypatch.setattr(_kernels, "_bin_block", bin_block)
+    lane = np.dtype(np.uint32 if n <= 32 else np.uint64)
+    rng = np.random.default_rng(n * 10 + threads)
+    g = rng.integers(0, 4, (5, n)).astype(np.uint8)
+    g[0, -1] = 1
+    sg_lo, sg_hi = distance._packed_span(g)
+    start = rng.integers(0, 4, n).astype(np.uint8)
+    (start_lo,), (start_hi,) = gf4.pack_planes(start)
+    hist = _kernels.gray_weight_hists(sg_lo, sg_hi, start_lo, start_hi, n + 1)
+    assert hist.tolist() == oracle.weight_counts(g.tolist(), n, start=start.tolist())
+    assert set(planes) == {(2, lane)}
+    planes.clear()
+    b = rng.integers(0, 2, (10, n)).astype(np.uint8)
+    b[0, -1] = 1
+    hist = _kernels.gray_weight_hists_binary(gf4.pack_planes(b)[0], n + 1)
+    assert hist.tolist() == oracle.weight_counts(b.tolist(), n, q=2)
+    assert set(planes) == {(1, lane)}  # the binary walk builds no hi plane
+
+
 @pytest.mark.parametrize("k,n", [(4, 12), (10, 31), (6, 80)])
 def test_binary_walker_matches_enumeration(k, n):
     rng = np.random.default_rng(k * n)

@@ -150,7 +150,7 @@ def test_complement_basis_matches_rank_greedy(case):
         elif case == "rank-deficient":
             # repeated rows, a zero row and a combination of two others
             sup = np.vstack([sup, sup[:1], np.zeros((1, n), dtype=np.uint8),
-                             sup[0] ^ gf4.scalar_mul(2, sup[-1])])
+                             sup[0] ^ oracle.scalar_mul(2, sup[-1])])
         elif case == "equal":
             sup = sub
         sup = sup[rng.permutation(sup.shape[0])]
