@@ -227,15 +227,6 @@ class CyclicCode:
         self._check_mate(other)
         return other.defining_set.members >= self.defining_set.members
 
-    def to_descriptor(self) -> dict:
-        """Canonical JSON descriptor (bit-exact across platforms)."""
-        return {
-            "n": self.n,
-            "q": self.q,
-            "defining_set_leaders": [int(x) for x in self.defining_set.leaders],
-            "generator_polynomial": [int(c) for c in self.gen_poly],
-        }
-
 
 def near_orthogonality(code_or_matrix) -> int:
     """dim(E) - dim(E intersect E^perp_h); zero exactly for self-orthogonal E.
@@ -252,18 +243,3 @@ def near_orthogonality(code_or_matrix) -> int:
         return c.dim - inter_dim
     return linalg.rank(linalg.gram_matrix(linalg.row_basis(np.atleast_2d(code_or_matrix))))
 
-
-def defining_set_of_matrix(g: np.ndarray, n: int, q: int = 4) -> frozenset[int]:
-    """Exponents t where every row polynomial vanishes at alpha^t.
-
-    Independent root-by-root recovery used as the oracle against the
-    defining-set arithmetic.
-    """
-    ext = extfield.ext_build(n, q)
-    g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
-    out = set()
-    for t in range(n):
-        pt = ext.alpha_pow(t)
-        if all(ext.eval_base_poly(row, pt) == 0 for row in g):
-            out.add(t)
-    return frozenset(out)

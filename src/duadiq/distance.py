@@ -42,7 +42,11 @@ dual only the smaller is walked: the duadic pass walks the even-like code
 alone, 4^dim words, for the odd-like distribution too.  The quaternary
 walk evaluates about a third of the words: a word and its nonzero
 multiples have the same weight, so weight_histograms enumerates one word
-per scaling orbit of the span.  The information-set search counts the
+per scaling orbit of the span.  A cyclic span walks only its shortened
+code, the words zero at coordinate 0, and rebuilds its distribution from
+them, since the shift acts transitively on the coordinates (_span_hist):
+about 4^(dim-1)/3 words over GF(4) and 2^(dim-1) over GF(2), while the
+work still counts 4^dim (2^dim).  The information-set search counts the
 messages it covers, comb(x, w) (q - 1)^w for level w over x positions, and
 likewise walks one per scaling orbit.
 
@@ -175,6 +179,62 @@ def _symmetric_hist(g: np.ndarray) -> np.ndarray:
     return hist + _kernels.gray_weight_hists(sg_lo[rest], sg_hi[rest], zero, zero, n + 1)
 
 
+def _binary_hist(g: np.ndarray) -> np.ndarray:
+    """The weight histogram of the binary span of g (0/1 rows), walked on one plane."""
+    lo, _ = gf4.pack_planes(g)
+    return _kernels.gray_weight_hists_binary(lo, g.shape[1] + 1)
+
+
+def _is_cyclic(r: np.ndarray) -> bool:
+    """Whether the row space of r, an RREF, is cyclic: its pivots are
+    {0..k-1} and it holds the cyclic shift of each row.
+
+    On the pivots the shift of row i reads r[i, n-1] at column 0 and the
+    pivot of row i + 1 (none for the last row), so it lies in the row
+    space exactly when it is r[i, n-1] r_0 + r_(i+1), the combination its
+    pivot entries name.
+    """
+    k = r.shape[0]
+    if not np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8)):
+        return False
+    combination = gf4.MUL_TABLE[r[:, -1:], r[:1]]
+    combination[:-1] ^= r[1:]
+    return np.array_equal(np.concatenate((r[:, -1:], r[:, :-1]), axis=1), combination)
+
+
+def _span_hist(r: np.ndarray, q: int) -> np.ndarray:
+    """The weight histogram of the GF(q) span of r, an RREF basis: walked
+    by _symmetric_hist (q = 4) or _binary_hist (q = 2), and for a cyclic
+    span (_is_cyclic) on its shortened code alone.
+
+    A cyclic C = span(r) of length n and dimension k has pivots {0..k-1},
+    so span(r[1:]) is the shortened code {c in C : c_0 = 0}, q^(k-1) words.
+    The shift acts transitively on the coordinates, so each one is nonzero
+    on w A_w / n of the A_w words of weight w, and the shortened code holds
+    B_w = (n - w) A_w / n of them (MacWilliams & Sloane, 1977):
+        A_w = n B_w / (n - w) for w < n,   A_n = q^k - sum_{w<n} A_w.
+    Raises InvariantError when the walked B cannot be such a code's: n B_w
+    not divisible by n - w, a word of weight n, or A_n < 0.
+    """
+    walk = _symmetric_hist if q == 4 else _binary_hist
+    k, n = r.shape
+    if k == 0 or not _is_cyclic(r):
+        return walk(r)
+    b = [int(x) for x in walk(r[1:])]
+    if b[n]:
+        raise InvariantError(f"the shortened walk of a cyclic [{n},{k}] code met a word of weight {n}")
+    bad = next((w for w in range(n) if n * b[w] % (n - w)), None)
+    if bad is not None:
+        raise InvariantError(f"the shortened walk of a cyclic [{n},{k}] code miscounted: "
+                             f"{n} B_{bad} is not divisible by {n - bad}")
+    a = [n * b[w] // (n - w) for w in range(n)]
+    a.append(q**k - sum(a))
+    if a[n] < 0:
+        raise InvariantError(f"the shortened walk of a cyclic [{n},{k}] code miscounted: "
+                             f"its distribution passes {q}^{k} words")
+    return np.array(a, dtype=np.int64)
+
+
 def _rows(g, q: int) -> np.ndarray:
     """The generator rows as a uint8 matrix.
 
@@ -192,9 +252,10 @@ def weight_histograms(g: np.ndarray, budget: int | None = None) -> tuple[np.ndar
 
     Returns (hist, work) where hist[w] counts the words of weight w.  The
     work is the 4^dim words of the span, as is the budget check; the walk
-    itself evaluates about a third of them (_symmetric_hist).  Raises
-    BudgetExceededError when 4^dim exceeds the budget, InputError for a
-    symbol above 3.
+    itself evaluates about a third of them (_symmetric_hist), and of a
+    cyclic span only its shortened code, about 4^(dim-1)/3 words
+    (_span_hist).  Raises BudgetExceededError when 4^dim exceeds the
+    budget, InputError for a symbol above 3.
     """
     g = linalg.row_basis(_rows(g, 4))
     k = g.shape[0]
@@ -202,16 +263,17 @@ def weight_histograms(g: np.ndarray, budget: int | None = None) -> tuple[np.ndar
     total = 4**k
     if total > budget:
         raise BudgetExceededError(f"4^{k} = {total} exceeds budget {budget}")
-    return _symmetric_hist(g), total
+    return _span_hist(g, 4), total
 
 
 def weight_histograms_binary(g_rows: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
-    """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols).
+    """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols):
+    work and the budget check count 2^dim, and a cyclic span walks its
+    shortened code, 2^(dim-1) words (_span_hist).
 
     Raises InputError for a symbol other than 0 and 1.
     """
     g = _rows(g_rows, 2)
-    n = g.shape[1]
     rr, rank_, _ = linalg.rref(g)  # F2 rref coincides with F4 rref on 0/1 input
     g = rr[:rank_]
     k = g.shape[0]
@@ -219,8 +281,7 @@ def weight_histograms_binary(g_rows: np.ndarray, budget: int | None = None) -> t
     total = 2**k
     if total > budget:
         raise BudgetExceededError(f"2^{k} = {total} exceeds budget {budget}")
-    lo, _ = gf4.pack_planes(g)
-    return _kernels.gray_weight_hists_binary(lo, n + 1), total
+    return _span_hist(g, 2), total
 
 
 def _generators(code) -> tuple[np.ndarray, int]:
@@ -590,11 +651,13 @@ class DuadicDistances:
 def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = None) -> DuadicDistances:
     """Exact even-like distance and minimum odd-like weight for one side.
 
-    Walks the even-like code C_e once, 4^dim words and their work, and
-    takes the odd-like distribution from MacWilliams (dual_distribution):
-    the dual of C_e1 has defining set -S2, so it is mu_-1 of C_o2, which the
-    splitting's multiplier maps onto C_o1, and hist(C_o1) = MW(hist(C_e1)) /
-    |C_e1|, on either side of any splitting.  The odd-like code is C_e with
+    Walks the even-like code C_e once, 4^dim words of work, of which the
+    walk evaluates about 4^(dim-1)/3: C_e is cyclic, so only its shortened
+    code is walked (_span_hist).  It takes the odd-like distribution from
+    MacWilliams (dual_distribution): the dual of C_e1 has defining set
+    -S2, so it is mu_-1 of C_o2, which the splitting's multiplier maps onto
+    C_o1, and hist(C_o1) = MW(hist(C_e1)) / |C_e1|, on either side of any
+    splitting.  The odd-like code is C_e with
     the three cosets of the all-ones vector, so coset_hist is that
     distribution minus even_hist, d_o its first nonzero weight and
     d(odd-like) = min(d_even, d_o).  Both distances are cached as
@@ -718,13 +781,6 @@ def _maps_into(r: np.ndarray, rows: np.ndarray) -> bool:
     """Whether rows lie in the row space of r, an RREF with pivots {0..k-1}:
     each row must be the combination of r's rows given by its own first k entries."""
     return not (rows ^ linalg.matmul(rows[:, : r.shape[0]], r)).any()
-
-
-def _is_cyclic(r: np.ndarray) -> bool:
-    """Whether the row space of r, an RREF, is cyclic: its pivots are
-    {0..k-1} and it holds the cyclic shift of each row."""
-    k = r.shape[0]
-    return np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8)) and _maps_into(r, np.roll(r, 1, axis=1))
 
 
 def _fixing_involutions(r: np.ndarray) -> list[int]:
@@ -954,11 +1010,6 @@ class CoincidenceReport:
     @property
     def all_passed(self) -> bool:
         return self.subcodes_equal and all(c.ok for c in self.checked_weights)
-
-    @property
-    def divisibility_cases(self) -> int:
-        """Weights decided by the divisibility rule, not by membership."""
-        return sum(1 for c in self.checked_weights if not c.fixed_has_weight)
 
 
 def fixed_subcode_coincidence(

@@ -208,16 +208,6 @@ class ExtField:
     def alpha_pow(self, e: int) -> int:
         return self.pow(self.alpha, e % self.n)
 
-    def element_order(self, a: int) -> int:
-        if a == 0:
-            raise ValueError("order of 0 undefined")
-        group = self.order
-        order = group
-        for p in factorize(group):
-            while order % p == 0 and _field_pow(a, order // p, self.modulus) == 1:
-                order //= p
-        return order
-
     # -- subfield coding ----------------------------------------------------
 
     def to_base_symbol(self, a: int) -> int:
@@ -326,15 +316,6 @@ def _minimal_poly(ext: ExtField, coset: frozenset[int]) -> np.ndarray:
     out = np.array([ext.to_base_symbol(c) for c in poly], dtype=np.uint8)
     out.setflags(write=False)
     return out
-
-
-def defining_exponents(ext: ExtField, poly: np.ndarray) -> frozenset[int]:
-    """{t in Z_n : poly(alpha^t) = 0} for a base-field polynomial."""
-    out = set()
-    for t in range(ext.n):
-        if ext.eval_base_poly(poly, ext.alpha_pow(t)) == 0:
-            out.add(t)
-    return frozenset(out)
 
 
 def gf4_embedding_check(ext: ExtField) -> bool:

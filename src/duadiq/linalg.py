@@ -99,10 +99,6 @@ def row_space_equal(a: np.ndarray, b: np.ndarray) -> bool:
     return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
 
 
-def subspace_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return row_basis(np.vstack([np.atleast_2d(a), np.atleast_2d(b)]))
-
-
 def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Zassenhaus: rref of [[A A],[B 0]]; rows with zero left half carry
     an intersection basis in the right half."""
@@ -121,14 +117,6 @@ def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if not out:
         return np.zeros((0, n), dtype=np.uint8)
     return row_basis(np.array(out, dtype=np.uint8))
-
-
-def subspace_meet_join(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(intersection, sum) of two row spaces with common ambient length."""
-    a2, b2 = np.atleast_2d(a), np.atleast_2d(b)
-    if a2.shape[1] != b2.shape[1]:
-        raise ValueError("ambient length mismatch")
-    return subspace_intersection(a2, b2), subspace_sum(a2, b2)
 
 
 def complement_basis(sub: np.ndarray, sup: np.ndarray) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Independent reference implementations used only to cross-check results.
 
 Everything here is deliberately naive: dict-based GF(4) arithmetic and
-itertools enumeration, sharing no code with the package internals.
+itertools enumeration, sharing no code with the package internals, except
+that defining_set_of_matrix evaluates in the package's extension field,
+whose pinned alpha is the labeling convention of every defining set.
 """
 
 import itertools
+
+from duadiq import extfield
 
 # GF(4) = {0, 1, w, w2} with w2 = w + 1; integer encoding 0,1,2,3
 ADD = {}
@@ -79,6 +83,14 @@ def unpack_planes(lo, hi, n):
         return int(word[j // 64]) >> (j % 64) & 1
 
     return [[bit(l, j) | bit(h, j) << 1 for j in range(n)] for l, h in zip(lo, hi)]
+
+
+def defining_set_of_matrix(g, n, q=4):
+    """Exponents t where every row polynomial vanishes at alpha^t, found
+    root by root: the oracle against the defining-set arithmetic."""
+    ext = extfield.ext_build(n, q)
+    return frozenset(t for t in range(n)
+                     if all(ext.eval_base_poly(row, ext.alpha_pow(t)) == 0 for row in g))
 
 
 def span_words(rows, q=4):

@@ -18,7 +18,6 @@ from duadiq.cyclic import (
     DefiningSet,
     all_cosets,
     dual_defining_set,
-    defining_set_of_matrix,
     near_orthogonality,
 )
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
@@ -154,7 +153,7 @@ def test_criterion_05_dual_formula_oracle():
             ds = DefiningSet(n, members)
             code = CyclicCode(ds)
             dual_rows = linalg.hermitian_dual_space(code.gen_matrix)
-            recovered = defining_set_of_matrix(dual_rows, n)
+            recovered = oracle.defining_set_of_matrix(dual_rows, n)
             if recovered != dual_defining_set(ds).members:
                 mismatches.append((n, sorted(members)))
             total += 1

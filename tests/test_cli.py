@@ -92,9 +92,9 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
     code, _, _ = run(capsys, "quantum", "-n", "23", "--qr", "--format", "json")
     assert code == 0
-    # one symmetric pass of the [23, 11] even-like code:
-    # three peeled levels of dims 10, 9, 8, then the last 4^8 block
-    assert sum(words) == (4**11 - 4**8) // 3 + 4**8 == 1_441_792
+    # one symmetric pass of the shortened [23, 10] subcode of the [23, 11]
+    # even-like code: two peeled levels, then the 4^8 block
+    assert sum(words) == (4**10 - 4**8) // 3 + 4**8 == 393_216
 
 
 @pytest.mark.parametrize("n,d_lo,d_hi", [(29, 10, 12), (47, 12, 12)])
@@ -217,6 +217,38 @@ def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, walk, count
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert (count if corrupt == "extra" else "MacWilliams") in err
+
+
+@pytest.mark.parametrize("corrupt", ["extra", "moved"])
+@pytest.mark.parametrize("argv,kernel", [
+    (("quantum", "-n", "23", "--qr"), "gray_weight_hists"),
+    (("quantum", "-n", "23", "--leaders", "1"), "gray_weight_hists_binary"),
+    (("distance", "-n", "23", "--leaders", "1", "--via-binary"), "gray_weight_hists_binary"),
+])
+def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corrupt):
+    # each command walks the shortened code of a cyclic [23, k] code, over
+    # GF(4) or GF(2): one extra word of the least weight w in the kernel's
+    # first histogram, or one moved up by 2, breaks 23 B_w = (23 - w) A_w
+    plain = getattr(_kernels, kernel)
+    calls = []
+
+    def corrupted(*args):
+        hist = plain(*args)
+        calls.append(args)
+        if len(calls) == 1:
+            hist = hist.copy()
+            w = int(np.flatnonzero(hist[1:])[0]) + 1
+            if corrupt == "moved":
+                hist[w] -= 1
+                w += 2
+            hist[w] += 1
+        return hist
+
+    monkeypatch.setattr(dist, "_CACHE", {})
+    monkeypatch.setattr(_kernels, kernel, corrupted)
+    code, out, err = run(capsys, *argv)
+    assert code == 4 and out == ""
+    assert "shortened walk of a cyclic [23," in err and "miscounted" in err
 
 
 def test_quantum_qr_29_extremal(capsys):

@@ -61,6 +61,143 @@ def test_symmetric_walk_equals_plain_walk(monkeypatch, k, n, suffix_bits):
     assert hist.shape == (n + 1,) and hist.sum() == 4**k
 
 
+def _cyclic_codes(max_n, q, max_dim):
+    """Every nonzero cyclic code over GF(q) of odd length n <= max_n and
+    dimension <= max_dim."""
+    for n in range(3, max_n + 1, 2):
+        cosets = all_cosets(n, q).cosets
+        for mask in range(1, 1 << len(cosets)):
+            members = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
+            code = CyclicCode(DefiningSet(n, members, q=q))
+            if 0 < code.dim <= max_dim:
+                yield code
+
+
+def _counted_words(monkeypatch):
+    """Count, into the returned list, the words each Gray-walk kernel call evaluates."""
+    walked = []
+    for name in ("gray_weight_hists", "gray_weight_hists_binary"):
+        def counting(*args, kernel=getattr(_kernels, name)):
+            hist = kernel(*args)
+            walked.append(int(hist.sum()))
+            return hist
+        monkeypatch.setattr(_kernels, name, counting)
+    return walked
+
+
+def test_cyclic_test_matches_row_space_membership():
+    # _is_cyclic against the definition: pivots {0..k-1} and the shifted
+    # rows inside the row space, on every cyclic code with n <= 21, a
+    # column-permuted copy of each and random RREFs over both fields
+    rng = np.random.default_rng(17)
+    bases = []
+    for q in (4, 2):
+        for code in _cyclic_codes(21, q, 21):
+            r = linalg.row_basis(code.gen_matrix)
+            bases += [r, linalg.row_basis(r[:, rng.permutation(code.n)])]
+    bases += [linalg.row_basis(rng.integers(0, (2, 4)[i % 2], (int(rng.integers(1, 6)), int(rng.integers(5, 9))))
+                               .astype(np.uint8)) for i in range(400)]
+    seen = set()
+    for r in bases:
+        k = r.shape[0]
+        cyclic = (np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8))
+                  and linalg.is_subspace(np.roll(r, 1, axis=1), r))
+        assert dist._is_cyclic(r) == cyclic, r.tolist()
+        seen.add((cyclic, np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8))))
+    assert seen == {(True, True), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("q,max_dim", [(4, 10), (2, 20)])
+def test_shortened_walk_equals_plain_walk(monkeypatch, q, max_dim):
+    # every cyclic code with n <= 41 up to the dimension cap: the walk of
+    # its shortened code, q^(k-1) words, rebuilds the plain walk's histogram
+    walked = _counted_words(monkeypatch)
+    walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
+    plain = dist._symmetric_hist if q == 4 else dist._binary_hist
+    checked = 0
+    for code in _cyclic_codes(41, q, max_dim):
+        r = linalg.row_basis(code.gen_matrix)
+        assert dist._is_cyclic(r)
+        walked.clear()
+        hist, work = walk(code.gen_matrix)
+        shortened = sum(walked)
+        walked.clear()
+        plain(r[1:])
+        assert shortened == sum(walked)
+        assert work == q**code.dim
+        assert np.array_equal(hist, plain(r)), (code.n, sorted(code.defining_set.members))
+        checked += 1
+    assert checked > (150 if q == 4 else 250), checked
+
+
+@pytest.mark.parametrize("q,leaders", [(4, [0, 1]), (2, [1])])
+def test_permuted_copy_takes_the_plain_walk(monkeypatch, q, leaders):
+    # the [23, 11] even-like code over GF(4) and the binary [23, 12] code:
+    # a column-permuted copy is not cyclic, so it walks all its words (one
+    # per scaling orbit over GF(4)) and gives the same histogram
+    walked = _counted_words(monkeypatch)
+    walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
+    plain = dist._symmetric_hist if q == 4 else dist._binary_hist
+    g = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q)).gen_matrix
+    moved = g[:, np.random.default_rng(23).permutation(23)]
+    r = linalg.row_basis(moved)
+    assert not dist._is_cyclic(r)
+    hist, work = walk(g)
+    shortened = sum(walked)
+    walked.clear()
+    moved_hist, moved_work = walk(moved)
+    assert np.array_equal(moved_hist, hist) and moved_work == work == q ** g.shape[0]
+    whole = sum(walked)
+    walked.clear()
+    plain(r)
+    assert whole == sum(walked) > shortened
+
+
+@pytest.mark.parametrize("q,leaders", [(4, [0, 1]), (2, [1])])
+def test_shortened_walk_counts_the_words_of_the_code(q, leaders):
+    # work and the budget check count the q^k words of the code, not the
+    # q^(k-1) of the shortened code walked
+    code = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q))
+    walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
+    words = q**code.dim
+    assert walk(code.gen_matrix, budget=words)[1] == words
+    with pytest.raises(BudgetExceededError, match=f"{q}\\^{code.dim} = {words} exceeds budget {words - 1}"):
+        walk(code.gen_matrix, budget=words - 1)
+
+
+def _miscounting_kernel(kernel, corrupt):
+    """kernel, whose first call's histogram gets one extra word of its
+    least nonzero weight w ("extra") or one word moved from w to w + 2
+    ("moved")."""
+    calls = []
+
+    def corrupted(*args):
+        hist = kernel(*args)
+        calls.append(args)
+        if len(calls) == 1:
+            hist = hist.copy()
+            w = int(np.flatnonzero(hist[1:])[0]) + 1
+            if corrupt == "moved":
+                hist[w] -= 1
+                w += 2
+            hist[w] += 1
+        return hist
+    return corrupted
+
+
+@pytest.mark.parametrize("corrupt", ["extra", "moved"])
+@pytest.mark.parametrize("q,leaders", [(4, [0, 1]), (2, [1])])
+def test_shortened_walk_rejects_a_miscounted_kernel(monkeypatch, q, leaders, corrupt):
+    # the shortened [23, 10] walk over GF(4), the shortened binary [23, 11]
+    # one: an extra or moved word of weight w breaks 23 B_w = (23 - w) A_w
+    name = "gray_weight_hists" if q == 4 else "gray_weight_hists_binary"
+    monkeypatch.setattr(_kernels, name, _miscounting_kernel(getattr(_kernels, name), corrupt))
+    walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
+    g = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q)).gen_matrix
+    with pytest.raises(InvariantError, match="shortened walk of a cyclic \\[23,1[12]\\] code miscounted"):
+        walk(g)
+
+
 def test_full_space_distance_one():
     full = CyclicCode(DefiningSet(9, frozenset()))
     b = dist.min_distance_exact(full)
@@ -329,7 +466,7 @@ def test_coincidence_report():
     assert rep.subcodes_equal  # C_2 = C_4 as row spaces
     assert rep.complete and rep.all_passed
     # the divisibility claim must be exercised: some weights lack fixed words
-    assert rep.divisibility_cases > 0
+    assert any(not chk.fixed_has_weight for chk in rep.checked_weights)
     for chk in rep.checked_weights:
         if not chk.fixed_has_weight:
             assert chk.count % 3 == 0

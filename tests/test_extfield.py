@@ -46,7 +46,7 @@ def test_ext_build_orders(n, r):
         assert ext.pow(ext.alpha, n // p) != 1
     # omega spans the GF(4) subfield consistently
     assert extfield.gf4_embedding_check(ext)
-    assert ext.element_order(ext.omega) == 3
+    assert ext.omega != 1 and ext.pow(ext.omega, 3) == 1
 
 
 def test_ext_build_rejects_even():
@@ -112,9 +112,3 @@ def test_large_degree_fallback():
     assert ext.pow(ext.alpha, 47) == 1
     assert ext.pow(ext.alpha, 1) != 1
     assert extfield.gf4_embedding_check(ext)
-
-
-def test_defining_exponents_roundtrip():
-    ext = extfield.ext_build(5, 4)
-    mp = extfield.minimal_poly(ext, cyclotomic_coset(5, 1))
-    assert extfield.defining_exponents(ext, mp) == frozenset({1, 4})
