@@ -58,11 +58,26 @@ def rank(m: np.ndarray) -> int:
     return rref(m)[1]
 
 
+def rref_pivots(g: np.ndarray) -> list[int] | None:
+    """The pivots of g when g is an RREF without zero rows, else None: its
+    rows' leading columns rise and hold the identity, so rref would
+    return g unchanged."""
+    pivots = (g != 0).argmax(axis=1)
+    if g.any(axis=1).all() and (np.diff(pivots) > 0).all() and np.array_equal(g[:, pivots], np.eye(len(g))):
+        return pivots.tolist()
+    return None
+
+
 def nullspace(m: np.ndarray) -> np.ndarray:
-    """Canonical basis of the right kernel {x : m @ x^T = 0 over GF(4)}."""
+    """Canonical basis of the right kernel {x : m @ x^T = 0 over GF(4)}.
+
+    m is reduced only when it is not an RREF already (rref_pivots).
+    """
     m = np.atleast_2d(np.asarray(m, dtype=np.uint8))
     rows, cols = m.shape
-    r, rk, pivots = rref(m)
+    r, rk, pivots = m, rows, rref_pivots(m)
+    if pivots is None:
+        r, rk, pivots = rref(m)
     free = [c for c in range(cols) if c not in pivots]
     basis = np.zeros((len(free), cols), dtype=np.uint8)
     basis[np.arange(len(free)), free] = 1
@@ -75,6 +90,8 @@ def hermitian_dual_space(g: np.ndarray) -> np.ndarray:
     """Basis of {v : <v, row>_h = 0 for all rows of g}.
 
     <v,g> = sum v_i conj(g_i), so the dual is the kernel of conj(g).
+    Conjugation fixes 0 and 1, so the conjugate of an RREF is an RREF and
+    is not reduced again.
     """
     g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
     return nullspace(CONJ_TABLE[g])

@@ -92,9 +92,10 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
     code, _, _ = run(capsys, "quantum", "-n", "23", "--qr", "--format", "json")
     assert code == 0
-    # one symmetric pass of the shortened [23, 10] subcode of the [23, 11]
-    # even-like code: two peeled levels, then the 4^8 block
-    assert sum(words) == (4**10 - 4**8) // 3 + 4**8 == 393_216
+    # one symmetric pass per mu_4 orbit ({1, 2, 3, ...} and {5, 7, 10, ...})
+    # of the [23, 11] even-like code's words zero at 0 and 1, and at 0 and
+    # 5: two [23, 9] codes, each one peeled level, then the 4^8 block
+    assert sum(words) == 2 * ((4**9 - 4**8) // 3 + 4**8) == 262_144
 
 
 @pytest.mark.parametrize("n,d_lo,d_hi", [(29, 10, 12), (47, 12, 12)])
@@ -226,9 +227,11 @@ def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, walk, count
     (("distance", "-n", "23", "--leaders", "1", "--via-binary"), "gray_weight_hists_binary"),
 ])
 def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corrupt):
-    # each command walks the shortened code of a cyclic [23, k] code, over
-    # GF(4) or GF(2): one extra word of the least weight w in the kernel's
-    # first histogram, or one moved up by 2, breaks 23 B_w = (23 - w) A_w
+    # each command walks the shortened codes of a cyclic [23, k] code: over
+    # GF(4) the two two-point codes, over GF(2) the one shortened code.  One
+    # extra word of the least weight w in the kernel's first histogram, or
+    # one moved up by 2, breaks sum_O 11 D^O_w = (22 - w) B_w, or
+    # 23 B_w = (23 - w) A_w
     plain = getattr(_kernels, kernel)
     calls = []
 
@@ -249,6 +252,7 @@ def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corru
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert "shortened walk of a cyclic [23," in err and "miscounted" in err
+    assert ("two-point shortened walk" in err) == (kernel == "gray_weight_hists")
 
 
 def test_quantum_qr_29_extremal(capsys):

@@ -107,14 +107,29 @@ def test_cyclic_test_matches_row_space_membership():
     assert seen == {(True, True), (False, True), (False, False)}
 
 
+def _shortened_spans(r, q):
+    """The spans the walk of a cyclic RREF r over GF(q) enumerates: for
+    each orbit of j -> q j mod n on {1..n-1}, r without rows 0 and the
+    orbit's least element, when n is odd, k >= 2, the orbits are fewer
+    than q and each least element is below k; else r[1:] alone."""
+    k, n = r.shape
+    if n % 2 and k >= 2:
+        orbits = [c for c in all_cosets(n, q).cosets if 0 not in c]
+        if len(orbits) < q and all(min(c) < k for c in orbits):
+            return [np.delete(r, [0, min(c)], axis=0) for c in orbits]
+    return [r[1:]]
+
+
 @pytest.mark.parametrize("q,max_dim", [(4, 10), (2, 20)])
 def test_shortened_walk_equals_plain_walk(monkeypatch, q, max_dim):
     # every cyclic code with n <= 41 up to the dimension cap: the walk of
-    # its shortened code, q^(k-1) words, rebuilds the plain walk's histogram
+    # its two-point shortened codes (fewer than q of them, q^(k-2) words
+    # each) or of its shortened code (q^(k-1) words) rebuilds the plain
+    # walk's histogram
     walked = _counted_words(monkeypatch)
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
     plain = dist._symmetric_hist if q == 4 else dist._binary_hist
-    checked = 0
+    checked, two_point = 0, 0
     for code in _cyclic_codes(41, q, max_dim):
         r = linalg.row_basis(code.gen_matrix)
         assert dist._is_cyclic(r)
@@ -122,12 +137,37 @@ def test_shortened_walk_equals_plain_walk(monkeypatch, q, max_dim):
         hist, work = walk(code.gen_matrix)
         shortened = sum(walked)
         walked.clear()
-        plain(r[1:])
-        assert shortened == sum(walked)
+        spans = _shortened_spans(r, q)
+        for span in spans:
+            plain(span)
+        assert shortened == sum(walked), (code.n, sorted(code.defining_set.members))
         assert work == q**code.dim
         assert np.array_equal(hist, plain(r)), (code.n, sorted(code.defining_set.members))
         checked += 1
+        two_point += spans[0].shape[0] == code.dim - 2
     assert checked > (150 if q == 4 else 250), checked
+    assert two_point == (19 if q == 4 else 5), two_point
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 1, 0], [0, 1, 0, 1]],  # even length: mu_q is no permutation
+    [[1, 1]],                      # even length and k = 1
+    [[1, 1, 1, 1, 1]],             # k = 1
+    # the [5, 2] code with defining set {0, 1, 4}: the mu_4 orbit {2, 3} starts at k
+    [[1, 0, 1, 3, 3], [0, 1, 3, 3, 1]],
+])
+def test_one_point_fallbacks_walk_the_shortened_code(monkeypatch, rows):
+    # cyclic spans outside the two-point guards walk r[1:], q^(k-1) words,
+    # and give the plain walk's histogram
+    r = linalg.row_basis(np.array(rows, dtype=np.uint8))
+    assert dist._is_cyclic(r) and np.array_equal(r, rows)
+    walked = _counted_words(monkeypatch)
+    hist, work = dist.weight_histograms(r)
+    shortened = sum(walked)
+    walked.clear()
+    dist._symmetric_hist(r[1:])
+    assert shortened == sum(walked) and work == 4 ** r.shape[0]
+    assert np.array_equal(hist, dist._symmetric_hist(r))
 
 
 @pytest.mark.parametrize("q,leaders", [(4, [0, 1]), (2, [1])])
@@ -188,14 +228,40 @@ def _miscounting_kernel(kernel, corrupt):
 @pytest.mark.parametrize("corrupt", ["extra", "moved"])
 @pytest.mark.parametrize("q,leaders", [(4, [0, 1]), (2, [1])])
 def test_shortened_walk_rejects_a_miscounted_kernel(monkeypatch, q, leaders, corrupt):
-    # the shortened [23, 10] walk over GF(4), the shortened binary [23, 11]
-    # one: an extra or moved word of weight w breaks 23 B_w = (23 - w) A_w
+    # over GF(4) the first of the two two-point walks of the [23, 11] code
+    # (mu_4 has 2 orbits), [23, 9] each: an extra or moved word of weight w
+    # breaks sum_O 11 D^O_w = (22 - w) B_w.  The binary [23, 12] code walks
+    # its shortened [23, 11] code (mu_2 has 2 orbits, not fewer than 2):
+    # the same word breaks 23 B_w = (23 - w) A_w
     name = "gray_weight_hists" if q == 4 else "gray_weight_hists_binary"
     monkeypatch.setattr(_kernels, name, _miscounting_kernel(getattr(_kernels, name), corrupt))
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
     g = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q)).gen_matrix
-    with pytest.raises(InvariantError, match="shortened walk of a cyclic \\[23,1[12]\\] code miscounted"):
+    with pytest.raises(InvariantError, match="shortened walk of a cyclic \\[23,1[12]\\] code miscounted") as raised:
         walk(g)
+    assert ("two-point" in str(raised.value)) == (q == 4)
+
+
+@pytest.mark.parametrize("weight,message", [
+    (4, "two-point shortened walk of a cyclic \\[5,4\\] code met a word of weight >= 4"),
+    (3, "two-point shortened walk of a cyclic \\[5,4\\] code miscounted: its shortened code passes 2\\^3 words"),
+])
+def test_two_point_walk_rejects_impossible_counts(monkeypatch, weight, message):
+    # the binary even-weight [5, 4] code: mu_2 has the one orbit {1, 2, 3, 4},
+    # so it walks the 4 words zero at coordinates 0 and 1.  None can weigh
+    # 4 = n - 1, and one more of weight 3 counts 4 words of weight 3 zero at
+    # 0, so B_4 = 1 - 4 < 0
+    r = np.array([[1, 0, 0, 0, 1], [0, 1, 0, 0, 1], [0, 0, 1, 0, 1], [0, 0, 0, 1, 1]], dtype=np.uint8)
+    assert dist._is_cyclic(r)
+    plain = _kernels.gray_weight_hists_binary
+
+    def heavier(*args):
+        hist = plain(*args).copy()
+        hist[weight] += 1
+        return hist
+    monkeypatch.setattr(_kernels, "gray_weight_hists_binary", heavier)
+    with pytest.raises(InvariantError, match=message):
+        dist.weight_histograms_binary(r)
 
 
 def test_full_space_distance_one():

@@ -83,6 +83,23 @@ def test_dual_dimension_and_double_dual():
                 assert oracle.inner(row, g) == 0
 
 
+def test_nullspace_of_an_rref_matches_the_reduced_path(monkeypatch):
+    # random RREFs and their conjugates (RREFs too) skip the reduction and
+    # give the basis the reduced path gives
+    rng = np.random.default_rng(9)
+    cases = []
+    for _ in range(200):
+        r = linalg.row_basis(random_matrix(rng))
+        for m in (r, gf4.CONJ_TABLE[r]):
+            assert linalg.rref_pivots(m) is not None
+            cases.append((m, linalg.nullspace(m)))
+    monkeypatch.setattr(linalg, "rref_pivots", lambda m: None)
+    for m, basis in cases:
+        assert np.array_equal(basis, linalg.nullspace(m)), m.tolist()
+        assert basis.shape[0] == m.shape[1] - m.shape[0]
+        assert not linalg.matmul(m, basis.T).any()
+
+
 def test_hexacode_self_dual():
     assert linalg.is_hermitian_self_orthogonal(HEXACODE)
     d = linalg.hermitian_dual_space(HEXACODE)

@@ -66,6 +66,22 @@ def test_extension_gram_certificates():
         assert linalg.row_space_equal(dual, ext.extended_dual)
 
 
+def test_extend_reduces_its_basis_once(monkeypatch):
+    # the even-like [23, 11] code (e = 1): rref reduces the generator matrix,
+    # then the complement basis and the extended generators' rank; the
+    # Hermitian dual reads the pivots of the conjugated RREF and reduces nothing
+    calls = []
+    rref = linalg.rref
+
+    def counting(m):
+        calls.append(np.array(m).shape)
+        return rref(m)
+    monkeypatch.setattr(linalg, "rref", counting)
+    ext = quantum._extend(CyclicCode(DefiningSet.from_leaders(23, [0, 1])))
+    assert ext.e == 1
+    assert calls == [(11, 23), (23, 23), (12, 24)]
+
+
 def _search_sets(n):
     """Every union A of nonzero cosets mod n with A and -2A disjoint."""
     cosets = all_cosets(n, 4).cosets[1:]
