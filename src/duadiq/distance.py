@@ -43,21 +43,20 @@ alone, 4^dim words, for the odd-like distribution too.  The quaternary
 walk evaluates about a third of the words: a word and its nonzero
 multiples have the same weight, so weight_histograms enumerates one word
 per scaling orbit of the span.  A cyclic span walks only its shortened
-code, the words zero at coordinate 0, and rebuilds its distribution from
-them, since the shift acts transitively on the coordinates (_span_hist):
-about 4^(dim-1)/3 words over GF(4) and 2^(dim-1) over GF(2), while the
-work still counts 4^dim (2^dim).  For odd n the multiplier mu_q: j -> q j
-mod n fixes every q-ary cyclic code and the coordinate 0.  When dim >= 2
-and its orbits on {1..n-1} are fewer than q, each with its least element
-j below dim (_two_point_orbits), the walk takes instead, for each orbit O,
-the words zero at 0 and j, D^O, q^(dim-2) words, and the words zero at 0
-number B_w = sum_O |O| D^O_w / (n - 1 - w) for w <= n - 2, B_(n-1) the
-rest of q^(dim-1).  The [29, 14] code of quantum -n 29 --qr, with two
-orbits, walks about 2 * 4^12 / 3 words.  A count that breaks a
-divisibility, or overruns its total, raises InvariantError.  The
-information-set search counts the
-messages it covers, comb(x, w) (q - 1)^w for level w over x positions, and
-likewise walks one per scaling orbit.
+code, the words zero at coordinate 0, about 4^(dim-1)/3 words over GF(4)
+and 2^(dim-1) over GF(2), while the work still counts 4^dim (2^dim).  For
+odd n, when mu_q: j -> q j mod n has fewer than q orbits on {1..n-1},
+each with its least element j below dim (_two_point_orbits), it walks
+instead, per orbit, the words zero at 0 and j, q^(dim-2) words.  One
+identity rebuilds the code from either walk (_rebuild): the words of
+weight w zero at each of x coordinates number (x - w) A_w in all, and a
+group that fixes the code makes the counts equal along its orbits
+(MacWilliams & Sloane, 1977, ch. 8).  The [29, 14] code of
+quantum -n 29 --qr, with two orbits, walks about 2 * 4^12 / 3 words.  A
+count that breaks a divisibility, or overruns its total, raises
+InvariantError.  The information-set search counts the messages it
+covers, comb(x, w) (q - 1)^w for level w over x positions, and likewise
+walks one per scaling orbit.
 
 The distance of an extension (extension_distance) is certified in one
 place: one exact pass (_extension_pass) when its words fit the budget,
@@ -214,27 +213,47 @@ def _is_cyclic(r: np.ndarray) -> bool:
 def _two_point_orbits(n: int, k: int, q: int) -> list[tuple[int, int]] | None:
     """(least element, size) of each orbit of j -> q j mod n on {1..n-1},
     when a cyclic [n, k] span over GF(q) walks its two-point shortened
-    codes (_span_hist): n odd, fewer than q orbits, and each orbit's least
-    element below k, so k >= 2.  Else None."""
+    codes (_span_hist): n odd, at least one and fewer than q orbits, and
+    each orbit's least element below k, so k >= 2.  Else None."""
     if n % 2 == 0:
         return None
     orbits = [(min(c), len(c)) for c in all_cosets(n, q).cosets if 0 not in c]
-    if len(orbits) >= q or any(j >= k for j, _ in orbits):
+    if not orbits or len(orbits) >= q or any(j >= k for j, _ in orbits):
         return None
     return orbits
+
+
+def _rebuild(d: np.ndarray, x: int, q: int, e: int, what: str) -> np.ndarray:
+    """The distribution A of a code of q^e words whose words of weight w
+    are zero at x - w of x coordinates, from d_w = (x - w) A_w, the words
+    zero at each of the x summed: A_w = d_w / (x - w) for w < x, A_x the
+    rest of q^e, none above x, in an array as long as d.  Raises
+    InvariantError, naming the walk (what), for a count at a weight >= x,
+    a d_w not divisible by x - w, or A_x < 0."""
+    d = [int(v) for v in d]
+    if any(d[x:]):
+        raise InvariantError(f"the {what} met a word of weight >= {x}")
+    bad = next((w for w in range(x) if d[w] % (x - w)), None)
+    if bad is not None:
+        raise InvariantError(f"the {what} miscounted: its count {d[bad]} at weight {bad} "
+                             f"is not divisible by {x - bad}")
+    a = [d[w] // (x - w) for w in range(x)]
+    a.append(q**e - sum(a))
+    if a[x] < 0:
+        raise InvariantError(f"the {what} miscounted: its counts pass {q}^{e} words")
+    return np.array(a + [0] * (len(d) - x - 1), dtype=np.int64)
 
 
 def _span_hist(r: np.ndarray, q: int) -> np.ndarray:
     """The weight histogram of the GF(q) span of r, an RREF basis: walked
     by _symmetric_hist (q = 4) or _binary_hist (q = 2), and for a cyclic
-    span (_is_cyclic) on its shortened codes alone.
+    span (_is_cyclic) on its shortened codes alone, rebuilt by _rebuild.
 
     A cyclic C = span(r) of length n and dimension k has pivots {0..k-1},
     so span(r[1:]) is the shortened code {c in C : c_0 = 0}, q^(k-1) words.
-    The shift acts transitively on the coordinates, so each one is nonzero
-    on w A_w / n of the A_w words of weight w, and the shortened code holds
-    B_w = (n - w) A_w / n of them (MacWilliams & Sloane, 1977):
-        A_w = n B_w / (n - w) for w < n,   A_n = q^k - sum_{w<n} A_w.
+    The shift acts transitively on the coordinates, so the words of weight
+    w zero at each one are equally many, B_w = (n - w) A_w / n of them
+    (MacWilliams & Sloane, 1977), and A is _rebuild of n B, x = n, e = k.
 
     For odd n the multiplier mu_q: j -> q j mod n fixes every q-ary cyclic
     code and the coordinate 0, so it permutes the shortened code and the
@@ -243,50 +262,24 @@ def _span_hist(r: np.ndarray, q: int) -> np.ndarray:
     for each orbit O of mu_q on {1..n-1}, with least element j < k, row j
     is the only row with an entry in column j, so span(r without rows 0
     and j) is D^O = {c in C : c_0 = c_j = 0}, q^(k-2) words.  A word of B
-    of weight w is zero at n - 1 - w of the coordinates 1..n-1, so
-        B_w = sum_O |O| D^O_w / (n - 1 - w) for w <= n - 2,
-        B_(n-1) = q^(k-1) - sum_{w<=n-2} B_w,
-    which walks (number of orbits) q^(k-2) < q^(k-1) words.  Any other
-    cyclic span walks B itself.
-
-    Raises InvariantError when the walked counts cannot be such a code's:
-    a word of weight >= n - 1 in a D^O, sum_O |O| D^O_w not divisible by
-    n - 1 - w, B_(n-1) < 0, n B_w not divisible by n - w, a word of
-    weight n in B, or A_n < 0.
+    of weight w is zero at n - 1 - w of the coordinates 1..n-1, so B is
+    _rebuild of sum_O |O| D^O, x = n - 1, e = k - 1, which walks (number
+    of orbits) q^(k-2) < q^(k-1) words.  Any other cyclic span walks B
+    itself.  _rebuild's InvariantError rejects counts that cannot be a
+    cyclic code's.
     """
     walk = _symmetric_hist if q == 4 else _binary_hist
     k, n = r.shape
     if k == 0 or not _is_cyclic(r):
         return walk(r)
+    what = f"shortened walk of a cyclic [{n},{k}] code"
     orbits = _two_point_orbits(n, k, q)
     if orbits is None:
-        b = [int(x) for x in walk(r[1:])]
+        b = walk(r[1:])
     else:
         d = sum(size * walk(np.delete(r, [0, j], axis=0)) for j, size in orbits)
-        if d[n - 1:].any():
-            raise InvariantError(f"the two-point shortened walk of a cyclic [{n},{k}] code "
-                                 f"met a word of weight >= {n - 1}")
-        bad = next((w for w in range(n - 1) if d[w] % (n - 1 - w)), None)
-        if bad is not None:
-            raise InvariantError(f"the two-point shortened walk of a cyclic [{n},{k}] code miscounted: "
-                                 f"sum_O |O| D^O_{bad} is not divisible by {n - 1 - bad}")
-        b = [int(d[w]) // (n - 1 - w) for w in range(n - 1)]
-        b += [q ** (k - 1) - sum(b), 0]
-        if b[n - 1] < 0:
-            raise InvariantError(f"the two-point shortened walk of a cyclic [{n},{k}] code miscounted: "
-                                 f"its shortened code passes {q}^{k - 1} words")
-    if b[n]:
-        raise InvariantError(f"the shortened walk of a cyclic [{n},{k}] code met a word of weight {n}")
-    bad = next((w for w in range(n) if n * b[w] % (n - w)), None)
-    if bad is not None:
-        raise InvariantError(f"the shortened walk of a cyclic [{n},{k}] code miscounted: "
-                             f"{n} B_{bad} is not divisible by {n - bad}")
-    a = [n * b[w] // (n - w) for w in range(n)]
-    a.append(q**k - sum(a))
-    if a[n] < 0:
-        raise InvariantError(f"the shortened walk of a cyclic [{n},{k}] code miscounted: "
-                             f"its distribution passes {q}^{k} words")
-    return np.array(a, dtype=np.int64)
+        b = _rebuild(d, n - 1, q, k - 1, "two-point " + what)
+    return _rebuild(n * b, n, q, k, what)
 
 
 def _rows(g, q: int) -> np.ndarray:
@@ -301,46 +294,32 @@ def _rows(g, q: int) -> np.ndarray:
     return g
 
 
-def weight_histograms(g: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
-    """The exact weight histogram of the span of g.
+def weight_histograms(g: np.ndarray, budget: int | None = None, q: int = 4) -> tuple[np.ndarray, int]:
+    """The exact weight histogram of the GF(q) span of g: q = 4, or q = 2
+    for 0/1 rows, whose GF(4) RREF is their GF(2) one.
 
-    Returns (hist, work) where hist[w] counts the words of weight w.  The
-    work is the 4^dim words of the span, as is the budget check; the walk
-    itself evaluates about a third of them (_symmetric_hist), and of a
-    cyclic span only its shortened code, about 4^(dim-1)/3 words, or,
-    where _two_point_orbits allows (mu_4 has 2 or 3 orbits), its two-point
-    shortened codes, about 4^(dim-2)/3 words each (_span_hist): 11,272,192
-    words for the [29, 14] code of quantum -n 29 --qr.  Raises
-    BudgetExceededError when 4^dim exceeds the
-    budget, InputError for a symbol above 3.
+    Returns (hist, work), hist[w] the words of weight w and work the q^dim
+    words of the span, which the budget check counts too.  g is reduced
+    only when it is not an RREF (linalg.rref_pivots).  The walk evaluates
+    fewer words (_span_hist): over GF(4) one per scaling orbit, and of a
+    cyclic span only its shortened codes, 11,272,192 words for the
+    [29, 14] code of quantum -n 29 --qr.  Raises BudgetExceededError when
+    q^dim exceeds the budget, InputError for a symbol outside GF(q).
     """
-    g = linalg.row_basis(_rows(g, 4))
+    g = _rows(g, q)
+    if linalg.rref_pivots(g) is None:
+        g = linalg.row_basis(g)
     k = g.shape[0]
     budget = default_budget() if budget is None else budget
-    total = 4**k
+    total = q**k
     if total > budget:
-        raise BudgetExceededError(f"4^{k} = {total} exceeds budget {budget}")
-    return _span_hist(g, 4), total
+        raise BudgetExceededError(f"{q}^{k} = {total} exceeds budget {budget}")
+    return _span_hist(g, q), total
 
 
 def weight_histograms_binary(g_rows: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
-    """Binary counterpart over the 2^dim span of GF(2) rows (0/1 symbols):
-    work and the budget check count 2^dim, and a cyclic span walks its
-    shortened code, 2^(dim-1) words, or, when mu_2 has one orbit (2 is a
-    primitive root mod a prime n), its words zero at coordinates 0 and 1,
-    2^(dim-2) words (_span_hist).
-
-    Raises InputError for a symbol other than 0 and 1.
-    """
-    g = _rows(g_rows, 2)
-    rr, rank_, _ = linalg.rref(g)  # F2 rref coincides with F4 rref on 0/1 input
-    g = rr[:rank_]
-    k = g.shape[0]
-    budget = default_budget() if budget is None else budget
-    total = 2**k
-    if total > budget:
-        raise BudgetExceededError(f"2^{k} = {total} exceeds budget {budget}")
-    return _span_hist(g, 2), total
+    """weight_histograms over GF(2); kept as a name for callers outside the package."""
+    return weight_histograms(g_rows, budget, q=2)
 
 
 def _generators(code) -> tuple[np.ndarray, int]:
@@ -661,8 +640,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
     if k == n:
         result = DistanceBound.exact_value(1, work=0)
     elif q**k <= budget:
-        walk = weight_histograms if q == 4 else weight_histograms_binary
-        hist, work = walk(g, budget=budget)
+        hist, work = weight_histograms(g, budget, q)
         result = DistanceBound.exact_value(_first_nonzero_weight(hist), work=work)
     else:
         result = _info_set_bounds(g, q, budget, cyclic_n=n if key is not None else None)
@@ -674,8 +652,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
 def weight_distribution(code, budget: int | None = None) -> np.ndarray:
     """Full weight enumerator (counts per weight, zero word included)."""
     g, q = _generators(code)
-    walk = weight_histograms if q == 4 else weight_histograms_binary
-    return walk(g, budget=budget)[0]
+    return weight_histograms(g, budget, q)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +748,19 @@ def _walked(ext) -> np.ndarray:
     return ext.original if ext.e == 1 else ext.extended
 
 
+def _unit_pass(c_hist, coset_hist, work: int, q: int = 4) -> tuple[int, int, str, str]:
+    """The e = 1 pass from the distributions of C and of the words of
+    C^perp_h off C (coset_hist): the extended words are (c | 0) and
+    (v | lambda), lambda != 0, for v off C, so A_w = C_w + coset_(w - 1),
+    checked (_check_macwilliams), and d = min(d(C), d_o + 1) with d_o the
+    least weight off C.  C is Hermitian self-orthogonal, so even.  Returns
+    (d, work, note, pure)."""
+    _check_macwilliams([c + x for c, x in zip(list(c_hist) + [0], [0] + list(coset_hist))], q)
+    d_c, d_o = _first_nonzero_weight(c_hist), _first_nonzero_weight(coset_hist)
+    d = min(d_c, d_o + 1)
+    return d, work, f"d = min(d(even) = {d_c}, d_o + 1 = {d_o + 1}) = {d} [exact]", PURE_YES
+
+
 def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
     """The exact pass of an extension: one walk of _walked(ext), whose
     q^dim words are the work, and the weight distribution A of the extended
@@ -791,13 +781,12 @@ def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
     distribution B of C^perp_h = C + <f>, f the one orthonormal complement
     vector.  The extended words are (c + lambda f | lambda): the first n
     coordinates run over C^perp_h, and the unit coordinate is nonzero
-    exactly off C, so A_w = A_C[w] + (B - A_C)[w - 1].  With e >= 2 the
-    unit coordinates depend on the coset, so the extended code is walked.
-    A self-dual code's d is its first nonzero weight, and its distribution
-    is checked (_check_macwilliams).
+    exactly off C, so _unit_pass reads the extended code from A_C and
+    B - A_C.  With e >= 2 the unit coordinates depend on the coset, so the
+    extended code is walked.  A self-dual code's d is its first nonzero
+    weight, and its distribution is checked (_check_macwilliams).
     """
-    walk = weight_histograms if q == 4 else weight_histograms_binary
-    hist, work = walk(_walked(ext), budget=budget)
+    hist, work = weight_histograms(_walked(ext), budget, q)
     walked = [int(x) for x in hist]
     if 2 * ext.k != ext.n:
         b, a = walked, dual_distribution(walked, work, q)
@@ -806,12 +795,11 @@ def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
             raise InvariantError("the extended code has no word outside its dual")
         note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
         return d, work, note, PURE_YES if d == _first_nonzero_weight(a) else PURE_NO
-    a = walked
     if ext.e == 1:
-        b = dual_distribution(walked, work, q)
-        a = [c + x - y for c, x, y in zip(walked + [0], [0] + b, [0] + walked)]
-    _check_macwilliams(a, q)
-    first = _first_nonzero_weight(a)
+        coset = [y - x for x, y in zip(walked, dual_distribution(walked, work, q))]
+        return _unit_pass(walked, coset, work, q)
+    _check_macwilliams(walked, q)
+    first = _first_nonzero_weight(walked)
     return first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]", PURE_YES
 
 
@@ -925,7 +913,9 @@ def extension_distance(ext, budget: int, exact=None) -> ExtensionDistance:
 
     exact is (words, run) or None: when words <= budget, run() makes one
     exact pass and returns (d, work, note, pure); a self-dual pass checks
-    its weight distribution (_check_macwilliams).
+    its weight distribution (_check_macwilliams).  It stays for the duadic
+    route, whose pass is duadic_distances and _unit_pass: that call keeps
+    the even-like and odd-like histograms that its callers read.
     Without it the exact pass is _extension_pass, which walks one
     self-orthogonal code and takes the extended [N, K] code's distribution
     from MacWilliams: the dual, q^(N - K) words, when k > 0; the ingredient
@@ -986,7 +976,9 @@ class FixedSubcode:
 
 
 def fixed_subcode(code: CyclicCode, a: int) -> FixedSubcode:
-    """Basis of {v in C : mu_a(v) = v} (_fixed_rows on the generator matrix)."""
+    """Basis of {v in C : mu_a(v) = v} (_fixed_rows on the generator matrix).
+
+    Raises InputError, naming a as given, unless gcd(a, n) = 1."""
     n = code.n
     if math.gcd(a, n) != 1:
         raise InputError(f"gcd({a}, {n}) != 1")
@@ -1014,16 +1006,13 @@ def fixed_subcode_lower_bound(code: CyclicCode, a: int, budget: int | None = Non
     """Sandwich d(C) between the fixed-subcode bounds: lower from the order
     formula applied to d(C_a), upper d(C) <= d(C_a)."""
     budget = default_budget() if budget is None else budget
-    n = code.n
-    a %= n
-    if math.gcd(a, n) != 1:
-        raise InputError(f"gcd({a}, {n}) != 1")
+    sub = fixed_subcode(code, a)
+    a = sub.a
     if code.defining_set.scaled(a).members != code.defining_set.members:
         raise InputError(f"mu_{a} does not fix the code: aA != A")
-    order = mult_order(a, n)
+    order = mult_order(a, code.n)
     if order != 2 and (order <= 1 or order % 2 == 0):
         raise InputError(f"multiplier order {order} is neither 2 nor odd > 1")
-    sub = fixed_subcode(code, a)
     if sub.dim == 0:
         raise InvariantError("fixed subcode is trivial; no bound available")
     d_sub = min_distance_exact(sub.basis, budget=budget)

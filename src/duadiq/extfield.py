@@ -223,25 +223,6 @@ class ExtField:
                 return 3
         raise ValueError("element does not lie in the base subfield")
 
-    def from_base_symbol(self, s: int) -> int:
-        if s == 0:
-            return 0
-        if s == 1:
-            return 1
-        if self.q == 4:
-            if s == 2:
-                return self.omega
-            if s == 3:
-                return self.mul(self.omega, self.omega)
-        raise ValueError(f"invalid base symbol {s} for q={self.q}")
-
-    def eval_base_poly(self, poly: np.ndarray, point: int) -> int:
-        """Evaluate a base-field polynomial (symbol array) at a field point."""
-        acc = 0
-        for c in reversed(np.asarray(poly, dtype=np.uint8)):
-            acc = self.mul(acc, point) ^ self.from_base_symbol(int(c))
-        return acc
-
 
 @lru_cache(maxsize=None)
 def ext_build(n: int, q: int = 4) -> ExtField:
@@ -316,10 +297,3 @@ def _minimal_poly(ext: ExtField, coset: frozenset[int]) -> np.ndarray:
     out = np.array([ext.to_base_symbol(c) for c in poly], dtype=np.uint8)
     out.setflags(write=False)
     return out
-
-
-def gf4_embedding_check(ext: ExtField) -> bool:
-    """omega^2 = omega + 1 must hold inside the big field (q=4 only)."""
-    if ext.q != 4:
-        return True
-    return ext.mul(ext.omega, ext.omega) == (ext.omega ^ 1)

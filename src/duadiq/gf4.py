@@ -30,66 +30,12 @@ MUL_TABLE = np.array(
 # conj(x) = x^2 (Frobenius); fixes the prime subfield, swaps w and w^2.
 CONJ_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)
 
-INV_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)  # inv(0) is invalid, guarded below
-
-
-def add(a: int, b: int) -> int:
-    """Field addition (XOR on the 2-bit encoding)."""
-    return (a ^ b) & 3
-
-
-def mul(a: int, b: int) -> int:
-    return int(MUL_TABLE[a & 3, b & 3])
-
-
-def conj(a: int) -> int:
-    return int(CONJ_TABLE[a & 3])
-
-
-def inv(a: int) -> int:
-    """Multiplicative inverse; raises on zero."""
-    if a & 3 == 0:
-        raise ZeroDivisionError("0 has no inverse in GF(4)")
-    return int(INV_TABLE[a & 3])
-
-
-def vector(symbols) -> np.ndarray:
-    """Coerce a symbol sequence to a uint8 vector, validating the alphabet."""
-    v = np.asarray(symbols, dtype=np.uint8)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d symbol sequence")
-    if v.size and v.max() > 3:
-        raise ValueError("symbols must be in {0,1,2,3}")
-    return v
-
-
-def matrix(rows) -> np.ndarray:
-    m = np.asarray(rows, dtype=np.uint8)
-    if m.ndim != 2:
-        raise ValueError("expected a 2-d symbol array")
-    if m.size and m.max() > 3:
-        raise ValueError("symbols must be in {0,1,2,3}")
-    return m
+INV_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)  # entry 0 is a placeholder: 0 has no inverse
 
 
 def weight(v: np.ndarray) -> int:
     """Hamming weight: number of nonzero symbols."""
     return int(np.count_nonzero(v))
-
-
-def hermitian_inner(u: np.ndarray, v: np.ndarray) -> int:
-    """Hermitian inner product sum(u_i * conj(v_i)); returns a symbol."""
-    u = np.asarray(u, dtype=np.uint8)
-    v = np.asarray(v, dtype=np.uint8)
-    if u.shape != v.shape:
-        raise ValueError(f"length mismatch: {u.shape} vs {v.shape}")
-    terms = MUL_TABLE[u, CONJ_TABLE[v]]
-    return int(np.bitwise_xor.reduce(terms)) if terms.size else 0
-
-
-def norm(v: np.ndarray) -> int:
-    """<v,v>; always 0 or 1, and equals weight(v) mod 2."""
-    return hermitian_inner(v, v)
 
 
 # ---------------------------------------------------------------------------
@@ -115,13 +61,6 @@ def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
         if c:
             out[i : i + len(q)] ^= MUL_TABLE[c][q]
     return out
-
-
-def x_pow_n_minus_1(n: int) -> np.ndarray:
-    p = np.zeros(n + 1, dtype=np.uint8)
-    p[0] = 1  # -1 = 1 in characteristic 2
-    p[n] = 1
-    return p
 
 
 # ---------------------------------------------------------------------------

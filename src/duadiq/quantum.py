@@ -253,12 +253,12 @@ def extended_duadic_quantum(
     ingredient pass (duadic_distances: one walk of the even-like code, 4^dim
     words, and the odd-like distribution from MacWilliams) the distance is
     exact: the extended words are the even-like words padded by 0 and the
-    odd-like cosets padded by a unit, so d = min(d(even), d_o + 1).  This is
-    the e = 1 pass of extension_distance, kept apart for the histograms it
-    returns, and it fits the same budgets.  When it does not fit the budget,
-    extension_distance bounds the extended code by the information-set
-    search on an information set and its complement; the odd-like code is
-    not searched on its own.
+    odd-like cosets padded by a unit, so d = min(d(even), d_o + 1), which
+    distance._unit_pass reads as every e = 1 pass does; the walk stays
+    duadic_distances' for the histograms that call returns.  When it does
+    not fit the budget, extension_distance bounds the extended code by the
+    information-set search on an information set and its complement; the
+    odd-like code is not searched on its own.
     """
     budget = dist.default_budget() if budget is None else budget
     if isinstance(odd_like, DuadicPair):
@@ -283,12 +283,7 @@ def extended_duadic_quantum(
 
     def duadic_pass():
         dd = dist.duadic_distances(splitting, budget=budget)
-        # the extended words are the even-like words padded by 0 and the
-        # odd-like cosets padded by a unit
-        dist._check_macwilliams([e + c for e, c in zip(dd.even_hist + (0,), (0,) + dd.coset_hist)])
-        d = min(dd.d_even, dd.d_min_odd_coset + 1)
-        note = f"d = min(d(even) = {dd.d_even}, d_o + 1 = {dd.d_min_odd_coset + 1}) = {d} [exact]"
-        return d, dd.work, note, PURE_YES
+        return dist._unit_pass(dd.even_hist, dd.coset_hist, dd.work)
 
     # the pass walks the even-like span alone: 4^dim words
     cert = dist.extension_distance(ext, budget, exact=(4 ** pair.even1.dim, duadic_pass))

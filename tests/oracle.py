@@ -85,12 +85,26 @@ def unpack_planes(lo, hi, n):
     return [[bit(l, j) | bit(h, j) << 1 for j in range(n)] for l, h in zip(lo, hi)]
 
 
+def x_pow_n_minus_1(n):
+    """The coefficients of x^n - 1 = x^n + 1, constant term first."""
+    return [1] + [0] * (n - 1) + [1]
+
+
 def defining_set_of_matrix(g, n, q=4):
     """Exponents t where every row polynomial vanishes at alpha^t, found
-    root by root: the oracle against the defining-set arithmetic."""
+    root by root by Horner's rule in the extension field, whose omega is
+    the symbol 2 and omega^2 = omega + 1 the symbol 3: the oracle against
+    the defining-set arithmetic."""
     ext = extfield.ext_build(n, q)
-    return frozenset(t for t in range(n)
-                     if all(ext.eval_base_poly(row, ext.alpha_pow(t)) == 0 for row in g))
+    symbol = {0: 0, 1: 1, 2: ext.omega, 3: ext.omega ^ 1}
+
+    def value(row, point):
+        acc = 0
+        for c in reversed(list(row)):
+            acc = ext.mul(acc, point) ^ symbol[int(c)]
+        return acc
+
+    return frozenset(t for t in range(n) if all(value(row, ext.alpha_pow(t)) == 0 for row in g))
 
 
 def span_words(rows, q=4):

@@ -71,7 +71,7 @@ def test_criterion_02_hexacode_identity():
     checks = []
     checks.append(sd.gen.shape == (3, 6))
     gram_ok = all(
-        gf4.hermitian_inner(sd.gen[i], sd.gen[j]) == 0 for i in range(3) for j in range(3)
+        oracle.inner(sd.gen[i], sd.gen[j]) == 0 for i in range(3) for j in range(3)
     )
     checks.append(gram_ok)
     counts = oracle.weight_counts([list(r) for r in sd.gen], 6)

@@ -192,19 +192,22 @@ def test_quantum_coset_pass_macwilliams_violation_exit_4(capsys, monkeypatch, co
 
 
 @pytest.mark.parametrize("corrupt", ["extra", "moved"])
-@pytest.mark.parametrize("argv,walk,count", [
-    (("quantum", "-n", "23", "--qr"), "weight_histograms", "2^22"),
-    (("quantum", "-n", "23", "--leaders", "1"), "weight_histograms_binary", "2^11"),
+@pytest.mark.parametrize("argv,field,count", [
+    pytest.param(("quantum", "-n", "23", "--qr"), 4, "2^22", id="argv0-weight_histograms-2^22"),
+    pytest.param(("quantum", "-n", "23", "--leaders", "1"), 2, "2^11", id="argv1-weight_histograms_binary-2^11"),
 ])
-def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, walk, count, corrupt):
+def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, field, count, corrupt):
     # the duadic pass walks the [23, 11] even-like code over GF(4), the e = 1
     # pass of the cyclic route its binary span: one extra word of the least
     # weight breaks the count; one word moved up by 2 keeps it and breaks
-    # the divisibility of the MacWilliams transform
-    plain = getattr(dist, walk)
+    # the divisibility of the MacWilliams transform.  Only the walks over
+    # GF(field) are corrupted
+    plain = dist.weight_histograms
 
-    def corrupted(*args, **kwargs):
-        hist, work = plain(*args, **kwargs)
+    def corrupted(g, budget=None, q=4):
+        hist, work = plain(g, budget, q)
+        if q != field:
+            return hist, work
         hist = hist.copy()
         w = int(np.flatnonzero(hist[1:])[0]) + 1
         if corrupt == "moved":
@@ -214,7 +217,7 @@ def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, walk, count
         return hist, work
 
     monkeypatch.setattr(dist, "_CACHE", {})
-    monkeypatch.setattr(dist, walk, corrupted)
+    monkeypatch.setattr(dist, "weight_histograms", corrupted)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
     assert (count if corrupt == "extra" else "MacWilliams") in err
@@ -253,6 +256,17 @@ def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corru
     assert code == 4 and out == ""
     assert "shortened walk of a cyclic [23," in err and "miscounted" in err
     assert ("two-point shortened walk" in err) == (kernel == "gray_weight_hists")
+
+
+def test_unit_routes_print_one_note(capsys):
+    # the duadic pass (--qr) and the e = 1 pass of the cyclic route
+    # (--leaders) of the [[14,0,6]] code print the same account of d
+    notes = []
+    for argv in (("--qr",), ("--leaders", "1")):
+        code, out, _ = run(capsys, "quantum", "-n", "13", *argv)
+        assert code == 0 and out.startswith("[[14,0,6]]")
+        notes.append([line for line in out.splitlines() if "[exact]" in line])
+    assert notes[0] == notes[1] == ["  d = min(d(even) = 6, d_o + 1 = 6) = 6 [exact]"]
 
 
 def test_quantum_qr_29_extremal(capsys):
@@ -378,6 +392,13 @@ def test_distance_fixed_subcode_flag(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["lo"] == payload["hi"] == 5
+
+
+def test_distance_fixed_subcode_names_the_multiplier_given(capsys):
+    # 5 = 0 mod 5 has no inverse; the message names the multiplier as given
+    code, out, err = run(capsys, "distance", "-n", "5", "--leaders", "1", "--fixed-subcode", "5")
+    assert code == 2 and out == ""
+    assert "gcd(5, 5) != 1" in err
 
 
 def test_distance_budget_zero_interval(capsys):

@@ -149,6 +149,29 @@ def test_shortened_walk_equals_plain_walk(monkeypatch, q, max_dim):
     assert two_point == (19 if q == 4 else 5), two_point
 
 
+def test_binary_name_is_the_gf2_walk():
+    # weight_histograms_binary is weight_histograms over GF(2), kept by name
+    # for callers outside the package
+    for code in _cyclic_codes(41, 2, 20):
+        g, words = code.gen_matrix, 2**code.dim
+        hist, work = dist.weight_histograms(g, q=2)
+        again, again_work = dist.weight_histograms_binary(g, words)
+        assert np.array_equal(hist, again) and work == again_work == words
+    with pytest.raises(BudgetExceededError):
+        dist.weight_histograms_binary(g, words - 1)
+
+
+def test_exact_distance_reduces_once(monkeypatch):
+    # min_distance_exact reduces the generator once; the walk reads the
+    # RREF's pivots (linalg.rref_pivots) instead of reducing it again
+    reduced = []
+    rref = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: reduced.append(m) or rref(m))
+    monkeypatch.setattr(dist, "_CACHE", {})
+    b = dist.min_distance_exact(CyclicCode.from_leaders(23, [1]))
+    assert b.exact and b.lo == 7 and len(reduced) == 1
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 0, 1, 0], [0, 1, 0, 1]],  # even length: mu_q is no permutation
     [[1, 1]],                      # even length and k = 1
@@ -244,7 +267,7 @@ def test_shortened_walk_rejects_a_miscounted_kernel(monkeypatch, q, leaders, cor
 
 @pytest.mark.parametrize("weight,message", [
     (4, "two-point shortened walk of a cyclic \\[5,4\\] code met a word of weight >= 4"),
-    (3, "two-point shortened walk of a cyclic \\[5,4\\] code miscounted: its shortened code passes 2\\^3 words"),
+    (3, "two-point shortened walk of a cyclic \\[5,4\\] code miscounted: its counts pass 2\\^3 words"),
 ])
 def test_two_point_walk_rejects_impossible_counts(monkeypatch, weight, message):
     # the binary even-weight [5, 4] code: mu_2 has the one orbit {1, 2, 3, 4},
@@ -261,7 +284,18 @@ def test_two_point_walk_rejects_impossible_counts(monkeypatch, weight, message):
         return hist
     monkeypatch.setattr(_kernels, "gray_weight_hists_binary", heavier)
     with pytest.raises(InvariantError, match=message):
-        dist.weight_histograms_binary(r)
+        dist.weight_histograms(r, q=2)
+
+
+@pytest.mark.parametrize("q,hist", [(4, [1, 3]), (2, [1, 1])])
+def test_length_one_span(q, hist):
+    # [1, 1] is cyclic, and mu_q has no orbit on the empty {1..n-1}: the
+    # walk takes the one-point rebuild of its shortened code, the zero word
+    assert dist._two_point_orbits(1, 1, q) is None
+    g = np.array([[1]], dtype=np.uint8)
+    got, work = dist.weight_histograms(g, q=q)
+    assert got.tolist() == hist and work == q
+    assert dist.weight_distribution(CyclicCode(DefiningSet(1, frozenset(), q=q))).tolist() == hist
 
 
 def test_full_space_distance_one():

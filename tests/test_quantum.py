@@ -37,7 +37,7 @@ def test_hexacode_from_n5():
     # Gram test over all 9 generator pairs
     for i in range(3):
         for j in range(3):
-            assert gf4.hermitian_inner(sd.gen[i], sd.gen[j]) == 0
+            assert oracle.inner(sd.gen[i], sd.gen[j]) == 0
     # all 64 codewords have even weight, minimum 4
     counts = oracle.weight_counts([list(r) for r in sd.gen], 6)
     assert sum(counts) == 64
@@ -207,14 +207,17 @@ def test_dual_containing_pass_matches_oracle():
                 assert q.d.exact and q.d.lo == dist.duadic_distances(s).d_min_odd_coset, n
 
 
-def _moved_word(walk, call, w_from, w_to):
-    """walk, with one word of its call-th result (counted from 0) moved from
-    weight w_from to w_to; the list returned grows by one per call."""
+def _moved_word(walk, call, w_from, w_to, field=4):
+    """walk (weight_histograms), with one word of the call-th result
+    (counted from 0) of its walks over GF(field) moved from weight w_from
+    to w_to; the list returned grows by one per such walk."""
     calls = []
 
-    def corrupted(*args, **kwargs):
-        hist, work = walk(*args, **kwargs)
-        calls.append(args)
+    def corrupted(g, budget=None, q=4):
+        hist, work = walk(g, budget, q)
+        if q != field:
+            return hist, work
+        calls.append(g)
         if len(calls) == call + 1:
             hist = hist.copy()
             assert hist[w_from] > 0
@@ -237,8 +240,8 @@ def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
     # the binary e = 1 pass of the [[8,0,4]] code walks the 2^3 binary words
     # of its [7, 3] ingredient
     a = DefiningSet(7, qr_splitting(7).s1.members | {0})
-    corrupted, calls = _moved_word(dist.weight_histograms_binary, 0, 4, 2)
-    monkeypatch.setattr(dist, "weight_histograms_binary", corrupted)
+    corrupted, calls = _moved_word(dist.weight_histograms, 0, 4, 2, field=2)
+    monkeypatch.setattr(dist, "weight_histograms", corrupted)
     with pytest.raises(InvariantError, match="MacWilliams"):
         quantum.binary_cyclic_quantum(a)
     assert len(calls) == 1
@@ -247,11 +250,14 @@ def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
     assert p.params_str() == "[[8,0,4]]" and p.d.work == 2**3
 
 
-def _miscounted(walk, corrupt):
-    """walk, with its histogram given one extra word of its least nonzero
-    weight w ("extra") or one word moved from weight w to w + 2 ("moved")."""
-    def corrupted(*args, **kwargs):
-        hist, work = walk(*args, **kwargs)
+def _miscounted(walk, corrupt, field):
+    """walk (weight_histograms), with the histogram of each of its walks
+    over GF(field) given one extra word of its least nonzero weight w
+    ("extra") or one word moved from weight w to w + 2 ("moved")."""
+    def corrupted(g, budget=None, q=4):
+        hist, work = walk(g, budget, q)
+        if q != field:
+            return hist, work
         hist = hist.copy()
         w = int(np.flatnonzero(hist[1:])[0]) + 1
         if corrupt == "moved":
@@ -263,13 +269,15 @@ def _miscounted(walk, corrupt):
 
 
 @pytest.mark.parametrize("corrupt", ["extra", "moved"])
-@pytest.mark.parametrize("walk,n,count", [("weight_histograms", 13, "not 2\\^12"),
-                                          ("weight_histograms_binary", 7, "not 2\\^3")])
-def test_dual_containing_pass_rejects_a_miscounted_dual(monkeypatch, corrupt, walk, n, count):
+@pytest.mark.parametrize("field,n,count", [
+    pytest.param(4, 13, "not 2\\^12", id="weight_histograms-13-not 2\\^12"),
+    pytest.param(2, 7, "not 2\\^3", id="weight_histograms_binary-7-not 2\\^3"),
+])
+def test_dual_containing_pass_rejects_a_miscounted_dual(monkeypatch, corrupt, field, n, count):
     # the k > 0 pass of the odd-like mu_-2 code walks only its dual, the
     # [13, 6] even-like code over GF(4) or the binary [7, 3] one: an extra
     # word breaks the count, a moved one the divisibility of the transform
-    monkeypatch.setattr(dist, walk, _miscounted(getattr(dist, walk), corrupt))
+    monkeypatch.setattr(dist, "weight_histograms", _miscounted(dist.weight_histograms, corrupt, field))
     with pytest.raises(InvariantError, match=count if corrupt == "extra" else "MacWilliams"):
         quantum.quantum_from_dual_containing(_mu2_pairs(n)[0].odd1)
 
