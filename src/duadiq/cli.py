@@ -3,7 +3,8 @@
 Commands: cosets, splittings, quantum, distance, table.  Output formats are
 json, csv or text; identical flags produce byte-identical output.  Exit
 codes: 0 success, 2 invalid input, 3 no applicable construction, 4 internal
-invariant failure or an exact computation that exceeded the budget.
+invariant failure or an exact computation that exceeded the budget, 141 (as
+for a command killed by SIGPIPE) when the reader closed standard output.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from . import distance as dist, duadic, quantum
@@ -23,6 +25,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NOT_APPLICABLE = 3
 EXIT_INVARIANT = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
 def _parse_leaders(text: str) -> list[int]:
@@ -278,6 +281,20 @@ _DISPATCH = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    try:
+        code = _main(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed standard output (`duadiq ... | head`): point it at
+        # os.devnull, so that the interpreter's flush at exit stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv: list[str] | None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

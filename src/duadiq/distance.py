@@ -1055,16 +1055,18 @@ def fixed_subcode_coincidence(
     code: CyclicCode, a: int, budget: int | None = None
 ) -> CoincidenceReport:
     """Verify C_a = C_{a^j} and the weight-count divisibility: for every t
-    with no weight-t word in C_a, the multiplier order divides A_t."""
+    with no weight-t word in C_a, the multiplier order divides A_t.
+
+    Raises InputError, naming a as given, unless gcd(a, n) = 1."""
     budget = default_budget() if budget is None else budget
     n = code.n
-    a %= n
+    base = fixed_subcode(code, a)
+    a = base.a
     order = mult_order(a, n)
     if not is_prime(order):
         raise InputError(f"multiplier order {order} is not prime")
     if code.defining_set.scaled(a).members != code.defining_set.members:
         raise InputError(f"mu_{a} does not fix the code")
-    base = fixed_subcode(code, a)
     equal = True
     for j in range(2, order):
         other = fixed_subcode(code, pow(a, j, n))

@@ -71,12 +71,12 @@ def mult_order(a: int, n: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _clmul(a: int, b: int) -> int:
+    """Carry-less product, one shifted XOR per set bit of b."""
     out = 0
     while b:
-        if b & 1:
-            out ^= a
-        a <<= 1
-        b >>= 1
+        low = b & -b
+        out ^= a << (low.bit_length() - 1)
+        b ^= low
     return out
 
 
@@ -85,9 +85,11 @@ def _pdeg(a: int) -> int:
 
 
 def _pmod(a: int, m: int) -> int:
-    dm = _pdeg(m)
-    while _pdeg(a) >= dm:
-        a ^= m << (_pdeg(a) - dm)
+    dm = m.bit_length()
+    da = a.bit_length()
+    while da >= dm:
+        a ^= m << (da - dm)
+        da = a.bit_length()
     return a
 
 
@@ -284,11 +286,21 @@ def minimal_poly(ext: ExtField, coset: frozenset[int] | set[int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _alpha_powers(ext: ExtField) -> tuple[int, ...]:
+    """alpha^j for j = 0..n-1, by n - 1 multiplications."""
+    powers = [1]
+    for _ in range(ext.n - 1):
+        powers.append(ext.mul(powers[-1], ext.alpha))
+    return tuple(powers)
+
+
+@lru_cache(maxsize=None)
 def _minimal_poly(ext: ExtField, coset: frozenset[int]) -> np.ndarray:
     # Horner-style product in the big field, little-endian coefficients
+    powers = _alpha_powers(ext)
     poly = [1]
     for j in sorted(coset):
-        root = ext.alpha_pow(j)
+        root = powers[j]
         nxt = [0] * (len(poly) + 1)
         for i, c in enumerate(poly):
             nxt[i] ^= ext.mul(c, root)  # times (-root) = root in char 2

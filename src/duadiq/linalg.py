@@ -2,50 +2,78 @@
 
 Matrices are (rows, cols) uint8 symbol arrays.  Row spaces are always
 represented by their reduced row echelon form, which makes bases canonical:
-pivot selection is leftmost column, topmost row, pivots normalized to 1.
+the pivot is the leftmost column held by a row at or below the rank, the
+topmost such row is swapped with the row at the rank, and the pivot is
+scaled to 1.
+
+rref works on packed rows.  A row is one Python int holding its two bit
+planes, the low plane in bits 0..cols-1 and the high plane above it, bit c
+of each for column c.  So a pivot step is a mask and an XOR per row,
+whatever the width.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import or_
+
 import numpy as np
 
-from .gf4 import CONJ_TABLE, INV_TABLE, MUL_TABLE
+from .gf4 import CONJ_TABLE
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     """Reduced row echelon form.
 
-    Returns (R, rank, pivot_columns).  R has the same shape as the input;
-    rows beyond the rank are zero.  Row space is preserved.  Each pivot
-    column is cleared by one XOR over every other row that holds it.
+    Returns (R, rank, pivot_columns).  R is a new uint8 array of the input's
+    shape; rows beyond the rank are zero.  Row space is preserved.  Symbols
+    above 3 raise ValueError.
+
+    On the planes (l, h) of a row, l + h omega times omega is (h, l ^ h) and
+    times omega^2 is (l ^ h, l).  So the pivot row is scaled to 1 by moving
+    planes, and each row holding s at the pivot column is cleared by XORing
+    in s times the pivot row, one of three multiples found by the row's two
+    bits at that column.  held, the union of the rows below the rank, gives
+    the next pivot column as its lowest set bit in either plane.
     """
-    r = np.array(m, dtype=np.uint8, copy=True)
+    r = np.asarray(m, dtype=np.uint8)
     if r.ndim != 2:
         raise ValueError("rref expects a 2-d array")
+    if r.size and r.max() > 3:
+        raise ValueError("rref expects GF(4) symbols 0..3")
     rows, cols = r.shape
+    packed = np.packbits(np.concatenate((r & 1, r >> 1), axis=1), axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    rs = [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(rows)]
+    low = (1 << cols) - 1
+    held = reduce(or_, rs, 0)
     pivots: list[int] = []
     rank = 0
-    for c in range(cols):
-        if rank >= rows:
-            break
-        holders = r[:, c].nonzero()[0]
-        at = holders.searchsorted(rank)
-        if at == holders.size:
-            continue
-        # the pivot row p is the topmost at or below rank; rank itself holds
-        # no entry in column c unless p = rank, so the swap moves no other holder
-        p = int(holders[at])
-        holders = holders[holders != p]
-        if p != rank:
-            r[[rank, p]] = r[[p, rank]]
-        pv = int(r[rank, c])
-        if pv != 1:
-            r[rank, c:] = MUL_TABLE[INV_TABLE[pv]][r[rank, c:]]
-        if holders.size:
-            r[holders, c:] ^= MUL_TABLE[r[holders, c, None], r[rank, c:]]
-        pivots.append(c)
+    while held:
+        held = (held | held >> cols) & low
+        bit = held & -held
+        hbit = bit << cols
+        both = bit | hbit
+        p = rank
+        while not rs[p] & both:
+            p += 1
+        l, h = rs[p] & low, rs[p] >> cols
+        rs[p] = rs[rank]
+        if h & bit:  # an omega pivot (l clear) times omega^2, an omega^2 pivot times omega
+            l, h = (h, l ^ h) if l & bit else (l ^ h, l)
+        # the pivot row times the symbol a row holds, keyed by its two bits;
+        # the pivot row itself is cleared too and put back after
+        one, lh = l | h << cols, l ^ h
+        times = {0: 0, bit: one, hbit: h | lh << cols, both: lh | l << cols}
+        rs = [x ^ times[x & both] for x in rs]
+        rs[rank] = one
+        held = reduce(or_, rs[rank + 1 :], 0)
+        pivots.append(bit.bit_length() - 1)
         rank += 1
-    return r, rank, pivots
+    nbytes = (2 * cols + 7) // 8
+    data = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in rs), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(rows, nbytes), axis=1, count=2 * cols, bitorder="little")
+    return bits[:, :cols] | bits[:, cols:] << 1, rank, pivots
 
 
 def row_basis(m: np.ndarray) -> np.ndarray:

@@ -435,6 +435,22 @@ def test_python_m_duadiq_runs_the_cli():
     assert (p["n"], p["k"], p["d_lo"], p["d_hi"]) == (14, 0, 6, 6)
 
 
+def test_closed_stdout_exits_quietly():
+    # the reader of the pipe is gone before the command writes, as with
+    # `duadiq quantum -n 35 --leaders 3,5 | head -2` when head exits first
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "duadiq", "quantum", "-n", "35", "--leaders", "3,5"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""
+
+
 def test_table_small(capsys):
     import csv
     import io

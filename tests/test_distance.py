@@ -579,6 +579,14 @@ def test_coincidence_order_two_trivial():
     assert rep.order == 2 and rep.subcodes_equal and rep.all_passed
 
 
+def test_coincidence_names_the_multiplier_as_given():
+    # a = n is 0 mod n, which has no inverse; the error names a as given
+    c = CyclicCode.from_leaders(5, [1])
+    for a in (5, 10):
+        with pytest.raises(InputError, match=rf"^gcd\({a}, 5\) != 1$"):
+            dist.fixed_subcode_coincidence(c, a)
+
+
 def test_square_root_bounds_reports():
     for p in (5, 7, 13, 23):
         rep = dist.square_root_bounds(duadic_from_splitting(qr_splitting(p)))

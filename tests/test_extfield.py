@@ -112,3 +112,16 @@ def test_large_degree_fallback():
     assert ext.pow(ext.alpha, 47) == 1
     assert ext.pow(ext.alpha, 1) != 1
     assert ext.mul(ext.omega, ext.omega) == ext.omega ^ 1
+
+
+@pytest.mark.parametrize("n,modulus,gamma,alpha,omega", [
+    (29, 0x12000001, 2, 0xFA27F10, 0x31F7A06),
+    (37, 0x1DC0000001, 2, 0x6C8998E69, 0xEA0EC58B0),
+    (123, 0x120001, 2, 0x83A32, 0x629AE),
+    # degree 46: the smallest irreducible, not primitive, so gamma is not x
+    (141, 0x600000000001, 7, 0x3A2A36BD70B3, 0x39E8DF059263),
+])
+def test_ext_build_is_pinned(n, modulus, gamma, alpha, omega):
+    # the modulus convention and the pinned roots label every cyclic code
+    ext = extfield.ext_build(n)
+    assert (ext.modulus, ext.gamma, ext.alpha, ext.omega) == (modulus, gamma, alpha, omega)

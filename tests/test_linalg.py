@@ -223,14 +223,48 @@ def test_meet_join_duadic_even_pair():
 _RNG = np.random.default_rng(11)
 
 
+def _read_only(m):
+    m = m.copy()
+    m.setflags(write=False)
+    return m
+
+
+_WIDE = _RNG.integers(0, 4, (12, 140)).astype(np.uint8)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.tuples(st.integers(0, 80), st.integers(0, 160))
        .flatmap(lambda shape: hnp.arrays(np.uint8, shape, elements=st.integers(0, 3))))
 @example(_RNG.integers(0, 4, (80, 160)).astype(np.uint8))
 @example(np.tile(_RNG.integers(0, 4, (10, 160)).astype(np.uint8), (8, 1)))  # rank <= 10
 @example(_RNG.integers(0, 4, (80, 40)).astype(np.uint8))
+# widths on both sides of the byte and 64-bit boundaries of the packed planes
+@example(_RNG.integers(0, 4, (9, 7)).astype(np.uint8))
+@example(_RNG.integers(0, 4, (9, 8)).astype(np.uint8))
+@example(_RNG.integers(0, 4, (9, 9)).astype(np.uint8))
+@example(_RNG.integers(0, 4, (20, 63)).astype(np.uint8))
+@example(_RNG.integers(0, 4, (20, 64)).astype(np.uint8))
+@example(_RNG.integers(0, 4, (20, 65)).astype(np.uint8))
+@example(_RNG.integers(0, 4, (30, 129)).astype(np.uint8))
+@example(_read_only(_RNG.integers(0, 4, (6, 13)).astype(np.uint8)))
+# a column-permuted copy as _systematic_forms passes, and strided and
+# transposed views as complement_basis passes
+@example(_WIDE[:, _RNG.permutation(140)])
+@example(_WIDE[:, ::-3])
+@example(_WIDE.T)
+@example(np.zeros((0, 5), dtype=np.uint8))
+@example(np.zeros((4, 0), dtype=np.uint8))
 def test_rref_matches_row_by_row_oracle(m):
-    # the vectorized pivot clearing against one row operation at a time
+    # the packed reduction against one row operation at a time
+    before = m.copy()
     r, rank, pivots = linalg.rref(m)
     rows, rank_o, pivots_o = oracle.rref(m.tolist(), m.shape[1])
     assert (r.tolist(), rank, pivots) == (rows, rank_o, pivots_o)
+    assert r.shape == m.shape and r.dtype == np.uint8 and r.flags.writeable
+    assert np.array_equal(m, before)
+
+
+@pytest.mark.parametrize("bad", [[[1, 4]], [[0, 0], [2, 7]], [[255]]])
+def test_rref_rejects_symbols_above_3(bad):
+    with pytest.raises(ValueError, match="symbols"):
+        linalg.rref(np.array(bad, dtype=np.uint8))

@@ -1027,3 +1027,32 @@ def test_quantum_from_dual_containing_budget_limited():
     assert q.pure == ("yes" if q.d.exact else "unknown")
     exact = quantum.quantum_from_dual_containing(pair.odd1)
     assert exact.d.exact and exact.d.lo == 7
+
+
+def _oracle_rref(m):
+    m = np.asarray(m, dtype=np.uint8)
+    rows, rank, pivots = oracle.rref(m.tolist(), m.shape[1])
+    return np.array(rows, dtype=np.uint8).reshape(m.shape), rank, pivots
+
+
+def test_code_search_is_the_same_under_the_oracle_rref(monkeypatch):
+    # the code search (every A of nonzero cosets missing -2A) with n <= 21,
+    # at the search's budget, with linalg.rref and with the row-by-row
+    # oracle under every linalg caller: the same parameters, trace and
+    # generator bytes
+    search = [a for n in range(3, 22, 2) for a in _cyclic_codes(n)
+              if a.members and 0 not in a.members
+              and all((-2 * t) % n not in a.members for t in a.members)]
+
+    def run():
+        monkeypatch.setattr(dist, "_CACHE", {})
+        out = []
+        for a in search:
+            params, sd = quantum.cyclic_zero_dim(a, budget=65536)
+            out.append((params, sd.gen.shape, sd.gen.tobytes()))
+        return out
+
+    want = run()
+    monkeypatch.setattr(linalg, "rref", _oracle_rref)
+    assert run() == want
+    assert len(search) == 66
