@@ -844,6 +844,13 @@ def _fixed_rows(g: np.ndarray, a: int) -> np.ndarray:
     return linalg.row_basis(linalg.matmul(coeffs, g))
 
 
+def _zero_padded(m: np.ndarray, width: int) -> np.ndarray:
+    """m (a word or a matrix) followed by zero columns up to width."""
+    out = np.zeros(m.shape[:-1] + (width,), dtype=np.uint8)
+    out[..., : m.shape[-1]] = m
+    return out
+
+
 def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     """Information-set bound on a Hermitian self-dual extension [2K, K].
 
@@ -880,7 +887,7 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     rest = sorted(set(range(big_n)) - set(info))
     cyclic = _is_cyclic(ext.original)
     fixing = _fixing_involutions(ext.original) if cyclic else []
-    seeds = (np.pad(rows, ((0, 0), (0, ext.e)))
+    seeds = (_zero_padded(rows, big_n)
              for rows in (_fixed_rows(ext.original, a) for a in fixing) if len(rows))
     b = _info_set_bounds(gen, q, budget, sets=[info, rest],
                          cyclic_n=n if cyclic else None, self_dual=True, seeds=seeds)
@@ -953,7 +960,7 @@ def extension_distance(ext, budget: int, exact=None) -> ExtensionDistance:
             lo, lo_src = d_sum.lo + 1, d_sum.lo_src
         note = f"d >= min(d(C) >= {d_c.lo}, d(C + dual) + 1 >= {d_sum.lo + 1})"
     hi, hi_src = None, BUDGET
-    if d_c.word is not None and linalg.gram_matrix(np.pad(d_c.word, (0, ext.e)), ext.extended).any():
+    if d_c.word is not None and linalg.gram_matrix(_zero_padded(d_c.word, ext.n), ext.extended).any():
         hi, hi_src = d_c.hi, d_c.hi_src
         note += f", a word of C outside the dual: d <= {hi}"
     bound = DistanceBound(lo=lo, hi=hi, lo_src=lo_src, hi_src=hi_src, work=work)

@@ -149,28 +149,57 @@ class Extension:
 
 
 def _extend(code) -> Extension:
-    """The extension of a code."""
-    g = linalg.row_basis(dist._generators(code)[0])
-    k = g.shape[0]
+    """The extension of a code C with RREF basis g, k x n, in block form.
+
+    With R the radical C cap C^perp_h and f_1..f_e an orthonormal basis of
+    a complement of R in C^perp_h, the extended code is (g | 0) above
+    (f | I_e) and its Hermitian dual is (R | 0) above the same rows.  Three
+    facts are read from this form instead of recomputed:
+    - complement: the dual basis is the identity on g's free columns F,
+      so dual row i lies in the span of R and the rows before it exactly
+      when some word of R has its last nonzero F-coordinate at F[i].  Those
+      i, counted from the end of F, are the pivots of one rref of R's
+      columns F in reverse order, and the other rows are the ones
+      linalg.complement_basis(R, dual) picks, in its order;
+    - rank: (g | 0) is an RREF of k rows and the unit rows hold I_e where
+      it is zero, so the rank is k + e when g's pivots are k unit columns;
+    - allocation: each matrix is filled in place, and the dual is the
+      extended code itself when R is C (every self-orthogonal input).
+    """
+    r, k, pivots = linalg.rref(dist._generators(code)[0])
+    g = r[:k]
     if k == 0:
         raise InputError("refusing the zero code (dimension must be >= 1)")
+    # k unit pivot columns: g has rank k, and so (g | 0) above (f | I_e) has k + e
+    if linalg.rref_pivots(g) != pivots:
+        raise InvariantError("extended generators are dependent")
     dual = linalg.hermitian_dual_space(g)
     # the radical C cap C^perp_h is x g over the x with x Gram(g) = 0, so
     # C itself when C is self-orthogonal
     gram = linalg.gram_matrix(g)
     radical = linalg.row_basis(linalg.matmul(linalg.nullspace(gram.T), g)) if gram.any() else g
     e = dual.shape[0] - radical.shape[0]
-    ortho = _hermitian_orthonormalize(linalg.complement_basis(radical, dual))
+    n = g.shape[1]
+    free = np.delete(np.arange(n), pivots)
+    # dual row i is dropped when a word of the radical ends at free[i]
+    keep = np.ones(len(free), dtype=bool)
+    keep[[len(free) - 1 - p for p in linalg.rref(radical[:, free[::-1]])[2]]] = False
+    ortho = _hermitian_orthonormalize(dual[keep])
     if ortho.shape[0] != e:
         raise InvariantError("orthonormal complement has wrong dimension")
-    # the code is (g | 0) plus the rows (f_i | e_i), its dual (radical | 0) plus the same rows
-    units = np.hstack([ortho, np.eye(e, dtype=np.uint8)])
-    extended, extended_dual = (np.vstack([np.pad(m, ((0, 0), (0, e))), units]) for m in (g, radical))
+    extended = np.zeros((k + e, n + e), dtype=np.uint8)
+    extended[:k, :n] = g
+    extended[k:, :n] = ortho
+    extended[np.arange(k, k + e), np.arange(n, n + e)] = 1
+    if radical is g:
+        extended_dual = extended
+    else:
+        extended_dual = np.zeros((radical.shape[0] + e, n + e), dtype=np.uint8)
+        extended_dual[: radical.shape[0], :n] = radical
+        extended_dual[radical.shape[0] :] = extended[k:]
     # direct Gram certificate of dual containment
     if linalg.gram_matrix(extended_dual, extended).any():
         raise InvariantError("extended code failed the dual-containment Gram test")
-    if linalg.rank(extended) != k + e:
-        raise InvariantError("extended generators are dependent")
     return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e)
 
 

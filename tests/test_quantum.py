@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duadiq import distance as dist
-from duadiq import _kernels, gf4, linalg, quantum
+from duadiq import _kernels, cli, gf4, linalg, quantum
 from duadiq.cyclic import (
     CyclicCode,
     apply_multiplier,
@@ -68,8 +68,9 @@ def test_extension_gram_certificates():
 
 def test_extend_reduces_its_basis_once(monkeypatch):
     # the even-like [23, 11] code (e = 1): rref reduces the generator matrix,
-    # then the complement basis and the extended generators' rank; the
-    # Hermitian dual reads the pivots of the conjugated RREF and reduces nothing
+    # then the radical (here the code itself) on the 12 free columns; the
+    # Hermitian dual reads the pivots of the conjugated RREF, and the rank
+    # k + e is read from g's pivots and the unit block, so neither is reduced
     calls = []
     rref = linalg.rref
 
@@ -79,7 +80,7 @@ def test_extend_reduces_its_basis_once(monkeypatch):
     monkeypatch.setattr(linalg, "rref", counting)
     ext = quantum._extend(CyclicCode(DefiningSet.from_leaders(23, [0, 1])))
     assert ext.e == 1
-    assert calls == [(11, 23), (23, 23), (12, 24)]
+    assert calls == [(11, 23), (11, 12)]
 
 
 def _search_sets(n):
@@ -89,6 +90,107 @@ def _search_sets(n):
         a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
         if is_dual_containing(a):
             yield a
+
+
+def _repeat_a_row_of_g(monkeypatch):
+    """Make the reduction that yields g in _extend repeat g's first row."""
+    rref, extend = linalg.rref, quantum._extend
+    armed = []
+
+    def extend_armed(code):
+        armed.append(True)
+        return extend(code)
+
+    def repeating(m):
+        r, rank, pivots = rref(m)
+        if armed:
+            armed.clear()
+            r[rank - 1] = r[0]
+        return r, rank, pivots
+
+    monkeypatch.setattr(quantum, "_extend", extend_armed)
+    monkeypatch.setattr(linalg, "rref", repeating)
+
+
+def _corrupt_the_complement(monkeypatch):
+    """Make the orthonormalizer change the first symbol of its first row."""
+    orthonormalize = quantum._hermitian_orthonormalize
+
+    def corrupted(rows):
+        out = orthonormalize(rows)
+        out[0, 0] ^= 1
+        return out
+
+    monkeypatch.setattr(quantum, "_hermitian_orthonormalize", corrupted)
+
+
+_EXTENSION_FAULTS = [
+    (_repeat_a_row_of_g, "extended generators are dependent"),
+    (_corrupt_the_complement, "dual-containment Gram test"),
+]
+
+
+@pytest.mark.parametrize("fault, message", _EXTENSION_FAULTS)
+def test_extend_raises_on_a_broken_block(monkeypatch, fault, message):
+    fault(monkeypatch)
+    with pytest.raises(InvariantError, match=message):
+        quantum._extend(CyclicCode(DefiningSet.from_leaders(23, [0, 1])))
+
+
+@pytest.mark.parametrize("fault, message", _EXTENSION_FAULTS)
+def test_cli_exits_4_on_a_broken_block(capsys, monkeypatch, fault, message):
+    fault(monkeypatch)
+    code = cli.main(["quantum", "-n", "13", "--leaders", "1"])
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert message in captured.err
+
+
+def _block_extension(g, radical, dual):
+    """The extension as built from complement_basis, np.pad and vstack."""
+    ortho = quantum._hermitian_orthonormalize(linalg.complement_basis(radical, dual))
+    e = ortho.shape[0]
+    units = np.hstack([ortho, np.eye(e, dtype=np.uint8)])
+    return [np.vstack([np.pad(m, ((0, 0), (0, e))), units]) for m in (g, radical)]
+
+
+def test_extend_reads_the_complement_from_the_free_columns(monkeypatch):
+    # every searched code for odd n <= 41, and random generators that are
+    # not self-orthogonal with e >= 1, a third with a nonzero radical: the rows
+    # kept by the radical's reduction on the free columns are
+    # complement_basis's, and the extension is the one built from them by
+    # padding and stacking
+    kept = []
+    orthonormalize = quantum._hermitian_orthonormalize
+
+    def record(rows):
+        kept.append(rows)
+        return orthonormalize(rows)
+
+    monkeypatch.setattr(quantum, "_hermitian_orthonormalize", record)
+    inputs = [CyclicCode(dual_defining_set(a)).gen_matrix for n in range(3, 42, 2) for a in _search_sets(n)]
+    assert len(inputs) == 220
+    rng = np.random.default_rng(22)
+    radicals = 0
+    while len(inputs) < 320:
+        n = int(rng.integers(3, 14))
+        g = linalg.row_basis(rng.integers(0, 4, (int(rng.integers(1, n)), n)).astype(np.uint8))
+        dual = linalg.hermitian_dual_space(g)
+        radical = linalg.subspace_intersection(g, dual)
+        if linalg.gram_matrix(g).any() and len(dual) > len(radical):
+            inputs.append(g)
+            radicals += len(radical) > 0
+    assert radicals >= 30
+    for g in inputs:
+        kept.clear()
+        ext = quantum._extend(g)
+        dual = linalg.hermitian_dual_space(ext.original)
+        radical = linalg.subspace_intersection(ext.original, dual)
+        assert np.array_equal(kept[0], linalg.complement_basis(radical, dual))
+        extended, extended_dual = _block_extension(ext.original, radical, dual)
+        assert ext.extended.dtype == ext.extended_dual.dtype == np.uint8
+        assert np.array_equal(ext.extended, extended) and np.array_equal(ext.extended_dual, extended_dual)
+        assert linalg.rank(extended) == ext.k
 
 
 def test_orthonormalize_matches_oracle_greedy(monkeypatch):
