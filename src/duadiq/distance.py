@@ -737,6 +737,28 @@ PURE_NO = "no"
 PURE_UNKNOWN = "unknown"
 
 
+@dataclass(frozen=True)
+class ExtensionDistance:
+    """An extension's distance with an account of it (note): the exact
+    pass's, or that of the bound that replaced the pass (bounded); and
+    whether the stabilizer code is pure (PURE_YES, PURE_NO, PURE_UNKNOWN)."""
+
+    bound: DistanceBound
+    note: str
+    bounded: bool
+    pure: str
+
+    @property
+    def trace_line(self) -> str:
+        """The note as a construction's trace prints it."""
+        return f"budget-limited bound: {self.note}" if self.bounded else self.note
+
+
+def _exact(d: int, work: int, note: str, pure: str = PURE_YES) -> ExtensionDistance:
+    """The result of an exact pass."""
+    return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False, pure=pure)
+
+
 def _walked(ext) -> np.ndarray:
     """The generator _extension_pass walks, a self-orthogonal code whose
     weight distribution gives the extended code's: the dual
@@ -748,23 +770,23 @@ def _walked(ext) -> np.ndarray:
     return ext.original if ext.e == 1 else ext.extended
 
 
-def _unit_pass(c_hist, coset_hist, work: int, q: int = 4) -> tuple[int, int, str, str]:
+def _unit_pass(c_hist, coset_hist, work: int, q: int = 4) -> ExtensionDistance:
     """The e = 1 pass from the distributions of C and of the words of
     C^perp_h off C (coset_hist): the extended words are (c | 0) and
     (v | lambda), lambda != 0, for v off C, so A_w = C_w + coset_(w - 1),
     checked (_check_macwilliams), and d = min(d(C), d_o + 1) with d_o the
-    least weight off C.  C is Hermitian self-orthogonal, so even.  Returns
-    (d, work, note, pure)."""
+    least weight off C.  C is Hermitian self-orthogonal, so even, and the
+    stabilizer code is pure."""
     _check_macwilliams([c + x for c, x in zip(list(c_hist) + [0], [0] + list(coset_hist))], q)
     d_c, d_o = _first_nonzero_weight(c_hist), _first_nonzero_weight(coset_hist)
     d = min(d_c, d_o + 1)
-    return d, work, f"d = min(d(even) = {d_c}, d_o + 1 = {d_o + 1}) = {d} [exact]", PURE_YES
+    return _exact(d, work, f"d = min(d(even) = {d_c}, d_o + 1 = {d_o + 1}) = {d} [exact]")
 
 
-def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
+def _extension_pass(ext, q: int, budget: int) -> ExtensionDistance:
     """The exact pass of an extension: one walk of _walked(ext), whose
     q^dim words are the work, and the weight distribution A of the extended
-    [N, K] code from it by dual_distribution; returns (d, work, note, pure).
+    [N, K] code from it by dual_distribution.
 
     q = 2 walks the binary spans of binary generators: a binary generator
     spans a GF(4) code of the distance of its binary span, the Hermitian
@@ -794,25 +816,13 @@ def _extension_pass(ext, q: int, budget: int) -> tuple[int, int, str, str]:
         if d is None:
             raise InvariantError("the extended code has no word outside its dual")
         note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
-        return d, work, note, PURE_YES if d == _first_nonzero_weight(a) else PURE_NO
+        return _exact(d, work, note, PURE_YES if d == _first_nonzero_weight(a) else PURE_NO)
     if ext.e == 1:
         coset = [y - x for x, y in zip(walked, dual_distribution(walked, work, q))]
         return _unit_pass(walked, coset, work, q)
     _check_macwilliams(walked, q)
     first = _first_nonzero_weight(walked)
-    return first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]", PURE_YES
-
-
-@dataclass(frozen=True)
-class ExtensionDistance:
-    """An extension's distance with an account of it (note): the exact
-    pass's, or that of the bound that replaced the pass (bounded); and
-    whether the stabilizer code is pure (PURE_YES, PURE_NO, PURE_UNKNOWN)."""
-
-    bound: DistanceBound
-    note: str
-    bounded: bool
-    pure: str
+    return _exact(first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]")
 
 
 def _maps_into(r: np.ndarray, rows: np.ndarray) -> bool:
@@ -912,22 +922,19 @@ def _one_set_bound(r: np.ndarray, budget: int) -> InfoSetBound:
                             cyclic_n=r.shape[1] if _is_cyclic(r) else None)
 
 
-def extension_distance(ext, budget: int, exact=None) -> ExtensionDistance:
+def extension_distance(ext, budget: int) -> ExtensionDistance:
     """Distance of the extension ext of a code C (an Extension: original,
     the RREF basis of C; extended; extended_dual; e): the least weight of
     the extended code outside its Hermitian dual, which is the whole code
     when it is self-dual (k = 0).
 
-    exact is (words, run) or None: when words <= budget, run() makes one
-    exact pass and returns (d, work, note, pure); a self-dual pass checks
-    its weight distribution (_check_macwilliams).  It stays for the duadic
-    route, whose pass is duadic_distances and _unit_pass: that call keeps
-    the even-like and odd-like histograms that its callers read.
-    Without it the exact pass is _extension_pass, which walks one
-    self-orthogonal code and takes the extended [N, K] code's distribution
-    from MacWilliams: the dual, q^(N - K) words, when k > 0; the ingredient
-    C, q^(K - 1) words, of a self-dual extension with e = 1; else the
-    extended code, q^K words; q = 2 when both generator sets are binary.
+    The exact pass (_extension_pass) runs when its words fit the budget.
+    It walks one self-orthogonal code and takes the extended [N, K] code's
+    distribution from MacWilliams: the dual, q^(N - K) words, when k > 0;
+    the ingredient C, q^(K - 1) words, of a self-dual extension with e = 1;
+    else the extended code, q^K words; q = 2 when both generator sets are
+    binary.  A self-dual pass checks its weight distribution
+    (_check_macwilliams).
     Below the pass a self-dual extension is bounded by the information-set
     search on its generator (_self_dual_bound).  Any other is bounded by
         d >= min(d(C), d(C + C^perp_h) + 1),
@@ -941,14 +948,10 @@ def extension_distance(ext, budget: int, exact=None) -> ExtensionDistance:
     exactly when lo = hi, since lo bounds every nonzero extended word:
     (c | 0) weighs >= d(C), (v | alpha) >= d(C + C^perp_h) + 1.
     """
-    self_dual = 2 * ext.k == ext.n
     q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
-    if exact is None:
-        exact = (q ** _walked(ext).shape[0], lambda: _extension_pass(ext, q, budget))
-    if exact[0] <= budget:
-        d, work, note, pure = exact[1]()
-        return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False, pure=pure)
-    if self_dual:
+    if q ** _walked(ext).shape[0] <= budget:
+        return _extension_pass(ext, q, budget)
+    if 2 * ext.k == ext.n:
         return _self_dual_bound(ext, q, budget)
     d_c = _one_set_bound(ext.original, budget)
     lo, lo_src, work = d_c.lo, d_c.lo_src, d_c.work

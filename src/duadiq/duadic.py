@@ -162,11 +162,9 @@ def qr_splitting(p: int) -> Splitting:
     for probe in ((-1) % p, (-2) % p):
         if probe in nonsquares:
             witnesses.add(probe)
-    if 1 in squares:
-        s1, s2 = squares, nonsquares
-    else:  # unreachable; keeps orientation rule explicit
-        s1, s2 = nonsquares, squares
-    return Splitting(n=p, s1=DefiningSet(p, s1), s2=DefiningSet(p, s2), multipliers=tuple(sorted(witnesses)))
+    # S1 is the half that holds 1, which is always a square
+    return Splitting(n=p, s1=DefiningSet(p, squares), s2=DefiningSet(p, nonsquares),
+                     multipliers=tuple(sorted(witnesses)))
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,12 @@ Hermitian self-dual, hence even-weight, and lower bounds are lifted to even.
 Every distance of an extension, k = 0 or not, is certified by one call,
 distance.extension_distance, so one self-orthogonal code gets one bound
 from general_zero_dim, extend_nearly_self_orthogonal and, when it is
-self-dual, quantum_from_dual_containing.
+self-dual, quantum_from_dual_containing.  The one exception is the duadic
+route, whose exact pass is duadic_distances read by distance._unit_pass
+whenever it fits the budget.  Every construction then assembles its
+parameters in one place (_params): [[n + e, 2k - n + e]] from the
+Extension, d and purity from the certificate, and the trace as the
+construction's head lines followed by the certificate's line.
 """
 
 from __future__ import annotations
@@ -203,6 +208,14 @@ def _extend(code) -> Extension:
     return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e)
 
 
+def _params(ext: Extension, cert: dist.ExtensionDistance, *head: str) -> QuantumParams:
+    """The stabilizer code [[n + e, 2k - n + e]] of an extension of an
+    [n, k] code, with its certificate's distance and purity and, after the
+    head lines, its trace line."""
+    return QuantumParams(n=ext.n, k=2 * ext.k - ext.n, d=cert.bound, pure=cert.pure,
+                         trace=(*head, cert.trace_line))
+
+
 def extend_nearly_self_orthogonal(
     code, budget: int | None = None
 ) -> tuple[Extension, QuantumParams]:
@@ -218,13 +231,7 @@ def extend_nearly_self_orthogonal(
     budget = dist.default_budget() if budget is None else budget
     ext = _extend(code)
     k, n = ext.original.shape
-    cert = dist.extension_distance(ext, budget)
-    params = QuantumParams(
-        n=n + ext.e, k=2 * k - n + ext.e, d=cert.bound, pure=cert.pure,
-        trace=(f"extension: input [{n},{k}], e={ext.e}",
-               f"budget-limited bound: {cert.note}" if cert.bounded else cert.note),
-    )
-    return ext, params
+    return ext, _params(ext, dist.extension_distance(ext, budget), f"extension: input [{n},{k}], e={ext.e}")
 
 
 # ---------------------------------------------------------------------------
@@ -233,30 +240,23 @@ def extend_nearly_self_orthogonal(
 
 def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumParams:
     """[[n, 2k-n, d']] from a dual-containing [n, k] code; d' is the minimum
-    weight outside the dual.  A self-dual input (2k = n) is its own
-    self-orthogonal code, and its [[n, 0]] parameters are general_zero_dim's;
-    any other extends with e = 0 to itself, and its parameters are
+    weight outside the dual.  The code extends with e = 0 to itself: e =
+    dim C^perp_h - dim(C cap C^perp_h) is 0 exactly when C^perp_h <= C.  A
+    self-dual input (2k = n) is its own self-orthogonal code, and its
+    [[n, 0]] parameters and trace are general_zero_dim's; any other's are
     extend_nearly_self_orthogonal's."""
     budget = dist.default_budget() if budget is None else budget
-    g = linalg.row_basis(dist._generators(code)[0])
-    k, n = g.shape
-    dual = linalg.hermitian_dual_space(g)
-    if isinstance(code, CyclicCode):
-        contained = code.is_dual_containing()
-    else:
-        contained = linalg.is_subspace(dual, g)
-    if not contained:
+    ext = _extend(code)
+    if ext.e:
         raise NotApplicableError(
             "code is not Hermitian dual containing",
             failed=["C^perp_h <= C"],
         )
-    kq = 2 * k - n
-    trace = [f"dual-containing [{n},{k}] -> [[{n},{kq}]]"]
-    if kq == 0:
-        params, _ = general_zero_dim(code, budget=budget)
-    else:
-        _, params = extend_nearly_self_orthogonal(code, budget=budget)
-    return replace(params, trace=tuple(trace) + params.trace)
+    k, n = ext.original.shape
+    head = (f"dual-containing [{n},{k}] -> [[{n},{2 * k - n}]]",
+            f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = 0" if 2 * k == n
+            else f"extension: input [{n},{k}], e=0")
+    return _params(ext, dist.extension_distance(ext, budget), *head)
 
 
 def _mu2_splitting_of(code: CyclicCode) -> Splitting:
@@ -278,16 +278,18 @@ def extended_duadic_quantum(
 ) -> tuple[QuantumParams, SelfDualCode]:
     """[[n+1, 0, d]] from an odd-like duadic code with multiplier mu_-2.
 
-    The even-like subcode extends by one coordinate (e = 1).  With an exact
-    ingredient pass (duadic_distances: one walk of the even-like code, 4^dim
-    words, and the odd-like distribution from MacWilliams) the distance is
-    exact: the extended words are the even-like words padded by 0 and the
-    odd-like cosets padded by a unit, so d = min(d(even), d_o + 1), which
-    distance._unit_pass reads as every e = 1 pass does; the walk stays
-    duadic_distances' for the histograms that call returns.  When it does
-    not fit the budget, extension_distance bounds the extended code by the
-    information-set search on an information set and its complement; the
-    odd-like code is not searched on its own.
+    The even-like subcode extends by one coordinate (e = 1).  When its
+    4^dim words fit the budget, the duadic pass (duadic_distances: one walk
+    of the even-like code and the odd-like distribution from MacWilliams)
+    gives d exactly: the extended words are the even-like words padded by 0
+    and the odd-like cosets padded by a unit, so d = min(d(even), d_o + 1),
+    which distance._unit_pass reads as every e = 1 pass does.  The walk
+    stays duadic_distances' for the histograms that call returns and
+    caches.  Otherwise extension_distance certifies the extension as it
+    does every other: by its binary pass when the even-like code has a
+    binary generator and its 2^dim words fit, else by the information-set
+    search on an information set and its complement; the odd-like code is
+    not searched on its own.
     """
     budget = dist.default_budget() if budget is None else budget
     if isinstance(odd_like, DuadicPair):
@@ -300,24 +302,21 @@ def extended_duadic_quantum(
             "splitting does not admit the multiplier mu_-2",
             failed=["mu_-2 witness"],
         )
-    n = splitting.n
     ext = _extend(pair.even1)
     if ext.e != 1:
         raise InvariantError(f"duadic extension produced e = {ext.e}, expected 1")
     sd = SelfDualCode(gen=ext.extended)
-    trace = [
-        f"odd-like duadic n={n} leaders={list(pair.odd1.defining_set.leaders)} with mu_-2",
-        "even-like subcode extended by one unit coordinate (e=1)",
-    ]
-
-    def duadic_pass():
-        dd = dist.duadic_distances(splitting, budget=budget)
-        return dist._unit_pass(dd.even_hist, dd.coset_hist, dd.work)
-
     # the pass walks the even-like span alone: 4^dim words
-    cert = dist.extension_distance(ext, budget, exact=(4 ** pair.even1.dim, duadic_pass))
-    trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
-    params = QuantumParams(n=n + 1, k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
+    if 4 ** pair.even1.dim <= budget:
+        dd = dist.duadic_distances(splitting, budget=budget)
+        cert = dist._unit_pass(dd.even_hist, dd.coset_hist, dd.work)
+    else:
+        cert = dist.extension_distance(ext, budget)
+    params = _params(
+        ext, cert,
+        f"odd-like duadic n={splitting.n} leaders={list(pair.odd1.defining_set.leaders)} with mu_-2",
+        "even-like subcode extended by one unit coordinate (e=1)",
+    )
     return params, sd
 
 
@@ -341,13 +340,9 @@ def general_zero_dim(
             "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
         )
     sd = SelfDualCode(gen=ext.extended)
-    trace = [
-        f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}",
-    ]
-    cert = dist.extension_distance(ext, budget)
-    trace.append(f"budget-limited bound: {cert.note}" if cert.bounded else cert.note)
-    out = QuantumParams(n=2 * (n - k), k=0, d=cert.bound, pure=PURE_YES, trace=tuple(trace))
-    return out, sd
+    params = _params(ext, dist.extension_distance(ext, budget),
+                     f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}")
+    return params, sd
 
 
 def cyclic_zero_dim(a: DefiningSet, budget: int | None = None) -> tuple[QuantumParams, SelfDualCode]:
@@ -385,21 +380,13 @@ def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[Qu
     Euclidean and Hermitian structure match, and when the extension stays
     binary-generated extension_distance walks its binary span, 2^dim words
     instead of 4^dim, and searches binary messages below the pass.  The
-    bound is extend_nearly_self_orthogonal's for the lift: both make the
-    one extension_distance call on the same Extension.
+    result is extend_nearly_self_orthogonal's for the lift, after a line
+    naming the binary code.
     """
-    budget = dist.default_budget() if budget is None else budget
-    n = a.n
     dist.binary_shadow_code(a)  # NotApplicableError unless ord_n(2) = ord_n(4)
-    ext = _extend(CyclicCode(DefiningSet(n, a.members, q=4)))
-    trace = [
-        f"binary cyclic n={n} leaders={list(a.leaders)} lifted to GF(4) (shared cosets)",
-        f"extension e={ext.e}",
-    ]
-    cert = dist.extension_distance(ext, budget)
-    trace.append(f"budget-limited binary bound: {cert.note}" if cert.bounded else cert.note)
-    out = QuantumParams(n=ext.n, k=2 * ext.k - ext.n, d=cert.bound, pure=cert.pure, trace=tuple(trace))
-    return out, ext
+    ext, params = extend_nearly_self_orthogonal(CyclicCode(DefiningSet(a.n, a.members, q=4)), budget)
+    head = f"binary cyclic n={a.n} leaders={list(a.leaders)} lifted to GF(4) (shared cosets)"
+    return replace(params, trace=(head, *params.trace)), ext
 
 
 # ---------------------------------------------------------------------------

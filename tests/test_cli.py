@@ -325,6 +325,18 @@ def test_quantum_duadic_index(capsys):
     assert json.loads(out)["n"] == 18
 
 
+def test_quantum_duadic_index_without_mu2_exit_3(capsys, monkeypatch):
+    # the one splitting of Z_3 is {1} | {2}, and -2 = 1 mod 3 does not swap
+    # it: the construction refuses it before it extends anything
+    def refuse(code):
+        raise AssertionError("extended a splitting without mu_-2")
+
+    monkeypatch.setattr(cli.quantum, "_extend", refuse)
+    code, out, err = run(capsys, "quantum", "-n", "3", "--duadic-index", "0")
+    assert (code, out) == (3, "")
+    assert "  failed precondition: mu_-2 witness" in err.splitlines()
+
+
 def test_quantum_annotation_route(capsys, tmp_path):
     path = tmp_path / "ann.json"
     path.write_text(json.dumps([{"n": 93, "k": 48, "d": 21, "source": "tables"}]))
@@ -501,3 +513,70 @@ def test_budget_env_override(capsys, monkeypatch):
     monkeypatch.setenv("DUADIQ_BUDGET", "-3")
     code, _, err = run(capsys, "distance", "-n", "23", "--leaders", "1")
     assert code == 2
+
+
+def _lines(*lines, end="\n"):
+    return "".join(line + end for line in lines)
+
+
+_QR13_TRACE = ('"odd-like duadic n=13 leaders=[1] with mu_-2", '
+               '"even-like subcode extended by one unit coordinate (e=1)", '
+               '"d = min(d(even) = 6, d_o + 1 = 6) = 6 [exact]"')
+_QR13_JSON = ('{"n": 14, "k": 0, "d_lo": 6, "d_hi": 6, "pure": "yes", "trace": [' + _QR13_TRACE + '], '
+              '"secondary": [{"n": 13, "k": 0, "d_lo": 5, "d_hi": 5, "pure": "unknown", "trace": ['
+              + _QR13_TRACE + ', "length-1 reduction from [[14,0,6]]"]}]}\n')
+_SPLIT23 = ('{"n": 23, "s1_leaders": [1], "s2_leaders": [5], '
+            '"multipliers": [5, 7, 10, 11, 14, 15, 17, 19, 20, 21, 22]')
+_TABLE13 = _lines("n,leaders,type,params,source", '5,1,QR,"[[6,0,4]]",extended-duadic',
+                  '7,1,QR,"[[8,0,4]]",extended-duadic', '13,1,QR,"[[14,0,6]]",extended-duadic', end="\r\n")
+
+# the exact stdout of each subcommand in each format; csv rows end in \r\n,
+# and table prints csv whatever the format
+GOLDEN = {
+    ("cosets -n 13", "text"): _lines("3 cosets mod 13 (q=4)", "  leader   0 size   1: {0}",
+                                     "  leader   1 size   6: {1, 3, 4, 9, 10, 12}",
+                                     "  leader   2 size   6: {2, 5, 6, 7, 8, 11}"),
+    ("cosets -n 13", "csv"): _lines("leader,size,members", "0,1,0", "1,6,1 3 4 9 10 12",
+                                    "2,6,2 5 6 7 8 11", end="\r\n"),
+    ("cosets -n 13", "json"): '{"n": 13, "q": 4, "cosets": [[0], [1, 3, 4, 9, 10, 12], [2, 5, 6, 7, 8, 11]]}\n',
+    ("splittings -n 23", "text"): _lines(
+        "1 splittings of Z_23",
+        "  S1 leaders [1] | S2 leaders [5] | multipliers [5, 7, 10, 11, 14, 15, 17, 19, 20, 21, 22]"),
+    ("splittings -n 23", "csv"): _lines("s1_leaders,s2_leaders,multipliers",
+                                        "1,5,5 7 10 11 14 15 17 19 20 21 22", end="\r\n"),
+    ("splittings -n 23", "json"): '{"n": 23, "count": 1, "splittings": [' + _SPLIT23 + "}]}\n",
+    ("splittings -n 23 --expand", "text"): _lines(
+        "1 splittings of Z_23",
+        "  S1 leaders [1] | S2 leaders [5] | multipliers [5, 7, 10, 11, 14, 15, 17, 19, 20, 21, 22]",
+        "    S1 = [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18]",
+        "    S2 = [5, 7, 10, 11, 14, 15, 17, 19, 20, 21, 22]"),
+    ("splittings -n 23 --expand", "csv"): _lines("s1_leaders,s2_leaders,multipliers",
+                                                 "1,5,5 7 10 11 14 15 17 19 20 21 22", end="\r\n"),
+    ("splittings -n 23 --expand", "json"): (
+        '{"n": 23, "count": 1, "splittings": [' + _SPLIT23 + ', "s1": [1, 2, 3, 4, 6, 8, 9, 12, 13, 16, 18], '
+        '"s2": [5, 7, 10, 11, 14, 15, 17, 19, 20, 21, 22]}]}\n'),
+    ("quantum -n 13 --qr --secondary-steps 1", "text"): _lines(
+        "[[14,0,6]] pure=yes", "  odd-like duadic n=13 leaders=[1] with mu_-2",
+        "  even-like subcode extended by one unit coordinate (e=1)",
+        "  d = min(d(even) = 6, d_o + 1 = 6) = 6 [exact]", "derived: [[13,0,5]]"),
+    ("quantum -n 13 --qr --secondary-steps 1", "csv"): _lines(
+        "n,k,d_lo,d_hi,pure", "14,0,6,6,yes", "13,0,5,5,unknown", end="\r\n"),
+    ("quantum -n 13 --qr --secondary-steps 1", "json"): _QR13_JSON,
+    ("quantum -n 13 --qr --secondary-steps 1 --expand", "json"): _QR13_JSON,
+    ("distance -n 13 --leaders 1 --fixed-subcode -1", "text"): _lines(
+        "[13,7] code, d in [5, 5] (lo: exact-enumeration, hi: exact-enumeration, work 16640)"),
+    ("distance -n 13 --leaders 1 --fixed-subcode -1", "csv"): _lines(
+        "lo,hi,lo_src,hi_src,work", "5,5,exact-enumeration,exact-enumeration,16640", end="\r\n"),
+    ("distance -n 13 --leaders 1 --fixed-subcode -1", "json"): (
+        '{"lo": 5, "hi": 5, "lo_src": "exact-enumeration", "hi_src": "exact-enumeration", "work": 16640}\n'),
+    ("table --max-n 13", "text"): _TABLE13,
+    ("table --max-n 13", "csv"): _TABLE13,
+    ("table --max-n 13", "json"): _TABLE13,
+}
+
+
+@pytest.mark.parametrize("command,fmt", list(GOLDEN))
+def test_golden_stdout(capsys, command, fmt):
+    code, out, err = run(capsys, *command.split(), "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN[command, fmt]

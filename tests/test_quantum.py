@@ -262,6 +262,39 @@ def test_quantum_from_dual_containing_k_positive():
 def test_quantum_from_dual_containing_rejects():
     with pytest.raises(NotApplicableError):
         quantum.quantum_from_dual_containing(CyclicCode.from_leaders(5, [0]))
+    # the zero code is refused as every construction refuses it
+    for zero in (CyclicCode(DefiningSet(5, frozenset(range(5)))), np.zeros((2, 5), dtype=np.uint8)):
+        with pytest.raises(InputError, match="refusing the zero code"):
+            quantum.quantum_from_dual_containing(zero)
+
+
+def test_no_units_exactly_when_dual_containing():
+    # quantum_from_dual_containing reads containment from its extension:
+    # e = dim C^perp_h - dim(C cap C^perp_h) is 0 exactly when C^perp_h <= C.
+    # The reference is the subspace test, and for a cyclic code the
+    # defining-set test.  Random generators are seldom dual containing, so
+    # extended generators, which are, join them
+    rng = np.random.default_rng(29)
+    counts = {True: 0, False: 0}
+
+    def check(code, g, want=None):
+        contained = linalg.is_subspace(linalg.hermitian_dual_space(g), g)
+        assert want is None or contained == want
+        assert (quantum._extend(code).e == 0) == contained, g.tolist()
+        counts[contained] += 1
+
+    while sum(counts.values()) < 600:
+        n = int(rng.integers(1, 9))
+        g = linalg.row_basis(rng.integers(0, 4, (int(rng.integers(1, n + 1)), n)).astype(np.uint8))
+        if len(g):
+            check(g, g)
+            if len(g) < n:
+                check(quantum._extend(g).extended, quantum._extend(g).extended)
+    for n in range(3, 22, 2):
+        for a in _cyclic_codes(n):
+            code = CyclicCode(a)
+            check(code, code.gen_matrix, code.is_dual_containing())
+    assert counts[True] > 400 and counts[False] > 400, counts
 
 
 def _outside_dual_distance(rows):
@@ -562,6 +595,21 @@ def test_binary_cyclic_quantum():
         quantum.binary_cyclic_quantum(DefiningSet(5, frozenset({1, 4})))
 
 
+def test_binary_duadic_below_the_duadic_pass_takes_the_binary_pass():
+    # the even-like QR code of a prime p = 7 mod 8 has a binary generator:
+    # when its 4^dim words do not fit but its 2^dim binary words do, the
+    # duadic route's extension_distance walks the binary span, and reads the
+    # binary route's bound of the same defining set
+    for n, budget in ((7, 10), (23, 10**4), (31, 10**6)):
+        split = qr_splitting(n)
+        dim = (n - 1) // 2
+        assert 2**dim <= budget < 4**dim
+        p, _ = quantum.extended_duadic_quantum(duadic_from_splitting(split), budget=budget)
+        b, _ = quantum.binary_cyclic_quantum(DefiningSet(n, split.s1.members | {0}), budget=budget)
+        assert p.d.exact and p.d.work == 2**dim
+        assert (p.d, p.pure, p.trace[-1]) == (b.d, b.pure, b.trace[-1])
+
+
 def test_budget_limited_zero_dim_extension_brackets_oracle():
     # without the exact pass, the information-set search on the self-dual
     # extension meets every word of C padded by zeros, so hi <= d(C); the
@@ -575,12 +623,26 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
             assert params.d.hi is None or d <= params.d.hi
         assert d <= params.d.hi <= dist.min_distance_exact(even).lo
     # the binary route below the exact pass, which walks the 2^k words of
-    # the binary ingredient C (e = 1): d(binary C) bounds the GF(4) extension
+    # the binary ingredient C (e = 1): d(binary C) bounds the GF(4) extension.
+    # The search walks binary messages, comb(K, w) of them at level w of
+    # each set, where GF(4) messages would number comb(K, w) 3^w
+    want = {
+        7: ("[7,3]", "[8,4]", (1, 0), 4),
+        23: ("[23,11]", "[24,12]", (2, 2), 8),
+    }
     for n, oracle_d in ((7, oracle.min_distance), (23, oracle.binary_min_distance)):
         a = DefiningSet(n, qr_splitting(n).s1.members | {0})
         bin_dim = n - len(a.members)
         p, ext = quantum.binary_cyclic_quantum(a, budget=2**bin_dim - 1)
-        assert p.k == 0 and "budget-limited binary bound" in p.trace[-1]
+        code, extended, levels, d_want = want[n]
+        assert p.k == 0 and p.trace == (
+            f"binary cyclic n={n} leaders=[0, 1] lifted to GF(4) (shared cosets)",
+            f"extension: input {code}, e=1",
+            f"budget-limited bound: information set and complement of the extended {extended} code, "
+            f"levels {levels[0]} and {levels[1]}: d = {d_want}",
+        )
+        assert p.d.levels == levels
+        assert p.d.work == sum(math.comb(ext.k, w) for top in levels for w in range(1, top + 1))
         d = oracle_d(ext.extended.tolist())
         assert p.d.lo <= d <= p.d.hi <= dist.min_distance_exact(CyclicCode(DefiningSet(n, a.members, q=2))).lo
 
