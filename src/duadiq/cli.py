@@ -1,13 +1,14 @@
 """Command-line front end.
 
-Commands: cosets, splittings, quantum, distance, table.  Output formats are
-json, csv or text; identical flags produce byte-identical output.  Each
-command builds all three forms of its result, a json payload, csv rows under
-a header and text lines, and one renderer prints the one asked for; table
-prints csv in every format.  Exit
-codes: 0 success, 2 invalid input, 3 no applicable construction, 4 internal
-invariant failure or an exact computation that exceeded the budget, 141 (as
-for a command killed by SIGPIPE) when the reader closed standard output.
+Commands: cosets, splittings, quantum, distance, table, each taking only
+the flags it reads.  The budget is read once, here: --budget, else
+DUADIQ_BUDGET, else 2^30.  Identical flags produce byte-identical output.
+Each command builds all three forms of its result, a json payload, csv
+rows under a header and text lines, and one renderer prints the one
+asked for; table prints csv in every format.  Exit codes: 0 success, 2
+invalid input, 3 no applicable construction, 4 internal invariant failure
+or an exact computation that exceeded the budget, 141 (as for a command
+killed by SIGPIPE) when the reader closed standard output.
 """
 
 from __future__ import annotations
@@ -39,41 +40,43 @@ def _parse_leaders(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                        help="output format (default text; table always emits csv)")
-    common.add_argument("--budget", type=int, default=None,
-                        help="max codeword-enumeration steps (default 2^30, or DUADIQ_BUDGET)")
-    common.add_argument("--annotations", type=str, default=None,
-                        help="JSON file of literature [[n,k,d]] annotations")
-    common.add_argument("--expand", action="store_true",
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=("json", "csv", "text"), default="text",
+                     help="output format (default text; table always emits csv)")
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=int, default=None,
+                        help="max words one distance computation enumerates "
+                             "(default DUADIQ_BUDGET, else 2^30)")
+    expand = argparse.ArgumentParser(add_help=False)
+    expand.add_argument("--expand", action="store_true",
                         help="print full defining sets, not just coset leaders")
 
     p = argparse.ArgumentParser(prog="duadiq", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    pc = sub.add_parser("cosets", parents=[common], help="cyclotomic cosets mod n")
+    pc = sub.add_parser("cosets", parents=[fmt], help="cyclotomic cosets mod n")
     pc.add_argument("-n", type=int, required=True)
     pc.add_argument("-q", type=int, default=4, choices=(2, 4))
 
-    ps = sub.add_parser("splittings", parents=[common], help="splittings of Z_n over GF(4)")
+    ps = sub.add_parser("splittings", parents=[fmt, expand], help="splittings of Z_n over GF(4)")
     ps.add_argument("-n", type=int, required=True)
     ps.add_argument("--multiplier", type=int, default=None,
                     help="only splittings given by this multiplier")
 
-    pq = sub.add_parser("quantum", parents=[common], help="construct a quantum code")
+    pq = sub.add_parser("quantum", parents=[fmt, budget], help="construct a quantum code")
     pq.add_argument("-n", type=int, required=True)
     group = pq.add_mutually_exclusive_group(required=True)
     group.add_argument("--leaders", type=str, help="comma-separated coset leaders of the defining set")
     group.add_argument("--qr", action="store_true", help="quadratic-residue route (n prime)")
     group.add_argument("--duadic-index", type=int, default=None,
                        help="use the i-th enumerated splitting (0-based)")
-    group.add_argument("--from-annotation", action="store_true",
-                       help="derive [[2k,0]] from an annotated dual-containing [n,k,d] code")
+    group.add_argument("--from-annotation", metavar="FILE",
+                       help="derive [[2k,0]] from the annotated dual-containing [n,k,d] code "
+                            "in this JSON file")
     pq.add_argument("--secondary-steps", type=int, default=0,
                     help="also derive [[n-i,k,d-i]] for i=1..steps")
 
-    pd = sub.add_parser("distance", parents=[common], help="minimum-distance bound report")
+    pd = sub.add_parser("distance", parents=[fmt, budget, expand], help="minimum-distance bound report")
     pd.add_argument("-n", type=int, required=True)
     pd.add_argument("--leaders", type=str, required=True)
     pd.add_argument("--via-binary", action="store_true",
@@ -81,9 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--fixed-subcode", type=int, action="append", default=[],
                     metavar="A", help="add fixed-subcode bounds for multiplier a (repeatable)")
 
-    pt = sub.add_parser("table", parents=[common], help="reproduce the small-length results table")
+    pt = sub.add_parser("table", parents=[fmt, budget], help="reproduce the small-length results table")
     pt.add_argument("--max-n", type=int, required=True)
-    pt.add_argument("--slow", action="store_true", help="include the n=29 row")
     return p
 
 
@@ -156,11 +158,10 @@ def _emit_params(args, params: quantum.QuantumParams, extras: list[quantum.Quant
 
 
 def cmd_quantum(args) -> int:
-    budget = args.budget
-    if args.from_annotation:
-        if not args.annotations:
-            raise InputError("--from-annotation requires --annotations FILE")
-        entries = [a for a in quantum.load_annotations(args.annotations) if a.n == args.n]
+    if args.secondary_steps < 0:
+        raise InputError(f"secondary steps must be >= 0, not {args.secondary_steps}")
+    if args.from_annotation is not None:
+        entries = [a for a in quantum.load_annotations(args.from_annotation) if a.n == args.n]
         if not entries:
             raise InputError(f"no annotation with n = {args.n}")
         params = quantum.zero_dim_from_classical_annotation(entries[0])
@@ -175,16 +176,16 @@ def cmd_quantum(args) -> int:
             )
         split = duadic.qr_splitting(args.n)
         pair = duadic.duadic_from_splitting(split)
-        params, _ = quantum.extended_duadic_quantum(pair, budget=budget)
+        params, _ = quantum.extended_duadic_quantum(pair, budget=args.budget)
     elif args.duadic_index is not None:
         splits = duadic.find_splittings(args.n)
         if not 0 <= args.duadic_index < len(splits):
             raise InputError(f"duadic index {args.duadic_index} out of range (found {len(splits)})")
         split = splits[args.duadic_index]
-        params, _ = quantum.extended_duadic_quantum(duadic.duadic_from_splitting(split), budget=budget)
+        params, _ = quantum.extended_duadic_quantum(duadic.duadic_from_splitting(split), budget=args.budget)
     else:
         a = DefiningSet.from_leaders(args.n, _parse_leaders(args.leaders))
-        params, _ = quantum.cyclic_zero_dim(a, budget=budget)
+        params, _ = quantum.cyclic_zero_dim(a, budget=args.budget)
     extras = quantum.secondary_chain(params, args.secondary_steps) if args.secondary_steps else []
     _emit_params(args, params, extras)
     return EXIT_OK
@@ -217,16 +218,14 @@ def cmd_distance(args) -> int:
     return EXIT_OK
 
 
-_TABLE_NS = (5, 7, 13, 17, 23)
-_TABLE_SLOW_NS = (29,)
+_TABLE_NS = (5, 7, 13, 17, 23, 29)
 
 
 def cmd_table(args) -> int:
     rows = []
-    ns = [n for n in _TABLE_NS if n <= args.max_n]
-    if args.slow:
-        ns += [n for n in _TABLE_SLOW_NS if n <= args.max_n]
-    for n in sorted(ns):
+    for n in _TABLE_NS:
+        if n > args.max_n:
+            break
         splits = [s for s in duadic.find_splittings(n) if s.has_multiplier(-2)]
         if not splits:
             continue
@@ -272,10 +271,10 @@ def _main(argv: list[str] | None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
-        if getattr(args, "budget", None) is not None and args.budget < 0:
-            raise InputError("--budget must be nonnegative")
-        if getattr(args, "secondary_steps", 0) < 0:
-            raise InputError(f"secondary steps must be >= 0, not {args.secondary_steps}")
+        if "budget" in args:
+            args.budget = dist.default_budget() if args.budget is None else args.budget
+            if args.budget < 0:
+                raise InputError("--budget must be nonnegative")
         return _DISPATCH[args.command](args)
     except NotApplicableError as exc:
         sys.stderr.write(f"no applicable construction: {exc}\n")

@@ -87,15 +87,19 @@ PARITY = "parity"
 BUDGET = "budget-exhausted"
 LITERATURE = "literature-annotation"
 
+# the budget of a call that gives none; the library reads no environment
+DEFAULT_BUDGET = 1 << 30
+
 
 def default_budget() -> int:
+    """The CLI's budget without --budget: DUADIQ_BUDGET, else DEFAULT_BUDGET."""
     env = os.environ.get("DUADIQ_BUDGET", "").strip()
     if env:
         value = int(env)
         if value < 0:
             raise InputError("DUADIQ_BUDGET must be nonnegative")
         return value
-    return 1 << 30
+    return DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -294,7 +298,7 @@ def _rows(g, q: int) -> np.ndarray:
     return g
 
 
-def weight_histograms(g: np.ndarray, budget: int | None = None, q: int = 4) -> tuple[np.ndarray, int]:
+def weight_histograms(g: np.ndarray, budget: int = DEFAULT_BUDGET, q: int = 4) -> tuple[np.ndarray, int]:
     """The exact weight histogram of the GF(q) span of g: q = 4, or q = 2
     for 0/1 rows, whose GF(4) RREF is their GF(2) one.
 
@@ -310,14 +314,13 @@ def weight_histograms(g: np.ndarray, budget: int | None = None, q: int = 4) -> t
     if linalg.rref_pivots(g) is None:
         g = linalg.row_basis(g)
     k = g.shape[0]
-    budget = default_budget() if budget is None else budget
     total = q**k
     if total > budget:
         raise BudgetExceededError(f"{q}^{k} = {total} exceeds budget {budget}")
     return _span_hist(g, q), total
 
 
-def weight_histograms_binary(g_rows: np.ndarray, budget: int | None = None) -> tuple[np.ndarray, int]:
+def weight_histograms_binary(g_rows: np.ndarray, budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, int]:
     """weight_histograms over GF(2); kept as a name for callers outside the package."""
     return weight_histograms(g_rows, budget, q=2)
 
@@ -618,11 +621,10 @@ def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
     return hit if hit is not None and hit.work <= budget else None
 
 
-def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
+def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
     """Exact distance by full enumeration when 4^dim fits the budget, else
     an information-set interval with budget-exhausted provenance; for a
     CyclicCode its lower bound is lifted by cyclic averaging."""
-    budget = default_budget() if budget is None else budget
     key = None
     if isinstance(code, CyclicCode):
         # an information-set result is what only budgets below the full
@@ -649,7 +651,7 @@ def min_distance_exact(code, budget: int | None = None) -> DistanceBound:
     return result
 
 
-def weight_distribution(code, budget: int | None = None) -> np.ndarray:
+def weight_distribution(code, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Full weight enumerator (counts per weight, zero word included)."""
     g, q = _generators(code)
     return weight_histograms(g, budget, q)[0]
@@ -674,7 +676,7 @@ class DuadicDistances:
         return min(self.d_even, self.d_min_odd_coset)
 
 
-def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = None) -> DuadicDistances:
+def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_BUDGET) -> DuadicDistances:
     """Exact even-like distance and minimum odd-like weight for one side.
 
     Walks the even-like code C_e once, 4^dim words of work, of which the
@@ -694,7 +696,6 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int | None = N
     """
     if side not in (1, 2):
         raise InputError(f"a splitting has sides 1 and 2, not {side}")
-    budget = default_budget() if budget is None else budget
     s = splitting.s1 if side == 1 else splitting.s2
     n = splitting.n
     key = ("duadic", n, s.members)
@@ -1012,10 +1013,9 @@ def odd_order_lower_bound(d_fixed: int, order: int) -> int:
     return -(-(d_fixed - 1) // order) + 1
 
 
-def fixed_subcode_lower_bound(code: CyclicCode, a: int, budget: int | None = None) -> DistanceBound:
+def fixed_subcode_lower_bound(code: CyclicCode, a: int, budget: int = DEFAULT_BUDGET) -> DistanceBound:
     """Sandwich d(C) between the fixed-subcode bounds: lower from the order
     formula applied to d(C_a), upper d(C) <= d(C_a)."""
-    budget = default_budget() if budget is None else budget
     sub = fixed_subcode(code, a)
     a = sub.a
     if code.defining_set.scaled(a).members != code.defining_set.members:
@@ -1062,13 +1062,14 @@ class CoincidenceReport:
 
 
 def fixed_subcode_coincidence(
-    code: CyclicCode, a: int, budget: int | None = None
+    code: CyclicCode, a: int, budget: int = DEFAULT_BUDGET
 ) -> CoincidenceReport:
     """Verify C_a = C_{a^j} and the weight-count divisibility: for every t
-    with no weight-t word in C_a, the multiplier order divides A_t.
+    with no weight-t word in C_a, the multiplier order divides A_t.  The
+    report is complete, and checks weights, when both walks fit the budget:
+    the q^dim words of C and the 4^dim of C_a, a GF(4) matrix.
 
     Raises InputError, naming a as given, unless gcd(a, n) = 1."""
-    budget = default_budget() if budget is None else budget
     n = code.n
     base = fixed_subcode(code, a)
     a = base.a
@@ -1083,8 +1084,8 @@ def fixed_subcode_coincidence(
         if not linalg.row_space_equal(base.basis, other.basis):
             equal = False
     checked: list[WeightCheck] = []
-    complete = True
-    try:
+    complete = code.q**code.dim <= budget and 4**base.dim <= budget
+    if complete:
         full = weight_distribution(code, budget=budget)
         sub_hist = (
             weight_distribution(base.basis, budget=budget)
@@ -1098,8 +1099,6 @@ def fixed_subcode_coincidence(
             has = int(sub_hist[t]) > 0
             checked.append(WeightCheck(t=t, count=a_t, fixed_has_weight=has,
                                        ok=has or a_t % order == 0))
-    except BudgetExceededError:
-        complete = False
     return CoincidenceReport(
         n=n, a=a, order=order, subcodes_equal=equal,
         checked_weights=tuple(checked), complete=complete,
@@ -1122,7 +1121,7 @@ class SquareRootReport:
         return all(ok for _, ok in self.checks)
 
 
-def square_root_bounds(pair: DuadicPair, budget: int | None = None) -> SquareRootReport:
+def square_root_bounds(pair: DuadicPair, budget: int = DEFAULT_BUDGET) -> SquareRootReport:
     """Evaluate the odd-like-weight bounds on a computed duadic pair."""
     s = pair.splitting
     dd = duadic_distances(s, side=1, budget=budget)
@@ -1158,7 +1157,7 @@ def binary_shadow_code(a: DefiningSet) -> CyclicCode:
     return CyclicCode(DefiningSet(n, a.members, q=2))
 
 
-def binary_shadow_distance(a: DefiningSet, budget: int | None = None) -> DistanceBound:
+def binary_shadow_distance(a: DefiningSet, budget: int = DEFAULT_BUDGET) -> DistanceBound:
     """Exact quaternary distance obtained on the binary side: the binary
     code generated by the same generators has the same minimum distance."""
     shadow = binary_shadow_code(a)

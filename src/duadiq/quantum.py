@@ -32,7 +32,8 @@ import numpy as np
 from . import distance as dist
 from . import gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, dual_defining_set
-from .distance import BUDGET, LITERATURE, PARITY, PURE_NO, PURE_UNKNOWN, PURE_YES, DistanceBound
+from .distance import (BUDGET, DEFAULT_BUDGET, LITERATURE, PARITY, PURE_NO, PURE_UNKNOWN, PURE_YES,
+                       DistanceBound)
 from .duadic import DuadicPair, Splitting, duadic_from_splitting
 from .errors import InputError, InvariantError, NotApplicableError
 
@@ -217,7 +218,7 @@ def _params(ext: Extension, cert: dist.ExtensionDistance, *head: str) -> Quantum
 
 
 def extend_nearly_self_orthogonal(
-    code, budget: int | None = None
+    code, budget: int = DEFAULT_BUDGET
 ) -> tuple[Extension, QuantumParams]:
     """Extend a code to a Hermitian dual-containing one and read off the
     stabilizer parameters [[n+e, 2k-n+e]].  One extension_distance call
@@ -228,7 +229,6 @@ def extend_nearly_self_orthogonal(
     information-set search on the extended generator, and any other is
     bounded by d >= min(d(C), d(C + C^perp_h) + 1), both read from the
     Extension."""
-    budget = dist.default_budget() if budget is None else budget
     ext = _extend(code)
     k, n = ext.original.shape
     return ext, _params(ext, dist.extension_distance(ext, budget), f"extension: input [{n},{k}], e={ext.e}")
@@ -238,14 +238,13 @@ def extend_nearly_self_orthogonal(
 # primary constructions
 # ---------------------------------------------------------------------------
 
-def quantum_from_dual_containing(code, budget: int | None = None) -> QuantumParams:
+def quantum_from_dual_containing(code, budget: int = DEFAULT_BUDGET) -> QuantumParams:
     """[[n, 2k-n, d']] from a dual-containing [n, k] code; d' is the minimum
     weight outside the dual.  The code extends with e = 0 to itself: e =
     dim C^perp_h - dim(C cap C^perp_h) is 0 exactly when C^perp_h <= C.  A
     self-dual input (2k = n) is its own self-orthogonal code, and its
     [[n, 0]] parameters and trace are general_zero_dim's; any other's are
     extend_nearly_self_orthogonal's."""
-    budget = dist.default_budget() if budget is None else budget
     ext = _extend(code)
     if ext.e:
         raise NotApplicableError(
@@ -274,7 +273,7 @@ def _mu2_splitting_of(code: CyclicCode) -> Splitting:
 
 
 def extended_duadic_quantum(
-    odd_like: CyclicCode | DuadicPair, budget: int | None = None
+    odd_like: CyclicCode | DuadicPair, budget: int = DEFAULT_BUDGET
 ) -> tuple[QuantumParams, SelfDualCode]:
     """[[n+1, 0, d]] from an odd-like duadic code with multiplier mu_-2.
 
@@ -291,7 +290,6 @@ def extended_duadic_quantum(
     search on an information set and its complement; the odd-like code is
     not searched on its own.
     """
-    budget = dist.default_budget() if budget is None else budget
     if isinstance(odd_like, DuadicPair):
         pair = odd_like
     else:
@@ -321,7 +319,7 @@ def extended_duadic_quantum(
 
 
 def general_zero_dim(
-    code, budget: int | None = None
+    code, budget: int = DEFAULT_BUDGET
 ) -> tuple[QuantumParams, SelfDualCode]:
     """[[2(n-k), 0, d]] from a self-orthogonal [n, k] code, d even and
     d >= min(d(C), d(C^perp_h) + 1); also yields the classical Hermitian
@@ -330,7 +328,6 @@ def general_zero_dim(
     e = n - 2k = 1 (it walks the input) and q^(n-k) otherwise (q = 2 for a
     binary generator, else 4), else bounded by the information-set search
     on the self-dual code."""
-    budget = dist.default_budget() if budget is None else budget
     ext = _extend(code)
     k, n = ext.original.shape
     # the extension [n + e, k + e] has e = n - k - dim(radical), so it is
@@ -345,7 +342,7 @@ def general_zero_dim(
     return params, sd
 
 
-def cyclic_zero_dim(a: DefiningSet, budget: int | None = None) -> tuple[QuantumParams, SelfDualCode]:
+def cyclic_zero_dim(a: DefiningSet, budget: int = DEFAULT_BUDGET) -> tuple[QuantumParams, SelfDualCode]:
     """[[2(n-|A|), 0, d]] from a cyclic code whose defining set misses -2A."""
     for t in sorted(a.members):
         if (-2 * t) % a.n in a.members:
@@ -361,7 +358,7 @@ def cyclic_zero_dim(a: DefiningSet, budget: int | None = None) -> tuple[QuantumP
     return replace(params, trace=tuple(trace)), sd
 
 
-def dual_containing_to_zero_dim(code, budget: int | None = None) -> tuple[QuantumParams, SelfDualCode]:
+def dual_containing_to_zero_dim(code, budget: int = DEFAULT_BUDGET) -> tuple[QuantumParams, SelfDualCode]:
     """[[2k, 0, d]] from a dual-containing [n, k] code: general_zero_dim of
     its Hermitian dual, which is self-orthogonal exactly when the code is
     dual containing (NotApplicableError otherwise) and the zero code when
@@ -373,7 +370,7 @@ def dual_containing_to_zero_dim(code, budget: int | None = None) -> tuple[Quantu
 # binary route
 # ---------------------------------------------------------------------------
 
-def binary_cyclic_quantum(a: DefiningSet, budget: int | None = None) -> tuple[QuantumParams, Extension]:
+def binary_cyclic_quantum(a: DefiningSet, budget: int = DEFAULT_BUDGET) -> tuple[QuantumParams, Extension]:
     """Quantum code from a binary cyclic code when ord_n(2) = ord_n(4).
 
     The quaternary lift shares the defining set (the cosets coincide), its
@@ -445,8 +442,12 @@ class Annotation:
 
 
 def load_annotations(path) -> list[Annotation]:
-    with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+    """The {n, k, d, source} entries of a JSON list; InputError names a path it cannot read."""
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            raw = json.load(f)
+    except OSError as exc:
+        raise InputError(f"cannot read annotation file {str(path)!r}: {exc.strerror}") from exc
     if not isinstance(raw, list):
         raise InputError("annotation file must hold a JSON list")
     out = []

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -281,7 +282,7 @@ def test_annotation_above_extremal_bound_exit_4(capsys, tmp_path):
     # a dual-containing [23, 12, 11] code would give [[24, 0, >= 12]], past d <= 10
     path = tmp_path / "ann.json"
     path.write_text(json.dumps([{"n": 23, "k": 12, "d": 11, "source": "wrong"}]))
-    code, out, err = run(capsys, "quantum", "-n", "23", "--from-annotation", "--annotations", str(path))
+    code, out, err = run(capsys, "quantum", "-n", "23", "--from-annotation", str(path))
     assert code == 4 and out == ""
     assert err == "internal invariant failure: [[24,0]] with d >= 12 exceeds the self-dual bound d <= 10\n"
 
@@ -340,11 +341,20 @@ def test_quantum_duadic_index_without_mu2_exit_3(capsys, monkeypatch):
 def test_quantum_annotation_route(capsys, tmp_path):
     path = tmp_path / "ann.json"
     path.write_text(json.dumps([{"n": 93, "k": 48, "d": 21, "source": "tables"}]))
-    code, out, _ = run(capsys, "quantum", "-n", "93", "--from-annotation",
-                       "--annotations", str(path), "--format", "json")
+    code, out, _ = run(capsys, "quantum", "-n", "93", "--from-annotation", str(path), "--format", "json")
     assert code == 0
     payload = json.loads(out)
     assert (payload["n"], payload["k"], payload["d_lo"]) == (96, 0, 22)
+
+
+@pytest.mark.parametrize("name", ["missing.json", "."])
+def test_unreadable_annotation_file_exit_2(capsys, tmp_path, name):
+    # a missing file and a directory: the error names the path, no traceback
+    path = str(tmp_path / name)
+    code, out, err = run(capsys, "quantum", "-n", "23", "--from-annotation", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"invalid input: cannot read annotation file {path!r}: ")
+    assert err.count("\n") == 1
 
 
 def test_quantum_secondary_steps(capsys, tmp_path):
@@ -366,7 +376,7 @@ def test_quantum_negative_secondary_steps_exit_2(capsys):
 
 
 def test_negative_secondary_steps_refused_before_construction(capsys, monkeypatch):
-    # the flag is checked beside --budget, so no code is built or walked
+    # the flag is checked before the route is chosen, so no code is built or walked
     def refuse(*args, **kwargs):
         raise AssertionError("the construction ran")
 
@@ -515,6 +525,49 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == 2
 
 
+# the options each subcommand takes, and no other: each reads every one
+OPTIONS = {
+    "cosets": {"-n", "-q", "--format"},
+    "splittings": {"-n", "--multiplier", "--format", "--expand"},
+    "quantum": {"-n", "--leaders", "--qr", "--duadic-index", "--from-annotation",
+                "--secondary-steps", "--format", "--budget"},
+    "distance": {"-n", "--leaders", "--via-binary", "--fixed-subcode", "--format", "--budget", "--expand"},
+    "table": {"--max-n", "--format", "--budget"},
+}
+
+
+def test_subcommand_options():
+    subparsers = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    got = {name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+           for name, sub in subparsers.choices.items()}
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    "cosets -n 13 --budget 5",
+    "cosets -n 13 --expand",
+    "splittings -n 23 --budget 5",
+    "quantum -n 13 --qr --expand",
+    "quantum -n 23 --from-annotation --annotations ann.json",
+    "distance -n 13 --leaders 1 --annotations ann.json",
+    "table --max-n 29 --slow",
+    "table --max-n 13 --expand",
+])
+def test_removed_flags_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert (code, out) == (2, "")
+    assert "error:" in err
+
+
+def test_table_reads_the_budget_once(capsys, monkeypatch):
+    calls = []
+    default_budget = dist.default_budget
+    monkeypatch.setattr(dist, "default_budget", lambda: calls.append(1) or default_budget())
+    code, out, _ = run(capsys, "table", "--max-n", "23")
+    assert code == 0 and out.count("\n") == 6
+    assert len(calls) == 1
+
+
 def _lines(*lines, end="\n"):
     return "".join(line + end for line in lines)
 
@@ -530,8 +583,9 @@ _SPLIT23 = ('{"n": 23, "s1_leaders": [1], "s2_leaders": [5], '
 _TABLE13 = _lines("n,leaders,type,params,source", '5,1,QR,"[[6,0,4]]",extended-duadic',
                   '7,1,QR,"[[8,0,4]]",extended-duadic', '13,1,QR,"[[14,0,6]]",extended-duadic', end="\r\n")
 
-# the exact stdout of each subcommand in each format; csv rows end in \r\n,
-# and table prints csv whatever the format
+# the exact stdout of each subcommand in each format, or None for a command
+# the parser refuses; csv rows end in \r\n, and table prints csv whatever
+# the format
 GOLDEN = {
     ("cosets -n 13", "text"): _lines("3 cosets mod 13 (q=4)", "  leader   0 size   1: {0}",
                                      "  leader   1 size   6: {1, 3, 4, 9, 10, 12}",
@@ -562,7 +616,8 @@ GOLDEN = {
     ("quantum -n 13 --qr --secondary-steps 1", "csv"): _lines(
         "n,k,d_lo,d_hi,pure", "14,0,6,6,yes", "13,0,5,5,unknown", end="\r\n"),
     ("quantum -n 13 --qr --secondary-steps 1", "json"): _QR13_JSON,
-    ("quantum -n 13 --qr --secondary-steps 1 --expand", "json"): _QR13_JSON,
+    # quantum takes no --expand: exit 2, nothing on stdout
+    ("quantum -n 13 --qr --secondary-steps 1 --expand", "json"): None,
     ("distance -n 13 --leaders 1 --fixed-subcode -1", "text"): _lines(
         "[13,7] code, d in [5, 5] (lo: exact-enumeration, hi: exact-enumeration, work 16640)"),
     ("distance -n 13 --leaders 1 --fixed-subcode -1", "csv"): _lines(
@@ -572,11 +627,17 @@ GOLDEN = {
     ("table --max-n 13", "text"): _TABLE13,
     ("table --max-n 13", "csv"): _TABLE13,
     ("table --max-n 13", "json"): _TABLE13,
+    ("table --max-n 29", "csv"): _TABLE13 + _lines('17,1 3,D,"[[18,0,8]]",extended-duadic',
+                                                   '23,1,QR,"[[24,0,8]]",extended-duadic',
+                                                   '29,1,QR,"[[30,0,12]]",extended-duadic', end="\r\n"),
 }
 
 
 @pytest.mark.parametrize("command,fmt", list(GOLDEN))
 def test_golden_stdout(capsys, command, fmt):
     code, out, err = run(capsys, *command.split(), "--format", fmt)
+    if GOLDEN[command, fmt] is None:
+        assert (code, out) == (2, "") and "unrecognized arguments" in err
+        return
     assert (code, err) == (0, "")
     assert out == GOLDEN[command, fmt]

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -577,6 +579,45 @@ def test_coincidence_order_two_trivial():
     c = CyclicCode.from_leaders(13, [1])
     rep = dist.fixed_subcode_coincidence(c, 12)
     assert rep.order == 2 and rep.subcodes_equal and rep.all_passed
+
+
+def test_coincidence_completeness_decided_before_walking():
+    # at budgets on both sides of each walk's word count, q^dim for C and
+    # 4^dim for its fixed subcode, the report is the one from trying both
+    # walks: incomplete, with no weight checked, when either would exceed
+    # the budget.  A binary C can fit where its subcode's GF(4) walk does not.
+    cap = 4**7
+    binary_fits_alone = 0
+    for code in [*_cyclic_codes(21, 2, 14), *_cyclic_codes(21, 4, 7)]:
+        for a in range(2, code.n):
+            try:
+                full = dist.fixed_subcode_coincidence(code, a, budget=cap)
+            except InputError:
+                continue
+            base = dist.fixed_subcode(code, a)
+            words = (code.q**code.dim, 4**base.dim)
+            if max(words) > cap:
+                continue
+            assert full.complete
+            binary_fits_alone += words[0] < words[1]
+            for budget in {w + step for w in words for step in (-1, 0)}:
+                try:
+                    dist.weight_distribution(code, budget)
+                    if base.dim:
+                        dist.weight_distribution(base.basis, budget)
+                    want = full
+                except BudgetExceededError:
+                    want = dataclasses.replace(full, checked_weights=(), complete=False)
+                assert dist.fixed_subcode_coincidence(code, a, budget=budget) == want, (code, a, budget)
+    assert binary_fits_alone
+
+
+def test_library_ignores_duadiq_budget(monkeypatch):
+    # only the CLI reads DUADIQ_BUDGET; a call without a budget gets DEFAULT_BUDGET
+    monkeypatch.setenv("DUADIQ_BUDGET", "0")
+    monkeypatch.setattr(dist, "_CACHE", {})
+    b = dist.min_distance_exact(CyclicCode.from_leaders(23, [1]))
+    assert b.exact and b.lo == 7
 
 
 def test_coincidence_names_the_multiplier_as_given():
