@@ -265,9 +265,17 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def _main(argv: list[str] | None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if extra:
+            # a flag after the subcommand that it does not take: report it
+            # with that subcommand's usage, which lists the flags it takes
+            if argv[0] == args.command:
+                sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+                parser = sub.choices[args.command]
+            parser.error(f"unrecognized arguments: {' '.join(extra)}")
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:

@@ -7,11 +7,14 @@ Above the budget a Brouwer-Zimmermann search (_info_set_bounds) walks
 messages by rising weight over disjoint information sets: after level w_j
 on set j every unseen word weighs at least sum_j (w_j + 1), an honest lower
 bound, and the best word found is the upper one; the two meet when the
-search certifies the distance.  A code's own distance uses one set, the
-pivots of its RREF.  A Hermitian self-dual extension [2K, K] (every k = 0
-output) uses two, an information set and its complement, so one budgeted
-search bounds the extended code directly; such a code is even, so the
-search also stops once its best word is lo rounded up to even.
+search certifies the distance.  The search takes its shape from the code
+it is given.  A generator matrix is searched on one set, the pivots of its
+RREF.  A Hermitian self-dual extension [2K, K] (every k = 0 output) is
+searched on two: I, the pivots of its ingredient C and its e unit
+coordinates, and the complement of I, so one budgeted search bounds the
+extended code directly.  Both systematic forms are read from the
+extension's block form, neither by a row reduction; such a code is even,
+so the search also stops once its best word is lo rounded up to even.
 
 The upper bound is a witness: the search returns its lightest word, and the
 word is checked before hi is reported, its weight recomputed and its
@@ -439,108 +442,90 @@ def _check_witness(word: np.ndarray, weight: int, g: np.ndarray, self_dual: bool
         raise InvariantError(f"the weight-{weight} witness word is not a codeword")
 
 
-def _systematic_forms(g: np.ndarray, sets, reduced: bool = False, self_dual: bool = False) -> list:
-    """(columns, [I | P]) for each information set of span(g): the set's
-    columns in the given order, then the others in ascending order, and the
-    systematic form of g on those columns.
+def _systematic_forms(code) -> tuple[np.ndarray, list]:
+    """The generator the search walks and (columns, [I | P]) for each of
+    its information sets: the set's columns, then the others in ascending
+    order, and the systematic form of the generator on those columns.
 
-    A form is reduced (linalg.rref of those columns, refused with InputError
-    unless it is the identity on the set) except where it is already known.
-    When g is an RREF whose pivots are the one set (reduced), g is [I | P]
-    on those columns.  When span(g) is Hermitian self-dual and the second
-    set is the complement R of the first, I, the form on R is
-    [I | conj(P)^T] with the rows and columns put in order: C^perp_h = C is
-    spanned by (conj(P) y | y), y running over the unit vectors on R.
+    A generator matrix has one set, the pivots of its RREF, and its form
+    is that RREF read on those columns; the matrix is reduced only when it
+    is not an RREF already (linalg.rref_pivots).  A Hermitian self-dual
+    Extension, whose generator is (g | 0) above (f | I_e) with g an RREF
+    of pivots P, has two: I = P and the e unit coordinates, and its
+    complement R.  Neither form is a row reduction.  On I the generator is
+    M = [[I_k, 0], [f_P, I_e]], and M M = I over GF(4), so the form on I is
+    M times the generator's columns (refused with InvariantError unless it
+    is [I | P]).  C^perp_h = C is spanned by (conj(P) y | y), y running
+    over the unit vectors on R, so the form on R is [I | conj(P)^T]: I and
+    R are both in ascending order.
     """
+    if isinstance(code, np.ndarray):
+        g, pivots = code, linalg.rref_pivots(code)
+        if pivots is None:
+            r, rank, pivots = linalg.rref(code)
+            g = r[:rank]
+        cols = pivots + sorted(set(range(g.shape[1])) - set(pivots))
+        return g, [(cols, g[:, cols])]
+    g = code.extended
     k, n = g.shape
-    forms = []
-    for x, info in enumerate(sets):
-        cols = [int(c) for c in info]
-        cols += sorted(set(range(n)) - set(cols))
-        if x == 0 and reduced:
-            r = g[:, cols]
-        elif x == 1 and self_dual and len(info) == k and sorted(cols[:k]) == forms[0][0][k:]:
-            first, rest = forms[0][0][:k], forms[0][0][k:]  # the second set is rest
-            conj = gf4.CONJ_TABLE[forms[0][1][:, k:]].T  # row i: y the unit vector on rest[i]
-            r = np.hstack([np.eye(k, dtype=np.uint8),
-                           conj[np.searchsorted(rest, cols[:k])][:, np.argsort(first)]])
-        else:
-            r, rank, pivots = linalg.rref(g[:, cols])
-            if len(info) != k or pivots != list(range(k)):
-                raise InputError(f"columns {cols[: len(info)]} are not an information set")
-            r = r[:k]
-        forms.append((cols, r))
-    return forms
+    info = [int(c) for c in (code.original != 0).argmax(axis=1)] + list(range(n - code.e, n))
+    rest = sorted(set(range(n)) - set(info))
+    r = linalg.matmul(g[:, info], g[:, info + rest])
+    eye = np.eye(k, dtype=np.uint8)
+    if not np.array_equal(r[:, :k], eye):
+        raise InvariantError("the extended generator is not [I | P] on its information set")
+    return g, [(info + rest, r), (rest + info, np.hstack([eye, gf4.CONJ_TABLE[r[:, k:]].T]))]
 
 
-def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=None,
-                     self_dual: bool = False, seeds=()) -> InfoSetBound:
-    """Brouwer-Zimmermann search over disjoint information sets of span(g).
+def _info_set_bounds(code, q: int, budget: int, cyclic: bool = False, seeds=()) -> InfoSetBound:
+    """Brouwer-Zimmermann search over the information sets of a code.
 
-    sets lists disjoint information sets of the code; None means one set,
-    the pivots of g's RREF.  g is reduced only when it is not an RREF
-    already (linalg.rref_pivots): _one_set_bound, min_distance_exact and the
-    seeds (_fixed_rows) pass RREF bases.  Each set's messages are walked by
-    _kernels.InfoSetLevels over the parity part of one systematic form, a
-    level (message weight) at a time.  The forms come from
-    _systematic_forms: one set's form is g's RREF itself, read on its
-    pivots and the other columns; a self-dual code searched on a set and
-    its complement reduces the first and derives the second; every other
-    set is reduced and refused unless it is an information set.  Levels
-    alternate between the sets, the set with fewer completed levels first
-    (the lower index on a tie).  A codeword not met after level w_j on set
-    j has weight >= w_j + 1 on each set, so >= sum_j (w_j + 1).  The walk
-    stops when the next level's comb(k, w) (q - 1)^w words would pass the
-    budget, or when the best word found is no heavier than the lower bound,
-    or when a set has walked all k levels and so met every codeword: then
-    it is the distance (information-set provenance).  Otherwise lo is the
-    bound (budget-exhausted) and hi the best word, or None (budget-exhausted
-    too) when no level fit the budget and no seed found a word.  With
-    several sets the budget left after the whole levels goes, a third of
-    it, to the seeds and then, all that remains, to the next level over the
-    first x positions of its set, the colex prefix of that level.  Both
-    lower hi but not lo.
+    The search takes its shape from code (_systematic_forms).  A generator
+    matrix is searched on one set, the pivots of its RREF: min_distance_exact,
+    _one_set_bound and the seeds (_fixed_rows) pass RREF bases, which are not
+    reduced again.  A Hermitian self-dual Extension is searched on two, the
+    information set I = pivots(C) + the e unit coordinates of its generator
+    and the complement of I (_self_dual_bound).  Each set's messages are
+    walked by _kernels.InfoSetLevels over the parity part of its systematic
+    form, a level (message weight) at a time.  Levels alternate between the
+    sets, the set with fewer completed levels first (I on a tie).  A
+    codeword not met after level w_j on set j has weight >= w_j + 1 on each
+    set, so >= sum_j (w_j + 1).  The walk stops when the next level's
+    comb(k, w) (q - 1)^w words would pass the budget, or when the best word
+    found is no heavier than the lower bound, or when a set has walked all
+    k levels and so met every codeword: then it is the distance
+    (information-set provenance).  Otherwise lo is the bound
+    (budget-exhausted) and hi the best word, or None (budget-exhausted too)
+    when no level fit the budget and no seed found a word.  With two sets
+    the budget left after the whole levels goes, a third of it, to the
+    seeds and then, all that remains, to the next level over the first x
+    positions of its set, the colex prefix of that level.  Both lower hi
+    but not lo.
 
-    seeds is an iterable of matrices whose rows lie in span(g), read only
+    seeds is an iterable of matrices whose rows lie in the code, read only
     when the whole levels leave the search inexact.  Each is searched on its
     own (one set, whole levels) within what is left of that third, and its
-    lightest word, already a codeword of span(g), can be hi (fixed-subcode
+    lightest word, already a codeword, can be hi (fixed-subcode
     provenance).  work counts every word walked, the seeds' included.  The
     third is a trade: the seeds take budget the prefix would have walked,
     and with half of it two [18, 9] extensions (n = 15) lost a weight-6
     word the prefix had met at budget 377.
 
-    cyclic_n, when given, is the length n of a cyclic code C whose window
-    {0..k-1} is the one set, or of which span(g) is the extension by
-    len(g[0]) - n unit coordinates walked on sets [window + units, {k..n-1}]
-    (_self_dual_bound).  Then lo is also at least the cyclic average of the
-    completed levels (_cyclic_average).  Every search is exact once
-    best <= lo.  self_dual says span(g) is Hermitian self-dual, so even:
-    the search is then exact once best <= lo + 1 with lo odd.  A single set
-    walks no partial level, so each seed's search leaves what it does not
-    walk of the seeds' third to the next seed.
+    cyclic says the code, or the ingredient C of the Extension, is cyclic,
+    so the RREF pivots are its window {0..k-1}.  Then lo is also at least
+    the cyclic average of the completed levels (_cyclic_average).  Every
+    search is exact once best <= lo.  A self-dual code is even, so a
+    two-set search is also exact once best <= lo + 1 with lo odd.  A single
+    set walks no partial level, so each seed's search leaves what it does
+    not walk of the seeds' third to the next seed.
 
     hi is a witness: the lightest word found, checked (_check_witness)
     before it is returned.
     """
-    g = np.atleast_2d(np.asarray(g, dtype=np.uint8))
-    one_set = sets is None
-    if one_set:
-        pivots = linalg.rref_pivots(g)
-        if pivots is None:
-            r, rank, pivots = linalg.rref(g)
-            g = r[:rank]
-        sets = [pivots]
-    if len(set().union(*map(set, sets))) != sum(len(info) for info in sets):
-        raise InputError("information sets must be disjoint")
+    self_dual = not isinstance(code, np.ndarray)
+    g, forms = _systematic_forms(code)
     k, n = g.shape
-    if cyclic_n is not None:
-        e = n - cyclic_n
-        window = len(sets[0]) - e
-        windows = [list(range(window)) + list(range(cyclic_n, n)), list(range(window, cyclic_n))]
-        if [sorted(int(c) for c in info) for info in sets] != windows[: len(sets)]:
-            raise InputError(f"the sets are not the cyclic windows of length {cyclic_n}")
-    forms = _systematic_forms(g, sets, reduced=one_set, self_dual=self_dual)
+    e = code.e if self_dual else 0
     walks = [_kernels.InfoSetLevels(r[:, k:], q) for _, r in forms]
     levels = [0] * len(walks)
     best, word, hi_src, work = n + 1, None, BUDGET, 0
@@ -550,8 +535,8 @@ def _info_set_bounds(g: np.ndarray, q: int, budget: int, sets=None, cyclic_n=Non
 
     def lower() -> int:
         lo = sum(levels) + len(levels)
-        if cyclic_n is not None:
-            lo = max(lo, _cyclic_average(levels, best, cyclic_n, window, e))
+        if cyclic:
+            lo = max(lo, _cyclic_average(levels, best, n - e, k - e, e))
         return lo
 
     def certified() -> bool:
@@ -645,7 +630,7 @@ def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
         hist, work = weight_histograms(g, budget, q)
         result = DistanceBound.exact_value(_first_nonzero_weight(hist), work=work)
     else:
-        result = _info_set_bounds(g, q, budget, cyclic_n=n if key is not None else None)
+        result = _info_set_bounds(g, q, budget, cyclic=key is not None)
     if key is not None and result.exact:
         _CACHE[key] = result
     return result
@@ -891,17 +876,12 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     share a third of the budget the whole levels leave (_info_set_bounds); lo
     comes from the levels and the averaging alone.
     """
-    gen = ext.extended
-    big_k, big_n = gen.shape
-    n = big_n - ext.e
-    info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, big_n))
-    rest = sorted(set(range(big_n)) - set(info))
+    big_k, big_n = ext.extended.shape
     cyclic = _is_cyclic(ext.original)
     fixing = _fixing_involutions(ext.original) if cyclic else []
     seeds = (_zero_padded(rows, big_n)
              for rows in (_fixed_rows(ext.original, a) for a in fixing) if len(rows))
-    b = _info_set_bounds(gen, q, budget, sets=[info, rest],
-                         cyclic_n=n if cyclic else None, self_dual=True, seeds=seeds)
+    b = _info_set_bounds(ext, q, budget, cyclic=cyclic, seeds=seeds)
     two_set = sum(b.levels) + len(b.levels)
     found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
     if not b.exact and b.lo > two_set:
@@ -919,8 +899,7 @@ def _one_set_bound(r: np.ndarray, budget: int) -> InfoSetBound:
     RREF: over GF(2) when r is binary, since a binary generator spans a
     GF(4) code of the distance of its binary span, and with cyclic
     averaging when the row space is cyclic (_is_cyclic)."""
-    return _info_set_bounds(r, 2 if (r <= 1).all() else 4, budget,
-                            cyclic_n=r.shape[1] if _is_cyclic(r) else None)
+    return _info_set_bounds(r, 2 if (r <= 1).all() else 4, budget, cyclic=_is_cyclic(r))
 
 
 def extension_distance(ext, budget: int) -> ExtensionDistance:

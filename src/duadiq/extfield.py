@@ -204,9 +204,6 @@ class ExtField:
         e %= self.order
         return _field_pow(a, e, self.modulus) if e else 1
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def alpha_pow(self, e: int) -> int:
         return self.pow(self.alpha, e % self.n)
 

@@ -131,13 +131,6 @@ def in_row_space(basis: np.ndarray, v: np.ndarray) -> bool:
     return rank(stacked) == rank(basis)
 
 
-def is_subspace(sub: np.ndarray, sup: np.ndarray) -> bool:
-    """True if row space of sub is contained in row space of sup."""
-    sub = np.atleast_2d(sub)
-    sup = np.atleast_2d(sup)
-    return rank(np.vstack([sup, sub])) == rank(sup)
-
-
 def row_space_equal(a: np.ndarray, b: np.ndarray) -> bool:
     ra = row_basis(a)
     rb = row_basis(b)

@@ -442,12 +442,15 @@ class Annotation:
 
 
 def load_annotations(path) -> list[Annotation]:
-    """The {n, k, d, source} entries of a JSON list; InputError names a path it cannot read."""
+    """The {n, k, d, source} entries of a JSON list; InputError names a path
+    it cannot read or whose content is not UTF-8 JSON."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read annotation file {str(path)!r}: {exc.strerror}") from exc
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise InputError(f"annotation file {str(path)!r} is not UTF-8 JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise InputError("annotation file must hold a JSON list")
     out = []

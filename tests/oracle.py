@@ -209,6 +209,14 @@ def rref(rows, ncols):
     return rows, len(pivots), pivots
 
 
+def is_subspace(sub, sup):
+    """Whether the row space of sub lies in that of sup: stacking sub under
+    sup leaves the rank of sup."""
+    sub, sup = [list(map(int, r)) for r in sub], [list(map(int, r)) for r in sup]
+    ncols = len((sup or sub or [[]])[0])
+    return rref(sup + sub, ncols)[1] == rref(sup, ncols)[1]
+
+
 def _colex_messages(positions, t, s):
     """The t-position messages on positions (a list), in the colex order of
     the level walk's tables: by the rank of their last position, then its

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from duadiq import _kernels, cli, gf4
+from duadiq import _kernels, cli, gf4, quantum
 from duadiq import distance as dist
 from duadiq.errors import BudgetExceededError
 
@@ -110,16 +110,16 @@ def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
     calls = []
     search = dist._info_set_bounds
 
-    def counting(g, *args, **kwargs):
-        calls.append((g.shape, kwargs.get("sets"), kwargs.get("cyclic_n")))
-        return search(g, *args, **kwargs)
+    def counting(code, *args, **kwargs):
+        calls.append((code, kwargs.get("cyclic", False)))
+        return search(code, *args, **kwargs)
 
     monkeypatch.setattr(dist, "_CACHE", {})
     monkeypatch.setattr(dist, "_info_set_bounds", counting)
     code, out, _ = run(capsys, "quantum", "-n", str(n), "--qr", "--budget", "65536", "--format", "json")
-    (shape, sets, _), *seeds = calls
-    assert code == 0 and sets is not None and len(sets) == 2
-    assert all(s[1:] == (None, None) and s[0][1] == shape[1] and s[0][0] < shape[0] for s in seeds)
+    (ext, cyclic), *seeds = calls
+    assert code == 0 and isinstance(ext, quantum.Extension) and cyclic
+    assert all(not c and s.shape[1] == ext.n and s.shape[0] < ext.k for s, c in seeds)
     assert len(seeds) == (n == 29)
     payload = json.loads(out)
     assert (payload["d_lo"], payload["d_hi"]) == (d_lo, d_hi)
@@ -347,13 +347,23 @@ def test_quantum_annotation_route(capsys, tmp_path):
     assert (payload["n"], payload["k"], payload["d_lo"]) == (96, 0, 22)
 
 
-@pytest.mark.parametrize("name", ["missing.json", "."])
+# the content of each file that cannot be read as annotations; None: none written
+_BAD_ANNOTATIONS = {"missing.json": None, ".": None, "truncated.json": b"[{", "latin1.json": b"\xff"}
+
+
+@pytest.mark.parametrize("name", list(_BAD_ANNOTATIONS))
 def test_unreadable_annotation_file_exit_2(capsys, tmp_path, name):
-    # a missing file and a directory: the error names the path, no traceback
+    # a missing file, a directory, content that is not JSON and content that
+    # is not UTF-8: the error names the path, no traceback
     path = str(tmp_path / name)
+    content = _BAD_ANNOTATIONS[name]
+    if content is not None:
+        (tmp_path / name).write_bytes(content)
     code, out, err = run(capsys, "quantum", "-n", "23", "--from-annotation", path)
     assert (code, out) == (2, "")
-    assert err.startswith(f"invalid input: cannot read annotation file {path!r}: ")
+    what = f"cannot read annotation file {path!r}: " if content is None else \
+        f"annotation file {path!r} is not UTF-8 JSON: "
+    assert err.startswith("invalid input: " + what)
     assert err.count("\n") == 1
 
 
@@ -554,9 +564,19 @@ def test_subcommand_options():
     "table --max-n 13 --expand",
 ])
 def test_removed_flags_exit_2(capsys, argv):
+    # the subcommand's own parser reports the flag, so its usage shows the
+    # flags it does take
     code, out, err = run(capsys, *argv.split())
     assert (code, out) == (2, "")
-    assert "error:" in err
+    assert err.startswith(f"usage: duadiq {argv.split()[0]} ") and "error:" in err
+
+
+def test_flag_before_the_subcommand_exit_2(capsys):
+    # a flag before the subcommand belongs to no subcommand: the top-level
+    # parser reports it
+    code, out, err = run(capsys, "--expand", "cosets", "-n", "13")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: duadiq [-h] ") and "unrecognized arguments: --expand" in err
 
 
 def test_table_reads_the_budget_once(capsys, monkeypatch):

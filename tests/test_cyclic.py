@@ -219,6 +219,6 @@ def test_is_dual_containing_matches_matrix_test():
             code = CyclicCode(ds)
             dual_rows = linalg.hermitian_dual_space(code.gen_matrix)
             matrix_says = dual_rows.shape[0] == 0 or (
-                code.dim > 0 and linalg.is_subspace(dual_rows, code.gen_matrix)
+                code.dim > 0 and oracle.is_subspace(dual_rows, code.gen_matrix)
             )
             assert is_dual_containing(ds) == matrix_says, (n, sorted(members))

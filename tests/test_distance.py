@@ -103,7 +103,7 @@ def test_cyclic_test_matches_row_space_membership():
     for r in bases:
         k = r.shape[0]
         cyclic = (np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8))
-                  and linalg.is_subspace(np.roll(r, 1, axis=1), r))
+                  and oracle.is_subspace(np.roll(r, 1, axis=1), r))
         assert dist._is_cyclic(r) == cyclic, r.tolist()
         seen.add((cyclic, np.array_equal(r[:, :k], np.eye(k, dtype=np.uint8))))
     assert seen == {(True, True), (False, True), (False, False)}
@@ -748,17 +748,13 @@ def _extension_generators():
 
 
 def test_small_blocks_give_same_bounds(monkeypatch):
-    cases = [(CyclicCode.from_leaders(23, [1]).gen_matrix, 4, None)]
-    cases += [(CyclicCode(DefiningSet.from_leaders(23, [1], q=2)).gen_matrix, 2, None)]
-    for ext in _extension_generators():
-        k, n = ext.extended.shape
-        info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n - ext.e, n))
-        q = 2 if (ext.extended <= 1).all() else 4
-        cases.append((ext.extended, q, [info, sorted(set(range(n)) - set(info))]))
+    cases = [(CyclicCode.from_leaders(23, [1]).gen_matrix, 4)]
+    cases += [(CyclicCode(DefiningSet.from_leaders(23, [1], q=2)).gen_matrix, 2)]
+    cases += [(ext, 2 if (ext.extended <= 1).all() else 4) for ext in _extension_generators()]
     for budget in (100, 4096, 10**5):
-        want = [dist._info_set_bounds(g, q, budget, sets) for g, q, sets in cases]
+        want = [dist._info_set_bounds(code, q, budget) for code, q in cases]
         monkeypatch.setattr(_kernels, "_BLOCK_WORDS", 4)
-        got = [dist._info_set_bounds(g, q, budget, sets) for g, q, sets in cases]
+        got = [dist._info_set_bounds(code, q, budget) for code, q in cases]
         monkeypatch.undo()
         assert got == want
 
@@ -774,66 +770,58 @@ def _sweep_extensions(max_n):
                 yield quantum._extend(CyclicCode(dual_defining_set(DefiningSet(n, a))))
 
 
+def _research_extensions():
+    """The extensions of the paper's [[144, 0]] and [[126, 0]] codes."""
+    for n, leaders in ((141, (2, 3, 10)), (123, (1, 2, 6, 7, 9, 11))):
+        yield quantum._extend(CyclicCode(dual_defining_set(DefiningSet.from_leaders(n, leaders))))
+
+
 def test_derived_systematic_forms_are_the_reductions():
-    # the form on the complement of a self-dual code's information set, and
-    # the one-set form of an RREF, equal the linalg.rref they replace
-    exts = list(_extension_generators()) + list(_sweep_extensions(21))
-    assert len(exts) > 60
+    # the two forms of a self-dual extension, on I = pivots(C) + units and
+    # on its complement, and the one-set form of an RREF, equal the
+    # linalg.rref they replace
+    exts = list(_extension_generators()) + list(_sweep_extensions(41)) + list(_research_extensions())
+    assert len(exts) > 220
     for ext in exts:
         gen = ext.extended
         k, n = gen.shape
         info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n - ext.e, n))
         rest = sorted(set(range(n)) - set(info))
-        forms = dist._systematic_forms(gen, [info, rest], self_dual=True)
+        g, forms = dist._systematic_forms(ext)
+        assert g is gen and [cols for cols, _ in forms] == [info + rest, rest + info]
         for cols, r in forms:
             reduced, rank, pivots = linalg.rref(gen[:, cols])
             assert pivots == list(range(k)) and (r == reduced[:k]).all()
         for g in (ext.original, gen):
             r, rank, pivots = linalg.rref(g)
-            (cols, form), = dist._systematic_forms(r[:rank], [pivots], reduced=True)
-            assert (form == linalg.rref(r[:rank][:, cols])[0][:rank]).all()
+            _, ((cols, form),) = dist._systematic_forms(r[:rank])
+            assert cols[:rank] == pivots and (form == linalg.rref(r[:rank][:, cols])[0][:rank]).all()
 
 
-def test_not_self_dual_refuses_a_set_that_is_no_information_set():
-    # [I | A] with a singular A: the complement of the pivots is no
-    # information set, and a code not declared self-dual reduces every set
-    g = np.hstack([np.eye(3, dtype=np.uint8), np.array([[1, 2, 0], [2, 3, 0], [0, 0, 0]], dtype=np.uint8)])
-    with pytest.raises(InputError):
-        dist._info_set_bounds(g, 4, 100, sets=[[0, 1, 2], [3, 4, 5]])
-    with pytest.raises(InputError):
-        dist._info_set_bounds(g, 4, 100, sets=[[3, 4, 5], [0, 1, 2]])
+def test_two_set_search_makes_no_row_reduction(monkeypatch):
+    # the n = 141 extension's two forms come from its block form alone, so
+    # the search reduces no 72 x 144 matrix
+    ext, _ = _research_extensions()
+    calls = []
+    rref = linalg.rref
+
+    def counting(m):
+        calls.append(m.shape)
+        return rref(m)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    b = dist._info_set_bounds(ext, 4, 10**4, cyclic=True)
+    assert calls == [] and (b.lo, b.hi, b.work, b.levels) == (5, 28, 9747, (1, 1))
 
 
-def test_two_set_search_brackets_random_codes():
-    # random [n, k] codes are not even: the pivots and an information set
-    # among the other columns, against full enumeration
-    rng = np.random.default_rng(2)
-    checked = 0
-    for _ in range(150):
-        k = int(rng.integers(3, 8))
-        n = 2 * k + int(rng.integers(0, 3))
-        g = rng.integers(0, 4, (k, n)).astype(np.uint8)
-        _, rank, pivots = linalg.rref(g)
-        rest = [c for c in range(n) if c not in pivots]
-        _, rank_rest, pivots_rest = linalg.rref(g[:, rest])
-        if rank < k or rank_rest < k:
-            continue
-        sets = [pivots, [rest[p] for p in pivots_rest]]
-        d = dist.min_distance_exact(g, budget=4**k).lo
-        for budget in (0, 20, 50, 100, 300, 1000, 3000):
-            b = dist._info_set_bounds(g, 4, budget, sets=sets)
-            assert b.lo <= d <= (n if b.hi is None else b.hi) and b.work <= budget
-            assert not b.exact or b.lo == d
-            checked += 1
-    assert checked > 500
-
-
-def test_info_set_engine_rejects_bad_sets():
-    g = CyclicCode.from_leaders(7, [1]).gen_matrix  # [7, 4]
-    with pytest.raises(InputError):
-        dist._info_set_bounds(g, 4, 100, sets=[[0, 1, 2, 3], [3, 4, 5, 6]])  # not disjoint
-    with pytest.raises(InputError):
-        dist._info_set_bounds(g, 4, 100, sets=[[0, 1, 2]])  # too small
+def test_derived_form_on_the_information_set_is_checked():
+    # a generator whose unit rows are not the identity on the unit
+    # coordinates is not (g | 0) above (f | I_e): the derived form is refused
+    ext = next(_extension_generators())
+    gen = ext.extended.copy()
+    gen[-1, -1] = 2
+    with pytest.raises(InvariantError, match="not \\[I \\| P\\]"):
+        dist._systematic_forms(dataclasses.replace(ext, extended=gen))
 
 
 def test_compose_bounds():

@@ -123,7 +123,7 @@ def test_meet_join_modular_law(seed):
     assert meet.shape[0] + join.shape[0] == a.shape[0] + b.shape[0]
     for row in meet:
         assert linalg.in_row_space(a, row) and linalg.in_row_space(b, row)
-    assert linalg.is_subspace(a, join) and linalg.is_subspace(b, join)
+    assert oracle.is_subspace(a, join) and oracle.is_subspace(b, join)
 
 
 def test_meet_join_trivial_cases():
@@ -247,8 +247,8 @@ _WIDE = _RNG.integers(0, 4, (12, 140)).astype(np.uint8)
 @example(_RNG.integers(0, 4, (20, 65)).astype(np.uint8))
 @example(_RNG.integers(0, 4, (30, 129)).astype(np.uint8))
 @example(_read_only(_RNG.integers(0, 4, (6, 13)).astype(np.uint8)))
-# a column-permuted copy as _systematic_forms passes, and strided and
-# transposed views as complement_basis passes
+# a column-permuted copy, and strided and transposed views as
+# complement_basis passes
 @example(_WIDE[:, _RNG.permutation(140)])
 @example(_WIDE[:, ::-3])
 @example(_WIDE.T)

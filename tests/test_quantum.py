@@ -62,7 +62,7 @@ def test_extension_gram_certificates():
         pair = _mu2_pairs(n)[0]
         ext, _ = quantum.extend_nearly_self_orthogonal(pair.even1, budget=0)
         dual = linalg.hermitian_dual_space(ext.extended)
-        assert linalg.is_subspace(dual, ext.extended)
+        assert oracle.is_subspace(dual, ext.extended)
         assert linalg.row_space_equal(dual, ext.extended_dual)
 
 
@@ -278,7 +278,7 @@ def test_no_units_exactly_when_dual_containing():
     counts = {True: 0, False: 0}
 
     def check(code, g, want=None):
-        contained = linalg.is_subspace(linalg.hermitian_dual_space(g), g)
+        contained = oracle.is_subspace(linalg.hermitian_dual_space(g), g)
         assert want is None or contained == want
         assert (quantum._extend(code).e == 0) == contained, g.tolist()
         counts[contained] += 1
@@ -745,15 +745,13 @@ def test_cyclic_averaging_dominates_two_set_rule():
             ext = quantum._extend(CyclicCode(dual_defining_set(a)))
             assert dist._is_cyclic(ext.original)
             gen = ext.extended
-            big_n, k = gen.shape[1], ext.original.shape[0]
+            big_n = gen.shape[1]
             q = 2 if (gen <= 1).all() else 4
-            # the two sets of _self_dual_bound: C's window and the units, C^perp_h's window
-            sets = [list(range(k)) + list(range(n, big_n)), list(range(k, n))]
             d = _exact_distance(gen)
             points = _two_set_breakpoints(gen.shape[0], q)
             for budget in sorted({0} | {b + s for b in points for s in (-1, 0, 1)}):
-                off = dist._info_set_bounds(gen, q, budget, sets=sets)
-                on = dist._info_set_bounds(gen, q, budget, sets=sets, cyclic_n=n)
+                off = dist._info_set_bounds(ext, q, budget)
+                on = dist._info_set_bounds(ext, q, budget, cyclic=True)
                 assert on.lo <= d <= (big_n if on.hi is None else on.hi), (n, a, budget)
                 assert not on.exact or on.lo == d
                 assert on.lo >= off.lo and on.hi == off.hi and on.work <= off.work
@@ -820,9 +818,7 @@ def test_research_hi_is_a_checked_fixed_subcode_word():
     ext = quantum._extend(CyclicCode(dual_defining_set(a)))
     assert dist._fixing_involutions(ext.original) == [40]
     assert dist._fixed_rows(ext.original, 40).shape == (30, 123)
-    b = dist._info_set_bounds(ext.extended, 4, 10**6, sets=[list(range(60)) + [123, 124, 125],
-                                                             list(range(60, 123))],
-                              cyclic_n=123, self_dual=True,
+    b = dist._info_set_bounds(ext, 4, 10**6, cyclic=True,
                               seeds=[np.pad(dist._fixed_rows(ext.original, 40), ((0, 0), (0, 3)))])
     assert (b.hi, b.hi_src) == (28, dist.FIXED_SUBCODE)
     assert gf4.weight(b.word) == 28 and not b.word[123:].any()
@@ -849,14 +845,10 @@ def test_non_cyclic_copy_keeps_two_set_bound():
         even = _mu2_pairs(n)[0].even1
         g = even.gen_matrix[:, [1, 0] + list(range(2, n))]
         ext = quantum._extend(g)
-        gen = ext.extended
-        info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n, gen.shape[1]))
-        sets = [info, sorted(set(range(gen.shape[1])) - set(info))]
-        q = 2 if (gen <= 1).all() else 4
+        q = 2 if (ext.extended <= 1).all() else 4
         for budget in sorted({min(b, q ** ext.original.shape[0] - 1) for b in (0, 4096, 65536)}):
             got = dist.extension_distance(ext, budget)
-            assert got.bound == dist.even_lift(dist._info_set_bounds(gen, q, budget, sets=sets,
-                                                                     self_dual=True))
+            assert got.bound == dist.even_lift(dist._info_set_bounds(ext, q, budget))
             assert "cyclic averaging" not in got.note
             # at n = 29 the cyclic original gains a level (the others are exact)
             cyclic = dist.extension_distance(quantum._extend(even), budget)
