@@ -172,18 +172,17 @@ class CyclicCode:
     @property
     def gen_poly(self) -> np.ndarray:
         """Generator polynomial, product of the minimal polynomials of the
-        cosets inside the defining set (1 for the full space)."""
+        cosets inside the defining set (1 for the full space).  The running
+        product stays on bit planes (gf4.planes_mul, each minimal polynomial
+        the sparser second factor) and is unpacked once."""
         if self._gen_poly is None:
-            if not self.defining_set.members:
-                poly = np.array([1], dtype=np.uint8)
-            else:
+            poly = (1, 0)
+            if self.defining_set.members:
                 ext = extfield.ext_build(self.n, self.q)
-                part = all_cosets(self.n, self.q)
-                poly = np.array([1], dtype=np.uint8)
-                for coset in part.cosets:
+                for coset in all_cosets(self.n, self.q).cosets:
                     if coset <= self.defining_set.members:
-                        poly = gf4.poly_mul(poly, extfield.minimal_poly(ext, coset))
-            self._gen_poly = poly
+                        poly = gf4.planes_mul(poly, gf4.poly_planes(extfield.minimal_poly(ext, coset)))
+            self._gen_poly = gf4.planes_poly(*poly)
         return self._gen_poly
 
     @property

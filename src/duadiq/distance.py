@@ -811,22 +811,24 @@ def _extension_pass(ext, q: int, budget: int) -> ExtensionDistance:
     return _exact(first, work, f"d = min over cosets of (coset weight + unit weight) = {first} [exact]")
 
 
-def _maps_into(r: np.ndarray, rows: np.ndarray) -> bool:
-    """Whether rows lie in the row space of r, an RREF with pivots {0..k-1}:
-    each row must be the combination of r's rows given by its own first k entries."""
-    return not (rows ^ linalg.matmul(rows[:, : r.shape[0]], r)).any()
-
-
 def _fixing_involutions(r: np.ndarray) -> list[int]:
     """The multipliers a != 1 with a^2 = 1 (mod n) that fix the cyclic code
     whose RREF r has pivots {0..k-1}.
 
     Its last row x^(k-1) g(x) / g_0 generates the code as an ideal of
     GF(4)[x] / (x^n - 1), and mu_a is a ring automorphism, so mu_a maps
-    the code onto itself exactly when it maps that one row into it.
+    the code onto itself exactly when it maps that one row into it.  A
+    word lies in the row space of r exactly when it is the combination of
+    r's rows given by its own first k entries, so one product tests the
+    images of all the involutions.
     """
     n = r.shape[1]
-    return [a for a in range(2, n) if a * a % n == 1 and _maps_into(r, apply_multiplier(a, r[-1:]))]
+    involutions = [a for a in range(2, n) if a * a % n == 1]
+    if not involutions:
+        return []
+    images = np.vstack([apply_multiplier(a, r[-1]) for a in involutions])
+    outside = (images ^ linalg.matmul(images[:, : r.shape[0]], r)).any(axis=1)
+    return [a for a, out in zip(involutions, outside) if not out]
 
 
 def _fixed_rows(g: np.ndarray, a: int) -> np.ndarray:

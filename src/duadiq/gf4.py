@@ -3,8 +3,10 @@
 Symbols are encoded as two bits: 0, 1, w (omega), w2 (omega squared) map to
 the integers 0, 1, 2, 3.  Bit 0 is the coefficient of 1 and bit 1 the
 coefficient of w, so addition is bitwise XOR of symbols.  Vectors and
-matrices are plain numpy uint8 arrays of symbols; the packed bit-plane view
-used by the distance kernels is produced by ``pack_planes``.
+matrices are plain numpy uint8 arrays of symbols.  Two packed views hold
+their bit planes: ``pack_rows`` makes one Python int per row (row reduction,
+orthonormalization and polynomial products work on these), and
+``pack_planes`` makes the uint64 words of the distance kernels.
 
 All values are immutable by convention: functions never mutate their inputs,
 so arrays may be shared freely between callers.
@@ -13,6 +15,8 @@ so arrays may be shared freely between callers.
 from __future__ import annotations
 
 import numpy as np
+
+from .extfield import _clmul
 
 ZERO, ONE, OMEGA, OMEGA2 = 0, 1, 2, 3
 
@@ -42,30 +46,65 @@ def weight(v: np.ndarray) -> int:
 # polynomials over GF(4): little-endian uint8 coefficient arrays
 # ---------------------------------------------------------------------------
 
-def poly_trim(p: np.ndarray) -> np.ndarray:
-    """Drop trailing zero coefficients; the zero polynomial becomes []."""
-    p = np.asarray(p, dtype=np.uint8)
-    nz = np.nonzero(p)[0]
-    if nz.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    return p[: nz[-1] + 1].copy()
+# symbol bytes to the ASCII digits of their low and of their high bit
+_LOW_DIGITS = bytes.maketrans(bytes(range(4)), b"0101")
+_HIGH_DIGITS = bytes.maketrans(bytes(range(4)), b"0011")
+
+
+def poly_planes(p: np.ndarray) -> tuple[int, int]:
+    """The bit planes (lo, hi) of a polynomial: bit i of lo and of hi holds
+    the low and the high bit of coefficient i.  Each plane is read as a
+    binary numeral, leading coefficient first."""
+    digits = b"0" + np.asarray(p, dtype=np.uint8)[::-1].tobytes()
+    return int(digits.translate(_LOW_DIGITS), 2), int(digits.translate(_HIGH_DIGITS), 2)
+
+
+def planes_poly(lo: int, hi: int) -> np.ndarray:
+    """The trimmed coefficient array of bit planes (poly_planes)."""
+    length = max(lo.bit_length(), hi.bit_length())
+    return unpack_rows([lo | hi << length], length)[0]
+
+
+def planes_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
+    """The product of two polynomials on bit planes, three carry-less products.
+
+    (p0 + p1 w)(q0 + q1 w) = (p0 q0 + p1 q1) + (p0 q1 + p1 q0 + p1 q1) w,
+    since w^2 = w + 1, and the w-part is (p0 + p1)(q0 + q1) + p0 q0.  Each
+    _clmul walks the set bits of its second factor, so put the sparser
+    polynomial second.
+    """
+    (p0, p1), (q0, q1) = p, q
+    low = _clmul(p0, q0)
+    return low ^ _clmul(p1, q1), _clmul(p0 ^ p1, q0 ^ q1) ^ low
 
 
 def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    p = poly_trim(p)
-    q = poly_trim(q)
-    if len(p) == 0 or len(q) == 0:
-        return np.zeros(0, dtype=np.uint8)
-    out = np.zeros(len(p) + len(q) - 1, dtype=np.uint8)
-    for i, c in enumerate(p):
-        if c:
-            out[i : i + len(q)] ^= MUL_TABLE[c][q]
-    return out
+    """The trimmed product of two coefficient arrays (planes_mul)."""
+    return planes_poly(*planes_mul(poly_planes(p), poly_planes(q)))
 
 
 # ---------------------------------------------------------------------------
-# packed bit-plane view (substrate of the distance kernels)
+# packed views: int rows (row reduction, polynomials) and uint64 words
+# (substrate of the distance kernels)
 # ---------------------------------------------------------------------------
+
+def pack_rows(m: np.ndarray) -> list[int]:
+    """The packed rows of a (rows, cols) symbol matrix: one int per row,
+    bit c of the low plane at bit c and bit c of the high plane at bit
+    cols + c."""
+    rows = m.shape[0]
+    packed = np.packbits(np.concatenate((m & 1, m >> 1), axis=1), axis=1, bitorder="little")
+    data, width = packed.tobytes(), packed.shape[1]
+    return [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(rows)]
+
+
+def unpack_rows(rs: list[int], cols: int) -> np.ndarray:
+    """The (len(rs), cols) uint8 symbol matrix of packed rows (pack_rows)."""
+    nbytes = (2 * cols + 7) // 8
+    data = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in rs), dtype=np.uint8)
+    bits = np.unpackbits(data.reshape(len(rs), nbytes), axis=1, count=2 * cols, bitorder="little")
+    return bits[:, :cols] | bits[:, cols:] << 1
+
 
 def n_words(n: int) -> int:
     return (n + 63) // 64
@@ -74,16 +113,14 @@ def n_words(n: int) -> int:
 def pack_planes(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pack a (k, n) symbol matrix into (k, W) uint64 low/high bit planes.
 
-    Bit j of word w holds the plane bit of coordinate w*64 + j.
+    Bit j of word w holds the plane bit of coordinate w*64 + j.  Both
+    planes, zero-padded to W*64 bits, go through one little-endian
+    np.packbits, whose 8 W bytes per row are read as W words.
     """
     m = np.atleast_2d(np.asarray(m, dtype=np.uint8))
     k, n = m.shape
-    W = n_words(n)
-    padded = np.zeros((k, W * 64), dtype=np.uint64)
-    padded[:, :n] = m
-    shifts = np.arange(64, dtype=np.uint64)
-    bits_lo = (padded & np.uint64(1)).reshape(k, W, 64)
-    bits_hi = ((padded >> np.uint64(1)) & np.uint64(1)).reshape(k, W, 64)
-    lo = np.bitwise_or.reduce(bits_lo << shifts, axis=2)
-    hi = np.bitwise_or.reduce(bits_hi << shifts, axis=2)
-    return np.ascontiguousarray(lo), np.ascontiguousarray(hi)
+    planes = np.zeros((2, k, n_words(n) * 64), dtype=np.uint8)
+    planes[0, :, :n] = m & 1
+    planes[1, :, :n] = m >> 1
+    lo, hi = np.packbits(planes, axis=2, bitorder="little").view("<u8").astype(np.uint64, copy=False)
+    return lo, hi

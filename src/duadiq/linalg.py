@@ -6,10 +6,12 @@ the pivot is the leftmost column held by a row at or below the rank, the
 topmost such row is swapped with the row at the rank, and the pivot is
 scaled to 1.
 
-rref works on packed rows.  A row is one Python int holding its two bit
-planes, the low plane in bits 0..cols-1 and the high plane above it, bit c
-of each for column c.  So a pivot step is a mask and an XOR per row,
-whatever the width.
+rref works on packed rows (gf4.pack_rows, gf4.unpack_rows), as does the
+extension's Hermitian orthonormalizer.  A row is one Python int holding its
+two bit planes, the low plane in bits 0..cols-1 and the high plane above
+it, bit c of each for column c.  So a pivot step is a mask and an XOR per
+row, whatever the width.  The Gram tests on whole matrices (gram_matrix,
+matmul) stay on uint8 arrays.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from operator import or_
 
 import numpy as np
 
-from .gf4 import CONJ_TABLE
+from .gf4 import CONJ_TABLE, pack_rows, unpack_rows
 
 
 def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
@@ -41,10 +43,8 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
         raise ValueError("rref expects a 2-d array")
     if r.size and r.max() > 3:
         raise ValueError("rref expects GF(4) symbols 0..3")
-    rows, cols = r.shape
-    packed = np.packbits(np.concatenate((r & 1, r >> 1), axis=1), axis=1, bitorder="little")
-    data, width = packed.tobytes(), packed.shape[1]
-    rs = [int.from_bytes(data[i * width : (i + 1) * width], "little") for i in range(rows)]
+    cols = r.shape[1]
+    rs = pack_rows(r)
     low = (1 << cols) - 1
     held = reduce(or_, rs, 0)
     pivots: list[int] = []
@@ -70,10 +70,7 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
         held = reduce(or_, rs[rank + 1 :], 0)
         pivots.append(bit.bit_length() - 1)
         rank += 1
-    nbytes = (2 * cols + 7) // 8
-    data = np.frombuffer(b"".join(x.to_bytes(nbytes, "little") for x in rs), dtype=np.uint8)
-    bits = np.unpackbits(data.reshape(rows, nbytes), axis=1, count=2 * cols, bitorder="little")
-    return bits[:, :cols] | bits[:, cols:] << 1, rank, pivots
+    return unpack_rows(rs, cols), rank, pivots
 
 
 def row_basis(m: np.ndarray) -> np.ndarray:

@@ -90,7 +90,7 @@ class SelfDualCode:
         if length != 2 * m:
             raise InvariantError(f"self-dual shape must be (m, 2m), got {self.gen.shape}")
         if not linalg.is_hermitian_self_orthogonal(self.gen):
-            raise InvariantError("generator matrix fails the Gram test")
+            raise InvariantError("generator matrix fails the dual-containment Gram test")
 
 
 # ---------------------------------------------------------------------------
@@ -109,33 +109,53 @@ def _hermitian_orthonormalize(rows: np.ndarray) -> np.ndarray:
     (1, omega, omega^2) that gives norm 1 is 1 unless a = 1, then omega.
     The other rows f become f + <f, pick> pick.
 
-    The Gram matrix is formed once and then updated: with a = <f, pick>
-    and b = <g, pick>, the new rows have <f', g'> = <f, g> + a conj(b)
-    (three equal terms, since <pick, pick> = 1, in characteristic 2).
+    The rows are packed rows (gf4.pack_rows), as in linalg.rref.  For
+    p = p0 + p1 omega, <x, p> = sum x conj(p) has the 1-part
+    parity(x0 (p0 + p1) + x1 p1) and the omega-part parity(x0 p1 + x1 p0):
+    each is the parity of x AND one packed mask of p, conj(p) and p with
+    its planes swapped.  Norms are kept, not recomputed: a norm is the
+    parity of the weight, and f + a pick with a = <f, pick> has norm
+    <f, f> + 3 a conj(a) (as <pick, pick> = 1), which differs from <f, f>
+    exactly when a != 0.
     """
-    remaining = np.array(rows, dtype=np.uint8)
-    gram = linalg.gram_matrix(remaining)
+    rows = np.asarray(rows, dtype=np.uint8)
+    cols = rows.shape[1]
+    low = (1 << cols) - 1
+    remaining = gf4.pack_rows(rows)
+
+    def inners(p: int) -> list[int]:
+        """<x, p> for every remaining row x."""
+        p0, p1 = p & low, p >> cols
+        one, omega = (p0 ^ p1) | p1 << cols, p1 | p0 << cols
+        return [((x & one).bit_count() & 1) | ((x & omega).bit_count() & 1) << 1 for x in remaining]
+
+    def multiples(p: int) -> tuple[int, int, int, int]:
+        """p times 0, 1, omega and omega^2: (l, h) times omega is (h, l ^ h)."""
+        l, h = p & low, p >> cols
+        return 0, p, h | (l ^ h) << cols, (l ^ h) | l << cols
+
+    norms = [((x | x >> cols) & low).bit_count() & 1 for x in remaining]
     out = []
-    while remaining.shape[0]:
-        unit = np.flatnonzero(gram.diagonal() == 1)
-        if unit.size:
-            i = int(unit[0])
-            pick, inner = remaining[i], gram[:, i]
+    while remaining:
+        if 1 in norms:
+            i = norms.index(1)
+            pick = remaining[i]
         else:
-            pairs = np.flatnonzero(gram)
-            if pairs.size == 0:
+            # row i of the Gram matrix is zero where inners(f_i) is, since
+            # <f_i, f_j> = conj(<f_j, f_i>), and a = 1 exactly when its conjugate is
+            i, column = next(((i, c) for i, c in enumerate(map(inners, remaining)) if any(c)), (None, None))
+            if i is None:
                 raise InvariantError("no unit-norm vector found; form is degenerate")
-            i, j = divmod(int(pairs[0]), gram.shape[1])
-            lam = 2 if gram[i, j] == 1 else 1
-            pick = remaining[i] ^ gf4.MUL_TABLE[lam][remaining[j]]
-            # <f, f_i + lam f_j> = <f, f_i> + conj(lam) <f, f_j>
-            inner = gram[:, i] ^ gf4.MUL_TABLE[gf4.CONJ_TABLE[lam]][gram[:, j]]
-        keep = np.arange(remaining.shape[0]) != i
-        remaining, inner = remaining[keep], inner[keep]
-        remaining ^= gf4.MUL_TABLE[inner[:, None], pick]
-        gram = gram[keep][:, keep] ^ gf4.MUL_TABLE[inner[:, None], gf4.CONJ_TABLE[inner]]
+            j = next(j for j, a in enumerate(column) if a)
+            pick = remaining[i] ^ multiples(remaining[j])[2 if column[j] == 1 else 1]
+        del remaining[i], norms[i]
+        times = multiples(pick)
+        for t, a in enumerate(inners(pick)):
+            if a:
+                remaining[t] ^= times[a]
+                norms[t] ^= 1
         out.append(pick)
-    return np.array(out, dtype=np.uint8).reshape(len(out), rows.shape[1])
+    return gf4.unpack_rows(out, cols)
 
 
 @dataclass(frozen=True)
@@ -144,6 +164,7 @@ class Extension:
     extended: np.ndarray        # generators of the length n+e dual-containing code
     extended_dual: np.ndarray   # generators of its Hermitian dual (subset of extended)
     e: int
+    self_dual: SelfDualCode | None = None  # extended, Gram-tested, when it is its own dual
 
     @property
     def n(self) -> int:
@@ -171,6 +192,9 @@ def _extend(code) -> Extension:
       it is zero, so the rank is k + e when g's pivots are k unit columns;
     - allocation: each matrix is filled in place, and the dual is the
       extended code itself when R is C (every self-orthogonal input).
+    The Gram test of the extended code against its dual certifies dual
+    containment; when R is C it is the Gram test of the SelfDualCode the
+    Extension carries, run once.
     """
     r, k, pivots = linalg.rref(dist._generators(code)[0])
     g = r[:k]
@@ -198,12 +222,11 @@ def _extend(code) -> Extension:
     extended[k:, :n] = ortho
     extended[np.arange(k, k + e), np.arange(n, n + e)] = 1
     if radical is g:
-        extended_dual = extended
-    else:
-        extended_dual = np.zeros((radical.shape[0] + e, n + e), dtype=np.uint8)
-        extended_dual[: radical.shape[0], :n] = radical
-        extended_dual[radical.shape[0] :] = extended[k:]
-    # direct Gram certificate of dual containment
+        return Extension(original=g, extended=extended, extended_dual=extended, e=e,
+                         self_dual=SelfDualCode(gen=extended))
+    extended_dual = np.zeros((radical.shape[0] + e, n + e), dtype=np.uint8)
+    extended_dual[: radical.shape[0], :n] = radical
+    extended_dual[radical.shape[0] :] = extended[k:]
     if linalg.gram_matrix(extended_dual, extended).any():
         raise InvariantError("extended code failed the dual-containment Gram test")
     return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e)
@@ -301,9 +324,8 @@ def extended_duadic_quantum(
             failed=["mu_-2 witness"],
         )
     ext = _extend(pair.even1)
-    if ext.e != 1:
-        raise InvariantError(f"duadic extension produced e = {ext.e}, expected 1")
-    sd = SelfDualCode(gen=ext.extended)
+    if ext.e != 1 or ext.self_dual is None:
+        raise InvariantError(f"duadic extension produced e = {ext.e}, expected a self-dual one with e = 1")
     # the pass walks the even-like span alone: 4^dim words
     if 4 ** pair.even1.dim <= budget:
         dd = dist.duadic_distances(splitting, budget=budget)
@@ -315,7 +337,7 @@ def extended_duadic_quantum(
         f"odd-like duadic n={splitting.n} leaders={list(pair.odd1.defining_set.leaders)} with mu_-2",
         "even-like subcode extended by one unit coordinate (e=1)",
     )
-    return params, sd
+    return params, ext.self_dual
 
 
 def general_zero_dim(
@@ -332,14 +354,13 @@ def general_zero_dim(
     k, n = ext.original.shape
     # the extension [n + e, k + e] has e = n - k - dim(radical), so it is
     # self-dual exactly when the radical is C, that is C <= C^perp_h
-    if 2 * ext.k != ext.n:
+    if ext.self_dual is None:
         raise NotApplicableError(
             "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
         )
-    sd = SelfDualCode(gen=ext.extended)
     params = _params(ext, dist.extension_distance(ext, budget),
                      f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}")
-    return params, sd
+    return params, ext.self_dual
 
 
 def cyclic_zero_dim(a: DefiningSet, budget: int = DEFAULT_BUDGET) -> tuple[QuantumParams, SelfDualCode]:

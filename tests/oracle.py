@@ -67,6 +67,20 @@ def poly_divmod(p, q):
     return quot[: poly_deg(quot) + 1], rem[: poly_deg(rem) + 1]
 
 
+def poly_mul(p, q):
+    """The product of two coefficient sequences, one coefficient of the
+    result at a time: c_k = sum over i + j = k of p_i q_j."""
+    if not len(p) or not len(q):
+        return []
+    out = []
+    for k in range(len(p) + len(q) - 1):
+        acc = 0
+        for i in range(max(0, k - len(q) + 1), min(k, len(p) - 1) + 1):
+            acc = ADD[acc, MUL[int(p[i]), int(q[k - i])]]
+        out.append(acc)
+    return out[: poly_deg(out) + 1]
+
+
 def poly_eval(p, x):
     """p(x) at a GF(4) point, summing c x^i term by term."""
     acc, power = 0, 1

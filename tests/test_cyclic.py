@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duadiq import linalg
+from duadiq import extfield, linalg
 from duadiq.cyclic import (
     CosetPartition,
     CyclicCode,
@@ -72,6 +72,38 @@ def test_code_construction():
     zero = CyclicCode(DefiningSet(5, frozenset(range(5))))
     assert zero.dim == 0
     assert np.array_equal(zero.gen_poly, oracle.x_pow_n_minus_1(5))
+
+
+def _research_and_search_sets():
+    """Every defining set of the search for odd n <= 41 (A with A and -2A
+    disjoint) and its Hermitian dual's, and the research sets."""
+    for n in range(3, 42, 2):
+        cosets = all_cosets(n, 4).cosets[1:]
+        for mask in range(1, 1 << len(cosets)):
+            a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
+            if is_dual_containing(a):
+                yield a
+                yield dual_defining_set(a)
+    yield DefiningSet.from_leaders(141, (2, 3, 10))
+    yield DefiningSet.from_leaders(123, (1, 2, 6, 7, 9, 11))
+
+
+def test_gen_poly_matches_the_oracle_product():
+    # the plane product of the minimal polynomials is the coefficientwise
+    # product, of degree |A|, and divides x^n - 1
+    sets = list(_research_and_search_sets())
+    assert len(sets) == 442
+    for a in sets:
+        ext = extfield.ext_build(a.n, 4)
+        expected = [1]
+        for coset in all_cosets(a.n, 4).cosets:
+            if coset <= a.members:
+                expected = oracle.poly_mul(expected, extfield.minimal_poly(ext, coset).tolist())
+        g = CyclicCode(a).gen_poly
+        assert g.dtype == np.uint8 and g.tolist() == expected, (a.n, a.leaders)
+        assert oracle.poly_deg(g) == len(a.members)
+        _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(a.n), g)
+        assert rem == []
 
 
 def test_code_equality_by_defining_set():

@@ -95,7 +95,7 @@ def test_minimal_polys_factor_x_n_minus_1(n):
         _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(n), mp)
         assert len(rem) == 0
         product = gf4.poly_mul(product, mp)
-    assert np.array_equal(gf4.poly_trim(product), oracle.x_pow_n_minus_1(n))
+    assert product.tolist() == oracle.x_pow_n_minus_1(n)
 
 
 def test_binary_field_route():
@@ -112,6 +112,30 @@ def test_large_degree_fallback():
     assert ext.pow(ext.alpha, 47) == 1
     assert ext.pow(ext.alpha, 1) != 1
     assert ext.mul(ext.omega, ext.omega) == ext.omega ^ 1
+
+
+def _unsieved_modulus(degree, primitive):
+    """The modulus search without the small-factor sieve: every candidate
+    with constant term 1, in the same order, goes to the irreducibility test."""
+    group = (1 << degree) - 1
+    for key in range(1 << (degree - 1), 1 << degree):
+        m = extfield._lex_key_to_poly(key, degree)
+        if extfield.is_irreducible(m) and (not primitive or all(
+                extfield._field_pow(2, group // p, m) != 1 for p in extfield.factorize(group))):
+            return m
+    raise AssertionError(f"no modulus of degree {degree}")
+
+
+def test_sieved_modulus_search_matches_the_unsieved_one():
+    # every field degree of an odd n <= 41 or of the research lengths 123
+    # and 141, over GF(2) and GF(4), including the primitive degree 36 of
+    # n = 37 and the non-primitive degree 46 of n = 141
+    degrees = {extfield.mult_order(q, n) * (q // 2) for q in (2, 4)
+               for n in [*range(3, 42, 2), 123, 141]}
+    assert {36, 46} <= degrees and max(degrees) == 46
+    for degree in sorted(degrees):
+        primitive = degree <= extfield._PRIMITIVITY_DEGREE_LIMIT
+        assert extfield.smallest_irreducible(degree, primitive) == _unsieved_modulus(degree, primitive)
 
 
 @pytest.mark.parametrize("n,modulus,gamma,alpha,omega", [

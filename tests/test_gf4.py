@@ -103,8 +103,20 @@ def test_poly_mul_divmod():
             padded[: len(recon)] ^= recon
             padded[: len(rem)] ^= np.array(rem, dtype=np.uint8)
             recon = padded
-        assert np.array_equal(gf4.poly_trim(recon), gf4.poly_trim(p))
+        assert recon[: oracle.poly_deg(recon) + 1].tolist() == p[: oracle.poly_deg(p) + 1].tolist()
         assert oracle.poly_deg(rem) < oracle.poly_deg(q)
+
+
+def test_poly_mul_matches_oracle():
+    # random polynomials with trailing zeros, the zero polynomial and more
+    # than 64 coefficients: the plane product is the coefficientwise one,
+    # and the planes of a trimmed polynomial give it back
+    rng = np.random.default_rng(26)
+    for _ in range(300):
+        p, q = (rng.integers(0, 4, int(rng.integers(0, 90))).astype(np.uint8) for _ in range(2))
+        product = gf4.poly_mul(p, q)
+        assert product.dtype == np.uint8 and product.tolist() == oracle.poly_mul(p, q)
+        assert gf4.planes_poly(*gf4.poly_planes(p)).tolist() == p[: oracle.poly_deg(p) + 1].tolist()
 
 
 def test_poly_eval():

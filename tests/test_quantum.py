@@ -222,6 +222,68 @@ def test_orthonormalize_matches_oracle_greedy(monkeypatch):
         assert np.array_equal(linalg.gram_matrix(out), np.eye(len(out), dtype=np.uint8))
 
 
+def test_orthonormalize_raises_on_a_totally_isotropic_span():
+    # no unit row and no pair with a nonzero form: one even-weight row, and
+    # the [6, 3] hexacode and a self-orthogonal [13, 6] cyclic code, whose
+    # Gram matrices are zero
+    spans = [np.array([[1, 1, 0]], dtype=np.uint8),
+             np.array([[1, 0, 0, 1, 2, 2], [0, 1, 0, 2, 1, 2], [0, 0, 1, 2, 2, 1]], dtype=np.uint8),
+             CyclicCode(dual_defining_set(DefiningSet.from_leaders(13, [1]))).gen_matrix]
+    for rows in spans:
+        assert not linalg.gram_matrix(rows).any()
+        with pytest.raises(InvariantError, match="degenerate"):
+            quantum._hermitian_orthonormalize(rows)
+
+
+def test_orthonormalize_wide_rows_match_oracle():
+    # random nondegenerate spans of rows wider than 64 columns, so each
+    # packed plane spans several machine words; a third have only norm-0
+    # rows and take the combination branch
+    rng = np.random.default_rng(26)
+    spans = all_even = 0
+    while spans < 60:
+        n, k = int(rng.integers(65, 141)), int(rng.integers(1, 6))
+        rows = rng.integers(0, 4, (k, n)).astype(np.uint8)
+        if spans % 3 == 0:  # make every norm 0: clear one nonzero symbol of each odd-weight row
+            for row in rows:
+                if gf4.weight(row) % 2:
+                    row[np.flatnonzero(row)[0]] = 0
+        if linalg.rank(linalg.gram_matrix(rows)) != k:
+            continue
+        out = quantum._hermitian_orthonormalize(rows)
+        assert out.tolist() == oracle.orthonormalize(rows.tolist())
+        assert np.array_equal(linalg.gram_matrix(out), np.eye(k, dtype=np.uint8))
+        spans += 1
+        all_even += not linalg.gram_matrix(rows).diagonal().any()
+    assert all_even >= 20
+
+
+def test_self_dual_extension_runs_one_gram_test(monkeypatch):
+    # a self-orthogonal input's extension carries its SelfDualCode, whose
+    # Gram test is the dual-containment certificate, so the extended
+    # generator's Gram product is formed once on the way to the code; a
+    # SelfDualCode built directly still validates
+    products = []
+    gram = linalg.gram_matrix
+
+    def record(a, b=None):
+        products.append((np.shape(a), None if b is None else np.shape(b)))
+        return gram(a, b)
+
+    monkeypatch.setattr(linalg, "gram_matrix", record)
+    for n, leaders in ((13, [1]), (31, [1, 3, 5])):
+        products.clear()
+        params, sd = quantum.cyclic_zero_dim(DefiningSet.from_leaders(n, leaders), budget=16)
+        shape = sd.gen.shape
+        assert shape == (params.n // 2, params.n)
+        assert products.count((shape, None)) + products.count((shape, shape)) == 1
+    monkeypatch.setattr(linalg, "gram_matrix", gram)
+    with pytest.raises(InvariantError, match="Gram test"):
+        quantum.SelfDualCode(gen=np.array([[1, 0]], dtype=np.uint8))
+    with pytest.raises(InvariantError, match="shape"):
+        quantum.SelfDualCode(gen=np.array([[1, 1, 0]], dtype=np.uint8))
+
+
 def test_extension_of_dual_containing_is_identity():
     full = CyclicCode(DefiningSet(5, frozenset()))
     ext, params = quantum.extend_nearly_self_orthogonal(full, budget=0)
