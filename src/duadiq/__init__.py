@@ -56,7 +56,6 @@ from .quantum import (
     Annotation,
     QuantumParams,
     SelfDualCode,
-    binary_cyclic_quantum,
     cyclic_zero_dim,
     dual_containing_to_zero_dim,
     extend_nearly_self_orthogonal,
@@ -64,7 +63,6 @@ from .quantum import (
     general_zero_dim,
     load_annotations,
     params_from_annotation,
-    quantum_from_dual_containing,
     secondary_chain,
     secondary_constructions,
     zero_dim_from_classical_annotation,
@@ -77,7 +75,6 @@ __all__ = [
     "all_cosets",
     "apply_multiplier",
     "apply_multiplier_set",
-    "binary_cyclic_quantum",
     "binary_shadow_distance",
     "compose_bounds",
     "cyclic_zero_dim",
@@ -103,7 +100,6 @@ __all__ = [
     "near_orthogonality",
     "params_from_annotation",
     "qr_splitting",
-    "quantum_from_dual_containing",
     "secondary_chain",
     "secondary_constructions",
     "splitting_predictions",

@@ -9,7 +9,7 @@ on set j every unseen word weighs at least sum_j (w_j + 1), an honest lower
 bound, and the best word found is the upper one; the two meet when the
 search certifies the distance.  The search takes its shape from the code
 it is given.  A generator matrix is searched on one set, the pivots of its
-RREF.  A Hermitian self-dual extension [2K, K] (every k = 0 output) is
+RREF.  A Hermitian self-dual extension [2K, K] (every extension) is
 searched on two: I, the pivots of its ingredient C and its e unit
 coordinates, and the complement of I, so one budgeted search bounds the
 extended code directly.  Both systematic forms are read from the
@@ -481,9 +481,9 @@ def _info_set_bounds(code, q: int, budget: int, cyclic: bool = False, seeds=()) 
     """Brouwer-Zimmermann search over the information sets of a code.
 
     The search takes its shape from code (_systematic_forms).  A generator
-    matrix is searched on one set, the pivots of its RREF: min_distance_exact,
-    _one_set_bound and the seeds (_fixed_rows) pass RREF bases, which are not
-    reduced again.  A Hermitian self-dual Extension is searched on two, the
+    matrix is searched on one set, the pivots of its RREF: min_distance_exact
+    and the seeds (_fixed_rows) pass RREF bases, which are not reduced
+    again.  A Hermitian self-dual Extension is searched on two, the
     information set I = pivots(C) + the e unit coordinates of its generator
     and the complement of I (_self_dual_bound).  Each set's messages are
     walked by _kernels.InfoSetLevels over the parity part of its systematic
@@ -718,21 +718,14 @@ def even_lift(b: DistanceBound) -> DistanceBound:
 # extensions: the one place an extension's distance gets certified
 # ---------------------------------------------------------------------------
 
-PURE_YES = "yes"
-PURE_NO = "no"
-PURE_UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class ExtensionDistance:
     """An extension's distance with an account of it (note): the exact
-    pass's, or that of the bound that replaced the pass (bounded); and
-    whether the stabilizer code is pure (PURE_YES, PURE_NO, PURE_UNKNOWN)."""
+    pass's, or that of the bound that replaced the pass (bounded)."""
 
     bound: DistanceBound
     note: str
     bounded: bool
-    pure: str
 
     @property
     def trace_line(self) -> str:
@@ -740,19 +733,15 @@ class ExtensionDistance:
         return f"budget-limited bound: {self.note}" if self.bounded else self.note
 
 
-def _exact(d: int, work: int, note: str, pure: str = PURE_YES) -> ExtensionDistance:
+def _exact(d: int, work: int, note: str) -> ExtensionDistance:
     """The result of an exact pass."""
-    return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False, pure=pure)
+    return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False)
 
 
 def _walked(ext) -> np.ndarray:
     """The generator _extension_pass walks, a self-orthogonal code whose
-    weight distribution gives the extended code's: the dual
-    ext.extended_dual when k > 0, the ingredient C (ext.original) of a
-    self-dual extension with e = 1, and the self-dual extended code itself
-    otherwise."""
-    if 2 * ext.k != ext.n:
-        return ext.extended_dual
+    weight distribution gives the extended code's: the ingredient C
+    (ext.original) when e = 1, else the self-dual extended code itself."""
     return ext.original if ext.e == 1 else ext.extended
 
 
@@ -761,8 +750,7 @@ def _unit_pass(c_hist, coset_hist, work: int, q: int = 4) -> ExtensionDistance:
     C^perp_h off C (coset_hist): the extended words are (c | 0) and
     (v | lambda), lambda != 0, for v off C, so A_w = C_w + coset_(w - 1),
     checked (_check_macwilliams), and d = min(d(C), d_o + 1) with d_o the
-    least weight off C.  C is Hermitian self-orthogonal, so even, and the
-    stabilizer code is pure."""
+    least weight off C.  C is Hermitian self-orthogonal, so even."""
     _check_macwilliams([c + x for c, x in zip(list(c_hist) + [0], [0] + list(coset_hist))], q)
     d_c, d_o = _first_nonzero_weight(c_hist), _first_nonzero_weight(coset_hist)
     d = min(d_c, d_o + 1)
@@ -775,34 +763,20 @@ def _extension_pass(ext, q: int, budget: int) -> ExtensionDistance:
     [N, K] code from it by dual_distribution.
 
     q = 2 walks the binary spans of binary generators: a binary generator
-    spans a GF(4) code of the distance of its binary span, the Hermitian
-    dual of that code is spanned by the binary Euclidean dual, and a word
-    a + omega b outside the dual has a or b outside it, neither heavier, so
-    the weight outside the dual agrees too.
+    spans a GF(4) code of the distance of its binary span, and the
+    Hermitian dual of that code is spanned by the binary Euclidean dual.
 
-    k > 0: the walk gives B, the distribution of the dual, and A is its
-    transform.  Since the dual lies in the code, A_w >= B_w, and d is the
-    first w >= 1 with A_w > B_w.  The stabilizer code is pure when d is the
-    extended code's own distance.
-
-    Self-dual, e = 1: the walk gives A_C, and dual_distribution the
-    distribution B of C^perp_h = C + <f>, f the one orthonormal complement
-    vector.  The extended words are (c + lambda f | lambda): the first n
-    coordinates run over C^perp_h, and the unit coordinate is nonzero
-    exactly off C, so _unit_pass reads the extended code from A_C and
-    B - A_C.  With e >= 2 the unit coordinates depend on the coset, so the
-    extended code is walked.  A self-dual code's d is its first nonzero
-    weight, and its distribution is checked (_check_macwilliams).
+    e = 1: the walk gives A_C, and dual_distribution the distribution B
+    of C^perp_h = C + <f>, f the one orthonormal complement vector.  The
+    extended words are (c + lambda f | lambda): the first n coordinates run
+    over C^perp_h, and the unit coordinate is nonzero exactly off C, so
+    _unit_pass reads the extended code from A_C and B - A_C.  With e >= 2
+    the unit coordinates depend on the coset, so the extended code is
+    walked.  A self-dual code's d is its first nonzero weight, and its
+    distribution is checked (_check_macwilliams).
     """
     hist, work = weight_histograms(_walked(ext), budget, q)
     walked = [int(x) for x in hist]
-    if 2 * ext.k != ext.n:
-        b, a = walked, dual_distribution(walked, work, q)
-        d = next((w for w in range(1, len(a)) if a[w] > b[w]), None)
-        if d is None:
-            raise InvariantError("the extended code has no word outside its dual")
-        note = f"d' = min weight of the extended [{ext.n},{ext.k}] code outside its dual = {d} [exact]"
-        return _exact(d, work, note, PURE_YES if d == _first_nonzero_weight(a) else PURE_NO)
     if ext.e == 1:
         coset = [y - x for x, y in zip(walked, dual_distribution(walked, work, q))]
         return _unit_pass(walked, coset, work, q)
@@ -893,63 +867,26 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
         found += f", even: d >= {lifted.lo}"
     note = (f"information set and complement of the extended [{big_n},{big_k}] code, "
             f"levels {b.levels[0]} and {b.levels[1]}: {found}")
-    return ExtensionDistance(lifted, note=note, bounded=True, pure=PURE_YES)
-
-
-def _one_set_bound(r: np.ndarray, budget: int) -> InfoSetBound:
-    """The one-set search (_info_set_bounds) of the row space of r, an
-    RREF: over GF(2) when r is binary, since a binary generator spans a
-    GF(4) code of the distance of its binary span, and with cyclic
-    averaging when the row space is cyclic (_is_cyclic)."""
-    return _info_set_bounds(r, 2 if (r <= 1).all() else 4, budget, cyclic=_is_cyclic(r))
+    return ExtensionDistance(lifted, note=note, bounded=True)
 
 
 def extension_distance(ext, budget: int) -> ExtensionDistance:
-    """Distance of the extension ext of a code C (an Extension: original,
-    the RREF basis of C; extended; extended_dual; e): the least weight of
-    the extended code outside its Hermitian dual, which is the whole code
-    when it is self-dual (k = 0).
+    """Distance of the Hermitian self-dual extension ext of a code C (an
+    Extension: original, the RREF basis of C; extended; e), the least
+    weight of the extended [N, K] code.
 
     The exact pass (_extension_pass) runs when its words fit the budget.
-    It walks one self-orthogonal code and takes the extended [N, K] code's
-    distribution from MacWilliams: the dual, q^(N - K) words, when k > 0;
-    the ingredient C, q^(K - 1) words, of a self-dual extension with e = 1;
-    else the extended code, q^K words; q = 2 when both generator sets are
-    binary.  A self-dual pass checks its weight distribution
-    (_check_macwilliams).
-    Below the pass a self-dual extension is bounded by the information-set
-    search on its generator (_self_dual_bound).  Any other is bounded by
-        d >= min(d(C), d(C + C^perp_h) + 1),
-    both terms read from ext and bounded by _one_set_bound: C is
-    ext.original, searched with the whole budget, and C + C^perp_h, searched
-    with what is left, is the extended code punctured at its e units (the
-    (g | 0) rows span C, the (f_i | e_i) rows add the complement of the
-    radical in C^perp_h); when e = 0 it is C, searched once.  hi is the
-    weight of C's witness, padded by e zeros a word of the extended code,
-    when the Gram test puts it outside the extended dual.  The code is pure
-    exactly when lo = hi, since lo bounds every nonzero extended word:
-    (c | 0) weighs >= d(C), (v | alpha) >= d(C + C^perp_h) + 1.
+    It walks one self-orthogonal code and takes the extended code's
+    distribution from MacWilliams: the ingredient C, q^(K - 1) words, when
+    e = 1, else the extended code, q^K words; q = 2 when the extended
+    generator is binary.  The pass checks its weight distribution
+    (_check_macwilliams).  Below the pass the information-set search on
+    the extended generator bounds d (_self_dual_bound).
     """
-    q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
+    q = 2 if (ext.extended <= 1).all() else 4
     if q ** _walked(ext).shape[0] <= budget:
         return _extension_pass(ext, q, budget)
-    if 2 * ext.k == ext.n:
-        return _self_dual_bound(ext, q, budget)
-    d_c = _one_set_bound(ext.original, budget)
-    lo, lo_src, work = d_c.lo, d_c.lo_src, d_c.work
-    note = f"d >= d(C) >= {d_c.lo}"
-    if ext.e:
-        d_sum = _one_set_bound(linalg.row_basis(ext.extended[:, : ext.n - ext.e]), budget - work)
-        work += d_sum.work
-        if d_sum.lo + 1 < lo:
-            lo, lo_src = d_sum.lo + 1, d_sum.lo_src
-        note = f"d >= min(d(C) >= {d_c.lo}, d(C + dual) + 1 >= {d_sum.lo + 1})"
-    hi, hi_src = None, BUDGET
-    if d_c.word is not None and linalg.gram_matrix(_zero_padded(d_c.word, ext.n), ext.extended).any():
-        hi, hi_src = d_c.hi, d_c.hi_src
-        note += f", a word of C outside the dual: d <= {hi}"
-    bound = DistanceBound(lo=lo, hi=hi, lo_src=lo_src, hi_src=hi_src, work=work)
-    return ExtensionDistance(bound, note=note, bounded=True, pure=PURE_YES if hi == lo else PURE_UNKNOWN)
+    return _self_dual_bound(ext, q, budget)
 
 
 # ---------------------------------------------------------------------------

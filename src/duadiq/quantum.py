@@ -1,25 +1,24 @@
 """Quantum code constructions from quaternary linear codes.
 
 Every construction funnels through the nearly-self-orthogonal extension: a
-code C of length n gains e = dim(C^perp_h) - dim(C intersect C^perp_h) new
-coordinates, one per orthonormalized complement vector of the dual, and the
-result is Hermitian dual containing.  A dual-containing [n', k'] code yields
-an [[n', 2k' - n']] stabilizer code whose distance is the minimum weight
-outside the dual (or the code distance when 2k' = n').
+Hermitian self-orthogonal [n, k] code C gains e = n - 2k new coordinates,
+one per orthonormalized complement vector of C in C^perp_h, and the result
+is a Hermitian self-dual [n + e, n - k] code, the [[n + e, 0, d]] stabilizer
+code whose distance d is the code's.  Any other input is refused
+(NotApplicableError), so every output is 0-dimensional.
 
 Distance reporting is bound-honest: exact values appear only when the
 enumeration budget allowed computing them; otherwise lower bounds carry the
-provenance of the theorem or budget that produced them.  k = 0 outputs are
-Hermitian self-dual, hence even-weight, and lower bounds are lifted to even.
-Every distance of an extension, k = 0 or not, is certified by one call,
+provenance of the theorem or budget that produced them.  The outputs are
+Hermitian self-dual, hence even-weight, and lower bounds are lifted to
+even.  Every distance of an extension is certified by one call,
 distance.extension_distance, so one self-orthogonal code gets one bound
-from general_zero_dim, extend_nearly_self_orthogonal and, when it is
-self-dual, quantum_from_dual_containing.  The one exception is the duadic
-route, whose exact pass is duadic_distances read by distance._unit_pass
-whenever it fits the budget.  Every construction then assembles its
-parameters in one place (_params): [[n + e, 2k - n + e]] from the
-Extension, d and purity from the certificate, and the trace as the
-construction's head lines followed by the certificate's line.
+from general_zero_dim and extend_nearly_self_orthogonal.  The one
+exception is the duadic route, whose exact pass is duadic_distances read by
+distance._unit_pass whenever it fits the budget.  Every construction then
+assembles its parameters in one place (_params): [[n + e, 0]] from the
+Extension, d from the certificate, and the trace as the construction's
+head lines followed by the certificate's line.
 """
 
 from __future__ import annotations
@@ -32,10 +31,14 @@ import numpy as np
 from . import distance as dist
 from . import gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, dual_defining_set
-from .distance import (BUDGET, DEFAULT_BUDGET, LITERATURE, PARITY, PURE_NO, PURE_UNKNOWN, PURE_YES,
-                       DistanceBound)
+from .distance import BUDGET, DEFAULT_BUDGET, LITERATURE, PARITY, DistanceBound
 from .duadic import DuadicPair, Splitting, duadic_from_splitting
 from .errors import InputError, InvariantError, NotApplicableError
+
+# purity flags: every extension-based code is pure; annotated and derived
+# codes are of unknown purity
+PURE_YES = "yes"
+PURE_UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class QuantumParams:
     def __post_init__(self):
         if not (0 <= self.k <= self.n):
             raise InvariantError(f"invalid parameters [[{self.n},{self.k}]]")
-        if self.pure not in (PURE_YES, PURE_NO, PURE_UNKNOWN):
+        if self.pure not in (PURE_YES, PURE_UNKNOWN):
             raise InvariantError(f"invalid purity flag {self.pure!r}")
         # [[n, 0, d]] codes are additive self-dual codes: d <= 2 floor(n/6) + 2,
         # or + 3 for n = 5 mod 6 (MacWilliams-Odlyzko-Sloane-Ward 1978; Rains 1999)
@@ -160,11 +163,10 @@ def _hermitian_orthonormalize(rows: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Extension:
-    original: np.ndarray        # row basis of the input code
-    extended: np.ndarray        # generators of the length n+e dual-containing code
-    extended_dual: np.ndarray   # generators of its Hermitian dual (subset of extended)
+    original: np.ndarray        # RREF basis of the self-orthogonal input code
+    extended: np.ndarray        # generators of the length n+e Hermitian self-dual code
     e: int
-    self_dual: SelfDualCode | None = None  # extended, Gram-tested, when it is its own dual
+    self_dual: SelfDualCode     # extended, Gram-tested
 
     @property
     def n(self) -> int:
@@ -176,25 +178,23 @@ class Extension:
 
 
 def _extend(code) -> Extension:
-    """The extension of a code C with RREF basis g, k x n, in block form.
+    """The extension of a Hermitian self-orthogonal code C with RREF basis
+    g, k x n, in block form.
 
-    With R the radical C cap C^perp_h and f_1..f_e an orthonormal basis of
-    a complement of R in C^perp_h, the extended code is (g | 0) above
-    (f | I_e) and its Hermitian dual is (R | 0) above the same rows.  Three
-    facts are read from this form instead of recomputed:
+    With f_1..f_e an orthonormal basis of a complement of C in C^perp_h,
+    the extended code is (g | 0) above (f | I_e), its own Hermitian dual.
+    Any other code is refused with NotApplicableError, before any walk or
+    search.  Two facts are read from this form instead of recomputed:
     - complement: the dual basis is the identity on g's free columns F,
-      so dual row i lies in the span of R and the rows before it exactly
-      when some word of R has its last nonzero F-coordinate at F[i].  Those
-      i, counted from the end of F, are the pivots of one rref of R's
+      so dual row i lies in the span of C and the rows before it exactly
+      when some word of C has its last nonzero F-coordinate at F[i].  Those
+      i, counted from the end of F, are the pivots of one rref of g's
       columns F in reverse order, and the other rows are the ones
-      linalg.complement_basis(R, dual) picks, in its order;
+      linalg.complement_basis(g, dual) picks, in its order;
     - rank: (g | 0) is an RREF of k rows and the unit rows hold I_e where
-      it is zero, so the rank is k + e when g's pivots are k unit columns;
-    - allocation: each matrix is filled in place, and the dual is the
-      extended code itself when R is C (every self-orthogonal input).
-    The Gram test of the extended code against its dual certifies dual
-    containment; when R is C it is the Gram test of the SelfDualCode the
-    Extension carries, run once.
+      it is zero, so the rank is k + e when g's pivots are k unit columns.
+    The Gram test of the SelfDualCode the Extension carries, run once,
+    certifies that the extended code is self-dual.
     """
     r, k, pivots = linalg.rref(dist._generators(code)[0])
     g = r[:k]
@@ -203,17 +203,15 @@ def _extend(code) -> Extension:
     # k unit pivot columns: g has rank k, and so (g | 0) above (f | I_e) has k + e
     if linalg.rref_pivots(g) != pivots:
         raise InvariantError("extended generators are dependent")
+    if linalg.gram_matrix(g).any():
+        raise NotApplicableError("code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"])
     dual = linalg.hermitian_dual_space(g)
-    # the radical C cap C^perp_h is x g over the x with x Gram(g) = 0, so
-    # C itself when C is self-orthogonal
-    gram = linalg.gram_matrix(g)
-    radical = linalg.row_basis(linalg.matmul(linalg.nullspace(gram.T), g)) if gram.any() else g
-    e = dual.shape[0] - radical.shape[0]
+    e = dual.shape[0] - k
     n = g.shape[1]
     free = np.delete(np.arange(n), pivots)
-    # dual row i is dropped when a word of the radical ends at free[i]
+    # dual row i is dropped when a word of C ends at free[i]
     keep = np.ones(len(free), dtype=bool)
-    keep[[len(free) - 1 - p for p in linalg.rref(radical[:, free[::-1]])[2]]] = False
+    keep[[len(free) - 1 - p for p in linalg.rref(g[:, free[::-1]])[2]]] = False
     ortho = _hermitian_orthonormalize(dual[keep])
     if ortho.shape[0] != e:
         raise InvariantError("orthonormal complement has wrong dimension")
@@ -221,37 +219,25 @@ def _extend(code) -> Extension:
     extended[:k, :n] = g
     extended[k:, :n] = ortho
     extended[np.arange(k, k + e), np.arange(n, n + e)] = 1
-    if radical is g:
-        return Extension(original=g, extended=extended, extended_dual=extended, e=e,
-                         self_dual=SelfDualCode(gen=extended))
-    extended_dual = np.zeros((radical.shape[0] + e, n + e), dtype=np.uint8)
-    extended_dual[: radical.shape[0], :n] = radical
-    extended_dual[radical.shape[0] :] = extended[k:]
-    if linalg.gram_matrix(extended_dual, extended).any():
-        raise InvariantError("extended code failed the dual-containment Gram test")
-    return Extension(original=g, extended=extended, extended_dual=extended_dual, e=e)
+    return Extension(original=g, extended=extended, e=e, self_dual=SelfDualCode(gen=extended))
 
 
 def _params(ext: Extension, cert: dist.ExtensionDistance, *head: str) -> QuantumParams:
-    """The stabilizer code [[n + e, 2k - n + e]] of an extension of an
-    [n, k] code, with its certificate's distance and purity and, after the
-    head lines, its trace line."""
-    return QuantumParams(n=ext.n, k=2 * ext.k - ext.n, d=cert.bound, pure=cert.pure,
-                         trace=(*head, cert.trace_line))
+    """The pure stabilizer code [[n + e, 0]] of the self-dual extension of
+    an [n, k] code, with its certificate's distance and, after the head
+    lines, its trace line."""
+    return QuantumParams(n=ext.n, k=0, d=cert.bound, pure=PURE_YES, trace=(*head, cert.trace_line))
 
 
 def extend_nearly_self_orthogonal(
     code, budget: int = DEFAULT_BUDGET
 ) -> tuple[Extension, QuantumParams]:
-    """Extend a code to a Hermitian dual-containing one and read off the
-    stabilizer parameters [[n+e, 2k-n+e]].  One extension_distance call
-    certifies the distance from the Extension alone: the exact pass, which
-    walks the extended code's dual when k > 0, when it fits the budget.
-    Below it a self-dual extension (k = 0, exactly when the code is
-    self-orthogonal, with general_zero_dim's bound) takes the
-    information-set search on the extended generator, and any other is
-    bounded by d >= min(d(C), d(C + C^perp_h) + 1), both read from the
-    Extension."""
+    """Extend a Hermitian self-orthogonal [n, k] code to the self-dual
+    [n + e, n - k] code, e = n - 2k, and read off the stabilizer parameters
+    [[n + e, 0]]; any other code is refused (NotApplicableError).  One
+    extension_distance call certifies the distance from the Extension
+    alone, with general_zero_dim's bound: the exact pass when it fits the
+    budget, else the information-set search on the extended generator."""
     ext = _extend(code)
     k, n = ext.original.shape
     return ext, _params(ext, dist.extension_distance(ext, budget), f"extension: input [{n},{k}], e={ext.e}")
@@ -260,26 +246,6 @@ def extend_nearly_self_orthogonal(
 # ---------------------------------------------------------------------------
 # primary constructions
 # ---------------------------------------------------------------------------
-
-def quantum_from_dual_containing(code, budget: int = DEFAULT_BUDGET) -> QuantumParams:
-    """[[n, 2k-n, d']] from a dual-containing [n, k] code; d' is the minimum
-    weight outside the dual.  The code extends with e = 0 to itself: e =
-    dim C^perp_h - dim(C cap C^perp_h) is 0 exactly when C^perp_h <= C.  A
-    self-dual input (2k = n) is its own self-orthogonal code, and its
-    [[n, 0]] parameters and trace are general_zero_dim's; any other's are
-    extend_nearly_self_orthogonal's."""
-    ext = _extend(code)
-    if ext.e:
-        raise NotApplicableError(
-            "code is not Hermitian dual containing",
-            failed=["C^perp_h <= C"],
-        )
-    k, n = ext.original.shape
-    head = (f"dual-containing [{n},{k}] -> [[{n},{2 * k - n}]]",
-            f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = 0" if 2 * k == n
-            else f"extension: input [{n},{k}], e=0")
-    return _params(ext, dist.extension_distance(ext, budget), *head)
-
 
 def _mu2_splitting_of(code: CyclicCode) -> Splitting:
     """The mu_-2 splitting {S1, -2 S1} whose first half S1 is the defining
@@ -324,8 +290,8 @@ def extended_duadic_quantum(
             failed=["mu_-2 witness"],
         )
     ext = _extend(pair.even1)
-    if ext.e != 1 or ext.self_dual is None:
-        raise InvariantError(f"duadic extension produced e = {ext.e}, expected a self-dual one with e = 1")
+    if ext.e != 1:
+        raise InvariantError(f"duadic extension produced e = {ext.e}, expected e = 1")
     # the pass walks the even-like span alone: 4^dim words
     if 4 ** pair.even1.dim <= budget:
         dd = dist.duadic_distances(splitting, budget=budget)
@@ -349,15 +315,9 @@ def general_zero_dim(
     from the pass when its words fit the budget, q^k for an input with
     e = n - 2k = 1 (it walks the input) and q^(n-k) otherwise (q = 2 for a
     binary generator, else 4), else bounded by the information-set search
-    on the self-dual code."""
+    on the self-dual code.  Any other code is refused (NotApplicableError)."""
     ext = _extend(code)
     k, n = ext.original.shape
-    # the extension [n + e, k + e] has e = n - k - dim(radical), so it is
-    # self-dual exactly when the radical is C, that is C <= C^perp_h
-    if ext.self_dual is None:
-        raise NotApplicableError(
-            "code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"]
-        )
     params = _params(ext, dist.extension_distance(ext, budget),
                      f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}")
     return params, ext.self_dual
@@ -385,26 +345,6 @@ def dual_containing_to_zero_dim(code, budget: int = DEFAULT_BUDGET) -> tuple[Qua
     dual containing (NotApplicableError otherwise) and the zero code when
     the code is the full space (InputError)."""
     return general_zero_dim(linalg.hermitian_dual_space(dist._generators(code)[0]), budget=budget)
-
-
-# ---------------------------------------------------------------------------
-# binary route
-# ---------------------------------------------------------------------------
-
-def binary_cyclic_quantum(a: DefiningSet, budget: int = DEFAULT_BUDGET) -> tuple[QuantumParams, Extension]:
-    """Quantum code from a binary cyclic code when ord_n(2) = ord_n(4).
-
-    The quaternary lift shares the defining set (the cosets coincide), its
-    Euclidean and Hermitian structure match, and when the extension stays
-    binary-generated extension_distance walks its binary span, 2^dim words
-    instead of 4^dim, and searches binary messages below the pass.  The
-    result is extend_nearly_self_orthogonal's for the lift, after a line
-    naming the binary code.
-    """
-    dist.binary_shadow_code(a)  # NotApplicableError unless ord_n(2) = ord_n(4)
-    ext, params = extend_nearly_self_orthogonal(CyclicCode(DefiningSet(a.n, a.members, q=4)), budget)
-    head = f"binary cyclic n={a.n} leaders={list(a.leaders)} lifted to GF(4) (shared cosets)"
-    return replace(params, trace=(head, *params.trace)), ext
 
 
 # ---------------------------------------------------------------------------

@@ -182,7 +182,8 @@ def orthonormalize(rows):
         if pick is None:
             pick = _unit_combination(remaining)
         remaining = [v for v in remaining if v is not pick]
-        remaining = [[ADD[x, MUL[inner(v, pick), p]] for x, p in zip(v, pick)] for v in remaining]
+        scales = [inner(v, pick) for v in remaining]
+        remaining = [[ADD[x, MUL[c, p]] for x, p in zip(v, pick)] for v, c in zip(remaining, scales)]
         out.append(pick)
     return out
 
@@ -197,6 +198,36 @@ def _unit_combination(remaining):
                 remaining[i] = cand
                 return cand
     raise ValueError("no unit-norm vector: the form is degenerate")
+
+
+def block_extension(g, radical, dual):
+    """The extension by its definition: the rows of dual that lie outside
+    the span of radical and of the rows taken before them, orthonormalized
+    (orthonormalize) to f_1..f_e, and (m | 0) above (f | I_e) for m = g and
+    m = radical.  Returns the two stacks, the extended code and its
+    Hermitian dual, as lists of rows."""
+    echelon = []  # (pivot, row scaled to 1 there) in the order taken
+
+    def taken(v):
+        """Whether v leaves the span so far; if so it joins it."""
+        v = [int(x) for x in v]
+        for p, r in echelon:
+            c = v[p]
+            if c:
+                v = [ADD[x, MUL[c, y]] for x, y in zip(v, r)]
+        p = next((i for i, x in enumerate(v) if x), None)
+        if p is None:
+            return False
+        inv = next(x for x in (1, 2, 3) if MUL[v[p], x] == 1)
+        echelon.append((p, [MUL[inv, x] for x in v]))
+        return True
+
+    for r in radical:
+        taken(r)
+    units = orthonormalize([[int(x) for x in r] for r in dual if taken(r)])
+    e = len(units)
+    tail = [f + [int(i == j) for j in range(e)] for i, f in enumerate(units)]
+    return [[[int(x) for x in r] + [0] * e for r in m] + tail for m in (g, radical)]
 
 
 def rref(rows, ncols):

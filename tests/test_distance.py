@@ -347,7 +347,7 @@ def test_histograms_reject_symbols_above_3():
 
 def test_min_weight_difference_oracle():
     # the least weight of a code outside a subcode is the first weight w
-    # with A_w(code) > A_w(subcode), the rule of the k > 0 exact pass
+    # with A_w(code) > A_w(subcode)
     rng = np.random.default_rng(31)
     for _ in range(30):
         n = int(rng.integers(4, 12))
@@ -384,8 +384,8 @@ def test_dual_distribution_matches_walked_dual():
     # ingredients C_A^perp_h of dimension <= 8 of every searched A (A and
     # -2A disjoint) with n <= 41, as given and column-permuted, where the
     # dual's walk stays within 4^10 words (2^26 for binary generators, which
-    # takes in n = 31); then the duals of random extensions of GF(4) and
-    # GF(2) generators
+    # takes in n = 31); then the duals of the reference extensions
+    # (oracle.block_extension) of random GF(4) and GF(2) generators
     rng = np.random.default_rng(41)
     max_words = {4: 4**10, 2: 2**26}
     checked = {2: 0, 4: 0}
@@ -403,10 +403,13 @@ def test_dual_distribution_matches_walked_dual():
                     checked[2 if (copy <= 1).all() else 4] += 1
     for field in (4, 2) * 20:
         n = int(rng.integers(3, 11))
-        ext = quantum._extend(rng.integers(0, field, (int(rng.integers(1, n)), n)).astype(np.uint8))
-        if ext.n - ext.k <= 8:
-            assert _transform_matches_walked_dual(ext.extended_dual, ext.extended, max_words) is not False
-            checked[2 if (ext.extended <= 1).all() else 4] += 1
+        g = linalg.row_basis(rng.integers(0, field, (int(rng.integers(1, n)), n)).astype(np.uint8))
+        dual = linalg.hermitian_dual_space(g)
+        extended, extended_dual = (np.array(m, dtype=np.uint8) for m in
+                                   oracle.block_extension(g, linalg.subspace_intersection(g, dual), dual))
+        if len(extended_dual) <= 8:
+            assert _transform_matches_walked_dual(extended_dual, extended, max_words) is not False
+            checked[2 if (extended <= 1).all() else 4] += 1
     assert checked[2] > 20 and checked[4] > 40, checked
 
 
@@ -449,17 +452,6 @@ def test_duadic_distances_rejects_other_sides():
     for side in (0, 3, -1):
         with pytest.raises(InputError, match="sides 1 and 2"):
             dist.duadic_distances(s, side=side)
-
-
-def test_n13_min_weight_difference_example():
-    # the odd-like n = 13 QR code contains its Hermitian dual, the even-like
-    # code, so the k > 0 pass's d' is the odd-like weight d_o
-    s13 = qr_splitting(13)
-    pair = duadic_from_splitting(s13)
-    q = quantum.quantum_from_dual_containing(pair.odd1)
-    d_o = dist.duadic_distances(s13).d_min_odd_coset
-    assert q.d.exact and q.d.lo == d_o == 5
-    assert d_o * d_o - d_o + 1 >= 13
 
 
 def test_duadic_distances_pass():

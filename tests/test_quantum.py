@@ -56,14 +56,14 @@ def test_small_table_rows(n, expected):
 
 
 def test_extension_gram_certificates():
-    # every emitted extension passes the dual-containment Gram test by
+    # every emitted extension passes the self-duality Gram test by
     # construction; re-verify externally with the dual-space computation
     for n in (5, 7, 13):
         pair = _mu2_pairs(n)[0]
         ext, _ = quantum.extend_nearly_self_orthogonal(pair.even1, budget=0)
         dual = linalg.hermitian_dual_space(ext.extended)
         assert oracle.is_subspace(dual, ext.extended)
-        assert linalg.row_space_equal(dual, ext.extended_dual)
+        assert linalg.row_space_equal(dual, ext.extended)
 
 
 def test_extend_reduces_its_basis_once(monkeypatch):
@@ -146,20 +146,11 @@ def test_cli_exits_4_on_a_broken_block(capsys, monkeypatch, fault, message):
     assert message in captured.err
 
 
-def _block_extension(g, radical, dual):
-    """The extension as built from complement_basis, np.pad and vstack."""
-    ortho = quantum._hermitian_orthonormalize(linalg.complement_basis(radical, dual))
-    e = ortho.shape[0]
-    units = np.hstack([ortho, np.eye(e, dtype=np.uint8)])
-    return [np.vstack([np.pad(m, ((0, 0), (0, e))), units]) for m in (g, radical)]
-
-
 def test_extend_reads_the_complement_from_the_free_columns(monkeypatch):
-    # every searched code for odd n <= 41, and random generators that are
-    # not self-orthogonal with e >= 1, a third with a nonzero radical: the rows
-    # kept by the radical's reduction on the free columns are
-    # complement_basis's, and the extension is the one built from them by
-    # padding and stacking
+    # every searched code for odd n <= 41, as given and column-permuted: the
+    # rows kept by the code's reduction on the free columns are
+    # complement_basis's, and the extension is the reference one
+    # (oracle.block_extension)
     kept = []
     orthonormalize = quantum._hermitian_orthonormalize
 
@@ -171,26 +162,15 @@ def test_extend_reads_the_complement_from_the_free_columns(monkeypatch):
     inputs = [CyclicCode(dual_defining_set(a)).gen_matrix for n in range(3, 42, 2) for a in _search_sets(n)]
     assert len(inputs) == 220
     rng = np.random.default_rng(22)
-    radicals = 0
-    while len(inputs) < 320:
-        n = int(rng.integers(3, 14))
-        g = linalg.row_basis(rng.integers(0, 4, (int(rng.integers(1, n)), n)).astype(np.uint8))
-        dual = linalg.hermitian_dual_space(g)
-        radical = linalg.subspace_intersection(g, dual)
-        if linalg.gram_matrix(g).any() and len(dual) > len(radical):
-            inputs.append(g)
-            radicals += len(radical) > 0
-    assert radicals >= 30
+    inputs += [g[:, rng.permutation(g.shape[1])] for g in inputs]
     for g in inputs:
         kept.clear()
         ext = quantum._extend(g)
         dual = linalg.hermitian_dual_space(ext.original)
-        radical = linalg.subspace_intersection(ext.original, dual)
-        assert np.array_equal(kept[0], linalg.complement_basis(radical, dual))
-        extended, extended_dual = _block_extension(ext.original, radical, dual)
-        assert ext.extended.dtype == ext.extended_dual.dtype == np.uint8
-        assert np.array_equal(ext.extended, extended) and np.array_equal(ext.extended_dual, extended_dual)
-        assert linalg.rank(extended) == ext.k
+        assert np.array_equal(kept[0], linalg.complement_basis(ext.original, dual))
+        extended, _ = oracle.block_extension(ext.original, ext.original, dual)
+        assert ext.extended.dtype == np.uint8 and ext.extended.tolist() == extended
+        assert linalg.rank(ext.extended) == ext.k
 
 
 def test_orthonormalize_matches_oracle_greedy(monkeypatch):
@@ -284,12 +264,6 @@ def test_self_dual_extension_runs_one_gram_test(monkeypatch):
         quantum.SelfDualCode(gen=np.array([[1, 1, 0]], dtype=np.uint8))
 
 
-def test_extension_of_dual_containing_is_identity():
-    full = CyclicCode(DefiningSet(5, frozenset()))
-    ext, params = quantum.extend_nearly_self_orthogonal(full, budget=0)
-    assert ext.e == 0 and params.n == 5 and params.k == 5
-
-
 def test_near_orthogonality_e1_iff_mu2():
     # both directions of the classification on enumerated splittings
     for n in (5, 7, 9, 13, 15, 17, 21, 23):
@@ -300,108 +274,12 @@ def test_near_orthogonality_e1_iff_mu2():
                 assert (e == 1) == s.has_multiplier(-2), (n, s.key, e)
 
 
-def test_quantum_from_dual_containing_pure_hexacode():
+def test_general_zero_dim_pure_hexacode():
+    # the self-dual hexacode is its own self-orthogonal input, with e = 0
     pair = _mu2_pairs(5)[0]
     _, sd = quantum.extended_duadic_quantum(pair)
-    q = quantum.quantum_from_dual_containing(sd.gen)
+    q, _ = quantum.general_zero_dim(sd.gen)
     assert q.params_str() == "[[6,0,4]]" and q.pure == "yes"
-
-
-def test_quantum_from_dual_containing_full_space():
-    q = quantum.quantum_from_dual_containing(CyclicCode(DefiningSet(7, frozenset())))
-    assert (q.n, q.k, q.d.lo) == (7, 7, 1)
-
-
-def test_quantum_from_dual_containing_k_positive():
-    # odd-like duadic codes are dual containing with k_q = 1
-    pair = _mu2_pairs(13)[0]
-    q = quantum.quantum_from_dual_containing(pair.odd1)
-    assert (q.n, q.k) == (13, 1)
-    assert q.d.exact and q.d.lo == 5  # min weight outside the even-like dual
-    assert q.pure == "yes"  # d' = d(C) here
-
-
-def test_quantum_from_dual_containing_rejects():
-    with pytest.raises(NotApplicableError):
-        quantum.quantum_from_dual_containing(CyclicCode.from_leaders(5, [0]))
-    # the zero code is refused as every construction refuses it
-    for zero in (CyclicCode(DefiningSet(5, frozenset(range(5)))), np.zeros((2, 5), dtype=np.uint8)):
-        with pytest.raises(InputError, match="refusing the zero code"):
-            quantum.quantum_from_dual_containing(zero)
-
-
-def test_no_units_exactly_when_dual_containing():
-    # quantum_from_dual_containing reads containment from its extension:
-    # e = dim C^perp_h - dim(C cap C^perp_h) is 0 exactly when C^perp_h <= C.
-    # The reference is the subspace test, and for a cyclic code the
-    # defining-set test.  Random generators are seldom dual containing, so
-    # extended generators, which are, join them
-    rng = np.random.default_rng(29)
-    counts = {True: 0, False: 0}
-
-    def check(code, g, want=None):
-        contained = oracle.is_subspace(linalg.hermitian_dual_space(g), g)
-        assert want is None or contained == want
-        assert (quantum._extend(code).e == 0) == contained, g.tolist()
-        counts[contained] += 1
-
-    while sum(counts.values()) < 600:
-        n = int(rng.integers(1, 9))
-        g = linalg.row_basis(rng.integers(0, 4, (int(rng.integers(1, n + 1)), n)).astype(np.uint8))
-        if len(g):
-            check(g, g)
-            if len(g) < n:
-                check(quantum._extend(g).extended, quantum._extend(g).extended)
-    for n in range(3, 22, 2):
-        for a in _cyclic_codes(n):
-            code = CyclicCode(a)
-            check(code, code.gen_matrix, code.is_dual_containing())
-    assert counts[True] > 400 and counts[False] > 400, counts
-
-
-def _outside_dual_distance(rows):
-    """The oracle's least weight of a word of span(rows) that is not
-    orthogonal to every row, that is, outside the Hermitian dual."""
-    return min(oracle.weight(w) for w in oracle.span_words(rows)
-               if any(oracle.inner(w, r) for r in rows))
-
-
-def test_dual_containing_pass_matches_oracle():
-    # the k > 0 exact pass on the Hermitian duals of the searched codes
-    # (dual containing, K <= 7) and on column-permuted copies, against the
-    # oracle; the code is pure exactly when d' is its own distance.  The
-    # extended generators of random codes, dual containing by construction,
-    # add impure cases
-    rng = np.random.default_rng(23)
-    inputs = []
-    for n in range(3, 16, 2):
-        for code in (CyclicCode(a) for a in _search_sets(n)):
-            if code.dim <= 7:
-                inputs += [code.gen_matrix, code.gen_matrix[:, rng.permutation(n)]]
-    assert len(inputs) == 12
-    while len(inputs) < 32:
-        n = int(rng.integers(3, 8))
-        ext = quantum._extend(rng.integers(0, 4, (int(rng.integers(1, n)), n)).astype(np.uint8))
-        if ext.k <= 5 and 2 * ext.k > ext.n:
-            inputs.append(ext.extended)
-    impure = 0
-    for g in inputs:
-        rows = g.tolist()
-        want = _outside_dual_distance(rows)
-        q = quantum.quantum_from_dual_containing(g)
-        assert q.k > 0 and q.d.exact and q.d.lo == want, rows
-        assert q.pure == ("yes" if oracle.min_distance(rows) == want else "no")
-        field = 2 if max(map(max, rows)) <= 1 else 4
-        big_k, big_n = linalg.rank(g), g.shape[1]
-        assert q.d.work == field ** (big_n - big_k)
-        impure += q.pure == "no"
-    assert impure > 0, impure
-    # outside the even-like dual of an odd-like duadic code lie its odd-like cosets
-    for n in range(5, 24, 2):
-        for s in find_splittings(n):
-            if s.has_multiplier(-2):
-                q = quantum.quantum_from_dual_containing(duadic_from_splitting(s).odd1)
-                assert q.d.exact and q.d.lo == dist.duadic_distances(s).d_min_odd_coset, n
 
 
 def _moved_word(walk, call, w_from, w_to, field=4):
@@ -425,25 +303,25 @@ def _moved_word(walk, call, w_from, w_to, field=4):
 
 
 def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
-    # the k > 0 pass walks only the [13, 6] dual of the odd-like [13, 7]
-    # code: a word moved from weight 6 to 8 keeps its count and breaks the
-    # divisibility of the transform
+    # the e = 1 pass walks only the even-like [13, 6] ingredient: a word
+    # moved from weight 6 to 8 keeps its count and breaks the divisibility
+    # of the transform
     pair = _mu2_pairs(13)[0]
     corrupted, calls = _moved_word(dist.weight_histograms, 0, 6, 8)
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
     with pytest.raises(InvariantError, match="MacWilliams"):
-        quantum.quantum_from_dual_containing(pair.odd1)
+        quantum.general_zero_dim(pair.even1)
     assert len(calls) == 1
-    # the binary e = 1 pass of the [[8,0,4]] code walks the 2^3 binary words
-    # of its [7, 3] ingredient
-    a = DefiningSet(7, qr_splitting(7).s1.members | {0})
+    # the binary e = 1 pass of the [[8,0,4]] code, the GF(4) lift of a
+    # binary cyclic code, walks the 2^3 binary words of its [7, 3] ingredient
+    lift = CyclicCode(DefiningSet(7, qr_splitting(7).s1.members | {0}))
     corrupted, calls = _moved_word(dist.weight_histograms, 0, 4, 2, field=2)
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
     with pytest.raises(InvariantError, match="MacWilliams"):
-        quantum.binary_cyclic_quantum(a)
+        quantum.extend_nearly_self_orthogonal(lift)
     assert len(calls) == 1
     monkeypatch.undo()
-    p, _ = quantum.binary_cyclic_quantum(a)
+    _, p = quantum.extend_nearly_self_orthogonal(lift)
     assert p.params_str() == "[[8,0,4]]" and p.d.work == 2**3
 
 
@@ -467,29 +345,17 @@ def _miscounted(walk, corrupt, field):
 
 @pytest.mark.parametrize("corrupt", ["extra", "moved"])
 @pytest.mark.parametrize("field,n,count", [
-    pytest.param(4, 13, "not 2\\^12", id="weight_histograms-13-not 2\\^12"),
-    pytest.param(2, 7, "not 2\\^3", id="weight_histograms_binary-7-not 2\\^3"),
+    pytest.param(4, 13, "not 2\\^12", id="gf4-13"),
+    pytest.param(2, 7, "not 2\\^3", id="gf2-7"),
 ])
-def test_dual_containing_pass_rejects_a_miscounted_dual(monkeypatch, corrupt, field, n, count):
-    # the k > 0 pass of the odd-like mu_-2 code walks only its dual, the
-    # [13, 6] even-like code over GF(4) or the binary [7, 3] one: an extra
-    # word breaks the count, a moved one the divisibility of the transform
+def test_unit_pass_rejects_a_miscounted_ingredient(monkeypatch, corrupt, field, n, count):
+    # the e = 1 pass of the even-like mu_-2 code walks only that code, the
+    # [13, 6] one over GF(4) or the binary [7, 3] one, and takes its
+    # Hermitian dual from the transform: an extra word breaks the count, a
+    # moved one the divisibility of the transform
     monkeypatch.setattr(dist, "weight_histograms", _miscounted(dist.weight_histograms, corrupt, field))
     with pytest.raises(InvariantError, match=count if corrupt == "extra" else "MacWilliams"):
-        quantum.quantum_from_dual_containing(_mu2_pairs(n)[0].odd1)
-
-
-@pytest.mark.parametrize("leaders", [[1, 5], [2, 10], [1, 10], [2, 5]])
-def test_impure_dual_containing_exact_from_the_dual_walk(leaders):
-    # the impure odd-like [25, 13] mu_-2 codes (d(C) = 4, d' = 9): the k > 0
-    # pass walks only the 4^12 words of the [25, 12] dual, so it fits
-    # budgets below 4^13 + 4^12, the words of the code and its dual
-    code = CyclicCode.from_leaders(25, leaders)
-    quantum._mu2_splitting_of(code)
-    for budget in (4**13 - 1, 4**13):
-        q = quantum.quantum_from_dual_containing(code, budget=budget)
-        assert (q.params_str(), q.pure, q.d.work) == ("[[25,1,9]]", "no", 4**12), budget
-        assert q.d.exact and q.d.lo_src == dist.EXACT
+        quantum.general_zero_dim(_mu2_pairs(n)[0].even1)
 
 
 def _counted_kernels(mp):
@@ -551,12 +417,30 @@ def test_cyclic_zero_dim_examples():
         quantum.cyclic_zero_dim(DefiningSet.from_leaders(5, [0]))
 
 
-def test_general_zero_dim_guards():
-    with pytest.raises(NotApplicableError):
-        quantum.general_zero_dim(CyclicCode.from_leaders(5, [1]))  # not self-orthogonal
-    zero = np.zeros((0, 4), dtype=np.uint8)
-    with pytest.raises(InputError):
-        quantum.general_zero_dim(zero)
+@pytest.mark.parametrize("route", ["general_zero_dim", "extend_nearly_self_orthogonal",
+                                   "dual_containing_to_zero_dim"])
+def test_general_zero_dim_guards(monkeypatch, route):
+    # {0} meets -2{0}: neither the [5, 4] code nor its Hermitian dual, the
+    # [5, 1] repetition code of odd weight, is self-orthogonal, and each
+    # route refuses its extension's input before any Gray walk or search
+    run = getattr(quantum, route)
+    walked, searched = _counted_kernels(monkeypatch), []
+    search = dist._info_set_bounds
+    monkeypatch.setattr(dist, "_info_set_bounds", lambda *args, **kw: searched.append(args) or search(*args, **kw))
+    with pytest.raises(NotApplicableError, match="code is not Hermitian self-orthogonal") as refused:
+        run(CyclicCode.from_leaders(5, [0]))
+    assert refused.value.failed == ["C <= C^perp_h"]
+    assert walked == [] and searched == []
+    # the zero code is refused as every construction refuses it; the full
+    # space is the Hermitian dual of the zero code
+    if route == "dual_containing_to_zero_dim":
+        zeros = [CyclicCode(DefiningSet(5, frozenset())), np.eye(4, dtype=np.uint8)]
+    else:
+        zeros = [CyclicCode(DefiningSet(5, frozenset(range(5)))), np.zeros((2, 5), dtype=np.uint8),
+                 np.zeros((0, 4), dtype=np.uint8)]
+    for zero in zeros:
+        with pytest.raises(InputError, match="refusing the zero code"):
+            run(zero)
 
 
 def test_dual_containing_to_zero_dim():
@@ -578,7 +462,7 @@ def test_dual_containing_to_zero_dim_rejects_non_dual_containing():
 
 
 @pytest.mark.parametrize("route", ["general_zero_dim", "extend_nearly_self_orthogonal",
-                                   "quantum_from_dual_containing", "dual_containing_to_zero_dim"])
+                                   "dual_containing_to_zero_dim"])
 def test_bad_symbols_are_input_errors(route):
     with pytest.raises(InputError):
         getattr(quantum, route)(np.array([[5, 0, 1, 1]]))
@@ -596,8 +480,8 @@ def _zero_dim_budgets(k):
 def test_one_bound_per_self_orthogonal_code():
     # general_zero_dim and extend_nearly_self_orthogonal read one
     # extension_distance call: the coset pass when its 4^k words fit, else
-    # the two-set search; quantum_from_dual_containing on a self-dual
-    # extended generator (here the permuted copy's) reads the same call on it
+    # the two-set search, also on a self-dual extended generator (here the
+    # permuted copy's), which extends with e = 0
     rng = np.random.default_rng(17)
     cases = 0
     for n in range(3, 42, 2):
@@ -612,9 +496,7 @@ def test_one_bound_per_self_orthogonal_code():
             for budget in _zero_dim_budgets(sd.gen.shape[0]):
                 p, _ = quantum.general_zero_dim(sd.gen, budget=budget)
                 _, q = quantum.extend_nearly_self_orthogonal(sd.gen, budget=budget)
-                r = quantum.quantum_from_dual_containing(sd.gen, budget=budget)
-                assert _bound_key(q.d) == _bound_key(r.d) == _bound_key(p.d), (n, sorted(a.members), budget)
-                assert r.trace[1:] == p.trace
+                assert _bound_key(q.d) == _bound_key(p.d), (n, sorted(a.members), budget)
                 cases += 1
     assert cases > 2000
 
@@ -634,7 +516,7 @@ def test_self_dual_input_checks_macwilliams(monkeypatch):
 
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
     with pytest.raises(InvariantError, match="MacWilliams"):
-        quantum.quantum_from_dual_containing(sd.gen)
+        quantum.general_zero_dim(sd.gen)
 
 
 def test_dual_containing_to_zero_dim_doubles_k():
@@ -646,28 +528,29 @@ def test_dual_containing_to_zero_dim_doubles_k():
 
 
 def test_binary_cyclic_quantum():
+    # the GF(4) lifts of binary cyclic codes (ord_n(2) = ord_n(4), so the
+    # cosets coincide) extend to binary self-dual codes
     s23 = qr_splitting(23)
-    p, ext = quantum.binary_cyclic_quantum(DefiningSet(23, s23.s1.members | {0}))
+    ext, p = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(23, s23.s1.members | {0})))
     assert p.params_str() == "[[24,0,8]]"
     assert (ext.extended <= 1).all()
     s7 = qr_splitting(7)
-    p7, _ = quantum.binary_cyclic_quantum(DefiningSet(7, s7.s1.members | {0}))
+    _, p7 = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(7, s7.s1.members | {0})))
     assert p7.params_str() == "[[8,0,4]]"
-    with pytest.raises(NotApplicableError):
-        quantum.binary_cyclic_quantum(DefiningSet(5, frozenset({1, 4})))
 
 
 def test_binary_duadic_below_the_duadic_pass_takes_the_binary_pass():
     # the even-like QR code of a prime p = 7 mod 8 has a binary generator:
     # when its 4^dim words do not fit but its 2^dim binary words do, the
     # duadic route's extension_distance walks the binary span, and reads the
-    # binary route's bound of the same defining set
+    # bound of the GF(4) lift of the binary code of the same defining set
     for n, budget in ((7, 10), (23, 10**4), (31, 10**6)):
         split = qr_splitting(n)
         dim = (n - 1) // 2
         assert 2**dim <= budget < 4**dim
         p, _ = quantum.extended_duadic_quantum(duadic_from_splitting(split), budget=budget)
-        b, _ = quantum.binary_cyclic_quantum(DefiningSet(n, split.s1.members | {0}), budget=budget)
+        _, b = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(n, split.s1.members | {0})),
+                                                     budget=budget)
         assert p.d.exact and p.d.work == 2**dim
         assert (p.d, p.pure, p.trace[-1]) == (b.d, b.pure, b.trace[-1])
 
@@ -684,8 +567,9 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
             assert params.k == 0 and params.d.lo <= d
             assert params.d.hi is None or d <= params.d.hi
         assert d <= params.d.hi <= dist.min_distance_exact(even).lo
-    # the binary route below the exact pass, which walks the 2^k words of
-    # the binary ingredient C (e = 1): d(binary C) bounds the GF(4) extension.
+    # the GF(4) lift of a binary cyclic code below the exact pass, which
+    # walks the 2^k words of the binary ingredient C (e = 1): d(binary C)
+    # bounds the GF(4) extension.
     # The search walks binary messages, comb(K, w) of them at level w of
     # each set, where GF(4) messages would number comb(K, w) 3^w
     want = {
@@ -695,10 +579,9 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
     for n, oracle_d in ((7, oracle.min_distance), (23, oracle.binary_min_distance)):
         a = DefiningSet(n, qr_splitting(n).s1.members | {0})
         bin_dim = n - len(a.members)
-        p, ext = quantum.binary_cyclic_quantum(a, budget=2**bin_dim - 1)
+        ext, p = quantum.extend_nearly_self_orthogonal(CyclicCode(a), budget=2**bin_dim - 1)
         code, extended, levels, d_want = want[n]
         assert p.k == 0 and p.trace == (
-            f"binary cyclic n={n} leaders=[0, 1] lifted to GF(4) (shared cosets)",
             f"extension: input {code}, e=1",
             f"budget-limited bound: information set and complement of the extended {extended} code, "
             f"levels {levels[0]} and {levels[1]}: d = {d_want}",
@@ -943,13 +826,14 @@ def test_binary_route_brackets_with_cyclic_averaging():
     notes = []
     for n in (7, 23, 31):
         for a in _search_sets(n):
-            p0, ext = quantum.binary_cyclic_quantum(dual_defining_set(a), budget=0)
-            if p0.k or ext.k > 16 or not (ext.extended <= 1).all():
+            lift = CyclicCode(dual_defining_set(a))
+            ext = quantum._extend(lift)
+            if ext.k > 16 or not (ext.extended <= 1).all():
                 continue
             hist, _ = dist.weight_histograms_binary(ext.extended)
             d = int(np.flatnonzero(hist[1:])[0]) + 1
             for budget in (0, 100, 1000, 10000, 2**ext.k - 1):
-                p, _ = quantum.binary_cyclic_quantum(dual_defining_set(a), budget=budget)
+                _, p = quantum.extend_nearly_self_orthogonal(lift, budget=budget)
                 _assert_brackets(p.d, d, ext.n, budget)
                 assert not p.d.exact or p.d.lo == d
                 notes.append(p.trace[-1])
@@ -963,58 +847,6 @@ def _cyclic_codes(n):
         a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
         if len(a.members) < n:
             yield a
-
-
-def test_dual_containing_bound_brackets_extensions_with_units():
-    # the k > 0 bound below the exact pass, for every cyclic code with
-    # n <= 21 whose extension has e > 0 units and k > 0 and whose pass walks
-    # at most 4^10 words (the reference d').  Each code is given as a
-    # CyclicCode and, once per multiplier class, as a generator matrix with
-    # its columns permuted, which is not cyclic
-    rng = np.random.default_rng(5)
-    cases = codes = 0
-    for n in range(3, 22, 2):
-        classes = set()
-        for a in _cyclic_codes(n):
-            ext = quantum._extend(CyclicCode(a))
-            if ext.e == 0 or 2 * ext.k == ext.n:
-                continue
-            q = 2 if (ext.extended <= 1).all() and (ext.extended_dual <= 1).all() else 4
-            words = q ** ext.extended_dual.shape[0]
-            if words > 4**10:
-                continue
-            exact = dist.extension_distance(ext, words)
-            assert not exact.bounded
-            forms = [ext]
-            orbit = {frozenset(t * m % n for t in a.members) for m in range(1, n) if math.gcd(m, n) == 1}
-            if not classes & orbit:
-                classes.add(a.members)
-                forms.append(quantum._extend(CyclicCode(a).gen_matrix[:, rng.permutation(n)]))
-            for form in forms:
-                for budget in (b for b in (0, 100, 10**4) if b < words):
-                    got = dist.extension_distance(form, budget)
-                    b = got.bound
-                    assert got.bounded and "d(C + dual) + 1" in got.note
-                    assert b.lo <= exact.bound.lo <= (ext.n if b.hi is None else b.hi), (n, sorted(a.members))
-                    assert b.work <= budget
-                    assert got.pure == (dist.PURE_YES if b.lo == b.hi else dist.PURE_UNKNOWN)
-                    cases += 1
-            codes += 1
-    assert codes == 711 and cases == 2396
-
-
-def test_binary_route_is_the_lift_route():
-    # one Extension, one bound: the binary route and the q = 4 lift of the
-    # same defining set give the same (d, pure) whenever ord_n(2) = ord_n(4)
-    cases = 0
-    for n in (7, 23, 31):
-        for a in _cyclic_codes(n):
-            for budget in (0, 100, 10**4):
-                p, _ = quantum.binary_cyclic_quantum(a, budget=budget)
-                _, lift = quantum.extend_nearly_self_orthogonal(CyclicCode(a), budget=budget)
-                assert (p.d, p.pure) == (lift.d, lift.pure), (n, sorted(a.members), budget)
-                cases += p.k > 0
-    assert cases == 333
 
 
 def test_cyclic_code_search_brackets_and_dominates():
@@ -1040,15 +872,17 @@ def test_cyclic_code_search_brackets_and_dominates():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 100, 4096, 1 << 20]))
 def test_general_zero_dim_brackets_random_self_orthogonal(seed, budget):
-    # the Hermitian dual of a dual-containing extension is self-orthogonal;
-    # half the inputs are binary, so some extensions take the binary search
+    # the Hermitian dual of the reference extension of a random code (dual
+    # containing by construction) is self-orthogonal; half the inputs are
+    # binary, so some extensions take the binary search
     rng = np.random.default_rng(seed)
     n = int(rng.integers(3, 9))
-    g = rng.integers(0, int(rng.choice([2, 4])), (int(rng.integers(1, n)), n)).astype(np.uint8)
+    g = linalg.row_basis(rng.integers(0, int(rng.choice([2, 4])), (int(rng.integers(1, n)), n)).astype(np.uint8))
     if not g.any():
         return
-    code = quantum._extend(g).extended_dual
-    params, sd = quantum.general_zero_dim(code, budget=budget)
+    dual = linalg.hermitian_dual_space(g)
+    _, code = oracle.block_extension(g, linalg.subspace_intersection(g, dual), dual)
+    params, sd = quantum.general_zero_dim(np.array(code, dtype=np.uint8), budget=budget)
     assert params.k == 0
     _assert_brackets(params.d, _exact_distance(sd.gen), params.n, max(budget, params.d.work))
 
@@ -1108,20 +942,6 @@ def test_budget_bounds_work_and_walk_random_defining_sets(data, budget):
             assert _bound_key(cyclic) == _bound_key(duadic), (a, budget)
 
 
-def test_extension_radical_is_zassenhaus_intersection():
-    # the radical read from the Gram matrix is the RREF basis of C cap C^perp_h
-    rng = np.random.default_rng(11)
-    codes = [CyclicCode(dual_defining_set(a)) for a in _search_sets(21)]
-    codes += [rng.integers(0, 4, (int(rng.integers(1, 8)), 9)).astype(np.uint8) for _ in range(60)]
-    for code in codes:
-        if not dist._generators(code)[0].any():
-            continue
-        ext = quantum._extend(code)
-        dual = linalg.hermitian_dual_space(ext.original)
-        radical = ext.extended_dual[: ext.extended_dual.shape[0] - ext.e, : ext.n - ext.e]
-        assert np.array_equal(radical, linalg.subspace_intersection(ext.original, dual))
-
-
 def test_zero_dim_extremal_bound():
     def params(n, d, k=0):
         bound = dist.DistanceBound(lo=d, hi=None, lo_src=dist.LITERATURE, hi_src=dist.BUDGET)
@@ -1138,7 +958,7 @@ def test_zero_dim_extremal_bound():
 def test_secondary_constructions():
     pair = _mu2_pairs(5)[0]
     _, sd = quantum.extended_duadic_quantum(pair)
-    q = quantum.quantum_from_dual_containing(sd.gen)
+    q, _ = quantum.general_zero_dim(sd.gen)
     outs = quantum.secondary_constructions(q)
     strs = {o.params_str() for o in outs}
     assert "[[5,1,3]]" in strs  # pure route raises k
@@ -1234,17 +1054,6 @@ def test_even_lift_arithmetic():
     assert same.lo == 20 and same.lo_src == dist.BUDGET
     with pytest.raises(InvariantError):
         even_lift(dist.DistanceBound.exact_value(7))
-
-
-def test_quantum_from_dual_containing_budget_limited():
-    pair = _mu2_pairs(23)[0]
-    q = quantum.quantum_from_dual_containing(pair.odd1, budget=100)
-    assert (q.n, q.k) == (23, 1)
-    # hi is the search's witness, a word of C outside the dual
-    assert q.d.lo <= 7 <= q.d.hi
-    assert q.pure == ("yes" if q.d.exact else "unknown")
-    exact = quantum.quantum_from_dual_containing(pair.odd1)
-    assert exact.d.exact and exact.d.lo == 7
 
 
 def _oracle_rref(m):
