@@ -23,7 +23,6 @@ from .cyclic import (
 )
 from .distance import (
     DistanceBound,
-    binary_shadow_distance,
     compose_bounds,
     default_budget,
     duadic_distances,
@@ -75,7 +74,6 @@ __all__ = [
     "all_cosets",
     "apply_multiplier",
     "apply_multiplier_set",
-    "binary_shadow_distance",
     "compose_bounds",
     "cyclic_zero_dim",
     "cyclotomic_coset",

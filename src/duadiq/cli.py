@@ -23,7 +23,7 @@ import sys
 from . import distance as dist, duadic, quantum
 from .cyclic import CyclicCode, DefiningSet, all_cosets
 from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
-from .extfield import is_prime
+from .extfield import is_prime, mult_order
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -80,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("-n", type=int, required=True)
     pd.add_argument("--leaders", type=str, required=True)
     pd.add_argument("--via-binary", action="store_true",
-                    help="compute on the binary shadow (needs ord_n(2) = ord_n(4))")
+                    help="exit 3 unless ord_n(2) = ord_n(4); a binary basis walks GF(2) either way")
     pd.add_argument("--fixed-subcode", type=int, action="append", default=[],
                     metavar="A", help="add fixed-subcode bounds for multiplier a (repeatable)")
 
@@ -196,11 +196,16 @@ def cmd_distance(args) -> int:
     code = CyclicCode(a)
     if code.dim == 0:
         raise InputError("the zero code has no distance")
-    parts = []
+    # --via-binary only checks its precondition: min_distance_exact walks
+    # and searches a binary basis over GF(2) with or without it
     if args.via_binary:
-        parts.append(dist.binary_shadow_distance(a, budget=args.budget))
-    else:
-        parts.append(dist.min_distance_exact(code, budget=args.budget))
+        o2, o4 = mult_order(2, args.n), mult_order(4, args.n)
+        if o2 != o4:
+            raise NotApplicableError(
+                f"binary shadow needs ord_n(2) = ord_n(4); got ord_{args.n}(2) = {o2}, ord_{args.n}(4) = {o4}",
+                failed=[f"ord_{args.n}(2) = {o2} != ord_{args.n}(4) = {o4}"],
+            )
+    parts = [dist.min_distance_exact(code, budget=args.budget)]
     for mult in args.fixed_subcode:
         parts.append(dist.fixed_subcode_lower_bound(code, mult, budget=args.budget))
     bound = dist.compose_bounds(parts)

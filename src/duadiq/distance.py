@@ -2,7 +2,10 @@
 
 Every distance is reported as a DistanceBound, an integer interval whose
 endpoints carry provenance tags.  Exact values come from the full Gray-walk
-enumeration (4^dim or 2^dim words) whenever that fits the work budget.
+enumeration (4^dim or 2^dim words) whenever that fits the work budget.  One
+function (_field) picks the field a distance is walked and searched over:
+GF(2) for a binary basis, whose GF(4) span has the distance of its binary
+span, else GF(4).
 Above the budget a Brouwer-Zimmermann search (_info_set_bounds) walks
 messages by rising weight over disjoint information sets: after level w_j
 on set j every unseen word weighs at least sum_j (w_j + 1), an honest lower
@@ -79,7 +82,7 @@ import numpy as np
 from . import _kernels, gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier
 from .duadic import DuadicPair, Splitting
-from .errors import BudgetExceededError, InputError, InvariantError, NotApplicableError
+from .errors import BudgetExceededError, InputError, InvariantError
 from .extfield import is_prime, mult_order
 
 # provenance tags
@@ -333,6 +336,14 @@ def _generators(code) -> tuple[np.ndarray, int]:
     if isinstance(code, CyclicCode):
         return code.gen_matrix, code.q
     return _rows(code, 4), 4
+
+
+def _field(g: np.ndarray) -> int:
+    """The field a distance computation walks and searches g over: 2 when
+    every symbol of g is 0 or 1, else 4.  A binary basis spans a GF(4) code
+    of the distance of its binary span: a word a + omega b, a and b in the
+    binary span, has weight >= max(wt(a), wt(b))."""
+    return 2 if (g <= 1).all() else 4
 
 
 def _first_nonzero_weight(hist: np.ndarray) -> int:
@@ -607,9 +618,12 @@ def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
 
 
 def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
-    """Exact distance by full enumeration when 4^dim fits the budget, else
-    an information-set interval with budget-exhausted provenance; for a
-    CyclicCode its lower bound is lifted by cyclic averaging."""
+    """Exact distance by full enumeration when q^dim fits the budget, q the
+    code's own field, else an information-set interval with budget-exhausted
+    provenance; for a CyclicCode its lower bound is lifted by cyclic
+    averaging.  Both the walk and the search run over _field of the RREF
+    basis, so a GF(4) code with a binary basis walks its 2^dim binary words,
+    which are its work."""
     key = None
     if isinstance(code, CyclicCode):
         # an information-set result is what only budgets below the full
@@ -627,10 +641,10 @@ def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
     if k == n:
         result = DistanceBound.exact_value(1, work=0)
     elif q**k <= budget:
-        hist, work = weight_histograms(g, budget, q)
+        hist, work = weight_histograms(g, budget, _field(g))
         result = DistanceBound.exact_value(_first_nonzero_weight(hist), work=work)
     else:
-        result = _info_set_bounds(g, q, budget, cyclic=key is not None)
+        result = _info_set_bounds(g, _field(g), budget, cyclic=key is not None)
     if key is not None and result.exact:
         _CACHE[key] = result
     return result
@@ -675,9 +689,10 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_
     the three cosets of the all-ones vector, so coset_hist is that
     distribution minus even_hist, d_o its first nonzero weight and
     d(odd-like) = min(d_even, d_o).  Both distances are cached as
-    min_distance_exact would return them, with the work of their own full
-    enumerations (4^(dim + 1) for the odd-like code).  Raises InputError
-    for a side other than 1 and 2.
+    min_distance_exact would return them, with the work of its own walks:
+    q^dim and q^(dim + 1) words, q the _field of C_e's generator, which is
+    also the odd-like code's, C_e + <all-ones>.  Raises InputError for a
+    side other than 1 and 2.
     """
     if side not in (1, 2):
         raise InputError(f"a splitting has sides 1 and 2, not {side}")
@@ -700,8 +715,9 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_
         work=work,
     )
     _CACHE[key] = result
-    _CACHE[(EXACT, 4, n, even.defining_set.members)] = DistanceBound.exact_value(result.d_even, work=work)
-    _CACHE[(EXACT, 4, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=4 * work)
+    q, dim = _field(even.gen_matrix), even.dim
+    _CACHE[(EXACT, 4, n, even.defining_set.members)] = DistanceBound.exact_value(result.d_even, work=q**dim)
+    _CACHE[(EXACT, 4, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=q ** (dim + 1))
     return result
 
 
@@ -762,9 +778,8 @@ def _extension_pass(ext, q: int, budget: int) -> ExtensionDistance:
     q^dim words are the work, and the weight distribution A of the extended
     [N, K] code from it by dual_distribution.
 
-    q = 2 walks the binary spans of binary generators: a binary generator
-    spans a GF(4) code of the distance of its binary span, and the
-    Hermitian dual of that code is spanned by the binary Euclidean dual.
+    q = 2 (_field) walks binary spans: the Hermitian dual of a binary
+    generator's GF(4) span is spanned by the binary Euclidean dual.
 
     e = 1: the walk gives A_C, and dual_distribution the distribution B
     of C^perp_h = C + <f>, f the one orthonormal complement vector.  The
@@ -831,10 +846,9 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     diagonal blocks), and the complement of an information set of a
     self-dual code is one too.  Every word of C, padded by zeros, is a
     message on I of the weight it has on C's own information set.  With
-    q = 2 the generator is binary and spans a GF(4) code of the distance
-    of its binary span, which has (q - 1)^w = 1 scalar pattern per
-    message.  The code is even, so the search is exact once its best word
-    is lo rounded up to even.
+    q = 2 (_field) a message has (q - 1)^w = 1 scalar pattern.  The code
+    is even, so the search is exact once its best word is lo rounded up
+    to even.
 
     When C is cyclic, which the RREF basis shows (_is_cyclic), its
     pivots are the window {0..k-1} and the complement is the window
@@ -883,7 +897,7 @@ def extension_distance(ext, budget: int) -> ExtensionDistance:
     (_check_macwilliams).  Below the pass the information-set search on
     the extended generator bounds d (_self_dual_bound).
     """
-    q = 2 if (ext.extended <= 1).all() else 4
+    q = _field(ext.extended)
     if q ** _walked(ext).shape[0] <= budget:
         return _extension_pass(ext, q, budget)
     return _self_dual_bound(ext, q, budget)
@@ -1055,28 +1069,3 @@ def square_root_bounds(pair: DuadicPair, budget: int = DEFAULT_BUDGET) -> Square
             if s.n % 8 == 7:
                 checks.append(("qr_distance_3_mod_4", d_odd_code % 4 == 3))
     return SquareRootReport(n=s.n, d_o=d_o, d_odd_code=d_odd_code, checks=tuple(checks))
-
-
-# ---------------------------------------------------------------------------
-# binary shadow
-# ---------------------------------------------------------------------------
-
-def binary_shadow_code(a: DefiningSet) -> CyclicCode:
-    """The binary cyclic code with the same defining set, valid when the
-    2- and 4-cyclotomic cosets coincide (ord_n(2) = ord_n(4))."""
-    n = a.n
-    o2 = mult_order(2, n)
-    o4 = mult_order(4, n)
-    if o2 != o4:
-        raise NotApplicableError(
-            f"binary shadow needs ord_n(2) = ord_n(4); got ord_{n}(2) = {o2}, ord_{n}(4) = {o4}",
-            failed=[f"ord_{n}(2) = {o2} != ord_{n}(4) = {o4}"],
-        )
-    return CyclicCode(DefiningSet(n, a.members, q=2))
-
-
-def binary_shadow_distance(a: DefiningSet, budget: int = DEFAULT_BUDGET) -> DistanceBound:
-    """Exact quaternary distance obtained on the binary side: the binary
-    code generated by the same generators has the same minimum distance."""
-    shadow = binary_shadow_code(a)
-    return min_distance_exact(shadow, budget=budget)

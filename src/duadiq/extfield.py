@@ -55,10 +55,10 @@ def mult_order(a: int, n: int) -> int:
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1")
-    # multiply up by a until the power returns to 1
+    # multiply up by a until the power returns to 1 mod n, which is 0 when n = 1
     order = 1
     x = a
-    while x != 1:
+    while x != 1 % n:
         x = x * a % n
         order += 1
         if order > n:

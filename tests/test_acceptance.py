@@ -207,8 +207,8 @@ def test_criterion_07_binary_shadow_equivalence():
                 dd = dist.duadic_distances(s, side=side)
                 quaternary = {"odd": dd.d_odd, "even": dd.d_even}
                 binary = {
-                    "odd": dist.binary_shadow_distance(DefiningSet(n, members)).lo,
-                    "even": dist.binary_shadow_distance(DefiningSet(n, members | {0})).lo,
+                    "odd": dist.min_distance_exact(CyclicCode(DefiningSet(n, members, q=2))).lo,
+                    "even": dist.min_distance_exact(CyclicCode(DefiningSet(n, members | {0}, q=2))).lo,
                 }
                 if quaternary != binary:
                     mismatches.append((n, side, quaternary, binary))

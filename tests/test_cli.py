@@ -228,6 +228,7 @@ def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, field, coun
 @pytest.mark.parametrize("argv,kernel", [
     (("quantum", "-n", "23", "--qr"), "gray_weight_hists"),
     (("quantum", "-n", "23", "--leaders", "1"), "gray_weight_hists_binary"),
+    (("distance", "-n", "23", "--leaders", "1"), "gray_weight_hists_binary"),
     (("distance", "-n", "23", "--leaders", "1", "--via-binary"), "gray_weight_hists_binary"),
 ])
 def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corrupt):
@@ -405,17 +406,33 @@ def test_distance_exact(capsys):
 
 
 def test_distance_via_binary(capsys):
-    code, out, _ = run(capsys, "distance", "-n", "23", "--leaders", "1",
-                       "--via-binary", "--format", "json")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["lo"] == payload["hi"] == 7
+    # the [23, 12] code has a binary basis, so with or without --via-binary
+    # it walks its 2^12 binary words; the walk is still chosen by 4^12 against
+    # the budget, and at 1000 the search over GF(2) certifies d
+    for flags in ((), ("--via-binary",)):
+        code, out, _ = run(capsys, "distance", "-n", "23", "--leaders", "1", *flags, "--format", "json")
+        assert code == 0 and json.loads(out) == {
+            "lo": 7, "hi": 7, "lo_src": "exact-enumeration", "hi_src": "exact-enumeration", "work": 4096}
+    code, out, _ = run(capsys, "distance", "-n", "23", "--leaders", "1", "--budget", "1000", "--format", "json")
+    assert code == 0 and json.loads(out) == {
+        "lo": 7, "hi": 7, "lo_src": "information-set", "hi_src": "information-set", "work": 298}
 
 
 def test_distance_via_binary_refused(capsys):
     code, _, err = run(capsys, "distance", "-n", "5", "--leaders", "1", "--via-binary")
     assert code == 3
     assert "ord_5(2) = 4" in err and "ord_5(4) = 2" in err
+
+
+def test_distance_n1(capsys):
+    # ord_1(2) = ord_1(4) = 1: the [1, 1] code passes --via-binary, and mu_1
+    # has order 1, which no fixed-subcode bound takes
+    code, out, err = run(capsys, "distance", "-n", "1", "--leaders=", "--via-binary")
+    assert (code, err) == (0, "")
+    assert out == "[1,1] code, d in [1, 1] (lo: exact-enumeration, hi: exact-enumeration, work 0)\n"
+    code, out, err = run(capsys, "distance", "-n", "1", "--leaders=", "--fixed-subcode", "1")
+    assert (code, out) == (2, "")
+    assert err == "invalid input: multiplier order 1 is neither 2 nor odd > 1\n"
 
 
 def test_distance_fixed_subcode_flag(capsys):

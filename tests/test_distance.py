@@ -465,20 +465,22 @@ def test_duadic_distances_pass():
 
 
 def test_duadic_pass_caches_odd_like_distance(monkeypatch):
-    # after the duadic pass, min_distance_exact(odd) returns what it returns
-    # on an empty cache: the cached entry at 4^dim, a fresh search below it
+    # after the duadic pass, min_distance_exact of the odd-like and of the
+    # even-like code of its side returns what it returns on an empty cache:
+    # the cached entry where 4^dim fits, a fresh search below it
     for n in range(3, 18, 2):
         for s in find_splittings(n):
             pair = duadic_from_splitting(s)
-            for side, odd in ((1, pair.odd1), (2, pair.odd2)):
+            for side, odd, even in ((1, pair.odd1, pair.even1), (2, pair.odd2, pair.even2)):
                 full = 4**odd.dim
-                for budget in (full, full - 1):
-                    monkeypatch.setattr(dist, "_CACHE", {})
-                    fresh = dist.min_distance_exact(odd, budget=budget)
-                    monkeypatch.setattr(dist, "_CACHE", {})
-                    dist.duadic_distances(s, side=side, budget=budget)
-                    assert dist.min_distance_exact(odd, budget=budget) == fresh, (n, side, budget)
-                    assert (fresh.lo_src == dist.EXACT) == (budget == full)
+                for budget in (4**even.dim, full - 1, full):
+                    for code in (odd, even):
+                        monkeypatch.setattr(dist, "_CACHE", {})
+                        fresh = dist.min_distance_exact(code, budget=budget)
+                        monkeypatch.setattr(dist, "_CACHE", {})
+                        dist.duadic_distances(s, side=side, budget=budget)
+                        assert dist.min_distance_exact(code, budget=budget) == fresh, (n, side, budget)
+                        assert (fresh.lo_src == dist.EXACT) == (4**code.dim <= budget)
 
 
 def test_cached_results_independent_of_history(monkeypatch):
@@ -630,26 +632,74 @@ def test_square_root_bounds_reports():
 
 
 def test_binary_shadow():
-    s23 = qr_splitting(23)
-    b = dist.binary_shadow_distance(s23.s1)
+    # the binary cyclic code with the defining set of a GF(4) code whose 2-
+    # and 4-cyclotomic cosets coincide has that code's distance
+    b = dist.min_distance_exact(CyclicCode(DefiningSet(23, qr_splitting(23).s1.members, q=2)))
     assert b.exact and b.lo == 7  # the binary Golay code
-    b7 = dist.binary_shadow_distance(DefiningSet.from_leaders(7, [1]))
+    b7 = dist.min_distance_exact(CyclicCode(DefiningSet.from_leaders(7, [1], q=2)))
     assert b7.exact and b7.lo == 3  # binary Hamming [7,4,3]
-    from duadiq.errors import NotApplicableError
-
-    with pytest.raises(NotApplicableError):
-        dist.binary_shadow_distance(DefiningSet(5, frozenset({1, 4})))
 
 
 def test_binary_shadow_matches_quaternary_small():
+    # min_distance_exact walks these binary bases over GF(2); the walk
+    # forced onto GF(4) gives the same distance
     for n in (7, 23):
         for s in find_splittings(n):
             for ds in (s.s1, s.s2):
                 for members in (ds.members, ds.members | {0}):
-                    a = DefiningSet(n, members)
-                    bq = dist.min_distance_exact(CyclicCode(a))
-                    bb = dist.binary_shadow_distance(a)
-                    assert bq.exact and bb.exact and bq.lo == bb.lo, (n, members)
+                    code = CyclicCode(DefiningSet(n, members))
+                    bq = dist.min_distance_exact(code)
+                    hist, _ = dist.weight_histograms(code.gen_matrix, q=4)
+                    assert bq.exact and bq.lo == int(np.flatnonzero(hist[1:])[0]) + 1, (n, members)
+
+
+def test_binary_basis_walks_and_searches_gf2(monkeypatch):
+    # the 404 binary-generated GF(4) cyclic codes with n <= 41: d is the
+    # distance of the binary code with the same defining set (its own
+    # min_distance_exact at 2^24, which walks every code of dimension <= 24,
+    # so the many whose GF(4) route searches are checked against a walk),
+    # and that of the walk forced onto GF(4) wherever 4^k <= 2^20; small
+    # budgets bracket d; every walk of the default budget is binary
+    calls = {"gray_weight_hists": 0, "gray_weight_hists_binary": 0}
+
+    def counting(name):
+        kernel = getattr(_kernels, name)
+
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(_kernels, name, counting(name))
+    # defining sets closed under x2, neither empty nor all of Z_n, so the
+    # generator polynomial and the RREF basis are binary
+    codes = []
+    for n in range(3, 42, 2):
+        cosets = all_cosets(n, 2).cosets
+        for mask in range(1, (1 << len(cosets)) - 1):
+            codes.append((n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))))
+    assert len(codes) == 404
+    for n, members in codes:
+        code = CyclicCode(DefiningSet(n, members))
+        monkeypatch.setattr(dist, "_CACHE", {})
+        before = dict(calls)
+        d = dist.min_distance_exact(code)
+        walks = 4**code.dim <= dist.DEFAULT_BUDGET
+        assert d.exact and d.lo_src == (dist.EXACT if walks else dist.INFO_SET), (n, members)
+        assert calls["gray_weight_hists"] == before["gray_weight_hists"], (n, members)
+        assert (calls["gray_weight_hists_binary"] > before["gray_weight_hists_binary"]) == walks
+        assert not walks or d.work == 2**code.dim, (n, members)
+        binary = dist.min_distance_exact(CyclicCode(DefiningSet(n, members, q=2)), budget=1 << 24)
+        assert binary.exact and binary.lo == d.lo, (n, members)
+        if 4**code.dim <= 1 << 20:
+            hist, _ = dist.weight_histograms(code.gen_matrix, q=4)
+            assert int(np.flatnonzero(hist[1:])[0]) + 1 == d.lo, (n, members)
+        for budget in (0, 100, 4096):
+            monkeypatch.setattr(dist, "_CACHE", {})
+            b = dist.min_distance_exact(code, budget=budget)
+            assert b.lo <= d.lo and (b.hi is None or b.hi >= d.lo), (n, members, budget)
+            assert b.work <= budget or b.work == 0, (n, members, budget)
 
 
 def test_budget_interval_honesty():

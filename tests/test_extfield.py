@@ -19,6 +19,7 @@ def test_mult_order():
     assert extfield.mult_order(4, 3) == 1
     assert extfield.mult_order(4, 13) == 6
     assert extfield.mult_order(2, 23) == 11
+    assert extfield.mult_order(2, 1) == extfield.mult_order(4, 1) == 1
     with pytest.raises(ValueError):
         extfield.mult_order(3, 9)
 
