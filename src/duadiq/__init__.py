@@ -24,7 +24,6 @@ from .cyclic import (
 from .distance import (
     DistanceBound,
     compose_bounds,
-    default_budget,
     duadic_distances,
     fixed_subcode,
     fixed_subcode_coincidence,
@@ -77,7 +76,6 @@ __all__ = [
     "compose_bounds",
     "cyclic_zero_dim",
     "cyclotomic_coset",
-    "default_budget",
     "duadic_distances",
     "duadic_from_splitting",
     "dual_containing_to_zero_dim",

@@ -32,6 +32,17 @@ EXIT_INVARIANT = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 
+def default_budget() -> int:
+    """The budget without --budget: DUADIQ_BUDGET, else distance.DEFAULT_BUDGET."""
+    env = os.environ.get("DUADIQ_BUDGET", "").strip()
+    if env:
+        value = int(env)
+        if value < 0:
+            raise InputError("DUADIQ_BUDGET must be nonnegative")
+        return value
+    return dist.DEFAULT_BUDGET
+
+
 def _parse_leaders(text: str) -> list[int]:
     try:
         return [int(x) for x in text.replace(" ", "").split(",") if x != ""]
@@ -166,8 +177,8 @@ def cmd_quantum(args) -> int:
             raise InputError(f"no annotation with n = {args.n}")
         params = quantum.zero_dim_from_classical_annotation(entries[0])
     elif args.qr:
-        if not is_prime(args.n):
-            raise InputError(f"--qr needs a prime length, got {args.n}")
+        if args.n % 2 == 0 or not is_prime(args.n):
+            raise InputError(f"--qr needs an odd prime length, got {args.n}")
         if args.n % 8 not in (5, 7):
             raise NotApplicableError(
                 f"QR codes of length {args.n} are not Hermitian self-orthogonal "
@@ -285,7 +296,7 @@ def _main(argv: list[str] | None) -> int:
         return EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
     try:
         if "budget" in args:
-            args.budget = dist.default_budget() if args.budget is None else args.budget
+            args.budget = default_budget() if args.budget is None else args.budget
             if args.budget < 0:
                 raise InputError("--budget must be nonnegative")
         return _DISPATCH[args.command](args)

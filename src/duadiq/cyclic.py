@@ -1,10 +1,14 @@
 """Cyclotomic cosets, defining sets and cyclic codes over GF(4).
 
 A cyclic code of odd length n is identified by its defining set, the set of
-exponents t with g(alpha^t) = 0 for the generator polynomial g.  Defining
-sets are unions of 4-cyclotomic cosets; codes compare equal by (n, defining
-set) alone.  Generator polynomials and matrices are materialized lazily and
-cached; everything is immutable after construction.
+exponents t with g(alpha^t) = 0 for the generator polynomial g.  GF(4) is
+the only field a code lives over: defining sets are unions of 4-cyclotomic
+cosets, and codes compare equal by (n, defining set) alone.  A defining set
+that is also closed under t -> 2t is a union of 2-cyclotomic cosets; its
+generator polynomial is fixed by squaring, so binary.  The q of
+cyclotomic_coset and all_cosets is arithmetic on Z_n only.  Generator
+polynomials and matrices are materialized lazily and cached; everything is
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -64,52 +68,51 @@ def all_cosets(n: int, q: int = 4) -> CosetPartition:
 
 @dataclass(frozen=True)
 class DefiningSet:
-    """A union of q-cyclotomic cosets mod n (q = 4 unless stated otherwise)."""
+    """A union of 4-cyclotomic cosets mod n."""
 
     n: int
     members: frozenset[int]
-    q: int = 4
 
     def __post_init__(self):
-        _check_n_q(self.n, self.q)
+        _check_n_q(self.n, 4)
         for t in self.members:
             if not 0 <= t < self.n:
                 raise ValueError(f"member {t} outside Z_{self.n}")
-            if (t * self.q) % self.n not in self.members:
+            if (t * 4) % self.n not in self.members:
                 raise ValueError(
-                    f"set is not closed under multiplication by {self.q}: "
-                    f"{t} present but {(t * self.q) % self.n} missing"
+                    f"set is not closed under multiplication by 4: "
+                    f"{t} present but {(t * 4) % self.n} missing"
                 )
 
     @classmethod
-    def from_leaders(cls, n: int, leaders, q: int = 4) -> "DefiningSet":
+    def from_leaders(cls, n: int, leaders) -> "DefiningSet":
         members: set[int] = set()
         for a in leaders:
-            members |= cyclotomic_coset(n, a, q)
-        return cls(n=n, members=frozenset(members), q=q)
+            members |= cyclotomic_coset(n, a)
+        return cls(n=n, members=frozenset(members))
 
     @property
     def leaders(self) -> tuple[int, ...]:
-        part = all_cosets(self.n, self.q)
+        part = all_cosets(self.n)
         return tuple(sorted(min(c) for c in part.cosets if c <= self.members))
 
     def __len__(self) -> int:
         return len(self.members)
 
     def complement(self) -> "DefiningSet":
-        return DefiningSet(self.n, frozenset(range(self.n)) - self.members, self.q)
+        return DefiningSet(self.n, frozenset(range(self.n)) - self.members)
 
     def scaled(self, a: int) -> "DefiningSet":
         """{a*t mod n}; stays coset-closed for gcd(a, n) = 1."""
         if math.gcd(a, self.n) != 1:
             raise ValueError(f"gcd({a}, {self.n}) != 1")
-        return DefiningSet(self.n, frozenset(a * t % self.n for t in self.members), self.q)
+        return DefiningSet(self.n, frozenset(a * t % self.n for t in self.members))
 
 
 def dual_defining_set(a: DefiningSet) -> DefiningSet:
     """Defining set of the Hermitian dual: Z_n minus (-2 A)."""
     neg2 = frozenset((-2 * t) % a.n for t in a.members)
-    return DefiningSet(a.n, frozenset(range(a.n)) - neg2, a.q)
+    return DefiningSet(a.n, frozenset(range(a.n)) - neg2)
 
 
 def is_dual_containing(a: DefiningSet) -> bool:
@@ -146,28 +149,26 @@ class CyclicCode:
     def __init__(self, defining_set: DefiningSet):
         self.defining_set = defining_set
         self.n = defining_set.n
-        self.q = defining_set.q
         self.dim = self.n - len(defining_set)
         self._gen_poly: np.ndarray | None = None
         self._gen_matrix: np.ndarray | None = None
 
     @classmethod
-    def from_leaders(cls, n: int, leaders, q: int = 4) -> "CyclicCode":
-        return cls(DefiningSet.from_leaders(n, leaders, q))
+    def from_leaders(cls, n: int, leaders) -> "CyclicCode":
+        return cls(DefiningSet.from_leaders(n, leaders))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, CyclicCode)
             and self.n == other.n
-            and self.q == other.q
             and self.defining_set.members == other.defining_set.members
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.q, self.defining_set.members))
+        return hash((self.n, self.defining_set.members))
 
     def __repr__(self) -> str:
-        return f"CyclicCode(n={self.n}, q={self.q}, dim={self.dim}, leaders={list(self.defining_set.leaders)})"
+        return f"CyclicCode(n={self.n}, dim={self.dim}, leaders={list(self.defining_set.leaders)})"
 
     @property
     def gen_poly(self) -> np.ndarray:
@@ -178,8 +179,8 @@ class CyclicCode:
         if self._gen_poly is None:
             poly = (1, 0)
             if self.defining_set.members:
-                ext = extfield.ext_build(self.n, self.q)
-                for coset in all_cosets(self.n, self.q).cosets:
+                ext = extfield.ext_build(self.n)
+                for coset in all_cosets(self.n).cosets:
                     if coset <= self.defining_set.members:
                         poly = gf4.planes_mul(poly, gf4.poly_planes(extfield.minimal_poly(ext, coset)))
             self._gen_poly = gf4.planes_poly(*poly)
@@ -197,28 +198,16 @@ class CyclicCode:
             self._gen_matrix = m
         return self._gen_matrix
 
-    def is_dual_containing(self) -> bool:
-        if self.q == 4:
-            return is_dual_containing(self.defining_set)
-        return not (
-            self.defining_set.members
-            & frozenset((-t) % self.n for t in self.defining_set.members)
-        )
-
     def intersection(self, other: "CyclicCode") -> "CyclicCode":
         self._check_mate(other)
-        return CyclicCode(
-            DefiningSet(self.n, self.defining_set.members | other.defining_set.members, self.q)
-        )
+        return CyclicCode(DefiningSet(self.n, self.defining_set.members | other.defining_set.members))
 
     def plus(self, other: "CyclicCode") -> "CyclicCode":
         self._check_mate(other)
-        return CyclicCode(
-            DefiningSet(self.n, self.defining_set.members & other.defining_set.members, self.q)
-        )
+        return CyclicCode(DefiningSet(self.n, self.defining_set.members & other.defining_set.members))
 
     def _check_mate(self, other: "CyclicCode") -> None:
-        if self.n != other.n or self.q != other.q:
+        if self.n != other.n:
             raise ValueError("codes live in different ambient spaces")
 
     def contains_code(self, other: "CyclicCode") -> bool:

@@ -1,11 +1,12 @@
 """Minimum-distance computation: exact at desk scale, interval bounds beyond.
 
 Every distance is reported as a DistanceBound, an integer interval whose
-endpoints carry provenance tags.  Exact values come from the full Gray-walk
-enumeration (4^dim or 2^dim words) whenever that fits the work budget.  One
-function (_field) picks the field a distance is walked and searched over:
-GF(2) for a binary basis, whose GF(4) span has the distance of its binary
-span, else GF(4).
+endpoints carry provenance tags.  Every code is a GF(4) code, and exact
+values come from the full Gray-walk enumeration whenever its 4^dim words
+fit the work budget.  One function (_field) picks the field a distance is
+walked and searched over: GF(2) for a binary basis, whose GF(4) span has
+the distance of its binary span (the walk then counts 2^dim words), else
+GF(4).
 Above the budget a Brouwer-Zimmermann search (_info_set_bounds) walks
 messages by rising weight over disjoint information sets: after level w_j
 on set j every unseen word weighs at least sum_j (w_j + 1), an honest lower
@@ -74,7 +75,6 @@ Results are a pure function of the input and the budget.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,17 +95,6 @@ LITERATURE = "literature-annotation"
 
 # the budget of a call that gives none; the library reads no environment
 DEFAULT_BUDGET = 1 << 30
-
-
-def default_budget() -> int:
-    """The CLI's budget without --budget: DUADIQ_BUDGET, else DEFAULT_BUDGET."""
-    env = os.environ.get("DUADIQ_BUDGET", "").strip()
-    if env:
-        value = int(env)
-        if value < 0:
-            raise InputError("DUADIQ_BUDGET must be nonnegative")
-        return value
-    return DEFAULT_BUDGET
 
 
 @dataclass(frozen=True)
@@ -331,11 +320,11 @@ def weight_histograms_binary(g_rows: np.ndarray, budget: int = DEFAULT_BUDGET) -
     return weight_histograms(g_rows, budget, q=2)
 
 
-def _generators(code) -> tuple[np.ndarray, int]:
-    """Generator matrix and field size of a CyclicCode or a GF(4) matrix."""
+def _generators(code) -> np.ndarray:
+    """Generator matrix of a CyclicCode or a GF(4) matrix."""
     if isinstance(code, CyclicCode):
-        return code.gen_matrix, code.q
-    return _rows(code, 4), 4
+        return code.gen_matrix
+    return _rows(code, 4)
 
 
 def _field(g: np.ndarray) -> int:
@@ -618,29 +607,28 @@ def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
 
 
 def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
-    """Exact distance by full enumeration when q^dim fits the budget, q the
-    code's own field, else an information-set interval with budget-exhausted
-    provenance; for a CyclicCode its lower bound is lifted by cyclic
-    averaging.  Both the walk and the search run over _field of the RREF
-    basis, so a GF(4) code with a binary basis walks its 2^dim binary words,
-    which are its work."""
+    """Exact distance by full enumeration when 4^dim fits the budget, else
+    an information-set interval with budget-exhausted provenance; for a
+    CyclicCode its lower bound is lifted by cyclic averaging.  Both the walk
+    and the search run over _field of the RREF basis, so a code with a
+    binary basis walks its 2^dim binary words, which are its work, but only
+    when its 4^dim words would fit: walk or search is decided on GF(4)."""
     key = None
     if isinstance(code, CyclicCode):
         # an information-set result is what only budgets below the full
         # enumeration compute, so the route is part of the key
-        route = EXACT if code.q**code.dim <= budget else INFO_SET
-        key = (route, code.q, code.n, code.defining_set.members)
+        route = EXACT if 4**code.dim <= budget else INFO_SET
+        key = (route, code.n, code.defining_set.members)
         hit = _cached(key, budget)
         if hit is not None:
             return hit
-    g, q = _generators(code)
-    g = linalg.row_basis(g)
+    g = linalg.row_basis(_generators(code))
     k, n = g.shape
     if k == 0:
         raise InputError("the zero code has no minimum distance")
     if k == n:
         result = DistanceBound.exact_value(1, work=0)
-    elif q**k <= budget:
+    elif 4**k <= budget:
         hist, work = weight_histograms(g, budget, _field(g))
         result = DistanceBound.exact_value(_first_nonzero_weight(hist), work=work)
     else:
@@ -651,9 +639,9 @@ def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
 
 
 def weight_distribution(code, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Full weight enumerator (counts per weight, zero word included)."""
-    g, q = _generators(code)
-    return weight_histograms(g, budget, q)[0]
+    """Full weight enumerator over GF(4) (counts per weight, zero word
+    included): 4^dim words, even for a binary basis."""
+    return weight_histograms(_generators(code), budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -716,8 +704,8 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_
     )
     _CACHE[key] = result
     q, dim = _field(even.gen_matrix), even.dim
-    _CACHE[(EXACT, 4, n, even.defining_set.members)] = DistanceBound.exact_value(result.d_even, work=q**dim)
-    _CACHE[(EXACT, 4, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=q ** (dim + 1))
+    _CACHE[(EXACT, n, even.defining_set.members)] = DistanceBound.exact_value(result.d_even, work=q**dim)
+    _CACHE[(EXACT, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=q ** (dim + 1))
     return result
 
 
@@ -998,8 +986,8 @@ def fixed_subcode_coincidence(
 ) -> CoincidenceReport:
     """Verify C_a = C_{a^j} and the weight-count divisibility: for every t
     with no weight-t word in C_a, the multiplier order divides A_t.  The
-    report is complete, and checks weights, when both walks fit the budget:
-    the q^dim words of C and the 4^dim of C_a, a GF(4) matrix.
+    report is complete, and checks weights, when both GF(4) walks fit the
+    budget: when the 4^dim words of C do, as C_a is a subcode.
 
     Raises InputError, naming a as given, unless gcd(a, n) = 1."""
     n = code.n
@@ -1016,7 +1004,7 @@ def fixed_subcode_coincidence(
         if not linalg.row_space_equal(base.basis, other.basis):
             equal = False
     checked: list[WeightCheck] = []
-    complete = code.q**code.dim <= budget and 4**base.dim <= budget
+    complete = 4**code.dim <= budget
     if complete:
         full = weight_distribution(code, budget=budget)
         sub_hist = (

@@ -1,4 +1,9 @@
-"""Extension fields of GF(2) and primitive n-th roots of unity.
+"""Extension fields GF(4^r) and primitive n-th roots of unity.
+
+Every cyclic code of the package lives over GF(4), so ext_build(n) builds
+GF(4^r), r = ord_n(4), alone.  A binary cyclic code enters as the GF(4)
+code of a defining set closed under t -> 2t, whose generator polynomial is
+binary; no GF(2^r) is built for it.
 
 Field elements are Python ints whose bits are GF(2) polynomial coefficients,
 reduced modulo a fixed irreducible polynomial.  The modulus convention is
@@ -187,20 +192,19 @@ def _field_pow(base: int, exp: int, modulus: int) -> int:
 
 @dataclass(frozen=True)
 class ExtField:
-    """GF(q^r) with a pinned primitive n-th root of unity alpha.
+    """GF(4^r) with a pinned primitive n-th root of unity alpha.
 
-    q is 2 or 4; the field is realized as GF(2)[x]/(modulus) of degree
-    q_degree * r.  For q = 4 the subfield GF(4) is {0, 1, omega, omega^2}
-    with omega an element of order 3, and alpha's coset labeling follows it.
+    The field is realized as GF(2)[x]/(modulus) of degree 2r.  Its subfield
+    GF(4) is {0, 1, omega, omega^2} with omega an element of order 3, and
+    alpha's coset labeling follows it.
     """
 
-    q: int
     n: int
     r: int
     modulus: int
     gamma: int
     alpha: int
-    omega: int  # order-3 element for q=4; 0 for q=2
+    omega: int  # the order-3 element
 
     @property
     def degree(self) -> int:
@@ -217,37 +221,31 @@ class ExtField:
         e %= self.order
         return _field_pow(a, e, self.modulus) if e else 1
 
-    def alpha_pow(self, e: int) -> int:
-        return self.pow(self.alpha, e % self.n)
-
     # -- subfield coding ----------------------------------------------------
 
     def to_base_symbol(self, a: int) -> int:
-        """Map a subfield element back to a base-field symbol (q=4 or q=2)."""
+        """Map a GF(4) element back to its symbol 0, 1, 2 (omega) or 3 (omega^2)."""
         if a == 0:
             return 0
         if a == 1:
             return 1
-        if self.q == 4:
-            if a == self.omega:
-                return 2
-            if a == self.mul(self.omega, self.omega):
-                return 3
+        if a == self.omega:
+            return 2
+        if a == self.mul(self.omega, self.omega):
+            return 3
         raise ValueError("element does not lie in the base subfield")
 
 
 @lru_cache(maxsize=None)
-def ext_build(n: int, q: int = 4) -> ExtField:
-    """Field GF(q^r) with r = ord_n(q) minimal, plus the pinned alpha.
+def ext_build(n: int) -> ExtField:
+    """Field GF(4^r) with r = ord_n(4) minimal, plus the pinned alpha.
 
-    n must be odd and >= 3 (gcd(n, q) = 1 is then automatic).
+    n must be odd and >= 3 (gcd(n, 4) = 1 is then automatic).
     """
-    if q not in (2, 4):
-        raise ValueError("q must be 2 or 4")
     if n < 3 or n % 2 == 0:
         raise ValueError(f"n must be odd and >= 3, got {n}")
-    r = mult_order(q, n)
-    degree = r if q == 2 else 2 * r
+    r = mult_order(4, n)
+    degree = 2 * r
     primitive = degree <= _PRIMITIVITY_DEGREE_LIMIT
     modulus = smallest_irreducible(degree, primitive)
     group = (1 << degree) - 1
@@ -261,11 +259,9 @@ def ext_build(n: int, q: int = 4) -> ExtField:
         for p in n_fac:
             if _field_pow(alpha, n // p, modulus) == 1:
                 return None
-        omega = 0
-        if q == 4:
-            omega = _field_pow(g, group // 3, modulus)
-            if omega == 1 or _field_pow(omega, 3, modulus) != 1:
-                return None
+        omega = _field_pow(g, group // 3, modulus)
+        if omega == 1 or _field_pow(omega, 3, modulus) != 1:
+            return None
         return alpha, omega
 
     gamma = 2  # the residue class of x; always works for a primitive modulus
@@ -276,22 +272,22 @@ def ext_build(n: int, q: int = 4) -> ExtField:
             raise RuntimeError("no suitable generator found")
         found = try_gamma(gamma)
     alpha, omega = found
-    return ExtField(q=q, n=n, r=r, modulus=modulus, gamma=gamma, alpha=alpha, omega=omega)
+    return ExtField(n=n, r=r, modulus=modulus, gamma=gamma, alpha=alpha, omega=omega)
 
 
 def minimal_poly(ext: ExtField, coset: frozenset[int] | set[int]) -> np.ndarray:
     """prod_{j in coset} (X - alpha^j), coefficients as base-field symbols.
 
-    The coset must be closed under multiplication by q mod n; the product
-    then has subfield coefficients by Galois invariance.  Results are cached
+    The coset must be closed under multiplication by 4 mod n; the product
+    then has GF(4) coefficients by Galois invariance.  Results are cached
     per field and coset and returned read-only.
     """
     coset = frozenset(int(c) % ext.n for c in coset)
     if not coset:
         raise ValueError("empty coset")
     for c in coset:
-        if (c * ext.q) % ext.n not in coset:
-            raise ValueError(f"set not closed under multiplication by {ext.q} mod {ext.n}")
+        if (c * 4) % ext.n not in coset:
+            raise ValueError(f"set not closed under multiplication by 4 mod {ext.n}")
     return _minimal_poly(ext, coset)
 
 

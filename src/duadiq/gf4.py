@@ -78,11 +78,6 @@ def planes_mul(p: tuple[int, int], q: tuple[int, int]) -> tuple[int, int]:
     return low ^ _clmul(p1, q1), _clmul(p0 ^ p1, q0 ^ q1) ^ low
 
 
-def poly_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The trimmed product of two coefficient arrays (planes_mul)."""
-    return planes_poly(*planes_mul(poly_planes(p), poly_planes(q)))
-
-
 # ---------------------------------------------------------------------------
 # packed views: int rows (row reduction, polynomials) and uint64 words
 # (substrate of the distance kernels)

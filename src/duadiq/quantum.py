@@ -196,7 +196,7 @@ def _extend(code) -> Extension:
     The Gram test of the SelfDualCode the Extension carries, run once,
     certifies that the extended code is self-dual.
     """
-    r, k, pivots = linalg.rref(dist._generators(code)[0])
+    r, k, pivots = linalg.rref(dist._generators(code))
     g = r[:k]
     if k == 0:
         raise InputError("refusing the zero code (dimension must be >= 1)")
@@ -344,7 +344,7 @@ def dual_containing_to_zero_dim(code, budget: int = DEFAULT_BUDGET) -> tuple[Qua
     its Hermitian dual, which is self-orthogonal exactly when the code is
     dual containing (NotApplicableError otherwise) and the zero code when
     the code is the full space (InputError)."""
-    return general_zero_dim(linalg.hermitian_dual_space(dist._generators(code)[0]), budget=budget)
+    return general_zero_dim(linalg.hermitian_dual_space(dist._generators(code)), budget=budget)
 
 
 # ---------------------------------------------------------------------------

@@ -104,21 +104,27 @@ def x_pow_n_minus_1(n):
     return [1] + [0] * (n - 1) + [1]
 
 
-def defining_set_of_matrix(g, n, q=4):
-    """Exponents t where every row polynomial vanishes at alpha^t, found
-    root by root by Horner's rule in the extension field, whose omega is
-    the symbol 2 and omega^2 = omega + 1 the symbol 3: the oracle against
-    the defining-set arithmetic."""
-    ext = extfield.ext_build(n, q)
-    symbol = {0: 0, 1: 1, 2: ext.omega, 3: ext.omega ^ 1}
+def defining_set_of_matrix(g, n):
+    """Exponents t where every row polynomial vanishes at alpha^t, the
+    oracle against the defining-set arithmetic.  A row sum_i c_i x^i takes
+    at alpha^t the value sum_i c_i alpha^(i t mod n), so each term is read
+    from a table of symbol times alpha^j, built once per n in the extension
+    field, whose omega is the symbol 2 and omega^2 = omega + 1 the symbol 3."""
+    ext = extfield.ext_build(n)
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(ext.mul(powers[-1], ext.alpha))
+    omega_powers = [ext.mul(ext.omega, p) for p in powers]
+    times = {1: powers, 2: omega_powers, 3: [x ^ p for x, p in zip(omega_powers, powers)]}
+    terms = [[(i, times[int(c)]) for i, c in enumerate(row) if c] for row in g]
 
-    def value(row, point):
+    def value(row_terms, t):
         acc = 0
-        for c in reversed(list(row)):
-            acc = ext.mul(acc, point) ^ symbol[int(c)]
+        for i, table in row_terms:
+            acc ^= table[i * t % n]
         return acc
 
-    return frozenset(t for t in range(n) if all(value(row, ext.alpha_pow(t)) == 0 for row in g))
+    return frozenset(t for t in range(n) if all(value(row_terms, t) == 0 for row_terms in terms))
 
 
 def span_words(rows, q=4):

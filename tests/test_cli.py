@@ -305,6 +305,19 @@ def test_quantum_qr_11_exit_3(capsys):
     assert "failed precondition" in err
 
 
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_quantum_qr_needs_an_odd_prime_exit_2(capsys, monkeypatch, n):
+    # 2 is prime but no QR code has length 2: like 1 and 9, it is refused as
+    # input before any construction
+    def construct(*args, **kwargs):
+        raise AssertionError("--qr built a code for a length it refuses")
+    monkeypatch.setattr(cli.duadic, "qr_splitting", construct)
+    monkeypatch.setattr(quantum, "extended_duadic_quantum", construct)
+    code, out, err = run(capsys, "quantum", "-n", str(n), "--qr")
+    assert (code, out) == (2, "")
+    assert err == f"invalid input: --qr needs an odd prime length, got {n}\n"
+
+
 def test_quantum_leaders_141(capsys):
     code, out, _ = run(capsys, "quantum", "-n", "141", "--leaders", "2,3,10",
                        "--budget", "50000", "--format", "json")
@@ -598,8 +611,8 @@ def test_flag_before_the_subcommand_exit_2(capsys):
 
 def test_table_reads_the_budget_once(capsys, monkeypatch):
     calls = []
-    default_budget = dist.default_budget
-    monkeypatch.setattr(dist, "default_budget", lambda: calls.append(1) or default_budget())
+    default_budget = cli.default_budget
+    monkeypatch.setattr(cli, "default_budget", lambda: calls.append(1) or default_budget())
     code, out, _ = run(capsys, "table", "--max-n", "23")
     assert code == 0 and out.count("\n") == 6
     assert len(calls) == 1

@@ -94,7 +94,7 @@ def test_gen_poly_matches_the_oracle_product():
     sets = list(_research_and_search_sets())
     assert len(sets) == 442
     for a in sets:
-        ext = extfield.ext_build(a.n, 4)
+        ext = extfield.ext_build(a.n)
         expected = [1]
         for coset in all_cosets(a.n, 4).cosets:
             if coset <= a.members:
@@ -104,6 +104,24 @@ def test_gen_poly_matches_the_oracle_product():
         assert oracle.poly_deg(g) == len(a.members)
         _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(a.n), g)
         assert rem == []
+
+
+def test_two_closed_defining_sets_give_binary_generators():
+    # a defining set closed under t -> 2t is a union of 2-cyclotomic cosets;
+    # its roots are closed under squaring, so the generator polynomial is
+    # fixed by the Frobenius of GF(4): binary.  Every other nonzero defining
+    # set has a generator with a symbol outside GF(2)
+    binary = 0
+    for n in range(3, 42, 2):
+        cosets = all_cosets(n).cosets
+        for mask in range(1 << len(cosets)):
+            members = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
+            two_closed = all(2 * t % n in members for t in members)
+            g = CyclicCode(DefiningSet(n, members)).gen_poly
+            assert bool((g <= 1).all()) == two_closed, (n, sorted(members))
+            binary += two_closed
+    # the 404 proper ones, the empty set and each full Z_n
+    assert binary == 404 + 2 * 20
 
 
 def test_code_equality_by_defining_set():

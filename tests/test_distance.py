@@ -64,15 +64,29 @@ def test_symmetric_walk_equals_plain_walk(monkeypatch, k, n, suffix_bits):
 
 
 def _cyclic_codes(max_n, q, max_dim):
-    """Every nonzero cyclic code over GF(q) of odd length n <= max_n and
-    dimension <= max_dim."""
+    """Every nonzero cyclic code of odd length n <= max_n and dimension
+    <= max_dim whose defining set is a union of q-cyclotomic cosets: with
+    q = 2 the codes whose generator is binary."""
     for n in range(3, max_n + 1, 2):
         cosets = all_cosets(n, q).cosets
         for mask in range(1, 1 << len(cosets)):
             members = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
-            code = CyclicCode(DefiningSet(n, members, q=q))
+            code = CyclicCode(DefiningSet(n, members))
             if 0 < code.dim <= max_dim:
                 yield code
+
+
+def _binary_cyclic(n, poly):
+    """The generator matrix of the binary cyclic code of length n whose
+    generator polynomial is poly, a 0/1 string with the constant term
+    first.  The pins below were taken on these codes: the defining sets
+    they come from label them by a root of unity of GF(2^r), so the GF(4)
+    code of the same defining set is a multiplier image of each."""
+    g = [int(c) for c in poly]
+    m = np.zeros((n - len(g) + 1, n), dtype=np.uint8)
+    for i in range(m.shape[0]):
+        m[i, i : i + len(g)] = g
+    return m
 
 
 def _counted_words(monkeypatch):
@@ -203,7 +217,7 @@ def test_permuted_copy_takes_the_plain_walk(monkeypatch, q, leaders):
     walked = _counted_words(monkeypatch)
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
     plain = dist._symmetric_hist if q == 4 else dist._binary_hist
-    g = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q)).gen_matrix
+    g = CyclicCode.from_leaders(23, leaders).gen_matrix
     moved = g[:, np.random.default_rng(23).permutation(23)]
     r = linalg.row_basis(moved)
     assert not dist._is_cyclic(r)
@@ -222,7 +236,7 @@ def test_permuted_copy_takes_the_plain_walk(monkeypatch, q, leaders):
 def test_shortened_walk_counts_the_words_of_the_code(q, leaders):
     # work and the budget check count the q^k words of the code, not the
     # q^(k-1) of the shortened code walked
-    code = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q))
+    code = CyclicCode.from_leaders(23, leaders)
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
     words = q**code.dim
     assert walk(code.gen_matrix, budget=words)[1] == words
@@ -261,7 +275,7 @@ def test_shortened_walk_rejects_a_miscounted_kernel(monkeypatch, q, leaders, cor
     name = "gray_weight_hists" if q == 4 else "gray_weight_hists_binary"
     monkeypatch.setattr(_kernels, name, _miscounting_kernel(getattr(_kernels, name), corrupt))
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
-    g = CyclicCode(DefiningSet.from_leaders(23, leaders, q=q)).gen_matrix
+    g = CyclicCode.from_leaders(23, leaders).gen_matrix
     with pytest.raises(InvariantError, match="shortened walk of a cyclic \\[23,1[12]\\] code miscounted") as raised:
         walk(g)
     assert ("two-point" in str(raised.value)) == (q == 4)
@@ -292,12 +306,13 @@ def test_two_point_walk_rejects_impossible_counts(monkeypatch, weight, message):
 @pytest.mark.parametrize("q,hist", [(4, [1, 3]), (2, [1, 1])])
 def test_length_one_span(q, hist):
     # [1, 1] is cyclic, and mu_q has no orbit on the empty {1..n-1}: the
-    # walk takes the one-point rebuild of its shortened code, the zero word
+    # walk takes the one-point rebuild of its shortened code, the zero word.
+    # The cyclic code is a GF(4) code, whose enumerator is GF(4)'s
     assert dist._two_point_orbits(1, 1, q) is None
     g = np.array([[1]], dtype=np.uint8)
     got, work = dist.weight_histograms(g, q=q)
     assert got.tolist() == hist and work == q
-    assert dist.weight_distribution(CyclicCode(DefiningSet(1, frozenset(), q=q))).tolist() == hist
+    assert dist.weight_distribution(CyclicCode(DefiningSet(1, frozenset()))).tolist() == [1, 3]
 
 
 def test_full_space_distance_one():
@@ -576,24 +591,23 @@ def test_coincidence_order_two_trivial():
 
 
 def test_coincidence_completeness_decided_before_walking():
-    # at budgets on both sides of each walk's word count, q^dim for C and
-    # 4^dim for its fixed subcode, the report is the one from trying both
-    # walks: incomplete, with no weight checked, when either would exceed
-    # the budget.  A binary C can fit where its subcode's GF(4) walk does not.
+    # at budgets on both sides of each walk's word count, 4^dim for C and
+    # for its fixed subcode, the report is the one from trying both walks:
+    # incomplete, with no weight checked, when either would exceed the
+    # budget.  The subcode's walk never outgrows C's.
     cap = 4**7
-    binary_fits_alone = 0
-    for code in [*_cyclic_codes(21, 2, 14), *_cyclic_codes(21, 4, 7)]:
+    for code in _cyclic_codes(21, 4, 7):
         for a in range(2, code.n):
             try:
                 full = dist.fixed_subcode_coincidence(code, a, budget=cap)
             except InputError:
                 continue
             base = dist.fixed_subcode(code, a)
-            words = (code.q**code.dim, 4**base.dim)
+            words = (4**code.dim, 4**base.dim)
             if max(words) > cap:
                 continue
             assert full.complete
-            binary_fits_alone += words[0] < words[1]
+            assert words[1] <= words[0]
             for budget in {w + step for w in words for step in (-1, 0)}:
                 try:
                     dist.weight_distribution(code, budget)
@@ -603,7 +617,6 @@ def test_coincidence_completeness_decided_before_walking():
                 except BudgetExceededError:
                     want = dataclasses.replace(full, checked_weights=(), complete=False)
                 assert dist.fixed_subcode_coincidence(code, a, budget=budget) == want, (code, a, budget)
-    assert binary_fits_alone
 
 
 def test_library_ignores_duadiq_budget(monkeypatch):
@@ -632,11 +645,14 @@ def test_square_root_bounds_reports():
 
 
 def test_binary_shadow():
-    # the binary cyclic code with the defining set of a GF(4) code whose 2-
-    # and 4-cyclotomic cosets coincide has that code's distance
-    b = dist.min_distance_exact(CyclicCode(DefiningSet(23, qr_splitting(23).s1.members, q=2)))
+    # a defining set whose 2- and 4-cyclotomic cosets coincide gives a GF(4)
+    # code with a binary generator, of the binary code's distance
+    golay = CyclicCode(DefiningSet(23, qr_splitting(23).s1.members))
+    hamming = CyclicCode.from_leaders(7, [1])
+    assert (golay.gen_matrix <= 1).all() and (hamming.gen_matrix <= 1).all()
+    b = dist.min_distance_exact(golay)
     assert b.exact and b.lo == 7  # the binary Golay code
-    b7 = dist.min_distance_exact(CyclicCode(DefiningSet.from_leaders(7, [1], q=2)))
+    b7 = dist.min_distance_exact(hamming)
     assert b7.exact and b7.lo == 3  # binary Hamming [7,4,3]
 
 
@@ -655,11 +671,11 @@ def test_binary_shadow_matches_quaternary_small():
 
 def test_binary_basis_walks_and_searches_gf2(monkeypatch):
     # the 404 binary-generated GF(4) cyclic codes with n <= 41: d is the
-    # distance of the binary code with the same defining set (its own
-    # min_distance_exact at 2^24, which walks every code of dimension <= 24,
-    # so the many whose GF(4) route searches are checked against a walk),
-    # and that of the walk forced onto GF(4) wherever 4^k <= 2^20; small
-    # budgets bracket d; every walk of the default budget is binary
+    # distance of the binary span of the generator (its GF(2) walk for every
+    # code of dimension <= 24, so the many whose route searches are checked
+    # against a walk, else the search at 2^24), and that of the walk forced
+    # onto GF(4) wherever 4^k <= 2^20; small budgets bracket d; every walk
+    # of the default budget is binary
     calls = {"gray_weight_hists": 0, "gray_weight_hists_binary": 0}
 
     def counting(name):
@@ -690,8 +706,13 @@ def test_binary_basis_walks_and_searches_gf2(monkeypatch):
         assert calls["gray_weight_hists"] == before["gray_weight_hists"], (n, members)
         assert (calls["gray_weight_hists_binary"] > before["gray_weight_hists_binary"]) == walks
         assert not walks or d.work == 2**code.dim, (n, members)
-        binary = dist.min_distance_exact(CyclicCode(DefiningSet(n, members, q=2)), budget=1 << 24)
-        assert binary.exact and binary.lo == d.lo, (n, members)
+        if 2**code.dim <= 1 << 24:
+            hist, _ = dist.weight_histograms(code.gen_matrix, 1 << 24, q=2)
+            assert int(np.flatnonzero(hist[1:])[0]) + 1 == d.lo, (n, members)
+        else:
+            monkeypatch.setattr(dist, "_CACHE", {})
+            binary = dist.min_distance_exact(code, budget=1 << 24)
+            assert binary.exact and binary.lo == d.lo, (n, members)
         if 4**code.dim <= 1 << 20:
             hist, _ = dist.weight_histograms(code.gen_matrix, q=4)
             assert int(np.flatnonzero(hist[1:])[0]) + 1 == d.lo, (n, members)
@@ -700,6 +721,24 @@ def test_binary_basis_walks_and_searches_gf2(monkeypatch):
             b = dist.min_distance_exact(code, budget=budget)
             assert b.lo <= d.lo and (b.hi is None or b.hi >= d.lo), (n, members, budget)
             assert b.work <= budget or b.work == 0, (n, members, budget)
+
+
+def test_binary_basis_walks_only_when_its_gf4_words_fit(monkeypatch):
+    # the [31, 30] even-weight code, defining set {0}, has a binary basis
+    # whose 2^30 words fit the default budget, but its 4^30 GF(4) words do
+    # not: it is searched, not walked, and certified d = 2 at once
+    code = CyclicCode(DefiningSet(31, frozenset({0})))
+    assert code.dim == 30 and (code.gen_matrix <= 1).all()
+    assert 2**code.dim <= dist.DEFAULT_BUDGET < 4**code.dim
+
+    def no_walk(*args):
+        raise AssertionError("a Gray walk ran")
+    for name in ("gray_weight_hists", "gray_weight_hists_binary"):
+        monkeypatch.setattr(_kernels, name, no_walk)
+    monkeypatch.setattr(dist, "_CACHE", {})
+    b = dist.min_distance_exact(code)
+    assert (b.lo, b.hi, b.lo_src, b.hi_src) == (2, 2, dist.INFO_SET, dist.INFO_SET)
+    assert b.work <= 100
 
 
 def test_budget_interval_honesty():
@@ -750,6 +789,8 @@ ONE_SET_PINNED = {
     ("dual", 123, (1, 2, 6, 7, 9, 11)): (None, [(1, None, 0, _B), (1, None, 0, _B), (2, 40, 180, _B),
                                                 (3, 38, 16110, _B)]),
 }
+# the generator polynomials of the binary codes above, leaders (1,)
+_BINARY_GENERATORS = {21: "1010111", 23: "101011100011", 31: "100101"}
 # the rows the former one-set rule, exact once best <= w (a level late),
 # gave where they differ
 LATE_RULE = {
@@ -767,11 +808,13 @@ def test_one_set_search_matches_pinned(key):
     # same or a tighter interval for the same or lower work
     q, n, leaders = key
     if q == "dual":
-        code = CyclicCode(dual_defining_set(DefiningSet.from_leaders(n, leaders)))
+        gen, q = CyclicCode(dual_defining_set(DefiningSet.from_leaders(n, leaders))).gen_matrix, 4
+    elif q == 2:
+        gen = _binary_cyclic(n, _BINARY_GENERATORS[n])
     else:
-        code = CyclicCode(DefiningSet.from_leaders(n, leaders, q=q))
-    g = linalg.row_basis(code.gen_matrix)
-    got = [dist._info_set_bounds(g, code.q, budget) for budget in (0, 100, 4096, 10**5)]
+        gen = CyclicCode.from_leaders(n, leaders).gen_matrix
+    g = linalg.row_basis(gen)
+    got = [dist._info_set_bounds(g, q, budget) for budget in (0, 100, 4096, 10**5)]
     d, pinned = ONE_SET_PINNED[key]
     assert [(b.lo, b.hi, b.work, b.lo_src) for b in got] == pinned
     for b, (lo, hi, work, _) in zip(got, LATE_RULE.get(key, pinned)):
@@ -791,7 +834,7 @@ def _extension_generators():
 
 def test_small_blocks_give_same_bounds(monkeypatch):
     cases = [(CyclicCode.from_leaders(23, [1]).gen_matrix, 4)]
-    cases += [(CyclicCode(DefiningSet.from_leaders(23, [1], q=2)).gen_matrix, 2)]
+    cases += [(_binary_cyclic(23, _BINARY_GENERATORS[23]), 2)]
     cases += [(ext, 2 if (ext.extended <= 1).all() else 4) for ext in _extension_generators()]
     for budget in (100, 4096, 10**5):
         want = [dist._info_set_bounds(code, q, budget) for code, q in cases]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from duadiq import extfield, gf4
+from duadiq import extfield
 from duadiq.cyclic import all_cosets, cyclotomic_coset
 
 import oracle
@@ -38,7 +38,7 @@ def test_irreducibility_checker():
 
 @pytest.mark.parametrize("n,r", [(5, 2), (3, 1), (13, 6), (7, 3), (9, 3), (15, 2), (29, 14)])
 def test_ext_build_orders(n, r):
-    ext = extfield.ext_build(n, 4)
+    ext = extfield.ext_build(n)
     assert ext.r == r
     assert ext.n % 1 == 0
     # alpha has exact multiplicative order n
@@ -52,19 +52,19 @@ def test_ext_build_orders(n, r):
 
 def test_ext_build_rejects_even():
     with pytest.raises(ValueError):
-        extfield.ext_build(6, 4)
+        extfield.ext_build(6)
 
 
 def test_minimal_poly_examples():
-    e3 = extfield.ext_build(3, 4)
+    e3 = extfield.ext_build(3)
     mp = extfield.minimal_poly(e3, {0})
     assert np.array_equal(mp, [1, 1])  # x + 1
 
-    e5 = extfield.ext_build(5, 4)
+    e5 = extfield.ext_build(5)
     mp5 = extfield.minimal_poly(e5, cyclotomic_coset(5, 1))
     assert len(mp5) == 3 and mp5[0] == 1  # constant term alpha^5 = 1
 
-    e9 = extfield.ext_build(9, 4)
+    e9 = extfield.ext_build(9)
     mp9 = extfield.minimal_poly(e9, cyclotomic_coset(9, 1))
     assert len(mp9) == 4  # degree 3 coset {1,4,7}
     _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(9), mp9)
@@ -80,35 +80,28 @@ def test_minimal_poly_cached_read_only():
 
 
 def test_minimal_poly_rejects_unclosed():
-    e5 = extfield.ext_build(5, 4)
+    e5 = extfield.ext_build(5)
     with pytest.raises(ValueError):
         extfield.minimal_poly(e5, {1, 2})
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 15, 21, 33])
 def test_minimal_polys_factor_x_n_minus_1(n):
-    ext = extfield.ext_build(n, 4)
-    part = all_cosets(n, 4)
-    product = np.array([1], dtype=np.uint8)
+    ext = extfield.ext_build(n)
+    part = all_cosets(n)
+    product = [1]
     for coset in part.cosets:
         mp = extfield.minimal_poly(ext, coset)
         assert len(mp) == len(coset) + 1
         _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(n), mp)
         assert len(rem) == 0
-        product = gf4.poly_mul(product, mp)
-    assert product.tolist() == oracle.x_pow_n_minus_1(n)
-
-
-def test_binary_field_route():
-    ext = extfield.ext_build(7, 2)
-    assert ext.r == 3
-    mp = extfield.minimal_poly(ext, cyclotomic_coset(7, 1, q=2))
-    assert len(mp) == 4 and set(int(c) for c in mp) <= {0, 1}
+        product = oracle.poly_mul(product, mp.tolist())
+    assert product == oracle.x_pow_n_minus_1(n)
 
 
 def test_large_degree_fallback():
     # ord_47(4) = 23 forces a degree-46 modulus, beyond the primitivity limit
-    ext = extfield.ext_build(47, 4)
+    ext = extfield.ext_build(47)
     assert ext.degree == 46
     assert ext.pow(ext.alpha, 47) == 1
     assert ext.pow(ext.alpha, 1) != 1

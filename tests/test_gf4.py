@@ -89,6 +89,11 @@ def test_norm_weight_big_sample():
         assert _inner(v, v) == gf4.weight(v) % 2
 
 
+def _plane_product(p, q):
+    """The trimmed product of two coefficient arrays, on bit planes."""
+    return gf4.planes_poly(*gf4.planes_mul(gf4.poly_planes(p), gf4.poly_planes(q)))
+
+
 def test_poly_mul_divmod():
     rng = np.random.default_rng(3)
     for _ in range(100):
@@ -97,7 +102,7 @@ def test_poly_mul_divmod():
         if oracle.poly_deg(q) < 0:
             continue
         quot, rem = oracle.poly_divmod(p, q)
-        recon = gf4.poly_mul(np.array(quot, dtype=np.uint8), q)
+        recon = _plane_product(np.array(quot, dtype=np.uint8), q)
         if len(rem):
             padded = np.zeros(max(len(recon), len(rem)), dtype=np.uint8)
             padded[: len(recon)] ^= recon
@@ -114,7 +119,7 @@ def test_poly_mul_matches_oracle():
     rng = np.random.default_rng(26)
     for _ in range(300):
         p, q = (rng.integers(0, 4, int(rng.integers(0, 90))).astype(np.uint8) for _ in range(2))
-        product = gf4.poly_mul(p, q)
+        product = _plane_product(p, q)
         assert product.dtype == np.uint8 and product.tolist() == oracle.poly_mul(p, q)
         assert gf4.planes_poly(*gf4.poly_planes(p)).tolist() == p[: oracle.poly_deg(p) + 1].tolist()
 

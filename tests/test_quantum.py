@@ -312,8 +312,8 @@ def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
     with pytest.raises(InvariantError, match="MacWilliams"):
         quantum.general_zero_dim(pair.even1)
     assert len(calls) == 1
-    # the binary e = 1 pass of the [[8,0,4]] code, the GF(4) lift of a
-    # binary cyclic code, walks the 2^3 binary words of its [7, 3] ingredient
+    # the binary e = 1 pass of the [[8,0,4]] code, from a GF(4) cyclic code
+    # with a binary generator, walks the 2^3 binary words of its [7, 3] ingredient
     lift = CyclicCode(DefiningSet(7, qr_splitting(7).s1.members | {0}))
     corrupted, calls = _moved_word(dist.weight_histograms, 0, 4, 2, field=2)
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
@@ -528,7 +528,7 @@ def test_dual_containing_to_zero_dim_doubles_k():
 
 
 def test_binary_cyclic_quantum():
-    # the GF(4) lifts of binary cyclic codes (ord_n(2) = ord_n(4), so the
+    # GF(4) cyclic codes with binary generators (ord_n(2) = ord_n(4), so the
     # cosets coincide) extend to binary self-dual codes
     s23 = qr_splitting(23)
     ext, p = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(23, s23.s1.members | {0})))
@@ -543,7 +543,7 @@ def test_binary_duadic_below_the_duadic_pass_takes_the_binary_pass():
     # the even-like QR code of a prime p = 7 mod 8 has a binary generator:
     # when its 4^dim words do not fit but its 2^dim binary words do, the
     # duadic route's extension_distance walks the binary span, and reads the
-    # bound of the GF(4) lift of the binary code of the same defining set
+    # bound of the cyclic route's extension of the same even-like code
     for n, budget in ((7, 10), (23, 10**4), (31, 10**6)):
         split = qr_splitting(n)
         dim = (n - 1) // 2
@@ -567,9 +567,9 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
             assert params.k == 0 and params.d.lo <= d
             assert params.d.hi is None or d <= params.d.hi
         assert d <= params.d.hi <= dist.min_distance_exact(even).lo
-    # the GF(4) lift of a binary cyclic code below the exact pass, which
-    # walks the 2^k words of the binary ingredient C (e = 1): d(binary C)
-    # bounds the GF(4) extension.
+    # a GF(4) cyclic code with a binary generator below the exact pass, which
+    # walks the 2^k words of the binary ingredient C (e = 1): d(C), the
+    # distance of its binary span, bounds the extension.
     # The search walks binary messages, comb(K, w) of them at level w of
     # each set, where GF(4) messages would number comb(K, w) 3^w
     want = {
@@ -589,7 +589,7 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
         assert p.d.levels == levels
         assert p.d.work == sum(math.comb(ext.k, w) for top in levels for w in range(1, top + 1))
         d = oracle_d(ext.extended.tolist())
-        assert p.d.lo <= d <= p.d.hi <= dist.min_distance_exact(CyclicCode(DefiningSet(n, a.members, q=2))).lo
+        assert p.d.lo <= d <= p.d.hi <= dist.min_distance_exact(CyclicCode(a)).lo
 
 
 def test_research_codes_two_set_intervals():
