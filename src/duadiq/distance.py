@@ -52,18 +52,20 @@ multiples have the same weight, so weight_histograms enumerates one word
 per scaling orbit of the span.  A cyclic span walks only its shortened
 code, the words zero at coordinate 0, about 4^(dim-1)/3 words over GF(4)
 and 2^(dim-1) over GF(2), while the work still counts 4^dim (2^dim).  For
-odd n, when mu_q: j -> q j mod n has fewer than q orbits on {1..n-1},
-each with its least element j below dim (_two_point_orbits), it walks
-instead, per orbit, the words zero at 0 and j, q^(dim-2) words.  One
-identity rebuilds the code from either walk (_rebuild): the words of
-weight w zero at each of x coordinates number (x - w) A_w in all, and a
-group that fixes the code makes the counts equal along its orbits
-(MacWilliams & Sloane, 1977, ch. 8).  The [29, 14] code of
-quantum -n 29 --qr, with two orbits, walks about 2 * 4^12 / 3 words.  A
-count that breaks a divisibility, or overruns its total, raises
-InvariantError.  The information-set search counts the messages it
-covers, comb(x, w) (q - 1)^w for level w over x positions, and likewise
-walks one per scaling orbit.
+odd n, the multipliers a for which mu_a: j -> a j mod n, or conj o mu_a
+over GF(4), fixes the code form a group (_fixing_multipliers).  When it
+has fewer than q orbits on {1..n-1}, each with its least element j below
+dim (_two_point_orbits), the walk takes instead, per orbit, the words
+zero at 0 and j, q^(dim-2) words.  One identity rebuilds the code from
+either walk (_rebuild): the words of weight w zero at each of x
+coordinates number (x - w) A_w in all, and a group that fixes the code
+makes the counts equal along its orbits (MacWilliams & Sloane, 1977,
+ch. 8).  The [29, 14] code of quantum -n 29 --qr has one orbit, mu_4
+and conj o mu_2 together, and walks about 4^12 / 3 words.  A count that
+breaks a divisibility, or overruns its total, raises InvariantError.
+The information-set search counts the messages it covers,
+comb(x, w) (q - 1)^w for level w over x positions, and likewise walks
+one per scaling orbit.
 
 The distance of an extension (extension_distance) is certified in one
 place: one exact pass (_extension_pass) when its words fit the budget,
@@ -209,14 +211,55 @@ def _is_cyclic(r: np.ndarray) -> bool:
     return np.array_equal(np.concatenate((r[:, -1:], r[:, :-1]), axis=1), combination)
 
 
-def _two_point_orbits(n: int, k: int, q: int) -> list[tuple[int, int]] | None:
-    """(least element, size) of each orbit of j -> q j mod n on {1..n-1},
-    when a cyclic [n, k] span over GF(q) walks its two-point shortened
-    codes (_span_hist): n odd, at least one and fewer than q orbits, and
-    each orbit's least element below k, so k >= 2.  Else None."""
+def _fixing_multipliers(r: np.ndarray) -> list[tuple[int, bool]]:
+    """The pairs (a, semilinear), a a unit of Z_n, for which mu_a (False)
+    or conj o mu_a (True) maps the cyclic code whose RREF r has pivots
+    {0..k-1} onto itself: first the linear maps, then the semilinear ones,
+    each in ascending a.
+
+    Its last row x^(k-1) g(x) / g_0 generates the code as an ideal of
+    GF(4)[x] / (x^n - 1), and mu_a and conj o mu_a are ring automorphisms,
+    so either maps the code onto itself exactly when it maps that one row
+    into it.  A word lies in the row space of r exactly when it is the
+    combination of r's rows given by its own first k entries, so one
+    product tests the images of all the maps.  For odd n, mu_4 fixes every
+    cyclic code, so a map fixes it exactly when its composite with mu_4
+    does: one a per 4-cyclotomic coset of units is tested, 2 phi(n) /
+    ord_n(4) images in all.
+    """
+    n = r.shape[1]
+    if n % 2:
+        classes = [sorted(c) for c in all_cosets(n).cosets if math.gcd(min(c), n) == 1]
+    else:
+        classes = [[a] for a in range(n) if math.gcd(a, n) == 1]
+    images = np.vstack([apply_multiplier(c[0], r[-1]) for c in classes])
+    images = np.vstack((images, gf4.CONJ_TABLE[images]))
+    inside = ~(images ^ linalg.matmul(images[:, : r.shape[0]], r)).any(axis=1)
+    maps = [(c, semilinear) for semilinear in (False, True) for c in classes]
+    fixing = [(a, semilinear) for (c, semilinear), fixes in zip(maps, inside) if fixes for a in c]
+    return sorted(fixing, key=lambda m: (m[1], m[0]))
+
+
+def _two_point_orbits(r: np.ndarray, q: int) -> list[tuple[int, int]] | None:
+    """(least element, size) of each orbit on {1..n-1} of the multipliers
+    that fix the cyclic span of r over GF(q) (_fixing_multipliers), when
+    it walks its two-point shortened codes (_span_hist): n odd, at least
+    one and fewer than q orbits, and each orbit's least element below k,
+    so k >= 2.  Else None.
+
+    The multipliers a for which mu_a or conj o mu_a fixes the code form a
+    group, as the maps that fix it do, and it holds q: mu_q fixes every
+    q-ary cyclic code.  So the orbit of j is {a j mod n : a in the group}."""
+    k, n = r.shape
     if n % 2 == 0:
         return None
-    orbits = [(min(c), len(c)) for c in all_cosets(n, q).cosets if 0 not in c]
+    group = {a for a, _ in _fixing_multipliers(r)}
+    orbits, seen = [], set()
+    for j in range(1, n):
+        if j not in seen:
+            orbit = {a * j % n for a in group}
+            seen |= orbit
+            orbits.append((j, len(orbit)))
     if not orbits or len(orbits) >= q or any(j >= k for j, _ in orbits):
         return None
     return orbits
@@ -254,25 +297,28 @@ def _span_hist(r: np.ndarray, q: int) -> np.ndarray:
     w zero at each one are equally many, B_w = (n - w) A_w / n of them
     (MacWilliams & Sloane, 1977), and A is _rebuild of n B, x = n, e = k.
 
-    For odd n the multiplier mu_q: j -> q j mod n fixes every q-ary cyclic
-    code and the coordinate 0, so it permutes the shortened code and the
-    words zero at j and at q j are equally many.  When _two_point_orbits
-    accepts (n, k, q), B comes from the words zero at two coordinates:
-    for each orbit O of mu_q on {1..n-1}, with least element j < k, row j
-    is the only row with an entry in column j, so span(r without rows 0
-    and j) is D^O = {c in C : c_0 = c_j = 0}, q^(k-2) words.  A word of B
-    of weight w is zero at n - 1 - w of the coordinates 1..n-1, so B is
-    _rebuild of sum_O |O| D^O, x = n - 1, e = k - 1, which walks (number
-    of orbits) q^(k-2) < q^(k-1) words.  Any other cyclic span walks B
-    itself.  _rebuild's InvariantError rejects counts that cannot be a
-    cyclic code's.
+    For odd n, take any multiplier a that fixes C, through mu_a or
+    conj o mu_a (_fixing_multipliers; mu_q always does).  The map fixes
+    C and the coordinate 0 and moves coordinate j to a j; conj keeps zero
+    entries zero and weights unchanged.  So it maps the words of weight w
+    zero at 0 and j one to one onto those zero at 0 and a j, and these
+    are equally many along each orbit of the group of such a on {1..n-1}.
+    When _two_point_orbits accepts r, B comes from the words zero at two
+    coordinates: for each orbit O, with least element j < k, row j is the
+    only row with an entry in column j, so span(r without rows 0 and j) is
+    D^O = {c in C : c_0 = c_j = 0}, q^(k-2) words.  A word of B of weight
+    w is zero at n - 1 - w of the coordinates 1..n-1, so B is _rebuild of
+    sum_O |O| D^O, x = n - 1, e = k - 1, which walks (number of orbits)
+    q^(k-2) < q^(k-1) words.  Any other cyclic span walks B itself.
+    _rebuild's InvariantError rejects counts that cannot be a cyclic
+    code's.
     """
     walk = _symmetric_hist if q == 4 else _binary_hist
     k, n = r.shape
     if k == 0 or not _is_cyclic(r):
         return walk(r)
     what = f"shortened walk of a cyclic [{n},{k}] code"
-    orbits = _two_point_orbits(n, k, q)
+    orbits = _two_point_orbits(r, q)
     if orbits is None:
         b = walk(r[1:])
     else:
@@ -301,7 +347,7 @@ def weight_histograms(g: np.ndarray, budget: int = DEFAULT_BUDGET, q: int = 4) -
     words of the span, which the budget check counts too.  g is reduced
     only when it is not an RREF (linalg.rref_pivots).  The walk evaluates
     fewer words (_span_hist): over GF(4) one per scaling orbit, and of a
-    cyclic span only its shortened codes, 11,272,192 words for the
+    cyclic span only its shortened codes, 5,636,096 words for the
     [29, 14] code of quantum -n 29 --qr.  Raises BudgetExceededError when
     q^dim exceeds the budget, InputError for a symbol outside GF(q).
     """
@@ -668,8 +714,9 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_
 
     Walks the even-like code C_e once, 4^dim words of work, of which the
     walk evaluates at most about 4^(dim-1)/3: C_e is cyclic, so only its
-    shortened code, or its two-point shortened codes, is walked
-    (_span_hist).  It takes the odd-like distribution from MacWilliams
+    shortened code, or its two-point shortened codes, one per orbit of
+    the multipliers that fix C_e, is walked (_span_hist).  It takes the
+    odd-like distribution from MacWilliams
     (dual_distribution): the dual of C_e1 has defining set
     -S2, so it is mu_-1 of C_o2, which the splitting's multiplier maps onto
     C_o1, and hist(C_o1) = MW(hist(C_e1)) / |C_e1|, on either side of any
@@ -789,23 +836,12 @@ def _extension_pass(ext, q: int, budget: int) -> ExtensionDistance:
 
 
 def _fixing_involutions(r: np.ndarray) -> list[int]:
-    """The multipliers a != 1 with a^2 = 1 (mod n) that fix the cyclic code
-    whose RREF r has pivots {0..k-1}.
-
-    Its last row x^(k-1) g(x) / g_0 generates the code as an ideal of
-    GF(4)[x] / (x^n - 1), and mu_a is a ring automorphism, so mu_a maps
-    the code onto itself exactly when it maps that one row into it.  A
-    word lies in the row space of r exactly when it is the combination of
-    r's rows given by its own first k entries, so one product tests the
-    images of all the involutions.
-    """
+    """The multipliers a != 1 with a^2 = 1 (mod n) whose mu_a fixes the
+    cyclic code whose RREF r has pivots {0..k-1}, in ascending order: the
+    linear maps of order 2 among _fixing_multipliers."""
     n = r.shape[1]
-    involutions = [a for a in range(2, n) if a * a % n == 1]
-    if not involutions:
-        return []
-    images = np.vstack([apply_multiplier(a, r[-1]) for a in involutions])
-    outside = (images ^ linalg.matmul(images[:, : r.shape[0]], r)).any(axis=1)
-    return [a for a, out in zip(involutions, outside) if not out]
+    return [a for a, semilinear in _fixing_multipliers(r)
+            if not semilinear and a != 1 and a * a % n == 1]
 
 
 def _fixed_rows(g: np.ndarray, a: int) -> np.ndarray:
@@ -856,10 +892,15 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     """
     big_k, big_n = ext.extended.shape
     cyclic = _is_cyclic(ext.original)
-    fixing = _fixing_involutions(ext.original) if cyclic else []
-    seeds = (_zero_padded(rows, big_n)
-             for rows in (_fixed_rows(ext.original, a) for a in fixing) if len(rows))
-    b = _info_set_bounds(ext, q, budget, cyclic=cyclic, seeds=seeds)
+
+    def seeds():
+        # run only when the search reads its seeds
+        for a in _fixing_involutions(ext.original) if cyclic else ():
+            rows = _fixed_rows(ext.original, a)
+            if len(rows):
+                yield _zero_padded(rows, big_n)
+
+    b = _info_set_bounds(ext, q, budget, cyclic=cyclic, seeds=seeds())
     two_set = sum(b.levels) + len(b.levels)
     found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
     if not b.exact and b.lo > two_set:

@@ -99,6 +99,27 @@ def test_quantum_qr_23_walks_once(capsys, monkeypatch):
     assert sum(words) == 2 * ((4**9 - 4**8) // 3 + 4**8) == 262_144
 
 
+def test_quantum_qr_29_walks_one_span(capsys, monkeypatch):
+    # mu_4 has two orbits on Z_29^*, but 2 is a non-residue mod 29 and
+    # conj o mu_2 fixes the [29, 14] even-like code, so its fixing
+    # multipliers join them: one [29, 12] code of words zero at 0 and 1,
+    # four peeled levels, then the 4^8 block
+    words = []
+    walk = _kernels.gray_weight_hists
+
+    def counting(*args, **kwargs):
+        hist = walk(*args, **kwargs)
+        words.append(int(hist.sum()))
+        return hist
+
+    monkeypatch.setattr(dist, "_CACHE", {})
+    monkeypatch.setattr(_kernels, "gray_weight_hists", counting)
+    code, out, _ = run(capsys, "quantum", "-n", "29", "--qr", "--format", "json")
+    assert code == 0 and json.loads(out)["d_lo"] == 12
+    assert len(words) == 5
+    assert sum(words) == (4**12 - 4**8) // 3 + 4**8 == 5_636_096
+
+
 @pytest.mark.parametrize("n,d_lo,d_hi", [(29, 10, 12), (47, 12, 12)])
 def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
     # below the exact pass one search, on an information set of the extended
@@ -230,13 +251,20 @@ def test_walked_histogram_miscount_exit_4(capsys, monkeypatch, argv, field, coun
     (("quantum", "-n", "23", "--leaders", "1"), "gray_weight_hists_binary"),
     (("distance", "-n", "23", "--leaders", "1"), "gray_weight_hists_binary"),
     (("distance", "-n", "23", "--leaders", "1", "--via-binary"), "gray_weight_hists_binary"),
+    (("quantum", "-n", "29", "--qr"), "gray_weight_hists"),
+    (("quantum", "-n", "13", "--qr"), "gray_weight_hists"),
 ])
 def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corrupt):
-    # each command walks the shortened codes of a cyclic [23, k] code: over
-    # GF(4) the two two-point codes, over GF(2) the one shortened code.  One
-    # extra word of the least weight w in the kernel's first histogram, or
-    # one moved up by 2, breaks sum_O 11 D^O_w = (22 - w) B_w, or
-    # 23 B_w = (23 - w) A_w
+    # each command walks the shortened codes of a cyclic [n, k] code: over
+    # GF(4) its two-point codes, two for n = 23 and one for n = 29 and 13,
+    # whose fixing multipliers act transitively on the nonzero coordinates;
+    # over GF(2) the one shortened code.  One extra word of the least
+    # weight w in the kernel's first histogram, or one moved up by 2,
+    # breaks sum_O |O| D^O_w = (n - 1 - w) B_w, or else n B_w = (n - w) A_w.
+    # For n = 13 the one orbit has n - 1 = 12 elements, and 12 D_w stays
+    # divisible by 12 - w at the weights touched, so the second identity
+    # catches the word
+    two_point = kernel == "gray_weight_hists" and argv[2] != "13"
     plain = getattr(_kernels, kernel)
     calls = []
 
@@ -256,8 +284,8 @@ def test_shortened_walk_miscount_exit_4(capsys, monkeypatch, argv, kernel, corru
     monkeypatch.setattr(_kernels, kernel, corrupted)
     code, out, err = run(capsys, *argv)
     assert code == 4 and out == ""
-    assert "shortened walk of a cyclic [23," in err and "miscounted" in err
-    assert ("two-point shortened walk" in err) == (kernel == "gray_weight_hists")
+    assert f"shortened walk of a cyclic [{argv[2]}," in err and "miscounted" in err
+    assert ("two-point shortened walk" in err) == two_point
 
 
 def test_unit_routes_print_one_note(capsys):

@@ -1,10 +1,11 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from duadiq import distance as dist
-from duadiq import _kernels, linalg, quantum
+from duadiq import _kernels, gf4, linalg, quantum
 from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier, dual_defining_set
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import BudgetExceededError, InputError, InvariantError
@@ -123,16 +124,41 @@ def test_cyclic_test_matches_row_space_membership():
     assert seen == {(True, True), (False, True), (False, False)}
 
 
+def _generated(gens, n):
+    """The subgroup of the units of Z_n that gens generate."""
+    group = {1}
+    while not group >= (grown := group | {g * x % n for g in gens for x in group}):
+        group = grown
+    return group
+
+
 def _shortened_spans(r, q):
     """The spans the walk of a cyclic RREF r over GF(q) enumerates: for
-    each orbit of j -> q j mod n on {1..n-1}, r without rows 0 and the
-    orbit's least element, when n is odd, k >= 2, the orbits are fewer
-    than q and each least element is below k; else r[1:] alone."""
+    each orbit on {1..n-1} of the group F of units a of Z_n with mu_a(C),
+    or over GF(4) conj(mu_a(C)), inside C = span(r), r without rows 0 and
+    the orbit's least element, when n is odd, k >= 2, the orbits are fewer
+    than q and each least element is below k; else r[1:] alone.
+
+    F is a group and holds q, so a unit a is tested only when it is not
+    yet known to be in F, nor in a coset a F of one known to be outside."""
     k, n = r.shape
-    if n % 2 and k >= 2:
-        orbits = [c for c in all_cosets(n, q).cosets if 0 not in c]
-        if len(orbits) < q and all(min(c) < k for c in orbits):
-            return [np.delete(r, [0, min(c)], axis=0) for c in orbits]
+    if n % 2 == 0 or k < 2:
+        return [r[1:]]
+    maps = [lambda m: m] + [lambda m: gf4.CONJ_TABLE[m]] * (q == 4)
+    fixing, outside = _generated([q], n), set()
+    for a in range(1, n):
+        if math.gcd(a, n) > 1 or a in fixing or any(a * f % n in outside for f in fixing):
+            continue
+        if any(oracle.is_subspace(m(apply_multiplier(a, r)), r) for m in maps):
+            fixing = _generated(fixing | {a}, n)
+        else:
+            outside.add(a)
+    orbits = []
+    for j in range(1, n):
+        if all(j not in o for o in orbits):
+            orbits.append({a * j % n for a in fixing})
+    if len(orbits) < q and all(min(o) < k for o in orbits):
+        return [np.delete(r, [0, min(o)], axis=0) for o in orbits]
     return [r[1:]]
 
 
@@ -141,7 +167,8 @@ def test_shortened_walk_equals_plain_walk(monkeypatch, q, max_dim):
     # every cyclic code with n <= 41 up to the dimension cap: the walk of
     # its two-point shortened codes (fewer than q of them, q^(k-2) words
     # each) or of its shortened code (q^(k-1) words) rebuilds the plain
-    # walk's histogram
+    # walk's histogram.  Over GF(4), conj o mu_2 fixes every code, so more
+    # codes take the two-point walk than over GF(2)
     walked = _counted_words(monkeypatch)
     walk = dist.weight_histograms if q == 4 else dist.weight_histograms_binary
     plain = dist._symmetric_hist if q == 4 else dist._binary_hist
@@ -162,7 +189,7 @@ def test_shortened_walk_equals_plain_walk(monkeypatch, q, max_dim):
         checked += 1
         two_point += spans[0].shape[0] == code.dim - 2
     assert checked > (150 if q == 4 else 250), checked
-    assert two_point == (19 if q == 4 else 5), two_point
+    assert two_point == (162 if q == 4 else 7), two_point
 
 
 def test_binary_name_is_the_gf2_walk():
@@ -192,20 +219,37 @@ def test_exact_distance_reduces_once(monkeypatch):
     [[1, 0, 1, 0], [0, 1, 0, 1]],  # even length: mu_q is no permutation
     [[1, 1]],                      # even length and k = 1
     [[1, 1, 1, 1, 1]],             # k = 1
-    # the [5, 2] code with defining set {0, 1, 4}: the mu_4 orbit {2, 3} starts at k
-    [[1, 0, 1, 3, 3], [0, 1, 3, 3, 1]],
+    # the [9, 2] code with defining set {1, 2, 3, 4, 5, 7, 8}: the orbit
+    # {3, 6} of its fixing multipliers starts at k
+    [[1, 0, 2, 1, 0, 2, 1, 0, 2], [0, 1, 3, 0, 1, 3, 0, 1, 3]],
 ])
 def test_one_point_fallbacks_walk_the_shortened_code(monkeypatch, rows):
     # cyclic spans outside the two-point guards walk r[1:], q^(k-1) words,
     # and give the plain walk's histogram
     r = linalg.row_basis(np.array(rows, dtype=np.uint8))
     assert dist._is_cyclic(r) and np.array_equal(r, rows)
+    assert dist._two_point_orbits(r, 4) is None
     walked = _counted_words(monkeypatch)
     hist, work = dist.weight_histograms(r)
     shortened = sum(walked)
     walked.clear()
     dist._symmetric_hist(r[1:])
     assert shortened == sum(walked) and work == 4 ** r.shape[0]
+    assert np.array_equal(hist, dist._symmetric_hist(r))
+
+
+def test_semilinear_multiplier_joins_the_orbits(monkeypatch):
+    # the [5, 2] code with defining set {0, 1, 4}: the mu_4 orbit {2, 3}
+    # starts at k, but conj o mu_2 fixes the code and joins it to {1, 4},
+    # so the walk takes the one span zero at 0 and 1, the zero code
+    r = np.array([[1, 0, 1, 3, 3], [0, 1, 3, 3, 1]], dtype=np.uint8)
+    code = CyclicCode(DefiningSet(5, frozenset({0, 1, 4})))
+    assert np.array_equal(linalg.row_basis(code.gen_matrix), r)
+    assert dist._fixing_multipliers(r) == [(1, False), (4, False), (2, True), (3, True)]
+    assert dist._two_point_orbits(r, 4) == [(1, 4)]
+    walked = _counted_words(monkeypatch)
+    hist, work = dist.weight_histograms(r)
+    assert walked == [1] and work == 16
     assert np.array_equal(hist, dist._symmetric_hist(r))
 
 
@@ -268,7 +312,8 @@ def _miscounting_kernel(kernel, corrupt):
 @pytest.mark.parametrize("q,leaders", [(4, [0, 1]), (2, [1])])
 def test_shortened_walk_rejects_a_miscounted_kernel(monkeypatch, q, leaders, corrupt):
     # over GF(4) the first of the two two-point walks of the [23, 11] code
-    # (mu_4 has 2 orbits), [23, 9] each: an extra or moved word of weight w
+    # (its fixing multipliers, the residues mod 23, have 2 orbits), [23, 9]
+    # each: an extra or moved word of weight w
     # breaks sum_O 11 D^O_w = (22 - w) B_w.  The binary [23, 12] code walks
     # its shortened [23, 11] code (mu_2 has 2 orbits, not fewer than 2):
     # the same word breaks 23 B_w = (23 - w) A_w
@@ -305,11 +350,13 @@ def test_two_point_walk_rejects_impossible_counts(monkeypatch, weight, message):
 
 @pytest.mark.parametrize("q,hist", [(4, [1, 3]), (2, [1, 1])])
 def test_length_one_span(q, hist):
-    # [1, 1] is cyclic, and mu_q has no orbit on the empty {1..n-1}: the
-    # walk takes the one-point rebuild of its shortened code, the zero word.
-    # The cyclic code is a GF(4) code, whose enumerator is GF(4)'s
-    assert dist._two_point_orbits(1, 1, q) is None
+    # [1, 1] is cyclic, and its fixing multipliers, mu_0 and conj o mu_0 on
+    # Z_1, have no orbit on the empty {1..n-1}: the walk takes the
+    # one-point rebuild of its shortened code, the zero word.  The cyclic
+    # code is a GF(4) code, whose enumerator is GF(4)'s
     g = np.array([[1]], dtype=np.uint8)
+    assert dist._fixing_multipliers(g) == [(0, False), (0, True)]
+    assert dist._two_point_orbits(g, q) is None
     got, work = dist.weight_histograms(g, q=q)
     assert got.tolist() == hist and work == q
     assert dist.weight_distribution(CyclicCode(DefiningSet(1, frozenset()))).tolist() == [1, 3]
