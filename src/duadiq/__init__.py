@@ -19,28 +19,21 @@ from .cyclic import (
     cyclotomic_coset,
     dual_defining_set,
     is_dual_containing,
-    near_orthogonality,
 )
 from .distance import (
     DistanceBound,
     compose_bounds,
     duadic_distances,
     fixed_subcode,
-    fixed_subcode_coincidence,
     fixed_subcode_lower_bound,
     min_distance_exact,
-    square_root_bounds,
-    weight_distribution,
 )
 from .duadic import (
     DuadicPair,
     Splitting,
     duadic_from_splitting,
     find_splittings,
-    is_self_orthogonal_even_duadic,
     qr_splitting,
-    splitting_predictions,
-    verify_duadic_properties,
 )
 from .errors import (
     BudgetExceededError,
@@ -85,23 +78,16 @@ __all__ = [
     "extended_duadic_quantum",
     "find_splittings",
     "fixed_subcode",
-    "fixed_subcode_coincidence",
     "fixed_subcode_lower_bound",
     "general_zero_dim",
     "is_dual_containing",
-    "is_self_orthogonal_even_duadic",
     "load_annotations",
     "min_distance_exact",
     "minimal_poly",
-    "near_orthogonality",
     "params_from_annotation",
     "qr_splitting",
     "secondary_chain",
     "secondary_constructions",
-    "splitting_predictions",
-    "square_root_bounds",
-    "verify_duadic_properties",
-    "weight_distribution",
     "zero_dim_from_classical_annotation",
     "Annotation",
     "BudgetExceededError",

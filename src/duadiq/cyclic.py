@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import extfield, gf4, linalg
+from . import extfield, gf4
 
 
 def cyclotomic_coset(n: int, a: int, q: int = 4) -> frozenset[int]:
@@ -197,37 +197,3 @@ class CyclicCode:
                 m[i, i : i + len(g)] = g
             self._gen_matrix = m
         return self._gen_matrix
-
-    def intersection(self, other: "CyclicCode") -> "CyclicCode":
-        self._check_mate(other)
-        return CyclicCode(DefiningSet(self.n, self.defining_set.members | other.defining_set.members))
-
-    def plus(self, other: "CyclicCode") -> "CyclicCode":
-        self._check_mate(other)
-        return CyclicCode(DefiningSet(self.n, self.defining_set.members & other.defining_set.members))
-
-    def _check_mate(self, other: "CyclicCode") -> None:
-        if self.n != other.n:
-            raise ValueError("codes live in different ambient spaces")
-
-    def contains_code(self, other: "CyclicCode") -> bool:
-        """other is a subcode iff its defining set contains ours."""
-        self._check_mate(other)
-        return other.defining_set.members >= self.defining_set.members
-
-
-def near_orthogonality(code_or_matrix) -> int:
-    """dim(E) - dim(E intersect E^perp_h); zero exactly for self-orthogonal E.
-
-    For a cyclic code this reduces to defining-set arithmetic; for a raw
-    generator matrix it is the rank of the Gram matrix of a basis, whose
-    left kernel holds the coordinates of E intersect E^perp_h in that basis.
-    Both routes agree (tested).
-    """
-    if isinstance(code_or_matrix, CyclicCode):
-        c = code_or_matrix
-        dual_members = dual_defining_set(c.defining_set).members
-        inter_dim = c.n - len(c.defining_set.members | dual_members)
-        return c.dim - inter_dim
-    return linalg.rank(linalg.gram_matrix(linalg.row_basis(np.atleast_2d(code_or_matrix))))
-

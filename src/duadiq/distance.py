@@ -55,8 +55,9 @@ and 2^(dim-1) over GF(2), while the work still counts 4^dim (2^dim).  For
 odd n, the multipliers a for which mu_a: j -> a j mod n, or conj o mu_a
 over GF(4), fixes the code form a group (_fixing_multipliers).  When it
 has fewer than q orbits on {1..n-1}, each with its least element j below
-dim (_two_point_orbits), the walk takes instead, per orbit, the words
-zero at 0 and j, q^(dim-2) words.  One identity rebuilds the code from
+dim, the walk takes instead, per orbit, the words zero at 0 and j,
+q^(dim-2) words, unless those walks evaluate more words than the one
+(_two_point_orbits).  One identity rebuilds the code from
 either walk (_rebuild): the words of weight w zero at each of x
 coordinates number (x - w) A_w in all, and a group that fixes the code
 makes the counts equal along its orbits (MacWilliams & Sloane, 1977,
@@ -83,9 +84,9 @@ import numpy as np
 
 from . import _kernels, gf4, linalg
 from .cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier
-from .duadic import DuadicPair, Splitting
+from .duadic import Splitting
 from .errors import BudgetExceededError, InputError, InvariantError
-from .extfield import is_prime, mult_order
+from .extfield import mult_order
 
 # provenance tags
 EXACT = "exact-enumeration"
@@ -240,12 +241,25 @@ def _fixing_multipliers(r: np.ndarray) -> list[tuple[int, bool]]:
     return sorted(fixing, key=lambda m: (m[1], m[0]))
 
 
+def _walked_words(m: int, q: int) -> int:
+    """The words the walk of an m-dimensional GF(q) span evaluates: 2^m
+    (_binary_hist), or 4^(m - j - 1) per peeled generator j and 4^8 for the
+    rest (_symmetric_hist), so 4^m up to m = 8 and (4^m - 4^8) / 3 + 4^8 above."""
+    if q == 2:
+        return 2**m
+    rest = min(m, _kernels._SUFFIX_BITS // 2)
+    return (4**m - 4**rest) // 3 + 4**rest
+
+
 def _two_point_orbits(r: np.ndarray, q: int) -> list[tuple[int, int]] | None:
     """(least element, size) of each orbit on {1..n-1} of the multipliers
     that fix the cyclic span of r over GF(q) (_fixing_multipliers), when
     it walks its two-point shortened codes (_span_hist): n odd, at least
-    one and fewer than q orbits, and each orbit's least element below k,
-    so k >= 2.  Else None.
+    one and fewer than q orbits, each orbit's least element below k, so
+    k >= 2, and their walks evaluate no more words than the one walk of
+    the shortened code (_walked_words).  Else None.  The last rule decides
+    only over GF(4) with k > 9: a [15, 10] code with 3 orbits walks 2 x 4^8
+    words, not 3 x 4^8.
 
     The multipliers a for which mu_a or conj o mu_a fixes the code form a
     group, as the maps that fix it do, and it holds q: mu_q fixes every
@@ -260,7 +274,8 @@ def _two_point_orbits(r: np.ndarray, q: int) -> list[tuple[int, int]] | None:
             orbit = {a * j % n for a in group}
             seen |= orbit
             orbits.append((j, len(orbit)))
-    if not orbits or len(orbits) >= q or any(j >= k for j, _ in orbits):
+    if (not orbits or len(orbits) >= q or any(j >= k for j, _ in orbits)
+            or len(orbits) * _walked_words(k - 2, q) > _walked_words(k - 1, q)):
         return None
     return orbits
 
@@ -309,7 +324,8 @@ def _span_hist(r: np.ndarray, q: int) -> np.ndarray:
     D^O = {c in C : c_0 = c_j = 0}, q^(k-2) words.  A word of B of weight
     w is zero at n - 1 - w of the coordinates 1..n-1, so B is _rebuild of
     sum_O |O| D^O, x = n - 1, e = k - 1, which walks (number of orbits)
-    q^(k-2) < q^(k-1) words.  Any other cyclic span walks B itself.
+    q^(k-2) < q^(k-1) words, and evaluates no more than the walk of B
+    would.  Any other cyclic span walks B itself.
     _rebuild's InvariantError rejects counts that cannot be a cyclic
     code's.
     """
@@ -523,7 +539,7 @@ def _systematic_forms(code) -> tuple[np.ndarray, list]:
     return g, [(info + rest, r), (rest + info, np.hstack([eye, gf4.CONJ_TABLE[r[:, k:]].T]))]
 
 
-def _info_set_bounds(code, q: int, budget: int, cyclic: bool = False, seeds=()) -> InfoSetBound:
+def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
     """Brouwer-Zimmermann search over the information sets of a code.
 
     The search takes its shape from code (_systematic_forms).  A generator
@@ -557,10 +573,10 @@ def _info_set_bounds(code, q: int, budget: int, cyclic: bool = False, seeds=()) 
     and with half of it two [18, 9] extensions (n = 15) lost a weight-6
     word the prefix had met at budget 377.
 
-    cyclic says the code, or the ingredient C of the Extension, is cyclic,
-    so the RREF pivots are its window {0..k-1}.  Then lo is also at least
-    the cyclic average of the completed levels (_cyclic_average).  Every
-    search is exact once best <= lo.  A self-dual code is even, so a
+    When the code, or the ingredient C of the Extension, is cyclic
+    (_is_cyclic of its RREF basis), the RREF pivots are its window {0..k-1},
+    and lo is also at least the cyclic average of the completed levels
+    (_cyclic_average).  Every search is exact once best <= lo.  A self-dual code is even, so a
     two-set search is also exact once best <= lo + 1 with lo odd.  A single
     set walks no partial level, so each seed's search leaves what it does
     not walk of the seeds' third to the next seed.
@@ -572,6 +588,7 @@ def _info_set_bounds(code, q: int, budget: int, cyclic: bool = False, seeds=()) 
     g, forms = _systematic_forms(code)
     k, n = g.shape
     e = code.e if self_dual else 0
+    cyclic = _is_cyclic(code.original if self_dual else g)
     walks = [_kernels.InfoSetLevels(r[:, k:], q) for _, r in forms]
     levels = [0] * len(walks)
     best, word, hi_src, work = n + 1, None, BUDGET, 0
@@ -655,8 +672,9 @@ def _cached(key: tuple, budget: int) -> DistanceBound | DuadicDistances | None:
 def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
     """Exact distance by full enumeration when 4^dim fits the budget, else
     an information-set interval with budget-exhausted provenance; for a
-    CyclicCode its lower bound is lifted by cyclic averaging.  Both the walk
-    and the search run over _field of the RREF basis, so a code with a
+    cyclic code (a CyclicCode, or a matrix whose RREF basis is cyclic) its
+    lower bound is lifted by cyclic averaging.  Both the walk and the
+    search run over _field of the RREF basis, so a code with a
     binary basis walks its 2^dim binary words, which are its work, but only
     when its 4^dim words would fit: walk or search is decided on GF(4)."""
     key = None
@@ -678,16 +696,10 @@ def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
         hist, work = weight_histograms(g, budget, _field(g))
         result = DistanceBound.exact_value(_first_nonzero_weight(hist), work=work)
     else:
-        result = _info_set_bounds(g, _field(g), budget, cyclic=key is not None)
+        result = _info_set_bounds(g, _field(g), budget)
     if key is not None and result.exact:
         _CACHE[key] = result
     return result
-
-
-def weight_distribution(code, budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Full weight enumerator over GF(4) (counts per weight, zero word
-    included): 4^dim words, even for a binary basis."""
-    return weight_histograms(_generators(code), budget)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -772,21 +784,21 @@ def even_lift(b: DistanceBound) -> DistanceBound:
 @dataclass(frozen=True)
 class ExtensionDistance:
     """An extension's distance with an account of it (note): the exact
-    pass's, or that of the bound that replaced the pass (bounded)."""
+    pass's, or that of the bound that replaced the pass, whose lower end
+    is not exact-enumeration."""
 
     bound: DistanceBound
     note: str
-    bounded: bool
 
     @property
     def trace_line(self) -> str:
         """The note as a construction's trace prints it."""
-        return f"budget-limited bound: {self.note}" if self.bounded else self.note
+        return self.note if self.bound.lo_src == EXACT else f"budget-limited bound: {self.note}"
 
 
 def _exact(d: int, work: int, note: str) -> ExtensionDistance:
     """The result of an exact pass."""
-    return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note, bounded=False)
+    return ExtensionDistance(DistanceBound.exact_value(d, work=work), note=note)
 
 
 def _walked(ext) -> np.ndarray:
@@ -891,16 +903,15 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     comes from the levels and the averaging alone.
     """
     big_k, big_n = ext.extended.shape
-    cyclic = _is_cyclic(ext.original)
 
     def seeds():
         # run only when the search reads its seeds
-        for a in _fixing_involutions(ext.original) if cyclic else ():
+        for a in _fixing_involutions(ext.original) if _is_cyclic(ext.original) else ():
             rows = _fixed_rows(ext.original, a)
             if len(rows):
                 yield _zero_padded(rows, big_n)
 
-    b = _info_set_bounds(ext, q, budget, cyclic=cyclic, seeds=seeds())
+    b = _info_set_bounds(ext, q, budget, seeds=seeds())
     two_set = sum(b.levels) + len(b.levels)
     found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
     if not b.exact and b.lo > two_set:
@@ -910,7 +921,7 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
         found += f", even: d >= {lifted.lo}"
     note = (f"information set and complement of the extended [{big_n},{big_k}] code, "
             f"levels {b.levels[0]} and {b.levels[1]}: {found}")
-    return ExtensionDistance(lifted, note=note, bounded=True)
+    return ExtensionDistance(lifted, note=note)
 
 
 def extension_distance(ext, budget: int) -> ExtensionDistance:
@@ -998,103 +1009,3 @@ def fixed_subcode_lower_bound(code: CyclicCode, a: int, budget: int = DEFAULT_BU
         hi_src=FIXED_SUBCODE,
         work=d_sub.work,
     )
-
-
-@dataclass(frozen=True)
-class WeightCheck:
-    t: int
-    count: int            # A_t, the number of weight-t words in the code
-    fixed_has_weight: bool
-    ok: bool              # fixed_has_weight or order | count
-
-
-@dataclass(frozen=True)
-class CoincidenceReport:
-    n: int
-    a: int
-    order: int
-    subcodes_equal: bool  # C_{a^j} = C_a for all j
-    checked_weights: tuple[WeightCheck, ...]
-    complete: bool
-
-    @property
-    def all_passed(self) -> bool:
-        return self.subcodes_equal and all(c.ok for c in self.checked_weights)
-
-
-def fixed_subcode_coincidence(
-    code: CyclicCode, a: int, budget: int = DEFAULT_BUDGET
-) -> CoincidenceReport:
-    """Verify C_a = C_{a^j} and the weight-count divisibility: for every t
-    with no weight-t word in C_a, the multiplier order divides A_t.  The
-    report is complete, and checks weights, when both GF(4) walks fit the
-    budget: when the 4^dim words of C do, as C_a is a subcode.
-
-    Raises InputError, naming a as given, unless gcd(a, n) = 1."""
-    n = code.n
-    base = fixed_subcode(code, a)
-    a = base.a
-    order = mult_order(a, n)
-    if not is_prime(order):
-        raise InputError(f"multiplier order {order} is not prime")
-    if code.defining_set.scaled(a).members != code.defining_set.members:
-        raise InputError(f"mu_{a} does not fix the code")
-    equal = True
-    for j in range(2, order):
-        other = fixed_subcode(code, pow(a, j, n))
-        if not linalg.row_space_equal(base.basis, other.basis):
-            equal = False
-    checked: list[WeightCheck] = []
-    complete = 4**code.dim <= budget
-    if complete:
-        full = weight_distribution(code, budget=budget)
-        sub_hist = (
-            weight_distribution(base.basis, budget=budget)
-            if base.dim
-            else np.eye(1, n + 1, dtype=np.int64)[0]
-        )
-        for t in range(1, n + 1):
-            a_t = int(full[t])
-            if a_t == 0:
-                continue
-            has = int(sub_hist[t]) > 0
-            checked.append(WeightCheck(t=t, count=a_t, fixed_has_weight=has,
-                                       ok=has or a_t % order == 0))
-    return CoincidenceReport(
-        n=n, a=a, order=order, subcodes_equal=equal,
-        checked_weights=tuple(checked), complete=complete,
-    )
-
-
-# ---------------------------------------------------------------------------
-# square-root bound suite
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SquareRootReport:
-    n: int
-    d_o: int
-    d_odd_code: int
-    checks: tuple[tuple[str, bool], ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(ok for _, ok in self.checks)
-
-
-def square_root_bounds(pair: DuadicPair, budget: int = DEFAULT_BUDGET) -> SquareRootReport:
-    """Evaluate the odd-like-weight bounds on a computed duadic pair."""
-    s = pair.splitting
-    dd = duadic_distances(s, side=1, budget=budget)
-    d_o = dd.d_min_odd_coset
-    d_odd_code = dd.d_odd
-    checks = [("d_o_squared_ge_n", d_o * d_o >= s.n)]
-    if s.has_multiplier(-1):
-        checks.append(("d_o_sq_minus_d_o_plus_1_ge_n", d_o * d_o - d_o + 1 >= s.n))
-    if is_prime(s.n):
-        qr = frozenset(x * x % s.n for x in range(1, s.n))
-        if s.s1.members == qr or s.s2.members == qr:
-            checks.append(("qr_distance_equals_d_o", d_odd_code == d_o))
-            if s.n % 8 == 7:
-                checks.append(("qr_distance_3_mod_4", d_odd_code % 4 == 3))
-    return SquareRootReport(n=s.n, d_o=d_o, d_odd_code=d_odd_code, checks=tuple(checks))

@@ -16,9 +16,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
-
-from . import linalg
 from .cyclic import CyclicCode, DefiningSet, all_cosets
 from .errors import InputError
 from .extfield import is_prime
@@ -185,134 +182,3 @@ def duadic_from_splitting(s: Splitting) -> DuadicPair:
         odd1=CyclicCode(s.s1),
         odd2=CyclicCode(s.s2),
     )
-
-
-def is_self_orthogonal_even_duadic(c: CyclicCode) -> bool:
-    """True iff c is an even-like duadic code whose splitting admits mu_-2.
-
-    Structural test on the defining set; agrees with the generator Gram test
-    (see the duadic property suite).
-    """
-    n = c.n
-    if c.dim != (n - 1) // 2:
-        raise ValueError(f"dimension {c.dim} != (n-1)/2 = {(n - 1) // 2}")
-    a = c.defining_set.members
-    if 0 not in a:
-        return False
-    s1 = a - {0}
-    s2 = frozenset((-2) * t % n for t in s1)
-    return not (s1 & s2) and (s1 | s2 | {0}) == frozenset(range(n))
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
-class DuadicReport:
-    n: int
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def verify_duadic_properties(pair: DuadicPair) -> DuadicReport:
-    """Machine check of the classical duadic structure theorems on one pair."""
-    n = pair.splitting.n
-    c1, c2, d1, d2 = pair.even1, pair.even2, pair.odd1, pair.odd2
-    checks: list[CheckResult] = []
-
-    def add(name: str, passed: bool, detail: str = ""):
-        checks.append(CheckResult(name, bool(passed), detail))
-
-    add("dim_even", c1.dim == (n - 1) // 2 and c2.dim == (n - 1) // 2,
-        f"dims {c1.dim},{c2.dim}")
-    add("dim_odd", d1.dim == (n + 1) // 2 and d2.dim == (n + 1) // 2,
-        f"dims {d1.dim},{d2.dim}")
-
-    inter_even = c1.intersection(c2)
-    add("even_intersection_zero", inter_even.dim == 0, f"dim {inter_even.dim}")
-    sum_even = c1.plus(c2)
-    add("even_sum_is_x_minus_1_code",
-        sum_even.defining_set.members == frozenset([0]),
-        f"defining set {sorted(sum_even.defining_set.members)}")
-
-    ones = np.ones(n, dtype=np.uint8)
-    inter_odd = d1.intersection(d2)
-    add("odd_intersection_is_allones_span",
-        inter_odd.dim == 1 and linalg.in_row_space(inter_odd.gen_matrix, ones),
-        f"dim {inter_odd.dim}")
-    sum_odd = d1.plus(d2)
-    add("odd_sum_is_full_space", sum_odd.dim == n, f"dim {sum_odd.dim}")
-
-    add("even_inside_odd", d1.contains_code(c1) and d2.contains_code(c2))
-
-    # C_i is exactly the even-like subcode of D_i and D_i = C_i + <j>
-    g1 = d1.gen_matrix
-    even_sub_ok = True
-    for row in c1.gen_matrix:
-        if int(np.bitwise_xor.reduce(row)) != 0:
-            even_sub_ok = False
-    add("even_rows_sum_zero", even_sub_ok)
-    stacked = np.vstack([c1.gen_matrix, ones[None, :]])
-    add("odd_is_even_plus_allones",
-        linalg.row_space_equal(stacked, g1)
-        and linalg.row_space_equal(np.vstack([c2.gen_matrix, ones[None, :]]), d2.gen_matrix))
-
-    if linalg.is_hermitian_self_orthogonal(c1.gen_matrix):
-        dual1 = linalg.hermitian_dual_space(c1.gen_matrix)
-        dual2 = linalg.hermitian_dual_space(c2.gen_matrix)
-        add("self_orthogonal_even_dual_is_odd",
-            linalg.row_space_equal(dual1, d1.gen_matrix)
-            and linalg.row_space_equal(dual2, d2.gen_matrix))
-
-    return DuadicReport(n=n, checks=tuple(checks))
-
-
-@dataclass(frozen=True)
-class SplittingPrediction:
-    p: int
-    p_mod_8: int
-    splitting_count: int
-    mu_minus2_count: int
-    claims: tuple[CheckResult, ...]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.claims)
-
-
-def splitting_predictions(p: int) -> SplittingPrediction:
-    """Evaluate the mod-8 splitting laws against actual enumeration."""
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"{p} is not an odd prime")
-    splits = find_splittings(p)
-    with_m2 = [s for s in splits if s.has_multiplier(-2)]
-    claims: list[CheckResult] = []
-    m = p % 8
-    if m in (5, 7):  # p = -3 or -1 mod 8
-        claims.append(CheckResult(
-            "every_splitting_by_mu_minus2",
-            len(with_m2) == len(splits) and len(splits) > 0,
-            f"{len(with_m2)}/{len(splits)}"))
-    if m == 3:
-        claims.append(CheckResult(
-            "no_mu_minus2_splitting", len(with_m2) == 0, f"found {len(with_m2)}"))
-    if m == 1:
-        claims.append(CheckResult(
-            "mu_minus2_unconstrained", True,
-            f"empirically {len(with_m2)}/{len(splits)} splittings admit mu_-2"))
-    if m == 7:
-        same = all(s.has_multiplier(-1) == s.has_multiplier(-2) for s in splits)
-        claims.append(CheckResult("mu_minus1_matches_mu_minus2", same))
-    return SplittingPrediction(
-        p=p, p_mod_8=m, splitting_count=len(splits),
-        mu_minus2_count=len(with_m2), claims=tuple(claims))

@@ -122,18 +122,6 @@ def hermitian_dual_space(g: np.ndarray) -> np.ndarray:
     return nullspace(CONJ_TABLE[g])
 
 
-def in_row_space(basis: np.ndarray, v: np.ndarray) -> bool:
-    basis = np.atleast_2d(basis)
-    stacked = np.vstack([basis, np.asarray(v, dtype=np.uint8)[None, :]])
-    return rank(stacked) == rank(basis)
-
-
-def row_space_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    ra = row_basis(a)
-    rb = row_basis(b)
-    return ra.shape == rb.shape and bool(np.array_equal(ra, rb))
-
-
 def subspace_intersection(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Zassenhaus: rref of [[A A],[B 0]]; rows with zero left half carry
     an intersection basis in the right half."""

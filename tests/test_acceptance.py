@@ -13,18 +13,13 @@ import pytest
 
 from duadiq import distance as dist
 from duadiq import gf4, linalg, quantum
-from duadiq.cyclic import (
-    CyclicCode,
-    DefiningSet,
-    all_cosets,
-    dual_defining_set,
-    near_orthogonality,
-)
+from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, dual_defining_set
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import BudgetExceededError
 from duadiq.extfield import mult_order
 
 import oracle
+from properties import near_orthogonality, square_root_bounds
 
 DEFAULT_BUDGET = 1 << 30
 SMALL_BUDGET = 1 << 20  # for n > 31 route-equivalence comparisons
@@ -237,7 +232,7 @@ def test_criterion_08_square_root_bounds():
         for s in _mu2_splittings(n):
             if 4 ** ((n - 1) // 2) > DEFAULT_BUDGET:
                 continue  # not computable at desk scale
-            rep = dist.square_root_bounds(duadic_from_splitting(s))
+            rep = square_root_bounds(duadic_from_splitting(s))
             if not rep.all_passed:
                 failures.append((n, rep))
             checked.append(n)

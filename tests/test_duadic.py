@@ -3,14 +3,9 @@ import pytest
 
 from duadiq import linalg
 from duadiq.cyclic import CyclicCode, DefiningSet
-from duadiq.duadic import (
-    duadic_from_splitting,
-    find_splittings,
-    is_self_orthogonal_even_duadic,
-    qr_splitting,
-    splitting_predictions,
-    verify_duadic_properties,
-)
+from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
+
+from properties import is_self_orthogonal_even_duadic, splitting_predictions, verify_duadic_properties
 
 
 def test_n5_unique_splitting():
@@ -82,8 +77,9 @@ def test_duadic_pair_dimensions():
             pair = duadic_from_splitting(s)
             assert pair.even1.dim == pair.even2.dim == (n - 1) // 2
             assert pair.odd1.dim == pair.odd2.dim == (n + 1) // 2
-            assert pair.odd1.contains_code(pair.even1)
-            assert pair.odd2.contains_code(pair.even2)
+            # C_e lies in C_o: the defining set of C_e holds that of C_o
+            assert pair.odd1.defining_set.members <= pair.even1.defining_set.members
+            assert pair.odd2.defining_set.members <= pair.even2.defining_set.members
 
 
 def test_duadic_properties_small():

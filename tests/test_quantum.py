@@ -15,12 +15,12 @@ from duadiq.cyclic import (
     all_cosets,
     dual_defining_set,
     is_dual_containing,
-    near_orthogonality,
 )
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import InputError, InvariantError, NotApplicableError
 
 import oracle
+from properties import near_orthogonality
 
 
 def _mu2_pairs(n):
@@ -63,7 +63,7 @@ def test_extension_gram_certificates():
         ext, _ = quantum.extend_nearly_self_orthogonal(pair.even1, budget=0)
         dual = linalg.hermitian_dual_space(ext.extended)
         assert oracle.is_subspace(dual, ext.extended)
-        assert linalg.row_space_equal(dual, ext.extended)
+        assert np.array_equal(linalg.row_basis(dual), linalg.row_basis(ext.extended))
 
 
 def test_extend_reduces_its_basis_once(monkeypatch):
@@ -678,7 +678,7 @@ def _two_set_breakpoints(big_k, q):
     return out
 
 
-def test_cyclic_averaging_dominates_two_set_rule():
+def test_cyclic_averaging_dominates_two_set_rule(monkeypatch):
     # every searched extension with K <= 9, at budget 0 and one below, at and
     # one above each whole level: with the rule the interval still brackets
     # d, lo is never below the two-set lo, hi is the same and work no higher
@@ -695,8 +695,10 @@ def test_cyclic_averaging_dominates_two_set_rule():
             d = _exact_distance(gen)
             points = _two_set_breakpoints(gen.shape[0], q)
             for budget in sorted({0} | {b + s for b in points for s in (-1, 0, 1)}):
+                monkeypatch.setattr(dist, "_is_cyclic", lambda r: False)
                 off = dist._info_set_bounds(ext, q, budget)
-                on = dist._info_set_bounds(ext, q, budget, cyclic=True)
+                monkeypatch.undo()
+                on = dist._info_set_bounds(ext, q, budget)
                 assert on.lo <= d <= (big_n if on.hi is None else on.hi), (n, a, budget)
                 assert not on.exact or on.lo == d
                 assert on.lo >= off.lo and on.hi == off.hi and on.work <= off.work
@@ -763,7 +765,7 @@ def test_research_hi_is_a_checked_fixed_subcode_word():
     ext = quantum._extend(CyclicCode(dual_defining_set(a)))
     assert dist._fixing_involutions(ext.original) == [40]
     assert dist._fixed_rows(ext.original, 40).shape == (30, 123)
-    b = dist._info_set_bounds(ext, 4, 10**6, cyclic=True,
+    b = dist._info_set_bounds(ext, 4, 10**6,
                               seeds=[np.pad(dist._fixed_rows(ext.original, 40), ((0, 0), (0, 3)))])
     assert (b.hi, b.hi_src) == (28, dist.FIXED_SUBCODE)
     assert gf4.weight(b.word) == 28 and not b.word[123:].any()
@@ -849,9 +851,10 @@ def _cyclic_codes(n):
             yield a
 
 
-def test_cyclic_code_search_brackets_and_dominates():
-    # min_distance_exact on a CyclicCode averages over its one window; a
-    # matrix input keeps the one-set rule, which certifies a level later
+def test_cyclic_code_search_brackets_and_dominates(monkeypatch):
+    # min_distance_exact on a cyclic code averages over its one window, the
+    # same for a CyclicCode and its generator matrix; without the averaging
+    # (_is_cyclic off) the one-set rule certifies a level later
     cases = tighter = 0
     for n in range(5, 42, 2):
         for code in (CyclicCode(a) for a in _search_sets(n)):
@@ -860,7 +863,10 @@ def test_cyclic_code_search_brackets_and_dominates():
             d = dist.min_distance_exact(code, budget=4**code.dim).lo
             for budget in (0, 10, 100, 1000, 4**code.dim - 1):
                 on = dist.min_distance_exact(code, budget=budget)
+                assert dist.min_distance_exact(code.gen_matrix, budget=budget) == on
+                monkeypatch.setattr(dist, "_is_cyclic", lambda r: False)
                 off = dist.min_distance_exact(code.gen_matrix, budget=budget)
+                monkeypatch.undo()
                 assert on.lo <= d <= (n if on.hi is None else on.hi)
                 assert not on.exact or on.lo == d
                 assert on.lo >= off.lo and on.work <= off.work
