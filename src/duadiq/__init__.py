@@ -15,10 +15,8 @@ from .cyclic import (
     DefiningSet,
     all_cosets,
     apply_multiplier,
-    apply_multiplier_set,
     cyclotomic_coset,
     dual_defining_set,
-    is_dual_containing,
 )
 from .distance import (
     DistanceBound,
@@ -49,11 +47,9 @@ from .quantum import (
     SelfDualCode,
     cyclic_zero_dim,
     dual_containing_to_zero_dim,
-    extend_nearly_self_orthogonal,
     extended_duadic_quantum,
     general_zero_dim,
     load_annotations,
-    params_from_annotation,
     secondary_chain,
     secondary_constructions,
     zero_dim_from_classical_annotation,
@@ -65,7 +61,6 @@ __all__ = [
     "active_backend",
     "all_cosets",
     "apply_multiplier",
-    "apply_multiplier_set",
     "compose_bounds",
     "cyclic_zero_dim",
     "cyclotomic_coset",
@@ -74,17 +69,14 @@ __all__ = [
     "dual_containing_to_zero_dim",
     "dual_defining_set",
     "ext_build",
-    "extend_nearly_self_orthogonal",
     "extended_duadic_quantum",
     "find_splittings",
     "fixed_subcode",
     "fixed_subcode_lower_bound",
     "general_zero_dim",
-    "is_dual_containing",
     "load_annotations",
     "min_distance_exact",
     "minimal_poly",
-    "params_from_annotation",
     "qr_splitting",
     "secondary_chain",
     "secondary_constructions",

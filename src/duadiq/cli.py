@@ -246,7 +246,7 @@ def cmd_table(args) -> int:
         if not splits:
             continue
         split = splits[0]  # canonical: smallest S1 leader tuple
-        squares = frozenset(x * x % n for x in range(1, n)) if is_prime(n) else frozenset()
+        squares = duadic.qr_splitting(n).s1.members if is_prime(n) else frozenset()
         kind = "QR" if split.s1.members == squares or split.s2.members == squares else "D"
         params, _ = quantum.extended_duadic_quantum(
             duadic.duadic_from_splitting(split), budget=args.budget

@@ -47,10 +47,6 @@ class CosetPartition:
     q: int
     cosets: tuple[frozenset[int], ...]  # ordered by ascending leader
 
-    @property
-    def leaders(self) -> tuple[int, ...]:
-        return tuple(min(c) for c in self.cosets)
-
 
 @lru_cache(maxsize=None)
 def all_cosets(n: int, q: int = 4) -> CosetPartition:
@@ -99,9 +95,6 @@ class DefiningSet:
     def __len__(self) -> int:
         return len(self.members)
 
-    def complement(self) -> "DefiningSet":
-        return DefiningSet(self.n, frozenset(range(self.n)) - self.members)
-
     def scaled(self, a: int) -> "DefiningSet":
         """{a*t mod n}; stays coset-closed for gcd(a, n) = 1."""
         if math.gcd(a, self.n) != 1:
@@ -115,27 +108,15 @@ def dual_defining_set(a: DefiningSet) -> DefiningSet:
     return DefiningSet(a.n, frozenset(range(a.n)) - neg2)
 
 
-def is_dual_containing(a: DefiningSet) -> bool:
-    """Hermitian dual contained in the code, equivalently A and -2A disjoint."""
-    neg2 = frozenset((-2 * t) % a.n for t in a.members)
-    return not (a.members & neg2)
-
-
-def apply_multiplier(a: int, v: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Coordinate permutation y_i = x_{a^{-1} i mod n}."""
+def apply_multiplier(a: int, v: np.ndarray) -> np.ndarray:
+    """Coordinate permutation y_i = x_{a^{-1} i mod n}, n the length of v."""
     v = np.asarray(v, dtype=np.uint8)
-    n = v.shape[-1] if n is None else n
+    n = v.shape[-1]
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1")
     a_inv = pow(a % n, -1, n)
     idx = (a_inv * np.arange(n)) % n
     return v[..., idx]
-
-
-def apply_multiplier_set(a: int, ds: DefiningSet) -> DefiningSet:
-    """Defining set of mu_a(C) for C with defining set ds: a^{-1} ds."""
-    a_inv = pow(a % ds.n, -1, ds.n)
-    return ds.scaled(a_inv)
 
 
 class CyclicCode:

@@ -121,8 +121,8 @@ class DistanceBound:
         return self.hi == self.lo and self.lo_src in (EXACT, INFO_SET)
 
     @classmethod
-    def exact_value(cls, d: int, work: int = 0, src: str = EXACT) -> "DistanceBound":
-        return cls(lo=d, hi=d, lo_src=src, hi_src=src, work=work)
+    def exact_value(cls, d: int, work: int = 0) -> "DistanceBound":
+        return cls(lo=d, hi=d, lo_src=EXACT, hi_src=EXACT, work=work)
 
     def to_json(self) -> dict:
         return {
@@ -721,8 +721,9 @@ class DuadicDistances:
         return min(self.d_even, self.d_min_odd_coset)
 
 
-def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_BUDGET) -> DuadicDistances:
-    """Exact even-like distance and minimum odd-like weight for one side.
+def duadic_distances(splitting: Splitting, budget: int = DEFAULT_BUDGET) -> DuadicDistances:
+    """Exact even-like distance and minimum odd-like weight of side 1, the
+    half S1; side 2 is side 1 of the splitting with its halves swapped.
 
     Walks the even-like code C_e once, 4^dim words of work, of which the
     walk evaluates at most about 4^(dim-1)/3: C_e is cyclic, so only its
@@ -738,12 +739,9 @@ def duadic_distances(splitting: Splitting, side: int = 1, budget: int = DEFAULT_
     d(odd-like) = min(d_even, d_o).  Both distances are cached as
     min_distance_exact would return them, with the work of its own walks:
     q^dim and q^(dim + 1) words, q the _field of C_e's generator, which is
-    also the odd-like code's, C_e + <all-ones>.  Raises InputError for a
-    side other than 1 and 2.
+    also the odd-like code's, C_e + <all-ones>.
     """
-    if side not in (1, 2):
-        raise InputError(f"a splitting has sides 1 and 2, not {side}")
-    s = splitting.s1 if side == 1 else splitting.s2
+    s = splitting.s1
     n = splitting.n
     key = ("duadic", n, s.members)
     hit = _cached(key, budget)
@@ -947,25 +945,14 @@ def extension_distance(ext, budget: int) -> ExtensionDistance:
 # fixed subcodes under multipliers
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FixedSubcode:
-    parent: CyclicCode
-    a: int
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[0]
-
-
-def fixed_subcode(code: CyclicCode, a: int) -> FixedSubcode:
+def fixed_subcode(code: CyclicCode, a: int) -> np.ndarray:
     """Basis of {v in C : mu_a(v) = v} (_fixed_rows on the generator matrix).
 
     Raises InputError, naming a as given, unless gcd(a, n) = 1."""
     n = code.n
     if math.gcd(a, n) != 1:
         raise InputError(f"gcd({a}, {n}) != 1")
-    return FixedSubcode(parent=code, a=a % n, basis=_fixed_rows(code.gen_matrix, a))
+    return _fixed_rows(code.gen_matrix, a)
 
 
 def order2_lower_bound(d_fixed: int) -> int:
@@ -989,15 +976,15 @@ def fixed_subcode_lower_bound(code: CyclicCode, a: int, budget: int = DEFAULT_BU
     """Sandwich d(C) between the fixed-subcode bounds: lower from the order
     formula applied to d(C_a), upper d(C) <= d(C_a)."""
     sub = fixed_subcode(code, a)
-    a = sub.a
+    a %= code.n
     if code.defining_set.scaled(a).members != code.defining_set.members:
         raise InputError(f"mu_{a} does not fix the code: aA != A")
     order = mult_order(a, code.n)
     if order != 2 and (order <= 1 or order % 2 == 0):
         raise InputError(f"multiplier order {order} is neither 2 nor odd > 1")
-    if sub.dim == 0:
+    if sub.shape[0] == 0:
         raise InvariantError("fixed subcode is trivial; no bound available")
-    d_sub = min_distance_exact(sub.basis, budget=budget)
+    d_sub = min_distance_exact(sub, budget=budget)
     if order == 2:
         lo = order2_lower_bound(d_sub.lo)
     else:

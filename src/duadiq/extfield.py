@@ -25,6 +25,7 @@ parameters.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -55,8 +56,6 @@ def is_prime(n: int) -> bool:
 
 def mult_order(a: int, n: int) -> int:
     """Multiplicative order of a modulo n; requires gcd(a, n) = 1."""
-    import math
-
     a %= n
     if math.gcd(a, n) != 1:
         raise ValueError(f"gcd({a}, {n}) != 1")
@@ -206,20 +205,8 @@ class ExtField:
     alpha: int
     omega: int  # the order-3 element
 
-    @property
-    def degree(self) -> int:
-        return _pdeg(self.modulus)
-
-    @property
-    def order(self) -> int:
-        return (1 << self.degree) - 1
-
     def mul(self, a: int, b: int) -> int:
         return _pmod(_clmul(a, b), self.modulus)
-
-    def pow(self, a: int, e: int) -> int:
-        e %= self.order
-        return _field_pow(a, e, self.modulus) if e else 1
 
     # -- subfield coding ----------------------------------------------------
 

@@ -34,8 +34,6 @@ MUL_TABLE = np.array(
 # conj(x) = x^2 (Frobenius); fixes the prime subfield, swaps w and w^2.
 CONJ_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)
 
-INV_TABLE = np.array([0, 1, 3, 2], dtype=np.uint8)  # entry 0 is a placeholder: 0 has no inverse
-
 
 def weight(v: np.ndarray) -> int:
     """Hamming weight: number of nonzero symbols."""

@@ -79,10 +79,6 @@ def row_basis(m: np.ndarray) -> np.ndarray:
     return r[:rank]
 
 
-def rank(m: np.ndarray) -> int:
-    return rref(m)[1]
-
-
 def rref_pivots(g: np.ndarray) -> list[int] | None:
     """The pivots of g when g is an RREF without zero rows, else None: its
     rows' leading columns rise and hold the identity, so rref would

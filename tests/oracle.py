@@ -3,12 +3,14 @@
 Everything here is deliberately naive: dict-based GF(4) arithmetic and
 itertools enumeration, sharing no code with the package internals, except
 that defining_set_of_matrix evaluates in the package's extension field,
-whose pinned alpha is the labeling convention of every defining set.
+whose pinned alpha is the labeling convention of every defining set, and
+that mirror builds the package's Splitting.
 """
 
 import itertools
 
 from duadiq import extfield
+from duadiq.duadic import Splitting
 
 # GF(4) = {0, 1, w, w2} with w2 = w + 1; integer encoding 0,1,2,3
 ADD = {}
@@ -27,6 +29,12 @@ for a in range(4):
             MUL[a, b] = _exp[(_log[a] + _log[b]) % 3]
 
 CONJ = {0: 0, 1: 1, 2: 3, 3: 2}
+
+
+def mirror(s):
+    """The splitting with its halves swapped, so that side 2 of s is its
+    side 1; a multiplier swaps the halves both ways, so the witnesses stay."""
+    return Splitting(s.n, s.s2, s.s1, s.multipliers)
 
 
 def inner(u, v):

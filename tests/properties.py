@@ -36,7 +36,7 @@ def near_orthogonality(code_or_matrix) -> int:
         c = code_or_matrix
         dual_members = dual_defining_set(c.defining_set).members
         return c.dim - (c.n - len(c.defining_set.members | dual_members))
-    return linalg.rank(linalg.gram_matrix(linalg.row_basis(np.atleast_2d(code_or_matrix))))
+    return linalg.rref(linalg.gram_matrix(linalg.row_basis(np.atleast_2d(code_or_matrix))))[1]
 
 
 def is_self_orthogonal_even_duadic(c: CyclicCode) -> bool:
@@ -184,20 +184,20 @@ def fixed_subcode_coincidence(
     Raises InputError, naming a as given, unless gcd(a, n) = 1."""
     n = code.n
     base = dist.fixed_subcode(code, a)
-    a = base.a
+    a %= n
     order = mult_order(a, n)
     if not is_prime(order):
         raise InputError(f"multiplier order {order} is not prime")
     if code.defining_set.scaled(a).members != code.defining_set.members:
         raise InputError(f"mu_{a} does not fix the code")
-    equal = all(np.array_equal(base.basis, dist.fixed_subcode(code, pow(a, j, n)).basis)
+    equal = all(np.array_equal(base, dist.fixed_subcode(code, pow(a, j, n)))
                 for j in range(2, order))
     checked = []
     complete = 4**code.dim <= budget
     if complete:
         # the GF(4) weight enumerators, also of a binary basis
         full = dist.weight_histograms(code.gen_matrix, budget)[0]
-        sub = (dist.weight_histograms(base.basis, budget)[0] if base.dim
+        sub = (dist.weight_histograms(base, budget)[0] if base.shape[0]
                else np.eye(1, n + 1, dtype=np.int64)[0])
         checked = [WeightCheck(t, int(full[t]), bool(sub[t]), bool(sub[t]) or int(full[t]) % order == 0)
                    for t in range(1, n + 1) if full[t]]
@@ -219,7 +219,7 @@ class SquareRootReport:
 def square_root_bounds(pair: DuadicPair, budget: int = dist.DEFAULT_BUDGET) -> SquareRootReport:
     """Evaluate the odd-like-weight bounds on a computed duadic pair."""
     s = pair.splitting
-    dd = dist.duadic_distances(s, side=1, budget=budget)
+    dd = dist.duadic_distances(s, budget=budget)
     d_o = dd.d_min_odd_coset
     d_odd_code = dd.d_odd
     checks = [("d_o_squared_ge_n", d_o * d_o >= s.n)]

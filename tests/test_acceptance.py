@@ -86,9 +86,9 @@ def test_criterion_03_odd_weight_lemma():
     rng = np.random.default_rng(12345)
     for n in range(5, 42, 2):
         for s in _mu2_splittings(n):
-            for side in (1, 2):
+            for side, split in ((1, s), (2, oracle.mirror(s))):
                 try:
-                    dd = dist.duadic_distances(s, side=side)
+                    dd = dist.duadic_distances(split)
                     if any(c for w, c in enumerate(dd.even_hist) if w % 2 == 1):
                         failures.append((n, side, "even-like code has an odd weight"))
                     if any(c for w, c in enumerate(dd.coset_hist) if w % 2 == 0):
@@ -96,8 +96,7 @@ def test_criterion_03_odd_weight_lemma():
                     checked += 1
                 except BudgetExceededError:
                     # beyond the enumeration budget: verify on random samples
-                    members = (s.s1 if side == 1 else s.s2).members
-                    even = CyclicCode(DefiningSet(n, members | {0}))
+                    even = CyclicCode(DefiningSet(n, split.s1.members | {0}))
                     g = even.gen_matrix
                     ones = np.ones(n, dtype=np.uint8)
                     for _ in range(200):
@@ -205,9 +204,9 @@ def test_criterion_07_binary_shadow_equivalence():
         if mult_order(2, n) != mult_order(4, n):
             continue
         for s in find_splittings(n):
-            for side in (1, 2):
-                members = (s.s1 if side == 1 else s.s2).members
-                dd = dist.duadic_distances(s, side=side)
+            for side, split in ((1, s), (2, oracle.mirror(s))):
+                members = split.s1.members
+                dd = dist.duadic_distances(split)
                 quaternary = {"odd": dd.d_odd, "even": dd.d_even}
                 binary = {
                     name: _binary_walk_distance(CyclicCode(DefiningSet(n, ds)).gen_matrix)
@@ -232,13 +231,14 @@ def test_criterion_08_square_root_bounds():
         for s in _mu2_splittings(n):
             if 4 ** ((n - 1) // 2) > DEFAULT_BUDGET:
                 continue  # not computable at desk scale
-            rep = square_root_bounds(duadic_from_splitting(s))
-            if not rep.all_passed:
-                failures.append((n, rep))
-            checked.append(n)
-            names = dict(rep.checks)
-            if "qr_distance_3_mod_4" in names:
-                mod4_checked[n] = names["qr_distance_3_mod_4"]
+            for split in (s, oracle.mirror(s)):
+                rep = square_root_bounds(duadic_from_splitting(split))
+                if not rep.all_passed:
+                    failures.append((n, rep))
+                checked.append(n)
+                names = dict(rep.checks)
+                if "qr_distance_3_mod_4" in names:
+                    mod4_checked[n] = names["qr_distance_3_mod_4"]
     ok = not failures and mod4_checked.get(7) and mod4_checked.get(23)
     _report("8 square-root bounds", ok,
             f"pairs at n={sorted(set(checked))}; mod-4 law at {sorted(mod4_checked)}")
@@ -251,10 +251,9 @@ def test_criterion_09_route_equivalence():
     for n in range(5, 42, 2):
         budget = DEFAULT_BUDGET if n <= 31 else SMALL_BUDGET
         for s in _mu2_splittings(n):
-            pair = duadic_from_splitting(s)
-            for odd in (pair.odd1, pair.odd2):
-                p1, _ = quantum.extended_duadic_quantum(odd, budget=budget)
-                p2, _ = quantum.cyclic_zero_dim(odd.defining_set, budget=budget)
+            for split in (s, oracle.mirror(s)):
+                p1, _ = quantum.extended_duadic_quantum(duadic_from_splitting(split), budget=budget)
+                p2, _ = quantum.cyclic_zero_dim(split.s1, budget=budget)
                 if (p1.n, p1.k, p1.d.lo, p1.d.hi) != (p2.n, p2.k, p2.d.lo, p2.d.hi):
                     mismatches.append((n, p1.to_json(), p2.to_json()))
                 checked += 1
@@ -287,9 +286,8 @@ def test_criterion_10_research_scale_bound_honesty():
 
 def test_criterion_11_secondary_arithmetic():
     """[[240,0,32]] annotation -> the nine [[240-i,0,32-i]] codes, exactly."""
-    base = quantum.params_from_annotation(
-        quantum.Annotation(n=240, k=0, d=32, source="external code table")
-    )
+    d = dist.DistanceBound(lo=32, hi=32, lo_src=dist.LITERATURE, hi_src=dist.LITERATURE)
+    base = quantum.QuantumParams(n=240, k=0, d=d, pure="unknown", trace=())
     chain = quantum.secondary_chain(base, 9)
     got = [(c.n, c.k, c.d.lo, c.d.hi) for c in chain]
     want = [(240 - i, 0, 32 - i, 32 - i) for i in range(1, 10)]

@@ -1,18 +1,17 @@
 import numpy as np
 import pytest
 
-from duadiq import extfield, linalg
+from duadiq import extfield, linalg, quantum
 from duadiq.cyclic import (
     CosetPartition,
     CyclicCode,
     DefiningSet,
     all_cosets,
     apply_multiplier,
-    apply_multiplier_set,
     cyclotomic_coset,
     dual_defining_set,
-    is_dual_containing,
 )
+from duadiq.errors import InputError, NotApplicableError
 
 import oracle
 from properties import near_orthogonality
@@ -62,7 +61,7 @@ def test_code_construction():
     assert oracle.poly_deg(c.gen_poly) == 2
     _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(5), c.gen_poly)
     assert len(rem) == 0
-    assert linalg.rank(c.gen_matrix) == c.dim
+    assert linalg.rref(c.gen_matrix)[1] == c.dim
     # cyclic shift invariance of the row space
     assert oracle.is_subspace(np.roll(c.gen_matrix, 1, axis=1), c.gen_matrix)
 
@@ -80,7 +79,7 @@ def _research_and_search_sets():
         cosets = all_cosets(n, 4).cosets[1:]
         for mask in range(1, 1 << len(cosets)):
             a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
-            if is_dual_containing(a):
+            if not a.members & a.scaled(-2).members:
                 yield a
                 yield dual_defining_set(a)
     yield DefiningSet.from_leaders(141, (2, 3, 10))
@@ -137,13 +136,14 @@ def test_dual_defining_set_examples():
 
 
 def test_is_dual_containing():
-    assert is_dual_containing(DefiningSet(5, frozenset({1, 4})))
-    assert not is_dual_containing(DefiningSet(5, frozenset({0})))
+    # dual containing exactly when A and -2A are disjoint
+    assert not {1, 4} & DefiningSet(5, frozenset({1, 4})).scaled(-2).members
+    assert DefiningSet(5, frozenset({0})).scaled(-2).members == {0}
     # a length-141 set with three cosets that misses its -2 image
     a141 = DefiningSet.from_leaders(141, [2, 3, 10])
     assert len(a141.members) == 69
-    assert is_dual_containing(a141)
     neg2 = frozenset((-2 * t) % 141 for t in a141.members)
+    assert not a141.members & neg2
     expected = DefiningSet.from_leaders(141, [1, 5, 15]).members
     assert neg2 == expected
 
@@ -151,8 +151,8 @@ def test_is_dual_containing():
 def test_n123_example():
     a = DefiningSet.from_leaders(123, [1, 2, 6, 7, 9, 11])
     assert len(a.members) == 60
-    assert is_dual_containing(a)
     neg2 = frozenset((-2 * t) % 123 for t in a.members)
+    assert not a.members & neg2
     assert neg2 == DefiningSet.from_leaders(123, [43, 23, 3, 19, 18, 14]).members
 
 
@@ -178,19 +178,13 @@ def test_apply_multiplier_group_action():
         assert np.array_equal(lhs, rhs)
 
 
-def test_apply_multiplier_set():
-    ds = DefiningSet.from_leaders(7, [1])
-    out = apply_multiplier_set(3, ds)
-    assert out.members == frozenset({3, 5, 6})
-
-
 def test_multiplier_moves_code_correctly():
     # mu_a(C) has defining set a^{-1} A: check by root recovery
     c = CyclicCode.from_leaders(7, [1])
     a = 3
     moved_rows = np.array([apply_multiplier(a, row) for row in c.gen_matrix])
-    expected = apply_multiplier_set(a, c.defining_set)
-    assert oracle.defining_set_of_matrix(moved_rows, 7) == expected.members
+    assert oracle.defining_set_of_matrix(moved_rows, 7) == c.defining_set.scaled(pow(a, -1, 7)).members
+    assert oracle.defining_set_of_matrix(moved_rows, 7) == {3, 5, 6}
 
 
 def test_near_orthogonality():
@@ -256,8 +250,9 @@ def test_n141_e3_example():
 
 
 def test_is_dual_containing_matches_matrix_test():
-    import itertools
-
+    # cyclic_zero_dim refuses (exit 3) exactly the defining sets whose
+    # code's Hermitian dual is not inside the code; the empty set, whose
+    # dual is the zero code, is refused as input
     for n in (5, 7, 9, 13, 15, 21):
         part = all_cosets(n, 4)
         for mask in range(2 ** len(part.cosets)):
@@ -270,4 +265,13 @@ def test_is_dual_containing_matches_matrix_test():
             matrix_says = dual_rows.shape[0] == 0 or (
                 code.dim > 0 and oracle.is_subspace(dual_rows, code.gen_matrix)
             )
-            assert is_dual_containing(ds) == matrix_says, (n, sorted(members))
+            if not members:
+                with pytest.raises(InputError, match="refusing the zero code"):
+                    quantum.cyclic_zero_dim(ds, budget=0)
+                continue
+            try:
+                quantum.cyclic_zero_dim(ds, budget=0)
+                refused = False
+            except NotApplicableError:
+                refused = True
+            assert refused != matrix_says, (n, sorted(members))

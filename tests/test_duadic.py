@@ -5,6 +5,7 @@ from duadiq import linalg
 from duadiq.cyclic import CyclicCode, DefiningSet
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 
+import oracle
 from properties import is_self_orthogonal_even_duadic, splitting_predictions, verify_duadic_properties
 
 
@@ -80,6 +81,22 @@ def test_duadic_pair_dimensions():
             # C_e lies in C_o: the defining set of C_e holds that of C_o
             assert pair.odd1.defining_set.members <= pair.even1.defining_set.members
             assert pair.odd2.defining_set.members <= pair.even2.defining_set.members
+
+
+def test_mirror_swaps_the_pair():
+    # the mirror of a splitting (oracle.mirror) puts side 2 first: its pair
+    # is the original's with the halves exchanged, and it keeps mu_-2
+    checked = 0
+    for n in range(5, 42, 2):
+        for s in find_splittings(n):
+            if not s.has_multiplier(-2):
+                continue
+            pair, mirrored = duadic_from_splitting(s), duadic_from_splitting(oracle.mirror(s))
+            assert (mirrored.even1, mirrored.even2, mirrored.odd1, mirrored.odd2) == \
+                (pair.even2, pair.even1, pair.odd2, pair.odd1), (n, s.key)
+            assert mirrored.splitting.has_multiplier(-2)
+            checked += 1
+    assert checked == 24
 
 
 def test_duadic_properties_small():

@@ -8,7 +8,7 @@ from duadiq import gf4, linalg
 import oracle
 
 
-MUL, CONJ, INV = gf4.MUL_TABLE, gf4.CONJ_TABLE, gf4.INV_TABLE
+MUL, CONJ = gf4.MUL_TABLE, gf4.CONJ_TABLE
 
 
 def test_field_axioms_exhaustive():
@@ -37,10 +37,11 @@ def test_defining_relations():
 
 
 def test_inverses():
-    # exhaustive over the 3-element multiplicative group
+    # exhaustive over the 3-element multiplicative group: each nonzero
+    # element has exactly one inverse, and omega^2's is omega
     for a in range(1, 4):
-        assert MUL[a, INV[a]] == 1
-    assert INV[3] == 2
+        assert [b for b in range(4) if MUL[a, b] == 1] == [CONJ[a]]
+    assert MUL[3, 2] == 1
 
 
 def _inner(u, v):

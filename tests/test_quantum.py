@@ -14,7 +14,6 @@ from duadiq.cyclic import (
     DefiningSet,
     all_cosets,
     dual_defining_set,
-    is_dual_containing,
 )
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import InputError, InvariantError, NotApplicableError
@@ -60,7 +59,7 @@ def test_extension_gram_certificates():
     # construction; re-verify externally with the dual-space computation
     for n in (5, 7, 13):
         pair = _mu2_pairs(n)[0]
-        ext, _ = quantum.extend_nearly_self_orthogonal(pair.even1, budget=0)
+        ext = quantum._extend(pair.even1)
         dual = linalg.hermitian_dual_space(ext.extended)
         assert oracle.is_subspace(dual, ext.extended)
         assert np.array_equal(linalg.row_basis(dual), linalg.row_basis(ext.extended))
@@ -88,7 +87,7 @@ def _search_sets(n):
     cosets = all_cosets(n, 4).cosets[1:]
     for mask in range(1, 1 << len(cosets)):
         a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
-        if is_dual_containing(a):
+        if not a.members & a.scaled(-2).members:
             yield a
 
 
@@ -170,7 +169,7 @@ def test_extend_reads_the_complement_from_the_free_columns(monkeypatch):
         assert np.array_equal(kept[0], linalg.complement_basis(ext.original, dual))
         extended, _ = oracle.block_extension(ext.original, ext.original, dual)
         assert ext.extended.dtype == np.uint8 and ext.extended.tolist() == extended
-        assert linalg.rank(ext.extended) == ext.k
+        assert linalg.rref(ext.extended)[1] == ext.k
 
 
 def test_orthonormalize_matches_oracle_greedy(monkeypatch):
@@ -192,7 +191,7 @@ def test_orthonormalize_matches_oracle_greedy(monkeypatch):
     rng = np.random.default_rng(3)
     while len(seen) < searched + 200:
         rows = linalg.row_basis(rng.integers(0, 4, (int(rng.integers(1, 7)), int(rng.integers(6, 12)))))
-        if linalg.rank(linalg.gram_matrix(rows)) == rows.shape[0]:
+        if linalg.rref(linalg.gram_matrix(rows))[1] == rows.shape[0]:
             seen.append((rows, orthonormalize(rows)))
     # both picking rules run: a unit row, and a combination of two norm-0 rows
     all_even = [rows for rows, _ in seen if not linalg.gram_matrix(rows).diagonal().any()]
@@ -228,7 +227,7 @@ def test_orthonormalize_wide_rows_match_oracle():
             for row in rows:
                 if gf4.weight(row) % 2:
                     row[np.flatnonzero(row)[0]] = 0
-        if linalg.rank(linalg.gram_matrix(rows)) != k:
+        if linalg.rref(linalg.gram_matrix(rows))[1] != k:
             continue
         out = quantum._hermitian_orthonormalize(rows)
         assert out.tolist() == oracle.orthonormalize(rows.tolist())
@@ -318,10 +317,10 @@ def test_pass_checks_macwilliams_pair_and_binary(monkeypatch):
     corrupted, calls = _moved_word(dist.weight_histograms, 0, 4, 2, field=2)
     monkeypatch.setattr(dist, "weight_histograms", corrupted)
     with pytest.raises(InvariantError, match="MacWilliams"):
-        quantum.extend_nearly_self_orthogonal(lift)
+        quantum.general_zero_dim(lift)
     assert len(calls) == 1
     monkeypatch.undo()
-    _, p = quantum.extend_nearly_self_orthogonal(lift)
+    p, _ = quantum.general_zero_dim(lift)
     assert p.params_str() == "[[8,0,4]]" and p.d.work == 2**3
 
 
@@ -478,10 +477,10 @@ def _zero_dim_budgets(k):
 
 
 def test_one_bound_per_self_orthogonal_code():
-    # general_zero_dim and extend_nearly_self_orthogonal read one
-    # extension_distance call: the coset pass when its 4^k words fit, else
-    # the two-set search, also on a self-dual extended generator (here the
-    # permuted copy's), which extends with e = 0
+    # general_zero_dim reads one extension_distance call on the code's
+    # Extension: the coset pass when its 4^k words fit, else the two-set
+    # search, also on a self-dual extended generator (here the permuted
+    # copy's), which extends with e = 0
     rng = np.random.default_rng(17)
     cases = 0
     for n in range(3, 42, 2):
@@ -490,13 +489,13 @@ def test_one_bound_per_self_orthogonal_code():
             for c in (code, code.gen_matrix[:, rng.permutation(n)]):
                 for budget in _zero_dim_budgets(code.dim):
                     p, sd = quantum.general_zero_dim(c, budget=budget)
-                    _, q = quantum.extend_nearly_self_orthogonal(c, budget=budget)
-                    assert _bound_key(q.d) == _bound_key(p.d), (n, sorted(a.members), budget)
+                    q = dist.extension_distance(quantum._extend(c), budget).bound
+                    assert _bound_key(q) == _bound_key(p.d), (n, sorted(a.members), budget)
                     cases += 1
             for budget in _zero_dim_budgets(sd.gen.shape[0]):
                 p, _ = quantum.general_zero_dim(sd.gen, budget=budget)
-                _, q = quantum.extend_nearly_self_orthogonal(sd.gen, budget=budget)
-                assert _bound_key(q.d) == _bound_key(p.d), (n, sorted(a.members), budget)
+                q = dist.extension_distance(quantum._extend(sd.gen), budget).bound
+                assert _bound_key(q) == _bound_key(p.d), (n, sorted(a.members), budget)
                 cases += 1
     assert cases > 2000
 
@@ -531,11 +530,11 @@ def test_binary_cyclic_quantum():
     # GF(4) cyclic codes with binary generators (ord_n(2) = ord_n(4), so the
     # cosets coincide) extend to binary self-dual codes
     s23 = qr_splitting(23)
-    ext, p = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(23, s23.s1.members | {0})))
+    p, sd = quantum.general_zero_dim(CyclicCode(DefiningSet(23, s23.s1.members | {0})))
     assert p.params_str() == "[[24,0,8]]"
-    assert (ext.extended <= 1).all()
+    assert (sd.gen <= 1).all()
     s7 = qr_splitting(7)
-    _, p7 = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(7, s7.s1.members | {0})))
+    p7, _ = quantum.general_zero_dim(CyclicCode(DefiningSet(7, s7.s1.members | {0})))
     assert p7.params_str() == "[[8,0,4]]"
 
 
@@ -549,8 +548,7 @@ def test_binary_duadic_below_the_duadic_pass_takes_the_binary_pass():
         dim = (n - 1) // 2
         assert 2**dim <= budget < 4**dim
         p, _ = quantum.extended_duadic_quantum(duadic_from_splitting(split), budget=budget)
-        _, b = quantum.extend_nearly_self_orthogonal(CyclicCode(DefiningSet(n, split.s1.members | {0})),
-                                                     budget=budget)
+        b, _ = quantum.general_zero_dim(CyclicCode(DefiningSet(n, split.s1.members | {0})), budget=budget)
         assert p.d.exact and p.d.work == 2**dim
         assert (p.d, p.pure, p.trace[-1]) == (b.d, b.pure, b.trace[-1])
 
@@ -562,8 +560,8 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
     for n in (5, 7, 13):
         even = _mu2_pairs(n)[0].even1
         for budget in (0, 4**even.dim - 1, 4**even.dim):
-            ext, params = quantum.extend_nearly_self_orthogonal(even, budget=budget)
-            d = oracle.min_distance(ext.extended.tolist())
+            params, sd = quantum.general_zero_dim(even, budget=budget)
+            d = oracle.min_distance(sd.gen.tolist())
             assert params.k == 0 and params.d.lo <= d
             assert params.d.hi is None or d <= params.d.hi
         assert d <= params.d.hi <= dist.min_distance_exact(even).lo
@@ -573,22 +571,22 @@ def test_budget_limited_zero_dim_extension_brackets_oracle():
     # The search walks binary messages, comb(K, w) of them at level w of
     # each set, where GF(4) messages would number comb(K, w) 3^w
     want = {
-        7: ("[7,3]", "[8,4]", (1, 0), 4),
-        23: ("[23,11]", "[24,12]", (2, 2), 8),
+        7: ("[7,3]", "[[2(7-3), 0]]", "[8,4]", (1, 0), 4),
+        23: ("[23,11]", "[[2(23-11), 0]]", "[24,12]", (2, 2), 8),
     }
     for n, oracle_d in ((7, oracle.min_distance), (23, oracle.binary_min_distance)):
         a = DefiningSet(n, qr_splitting(n).s1.members | {0})
         bin_dim = n - len(a.members)
-        ext, p = quantum.extend_nearly_self_orthogonal(CyclicCode(a), budget=2**bin_dim - 1)
-        code, extended, levels, d_want = want[n]
+        p, sd = quantum.general_zero_dim(CyclicCode(a), budget=2**bin_dim - 1)
+        code, zero_dim, extended, levels, d_want = want[n]
         assert p.k == 0 and p.trace == (
-            f"extension: input {code}, e=1",
+            f"self-orthogonal {code} input: {zero_dim} with e = 1",
             f"budget-limited bound: information set and complement of the extended {extended} code, "
             f"levels {levels[0]} and {levels[1]}: d = {d_want}",
         )
         assert p.d.levels == levels
-        assert p.d.work == sum(math.comb(ext.k, w) for top in levels for w in range(1, top + 1))
-        d = oracle_d(ext.extended.tolist())
+        assert p.d.work == sum(math.comb(sd.gen.shape[0], w) for top in levels for w in range(1, top + 1))
+        d = oracle_d(sd.gen.tolist())
         assert p.d.lo <= d <= p.d.hi <= dist.min_distance_exact(CyclicCode(a)).lo
 
 
@@ -651,10 +649,10 @@ def test_two_set_bound_brackets_mu2_extensions():
             if not s.has_multiplier(-2):
                 continue
             pair = duadic_from_splitting(s)
-            for side, even in ((1, pair.even1), (2, pair.even2)):
-                ext = quantum._extend(even)
+            for split in (s, oracle.mirror(s)):
+                ext = quantum._extend(duadic_from_splitting(split).even1)
                 if n <= 29:
-                    dd = dist.duadic_distances(s, side=side)
+                    dd = dist.duadic_distances(split)
                     d = min(dd.d_even, dd.d_min_odd_coset + 1)
                 elif (ext.extended <= 1).all():
                     hist, _ = dist.weight_histograms_binary(ext.extended)
@@ -722,7 +720,7 @@ def test_fixed_rows_and_one_row_fixing_test():
             r = quantum._extend(code).original
             fixes = dist._fixing_involutions(r)
             for a in _involutions(n):
-                assert np.array_equal(dist._fixed_rows(r, a), dist.fixed_subcode(code, a).basis)
+                assert np.array_equal(dist._fixed_rows(r, a), dist.fixed_subcode(code, a))
                 invariant = code.defining_set.scaled(a).members == code.defining_set.members
                 assert (a in fixes) == invariant, (n, sorted(a_set.members), a)
                 pairs += 1
@@ -835,7 +833,7 @@ def test_binary_route_brackets_with_cyclic_averaging():
             hist, _ = dist.weight_histograms_binary(ext.extended)
             d = int(np.flatnonzero(hist[1:])[0]) + 1
             for budget in (0, 100, 1000, 10000, 2**ext.k - 1):
-                _, p = quantum.extend_nearly_self_orthogonal(lift, budget=budget)
+                p, _ = quantum.general_zero_dim(lift, budget=budget)
                 _assert_brackets(p.d, d, ext.n, budget)
                 assert not p.d.exact or p.d.lo == d
                 notes.append(p.trace[-1])
@@ -925,11 +923,12 @@ def test_budget_bounds_work_and_walk_random_defining_sets(data, budget):
     # cyclic route, whose interval then lies inside the duadic route's
     a = data.draw(st.sampled_from(_enumerable_search_sets()))
     routes = {"cyclic": quantum.cyclic_zero_dim}
-    try:
-        quantum._mu2_splitting_of(CyclicCode(a))
-        routes["duadic"] = lambda a, budget: quantum.extended_duadic_quantum(CyclicCode(a), budget=budget)
-    except NotApplicableError:
-        pass
+    # a mu_-2 half A is side 1 of its splitting or of that splitting's mirror
+    for s in find_splittings(a.n):
+        for split in (s, oracle.mirror(s)):
+            if split.s1 == a and split.has_multiplier(-2):
+                pair = duadic_from_splitting(split)
+                routes["duadic"] = lambda _, budget: quantum.extended_duadic_quantum(pair, budget=budget)
     bounds = {}
     for name, route in routes.items():
         with pytest.MonkeyPatch.context() as mp:
@@ -975,21 +974,25 @@ def test_secondary_constructions():
         )
 
 
+def _literature(n, d):
+    """A literature [[n, 0, d]] value, exact on both ends, of unknown purity."""
+    bound = dist.DistanceBound(lo=d, hi=d, lo_src=dist.LITERATURE, hi_src=dist.LITERATURE)
+    return quantum.QuantumParams(n=n, k=0, d=bound, pure="unknown", trace=())
+
+
 def test_secondary_chain_240():
-    ann = quantum.Annotation(n=240, k=0, d=32, source="external")
-    base = quantum.params_from_annotation(ann)
-    assert base.pure == "unknown"  # annotations never claim purity
+    base = _literature(240, 32)
     chain = quantum.secondary_chain(base, 9)
     assert [(c.n, c.k, c.d.lo, c.d.hi) for c in chain] == [
         (240 - i, 0, 32 - i, 32 - i) for i in range(1, 10)
     ]
-    # the pure k+1 route must not be offered for an annotated code
+    # the pure k+1 route must not be offered for a code of unknown purity
     outs = quantum.secondary_constructions(base)
     assert all(o.k == 0 for o in outs)
 
 
 def test_secondary_chain_234():
-    base = quantum.params_from_annotation(quantum.Annotation(n=234, k=0, d=30, source="x"))
+    base = _literature(234, 30)
     chain = quantum.secondary_chain(base, 7)
     assert [(c.n, c.k, c.d.lo) for c in chain] == [(234 - i, 0, 30 - i) for i in range(1, 8)]
 
