@@ -10,7 +10,6 @@ The enumeration kernels are plain numpy; active_backend() names them.
 
 from ._kernels import active_backend
 from .cyclic import (
-    CosetPartition,
     CyclicCode,
     DefiningSet,
     all_cosets,
@@ -83,7 +82,6 @@ __all__ = [
     "zero_dim_from_classical_annotation",
     "Annotation",
     "BudgetExceededError",
-    "CosetPartition",
     "CyclicCode",
     "DefiningSet",
     "DistanceBound",

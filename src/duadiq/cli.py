@@ -119,7 +119,7 @@ def _spaced(values) -> str:
 
 
 def cmd_cosets(args) -> int:
-    cosets = [sorted(int(x) for x in c) for c in all_cosets(args.n, args.q).cosets]
+    cosets = [sorted(int(x) for x in c) for c in all_cosets(args.n, args.q)]
     _render(
         args.format,
         {"n": args.n, "q": args.q, "cosets": cosets},
@@ -242,10 +242,8 @@ def cmd_table(args) -> int:
     for n in _TABLE_NS:
         if n > args.max_n:
             break
-        splits = [s for s in duadic.find_splittings(n) if s.has_multiplier(-2)]
-        if not splits:
-            continue
-        split = splits[0]  # canonical: smallest S1 leader tuple
+        # canonical: smallest S1 leader tuple; every n in _TABLE_NS has one
+        split = next(s for s in duadic.find_splittings(n) if s.has_multiplier(-2))
         squares = duadic.qr_splitting(n).s1.members if is_prime(n) else frozenset()
         kind = "QR" if split.s1.members == squares or split.s2.members == squares else "D"
         params, _ = quantum.extended_duadic_quantum(

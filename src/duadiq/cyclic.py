@@ -41,15 +41,9 @@ def _check_n_q(n: int, q: int) -> None:
         raise ValueError(f"n must be a positive odd integer, got {n}")
 
 
-@dataclass(frozen=True)
-class CosetPartition:
-    n: int
-    q: int
-    cosets: tuple[frozenset[int], ...]  # ordered by ascending leader
-
-
 @lru_cache(maxsize=None)
-def all_cosets(n: int, q: int = 4) -> CosetPartition:
+def all_cosets(n: int, q: int = 4) -> tuple[frozenset[int], ...]:
+    """The q-cyclotomic cosets mod n, ordered by ascending leader."""
     _check_n_q(n, q)
     seen: set[int] = set()
     cosets = []
@@ -59,7 +53,7 @@ def all_cosets(n: int, q: int = 4) -> CosetPartition:
         c = cyclotomic_coset(n, a, q)
         seen |= c
         cosets.append(c)
-    return CosetPartition(n=n, q=q, cosets=tuple(cosets))
+    return tuple(cosets)
 
 
 @dataclass(frozen=True)
@@ -89,8 +83,7 @@ class DefiningSet:
 
     @property
     def leaders(self) -> tuple[int, ...]:
-        part = all_cosets(self.n)
-        return tuple(sorted(min(c) for c in part.cosets if c <= self.members))
+        return tuple(sorted(min(c) for c in all_cosets(self.n) if c <= self.members))
 
     def __len__(self) -> int:
         return len(self.members)
@@ -161,7 +154,7 @@ class CyclicCode:
             poly = (1, 0)
             if self.defining_set.members:
                 ext = extfield.ext_build(self.n)
-                for coset in all_cosets(self.n).cosets:
+                for coset in all_cosets(self.n):
                     if coset <= self.defining_set.members:
                         poly = gf4.planes_mul(poly, gf4.poly_planes(extfield.minimal_poly(ext, coset)))
             self._gen_poly = gf4.planes_poly(*poly)

@@ -230,7 +230,7 @@ def _fixing_multipliers(r: np.ndarray) -> list[tuple[int, bool]]:
     """
     n = r.shape[1]
     if n % 2:
-        classes = [sorted(c) for c in all_cosets(n).cosets if math.gcd(min(c), n) == 1]
+        classes = [sorted(c) for c in all_cosets(n) if math.gcd(min(c), n) == 1]
     else:
         classes = [[a] for a in range(n) if math.gcd(a, n) == 1]
     images = np.vstack([apply_multiplier(c[0], r[-1]) for c in classes])
@@ -511,8 +511,8 @@ def _systematic_forms(code) -> tuple[np.ndarray, list]:
 
     A generator matrix has one set, the pivots of its RREF, and its form
     is that RREF read on those columns; the matrix is reduced only when it
-    is not an RREF already (linalg.rref_pivots).  A Hermitian self-dual
-    Extension, whose generator is (g | 0) above (f | I_e) with g an RREF
+    is not an RREF already (linalg.rref_pivots).  An extension (a
+    SelfDualCode), whose generator is (g | 0) above (f | I_e) with g an RREF
     of pivots P, has two: I = P and the e unit coordinates, and its
     complement R.  Neither form is a row reduction.  On I the generator is
     M = [[I_k, 0], [f_P, I_e]], and M M = I over GF(4), so the form on I is
@@ -528,7 +528,7 @@ def _systematic_forms(code) -> tuple[np.ndarray, list]:
             g = r[:rank]
         cols = pivots + sorted(set(range(g.shape[1])) - set(pivots))
         return g, [(cols, g[:, cols])]
-    g = code.extended
+    g = code.gen
     k, n = g.shape
     info = [int(c) for c in (code.original != 0).argmax(axis=1)] + list(range(n - code.e, n))
     rest = sorted(set(range(n)) - set(info))
@@ -545,7 +545,7 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
     The search takes its shape from code (_systematic_forms).  A generator
     matrix is searched on one set, the pivots of its RREF: min_distance_exact
     and the seeds (_fixed_rows) pass RREF bases, which are not reduced
-    again.  A Hermitian self-dual Extension is searched on two, the
+    again.  A Hermitian self-dual extension is searched on two, the
     information set I = pivots(C) + the e unit coordinates of its generator
     and the complement of I (_self_dual_bound).  Each set's messages are
     walked by _kernels.InfoSetLevels over the parity part of its systematic
@@ -573,7 +573,7 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
     and with half of it two [18, 9] extensions (n = 15) lost a weight-6
     word the prefix had met at budget 377.
 
-    When the code, or the ingredient C of the Extension, is cyclic
+    When the code, or the ingredient C of the extension, is cyclic
     (_is_cyclic of its RREF basis), the RREF pivots are its window {0..k-1},
     and lo is also at least the cyclic average of the completed levels
     (_cyclic_average).  Every search is exact once best <= lo.  A self-dual code is even, so a
@@ -708,12 +708,17 @@ def min_distance_exact(code, budget: int = DEFAULT_BUDGET) -> DistanceBound:
 
 @dataclass(frozen=True)
 class DuadicDistances:
-    n: int
-    d_even: int          # distance of the even-like code
-    d_min_odd_coset: int  # min weight over odd-like cosets (the odd-like weight d_o)
     even_hist: tuple[int, ...]
     coset_hist: tuple[int, ...]  # summed over the three nonzero cosets
     work: int
+
+    @property
+    def d_even(self) -> int:  # distance of the even-like code
+        return _first_nonzero_weight(self.even_hist)
+
+    @property
+    def d_min_odd_coset(self) -> int:  # min weight over odd-like cosets (the odd-like weight d_o)
+        return _first_nonzero_weight(self.coset_hist)
 
     @property
     def d_odd(self) -> int:
@@ -751,18 +756,11 @@ def duadic_distances(splitting: Splitting, budget: int = DEFAULT_BUDGET) -> Duad
     hist, work = weight_histograms(even.gen_matrix, budget=budget)
     even_hist = [int(x) for x in hist]
     coset_hist = [b - a for a, b in zip(even_hist, dual_distribution(even_hist, work))]
-    result = DuadicDistances(
-        n=n,
-        d_even=_first_nonzero_weight(even_hist),
-        d_min_odd_coset=_first_nonzero_weight(coset_hist),
-        even_hist=tuple(even_hist),
-        coset_hist=tuple(coset_hist),
-        work=work,
-    )
-    _CACHE[key] = result
+    result = DuadicDistances(even_hist=tuple(even_hist), coset_hist=tuple(coset_hist), work=work)
     q, dim = _field(even.gen_matrix), even.dim
     _CACHE[(EXACT, n, even.defining_set.members)] = DistanceBound.exact_value(result.d_even, work=q**dim)
     _CACHE[(EXACT, n, s.members)] = DistanceBound.exact_value(result.d_odd, work=q ** (dim + 1))
+    _CACHE[key] = result
     return result
 
 
@@ -803,7 +801,7 @@ def _walked(ext) -> np.ndarray:
     """The generator _extension_pass walks, a self-orthogonal code whose
     weight distribution gives the extended code's: the ingredient C
     (ext.original) when e = 1, else the self-dual extended code itself."""
-    return ext.original if ext.e == 1 else ext.extended
+    return ext.original if ext.e == 1 else ext.gen
 
 
 def _unit_pass(c_hist, coset_hist, work: int, q: int = 4) -> ExtensionDistance:
@@ -900,7 +898,7 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     share a third of the budget the whole levels leave (_info_set_bounds); lo
     comes from the levels and the averaging alone.
     """
-    big_k, big_n = ext.extended.shape
+    big_k, big_n = ext.gen.shape
 
     def seeds():
         # run only when the search reads its seeds
@@ -923,9 +921,9 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
 
 
 def extension_distance(ext, budget: int) -> ExtensionDistance:
-    """Distance of the Hermitian self-dual extension ext of a code C (an
-    Extension: original, the RREF basis of C; extended; e), the least
-    weight of the extended [N, K] code.
+    """Distance of the Hermitian self-dual extension ext of a code C (a
+    quantum.SelfDualCode: gen; original, the RREF basis of C; e), the
+    least weight of the extended [N, K] code.
 
     The exact pass (_extension_pass) runs when its words fit the budget.
     It walks one self-orthogonal code and takes the extended code's
@@ -935,7 +933,7 @@ def extension_distance(ext, budget: int) -> ExtensionDistance:
     (_check_macwilliams).  Below the pass the information-set search on
     the extended generator bounds d (_self_dual_bound).
     """
-    q = _field(ext.extended)
+    q = _field(ext.gen)
     if q ** _walked(ext).shape[0] <= budget:
         return _extension_pass(ext, q, budget)
     return _self_dual_bound(ext, q, budget)

@@ -16,8 +16,9 @@ distance.extension_distance, from general_zero_dim, the one entry point of
 the extension.  The one exception is the duadic route, whose exact pass is
 duadic_distances read by distance._unit_pass whenever it fits the budget.
 Every construction then assembles its parameters in one place (_params):
-[[n + e, 0]] from the Extension, d from the certificate, and the trace as
-the construction's head lines followed by the certificate's line.
+[[n + e, 0]] from the extension, d from the certificate, and the trace as
+the construction's head lines followed by the certificate's line.  Each
+returns the SelfDualCode it certified, with its ingredient C and e.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ class QuantumParams:
 class SelfDualCode:
     """Hermitian self-dual code emitted by the k = 0 constructions."""
 
-    gen: np.ndarray
+    gen: np.ndarray             # generators of the length n+e Hermitian self-dual code
+    original: np.ndarray        # RREF basis of the self-orthogonal input code
+    e: int
 
     def __post_init__(self):
         m, length = self.gen.shape
@@ -160,23 +163,7 @@ def _hermitian_orthonormalize(rows: np.ndarray) -> np.ndarray:
     return gf4.unpack_rows(out, cols)
 
 
-@dataclass(frozen=True)
-class Extension:
-    original: np.ndarray        # RREF basis of the self-orthogonal input code
-    extended: np.ndarray        # generators of the length n+e Hermitian self-dual code
-    e: int
-    self_dual: SelfDualCode     # extended, Gram-tested
-
-    @property
-    def n(self) -> int:
-        return self.extended.shape[1]
-
-    @property
-    def k(self) -> int:
-        return self.extended.shape[0]
-
-
-def _extend(code) -> Extension:
+def _extend(code) -> SelfDualCode:
     """The extension of a Hermitian self-orthogonal code C with RREF basis
     g, k x n, in block form.
 
@@ -192,8 +179,8 @@ def _extend(code) -> Extension:
       linalg.complement_basis(g, dual) picks, in its order;
     - rank: (g | 0) is an RREF of k rows and the unit rows hold I_e where
       it is zero, so the rank is k + e when g's pivots are k unit columns.
-    The Gram test of the SelfDualCode the Extension carries, run once,
-    certifies that the extended code is self-dual.
+    The Gram test of the SelfDualCode, run once, certifies that the
+    extended code is self-dual.
     """
     r, k, pivots = linalg.rref(dist._generators(code))
     g = r[:k]
@@ -218,14 +205,14 @@ def _extend(code) -> Extension:
     extended[:k, :n] = g
     extended[k:, :n] = ortho
     extended[np.arange(k, k + e), np.arange(n, n + e)] = 1
-    return Extension(original=g, extended=extended, e=e, self_dual=SelfDualCode(gen=extended))
+    return SelfDualCode(gen=extended, original=g, e=e)
 
 
-def _params(ext: Extension, cert: dist.ExtensionDistance, *head: str) -> QuantumParams:
+def _params(ext: SelfDualCode, cert: dist.ExtensionDistance, *head: str) -> QuantumParams:
     """The pure stabilizer code [[n + e, 0]] of the self-dual extension of
     an [n, k] code, with its certificate's distance and, after the head
     lines, its trace line."""
-    return QuantumParams(n=ext.n, k=0, d=cert.bound, pure=PURE_YES, trace=(*head, cert.trace_line))
+    return QuantumParams(n=ext.gen.shape[1], k=0, d=cert.bound, pure=PURE_YES, trace=(*head, cert.trace_line))
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +258,7 @@ def extended_duadic_quantum(
         f"odd-like duadic n={splitting.n} leaders={list(pair.odd1.defining_set.leaders)} with mu_-2",
         "even-like subcode extended by one unit coordinate (e=1)",
     )
-    return params, ext.self_dual
+    return params, ext
 
 
 def general_zero_dim(
@@ -288,7 +275,7 @@ def general_zero_dim(
     k, n = ext.original.shape
     params = _params(ext, dist.extension_distance(ext, budget),
                      f"self-orthogonal [{n},{k}] input: [[2({n}-{k}), 0]] with e = {ext.e}")
-    return params, ext.self_dual
+    return params, ext
 
 
 # perfbench/probes.py TRACED wraps this name, so it stays a module attribute

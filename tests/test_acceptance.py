@@ -137,8 +137,7 @@ def test_criterion_05_dual_formula_oracle():
     mismatches = []
     total = 0
     for n in range(3, 36, 2):
-        part = all_cosets(n, 4)
-        cosets = part.cosets
+        cosets = all_cosets(n, 4)
         assert len(cosets) <= 16, f"n={n} has {len(cosets)} cosets"  # exhaustive everywhere
         for mask in range(2 ** len(cosets)):
             members = frozenset().union(
@@ -167,8 +166,7 @@ def test_criterion_06_fixed_subcode_sandwich():
         units = [a for a in range(2, n) if math.gcd(a, n) == 1 and (a * a) % n == 1]
         if not units:
             continue
-        part = all_cosets(n, 4)
-        cosets = part.cosets
+        cosets = all_cosets(n, 4)
         for mask in range(1, 2 ** len(cosets) - 1):
             members = frozenset().union(*(c for i, c in enumerate(cosets) if (mask >> i) & 1))
             dim = n - len(members)

@@ -132,7 +132,7 @@ def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
     search = dist._info_set_bounds
 
     def counting(code, *args, **kwargs):
-        r = code.original if isinstance(code, quantum.Extension) else code
+        r = code.original if isinstance(code, quantum.SelfDualCode) else code
         calls.append((code, dist._is_cyclic(r)))
         return search(code, *args, **kwargs)
 
@@ -140,8 +140,8 @@ def test_quantum_qr_searches_once(capsys, monkeypatch, n, d_lo, d_hi):
     monkeypatch.setattr(dist, "_info_set_bounds", counting)
     code, out, _ = run(capsys, "quantum", "-n", str(n), "--qr", "--budget", "65536", "--format", "json")
     (ext, cyclic), *seeds = calls
-    assert code == 0 and isinstance(ext, quantum.Extension) and cyclic
-    assert all(not c and s.shape[1] == ext.n and s.shape[0] < ext.k for s, c in seeds)
+    assert code == 0 and isinstance(ext, quantum.SelfDualCode) and cyclic
+    assert all(not c and s.shape[1] == ext.gen.shape[1] and s.shape[0] < ext.gen.shape[0] for s, c in seeds)
     assert len(seeds) == (n == 29)
     payload = json.loads(out)
     assert (payload["d_lo"], payload["d_hi"]) == (d_lo, d_hi)
@@ -630,6 +630,29 @@ def test_removed_flags_exit_2(capsys, argv):
     assert err.startswith(f"usage: duadiq {argv.split()[0]} ") and "error:" in err
 
 
+_ANN93 = '[{"n": 93, "k": 48, "d": 21, "source": "external code table"}]'
+
+
+# argv ({ann} names the annotation file), the file's content, the first
+# stderr line after "invalid input: "
+@pytest.mark.parametrize("argv,annotations,message", [
+    ("quantum -n 7 --leaders 1,x", None, "bad leader list '1,x': invalid literal for int() with base 10: 'x'"),
+    ("quantum -n 13 --duadic-index 1", None, "duadic index 1 out of range (found 1)"),
+    ("quantum -n 7 --from-annotation {ann}", _ANN93, "no annotation with n = 7"),
+    ("quantum -n 93 --from-annotation {ann}", _ANN93.replace('"d": 21, ', ""),
+     "bad annotation entry {'n': 93, 'k': 48, 'source': 'external code table'}: 'd'"),
+    ("distance -n 5 --leaders 0,1,2", None, "the zero code has no distance"),
+    ("quantum -n 9 --leaders 1 --budget -1", None, "--budget must be nonnegative"),
+])
+def test_invalid_input_exit_2(capsys, tmp_path, argv, annotations, message):
+    path = tmp_path / "ann.json"
+    if annotations is not None:
+        path.write_text(annotations)
+    code, out, err = run(capsys, *argv.format(ann=path).split())
+    assert (code, out) == (2, "")
+    assert err.splitlines()[0] == f"invalid input: {message}"
+
+
 def test_flag_before_the_subcommand_exit_2(capsys):
     # a flag before the subcommand belongs to no subcommand: the top-level
     # parser reports it
@@ -703,6 +726,14 @@ GOLDEN = {
         "lo,hi,lo_src,hi_src,work", "5,5,exact-enumeration,exact-enumeration,16640", end="\r\n"),
     ("distance -n 13 --leaders 1 --fixed-subcode -1", "json"): (
         '{"lo": 5, "hi": 5, "lo_src": "exact-enumeration", "hi_src": "exact-enumeration", "work": 16640}\n'),
+    # --expand adds the defining set to the json payload alone
+    ("distance -n 13 --leaders 1 --expand", "text"): _lines(
+        "[13,7] code, d in [5, 5] (lo: exact-enumeration, hi: exact-enumeration, work 16384)"),
+    ("distance -n 13 --leaders 1 --expand", "csv"): _lines(
+        "lo,hi,lo_src,hi_src,work", "5,5,exact-enumeration,exact-enumeration,16384", end="\r\n"),
+    ("distance -n 13 --leaders 1 --expand", "json"): (
+        '{"lo": 5, "hi": 5, "lo_src": "exact-enumeration", "hi_src": "exact-enumeration", "work": 16384, '
+        '"defining_set": [1, 3, 4, 9, 10, 12]}\n'),
     ("table --max-n 13", "text"): _TABLE13,
     ("table --max-n 13", "csv"): _TABLE13,
     ("table --max-n 13", "json"): _TABLE13,

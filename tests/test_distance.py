@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from duadiq import distance as dist
-from duadiq import _kernels, gf4, linalg, quantum
+from duadiq import _kernels, extfield, gf4, linalg, quantum
 from duadiq.cyclic import CyclicCode, DefiningSet, all_cosets, apply_multiplier, dual_defining_set
 from duadiq.duadic import duadic_from_splitting, find_splittings, qr_splitting
 from duadiq.errors import BudgetExceededError, InputError, InvariantError
@@ -70,7 +70,7 @@ def _cyclic_codes(max_n, q, max_dim):
     <= max_dim whose defining set is a union of q-cyclotomic cosets: with
     q = 2 the codes whose generator is binary."""
     for n in range(3, max_n + 1, 2):
-        cosets = all_cosets(n, q).cosets
+        cosets = all_cosets(n, q)
         for mask in range(1, 1 << len(cosets)):
             members = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
             code = CyclicCode(DefiningSet(n, members))
@@ -484,7 +484,7 @@ def test_dual_distribution_matches_walked_dual():
     max_words = {4: 4**10, 2: 2**26}
     checked = {2: 0, 4: 0}
     for n in range(3, 42, 2):
-        cosets = all_cosets(n, 4).cosets[1:]
+        cosets = all_cosets(n, 4)[1:]
         for mask in range(1, 1 << len(cosets)):
             a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
             if any((-2 * t) % n in a.members for t in a.members) or len(a.members) > 8:
@@ -765,7 +765,7 @@ def test_binary_basis_walks_and_searches_gf2(monkeypatch):
     # generator polynomial and the RREF basis are binary
     codes = []
     for n in range(3, 42, 2):
-        cosets = all_cosets(n, 2).cosets
+        cosets = all_cosets(n, 2)
         for mask in range(1, (1 << len(cosets)) - 1):
             codes.append((n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))))
     assert len(codes) == 404
@@ -910,7 +910,7 @@ def _extension_generators():
 def test_small_blocks_give_same_bounds(monkeypatch):
     cases = [(CyclicCode.from_leaders(23, [1]).gen_matrix, 4)]
     cases += [(_binary_cyclic(23, _BINARY_GENERATORS[23]), 2)]
-    cases += [(ext, 2 if (ext.extended <= 1).all() else 4) for ext in _extension_generators()]
+    cases += [(ext, 2 if (ext.gen <= 1).all() else 4) for ext in _extension_generators()]
     for budget in (100, 4096, 10**5):
         want = [dist._info_set_bounds(code, q, budget) for code, q in cases]
         monkeypatch.setattr(_kernels, "_BLOCK_WORDS", 4)
@@ -923,7 +923,7 @@ def _sweep_extensions(max_n):
     """The self-dual extensions of the code search: the Hermitian dual of
     every cyclic code whose defining set A, nonzero cosets, misses -2A."""
     for n in range(3, max_n + 1, 2):
-        cosets = [c for c in all_cosets(n).cosets if 0 not in c]
+        cosets = [c for c in all_cosets(n) if 0 not in c]
         for mask in range(1, 1 << len(cosets)):
             a = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
             if all((-2 * t) % n not in a for t in a):
@@ -943,7 +943,7 @@ def test_derived_systematic_forms_are_the_reductions():
     exts = list(_extension_generators()) + list(_sweep_extensions(41)) + list(_research_extensions())
     assert len(exts) > 220
     for ext in exts:
-        gen = ext.extended
+        gen = ext.gen
         k, n = gen.shape
         info = [int(c) for c in (ext.original != 0).argmax(axis=1)] + list(range(n - ext.e, n))
         rest = sorted(set(range(n)) - set(info))
@@ -974,14 +974,37 @@ def test_two_set_search_makes_no_row_reduction(monkeypatch):
     assert calls == [] and (b.lo, b.hi, b.work, b.levels) == (5, 28, 9747, (1, 1))
 
 
+def test_odd_order_fixed_subcode_bound_brackets_distance():
+    # the odd-order branch (odd_order_lower_bound): every cyclic code with
+    # n in {7, 9, 11, 15, 21} and 1 <= dim <= 5, and every multiplier a of
+    # odd order > 1 with aA = A and a nonzero fixed subcode
+    orders = []
+    for n in (7, 9, 11, 15, 21):
+        odd = [(a, o) for a in range(2, n) if math.gcd(a, n) == 1 and (o := extfield.mult_order(a, n)) % 2]
+        cosets = all_cosets(n)
+        for mask in range(1, 1 << len(cosets)):
+            members = frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1))
+            code = CyclicCode(DefiningSet(n, members))
+            if not 1 <= code.dim <= 5:
+                continue
+            d = oracle.min_distance(code.gen_matrix.tolist())
+            for a, order in odd:
+                if code.defining_set.scaled(a).members != members or not len(dist.fixed_subcode(code, a)):
+                    continue
+                bound = dist.fixed_subcode_lower_bound(code, a)
+                assert bound.lo <= d <= bound.hi, (n, sorted(members), a)
+                orders.append(order)
+    assert (len(orders), orders.count(3), orders.count(5)) == (162, 150, 12)
+
+
 def test_derived_form_on_the_information_set_is_checked():
     # a generator whose unit rows are not the identity on the unit
     # coordinates is not (g | 0) above (f | I_e): the derived form is refused
     ext = next(_extension_generators())
-    gen = ext.extended.copy()
+    gen = ext.gen.copy()
     gen[-1, -1] = 2
     with pytest.raises(InvariantError, match="not \\[I \\| P\\]"):
-        dist._systematic_forms(dataclasses.replace(ext, extended=gen))
+        dist._systematic_forms(dataclasses.replace(ext, gen=gen))
 
 
 def test_compose_bounds():
@@ -1028,12 +1051,12 @@ def test_fixed_subcode_sandwich_invariant_sweep():
     import math
 
     for n in (5, 7, 9, 13, 15):
-        part = all_cosets(n, 4)
+        cosets = all_cosets(n, 4)
         order2 = [a for a in range(2, n) if math.gcd(a, n) == 1 and (a * a) % n == 1]
         for a in order2:
-            for take in range(1, 2 ** len(part.cosets) - 1):
+            for take in range(1, 2 ** len(cosets) - 1):
                 members = frozenset().union(
-                    *(c for i, c in enumerate(part.cosets) if (take >> i) & 1)
+                    *(c for i, c in enumerate(cosets) if (take >> i) & 1)
                 )
                 ds = DefiningSet(n, members)
                 if frozenset(a * t % n for t in members) != members:

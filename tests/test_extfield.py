@@ -88,9 +88,9 @@ def test_minimal_poly_rejects_unclosed():
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 15, 21, 33])
 def test_minimal_polys_factor_x_n_minus_1(n):
     ext = extfield.ext_build(n)
-    part = all_cosets(n)
+    cosets = all_cosets(n)
     product = [1]
-    for coset in part.cosets:
+    for coset in cosets:
         mp = extfield.minimal_poly(ext, coset)
         assert len(mp) == len(coset) + 1
         _, rem = oracle.poly_divmod(oracle.x_pow_n_minus_1(n), mp)

@@ -60,9 +60,9 @@ def test_extension_gram_certificates():
     for n in (5, 7, 13):
         pair = _mu2_pairs(n)[0]
         ext = quantum._extend(pair.even1)
-        dual = linalg.hermitian_dual_space(ext.extended)
-        assert oracle.is_subspace(dual, ext.extended)
-        assert np.array_equal(linalg.row_basis(dual), linalg.row_basis(ext.extended))
+        dual = linalg.hermitian_dual_space(ext.gen)
+        assert oracle.is_subspace(dual, ext.gen)
+        assert np.array_equal(linalg.row_basis(dual), linalg.row_basis(ext.gen))
 
 
 def test_extend_reduces_its_basis_once(monkeypatch):
@@ -84,7 +84,7 @@ def test_extend_reduces_its_basis_once(monkeypatch):
 
 def _search_sets(n):
     """Every union A of nonzero cosets mod n with A and -2A disjoint."""
-    cosets = all_cosets(n, 4).cosets[1:]
+    cosets = all_cosets(n, 4)[1:]
     for mask in range(1, 1 << len(cosets)):
         a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
         if not a.members & a.scaled(-2).members:
@@ -168,8 +168,8 @@ def test_extend_reads_the_complement_from_the_free_columns(monkeypatch):
         dual = linalg.hermitian_dual_space(ext.original)
         assert np.array_equal(kept[0], linalg.complement_basis(ext.original, dual))
         extended, _ = oracle.block_extension(ext.original, ext.original, dual)
-        assert ext.extended.dtype == np.uint8 and ext.extended.tolist() == extended
-        assert linalg.rref(ext.extended)[1] == ext.k
+        assert ext.gen.dtype == np.uint8 and ext.gen.tolist() == extended
+        assert linalg.rref(ext.gen)[1] == ext.gen.shape[0]
 
 
 def test_orthonormalize_matches_oracle_greedy(monkeypatch):
@@ -258,9 +258,9 @@ def test_self_dual_extension_runs_one_gram_test(monkeypatch):
         assert products.count((shape, None)) + products.count((shape, shape)) == 1
     monkeypatch.setattr(linalg, "gram_matrix", gram)
     with pytest.raises(InvariantError, match="Gram test"):
-        quantum.SelfDualCode(gen=np.array([[1, 0]], dtype=np.uint8))
+        quantum.SelfDualCode(gen=np.array([[1, 0]], dtype=np.uint8), original=np.zeros((0, 1), dtype=np.uint8), e=1)
     with pytest.raises(InvariantError, match="shape"):
-        quantum.SelfDualCode(gen=np.array([[1, 1, 0]], dtype=np.uint8))
+        quantum.SelfDualCode(gen=np.array([[1, 1, 0]], dtype=np.uint8), original=np.zeros((0, 2), dtype=np.uint8), e=1)
 
 
 def test_near_orthogonality_e1_iff_mu2():
@@ -633,9 +633,9 @@ def test_two_set_bound_brackets_search_extensions():
             if n - len(a.members) > 10:
                 continue
             ext = quantum._extend(CyclicCode(dual_defining_set(a)))
-            d = _exact_distance(ext.extended)
+            d = _exact_distance(ext.gen)
             for budget in (0, 4096, 65536):
-                _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.n, budget)
+                _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.gen.shape[1], budget)
             checked += 1
     assert checked == 18
 
@@ -654,15 +654,15 @@ def test_two_set_bound_brackets_mu2_extensions():
                 if n <= 29:
                     dd = dist.duadic_distances(split)
                     d = min(dd.d_even, dd.d_min_odd_coset + 1)
-                elif (ext.extended <= 1).all():
-                    hist, _ = dist.weight_histograms_binary(ext.extended)
+                elif (ext.gen <= 1).all():
+                    hist, _ = dist.weight_histograms_binary(ext.gen)
                     d = int(np.flatnonzero(hist[1:])[0]) + 1
                 else:
                     cert = dist.extension_distance(ext, 1 << 26).bound
                     assert cert.exact
                     d = cert.lo
                 for budget in (0, 4096, 65536):
-                    _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.n, budget)
+                    _assert_brackets(dist.extension_distance(ext, budget).bound, d, ext.gen.shape[1], budget)
 
 
 def _two_set_breakpoints(big_k, q):
@@ -687,7 +687,7 @@ def test_cyclic_averaging_dominates_two_set_rule(monkeypatch):
                 continue
             ext = quantum._extend(CyclicCode(dual_defining_set(a)))
             assert dist._is_cyclic(ext.original)
-            gen = ext.extended
+            gen = ext.gen
             big_n = gen.shape[1]
             q = 2 if (gen <= 1).all() else 4
             d = _exact_distance(gen)
@@ -738,7 +738,7 @@ def test_fixed_subcode_seed_brackets_and_dominates(monkeypatch):
     for n in range(3, 42, 2):
         for a in _search_sets(n):
             ext = quantum._extend(CyclicCode(dual_defining_set(a)))
-            gen = ext.extended
+            gen = ext.gen
             if gen.shape[0] > 9:
                 continue
             d = _exact_distance(gen)
@@ -748,7 +748,7 @@ def test_fixed_subcode_seed_brackets_and_dominates(monkeypatch):
                 on = dist.extension_distance(ext, budget).bound
                 monkeypatch.setattr(dist, "_fixing_involutions", lambda r: [])
                 off = dist.extension_distance(ext, budget).bound
-                _assert_brackets(on, d, ext.n, budget)
+                _assert_brackets(on, d, ext.gen.shape[1], budget)
                 assert not on.exact or on.lo == d
                 assert on.lo == off.lo and (off.hi is None or on.hi <= off.hi)
                 cases += 1
@@ -768,7 +768,7 @@ def test_research_hi_is_a_checked_fixed_subcode_word():
     assert (b.hi, b.hi_src) == (28, dist.FIXED_SUBCODE)
     assert gf4.weight(b.word) == 28 and not b.word[123:].any()
     assert np.array_equal(apply_multiplier(40, b.word[:123]), b.word[:123])
-    assert not linalg.gram_matrix(b.word, ext.extended).any()
+    assert not linalg.gram_matrix(b.word, ext.gen).any()
 
 
 def test_self_dual_search_stops_at_even_distance():
@@ -790,7 +790,7 @@ def test_non_cyclic_copy_keeps_two_set_bound():
         even = _mu2_pairs(n)[0].even1
         g = even.gen_matrix[:, [1, 0] + list(range(2, n))]
         ext = quantum._extend(g)
-        q = 2 if (ext.extended <= 1).all() else 4
+        q = 2 if (ext.gen <= 1).all() else 4
         for budget in sorted({min(b, q ** ext.original.shape[0] - 1) for b in (0, 4096, 65536)}):
             got = dist.extension_distance(ext, budget)
             assert got.bound == dist.even_lift(dist._info_set_bounds(ext, q, budget))
@@ -828,13 +828,13 @@ def test_binary_route_brackets_with_cyclic_averaging():
         for a in _search_sets(n):
             lift = CyclicCode(dual_defining_set(a))
             ext = quantum._extend(lift)
-            if ext.k > 16 or not (ext.extended <= 1).all():
+            if ext.gen.shape[0] > 16 or not (ext.gen <= 1).all():
                 continue
-            hist, _ = dist.weight_histograms_binary(ext.extended)
+            hist, _ = dist.weight_histograms_binary(ext.gen)
             d = int(np.flatnonzero(hist[1:])[0]) + 1
-            for budget in (0, 100, 1000, 10000, 2**ext.k - 1):
+            for budget in (0, 100, 1000, 10000, 2**ext.gen.shape[0] - 1):
                 p, _ = quantum.general_zero_dim(lift, budget=budget)
-                _assert_brackets(p.d, d, ext.n, budget)
+                _assert_brackets(p.d, d, ext.gen.shape[1], budget)
                 assert not p.d.exact or p.d.lo == d
                 notes.append(p.trace[-1])
     assert len(notes) == 60 and any("cyclic averaging" in line for line in notes)
@@ -842,7 +842,7 @@ def test_binary_route_brackets_with_cyclic_averaging():
 
 def _cyclic_codes(n):
     """Every nonzero cyclic code of length n over GF(4), by defining set."""
-    cosets = all_cosets(n, 4).cosets
+    cosets = all_cosets(n, 4)
     for mask in range(1 << len(cosets)):
         a = DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
         if len(a.members) < n:
@@ -898,7 +898,7 @@ def _enumerable_search_sets():
     out = []
     for n in range(3, 42, 2):
         for a in _search_sets(n):
-            gen = quantum._extend(CyclicCode(dual_defining_set(a))).extended
+            gen = quantum._extend(CyclicCode(dual_defining_set(a))).gen
             if gen.shape[0] <= 10 or ((gen <= 1).all() and gen.shape[0] <= 20):
                 out.append(a)
     return tuple(out)
