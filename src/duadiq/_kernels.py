@@ -32,12 +32,19 @@ thread alone.
 
 InfoSetLevels walks the messages of one information set a level (message
 weight) at a time, for the Brouwer-Zimmermann search in distance.  A level
-is a stream of blocks of at most _BLOCK_WORDS words, each one outer XOR,
-popcount and argmin: consecutive pivots with small pair grids share a
-block, so a level of a few hundred words is one numpy pass rather than one
-Python call per pivot, and a pivot too big for one block is cut into
-blocks.  It returns the first lightest word in its walk order, which does
-not depend on how pivots share blocks, and runs on the calling thread.
+is a stream of blocks of at most _BLOCK_WORDS words: consecutive pivots with
+small pair grids share a block, so a level of a few hundred words is one
+numpy pass rather than one Python call per pivot, and a pivot too big for
+one block is cut into blocks.  The caller passes a threshold, the weight of
+the best word it holds, and only lighter words are sought; inside a level it
+tightens to the lightest word found so far.  A block computes the first
+uint64 word line of every pair (an outer XOR per plane, an OR and a popcount
+into uint8); with one line that is the weight and one argmin reads it, with
+more only the pairs whose first line already weighs less than the threshold
+get their other lines.  The buffers are sized once a level to its largest
+block.  It returns the first lightest word under the threshold in its walk
+order, which does not depend on how pivots share blocks, and runs on the
+calling thread.
 """
 
 from __future__ import annotations
@@ -237,9 +244,10 @@ def gray_weight_hists_binary(sg: np.ndarray, nbins: int) -> np.ndarray:
 # information-set levels: meet in the middle over packed parity columns
 # ---------------------------------------------------------------------------
 
-# A block of a level walk holds at most this many words, so its index arrays
-# and temporaries stay under about 0.5 MB whatever the level.
-_BLOCK_WORDS = 1 << 14
+# A block of a level walk holds at most this many words, so its buffers (two
+# uint64 planes, the uint8 line-0 counts and a bool mask) stay under about
+# 1.2 MB whatever the level; a level sizes them to its largest block.
+_BLOCK_WORDS = 1 << 16
 
 
 def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
@@ -304,16 +312,26 @@ class InfoSetLevels:
     _BLOCK_WORDS columns of the longer side, then the blocks of rows of the
     shorter side that fill one, then every (shorter, longer) pair in
     row-major order.  A level is walked as a stream of blocks of at most
-    _BLOCK_WORDS words in that order, each an outer XOR of rows (shorter
-    columns, each XORed with its pivot row) and longer columns, one word
-    line at a time, then a popcount and one argmin.  Consecutive pivots
-    whose shorter side is the same table share a block while all their
-    rows times the longest of their longer sides fit in one: their rows are
-    gathered by index, and a row's columns past its own pivot's longer side
-    weigh the maximum, so no padded pair is ever the lightest.  A pivot whose grid does not fit
-    in one block is walked in blocks of its own.  Buffers and index arrays
-    are sized per block, so at most _BLOCK_WORDS words are live whatever
-    the level; the tables hold the level's columns.
+    _BLOCK_WORDS words in that order.  Consecutive pivots whose shorter side
+    is the same table share a block while all their rows times the longest
+    of their longer sides fit in one: their rows are gathered by index, and
+    a row's columns past its own pivot's longer side are padding, never a
+    candidate.  A pivot whose grid does not fit in one block is walked in
+    blocks of its own.
+
+    A block XORs its rows (shorter columns, each XORed with its pivot row)
+    with its longer columns, first on word line 0 of every pair, then
+    popcounts that line into uint8.  With one line (at most 64 parity
+    columns) those counts are the weights, read by one argmin.  With more,
+    a pair whose line 0 already weighs the threshold or more cannot be
+    lighter, so only the others get their further lines, gathered by (row,
+    column).  The threshold starts at below - w and drops to each lighter
+    word found, so a later block keeps only strictly lighter words and the
+    first lightest in walk order stands.  The buffers (one per plane, the
+    line-0 counts and, with more lines, the candidate mask) are allocated
+    once a level, the size of its largest block, so a small level allocates
+    little and at most _BLOCK_WORDS words are live; the tables hold the
+    level's columns.
     """
 
     def __init__(self, parity: np.ndarray, q: int):
@@ -331,26 +349,39 @@ class InfoSetLevels:
             self.tables[reverse, span, t] = _subset_table([scaled[:, cols] for scaled in self.rows], t)
         return self.tables[reverse, span, t]
 
-    def least_weight(self, w: int, span: int) -> tuple[int, np.ndarray]:
-        """The lightest codeword over the weight-w messages on the first span
-        positions: (weight, word), the word as k message symbols followed by
-        their encoding, message times the parity part.
+    def least_weight(self, w: int, span: int, below: int) -> tuple[int, np.ndarray] | None:
+        """The lightest codeword of weight < below over the weight-w messages
+        on the first span positions: (weight, word), the word as k message
+        symbols followed by their encoding, message times the parity part;
+        None when every such word weighs below or more.
 
         The word is the first of the lightest in the walk order of the class
         docstring.  Its message is read back from the indices of its two
         table columns (_subset_of_column) and encoded from the parity
         symbols, so the caller can check the word against the weight.
         """
+        bound = below - w  # the parity weight a word must stay under
+        if bound <= 0:
+            return None
         s = len(self.rows)
         a, c = w // 2, (w - 1) // 2
         tables = self._table(False, span, a), self._table(True, span, c)
         if len(tables[0]):
-            bufs = tuple(np.empty(_BLOCK_WORDS, dtype=t) for t in (np.uint64, np.uint64, np.uint8, np.uint16))
-            best = (self.parity.shape[1] + 1,)
+            # two passes over the blocks, not a list: a level of 10^11 words has millions
+            size = max(sum(r1 - r0 for _, r0, r1, _ in pieces) * (j1 - j0)
+                       for _, pieces, j0, j1 in _level_blocks(a, c, span, s))
+            lines = len(tables[0]) // self.planes
+            bufs = (np.empty(size, dtype=np.uint64),
+                    np.empty(size, dtype=np.uint64) if self.planes == 2 else None,
+                    np.empty(size, dtype=np.uint8),
+                    np.empty(size, dtype=bool) if lines > 1 else None)
+            best = None
             for block in _level_blocks(a, c, span, s):
-                found = self._least_in_block(tables, bufs, *block)
-                if found[0] < best[0]:
-                    best = found
+                found = self._least_in_block(tables, bufs, bound, *block)
+                if found is not None:
+                    best, bound = found, found[0]
+            if best is None:
+                return None
         else:  # no parity columns (the full space): every word weighs 0
             best = (0, a, 0, 0)
         weight, m, i, j = best
@@ -364,18 +395,22 @@ class InfoSetLevels:
         parity = np.bitwise_xor.reduce(gf4.MUL_TABLE[message[support, None], self.parity[support]], axis=0)
         return w + weight, np.concatenate([message, parity])
 
-    def _least_in_block(self, tables, bufs, swap: bool, pieces, j0: int, j1: int) -> tuple[int, int, int, int]:
-        """(weight, m, i, j) of the first lightest word of one block: prefix
-        column i and suffix column j under pivot m.
+    def _least_in_block(self, tables, bufs, bound: int, swap: bool, pieces, j0: int, j1: int
+                        ) -> tuple[int, int, int, int] | None:
+        """(weight, m, i, j) of the first lightest word of one block whose
+        parity weight is below bound, or None: prefix column i and suffix
+        column j under pivot m.
 
         The block's rows are the shorter-side columns r0 <= r < r1 of each
         piece (m, r0, r1, longer), the suffix table being the shorter side
         when swap is set; its columns are the longer side's j0 <= col < j1.
-        A column holds its planes one after the other; a coordinate counts
-        when any plane has its bit set.
+        A column holds its planes one after the other, one uint64 word line
+        at a time; a coordinate counts when any plane has its bit set.  Only
+        the pairs whose line 0 weighs less than bound get their other lines
+        (class docstring).
         """
         short, long = tables[::-1] if swap else tables
-        ms, r0, r1, longer = (np.array(v, dtype=np.intp) for v in zip(*pieces))
+        ms, r0, r1, _ = (np.array(v, dtype=np.intp) for v in zip(*pieces))
         counts = r1 - r0
         idx = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - r0, counts)
         pivots = np.repeat(ms, counts)
@@ -383,24 +418,44 @@ class InfoSetLevels:
         high = long[:, j0:j1]
         shape = (len(idx), j1 - j0)
         size = shape[0] * shape[1]
-        xor_buf, or_buf, count_buf, sum_buf = bufs
-        x, y = xor_buf[:size].reshape(shape), or_buf[:size].reshape(shape)
-        total, count = sum_buf[:size].reshape(shape), count_buf[:size].reshape(shape)
+        xor_buf, or_buf, count_buf, mask_buf = bufs
         lines = len(rows) // self.planes
-        for t in range(lines):
-            np.bitwise_xor.outer(rows[t], high[t], out=x)
-            if self.planes == 2:
-                np.bitwise_xor.outer(rows[lines + t], high[lines + t], out=y)
-                np.bitwise_or(x, y, out=x)
-            if t == 0:
-                np.bitwise_count(x, out=total)
-            else:
-                total += np.bitwise_count(x, out=count)
-        if longer.min() < j1:  # the pairs past a row's own longer side
-            np.putmask(total, np.less_equal.outer(np.repeat(longer - j0, counts), np.arange(shape[1])),
-                       np.iinfo(total.dtype).max)
-        row, col = divmod(int(total.argmin()), shape[1])
-        weight, m, r = int(total[row, col]), int(pivots[row]), int(idx[row])
+        x = xor_buf[:size].reshape(shape)
+        np.bitwise_xor.outer(rows[0], high[0], out=x)
+        if self.planes == 2:
+            y = or_buf[:size].reshape(shape)
+            np.bitwise_xor.outer(rows[lines], high[lines], out=y)
+            np.bitwise_or(x, y, out=x)
+        count = np.bitwise_count(x, out=count_buf[:size].reshape(shape))
+        # a line counts at most 64 bits, so 255 lies above every real count:
+        # the pairs past a row's own longer side weigh 255, and as every row
+        # has a real pair, neither an argmin nor a count below min(bound, 255)
+        # is ever a padded pair
+        start = 0
+        for _, p0, p1, end in pieces:
+            if end < j1:
+                count[start : start + p1 - p0, end - j0 :] = 255
+            start += p1 - p0
+        if lines == 1:
+            flat = int(count.argmin())
+            weight = int(count.flat[flat])
+        else:
+            flat = np.flatnonzero(np.less(count, min(bound, 255), out=mask_buf[:size].reshape(shape)))
+            if not len(flat):
+                return None
+            row, col = np.divmod(flat, shape[1])
+            total = count.ravel()[flat].astype(np.intp)
+            for t in range(1, lines):
+                z = rows[t, row] ^ high[t, col]
+                if self.planes == 2:
+                    z |= rows[lines + t, row] ^ high[lines + t, col]
+                total += np.bitwise_count(z)
+            first = int(total.argmin())
+            flat, weight = int(flat[first]), int(total[first])
+        if weight >= bound:
+            return None
+        row, col = divmod(flat, shape[1])
+        m, r = int(pivots[row]), int(idx[row])
         return (weight, m, j0 + col, r) if swap else (weight, m, r, j0 + col)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -50,6 +51,7 @@ def _parse_leaders(text: str) -> list[int]:
         raise InputError(f"bad leader list {text!r}: {exc}") from exc
 
 
+@functools.cache  # argparse keeps no state between parses, so one parser serves every call
 def build_parser() -> argparse.ArgumentParser:
     fmt = argparse.ArgumentParser(add_help=False)
     fmt.add_argument("--format", choices=("json", "csv", "text"), default="text",

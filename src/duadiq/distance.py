@@ -549,7 +549,8 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
     information set I = pivots(C) + the e unit coordinates of its generator
     and the complement of I (_self_dual_bound).  Each set's messages are
     walked by _kernels.InfoSetLevels over the parity part of its systematic
-    form, a level (message weight) at a time.  Levels alternate between the
+    form, a level (message weight) at a time, for a word lighter than the
+    best so far, the only kind the search keeps.  Levels alternate between the
     sets, the set with fewer completed levels first (I on a tie).  A
     codeword not met after level w_j on set j has weight >= w_j + 1 on each
     set, so >= sum_j (w_j + 1).  The walk stops when the next level's
@@ -628,7 +629,9 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
         w = levels[j] + 1
         if w > k or work + cost(k, w) > budget:
             break
-        meet(*walks[j].least_weight(w, k), forms[j][0])
+        found = walks[j].least_weight(w, k, best)
+        if found is not None:
+            meet(*found, forms[j][0])
         work += cost(k, w)
         levels[j] = w
         lo = lower()
@@ -648,7 +651,9 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
         span += 1
     if len(walks) == 1 or span < w:
         return result(exact=False)
-    meet(*walks[j].least_weight(w, span), forms[j][0])
+    found = walks[j].least_weight(w, span, best)
+    if found is not None:
+        meet(*found, forms[j][0])
     work += cost(span, w)
     return result(exact=certified())
 

@@ -57,7 +57,7 @@ _MAX_SPLITTING_MASKS = 1 << 20
 
 def _splittings_for_multiplier(n: int, b: int) -> list[tuple[frozenset[int], frozenset[int]]]:
     """All unordered {S1, S2} swapped by mu_b, as member-set pairs."""
-    nonzero = [c for c in all_cosets(n, 4) if 0 not in c]
+    nonzero = [c for c in all_cosets(n) if 0 not in c]
     index = {}
     for i, c in enumerate(nonzero):
         for x in c:

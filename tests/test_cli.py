@@ -158,7 +158,10 @@ def test_wrong_witness_word_exit_4(capsys, monkeypatch, corrupt, argv):
     walk = _kernels.InfoSetLevels.least_weight
 
     def wrong(self, *args):
-        weight, word = walk(self, *args)
+        found = walk(self, *args)
+        if found is None:
+            return None
+        weight, word = found
         word = word.copy()
         at = int(np.flatnonzero(word)[-1])
         word[at] = 0 if corrupt == "weight" else gf4.MUL_TABLE[2][word[at]]
@@ -526,6 +529,21 @@ def test_python_m_duadiq_runs_the_cli():
     assert (p["n"], p["k"], p["d_lo"], p["d_hi"]) == (14, 0, 6, 6)
 
 
+def test_one_coset_cache_entry_per_length():
+    # every caller asks all_cosets for the 4-cyclotomic cosets the same way,
+    # so the table computes each length's cosets once: 6 lengths up to 29
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import contextlib, io\n"
+              "from duadiq import cli, cyclic\n"
+              "with contextlib.redirect_stdout(io.StringIO()):\n"
+              "    assert cli.main(['table', '--max-n', '29']) == 0\n"
+              "print(cyclic.all_cosets.cache_info().misses)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) == 6
+
+
 def test_closed_stdout_exits_quietly():
     # the reader of the pipe is gone before the command writes, as with
     # `duadiq quantum -n 35 --leaders 3,5 | head -2` when head exits first
@@ -751,3 +769,14 @@ def test_golden_stdout(capsys, command, fmt):
         return
     assert (code, err) == (0, "")
     assert out == GOLDEN[command, fmt]
+
+
+def test_parser_built_once(capsys):
+    # one parser serves every call in a process: a refused command leaves
+    # nothing behind for the next, and an appended flag starts empty each time
+    assert cli.build_parser() is cli.build_parser()
+    code, out, err = run(capsys, "cosets", "-n", "13", "--budget", "5")
+    assert (code, out) == (2, "") and "unrecognized arguments" in err
+    for command in ("quantum -n 13 --qr --secondary-steps 1", "distance -n 13 --leaders 1 --fixed-subcode -1",
+                    "distance -n 13 --leaders 1 --fixed-subcode -1"):
+        assert run(capsys, *command.split(), "--format", "json") == (0, GOLDEN[command, "json"], "")

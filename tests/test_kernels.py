@@ -205,7 +205,7 @@ def test_info_set_levels_returns_its_lightest_word(monkeypatch, block_words, q, 
 
     for w in range(1, 4):
         for span in range(w, k + 1):
-            weight, word = walk.least_weight(w, span)
+            weight, word = walk.least_weight(w, span, k + n_parity + 1)
             assert word.shape == (k + n_parity,) and oracle.weight(word) == weight
             assert word.tolist() == encode(word[:k])
             assert oracle.weight(word[:k]) == w and not word[span:k].any()
@@ -217,23 +217,32 @@ def test_info_set_levels_returns_its_lightest_word(monkeypatch, block_words, q, 
             assert weight == best, (w, span)
 
 
-@pytest.mark.parametrize("block_words", [_kernels._BLOCK_WORDS, 3, 7])
+@pytest.mark.parametrize("block_words", [1 << 14, _kernels._BLOCK_WORDS, 3, 7])
 @pytest.mark.parametrize("n_parity", [0, 5, 70, 130])
 @pytest.mark.parametrize("q,k", [(2, 10), (4, 9)])
 def test_level_walk_returns_the_oracle_witness(monkeypatch, block_words, n_parity, q, k):
-    # the exact (weight, word) of the walk order: the witness decides the
-    # k > 0 hi, so another word of the same weight would change the output.
+    # the exact (weight, word) of the walk order: the witness is the hi the
+    # search reports, so another word of the same weight would change it.
     # 0, 5, 70 and 130 parity columns take W = 0, 1, 2 and 3 word lines; 3-
-    # and 7-word blocks cut pivots into several blocks and gather few
+    # and 7-word blocks cut pivots into several blocks and gather few; 2^14
+    # words bounds the gathering tighter than the shipped size.  Below
+    # the threshold the walk finds the oracle's word, pruned on line 0 or
+    # not; at or above it, nothing
     monkeypatch.setattr(_kernels, "_BLOCK_WORDS", block_words)
     rng = np.random.default_rng(q * 1000 + n_parity)
     parity = rng.integers(0, q, (k, n_parity)).astype(np.uint8)
     walk = _kernels.InfoSetLevels(parity, q)
     for w in range(1, 5):
         for span in range(w, k + 1):
-            weight, word = walk.least_weight(w, span)
             want = oracle.first_lightest_message(parity.tolist(), q, w, span, block_words)
-            assert (weight, tuple(word.tolist())) == want, (w, span)
+            least = want[0]
+            for below in sorted({least, least + 1, k + n_parity + 1} | ({0} if least > 0 else set())):
+                found = walk.least_weight(w, span, below)
+                if least >= below:
+                    assert found is None, (w, span, below)
+                else:
+                    weight, word = found
+                    assert (weight, tuple(word.tolist())) == want, (w, span, below)
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 3])
