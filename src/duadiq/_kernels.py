@@ -35,9 +35,14 @@ weight) at a time, for the Brouwer-Zimmermann search in distance.  A level
 is a stream of blocks of at most _BLOCK_WORDS words: consecutive pivots with
 small pair grids share a block, so a level of a few hundred words is one
 numpy pass rather than one Python call per pivot, and a pivot too big for
-one block is cut into blocks.  The caller passes a threshold, the weight of
-the best word it holds, and only lighter words are sought; inside a level it
-tightens to the lightest word found so far.  A block computes the first
+one block is cut into blocks.  That layout and the index gathers that build
+the subset tables depend on the shape of the level alone, (w, span, q) and
+_BLOCK_WORDS, so they are built once a shape and shared by every code: a
+level plan has at most span entries, whatever the level's size, and each of
+the two caches keeps at most _SHARED_SHAPES shapes, gathers only for tables
+of at most _BLOCK_WORDS columns.  The caller passes a threshold, the weight
+of the best word it holds, and only lighter words are sought; inside a level
+it tightens to the lightest word found so far.  A block computes the first
 uint64 word line of every pair (an outer XOR per plane, an OR and a popcount
 into uint8); with one line that is the weight and one argmin reads it, with
 more only the pairs whose first line already weighs less than the threshold
@@ -52,6 +57,8 @@ from __future__ import annotations
 import math
 import os
 import threading
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -248,6 +255,36 @@ def gray_weight_hists_binary(sg: np.ndarray, nbins: int) -> np.ndarray:
 # uint64 planes, the uint8 line-0 counts and a bool mask) stay under about
 # 1.2 MB whatever the level; a level sizes them to its largest block.
 _BLOCK_WORDS = 1 << 16
+# Shapes whose level plans and subset-table gathers are kept, each cache.
+_SHARED_SHAPES = 256
+
+
+def _level_gathers(k: int, s: int, t: int):
+    """The (column, source) gathers of _subset_table over k rows and s
+    scalars, level 1 to t: level l's column j is column[j] of level l - 1
+    XOR scaled row source[j] (scaled as in _subset_table)."""
+    sources = np.add.outer(np.arange(k), k * np.arange(s)).ravel()  # (row, scalar), row-major
+    combs = np.ones(k, dtype=np.intp)  # comb(x, level - 1) for every row x
+    for level in range(1, t + 1):
+        # the block of row x under each scalar: the first comb(x, level - 1) s^(level - 1) columns
+        lengths = np.repeat(combs * s ** (level - 1), s)
+        column = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        yield column, np.repeat(sources, lengths)
+        combs = np.cumsum(combs) - combs  # comb(x, level) = sum of comb(y, level - 1), y < x
+
+
+@lru_cache(maxsize=_SHARED_SHAPES)
+def _shared_gathers(k: int, s: int, t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """_level_gathers kept for every code with k message rows; _subset_table
+    asks only for tables of at most _BLOCK_WORDS columns over all levels."""
+    return tuple(_read_only(*gathers) for gathers in _level_gathers(k, s, t))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read only: a cache hands the same ones to every caller."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
 
 
 def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
@@ -258,20 +295,20 @@ def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
     are in colex order: the sums over subsets of the first x rows are the
     first comb(x, t) * s^t, s = len(rows).  The table is built a level at a
     time: column j of level t is a column of level t - 1 XOR one scaled row,
-    both indexed by arithmetic on j (as in _subset_of_column).
+    both indexed by arithmetic on j (as in _subset_of_column).  Those
+    gathers depend on the shape alone; a table of at most _BLOCK_WORDS
+    columns over all its levels shares them (_shared_gathers), so the cache
+    keeps at most 2 * _BLOCK_WORDS indices a shape, and a larger table
+    builds its own a level at a time.
     """
     width, k = rows[0].shape
     s = len(rows)
+    columns = sum(math.comb(k, level) * s**level for level in range(1, t + 1))
+    gathers = _shared_gathers(k, s, t) if columns <= _BLOCK_WORDS else _level_gathers(k, s, t)
     table = np.zeros((width, 1), dtype=np.uint64)
     scaled = np.hstack(rows)  # column c * k + x is row x times the c-th scalar
-    sources = np.add.outer(np.arange(k), k * np.arange(s)).ravel()  # (row, scalar), row-major
-    combs = np.ones(k, dtype=np.intp)  # comb(x, level - 1) for every row x
-    for level in range(1, t + 1):
-        # the block of row x under each scalar: the first comb(x, level - 1) s^(level - 1) columns
-        lengths = np.repeat(combs * s ** (level - 1), s)
-        column = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        table = table[:, column] ^ scaled[:, np.repeat(sources, lengths)]
-        combs = np.cumsum(combs) - combs  # comb(x, level) = sum of comb(y, level - 1), y < x
+    for column, source in gathers:
+        table = table[:, column] ^ scaled[:, source]
     return table
 
 
@@ -291,6 +328,90 @@ def _subset_of_column(index: int, t: int, s: int) -> list[tuple[int, int]]:
                                math.comb(x, level - 1) * s ** (level - 1))
         out.append((x, scalar))
     return out
+
+
+class _Group(NamedTuple):
+    """Consecutive pivots whose grids share one block: row r pairs shorter
+    column idx[r] under pivot pivots[r] with the longer columns below width;
+    the columns of rows r0 <= r < r1 from col on are padding, for each
+    (r0, r1, col) in pads."""
+
+    swap: bool
+    pivots: np.ndarray
+    idx: np.ndarray
+    pads: tuple[tuple[int, int, int], ...]
+    width: int
+
+
+class _Pivot(NamedTuple):
+    """A pivot whose (shorter, longer) grid does not fit in one block."""
+
+    swap: bool
+    m: int
+    shorter: int
+    longer: int
+
+
+def _tiles(shorter: int, longer: int, block_words: int):
+    """The blocks of a _Pivot in walk order, (r0, r1, j0, j1): blocks of at
+    most block_words longer columns, then as many shorter rows as fill one."""
+    step_h = min(longer, block_words)
+    for j in range(0, longer, step_h):
+        step_l = max(1, block_words // min(step_h, longer - j))
+        for i in range(0, shorter, step_l):
+            yield i, min(i + step_l, shorter), j, min(j + step_h, longer)
+
+
+@lru_cache(maxsize=_SHARED_SHAPES)
+def _level_plan(a: int, c: int, span: int, s: int, block_words: int
+                ) -> tuple[tuple[_Group | _Pivot, ...], int]:
+    """The walk of a level (InfoSetLevels) and the words of its largest block.
+
+    Pivots whose grids fit in one block together and whose shorter side is
+    the same table make one _Group, all of their rows and the columns up to
+    the longest longer side; a pivot whose grid alone does not fit is a
+    _Pivot, cut into blocks by _tiles as it is walked.  The shorter side
+    changes tables at most once a level, since the prefix side grows with m
+    and the suffix side shrinks.  So a plan has at most span entries,
+    whatever the level's size.  Its index arrays hold one entry per row of a
+    group: a pivot's shorter side is no longer than its longer side, so the
+    rows of g pivots under width are at most g * width and, times width, at
+    most block_words; that is at most sqrt(g * block_words) rows a group and
+    span * sqrt(block_words) a plan.  A plan depends on its shape alone and
+    is kept for every code of that shape.
+    """
+    plan, size = [], 0
+    group, rows, width, swap = [], 0, 0, False
+
+    def close():
+        counts = np.array([shorter for _, shorter, _ in group], dtype=np.intp)
+        ends = np.cumsum(counts)
+        pivots, idx = _read_only(np.repeat(np.array([m for m, _, _ in group], dtype=np.intp), counts),
+                                 np.arange(rows) - np.repeat(ends - counts, counts))
+        pads = tuple((int(end) - shorter, int(end), longer)
+                     for (_, shorter, longer), end in zip(group, ends) if longer < width)
+        plan.append(_Group(swap, pivots, idx, pads, width))
+        return rows * width
+
+    for m in range(a, span - c):
+        low, high = math.comb(m, a) * s**a, math.comb(span - 1 - m, c) * s**c
+        shorter, longer = (high, low) if low > high else (low, high)
+        if group and (swap != (low > high) or (rows + shorter) * max(width, longer) > block_words):
+            size = max(size, close())
+            group, rows, width = [], 0, 0
+        swap = low > high
+        if shorter * longer <= block_words:
+            group.append((m, shorter, longer))
+            rows, width = rows + shorter, max(width, longer)
+            continue
+        plan.append(_Pivot(swap, m, shorter, longer))
+        # every column block is step_h wide but the last, which may be narrower and take more rows
+        step_h = min(longer, block_words)
+        for cols in {step_h, longer - (longer - 1) // step_h * step_h}:
+            size = max(size, cols * min(shorter, max(1, block_words // cols)))
+    if group:
+        size = max(size, close())
+    return tuple(plan), size
 
 
 class InfoSetLevels:
@@ -318,6 +439,13 @@ class InfoSetLevels:
     a row's columns past its own pivot's longer side are padding, never a
     candidate.  A pivot whose grid does not fit in one block is walked in
     blocks of its own.
+
+    That layout depends on (w, span, q) and _BLOCK_WORDS alone, not on the
+    code, so it is planned once a shape (_level_plan) and kept for every
+    code of that shape: the gathered row indices of each shared block, and
+    each pivot too big for one block, whose blocks are cut as the walk
+    reaches them.  A plan has at most span entries whatever the level's
+    size; the module keeps the plans of at most _SHARED_SHAPES shapes.
 
     A block XORs its rows (shorter columns, each XORed with its pivot row)
     with its longer columns, first on word line 0 of every pair, then
@@ -367,19 +495,32 @@ class InfoSetLevels:
         a, c = w // 2, (w - 1) // 2
         tables = self._table(False, span, a), self._table(True, span, c)
         if len(tables[0]):
-            # two passes over the blocks, not a list: a level of 10^11 words has millions
-            size = max(sum(r1 - r0 for _, r0, r1, _ in pieces) * (j1 - j0)
-                       for _, pieces, j0, j1 in _level_blocks(a, c, span, s))
+            block_words = _BLOCK_WORDS
+            plan, size = _level_plan(a, c, span, s, block_words)
             lines = len(tables[0]) // self.planes
             bufs = (np.empty(size, dtype=np.uint64),
                     np.empty(size, dtype=np.uint64) if self.planes == 2 else None,
                     np.empty(size, dtype=np.uint8),
                     np.empty(size, dtype=bool) if lines > 1 else None)
+            pivot_rows = self.rows[0]
             best = None
-            for block in _level_blocks(a, c, span, s):
-                found = self._least_in_block(tables, bufs, bound, *block)
-                if found is not None:
-                    best, bound = found, found[0]
+            for entry in plan:
+                short, long = tables[::-1] if entry.swap else tables
+                if isinstance(entry, _Group):
+                    found = self._least_in_block(bufs, bound, short[:, entry.idx] ^ pivot_rows[:, entry.pivots],
+                                                 long[:, : entry.width], entry.pads)
+                    if found is not None:
+                        weight, row, col = found
+                        m, r = int(entry.pivots[row]), int(entry.idx[row])
+                        best, bound = (weight, m, col, r) if entry.swap else (weight, m, r, col), weight
+                    continue
+                pivot = pivot_rows[:, entry.m, None]
+                for r0, r1, j0, j1 in _tiles(entry.shorter, entry.longer, block_words):
+                    found = self._least_in_block(bufs, bound, short[:, r0:r1] ^ pivot, long[:, j0:j1], ())
+                    if found is not None:
+                        weight, row, col = found
+                        m, r, col = entry.m, r0 + row, j0 + col
+                        best, bound = (weight, m, col, r) if entry.swap else (weight, m, r, col), weight
             if best is None:
                 return None
         else:  # no parity columns (the full space): every word weighs 0
@@ -395,28 +536,20 @@ class InfoSetLevels:
         parity = np.bitwise_xor.reduce(gf4.MUL_TABLE[message[support, None], self.parity[support]], axis=0)
         return w + weight, np.concatenate([message, parity])
 
-    def _least_in_block(self, tables, bufs, bound: int, swap: bool, pieces, j0: int, j1: int
-                        ) -> tuple[int, int, int, int] | None:
-        """(weight, m, i, j) of the first lightest word of one block whose
-        parity weight is below bound, or None: prefix column i and suffix
-        column j under pivot m.
+    def _least_in_block(self, bufs, bound: int, rows: np.ndarray, high: np.ndarray, pads
+                        ) -> tuple[int, int, int] | None:
+        """(weight, row, column) of the first lightest pair of one block
+        whose parity weight is below bound, or None.
 
-        The block's rows are the shorter-side columns r0 <= r < r1 of each
-        piece (m, r0, r1, longer), the suffix table being the shorter side
-        when swap is set; its columns are the longer side's j0 <= col < j1.
-        A column holds its planes one after the other, one uint64 word line
-        at a time; a coordinate counts when any plane has its bit set.  Only
+        rows are the block's shorter-side columns, each XORed with its pivot
+        row, and high its longer-side columns; the pairs of rows r0 <= r < r1
+        from column col on are padding, for each (r0, r1, col) in pads.  A
+        column holds its planes one after the other, one uint64 word line at
+        a time; a coordinate counts when any plane has its bit set.  Only
         the pairs whose line 0 weighs less than bound get their other lines
         (class docstring).
         """
-        short, long = tables[::-1] if swap else tables
-        ms, r0, r1, _ = (np.array(v, dtype=np.intp) for v in zip(*pieces))
-        counts = r1 - r0
-        idx = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts - r0, counts)
-        pivots = np.repeat(ms, counts)
-        rows = short[:, idx] ^ self.rows[0][:, pivots]
-        high = long[:, j0:j1]
-        shape = (len(idx), j1 - j0)
+        shape = (rows.shape[1], high.shape[1])
         size = shape[0] * shape[1]
         xor_buf, or_buf, count_buf, mask_buf = bufs
         lines = len(rows) // self.planes
@@ -428,14 +561,11 @@ class InfoSetLevels:
             np.bitwise_or(x, y, out=x)
         count = np.bitwise_count(x, out=count_buf[:size].reshape(shape))
         # a line counts at most 64 bits, so 255 lies above every real count:
-        # the pairs past a row's own longer side weigh 255, and as every row
-        # has a real pair, neither an argmin nor a count below min(bound, 255)
-        # is ever a padded pair
-        start = 0
-        for _, p0, p1, end in pieces:
-            if end < j1:
-                count[start : start + p1 - p0, end - j0 :] = 255
-            start += p1 - p0
+        # the padded pairs weigh 255, and as every row has a real pair,
+        # neither an argmin nor a count below min(bound, 255) is ever a
+        # padded pair
+        for r0, r1, col in pads:
+            count[r0:r1, col:] = 255
         if lines == 1:
             flat = int(count.argmin())
             weight = int(count.flat[flat])
@@ -454,38 +584,4 @@ class InfoSetLevels:
             flat, weight = int(flat[first]), int(total[first])
         if weight >= bound:
             return None
-        row, col = divmod(flat, shape[1])
-        m, r = int(pivots[row]), int(idx[row])
-        return (weight, m, j0 + col, r) if swap else (weight, m, r, j0 + col)
-
-
-def _level_blocks(a: int, c: int, span: int, s: int):
-    """The blocks of a level in walk order (InfoSetLevels): (swap, pieces,
-    j0, j1), pieces a list of (m, r0, r1, longer), see _least_in_block.
-
-    Pivots whose grids fit in one block together and whose shorter side is
-    the same table go into one block, all of their rows and the columns up
-    to the longest longer side; a pivot whose grid alone does not fit is
-    cut into blocks of at most _BLOCK_WORDS longer columns and as many
-    shorter rows as fill one.  The shorter side changes tables at most once
-    a level, since the prefix side grows with m and the suffix side shrinks.
-    """
-    group, rows, width, swap = [], 0, 0, False
-    for m in range(a, span - c):
-        low, high = math.comb(m, a) * s**a, math.comb(span - 1 - m, c) * s**c
-        shorter, longer = (high, low) if low > high else (low, high)
-        if group and (swap != (low > high) or (rows + shorter) * max(width, longer) > _BLOCK_WORDS):
-            yield swap, group, 0, width
-            group, rows, width = [], 0, 0
-        swap = low > high
-        if shorter * longer <= _BLOCK_WORDS:
-            group.append((m, 0, shorter, longer))
-            rows, width = rows + shorter, max(width, longer)
-            continue
-        step_h = min(longer, _BLOCK_WORDS)
-        for j in range(0, longer, step_h):
-            step_l = max(1, _BLOCK_WORDS // min(step_h, longer - j))
-            for i in range(0, shorter, step_l):
-                yield swap, [(m, i, min(i + step_l, shorter), longer)], j, min(j + step_h, longer)
-    if group:
-        yield swap, group, 0, width
+        return (weight, *divmod(flat, shape[1]))

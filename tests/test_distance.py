@@ -919,6 +919,30 @@ def test_small_blocks_give_same_bounds(monkeypatch):
         assert got == want
 
 
+def test_level_plans_are_shared_across_codes():
+    # two codes with the same k walk levels of the same shapes: the second
+    # reuses the first's plans, and each gives what it gives from cold caches
+    rng = np.random.default_rng(8)
+    codes = [linalg.row_basis(rng.integers(0, 4, (8, 24)).astype(np.uint8)) for _ in range(2)]
+    assert codes[0].shape == codes[1].shape and (codes[0] != codes[1]).any()
+
+    def bounds(code):
+        b = dist._info_set_bounds(code, 4, 10**5)
+        return b, b.word.tolist()
+
+    cold = []
+    for code in codes:
+        _kernels._level_plan.cache_clear()
+        _kernels._shared_gathers.cache_clear()
+        cold.append(bounds(code))
+    _kernels._level_plan.cache_clear()
+    warm = [bounds(codes[0])]
+    hits = _kernels._level_plan.cache_info().hits
+    warm.append(bounds(codes[1]))
+    assert _kernels._level_plan.cache_info().hits > hits
+    assert warm == cold
+
+
 def _sweep_extensions(max_n):
     """The self-dual extensions of the code search: the Hermitian dual of
     every cyclic code whose defining set A, nonzero cosets, misses -2A."""

@@ -245,6 +245,63 @@ def test_level_walk_returns_the_oracle_witness(monkeypatch, block_words, n_parit
                     assert (weight, tuple(word.tolist())) == want, (w, span, below)
 
 
+def _least_words(parity, q):
+    """(w, span, weight, word) of every level the oracle witness test walks."""
+    k, n_parity = parity.shape
+    walk = _kernels.InfoSetLevels(parity, q)
+    return [(w, span, weight, tuple(word.tolist()))
+            for w in range(1, 5) for span in range(w, k + 1)
+            for weight, word in [walk.least_weight(w, span, k + n_parity + 1)]]
+
+
+@pytest.mark.parametrize("n_parity", [5, 70])
+def test_level_plans_are_kept_per_block_size(monkeypatch, n_parity):
+    # a plan warmed at the shipped block size must not serve a walk at
+    # another: the walk still gives the oracle's witness of that block size,
+    # and cold caches give the same words
+    q, k = 4, 9
+    parity = np.random.default_rng(q * 1000 + n_parity).integers(0, q, (k, n_parity)).astype(np.uint8)
+    _least_words(parity, q)
+    for block_words in (3, 7):
+        monkeypatch.setattr(_kernels, "_BLOCK_WORDS", block_words)
+        warm = _least_words(parity, q)
+        for w, span, weight, word in warm:
+            assert (weight, word) == oracle.first_lightest_message(parity.tolist(), q, w, span, block_words)
+        _kernels._level_plan.cache_clear()
+        _kernels._shared_gathers.cache_clear()
+        assert _least_words(parity, q) == warm
+
+
+def test_level_plans_and_shared_gathers_are_bounded(monkeypatch):
+    # the n = 141 level-6 shape has 617,821 blocks; its plan has one entry a
+    # pivot or group of pivots, covers every message of the level once and
+    # sizes its buffers to at most one block
+    block_words = _kernels._BLOCK_WORDS
+    plan, size = _kernels._level_plan(3, 2, 72, 3, block_words)
+    assert len(plan) <= 72 and size <= block_words
+    rows = words = 0
+    for entry in plan:
+        if isinstance(entry, _kernels._Group):
+            rows += len(entry.idx)
+            words += len(entry.idx) * entry.width - sum((r1 - r0) * (entry.width - col) for r0, r1, col in entry.pads)
+        else:
+            words += entry.shorter * entry.longer
+    assert rows <= 72 * math.isqrt(block_words)
+    assert words == math.comb(72, 6) * 3**5
+    # a table of at most _BLOCK_WORDS columns over its levels shares its
+    # gathers, a larger one keeps none, and both equal an unshared build
+    rng = np.random.default_rng(5)
+    _kernels._shared_gathers.cache_clear()
+    for k, shared in ((25, 1), (26, 1)):  # 64,875 and 73,203 columns
+        rows = [rng.integers(0, 1 << 63, (1, k), dtype=np.uint64) for _ in range(3)]
+        table = _kernels._subset_table(rows, 3)
+        assert _kernels._shared_gathers.cache_info().currsize == shared
+        with monkeypatch.context() as m:
+            m.setattr(_kernels, "_BLOCK_WORDS", 0)
+            assert (_kernels._subset_table(rows, 3) == table).all()
+        assert _kernels._shared_gathers.cache_info().currsize == shared
+
+
 @pytest.mark.parametrize("t", [0, 1, 2, 3])
 def test_subset_table_columns_are_their_subsets(t):
     # column j of the table is the sum of the scaled rows _subset_of_column names
