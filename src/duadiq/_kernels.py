@@ -35,21 +35,21 @@ weight) at a time, for the Brouwer-Zimmermann search in distance.  A level
 is a stream of blocks of at most _BLOCK_WORDS words: consecutive pivots with
 small pair grids share a block, so a level of a few hundred words is one
 numpy pass rather than one Python call per pivot, and a pivot too big for
-one block is cut into blocks.  That layout and the index gathers that build
-the subset tables depend on the shape of the level alone, (w, span, q) and
-_BLOCK_WORDS, so they are built once a shape and shared by every code: a
-level plan has at most span entries, whatever the level's size, and each of
-the two caches keeps at most _SHARED_SHAPES shapes, gathers only for tables
-of at most _BLOCK_WORDS columns.  The caller passes a threshold, the weight
-of the best word it holds, and only lighter words are sought; inside a level
-it tightens to the lightest word found so far.  A block computes the first
-uint64 word line of every pair (an outer XOR per plane, an OR and a popcount
-into uint8); with one line that is the weight and one argmin reads it, with
-more only the pairs whose first line already weighs less than the threshold
-get their other lines.  The buffers are sized once a level to its largest
-block.  It returns the first lightest word under the threshold in its walk
-order, which does not depend on how pivots share blocks, and runs on the
-calling thread.
+one block is cut into blocks.  That layout depends on _BLOCK_WORDS and the
+level's shape (w, span, q) alone, and the gather that builds a level of a
+subset table from the one before on (rows, q, level), so both are built once
+and shared by every code: a level plan has at most span entries, whatever
+the level's size, and each cache keeps _SHARED_SHAPES entries, gathers only
+of levels of at most _BLOCK_WORDS columns.  The caller passes a threshold, the
+weight of the best word it holds, and only lighter words are sought; inside
+a level it tightens to the lightest word found so far.  A block computes the
+first uint64 word line of every pair (an outer XOR per plane, an OR and a
+popcount into uint8); with one line that is the weight and one argmin reads
+it, with more only the pairs whose first line already weighs less than the
+threshold get their other lines.  The buffers are sized once a level to its
+largest block.  It returns the first lightest word under the threshold in
+its walk order, which does not depend on how pivots share blocks, and runs
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -255,29 +255,25 @@ def gray_weight_hists_binary(sg: np.ndarray, nbins: int) -> np.ndarray:
 # uint64 planes, the uint8 line-0 counts and a bool mask) stay under about
 # 1.2 MB whatever the level; a level sizes them to its largest block.
 _BLOCK_WORDS = 1 << 16
-# Shapes whose level plans and subset-table gathers are kept, each cache.
+# Shapes whose level plans, and levels whose subset-table gathers, are kept.
 _SHARED_SHAPES = 256
 
 
-def _level_gathers(k: int, s: int, t: int):
-    """The (column, source) gathers of _subset_table over k rows and s
-    scalars, level 1 to t: level l's column j is column[j] of level l - 1
-    XOR scaled row source[j] (scaled as in _subset_table)."""
-    sources = np.add.outer(np.arange(k), k * np.arange(s)).ravel()  # (row, scalar), row-major
-    combs = np.ones(k, dtype=np.intp)  # comb(x, level - 1) for every row x
-    for level in range(1, t + 1):
-        # the block of row x under each scalar: the first comb(x, level - 1) s^(level - 1) columns
-        lengths = np.repeat(combs * s ** (level - 1), s)
-        column = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        yield column, np.repeat(sources, lengths)
-        combs = np.cumsum(combs) - combs  # comb(x, level) = sum of comb(y, level - 1), y < x
-
-
 @lru_cache(maxsize=_SHARED_SHAPES)
-def _shared_gathers(k: int, s: int, t: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-    """_level_gathers kept for every code with k message rows; _subset_table
-    asks only for tables of at most _BLOCK_WORDS columns over all levels."""
-    return tuple(_read_only(*gathers) for gathers in _level_gathers(k, s, t))
+def _level_gather(k: int, s: int, level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (column, source) gather of one level of a subset table over k rows
+    and s scalars: its column j is column[j] of level - 1 XOR scaled row
+    source[j], where scaled column x * s + c is message row x times the
+    c-th nonzero scalar.  Row x's block holds s copies, one per scalar, of the
+    first comb(x, level - 1) s^(level - 1) columns of level - 1, so the
+    gather over fewer rows is a prefix of this one.  The cache is for levels
+    of at most _BLOCK_WORDS columns (2 * _BLOCK_WORDS indices an entry); a
+    larger level calls __wrapped__, the same function uncached.
+    """
+    combs = np.array([math.comb(x, level - 1) for x in range(k)], dtype=np.intp)
+    lengths = np.repeat(combs * s ** (level - 1), s)  # row x's block, under each scalar
+    column = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return _read_only(column, np.repeat(np.arange(k * s), lengths))
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -287,33 +283,8 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _subset_table(rows: list[np.ndarray], t: int) -> np.ndarray:
-    """XOR sums of every t-subset of the message rows under every pattern of scalars.
-
-    rows[c][:, x] is packed message row x times the c-th nonzero scalar, one
-    uint64 word per line, and so is every column of the table.  The columns
-    are in colex order: the sums over subsets of the first x rows are the
-    first comb(x, t) * s^t, s = len(rows).  The table is built a level at a
-    time: column j of level t is a column of level t - 1 XOR one scaled row,
-    both indexed by arithmetic on j (as in _subset_of_column).  Those
-    gathers depend on the shape alone; a table of at most _BLOCK_WORDS
-    columns over all its levels shares them (_shared_gathers), so the cache
-    keeps at most 2 * _BLOCK_WORDS indices a shape, and a larger table
-    builds its own a level at a time.
-    """
-    width, k = rows[0].shape
-    s = len(rows)
-    columns = sum(math.comb(k, level) * s**level for level in range(1, t + 1))
-    gathers = _shared_gathers(k, s, t) if columns <= _BLOCK_WORDS else _level_gathers(k, s, t)
-    table = np.zeros((width, 1), dtype=np.uint64)
-    scaled = np.hstack(rows)  # column c * k + x is row x times the c-th scalar
-    for column, source in gathers:
-        table = table[:, column] ^ scaled[:, source]
-    return table
-
-
 def _subset_of_column(index: int, t: int, s: int) -> list[tuple[int, int]]:
-    """The (row, scalar index) pairs whose sum is column index of _subset_table.
+    """The (row, scalar index) pairs whose sum is column index of a subset table.
 
     At level t the rows up to x fill the first comb(x + 1, t) s^t columns:
     row x's block starts at comb(x, t) s^t and holds s copies, one per
@@ -458,24 +429,42 @@ class InfoSetLevels:
     first lightest in walk order stands.  The buffers (one per plane, the
     line-0 counts and, with more lines, the candidate mask) are allocated
     once a level, the size of its largest block, so a small level allocates
-    little and at most _BLOCK_WORDS words are live; the tables hold the
-    level's columns.
+    little and at most _BLOCK_WORDS words are live; the tables (_table) hold
+    the level's columns.
     """
 
     def __init__(self, parity: np.ndarray, q: int):
         self.parity = parity
         lo, hi = (p.T.copy() for p in gf4.pack_planes(parity))
         self.planes = 1 if q == 2 else 2
+        # scaled[:, x, c] is message row x times the c-th nonzero scalar:
         # omega (a + b omega) = b + (a + b) omega, omega^2 (a + b omega) = (a + b) + a omega
-        self.rows = [lo] if q == 2 else [np.vstack(p) for p in ((lo, hi), (hi, lo ^ hi), (lo ^ hi, lo))]
-        self.tables: dict[tuple[bool, int, int], np.ndarray] = {}
+        scalars = [lo] if q == 2 else [np.vstack(p) for p in ((lo, hi), (hi, lo ^ hi), (lo ^ hi, lo))]
+        self.scaled = np.stack(scalars, axis=2)
+        self.tables: dict[tuple[bool, int], list[np.ndarray]] = {}
+        self.empty_sum = np.zeros((len(self.scaled), 1), dtype=np.uint64)  # level 0 of every table
 
     def _table(self, reverse: bool, span: int, t: int) -> np.ndarray:
-        """The subset table over the first span rows, in reverse order if asked."""
-        if (reverse, span, t) not in self.tables:
-            cols = slice(span - 1, None, -1) if reverse else slice(span)
-            self.tables[reverse, span, t] = _subset_table([scaled[:, cols] for scaled in self.rows], t)
-        return self.tables[reverse, span, t]
+        """Level t of the subset table over the first span rows, reversed if
+        asked: the XOR sums of every t-subset of the rows under every pattern
+        of scalars, in colex order.  A side's levels are a list grown a level
+        at a time (_level_gather).  Forward, the table over span rows is the
+        first comb(span, t) s^t columns of the one over all k rows, so one
+        list serves every span, each level built over the rows asked for so
+        far; the reversed rows differ with span, so each span has a list.
+        """
+        width, k, s = self.scaled.shape
+        levels = self.tables.setdefault((reverse, span if reverse else k), [self.empty_sum])
+        for level in range(1, t + 1):
+            columns = math.comb(span, level) * s**level
+            if level < len(levels) and levels[level].shape[1] >= columns:
+                continue
+            rows = self.scaled[:, :span]
+            scaled = (rows[:, ::-1] if reverse else rows).reshape(width, span * s)
+            gather = _level_gather if columns <= _BLOCK_WORDS else _level_gather.__wrapped__
+            column, source = gather(span, s, level)
+            levels[level:level + 1] = [levels[level - 1][:, column] ^ scaled[:, source]]
+        return levels[t][:, : math.comb(span, t) * s**t]
 
     def least_weight(self, w: int, span: int, below: int) -> tuple[int, np.ndarray] | None:
         """The lightest codeword of weight < below over the weight-w messages
@@ -491,7 +480,7 @@ class InfoSetLevels:
         bound = below - w  # the parity weight a word must stay under
         if bound <= 0:
             return None
-        s = len(self.rows)
+        s = self.scaled.shape[2]
         a, c = w // 2, (w - 1) // 2
         tables = self._table(False, span, a), self._table(True, span, c)
         if len(tables[0]):
@@ -502,7 +491,7 @@ class InfoSetLevels:
                     np.empty(size, dtype=np.uint64) if self.planes == 2 else None,
                     np.empty(size, dtype=np.uint8),
                     np.empty(size, dtype=bool) if lines > 1 else None)
-            pivot_rows = self.rows[0]
+            pivot_rows = self.scaled[:, :, 0]
             best = None
             for entry in plan:
                 short, long = tables[::-1] if entry.swap else tables

@@ -933,7 +933,7 @@ def test_level_plans_are_shared_across_codes():
     cold = []
     for code in codes:
         _kernels._level_plan.cache_clear()
-        _kernels._shared_gathers.cache_clear()
+        _kernels._level_gather.cache_clear()
         cold.append(bounds(code))
     _kernels._level_plan.cache_clear()
     warm = [bounds(codes[0])]

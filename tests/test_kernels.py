@@ -243,6 +243,7 @@ def test_level_walk_returns_the_oracle_witness(monkeypatch, block_words, n_parit
                 else:
                     weight, word = found
                     assert (weight, tuple(word.tolist())) == want, (w, span, below)
+    assert [key for key in walk.tables if not key[0]] == [(False, k)]  # one forward table for every span
 
 
 def _least_words(parity, q):
@@ -268,7 +269,7 @@ def test_level_plans_are_kept_per_block_size(monkeypatch, n_parity):
         for w, span, weight, word in warm:
             assert (weight, word) == oracle.first_lightest_message(parity.tolist(), q, w, span, block_words)
         _kernels._level_plan.cache_clear()
-        _kernels._shared_gathers.cache_clear()
+        _kernels._level_gather.cache_clear()
         assert _least_words(parity, q) == warm
 
 
@@ -288,29 +289,35 @@ def test_level_plans_and_shared_gathers_are_bounded(monkeypatch):
             words += entry.shorter * entry.longer
     assert rows <= 72 * math.isqrt(block_words)
     assert words == math.comb(72, 6) * 3**5
-    # a table of at most _BLOCK_WORDS columns over its levels shares its
-    # gathers, a larger one keeps none, and both equal an unshared build
+    # a level of at most _BLOCK_WORDS columns keeps its gather, a larger one
+    # does not, and both equal an uncached build
     rng = np.random.default_rng(5)
-    _kernels._shared_gathers.cache_clear()
-    for k, shared in ((25, 1), (26, 1)):  # 64,875 and 73,203 columns
-        rows = [rng.integers(0, 1 << 63, (1, k), dtype=np.uint64) for _ in range(3)]
-        table = _kernels._subset_table(rows, 3)
-        assert _kernels._shared_gathers.cache_info().currsize == shared
+    for k, cached in ((25, 3), (26, 2)):  # level 3 has 62,100 and 70,200 columns
+        _kernels._level_gather.cache_clear()
+        parity = rng.integers(0, 4, (k, 5)).astype(np.uint8)
+        table = _kernels.InfoSetLevels(parity, 4)._table(False, k, 3)
+        assert _kernels._level_gather.cache_info().currsize == cached
         with monkeypatch.context() as m:
             m.setattr(_kernels, "_BLOCK_WORDS", 0)
-            assert (_kernels._subset_table(rows, 3) == table).all()
-        assert _kernels._shared_gathers.cache_info().currsize == shared
+            assert (_kernels.InfoSetLevels(parity, 4)._table(False, k, 3) == table).all()
+        assert _kernels._level_gather.cache_info().currsize == cached
 
 
 @pytest.mark.parametrize("t", [0, 1, 2, 3])
 def test_subset_table_columns_are_their_subsets(t):
-    # column j of the table is the sum of the scaled rows _subset_of_column names
-    rng = np.random.default_rng(t)
-    rows = [rng.integers(0, 1 << 63, (3, 6), dtype=np.uint64) for _ in range(3)]
-    table = _kernels._subset_table(rows, t)
-    assert table.shape == (3, math.comb(6, t) * 3**t)
-    for j in range(table.shape[1]):
-        want = np.zeros(3, dtype=np.uint64)
-        for x, scalar in _kernels._subset_of_column(j, t, 3):
-            want ^= rows[scalar][:, x]
-        assert (table[:, j] == want).all(), j
+    # column j of a side's table over the first span rows is the sum of the
+    # scaled rows _subset_of_column names, rows span - 1 down to 0 on the
+    # reversed side; the spans rise, so the forward levels grow, then fall,
+    # so they are sliced
+    k = 6
+    parity = np.random.default_rng(t).integers(0, 4, (k, 70)).astype(np.uint8)
+    walk = _kernels.InfoSetLevels(parity, 4)
+    for span in [*range(k + 1), *range(k, -1, -1)]:
+        for reverse in (False, True):
+            table = walk._table(reverse, span, t)
+            assert table.shape == (len(walk.scaled), math.comb(span, t) * 3**t)
+            for j in range(table.shape[1]):
+                want = np.zeros(len(table), dtype=np.uint64)
+                for x, scalar in _kernels._subset_of_column(j, t, 3):
+                    want ^= walk.scaled[:, span - 1 - x if reverse else x, scalar]
+                assert (table[:, j] == want).all(), (reverse, span, j)
