@@ -35,7 +35,8 @@ weight) at a time, for the Brouwer-Zimmermann search in distance.  A level
 is a stream of blocks of at most _BLOCK_WORDS words: consecutive pivots with
 small pair grids share a block, so a level of a few hundred words is one
 numpy pass rather than one Python call per pivot, and a pivot too big for
-one block is cut into blocks.  That layout depends on _BLOCK_WORDS and the
+one block is cut into blocks; the walk reads both kinds of plan entry as
+one stream of blocks (_blocks).  That layout depends on _BLOCK_WORDS and the
 level's shape (w, span, q) alone, and the gather that builds a level of a
 subset table from the one before on (rows, q, level), so both are built once
 and shared by every code: a level plan has at most span entries, whatever
@@ -323,14 +324,24 @@ class _Pivot(NamedTuple):
     longer: int
 
 
-def _tiles(shorter: int, longer: int, block_words: int):
-    """The blocks of a _Pivot in walk order, (r0, r1, j0, j1): blocks of at
-    most block_words longer columns, then as many shorter rows as fill one."""
+def _blocks(entry: _Group | _Pivot, short: np.ndarray, pivot_rows: np.ndarray, block_words: int):
+    """The blocks of a plan entry in walk order, (rows, pivots, idx, j0, j1,
+    pads): rows[:, r] is shorter column idx[r] XORed with the row of its
+    pivot pivots[r], paired with the longer columns j0 <= j < j1 and padded
+    as a _Group's pads say.  A _Group is one block; a _Pivot is cut into
+    blocks of at most block_words longer columns, then as many shorter rows
+    as fill one, sliced rather than gathered."""
+    if isinstance(entry, _Group):
+        rows = short[:, entry.idx] ^ pivot_rows[:, entry.pivots]
+        yield rows, entry.pivots, entry.idx, 0, entry.width, entry.pads
+        return
+    shorter, longer, pivot = entry.shorter, entry.longer, pivot_rows[:, entry.m, None]
     step_h = min(longer, block_words)
     for j in range(0, longer, step_h):
         step_l = max(1, block_words // min(step_h, longer - j))
         for i in range(0, shorter, step_l):
-            yield i, min(i + step_l, shorter), j, min(j + step_h, longer)
+            idx = range(i, min(i + step_l, shorter))
+            yield short[:, i : idx.stop] ^ pivot, [entry.m] * len(idx), idx, j, min(j + step_h, longer), ()
 
 
 @lru_cache(maxsize=_SHARED_SHAPES)
@@ -341,7 +352,7 @@ def _level_plan(a: int, c: int, span: int, s: int, block_words: int
     Pivots whose grids fit in one block together and whose shorter side is
     the same table make one _Group, all of their rows and the columns up to
     the longest longer side; a pivot whose grid alone does not fit is a
-    _Pivot, cut into blocks by _tiles as it is walked.  The shorter side
+    _Pivot, cut into blocks by _blocks as it is walked.  The shorter side
     changes tables at most once a level, since the prefix side grows with m
     and the suffix side shrinks.  So a plan has at most span entries,
     whatever the level's size.  Its index arrays hold one entry per row of a
@@ -409,7 +420,10 @@ class InfoSetLevels:
     of their longer sides fit in one: their rows are gathered by index, and
     a row's columns past its own pivot's longer side are padding, never a
     candidate.  A pivot whose grid does not fit in one block is walked in
-    blocks of its own.
+    blocks of its own, its rows sliced rather than gathered.  One loop walks
+    both: _blocks yields a group as one block and cuts a big pivot into its
+    blocks, each with its pivot-XORed rows, where they came from and its
+    longer columns.
 
     That layout depends on (w, span, q) and _BLOCK_WORDS alone, not on the
     code, so it is planned once a shape (_level_plan) and kept for every
@@ -495,20 +509,11 @@ class InfoSetLevels:
             best = None
             for entry in plan:
                 short, long = tables[::-1] if entry.swap else tables
-                if isinstance(entry, _Group):
-                    found = self._least_in_block(bufs, bound, short[:, entry.idx] ^ pivot_rows[:, entry.pivots],
-                                                 long[:, : entry.width], entry.pads)
+                for rows, pivots, idx, j0, j1, pads in _blocks(entry, short, pivot_rows, block_words):
+                    found = self._least_in_block(bufs, bound, rows, long[:, j0:j1], pads)
                     if found is not None:
                         weight, row, col = found
-                        m, r = int(entry.pivots[row]), int(entry.idx[row])
-                        best, bound = (weight, m, col, r) if entry.swap else (weight, m, r, col), weight
-                    continue
-                pivot = pivot_rows[:, entry.m, None]
-                for r0, r1, j0, j1 in _tiles(entry.shorter, entry.longer, block_words):
-                    found = self._least_in_block(bufs, bound, short[:, r0:r1] ^ pivot, long[:, j0:j1], ())
-                    if found is not None:
-                        weight, row, col = found
-                        m, r, col = entry.m, r0 + row, j0 + col
+                        m, r, col = int(pivots[row]), int(idx[row]), j0 + col
                         best, bound = (weight, m, col, r) if entry.swap else (weight, m, r, col), weight
             if best is None:
                 return None

@@ -29,7 +29,8 @@ a cyclic code, from the paper's fixed subcodes: a multiplier of order 2
 that fixes the cyclic ingredient C fixes a subcode of C, whose words padded
 by zeros lie in the extended code, and a one-set search of it within a
 third of the budget the levels leave meets light words the colex prefix of
-the next level seldom reaches (_self_dual_bound).  The prefix takes the rest.
+the next level seldom reaches.  The two-set search picks these seeds
+itself (_info_set_bounds).  The prefix takes the rest.
 
 Cyclic averaging lifts the lower bound of a search over cyclic windows
 (_cyclic_average).  In an [n, k] cyclic code any k cyclically consecutive
@@ -539,7 +540,7 @@ def _systematic_forms(code) -> tuple[np.ndarray, list]:
     return g, [(info + rest, r), (rest + info, np.hstack([eye, gf4.CONJ_TABLE[r[:, k:]].T]))]
 
 
-def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
+def _info_set_bounds(code, q: int, budget: int) -> InfoSetBound:
     """Brouwer-Zimmermann search over the information sets of a code.
 
     The search takes its shape from code (_systematic_forms).  A generator
@@ -565,14 +566,17 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
     positions of its set, the colex prefix of that level.  Both lower hi
     but not lo.
 
-    seeds is an iterable of matrices whose rows lie in the code, read only
-    when the whole levels leave the search inexact.  Each is searched on its
-    own (one set, whole levels) within what is left of that third, and its
-    lightest word, already a codeword, can be hi (fixed-subcode
-    provenance).  work counts every word walked, the seeds' included.  The
-    third is a trade: the seeds take budget the prefix would have walked,
-    and with half of it two [18, 9] extensions (n = 15) lost a weight-6
-    word the prefix had met at budget 377.
+    The search picks its own seeds, and only when the whole levels leave it
+    inexact: for an extension whose ingredient C is cyclic, the fixed
+    subcode of C under each multiplier of order 2 that fixes it
+    (_fixing_involutions, _fixed_rows), padded by e zeros, a subcode of the
+    extended code.  Each is searched on its own (one set, whole levels)
+    within what is left of that third, and its lightest word, already a
+    codeword, can be hi (fixed-subcode provenance).  work counts every word
+    walked, the seeds' included.  The third is a trade: the seeds take
+    budget the prefix would have walked, and with half of it two [18, 9]
+    extensions (n = 15) lost a weight-6 word the prefix had met at budget
+    377.
 
     When the code, or the ingredient C of the extension, is cyclic
     (_is_cyclic of its RREF basis), the RREF pivots are its window {0..k-1},
@@ -638,12 +642,14 @@ def _info_set_bounds(code, q: int, budget: int, seeds=()) -> InfoSetBound:
         if certified():
             return result(exact=True)
     allowance = (budget - work) // 3
-    for seed in seeds if allowance > 0 else ():
-        b = _info_set_bounds(seed, q, allowance)
-        allowance -= b.work
-        work += b.work
-        if b.word is not None:
-            meet(b.hi, b.word, slice(None), FIXED_SUBCODE)
+    for a in _fixing_involutions(code.original) if self_dual and cyclic and allowance > 0 else ():
+        rows = _fixed_rows(code.original, a)
+        if len(rows):
+            b = _info_set_bounds(np.pad(rows, ((0, 0), (0, e))), q, allowance)
+            allowance -= b.work
+            work += b.work
+            if b.word is not None:
+                meet(b.hi, b.word, slice(None), FIXED_SUBCODE)
     if certified():
         return result(exact=True)
     span = w - 1
@@ -868,13 +874,6 @@ def _fixed_rows(g: np.ndarray, a: int) -> np.ndarray:
     return linalg.row_basis(linalg.matmul(coeffs, g))
 
 
-def _zero_padded(m: np.ndarray, width: int) -> np.ndarray:
-    """m (a word or a matrix) followed by zero columns up to width."""
-    out = np.zeros(m.shape[:-1] + (width,), dtype=np.uint8)
-    out[..., : m.shape[-1]] = m
-    return out
-
-
 def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     """Information-set bound on a Hermitian self-dual extension [2K, K].
 
@@ -897,22 +896,13 @@ def _self_dual_bound(ext, q: int, budget: int) -> ExtensionDistance:
     walks are the same as without it; only lo can rise.
 
     A cyclic C also seeds hi: for every multiplier a of order 2 that fixes
-    C (_fixing_involutions), the fixed subcode {c in C : mu_a(c) = c},
-    padded by e zeros, lies in the extended code, and a one-set search of
-    it meets light words that the colex prefix seldom reaches.  The seeds
-    share a third of the budget the whole levels leave (_info_set_bounds); lo
-    comes from the levels and the averaging alone.
+    C, the search itself walks the fixed subcode {c in C : mu_a(c) = c},
+    padded by e zeros, which meets light words that the colex prefix
+    seldom reaches (_info_set_bounds); lo comes from the levels and the
+    averaging alone.
     """
     big_k, big_n = ext.gen.shape
-
-    def seeds():
-        # run only when the search reads its seeds
-        for a in _fixing_involutions(ext.original) if _is_cyclic(ext.original) else ():
-            rows = _fixed_rows(ext.original, a)
-            if len(rows):
-                yield _zero_padded(rows, big_n)
-
-    b = _info_set_bounds(ext, q, budget, seeds=seeds())
+    b = _info_set_bounds(ext, q, budget)
     two_set = sum(b.levels) + len(b.levels)
     found = f"d = {b.lo}" if b.exact else f"d >= {two_set}"
     if not b.exact and b.lo > two_set:
