@@ -6,8 +6,21 @@ code of a defining set closed under t -> 2t, whose generator polynomial is
 binary; no GF(2^r) is built for it.
 
 Field elements are Python ints whose bits are GF(2) polynomial coefficients,
-reduced modulo a fixed irreducible polynomial.  The modulus convention is
-deterministic and system independent:
+reduced modulo a fixed irreducible polynomial m of degree D = 2r.  A product
+is reduced a byte at a time: each field keeps the 256-entry table
+T[t] = t x^D + (t x^D mod m), and XOR-ing T[t] << s into a product clears
+its byte t at bits D + s to D + s + 7, from the top byte down.  A square
+spreads the bits of its factor, bit i to bit 2i.  The modulus search
+reduces a bit at a time and builds no table for the candidates it tests.
+
+The minimal polynomial of a 4-cyclotomic coset, least member j and size d,
+comes from one GF(2) elimination, not from the product of its d linear
+factors: with beta = alpha^j, beta^d = sum_{i<d} (a_i + b_i omega) beta^i
+has one solution in bits a_i, b_i, read off the 2r-bit coordinates of the
+powers beta^i, cached with alpha's, and of the products omega beta^i.  That
+is d field products per coset where the product took about d^2 / 2.
+
+The modulus convention is deterministic and system independent:
 
 * degree <= 40: the lexicographically smallest primitive polynomial, where
   coefficient strings are compared low-degree-first.  The residue class of x
@@ -26,7 +39,7 @@ parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -97,6 +110,32 @@ def _pmod(a: int, m: int) -> int:
     return a
 
 
+def _square(a: int) -> int:
+    """a^2, which moves bit i to bit 2i: the binary numeral of a read in base 4."""
+    return int(bin(a)[2:], 4)
+
+
+def _reduction_table(m: int) -> tuple[int, ...]:
+    """T[t] = t x^D + (t x^D mod m) for each byte t, D = deg m, built from
+    its 8 entries at powers of two by linearity."""
+    d = _pdeg(m)
+    table = [0]
+    for k in range(8):
+        row = 1 << (d + k)
+        row ^= _pmod(row, m)
+        table += [t ^ row for t in table]
+    return tuple(table)
+
+
+def _reduce(a: int, m: int, table: tuple[int, ...]) -> int:
+    """a mod m a byte at a time, table = _reduction_table(m).  The top byte
+    above bit D - 1 goes first, so each index is below 256 without a mask."""
+    d = m.bit_length() - 1
+    for s in range((a.bit_length() - d - 1) & -8, -1, -8):
+        a ^= table[a >> (d + s)] << s
+    return a
+
+
 def _pgcd(a: int, b: int) -> int:
     while b:
         a, b = b, _pmod(a, b)
@@ -107,7 +146,7 @@ def _pow_x_mod(exp: int, m: int) -> int:
     """x^(2^exp) mod m via repeated squaring of the Frobenius."""
     v = 2  # the polynomial x
     for _ in range(exp):
-        v = _pmod(_clmul(v, v), m)
+        v = _pmod(_square(v), m)
     return v
 
 
@@ -174,13 +213,17 @@ def smallest_irreducible(degree: int, primitive: bool) -> int:
     raise RuntimeError(f"no irreducible polynomial of degree {degree}?")
 
 
-def _field_pow(base: int, exp: int, modulus: int) -> int:
+def _field_pow(base: int, exp: int, modulus: int, table: tuple[int, ...] | None = None) -> int:
+    """base^exp mod modulus, square and multiply, reducing with table,
+    _reduction_table(modulus), or without one a bit at a time."""
+    def reduce(a: int) -> int:
+        return _pmod(a, modulus) if table is None else _reduce(a, modulus, table)
+
     out = 1
-    b = base
     while exp:
         if exp & 1:
-            out = _pmod(_clmul(out, b), modulus)
-        b = _pmod(_clmul(b, b), modulus)
+            out = reduce(_clmul(out, base))
+        base = reduce(_square(base))
         exp >>= 1
     return out
 
@@ -195,7 +238,8 @@ class ExtField:
 
     The field is realized as GF(2)[x]/(modulus) of degree 2r.  Its subfield
     GF(4) is {0, 1, omega, omega^2} with omega an element of order 3, and
-    alpha's coset labeling follows it.
+    alpha's coset labeling follows it.  table, the modulus's byte reduction
+    table, takes no part in equality, hashing or repr.
     """
 
     n: int
@@ -204,23 +248,10 @@ class ExtField:
     gamma: int
     alpha: int
     omega: int  # the order-3 element
+    table: tuple[int, ...] = field(repr=False, compare=False)  # _reduction_table(modulus)
 
     def mul(self, a: int, b: int) -> int:
-        return _pmod(_clmul(a, b), self.modulus)
-
-    # -- subfield coding ----------------------------------------------------
-
-    def to_base_symbol(self, a: int) -> int:
-        """Map a GF(4) element back to its symbol 0, 1, 2 (omega) or 3 (omega^2)."""
-        if a == 0:
-            return 0
-        if a == 1:
-            return 1
-        if a == self.omega:
-            return 2
-        if a == self.mul(self.omega, self.omega):
-            return 3
-        raise ValueError("element does not lie in the base subfield")
+        return _reduce(_clmul(a, b), self.modulus, self.table)
 
 
 @lru_cache(maxsize=None)
@@ -235,19 +266,20 @@ def ext_build(n: int) -> ExtField:
     degree = 2 * r
     primitive = degree <= _PRIMITIVITY_DEGREE_LIMIT
     modulus = smallest_irreducible(degree, primitive)
+    table = _reduction_table(modulus)
     group = (1 << degree) - 1
     n_fac = factorize(n)
     sub_exp = group // n
 
     def try_gamma(g: int) -> tuple[int, int] | None:
-        alpha = _field_pow(g, sub_exp, modulus)
-        if alpha == 0 or _field_pow(alpha, n, modulus) != 1:
+        alpha = _field_pow(g, sub_exp, modulus, table)
+        if alpha == 0 or _field_pow(alpha, n, modulus, table) != 1:
             return None
         for p in n_fac:
-            if _field_pow(alpha, n // p, modulus) == 1:
+            if _field_pow(alpha, n // p, modulus, table) == 1:
                 return None
-        omega = _field_pow(g, group // 3, modulus)
-        if omega == 1 or _field_pow(omega, 3, modulus) != 1:
+        omega = _field_pow(g, group // 3, modulus, table)
+        if omega == 1 or _field_pow(omega, 3, modulus, table) != 1:
             return None
         return alpha, omega
 
@@ -259,22 +291,27 @@ def ext_build(n: int) -> ExtField:
             raise RuntimeError("no suitable generator found")
         found = try_gamma(gamma)
     alpha, omega = found
-    return ExtField(n=n, r=r, modulus=modulus, gamma=gamma, alpha=alpha, omega=omega)
+    return ExtField(n=n, r=r, modulus=modulus, gamma=gamma, alpha=alpha, omega=omega, table=table)
 
 
 def minimal_poly(ext: ExtField, coset: frozenset[int] | set[int]) -> np.ndarray:
-    """prod_{j in coset} (X - alpha^j), coefficients as base-field symbols.
+    """prod_{j in coset} (X - alpha^j), the minimal polynomial of alpha^j
+    over GF(4), coefficients as base-field symbols, little-endian.
 
-    The coset must be closed under multiplication by 4 mod n; the product
-    then has GF(4) coefficients by Galois invariance.  Results are cached
-    per field and coset and returned read-only.
+    The coset must be one 4-cyclotomic coset mod n; the generator
+    polynomial of a union of cosets is CyclicCode.gen_poly.  Results are
+    cached per field and coset and returned read-only.
     """
     coset = frozenset(int(c) % ext.n for c in coset)
     if not coset:
         raise ValueError("empty coset")
-    for c in coset:
-        if (c * 4) % ext.n not in coset:
-            raise ValueError(f"set not closed under multiplication by 4 mod {ext.n}")
+    j = min(coset)
+    orbit, t = {j}, 4 * j % ext.n
+    while t != j:
+        orbit.add(t)
+        t = 4 * t % ext.n
+    if orbit != coset:
+        raise ValueError(f"set is not one 4-cyclotomic coset mod {ext.n}")
     return _minimal_poly(ext, coset)
 
 
@@ -289,16 +326,23 @@ def _alpha_powers(ext: ExtField) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _minimal_poly(ext: ExtField, coset: frozenset[int]) -> np.ndarray:
-    # Horner-style product in the big field, little-endian coefficients
+    # beta = alpha^j solves beta^d = sum_{i<d} (a_i + b_i omega) beta^i.
+    # Vector k of the 2d vectors beta^i, then omega beta^i, carries its
+    # index bit k below the field bits, so eliminating beta^d down to those
+    # bits leaves the solution: bit i is a_i and bit d + i is b_i.
+    n, j, d = ext.n, min(coset), len(coset)
     powers = _alpha_powers(ext)
-    poly = [1]
-    for j in sorted(coset):
-        root = powers[j]
-        nxt = [0] * (len(poly) + 1)
-        for i, c in enumerate(poly):
-            nxt[i] ^= ext.mul(c, root)  # times (-root) = root in char 2
-            nxt[i + 1] ^= c
-        poly = nxt
-    out = np.array([ext.to_base_symbol(c) for c in poly], dtype=np.uint8)
+    betas = [powers[i * j % n] for i in range(d)]
+    shift = 2 * d
+    pivots: dict[int, int] = {}  # leading bit -> row
+    for k, v in enumerate(betas + [ext.mul(ext.omega, b) for b in betas]):
+        row = v << shift | 1 << k
+        while (top := row.bit_length()) in pivots:
+            row ^= pivots[top]
+        pivots[top] = row
+    x = powers[d * j % n] << shift
+    while x >> shift:
+        x ^= pivots[x.bit_length()]
+    out = np.array([(x >> i & 1) | (x >> (d + i) & 1) << 1 for i in range(d)] + [1], dtype=np.uint8)
     out.setflags(write=False)
     return out

@@ -3,8 +3,9 @@
 Everything here is deliberately naive: dict-based GF(4) arithmetic and
 itertools enumeration, sharing no code with the package internals, except
 that defining_set_of_matrix evaluates in the package's extension field,
-whose pinned alpha is the labeling convention of every defining set, and
-that mirror builds the package's Splitting.
+whose pinned alpha is the labeling convention of every defining set, that
+minimal_poly_product multiplies in that field's modulus, alpha and omega
+(with its own products), and that mirror builds the package's Splitting.
 """
 
 import itertools
@@ -133,6 +134,36 @@ def defining_set_of_matrix(g, n):
         return acc
 
     return frozenset(t for t in range(n) if all(value(row_terms, t) == 0 for row_terms in terms))
+
+
+def minimal_poly_product(ext, coset):
+    """prod_{j in coset} (X - alpha^j), multiplied out in the extension field
+    one linear factor at a time, the coefficients then read as symbols:
+    0, 1, omega as 2 and omega^2 as 3.  A field product is shift and add,
+    reducing by the modulus each time a bit reaches its degree."""
+    m = ext.modulus
+    top = 1 << (m.bit_length() - 1)
+
+    def mul(a, b):
+        out = 0
+        while b:
+            if b & 1:
+                out ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= m
+        return out
+
+    powers = [1]
+    for _ in range(ext.n - 1):
+        powers.append(mul(powers[-1], ext.alpha))
+    poly = [1]  # little-endian
+    for j in sorted(coset):
+        # times X + alpha^j, which is X - alpha^j in characteristic 2
+        poly = [mul(c, powers[j]) ^ prev for c, prev in zip(poly + [0], [0] + poly)]
+    symbol = {0: 0, 1: 1, ext.omega: 2, mul(ext.omega, ext.omega): 3}
+    return [symbol[c] for c in poly]
 
 
 def span_words(rows, q=4):

@@ -1,3 +1,6 @@
+import hashlib
+import random
+
 import numpy as np
 import pytest
 
@@ -83,6 +86,46 @@ def test_minimal_poly_rejects_unclosed():
     e5 = extfield.ext_build(5)
     with pytest.raises(ValueError):
         extfield.minimal_poly(e5, {1, 2})
+
+
+def test_minimal_poly_rejects_a_union_of_cosets():
+    # {1, 4} and {2, 3} mod 5: closed under multiplication by 4, but two
+    # cosets, whose product is a generator polynomial, not a minimal one
+    with pytest.raises(ValueError, match="one 4-cyclotomic coset"):
+        extfield.minimal_poly(extfield.ext_build(5), {1, 2, 3, 4})
+
+
+@pytest.mark.parametrize("n", [*range(3, 64, 2), 123, 141])
+def test_minimal_poly_matches_the_product_of_its_linear_factors(n):
+    # the one GF(2) elimination against the product of X - alpha^j in the
+    # big field, for every coset: degree 46 (n = 141) is not primitive
+    ext = extfield.ext_build(n)
+    for coset in all_cosets(n):
+        assert extfield.minimal_poly(ext, coset).tolist() == oracle.minimal_poly_product(ext, coset)
+
+
+def test_field_layer_digest():
+    # every field and every minimal polynomial of each odd n < 256, field
+    # degrees 2 to 238, pinned bit for bit by one SHA-1
+    h = hashlib.sha1()
+    for n in range(3, 256, 2):
+        e = extfield.ext_build(n)
+        h.update(repr((n, e.modulus, e.gamma, e.alpha, e.omega)).encode())
+        for c in all_cosets(n):
+            h.update(extfield.minimal_poly(e, c).tobytes())
+    assert h.hexdigest() == "3727480e8f5baa8783124739bad29ce99e0ddb07"
+
+
+@pytest.mark.parametrize("n", [3, 37, 141, 191])
+def test_byte_reduction_and_square_match_the_bitwise_ones(n):
+    ext = extfield.ext_build(n)
+    m, rng = ext.modulus, random.Random(n)
+    assert extfield._reduction_table(m) == ext.table
+    for _ in range(200):
+        a = rng.getrandbits(2 * extfield._pdeg(m) - 1)
+        assert extfield._reduce(a, m, ext.table) == extfield._pmod(a, m)
+        assert extfield._square(a) == extfield._clmul(a, a)
+    assert extfield._square(0) == 0
 
 
 @pytest.mark.parametrize("n", [3, 5, 7, 9, 13, 15, 21, 33])
