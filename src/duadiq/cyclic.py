@@ -8,7 +8,9 @@ that is also closed under t -> 2t is a union of 2-cyclotomic cosets; its
 generator polynomial is fixed by squaring, so binary.  The q of
 cyclotomic_coset and all_cosets is arithmetic on Z_n only.  Generator
 polynomials and matrices are materialized lazily and cached; everything is
-immutable after construction.
+immutable after construction.  The generator matrix is the code's RREF
+[I_k | P], built from g(x) by the systematic encoding with no row
+reduction.
 """
 
 from __future__ import annotations
@@ -162,12 +164,32 @@ class CyclicCode:
 
     @property
     def gen_matrix(self) -> np.ndarray:
-        """dim x n matrix whose rows are the cyclic shifts of gen_poly."""
+        """The code's RREF [I_k | P], k = dim, r = deg g: row i is
+        x^i + x^k (x^(r+i) mod g), the systematic encoding of x^i
+        (MacWilliams and Sloane 1977, ch. 7).
+
+        x^k x^(r+i) = x^(n+i) is x^i mod g, so each row is a codeword,
+        and the rows hold I_k on columns 0..k-1.  The RREF is unique, so
+        this is linalg.rref of the matrix of shifts x^i g(x).  The
+        remainders stay on bit planes (gf4.poly_planes): x^r mod g is g
+        without its leading term, and each next one is the last times x
+        with its x^r coefficient c cleared by XOR-ing in c g.  The rows are
+        unpacked once and returned read-only.
+        """
         if self._gen_matrix is None:
-            g = self.gen_poly
-            k = self.dim
-            m = np.zeros((k, self.n), dtype=np.uint8)
+            n, k = self.n, self.dim
+            r = n - k
+            g0, g1 = gf4.poly_planes(self.gen_poly)
+            # c g keyed by c's two bits: (l, h) times omega is (h, l ^ h)
+            times = {0: (0, 0), 1: (g0, g1), 2: (g1, g0 ^ g1), 3: (g0 ^ g1, g0)}
+            lo, hi = g0 ^ 1 << r, g1
+            rows = []
             for i in range(k):
-                m[i, i : i + len(g)] = g
+                rows.append(1 << i | lo << k | hi << (n + k))
+                lo, hi = lo << 1, hi << 1
+                c0, c1 = times[(lo >> r & 1) | (hi >> r & 1) << 1]
+                lo, hi = lo ^ c0, hi ^ c1
+            m = gf4.unpack_rows(rows, n)
+            m.setflags(write=False)
             self._gen_matrix = m
         return self._gen_matrix

@@ -362,15 +362,13 @@ def weight_histograms(g: np.ndarray, budget: int = DEFAULT_BUDGET, q: int = 4) -
 
     Returns (hist, work), hist[w] the words of weight w and work the q^dim
     words of the span, which the budget check counts too.  g is reduced
-    only when it is not an RREF (linalg.rref_pivots).  The walk evaluates
+    only when it is not an RREF (linalg.row_basis).  The walk evaluates
     fewer words (_span_hist): over GF(4) one per scaling orbit, and of a
     cyclic span only its shortened codes, 5,636,096 words for the
     [29, 14] code of quantum -n 29 --qr.  Raises BudgetExceededError when
     q^dim exceeds the budget, InputError for a symbol outside GF(q).
     """
-    g = _rows(g, q)
-    if linalg.rref_pivots(g) is None:
-        g = linalg.row_basis(g)
+    g = linalg.row_basis(_rows(g, q))
     k = g.shape[0]
     total = q**k
     if total > budget:
@@ -518,9 +516,11 @@ def _systematic_forms(code) -> tuple[np.ndarray, list]:
     complement R.  Neither form is a row reduction.  On I the generator is
     M = [[I_k, 0], [f_P, I_e]], and M M = I over GF(4), so the form on I is
     M times the generator's columns (refused with InvariantError unless it
-    is [I | P]).  C^perp_h = C is spanned by (conj(P) y | y), y running
-    over the unit vectors on R, so the form on R is [I | conj(P)^T]: I and
-    R are both in ascending order.
+    is [I | P]): g's own columns on top, and below them f_P times those
+    top rows XOR the unit rows' columns, one (e x k) (k x N) product.
+    C^perp_h = C is spanned by (conj(P) y | y), y running over the unit
+    vectors on R, so the form on R is [I | conj(P)^T]: I and R are both in
+    ascending order.
     """
     if isinstance(code, np.ndarray):
         g, pivots = code, linalg.rref_pivots(code)
@@ -531,9 +531,12 @@ def _systematic_forms(code) -> tuple[np.ndarray, list]:
         return g, [(cols, g[:, cols])]
     g = code.gen
     k, n = g.shape
-    info = [int(c) for c in (code.original != 0).argmax(axis=1)] + list(range(n - code.e, n))
+    k_c = code.original.shape[0]
+    pivots = [int(p) for p in (code.original != 0).argmax(axis=1)]
+    info = pivots + list(range(n - code.e, n))
     rest = sorted(set(range(n)) - set(info))
-    r = linalg.matmul(g[:, info], g[:, info + rest])
+    r = g[:, info + rest]
+    r[k_c:] ^= linalg.matmul(g[k_c:, pivots], r[:k_c])
     eye = np.eye(k, dtype=np.uint8)
     if not np.array_equal(r[:, :k], eye):
         raise InvariantError("the extended generator is not [I | P] on its information set")

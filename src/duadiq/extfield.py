@@ -7,11 +7,12 @@ binary; no GF(2^r) is built for it.
 
 Field elements are Python ints whose bits are GF(2) polynomial coefficients,
 reduced modulo a fixed irreducible polynomial m of degree D = 2r.  A product
-is reduced a byte at a time: each field keeps the 256-entry table
-T[t] = t x^D + (t x^D mod m), and XOR-ing T[t] << s into a product clears
-its byte t at bits D + s to D + s + 7, from the top byte down.  A square
-spreads the bits of its factor, bit i to bit 2i.  The modulus search
-reduces a bit at a time and builds no table for the candidates it tests.
+is reduced a byte at a time: each field keeps the table
+T[t] = t x^D + (t x^D mod m) of min(256, 2^(D - 1)) entries, and XOR-ing
+T[t] << s into a product clears its byte t at bits D + s to D + s + 7, from
+the top byte down.  A square spreads the bits of its factor, bit i to bit
+2i.  The modulus search reduces a bit at a time and builds no table for the
+candidates it tests.
 
 The minimal polynomial of a 4-cyclotomic coset, least member j and size d,
 comes from one GF(2) elimination, not from the product of its d linear
@@ -116,11 +117,13 @@ def _square(a: int) -> int:
 
 
 def _reduction_table(m: int) -> tuple[int, ...]:
-    """T[t] = t x^D + (t x^D mod m) for each byte t, D = deg m, built from
-    its 8 entries at powers of two by linearity."""
+    """T[t] = t x^D + (t x^D mod m) for each t below min(256, 2^(D - 1)),
+    D = deg m, built from its entries at powers of two by linearity.  A
+    product or square of field elements has degree at most 2D - 2, so each
+    index _reduce reads has at most min(8, D - 1) bits."""
     d = _pdeg(m)
     table = [0]
-    for k in range(8):
+    for k in range(min(8, d - 1)):
         row = 1 << (d + k)
         row ^= _pmod(row, m)
         table += [t ^ row for t in table]
@@ -129,7 +132,8 @@ def _reduction_table(m: int) -> tuple[int, ...]:
 
 def _reduce(a: int, m: int, table: tuple[int, ...]) -> int:
     """a mod m a byte at a time, table = _reduction_table(m).  The top byte
-    above bit D - 1 goes first, so each index is below 256 without a mask."""
+    above bit D - 1 goes first, so each index is below 256 without a mask,
+    and below 2^(D - 1) for a product of field elements."""
     d = m.bit_length() - 1
     for s in range((a.bit_length() - d - 1) & -8, -1, -8):
         a ^= table[a >> (d + s)] << s
@@ -214,17 +218,18 @@ def smallest_irreducible(degree: int, primitive: bool) -> int:
 
 
 def _field_pow(base: int, exp: int, modulus: int, table: tuple[int, ...] | None = None) -> int:
-    """base^exp mod modulus, square and multiply, reducing with table,
-    _reduction_table(modulus), or without one a bit at a time."""
+    """base^exp mod modulus, square and multiply from the top bit of exp
+    down, reducing with table, _reduction_table(modulus), or without one a
+    bit at a time.  Every product has base as _clmul's second factor, which
+    is short when base is a small element such as a gamma candidate."""
     def reduce(a: int) -> int:
         return _pmod(a, modulus) if table is None else _reduce(a, modulus, table)
 
     out = 1
-    while exp:
-        if exp & 1:
+    for bit in bin(exp)[2:]:
+        out = reduce(_square(out))
+        if bit == "1":
             out = reduce(_clmul(out, base))
-        base = reduce(_square(base))
-        exp >>= 1
     return out
 
 

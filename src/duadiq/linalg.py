@@ -74,7 +74,11 @@ def rref(m: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 
 def row_basis(m: np.ndarray) -> np.ndarray:
-    """Canonical basis (nonzero rref rows) of the row space."""
+    """Canonical basis (nonzero rref rows) of the row space: m itself when
+    it is an RREF already (rref_pivots), else its reduction."""
+    m = np.atleast_2d(np.asarray(m, dtype=np.uint8))
+    if rref_pivots(m) is not None:
+        return m
     r, rank, _ = rref(m)
     return r[:rank]
 

@@ -170,35 +170,52 @@ def _extend(code) -> SelfDualCode:
     With f_1..f_e an orthonormal basis of a complement of C in C^perp_h,
     the extended code is (g | 0) above (f | I_e), its own Hermitian dual.
     Any other code is refused with NotApplicableError, before any walk or
-    search.  Two facts are read from this form instead of recomputed:
+    search.  g is reduced only when it is not an RREF (linalg.rref_pivots);
+    a CyclicCode's gen_matrix is its RREF [I_k | P] already.  Two facts are
+    read from this form instead of recomputed:
     - complement: the dual basis is the identity on g's free columns F,
       so dual row i lies in the span of C and the rows before it exactly
       when some word of C has its last nonzero F-coordinate at F[i].  Those
       i, counted from the end of F, are the pivots of one rref of g's
       columns F in reverse order, and the other rows are the ones
-      linalg.complement_basis(g, dual) picks, in its order;
+      linalg.complement_basis(g, dual) picks, in its order.  A CyclicCode
+      needs no rref: F is k..n-1, x^(p-r) g(x) is a word of C ending at p
+      for every p >= r = deg g, and every nonzero word of C has degree
+      >= r, so the kept rows are the first r - k = e;
     - rank: (g | 0) is an RREF of k rows and the unit rows hold I_e where
       it is zero, so the rank is k + e when g's pivots are k unit columns.
     The Gram test of the SelfDualCode, run once, certifies that the
     extended code is self-dual.
     """
-    r, k, pivots = linalg.rref(dist._generators(code))
-    g = r[:k]
+    g = dist._generators(code)
+    cyclic = isinstance(code, CyclicCode)
+    pivots = linalg.rref_pivots(g)
+    # k unit pivot columns (0..dim-1 for a CyclicCode): g has rank k, and so
+    # (g | 0) above (f | I_e) has k + e
+    if cyclic:
+        if pivots != list(range(code.dim)):
+            raise InvariantError("extended generators are dependent")
+    elif pivots is None:
+        r, k, pivots = linalg.rref(g)
+        g = r[:k]
+        if linalg.rref_pivots(g) != pivots:
+            raise InvariantError("extended generators are dependent")
+    k, n = g.shape
     if k == 0:
         raise InputError("refusing the zero code (dimension must be >= 1)")
-    # k unit pivot columns: g has rank k, and so (g | 0) above (f | I_e) has k + e
-    if linalg.rref_pivots(g) != pivots:
-        raise InvariantError("extended generators are dependent")
     if linalg.gram_matrix(g).any():
         raise NotApplicableError("code is not Hermitian self-orthogonal", failed=["C <= C^perp_h"])
     dual = linalg.hermitian_dual_space(g)
     e = dual.shape[0] - k
-    n = g.shape[1]
-    free = np.delete(np.arange(n), pivots)
-    # dual row i is dropped when a word of C ends at free[i]
-    keep = np.ones(len(free), dtype=bool)
-    keep[[len(free) - 1 - p for p in linalg.rref(g[:, free[::-1]])[2]]] = False
-    ortho = _hermitian_orthonormalize(dual[keep])
+    if cyclic:
+        kept = dual[:e]
+    else:
+        free = np.delete(np.arange(n), pivots)
+        # dual row i is dropped when a word of C ends at free[i]
+        keep = np.ones(len(free), dtype=bool)
+        keep[[len(free) - 1 - p for p in linalg.rref(g[:, free[::-1]])[2]]] = False
+        kept = dual[keep]
+    ortho = _hermitian_orthonormalize(kept)
     if ortho.shape[0] != e:
         raise InvariantError("orthonormal complement has wrong dimension")
     extended = np.zeros((k + e, n + e), dtype=np.uint8)

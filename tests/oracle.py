@@ -108,6 +108,13 @@ def unpack_planes(lo, hi, n):
     return [[bit(l, j) | bit(h, j) << 1 for j in range(n)] for l, h in zip(lo, hi)]
 
 
+def shift_matrix(g, n):
+    """The rows x^i g(x), i = 0..n - 1 - deg g, of length n: the textbook
+    generator matrix of the cyclic code generated by g."""
+    d = poly_deg(g)
+    return [[0] * i + [int(c) for c in g[: d + 1]] + [0] * (n - d - 1 - i) for i in range(n - d)]
+
+
 def x_pow_n_minus_1(n):
     """The coefficients of x^n - 1 = x^n + 1, constant term first."""
     return [1] + [0] * (n - 1) + [1]

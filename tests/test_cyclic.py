@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 
@@ -132,6 +134,36 @@ def test_dual_defining_set_examples():
     assert dual_defining_set(DefiningSet(5, frozenset({1, 4}))).members == frozenset({0, 1, 4})
     assert dual_defining_set(DefiningSet(5, frozenset())).members == frozenset(range(5))
     assert dual_defining_set(DefiningSet.from_leaders(7, [1])).members == frozenset({0, 1, 2, 4})
+
+
+def _coset_unions(n, sample, rng):
+    """Every union of 4-cyclotomic cosets mod n, or a sample of that many
+    when there are more."""
+    cosets = all_cosets(n)
+    masks = range(1 << len(cosets))
+    if len(masks) > sample:
+        masks = rng.sample(masks, sample)
+    for mask in masks:
+        yield DefiningSet(n, frozenset().union(*(c for i, c in enumerate(cosets) if mask >> i & 1)))
+
+
+def test_gen_matrix_is_the_rref_of_the_shift_matrix():
+    # the systematic encoding gives the RREF of the shifts x^i g(x): every
+    # coset union for odd n <= 63 (a seeded sample of 2^7 where there are
+    # more), the zero code and the whole space included, and the research
+    # and n = 191 defining sets and their duals
+    rng = random.Random(63)
+    sets = [a for n in range(3, 64, 2) for a in _coset_unions(n, 1 << 7, rng)]
+    for n, leaders in ((141, [2, 3, 10]), (123, [1, 2, 6, 7, 9, 11]), (191, [1])):
+        a = DefiningSet.from_leaders(n, leaders)
+        sets += [a, dual_defining_set(a)]
+    assert len(sets) == 1934
+    for a in sets:
+        code = CyclicCode(a)
+        r, rank, _ = linalg.rref(np.array(oracle.shift_matrix(code.gen_poly, a.n), dtype=np.uint8).reshape(-1, a.n))
+        m = code.gen_matrix
+        assert m.dtype == np.uint8 and not m.flags.writeable
+        assert rank == code.dim and np.array_equal(m, r[:rank]), (a.n, a.leaders)
 
 
 def test_is_dual_containing():

@@ -218,14 +218,20 @@ def test_binary_name_is_the_gf2_walk():
 
 
 def test_exact_distance_reduces_once(monkeypatch):
-    # min_distance_exact reduces the generator once; the walk reads the
-    # RREF's pivots (linalg.rref_pivots) instead of reducing it again
+    # min_distance_exact reduces a generator that is not an RREF once, here
+    # the matrix of shifts of g(x); the walk reads the RREF's pivots
+    # (linalg.rref_pivots) instead of reducing it again.  A CyclicCode's
+    # gen_matrix is its RREF already, so it is not reduced at all
     reduced = []
     rref = linalg.rref
     monkeypatch.setattr(linalg, "rref", lambda m: reduced.append(m) or rref(m))
     monkeypatch.setattr(dist, "_CACHE", {})
-    b = dist.min_distance_exact(CyclicCode.from_leaders(23, [1]))
+    code = CyclicCode.from_leaders(23, [1])
+    b = dist.min_distance_exact(np.array(oracle.shift_matrix(code.gen_poly, 23), dtype=np.uint8))
     assert b.exact and b.lo == 7 and len(reduced) == 1
+    reduced.clear()
+    b = dist.min_distance_exact(code)
+    assert b.exact and b.lo == 7 and len(reduced) == 0
 
 
 @pytest.mark.parametrize("rows", [
@@ -963,7 +969,9 @@ def _research_extensions():
 def test_derived_systematic_forms_are_the_reductions():
     # the two forms of a self-dual extension, on I = pivots(C) + units and
     # on its complement, and the one-set form of an RREF, equal the
-    # linalg.rref they replace
+    # linalg.rref they replace; the form on I, read from one (e x k) (k x N)
+    # product, is the whole product M G of the block M of the generator on
+    # I, its own inverse
     exts = list(_extension_generators()) + list(_sweep_extensions(41)) + list(_research_extensions())
     assert len(exts) > 220
     for ext in exts:
@@ -973,6 +981,7 @@ def test_derived_systematic_forms_are_the_reductions():
         rest = sorted(set(range(n)) - set(info))
         g, forms = dist._systematic_forms(ext)
         assert g is gen and [cols for cols, _ in forms] == [info + rest, rest + info]
+        assert np.array_equal(forms[0][1], linalg.matmul(gen[:, info], gen[:, info + rest]))
         for cols, r in forms:
             reduced, rank, pivots = linalg.rref(gen[:, cols])
             assert pivots == list(range(k)) and (r == reduced[:k]).all()

@@ -66,10 +66,12 @@ def test_extension_gram_certificates():
 
 
 def test_extend_reduces_its_basis_once(monkeypatch):
-    # the even-like [23, 11] code (e = 1): rref reduces the generator matrix,
-    # then the radical (here the code itself) on the 12 free columns; the
+    # the even-like [23, 11] code (e = 1).  As a matrix of shifts, not an
+    # RREF, rref reduces it, then the radical (here the code itself) on the
+    # 12 free columns.  As a CyclicCode its gen_matrix is the RREF and the
+    # complement is the first e free columns, so nothing is reduced.  The
     # Hermitian dual reads the pivots of the conjugated RREF, and the rank
-    # k + e is read from g's pivots and the unit block, so neither is reduced
+    # k + e is read from g's pivots and the unit block, on both routes
     calls = []
     rref = linalg.rref
 
@@ -77,9 +79,13 @@ def test_extend_reduces_its_basis_once(monkeypatch):
         calls.append(np.array(m).shape)
         return rref(m)
     monkeypatch.setattr(linalg, "rref", counting)
-    ext = quantum._extend(CyclicCode(DefiningSet.from_leaders(23, [0, 1])))
-    assert ext.e == 1
-    assert calls == [(11, 23), (11, 12)]
+    code = CyclicCode(DefiningSet.from_leaders(23, [0, 1]))
+    shifts = np.array(oracle.shift_matrix(code.gen_poly, 23), dtype=np.uint8)
+    ext = quantum._extend(shifts)
+    assert ext.e == 1 and calls == [(11, 23), (11, 12)]
+    calls.clear()
+    cyclic = quantum._extend(code)
+    assert calls == [] and np.array_equal(cyclic.gen, ext.gen)
 
 
 def _search_sets(n):
@@ -92,23 +98,28 @@ def _search_sets(n):
 
 
 def _repeat_a_row_of_g(monkeypatch):
-    """Make the reduction that yields g in _extend repeat g's first row."""
-    rref, extend = linalg.rref, quantum._extend
+    """Make g in _extend repeat its first row: on the matrix route the
+    reduction that yields g, on the cyclic route CyclicCode.gen_matrix."""
+    rref, extend, gen_matrix = linalg.rref, quantum._extend, CyclicCode.gen_matrix
     armed = []
 
     def extend_armed(code):
         armed.append(True)
         return extend(code)
 
-    def repeating(m):
-        r, rank, pivots = rref(m)
+    def repeat(r, rank):
         if armed:
             armed.clear()
             r[rank - 1] = r[0]
-        return r, rank, pivots
+        return r
+
+    def repeating(m):
+        r, rank, pivots = rref(m)
+        return repeat(r, rank), rank, pivots
 
     monkeypatch.setattr(quantum, "_extend", extend_armed)
     monkeypatch.setattr(linalg, "rref", repeating)
+    monkeypatch.setattr(CyclicCode, "gen_matrix", property(lambda c: repeat(gen_matrix.fget(c).copy(), c.dim)))
 
 
 def _corrupt_the_complement(monkeypatch):
@@ -131,9 +142,13 @@ _EXTENSION_FAULTS = [
 
 @pytest.mark.parametrize("fault, message", _EXTENSION_FAULTS)
 def test_extend_raises_on_a_broken_block(monkeypatch, fault, message):
+    # both routes: the cyclic one and a matrix of shifts, which is reduced
+    code = CyclicCode(DefiningSet.from_leaders(23, [0, 1]))
+    shifts = np.array(oracle.shift_matrix(code.gen_poly, 23), dtype=np.uint8)
     fault(monkeypatch)
-    with pytest.raises(InvariantError, match=message):
-        quantum._extend(CyclicCode(DefiningSet.from_leaders(23, [0, 1])))
+    for c in (code, shifts):
+        with pytest.raises(InvariantError, match=message):
+            quantum._extend(c)
 
 
 @pytest.mark.parametrize("fault, message", _EXTENSION_FAULTS)
@@ -170,6 +185,31 @@ def test_extend_reads_the_complement_from_the_free_columns(monkeypatch):
         extended, _ = oracle.block_extension(ext.original, ext.original, dual)
         assert ext.gen.dtype == np.uint8 and ext.gen.tolist() == extended
         assert linalg.rref(ext.gen)[1] == ext.gen.shape[0]
+
+
+def test_a_cyclic_code_keeps_the_rows_its_reduction_keeps(monkeypatch):
+    # every searched code for odd n <= 41 and both research codes: the
+    # cyclic route, which keeps the first e dual rows, keeps the rows the
+    # matrix route's reduction on the free columns keeps, and builds the
+    # same extension; _is_cyclic of the RREF, the other way to tell a
+    # cyclic code, holds for each
+    kept = []
+    orthonormalize = quantum._hermitian_orthonormalize
+
+    def record(rows):
+        kept.append(rows)
+        return orthonormalize(rows)
+
+    monkeypatch.setattr(quantum, "_hermitian_orthonormalize", record)
+    sets = [a for n in range(3, 42, 2) for a in _search_sets(n)]
+    sets += [DefiningSet.from_leaders(141, [2, 3, 10]), DefiningSet.from_leaders(123, [1, 2, 6, 7, 9, 11])]
+    assert len(sets) == 222
+    for a in sets:
+        code = CyclicCode(dual_defining_set(a))
+        kept.clear()
+        ext, reduced = quantum._extend(code), quantum._extend(code.gen_matrix)
+        assert np.array_equal(kept[0], kept[1]) and len(kept[0]) == ext.e, (a.n, a.leaders)
+        assert np.array_equal(ext.gen, reduced.gen) and dist._is_cyclic(ext.original)
 
 
 def test_orthonormalize_matches_oracle_greedy(monkeypatch):
